@@ -9,6 +9,11 @@ comparison picks up curvature proportional to the enclosed area.  Their
 holonomies around a meridian of a cone spacetime are the two projective
 factors of the gluing isometry: an elliptic pair whose angle is the cone
 angle.
+
+The contractible-loop deviations come from RK4 transport.  The meridian
+pairs are exact: on the quadric, identified with SL(2,R), the flat
+connections are left and right translation, so holonomy_pair needs only the
+endpoints of the meridian and the gluing.
 """
 
 import numpy as np

@@ -295,16 +295,21 @@ def collision_distance(theta: float, eta1: float, eta2: float) -> float:
     Realizable exactly when eta1 + eta2 < theta < 2 pi."""
     if not (0 < eta1 < TWO_PI and 0 < eta2 < TWO_PI):
         raise GeometryError("cone angles must lie in (0, 2 pi)")
+    # Outside the window the identity can still give cosh(d) > 1 (for
+    # eta1 + eta2 > 4 pi - theta), so the window itself is the test.
+    what = f"collision (theta={theta:.6g}; eta=({eta1:.6g}, {eta2:.6g})) is not realizable"
+    if not eta1 + eta2 < theta:
+        raise LinkRealizationError(
+            f"{what}: needs eta1 + eta2 < theta, but eta1 + eta2 - theta = {eta1 + eta2 - theta:.6g}"
+        )
+    if not theta < TWO_PI:
+        raise LinkRealizationError(
+            f"{what}: needs theta < 2 pi, but theta - 2 pi = {theta - TWO_PI:.6g}"
+        )
     c = (np.cos(eta1 / 2) * np.cos(eta2 / 2) - np.cos(theta / 2)) / (
         np.sin(eta1 / 2) * np.sin(eta2 / 2)
     )
-    if not theta < TWO_PI or c <= 1.0:
-        raise LinkRealizationError(
-            f"collision (theta={theta:.6g}; eta=({eta1:.6g}, {eta2:.6g})) is not "
-            f"realizable: the product of the two rotations has cosh(d) = {c:.6g}, "
-            "so theta must lie in (eta1 + eta2, 2 pi)"
-        )
-    return float(np.arccosh(c))
+    return float(np.arccosh(max(c, 1.0)))
 
 
 def _disk_complex(rim, interior, eta1, eta2):

@@ -560,13 +560,6 @@ def delaunay_normalize(s: ConeSurface, max_flips: int = 10000) -> ConeSurface:
     raise ArithmeticError("Delaunay normalization did not terminate")
 
 
-def _opposite_corner(s: ConeSurface, f: int, e: int) -> int:
-    for si in range(3):
-        if s.faces[f][si].edge == e:
-            return (si + 2) % 3
-    raise GeometryError("edge not on face")
-
-
 def _needs_flip(s: ConeSurface, e: int, tol: float = 1e-9) -> bool:
     uses = _uses_of(s, e)
     if len(uses) != 2:

@@ -22,7 +22,6 @@ from .conesurf import (
     DiskSpec,
     disks_isometric,
     dual_cycles,
-    holonomy_lorentz,
     holonomy_of_loop,
     loop_around_vertex,
 )
@@ -113,10 +112,6 @@ class ValidationReport:
 
     def __bool__(self):
         return self.passed
-
-
-def _tr3(s: ConeSurface, loop) -> float:
-    return float(np.trace(holonomy_lorentz(s, loop)))
 
 
 def solve_conjugator(pairs, tol: float = 1e-8) -> tuple[Proj2, float]:

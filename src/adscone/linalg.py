@@ -199,11 +199,6 @@ def frame_coordinates(x: Vec22, frame: tuple[Vec22, Vec22, Vec22], u: Vec22) -> 
     return np.array([-dot22(u, t), dot22(u, f1), dot22(u, f2)])
 
 
-def frame_vector(frame: tuple[Vec22, Vec22, Vec22], c: Mink3Vec) -> Vec22:
-    t, f1, f2 = frame
-    return c[0] * t + c[1] * f1 + c[2] * f2
-
-
 class HSPointClass(Enum):
     """The five-piece partition of the space of rays in R^{1,2}."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .isom import IsomPair, psl_of_lorentz3
+from .isom import IsomPair, point_of_sl2, psl_of_lorentz3, sl2_of_point
 from .linalg import (
     cross,
     dot22,
@@ -157,7 +157,10 @@ def transport(
 
     Fourth-order Runge-Kutta per segment with re-projection onto the tangent
     space; paths sampled at parameter steps around 1e-3 keep contractible
-    loop deviations of the flat connections below 1e-6."""
+    loop deviations of the flat connections below 1e-6.  The left and right
+    connections also have the exact endpoint form that holonomy_pair uses;
+    this integrator serves the non-flat "lc" connection and is the reference
+    the exact form is tested against."""
     if kind not in ("left", "right", "lc"):
         raise GeometryError("kind must be left, right or lc")
     path = np.asarray(path, dtype=float)
@@ -221,21 +224,39 @@ def holonomy_pair(path: np.ndarray, closing: np.ndarray) -> IsomPair:
     path runs from y to G^{-1} y in the ambient quadric and closes through
     the gluing G ('closing'); the transports of an orthonormal tangent frame,
     corrected by dG, give isometries of the fiber hyperbolic plane, returned
-    as the pair of projective classes (left first)."""
+    as the pair of projective classes (left first).
+
+    The transports are exact.  Under the identification x -> X(x) of the
+    quadric with SL(2,R) (isom.sl2_of_point) the left and right connections
+    are left and right translation, flat and globally trivial: from
+    a = path[0] to b = path[-1] a tangent vector U goes to X(b) X(a)^{-1} U
+    (left) or U X(a)^{-1} X(b) (right), whatever the samples in between.
+    The path is still checked where `transport` would evaluate it: every
+    sample and every chord sum a + b must lie in the timelike cone."""
+    path = np.asarray(path, dtype=float)
     y = path[0]
     if np.abs(closing @ path[-1] - y).max() > 1e-9:
         raise GeometryError("closing isometry does not match the path endpoints")
+    stages = np.concatenate((path, path[:-1] + path[1:]))
+    norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
+    if np.any(norms >= 0):
+        k = int(np.argmax(norms))
+        where = f"sample {k}" if k < len(path) else f"chord {k - len(path)}"
+        raise GeometryError(
+            f"path leaves the timelike cone at {where}: <p,p> = {norms[k]:.3e} >= 0"
+        )
+    xa_inv = np.linalg.inv(sl2_of_point(normalize_point(y)))
+    xb = sl2_of_point(normalize_point(path[-1]))
+    gl, gr = xb @ xa_inv, xa_inv @ xb
     frame = orthonormal_tangent_frame(y)
-    out = {}
-    for kind in ("left", "right"):
-        cols = []
-        for u0 in frame:
-            u1 = transport(path, u0, kind)
-            u1 = closing @ u1
-            cols.append(frame_coordinates(y, frame, u1))
-        L = np.column_stack(cols)
-        out[kind] = psl_of_lorentz3(L)
-    return IsomPair(out["left"], out["right"])
+    out = []
+    for translate in (lambda u: gl @ u, lambda u: u @ gr):
+        cols = [
+            frame_coordinates(y, frame, closing @ point_of_sl2(translate(sl2_of_point(u0))))
+            for u0 in frame
+        ]
+        out.append(psl_of_lorentz3(np.column_stack(cols)))
+    return IsomPair(*out)
 
 
 # ---------------------------------------------------------------------------

@@ -347,27 +347,6 @@ def model_isom_pair(kind: str, param: float) -> IsomPair:
 # -- causal checks in the singular chart -------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularChartPoint:
-    """A point of the singular chart near a particle of the given mass:
-    z in the open unit disk, t in (-1, 1)."""
-
-    z: complex
-    t: float
-    mass: float
-
-    def __post_init__(self):
-        if abs(self.z) >= 1.0:
-            raise GeometryError("chart point must lie in the open unit disk")
-        if not -1.0 < self.t < 1.0:
-            raise GeometryError("chart time must lie in (-1, 1)")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 - self.mass
-
-
-
 def causal_speed_check(
     ts: np.ndarray, zs: np.ndarray, mass: float, slack: float = 1e-6
 ) -> bool:

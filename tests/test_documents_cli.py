@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import adscone
 from adscone import documents as docs
 from adscone.catalog import subdivide_face_with_cone, torus_with_cone_point
 from adscone.cli import main
@@ -233,7 +236,12 @@ def test_cli_model_doc(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the same adscone as this process, also when pytest
+    # put src/ on sys.path itself (pythonpath in pyproject.toml)
+    src = str(Path(adscone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     code = subprocess.run(
-        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True
+        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=env
     )
     assert code.returncode == 0

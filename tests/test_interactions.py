@@ -60,9 +60,15 @@ def test_collision_distance_formula():
 
 
 def test_collision_distance_rejects_spec_fixture():
-    with pytest.raises(LinkRealizationError) as err:
-        collision_distance(PI, 2 * PI / 3, 2 * PI / 3)
-    assert "not realizable" in str(err.value)
+    # the spec fixture, and a request past 4 pi - theta, where the trace
+    # identity alone would give cosh(d) > 1
+    wrapped = (4 * PI - 4.0 + 0.3) / 2
+    for theta, eta, excess in ((PI, 2 * PI / 3, PI / 3), (4.0, wrapped, 4 * PI - 8.0 + 0.3)):
+        with pytest.raises(LinkRealizationError) as err:
+            collision_distance(theta, eta, eta)
+        msg = str(err.value)
+        assert "not realizable" in msg and "needs eta1 + eta2 < theta" in msg
+        assert f"{excess:.6g}" in msg
 
 
 def test_surgery_rejects_impossible_link():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone.errors import GeometryError
 from adscone.isom import IsomKind, classify
@@ -151,10 +153,17 @@ def test_geodesic_flow_invariance():
     assert worst <= 1e-8
 
 
-def test_holonomy_pair_cone_meridians():
+def assert_pairs_close(got, want, tol=1e-9):
+    # projective classes: the canonical sign is ambiguous at trace 0
+    for g, w in ((got.left, want.left), (got.right, want.right)):
+        assert min(np.abs(g.m - w.m).max(), np.abs(g.m + w.m).max()) <= tol
+
+
+def test_holonomy_pair_cone_meridians(rk4_holonomy_pair):
     for theta in (PI / 3, PI / 2, PI, 3 * PI / 2):
         path, G = meridian_loop("cone", theta, samples=1200)
         pair = holonomy_pair(path, G)
+        assert_pairs_close(pair, rk4_holonomy_pair(path, G))
         for side in (pair.left, pair.right):
             cls = classify(side)
             assert cls.kind is IsomKind.ELLIPTIC
@@ -169,15 +178,54 @@ def test_holonomy_pair_contractible():
     assert classify(pair.right).kind is IsomKind.IDENTITY
 
 
-def test_holonomy_pair_tachyon_matches_model_factors():
+def test_holonomy_pair_tachyon_matches_model_factors(rk4_holonomy_pair):
     m = 0.8
     path, G = meridian_loop("tachyon", m, radius=0.25, samples=1600)
     pair = holonomy_pair(path, G)
+    assert_pairs_close(pair, rk4_holonomy_pair(path, G))
     model = model_isom_pair("tachyon", m)
     for got, want in ((pair.left, model.left), (pair.right, model.right)):
         cg, cw = classify(got), classify(want)
         assert cg.kind is cw.kind is IsomKind.HYPERBOLIC
         assert abs(cg.length - cw.length) < 1e-6
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(st.just("cone"), st.floats(0.05, 2 * PI - 0.05)),
+        st.tuples(st.just("tachyon"), st.floats(0.05, 1.7)),
+    )
+)
+def test_holonomy_pair_equals_model_factors(model):
+    kind, param = model
+    pair = holonomy_pair(*meridian_loop(kind, param, radius=0.3))
+    want = model_isom_pair(kind, param)
+    for got, ref in ((pair.left, want.left), (pair.right, want.right)):
+        assert abs(got.trace - ref.trace) <= 1e-9
+        assert classify(got).kind is classify(ref).kind
+
+
+def test_holonomy_pair_rejects_closing_mismatch():
+    path, G = meridian_loop("cone", 1.3, samples=200)
+    with pytest.raises(GeometryError, match="closing"):
+        holonomy_pair(path, np.eye(4))
+    with pytest.raises(GeometryError, match="closing"):
+        holonomy_pair(path[:-1], G)
+
+
+def test_holonomy_pair_rejects_path_outside_timelike_cone():
+    # b is on the quadric, but <a, b> = cosh(1) > 1, so the chord a + b is
+    # spacelike; c is not in the timelike cone at all.  RK4 transport
+    # rejects both paths, so the exact pair must too.
+    a = np.array([1.0, 0.0, 0.0, 0.0])
+    b = np.array([-np.cosh(1.0), 0.0, np.sinh(1.0), 0.0])
+    c = np.array([0.0, 0.0, 2.0, 0.0])
+    for path, where in ((np.array([a, b, a]), "chord 0"), (np.array([a, c, a]), "sample 1")):
+        with pytest.raises(ValueError):
+            transport(path, orthonormal_tangent_frame(a)[1], "left")
+        with pytest.raises(GeometryError, match=f"timelike cone at {where}"):
+            holonomy_pair(path, np.eye(4))
 
 
 def test_disk_link_isometry_values():
