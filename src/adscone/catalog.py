@@ -10,9 +10,11 @@ plane.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .conesurf import ConeSurface, DiskSpec, Side, triangle_edge_from_angles
+from .conesurf import ConeSurface, DiskSpec, Side, law_of_cosines, triangle_edge_from_angles
 from .errors import GeometryError, LinkRealizationError
 from .isom import Proj2, classify, fixed_point_lift
 from .linalg import HSPointClass, classify_ray, dot12
@@ -32,57 +34,48 @@ def solve_metric(
     targets: dict[int, float],
     free_edges: list[int] | None = None,
     length_targets: dict[int, float] | None = None,
-    functional_targets: list | None = None,
     tol: float = 1e-12,
     max_iter: int = 200,
     continuation_steps: int = 1,
 ) -> ConeSurface:
     """Adjust edge lengths so prescribed vertices reach their target angles
-    (and, optionally, prescribed edges reach target lengths, and arbitrary
-    functionals of the metric reach target values).
+    (and, optionally, prescribed edges reach target lengths).
 
-    functional_targets is a list of (callable surface -> float, goal) pairs;
-    holonomy traces of fixed loops are the intended use.
-
-    Damped Gauss-Newton on log lengths with a finite-difference Jacobian; the
-    system is usually underdetermined and the minimum-norm step keeps the
-    result close to the seed metric.  With continuation_steps > 1 the goals
-    are walked from the seed metric's own values to the requested ones, which
-    keeps every intermediate problem feasible.  Raises LinkRealizationError
-    when the residual cannot be driven to zero (the requested data has no
+    Damped Gauss-Newton on log lengths with the closed-form Jacobian of the
+    hyperbolic law of cosines (ConeSurface.angle_sum_jacobian); the system is
+    usually underdetermined and the minimum-norm step keeps the result close
+    to the seed metric.  With continuation_steps > 1 the goals are walked
+    from the seed metric's own values to the requested ones, which keeps
+    every intermediate problem feasible.  Raises LinkRealizationError when
+    the residual cannot be driven to zero (the requested data has no
     hyperbolic realization near the seed).
     """
     if free_edges is None:
         free_edges = list(range(len(surface.edges)))
     free_edges = list(free_edges)
     length_targets = dict(length_targets or {})
-    functional_targets = list(functional_targets or [])
     verts = sorted(targets)
     ledges = sorted(length_targets)
-    goal = np.array(
-        [targets[v] for v in verts]
-        + [length_targets[e] for e in ledges]
-        + [g for _, g in functional_targets]
-    )
+    goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
+    # d length[e] / d x[j] = length[e] where free_edges[j] == e
+    length_rows = np.equal.outer(ledges, free_edges).astype(float)
 
     def build(x) -> ConeSurface:
         lengths = surface.lengths.copy()
         lengths[free_edges] = np.exp(x)
-        return ConeSurface(
-            surface.edges, surface.faces, lengths, surface.cone_angles, check_angles=False
-        )
+        return surface.with_lengths(lengths)
 
-    def values_of(x) -> np.ndarray:
-        s = build(x)
+    def values_of(s: ConeSurface) -> np.ndarray:
         sums = s.vertex_angle_sums()
-        return np.array(
-            [sums[v] for v in verts]
-            + [s.lengths[e] for e in ledges]
-            + [fn(s) for fn, _ in functional_targets]
-        )
+        return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
+
+    def jacobian(s: ConeSurface) -> np.ndarray:
+        angles = s.angle_sum_jacobian()[verts][:, free_edges]
+        return np.vstack([angles, length_rows * s.lengths[ledges][:, None]])
 
     x = np.log(np.asarray(surface.lengths, dtype=float))[free_edges]
-    start = values_of(x)
+    current = build(x)
+    start = values_of(current)
     stages = (
         np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
         if continuation_steps > 1
@@ -91,38 +84,23 @@ def solve_metric(
 
     for t in stages:
         stage_goal = (1 - t) * start + t * goal
-
-        def residual(xx):
-            return values_of(xx) - stage_goal
-
         lam = 1e-10
-        r = residual(x)
+        r = values_of(current) - stage_goal
         for _ in range(max_iter):
             if np.abs(r).max() < tol:
                 break
-            jac = np.empty((len(r), len(x)))
-            h = 1e-7
-            for j in range(len(x)):
-                xp = x.copy()
-                xp[j] += h
-                try:
-                    jac[:, j] = (residual(xp) - r) / h
-                except GeometryError:
-                    # probe crossed a triangle-inequality wall; go one-sided
-                    try:
-                        xp[j] = x[j] - h
-                        jac[:, j] = (r - residual(xp)) / h
-                    except GeometryError:
-                        jac[:, j] = 0.0
+            jac = jacobian(current)
             a = jac.T @ jac + lam * np.eye(len(x))
             step = np.linalg.solve(a, -jac.T @ r)
             improved = False
             for _ in range(40):
                 try:
-                    r_new = residual(x + step)
+                    trial = build(x + step)
+                    r_new = values_of(trial) - stage_goal
                     if np.linalg.norm(r_new) < np.linalg.norm(r):
                         x = x + step
                         r = r_new
+                        current = trial
                         lam = max(lam / 4.0, 1e-12)
                         improved = True
                         break
@@ -138,7 +116,7 @@ def solve_metric(
                 )
         else:
             raise LinkRealizationError("metric solve did not converge")
-    return build(x)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +221,7 @@ def torus_with_cone_point(
     if rim_length is not None:
         lt = {r1: rim_length, r2: rim_length, r3: rim_length}
         surf = solve_metric(surf, targets, length_targets=lt, continuation_steps=64)
-    surf = ConeSurface(surf.edges, surf.faces, surf.lengths, {p: theta})
+    surf = surf.with_lengths(surf.lengths, {p: theta}, check_angles=True)
     disk = DiskSpec(surf, frozenset(range(7, 10)))
     return surf, disk
 
@@ -252,7 +230,8 @@ def subdivide_face_with_cone(
     s: ConeSurface, face: int, theta: float
 ) -> tuple[ConeSurface, DiskSpec, int]:
     """Split a face barycentrically and make the new vertex a cone point of
-    angle theta; re-solves the metric on the three new spokes only.
+    angle theta, then re-solve the metric of the whole surface (every edge
+    length is free; the minimum-norm step stays near the old metric).
 
     Returns (surface, disk around the new point, new vertex id)."""
     corners = s.face_corners(face)
@@ -282,7 +261,7 @@ def subdivide_face_with_cone(
     targets = {v: seed.target_angle(v) for v in seed.vertices}
     targets[new_v] = theta
     surf = solve_metric(seed, targets)
-    surf = ConeSurface(surf.edges, surf.faces, surf.lengths, cones)
+    surf = surf.with_lengths(surf.lengths, cones, check_angles=True)
     return surf, DiskSpec(surf, frozenset(ids)), new_v
 
 
@@ -312,11 +291,14 @@ def collision_distance(theta: float, eta1: float, eta2: float) -> float:
     return float(np.arccosh(max(c, 1.0)))
 
 
-def _disk_complex(rim, interior, eta1, eta2):
-    edges = [
+@functools.cache
+def _disk_template() -> ConeSurface:
+    """The combinatorics of the two-cone disk (unit lengths): rim vertices
+    0, 1, 2, cone points 3 and 4."""
+    edges = (
         (0, 1), (1, 2), (2, 0),        # rim r1, r2, r3
         (0, 3), (1, 3), (1, 4), (3, 4), (2, 4), (2, 3),  # a1..a6
-    ]
+    )
     faces = (
         (Side(0), Side(4), Side(3, False)),
         (Side(5), Side(6, False), Side(4, False)),
@@ -324,18 +306,16 @@ def _disk_complex(rim, interior, eta1, eta2):
         (Side(8), Side(6), Side(7, False)),
         (Side(2), Side(3), Side(8, False)),
     )
+    return ConeSurface(edges, faces, np.ones(len(edges)), check_angles=False)
+
+
+def _disk_complex(rim, interior, eta1, eta2):
     lengths = np.concatenate([np.asarray(rim, float), np.asarray(interior, float)])
-    return ConeSurface(tuple(edges), faces, lengths, {3: eta1, 4: eta2}, check_angles=False)
+    return _disk_template().with_lengths(lengths, {3: eta1, 4: eta2})
 
 
 def _hyp_dist(u, v):
     return float(np.arccosh(max(1.0 + 5e-16, -dot12(u, v))))
-
-
-def _hyp_angle_at(v, a, b):
-    ca, cb, cc = _hyp_dist(v, a), _hyp_dist(v, b), _hyp_dist(a, b)
-    val = (np.cosh(ca) * np.cosh(cb) - np.cosh(cc)) / (np.sinh(ca) * np.sinh(cb))
-    return float(np.arccos(np.clip(val, -1.0, 1.0)))
 
 
 def two_cone_disk_from_params(
@@ -370,8 +350,14 @@ def two_cone_disk_from_params(
     q2 = from_p1(s2, a_q2)
     p2 = from_p1(d, a_p2)
     q3 = from_p1(s3, a_q3)
-    ang_f1 = _hyp_angle_at(p2, p1, q2)
-    ang_f3 = _hyp_angle_at(p2, q3, p1)
+    leg2 = _hyp_dist(p2, q2)
+    leg3 = _hyp_dist(p2, q3)
+    # the angles at p2 of the triangles (p2, p1, q2) and (p2, q3, p1): corner 0
+    # of sides (p2 -> a, a -> b, b -> p2)
+    sides = np.array(
+        [[_hyp_dist(p2, p1), _hyp_dist(p1, q2), leg2], [leg3, _hyp_dist(q3, p1), _hyp_dist(p1, p2)]]
+    )
+    ang_f1, ang_f3 = np.arccos(np.clip(law_of_cosines(sides)[:, 0], -1.0, 1.0)).tolist()
     explicit_beta = len(params) >= 6
     if explicit_beta:
         # beta2 is its own parameter; the realized second cone angle is
@@ -383,8 +369,6 @@ def two_cone_disk_from_params(
         eta2_realized = eta2
         if beta2 <= 1e-9:
             raise GeometryError("second cone angle too small for this configuration")
-    leg2 = _hyp_dist(p2, q2)
-    leg3 = _hyp_dist(p2, q3)
     r2 = float(
         np.arccosh(
             np.cosh(leg2) * np.cosh(leg3) - np.sinh(leg2) * np.sinh(leg3) * np.cos(beta2)
@@ -401,11 +385,7 @@ def two_cone_disk_from_params(
 
 def _disk_rim_data(disk: ConeSurface):
     """(rim lengths, rim corner angle sums) of the standard disk complex."""
-    sums = {0: 0.0, 1: 0.0, 2: 0.0}
-    for f in range(len(disk.faces)):
-        for i, v in enumerate(disk.face_corners(f)):
-            if v in sums:
-                sums[v] += disk.corner_angle(f, i)
+    sums = disk.vertex_angle_sums((0, 1, 2))
     rims = [float(disk.lengths[0]), float(disk.lengths[1]), float(disk.lengths[2])]
     return rims, [sums[0], sums[1], sums[2]]
 

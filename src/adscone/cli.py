@@ -10,9 +10,9 @@ malformed input.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +20,9 @@ import numpy as np
 from . import documents as docs
 from .errors import GeometryError
 from .hssurface import check_causal, check_polyhedron_conditions, classify_hs_sphere
-from .interactions import assemble_holonomy, validate_geometric_data
+from .interactions import assemble_holonomy, surgery_collision, validate_geometric_data
 from .links import classify_singularity
-from .spacetimes import causal_speed_check, link_of_line, model_lines
+from .spacetimes import causal_speed_check, link_of_line, model_lines, product_spacetime
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -154,20 +154,14 @@ def cmd_lr_metrics(args) -> int:
 
 
 def cmd_surgery(args) -> int:
-    from .spacetimes import product_spacetime
-
     doc = _load(args.input)
     payload = docs.check_envelope(doc, "surgery-request.json")
     base = docs.cone_surface_from_doc(payload["base"])
     link = docs.hs_surface_from_doc(payload["link"])
     at = int(payload["at"])
-    from .errors import LinkRealizationError
-
     try:
-        graph = __import__("adscone.interactions", fromlist=["surgery_collision"]).surgery_collision(
-            product_spacetime(base), link, at
-        )
-    except (GeometryError, LinkRealizationError) as err:
+        graph = surgery_collision(product_spacetime(base), link, at)
+    except GeometryError as err:
         _emit({"graph": None, "error": str(err)}, args.output)
         return EXIT_REJECT
     _emit(docs.interaction_graph_to_doc(graph), args.output)
@@ -320,6 +314,11 @@ def _run_single(fn, args) -> int:
     except GeometryError as err:
         sys.stderr.write(f"rejected: {err}\n")
         return EXIT_REJECT
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        # after GeometryError, which is a ValueError: a document missing an
+        # entry or holding a value of the wrong kind
+        sys.stderr.write(f"input error: {type(err).__name__}: {err}\n")
+        return EXIT_INPUT
 
 
 def main(argv=None) -> int:
@@ -331,21 +330,14 @@ def main(argv=None) -> int:
             sys.stderr.write("batch directory contains no .json files\n")
             return EXIT_INPUT
         codes = {}
-
-        def run_one(path):
-            import copy
-
+        for path in files:
             sub_args = copy.copy(args)
             sub_args.input = str(path)
             if args.output:
                 sub_args.output = str(Path(args.output) / (path.stem + ".report.json"))
-            return path.name, _run_single(fn, sub_args)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for name, code in pool.map(run_one, files):
-                codes[name] = code
+            codes[path.name] = _run_single(fn, sub_args)
         sys.stderr.write(docs.canonical_json({"batch": codes}) + "\n")
-        return max(codes.values()) if codes else EXIT_OK
+        return max(codes.values())
     if not args.input:
         sys.stderr.write("--input is required outside batch mode\n")
         return EXIT_INPUT

@@ -26,6 +26,16 @@ TWO_PI = 2.0 * np.pi
 
 ANGLE_TOL = 1e-9
 
+# corner i of a face lies between its sides i and i+2 (= i-1) and faces side i+1
+_CORNER = np.arange(3)
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+# what a surface shares with every other metric on its triangulation
+_COMBINATORICS = (
+    "edges", "faces", "_side_table_cache", "_vertices", "_face_edges", "_corner_vertices"
+)
+
 
 @dataclass(frozen=True)
 class Side:
@@ -80,15 +90,11 @@ class ConeSurface:
 
     @property
     def num_vertices(self) -> int:
-        return 1 + max(max(t, h) for t, h in self.edges)
+        return 1 + self._vertices[-1]
 
     @property
     def vertices(self) -> list[int]:
-        vs = set()
-        for t, h in self.edges:
-            vs.add(t)
-            vs.add(h)
-        return sorted(vs)
+        return list(self._vertices)
 
     def _side_table(self) -> dict[int, list[tuple[int, int]]]:
         """edge id -> list of (face, side index) using it."""
@@ -117,10 +123,12 @@ class ConeSurface:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 
     def _validate(self):
-        if np.any(self.lengths <= 0) or not np.all(np.isfinite(self.lengths)):
-            raise GeometryError("edge lengths must be positive and finite")
-        if len(self.lengths) != len(self.edges):
-            raise GeometryError("need one length per edge")
+        self._index_faces()
+        self._check_metric()
+
+    def _index_faces(self):
+        """Structural checks; sets the vertex list and the (F, 3) face -> edge
+        and corner -> vertex index arrays that the metric computations run on."""
         table = self._side_table()
         for e, uses in table.items():
             if len(uses) > 2:
@@ -135,10 +143,24 @@ class ConeSurface:
                 tail_next = self.side_endpoints(f[(i + 1) % 3])[0]
                 if head != tail_next:
                     raise GeometryError(f"face {fi} side chain does not close")
-            a, b, c = (self.lengths[s.edge] for s in f)
-            for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                if x >= y + z - 1e-12:
-                    raise NotHyperbolicError(f"face {fi} violates the triangle inequality")
+        face_edges = np.array([[s.edge for s in f] for f in self.faces], dtype=np.intp)
+        corners = np.array([self.face_corners(fi) for fi in range(len(self.faces))], dtype=np.intp)
+        object.__setattr__(self, "_vertices", tuple(sorted({v for e in self.edges for v in e})))
+        object.__setattr__(self, "_face_edges", face_edges.reshape(-1, 3))
+        object.__setattr__(self, "_corner_vertices", corners.reshape(-1, 3))
+
+    def _check_metric(self):
+        """Length checks (and the angle check when check_angles is set)."""
+        if np.any(self.lengths <= 0) or not np.all(np.isfinite(self.lengths)):
+            raise GeometryError("edge lengths must be positive and finite")
+        if len(self.lengths) != len(self.edges):
+            raise GeometryError("need one length per edge")
+        sides = self.lengths[self._face_edges]
+        broken = np.any(sides >= sides[:, _NEXT] + sides[:, _PREV] - 1e-12, axis=1)
+        if broken.any():
+            raise NotHyperbolicError(
+                f"face {int(np.argmax(broken))} violates the triangle inequality"
+            )
         if self.check_angles:
             bad = self.angle_defect_report()
             if bad:
@@ -150,28 +172,68 @@ class ConeSurface:
 
     # -- metric ------------------------------------------------------------
 
+    def _corner_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(angles, degenerate), both (F, 3) over (face, corner): one
+        evaluation of the law of cosines per surface, kept like the side
+        table (the surface is frozen)."""
+        cached = getattr(self, "_corner_cache", None)
+        if cached is not None:
+            return cached
+        cosv = law_of_cosines(self.lengths[self._face_edges])
+        cached = (np.arccos(np.clip(cosv, -1.0, 1.0)), np.abs(cosv) > 1 + 1e-12)
+        object.__setattr__(self, "_corner_cache", cached)
+        return cached
+
     def corner_angle(self, f: int, i: int) -> float:
-        sides = self.faces[f]
-        c_out = self.lengths[sides[i].edge]
-        c_in = self.lengths[sides[(i + 2) % 3].edge]
-        opp = self.lengths[sides[(i + 1) % 3].edge]
-        cosv = (np.cosh(c_out) * np.cosh(c_in) - np.cosh(opp)) / (
-            np.sinh(c_out) * np.sinh(c_in)
-        )
-        if abs(cosv) > 1 + 1e-12:
+        angles, degenerate = self._corner_table()
+        if degenerate[f, i]:
             raise NotHyperbolicError(f"degenerate corner at face {f}")
-        return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+        return float(angles[f, i])
 
-    def face_angles(self, f: int) -> tuple[float, float, float]:
-        return tuple(self.corner_angle(f, i) for i in range(3))
+    def corner_angles(self) -> np.ndarray:
+        """All corner angles, (F, 3); corner i of a face lies between its
+        sides i and i+2 and faces side i+1."""
+        angles, degenerate = self._corner_table()
+        _raise_degenerate(degenerate)
+        return angles
 
-    def vertex_angle_sums(self) -> dict[int, float]:
-        sums = {v: 0.0 for v in self.vertices}
-        for fi in range(len(self.faces)):
-            corners = self.face_corners(fi)
-            for i, v in enumerate(corners):
-                sums[v] += self.corner_angle(fi, i)
-        return sums
+    def vertex_angle_sums(self, vertices=None) -> dict[int, float]:
+        """Total corner angle at each of the given vertices (default: all).
+        A degenerate corner at one of them raises NotHyperbolicError."""
+        angles, degenerate = self._corner_table()
+        corners = self._corner_vertices
+        if vertices is None:
+            vertices = self.vertices
+            at = np.ones(corners.shape, dtype=bool)
+        else:
+            at = (corners[..., None] == np.asarray(vertices)).any(axis=-1)
+        _raise_degenerate(degenerate & at)
+        sums = np.bincount(corners[at], weights=angles[at], minlength=self.num_vertices)
+        return {v: float(sums[v]) for v in vertices}
+
+    def angle_sum_jacobian(self) -> np.ndarray:
+        """d(vertex angle sum) / d(log edge length), (num_vertices, E).
+
+        Closed form of the hyperbolic law of cosines: for the corner angle
+        alpha facing side a, between sides b and c,
+            d alpha / d a = sinh a / (sinh b sinh c sin alpha),
+            d alpha / d b = -(d alpha / d a) cos gamma,
+        where gamma is the angle where a meets b (likewise for c)."""
+        angles = self.corner_angles()
+        sides = self.lengths[self._face_edges]
+        sh = np.sinh(sides)
+        d_opp = sh[:, _NEXT] / (sh * sh[:, _PREV] * np.sin(angles))
+        cosv = np.cos(angles)
+        # grad[f, i, k] = d angle(f, i) / d side(f, k); side i meets side
+        # i+1 at corner i+1, side i+2 meets it at corner i+2
+        grad = np.empty((len(self.faces), 3, 3))
+        grad[:, _CORNER, _NEXT] = d_opp
+        grad[:, _CORNER, _CORNER] = -d_opp * cosv[:, _NEXT]
+        grad[:, _CORNER, _PREV] = -d_opp * cosv[:, _PREV]
+        grad *= sides[:, None, :]
+        n, m = self.num_vertices, len(self.edges)
+        cells = self._corner_vertices[:, :, None] * m + self._face_edges[:, None, :]
+        return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
 
     def target_angle(self, v: int) -> float:
         return self.cone_angles.get(v, TWO_PI)
@@ -195,7 +257,22 @@ class ConeSurface:
     def with_edge_length(self, e: int, length: float, check_angles: bool = False):
         lengths = self.lengths.copy()
         lengths[e] = length
-        return ConeSurface(self.edges, self.faces, lengths, self.cone_angles, check_angles)
+        return self.with_lengths(lengths, check_angles=check_angles)
+
+    def with_lengths(self, lengths, cone_angles=None, check_angles: bool = False):
+        """The same triangulation with new edge lengths (and cone angles).
+
+        Every length check runs again; the structural checks, which these
+        edges and faces have already passed, do not."""
+        new = object.__new__(ConeSurface)
+        for name in _COMBINATORICS:
+            object.__setattr__(new, name, getattr(self, name))
+        object.__setattr__(new, "lengths", np.asarray(lengths, dtype=float))
+        cones = self.cone_angles if cone_angles is None else cone_angles
+        object.__setattr__(new, "cone_angles", dict(cones))
+        object.__setattr__(new, "check_angles", check_angles)
+        new._check_metric()
+        return new
 
     # -- developing --------------------------------------------------------
 
@@ -233,6 +310,22 @@ class ConeSurface:
         return g, pos
 
 
+def law_of_cosines(sides: np.ndarray) -> np.ndarray:
+    """Cosines of the corner angles of hyperbolic triangles, unclipped.
+
+    sides[..., i] is the length of side i, which runs from corner i to corner
+    i+1; the result's [..., i] is the cosine of the angle at corner i."""
+    ch, sh = np.cosh(sides), np.sinh(sides)
+    return (ch * ch[..., _PREV] - ch[..., _NEXT]) / (sh * sh[..., _PREV])
+
+
+def _raise_degenerate(degenerate: np.ndarray):
+    """NotHyperbolicError naming the first face with a flagged corner."""
+    if degenerate.any():
+        face = int(np.argmax(degenerate.any(axis=1)))
+        raise NotHyperbolicError(f"degenerate corner at face {face}")
+
+
 def _third_vertex(p, q, d_from_p, d_to_q, orientation):
     """The point at distance d_from_p of p and d_to_q of q, on the side where
     det[p, q, point] has the requested sign."""
@@ -262,9 +355,7 @@ def gauss_bonnet_area(s: ConeSurface, cross_check_tol: float = 1e-8) -> float:
         raise GeometryError("gauss_bonnet_area expects a closed surface")
     sums = s.vertex_angle_sums()
     area = sum(TWO_PI - sums[v] for v in s.vertices) - TWO_PI * s.euler_characteristic
-    defects = 0.0
-    for f in range(len(s.faces)):
-        defects += PI - sum(s.face_angles(f))
+    defects = float(np.sum(PI - s.corner_angles().sum(axis=1)))
     if abs(area - defects) > cross_check_tol:
         raise ArithmeticError(
             f"Gauss-Bonnet cross-check failed: {area} vs defect sum {defects}"

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone.catalog import double_triangle_sphere, subdivide_face_with_cone, torus_with_cone_point
 from adscone.conesurf import (
@@ -17,7 +21,7 @@ from adscone.conesurf import (
     loop_around_vertex,
     triangle_edge_from_angles,
 )
-from adscone.errors import GeometryError, NotHyperbolicError
+from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 from adscone.isom import IsomKind, classify
 
 PI = np.pi
@@ -243,3 +247,122 @@ def test_flip_diagonal_matches_quadrilateral_oracle():
         assert abs(flipped.lengths[e] - oracle) < 1e-10
         return
     pytest.skip("no flippable interior edge")
+
+
+# -- the corner-angle kernel and its closed-form derivative -----------------
+
+
+def scalar_corner_angle(s, f, i):
+    """Scalar oracle: the law of cosines at corner i of face f, which lies
+    between the face's sides i and i+2 and faces side i+1."""
+    sides = s.faces[f]
+    b = float(s.lengths[sides[i].edge])
+    c = float(s.lengths[sides[(i + 2) % 3].edge])
+    a = float(s.lengths[sides[(i + 1) % 3].edge])
+    cosv = (math.cosh(b) * math.cosh(c) - math.cosh(a)) / (math.sinh(b) * math.sinh(c))
+    return math.acos(max(-1.0, min(1.0, cosv)))
+
+
+def _kernel_surfaces():
+    torus, _ = torus_with_cone_point(2.0)
+    refined, _, _ = subdivide_face_with_cone(torus, 1, 2.5)
+    return [double_triangle_sphere(PI / 4, PI / 3, PI / 8), torus, refined]
+
+
+def test_corner_angles_match_scalar_oracle():
+    rng = np.random.default_rng(7)
+    for base in _kernel_surfaces():
+        s = base.with_lengths(base.lengths * np.exp(rng.uniform(-0.02, 0.02, len(base.lengths))))
+        sums = {v: 0.0 for v in s.vertices}
+        for f in range(len(s.faces)):
+            for i, v in enumerate(s.face_corners(f)):
+                want = scalar_corner_angle(s, f, i)
+                assert abs(s.corner_angle(f, i) - want) < 1e-13
+                assert abs(s.corner_angles()[f, i] - want) < 1e-13
+                sums[v] += want
+        got = s.vertex_angle_sums()
+        assert set(got) == set(sums)
+        assert max(abs(got[v] - sums[v]) for v in sums) < 1e-12
+        assert s.vertex_angle_sums([0]) == {0: got[0]}
+
+
+def test_angle_sum_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for base in _kernel_surfaces()[1:]:
+        for _ in range(3):
+            x = np.log(base.lengths) + rng.uniform(-0.03, 0.03, len(base.lengths))
+            s = base.with_lengths(np.exp(x))
+            jac = s.angle_sum_jacobian()
+            assert jac.shape == (s.num_vertices, len(s.edges))
+            fd = np.zeros_like(jac)
+            for j in range(len(x)):
+                step = h * np.eye(len(x))[j]
+                up = base.with_lengths(np.exp(x + step)).vertex_angle_sums()
+                down = base.with_lengths(np.exp(x - step)).vertex_angle_sums()
+                for v in up:
+                    fd[v, j] = (up[v] - down[v]) / (2 * h)
+            assert np.abs(jac - fd).max() < 1e-7
+
+
+def _two_face_strip(lengths):
+    """Faces (0, 1, 2) and (0, 2, 3) glued along the edge 0 -> 2."""
+    edges = ((0, 1), (1, 2), (0, 2), (2, 3), (3, 0))
+    faces = (
+        (Side(0), Side(1), Side(2, False)),
+        (Side(2), Side(3), Side(4)),
+    )
+    return ConeSurface(edges, faces, np.asarray(lengths, float), check_angles=False)
+
+
+def test_degenerate_corner_names_its_face():
+    # tiny sides: the second face passes the triangle inequality (with its
+    # 1e-12 margin) but cancellation puts its cosines off by ~1e-7 beyond +-1
+    y = 1e-5
+    s = _two_face_strip([y, y, y, y, 2 * y - 1.1e-12])
+    for i in range(3):
+        assert abs(s.corner_angle(0, i) - PI / 3) < 1e-6
+        with pytest.raises(NotHyperbolicError, match="degenerate corner at face 1"):
+            s.corner_angle(1, i)
+    with pytest.raises(NotHyperbolicError, match="face 1"):
+        s.vertex_angle_sums()
+    with pytest.raises(NotHyperbolicError, match="face 1"):
+        s.corner_angles()
+    # vertex 1 has its only corner in the sound face
+    assert s.vertex_angle_sums([1]) == {1: s.corner_angle(0, 1)}
+    with pytest.raises(NotHyperbolicError, match="face 1 violates the triangle inequality"):
+        _two_face_strip([1.0, 1.0, 1.0, 0.5, 1.6])
+
+
+def test_with_lengths_reruns_length_checks():
+    s = double_triangle_sphere(PI / 4, PI / 3, PI / 8)
+    with pytest.raises(NotHyperbolicError, match="triangle inequality"):
+        s.with_lengths([1.0, 1.0, 3.0])
+    with pytest.raises(GeometryError, match="positive and finite"):
+        s.with_lengths([1.0, -1.0, 1.0])
+    with pytest.raises(GeometryError, match="angle sums"):
+        s.with_lengths(s.lengths * 1.01, check_angles=True)
+    moved = s.with_lengths(s.lengths * 1.01, {0: 1.0})
+    assert moved.edges is s.edges and moved.faces is s.faces
+    assert moved.cone_angles == {0: 1.0} and s.cone_angles[0] == PI / 2
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(0.6, 5.0),
+    eta=st.floats(0.3, 4.2),
+    face=st.sampled_from((1, 3, 5, 7, 8, 9)),
+)
+def test_subdivided_torus_satisfies_its_cone_angles(theta, eta, face):
+    surf, _ = torus_with_cone_point(theta)
+    refined, _, v = subdivide_face_with_cone(surf, face, eta)
+    assert refined.check_angles and refined.cone_angles[v] == eta
+    assert not refined.angle_defect_report()
+    # the surfaces are rebuilt from scratch with every check on
+    ConeSurface(refined.edges, refined.faces, refined.lengths, refined.cone_angles)
+
+
+def test_metric_solve_stall_is_reported():
+    surf, _ = torus_with_cone_point(4.5)
+    with pytest.raises(LinkRealizationError, match="stalled"):
+        subdivide_face_with_cone(surf, 7, 5.45)

@@ -245,3 +245,72 @@ def test_console_entry_point():
         [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=env
     )
     assert code.returncode == 0
+
+
+def _curve_payload():
+    ts, zs = saturating_null_curve(0.5, 0.0, 0.15, 0.05)
+    return {
+        "mass": 0.5,
+        "samples": [[float(t), float(z.real), float(z.imag)] for t, z in zip(ts, zs)],
+    }
+
+
+def _malformed_curves(tmp_path):
+    """A valid causal-curve document and two malformed ones: a missing key
+    (KeyError) and a bad number (ValueError)."""
+    valid = _curve_payload()
+    missing = {k: v for k, v in valid.items() if k != "mass"}
+    bad = {**valid, "mass": "1.5e"}
+    paths = {}
+    for name, payload in (("a_valid", valid), ("b_missing", missing), ("c_bad", bad)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(docs.canonical_json(docs.envelope("causal-curve.json", payload)))
+    return paths
+
+
+def test_cli_malformed_payload_exits_1(tmp_path):
+    paths = _malformed_curves(tmp_path)
+    for name, kind in (("b_missing", "KeyError"), ("c_bad", "ValueError")):
+        code, out, err = run_cli(["speed-check", "--input", str(paths[name])])
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"input error: {kind}")
+        assert "Traceback" not in err
+    # a missing entry of a nested document is an input error as well
+    link = mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS)
+    doc = docs.link_circle_to_doc(link)
+    del doc["payload"]["holonomy"]
+    path = tmp_path / "link.json"
+    path.write_text(docs.canonical_json(doc))
+    code, _, err = run_cli(["classify-link", "--input", str(path)])
+    assert code == 1 and err.startswith("input error: KeyError")
+
+
+def test_cli_batch_survives_malformed_files(tmp_path):
+    paths = _malformed_curves(tmp_path)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, _, err = run_cli(["speed-check", "--batch", str(tmp_path), "--output", str(outdir)])
+    assert code == 1
+    summary = json.loads(err.strip().splitlines()[-1])
+    assert summary == {"batch": {"a_valid.json": 0, "b_missing.json": 1, "c_bad.json": 1}}
+    assert sorted(p.name for p in outdir.iterdir()) == ["a_valid.report.json"]
+    single = tmp_path / "single.report.json"
+    run_cli(["speed-check", "--input", str(paths["a_valid"]), "--output", str(single)])
+    assert (outdir / "a_valid.report.json").read_text() == single.read_text()
+
+
+def test_cli_batch_stdout_follows_file_order(tmp_path):
+    names = []
+    for i, angle in enumerate((0.4, 0.9, 1.3, 1.7, 2.2, 2.6)):
+        link = mark_timelike_arcs(elliptic_link_circle(angle), HSPointClass.H2_PLUS)
+        names.append(f"l{5 - i}.json")  # file order is the reverse of creation order
+        (tmp_path / names[-1]).write_text(docs.canonical_json(docs.link_circle_to_doc(link)))
+    runs = [run_cli(["classify-link", "--batch", str(tmp_path)]) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    assert code == 0
+    singles = "".join(
+        run_cli(["classify-link", "--input", str(tmp_path / name)])[1] for name in sorted(names)
+    )
+    assert out == singles
