@@ -4,13 +4,14 @@ Every subcommand reads a JSON document, runs the corresponding library
 operation and writes a deterministic JSON report.  Exit codes: 0 for a
 successful classification or passing check, 2 for a domain rejection (a
 rejected singularity type, a failed causality or condition check), 1 for
-malformed input.
+malformed input or a report or figure that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,6 +30,10 @@ EXIT_INPUT = 1
 EXIT_REJECT = 2
 
 
+class OutputError(Exception):
+    """A report or figure could not be written."""
+
+
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -37,10 +42,17 @@ def _load(path: str) -> dict:
         raise docs.DocumentError(f"cannot read {path}: {err}")
 
 
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise OutputError(f"cannot write {path}: {err}") from err
+
+
 def _emit(report: dict, out_path: str | None):
     text = docs.canonical_json(report)
     if out_path:
-        Path(out_path).write_text(text + "\n")
+        _write(out_path, text + "\n")
     else:
         sys.stdout.write(text + "\n")
 
@@ -99,10 +111,9 @@ def cmd_check_polyhedron(args) -> int:
 def cmd_speed_check(args) -> int:
     doc = _load(args.input)
     payload = docs.check_envelope(doc, "causal-curve.json")
-    ts = np.asarray(payload["samples"], dtype=float)[:, 0]
-    zs = np.asarray(payload["samples"], dtype=float)[:, 1] + 1j * np.asarray(
-        payload["samples"], dtype=float
-    )[:, 2]
+    samples = np.asarray(payload["samples"], dtype=float)
+    ts = samples[:, 0]
+    zs = samples[:, 1] + 1j * samples[:, 2]
     mass = float(payload["mass"])
     ok = causal_speed_check(ts, zs, mass, slack=1e-6 * _scale(args))
     _emit({"causal": bool(ok), "mass": mass}, args.output)
@@ -231,7 +242,7 @@ def _plot_speed(ts, zs, mass, path):
         f"m={mass:.4g}</text>"
     )
     parts.append("</svg>")
-    Path(path).write_text("".join(parts))
+    _write(path, "".join(parts))
 
 
 def _plot_determinants(det_l, det_r, path):
@@ -258,7 +269,7 @@ def _plot_determinants(det_l, det_r, path):
         "per sample</text>"
     )
     parts.append("</svg>")
-    Path(path).write_text("".join(parts))
+    _write(path, "".join(parts))
 
 
 # -- driver ---------------------------------------------------------------------
@@ -278,7 +289,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused for every
+    later call in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="adscone",
         description="anti-de Sitter cone-singularity toolkit",
@@ -295,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=1.0,
             dest="tolerance_scale",
-            help="multiply all documented tolerances",
+            help="multiply the tolerances of speed-check, validate-graph and "
+            "assemble-holonomy",
         )
         p.add_argument(
             "--positive",
@@ -310,6 +325,9 @@ def _run_single(fn, args) -> int:
         return fn(args)
     except docs.DocumentError as err:
         sys.stderr.write(f"input error: {err}\n")
+        return EXIT_INPUT
+    except OutputError as err:
+        sys.stderr.write(f"output error: {err}\n")
         return EXIT_INPUT
     except GeometryError as err:
         sys.stderr.write(f"rejected: {err}\n")

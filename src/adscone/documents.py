@@ -410,12 +410,23 @@ def interaction_graph_from_doc(doc: dict):
     from .interactions import CollisionEdge, InteractionGraph, SliceVertex
 
     payload = check_envelope(doc, "interaction-graph.json")
+    # equal surface documents parse to one ConeSurface, so a slice whose left
+    # and right metrics agree carries one object for both
+    parsed = []  # (surface document, surface)
+
+    def surface(sdoc):
+        for seen, surf in parsed:
+            if seen == sdoc:
+                return surf
+        parsed.append((sdoc, cone_surface_from_doc(sdoc)))
+        return parsed[-1][1]
+
     vertices = {}
     for name, v in payload["vertices"].items():
         vertices[name] = SliceVertex(
             name,
-            cone_surface_from_doc(v["mu_l"]),
-            cone_surface_from_doc(v["mu_r"]),
+            surface(v["mu_l"]),
+            surface(v["mu_r"]),
             {int(k): float(a) for k, a in v.get("marked", {}).items()},
             {k: [(int(f), int(si)) for f, si in lp] for k, lp in v.get("generator_loops", {}).items()},
         )

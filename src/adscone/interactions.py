@@ -24,6 +24,7 @@ from .conesurf import (
     dual_cycles,
     holonomy_of_loop,
     loop_around_vertex,
+    resolve_loop,
 )
 from .errors import GeometryError, LinkRealizationError
 from .hssurface import SingularHSSurface, SphereClass, classify_hs_sphere
@@ -153,6 +154,21 @@ def solve_conjugator(pairs, tol: float = 1e-8) -> tuple[Proj2, float]:
     return C, resid
 
 
+def _holonomy_memo():
+    """holonomy_of_loop, computed once per (surface object, loop) for as long
+    as the returned function lives.  Callers keep it local to one call; the
+    surfaces themselves carry no holonomy cache."""
+    done = {}
+
+    def holonomy(surf: ConeSurface, loop) -> Proj2:
+        key = (id(surf), tuple(resolve_loop(surf, loop)))
+        if key not in done:
+            done[key] = holonomy_of_loop(surf, loop)
+        return done[key]
+
+    return holonomy
+
+
 def validate_geometric_data(g: InteractionGraph, tol: float = 1e-8) -> ValidationReport:
     """Admissibility of the geometric data on the graph:
 
@@ -166,6 +182,7 @@ def validate_geometric_data(g: InteractionGraph, tol: float = 1e-8) -> Validatio
     points, and the before-disk is isometric between the left and right
     metrics when they differ."""
     failures = []
+    holonomy = _holonomy_memo()
     for name, v in g.vertices.items():
         for p, theta in v.marked.items():
             for side, surf in (("l", v.mu_l), ("r", v.mu_r)):
@@ -183,8 +200,8 @@ def validate_geometric_data(g: InteractionGraph, tol: float = 1e-8) -> Validatio
             pairs = []
             try:
                 for name_b, name_a in e.identification.items():
-                    hb = holonomy_of_loop(sb, vb.generator_loops[name_b])
-                    ha = holonomy_of_loop(sa, va.generator_loops[name_a])
+                    hb = holonomy(sb, vb.generator_loops[name_b])
+                    ha = holonomy(sa, va.generator_loops[name_a])
                     pairs.append((hb, ha))
                 if not pairs:
                     continue
@@ -277,11 +294,12 @@ def assemble_holonomy(g: InteractionGraph, tol: float = 1e-8) -> HolonomyAssembl
     report = validate_geometric_data(g, tol=tol)
     if not report:
         raise GeometryError("graph fails validation: " + "; ".join(report.failures))
+    holonomy = _holonomy_memo()
     tables = {}
     for name, v in g.vertices.items():
         tables[name] = {
-            "l": {k: holonomy_of_loop(v.mu_l, lp) for k, lp in v.generator_loops.items()},
-            "r": {k: holonomy_of_loop(v.mu_r, lp) for k, lp in v.generator_loops.items()},
+            "l": {k: holonomy(v.mu_l, lp) for k, lp in v.generator_loops.items()},
+            "r": {k: holonomy(v.mu_r, lp) for k, lp in v.generator_loops.items()},
         }
     conjugators = {}
     alignment = {name: {"l": None, "r": None} for name in g.vertices}

@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import adscone
 from adscone import documents as docs
-from adscone.catalog import subdivide_face_with_cone, torus_with_cone_point
+from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
 from adscone.cli import main
+from adscone.conesurf import holonomy_of_loop
 from adscone.hssurface import (
     DeSitterRegion,
     HyperbolicRegion,
@@ -17,7 +19,13 @@ from adscone.hssurface import (
     RegionTopology,
     SingularHSSurface,
 )
-from adscone.interactions import elastic_collision_graph
+from adscone.interactions import (
+    InteractionGraph,
+    SliceVertex,
+    assemble_holonomy,
+    elastic_collision_graph,
+    validate_geometric_data,
+)
 from adscone.linalg import HSPointClass
 from adscone.lrmetrics import JetSample, SurfaceJet
 from adscone.rp1 import elliptic_link_circle, mark_timelike_arcs
@@ -61,16 +69,69 @@ def test_cone_surface_roundtrip():
     assert back.faces == surf.faces
 
 
-def test_interaction_graph_roundtrip():
-    surf, _ = torus_with_cone_point(2.0)
-    surf2, disk2, v2 = subdivide_face_with_cone(surf, 1, 2.5)
-    both = frozenset(disk2.face_ids) | frozenset({7, 8, 9})
-    g = elastic_collision_graph(surf2, both)
-    doc = docs.interaction_graph_to_doc(g)
-    back = docs.interaction_graph_from_doc(json.loads(docs.canonical_json(doc)))
-    from adscone.interactions import validate_geometric_data
+def _graph_doc(theta=2.0, face=1, eta=2.5):
+    """Document of the elastic collision graph on a torus with a theta cone
+    point and a second cone point of angle eta in `face`."""
+    surf, _ = torus_with_cone_point(theta)
+    surf2, disk2, _ = subdivide_face_with_cone(surf, face, eta)
+    g = elastic_collision_graph(surf2, frozenset(disk2.face_ids) | frozenset({7, 8, 9}))
+    return json.loads(docs.canonical_json(docs.interaction_graph_to_doc(g)))
 
+
+def test_interaction_graph_roundtrip():
+    back = docs.interaction_graph_from_doc(_graph_doc())
     assert validate_geometric_data(back).passed
+
+
+def test_equal_surface_documents_parse_to_one_surface():
+    g = docs.interaction_graph_from_doc(_graph_doc())
+    surfaces = {id(s) for v in g.vertices.values() for s in (v.mu_l, v.mu_r)}
+    assert len(surfaces) == 1
+
+
+def test_perturbed_right_metric_is_still_checked():
+    doc = _graph_doc()
+    before = doc["payload"]["vertices"]["before"]
+    surf = docs.cone_surface_from_doc(before["mu_r"])
+    # the same cone angles on another metric of the solution family
+    rng = np.random.default_rng(0)
+    seed = surf.with_lengths(surf.lengths * np.exp(rng.uniform(-0.05, 0.05, surf.lengths.size)))
+    targets = {v: surf.cone_angles.get(v, 2 * PI) for v in surf.vertices}
+    before["mu_r"] = docs.cone_surface_to_doc(solve_metric(seed, targets))
+    g = docs.interaction_graph_from_doc(doc)
+    assert g.vertex("before").mu_r is not g.vertex("before").mu_l
+    assert g.vertex("after").mu_l is g.vertex("after").mu_r is g.vertex("before").mu_l
+    failures = validate_geometric_data(g).failures
+    assert any(f.startswith("(2/3) edge before->after: complement holonomies of mu_r") for f in failures)
+    assert (
+        "edge before->after: before-disk not isometric between the left and right metrics"
+        in failures
+    )
+
+
+@pytest.mark.parametrize(
+    "theta,face,eta",
+    [(1.6, 1, 1.2), (2.1, 3, 2.8), (2.6, 5, 1.6), (3.1, 7, 2.4), (3.6, 8, 1.0), (4.0, 9, 2.0)],
+)
+def test_assembly_equals_holonomies_of_separate_surfaces(theta, face, eta):
+    """With shared surfaces and each loop holonomy computed once, the
+    assembled tables and relation residuals are bit-identical to those of
+    surfaces parsed one by one."""
+    doc = _graph_doc(theta, face, eta)
+    g = docs.interaction_graph_from_doc(doc)
+    asm = assemble_holonomy(g)
+    separate = {}
+    for name, v in g.vertices.items():
+        vdoc = doc["payload"]["vertices"][name]
+        mu = {side: docs.cone_surface_from_doc(vdoc[f"mu_{side}"]) for side in "lr"}
+        separate[name] = SliceVertex(name, mu["l"], mu["r"], v.marked, v.generator_loops)
+        for side in "lr":
+            for k, loop in v.generator_loops.items():
+                direct = holonomy_of_loop(mu[side], loop)
+                assert np.array_equal(asm.tables[name][side][k].m, direct.m), (name, side, k)
+    unshared = InteractionGraph(separate, g.edges, g.initial, g.final)
+    residuals = [asm.relation_residual(e) for e in g.edges]
+    assert residuals == [assemble_holonomy(unshared).relation_residual(e) for e in g.edges]
 
 
 def sphere_fixture():
@@ -170,12 +231,8 @@ def test_cli_lr_metrics_and_determinism(tmp_path):
 
 
 def test_cli_validate_and_assemble(tmp_path):
-    surf, _ = torus_with_cone_point(2.0)
-    surf2, disk2, v2 = subdivide_face_with_cone(surf, 1, 2.5)
-    both = frozenset(disk2.face_ids) | frozenset({7, 8, 9})
-    g = elastic_collision_graph(surf2, both)
     path = tmp_path / "graph.json"
-    path.write_text(docs.canonical_json(docs.interaction_graph_to_doc(g)))
+    path.write_text(docs.canonical_json(_graph_doc()))
     code, out, _ = run_cli(["validate-graph", "--input", str(path)])
     assert code == 0 and json.loads(out)["valid"] is True
     code, out, _ = run_cli(["assemble-holonomy", "--input", str(path)])
@@ -235,16 +292,68 @@ def test_cli_model_doc(tmp_path):
     assert json.loads(out)["lines"]["c"]["kind"] == "MassiveParticle"
 
 
-def test_console_entry_point():
+def _child_env():
     # the child imports the same adscone as this process, also when pytest
     # put src/ on sys.path itself (pythonpath in pyproject.toml)
     src = str(Path(adscone.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     code = subprocess.run(
-        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=env
+        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=_child_env()
     )
     assert code.returncode == 0
+
+
+def test_reused_parser_matches_fresh_interpreters(tmp_path):
+    """main() called again and again in one process, with flags switched on
+    and off between calls, answers each call as a fresh interpreter does."""
+    # a massive particle of angle > 2 pi: accepted, but not positive
+    link = mark_timelike_arcs(elliptic_link_circle(7.0), HSPointClass.H2_PLUS)
+    link_path = tmp_path / "link.json"
+    link_path.write_text(docs.canonical_json(docs.link_circle_to_doc(link)))
+    # a curve 1e-4 faster than the causal bound allows: fails at the default
+    # slack of 1e-6, passes at 100 times it
+    payload = _curve_payload()
+    payload["samples"] = [[t * (1 - 1e-4), x, y] for t, x, y in payload["samples"]]
+    curve_path = tmp_path / "curve.json"
+    curve_path.write_text(docs.canonical_json(docs.envelope("causal-curve.json", payload)))
+    sphere_path = tmp_path / "sphere.json"
+    sphere_path.write_text(docs.canonical_json(docs.hs_surface_to_doc(sphere_fixture())))
+    link_arg, curve_arg = ["--input", str(link_path)], ["--input", str(curve_path)]
+    calls = [
+        ["classify-link", *link_arg, "--positive"],
+        ["classify-link", *link_arg],
+        ["speed-check", *curve_arg, "--tolerance-scale", "100"],
+        ["speed-check", *curve_arg],
+        ["classify-link", *link_arg, "--output", str(tmp_path / "report.json")],
+        ["classify-link", *link_arg],
+        ["classify-sphere", "--input", str(sphere_path), "--positive"],
+        ["nonexistent-command"],
+        ["speed-check", *curve_arg],
+    ]
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "adscone.cli", *call],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=_child_env(),
+        )
+        for call in calls
+    ]
+    expected = [(p.communicate(timeout=60)[0], p.returncode) for p in fresh]
+    # the flags decide these calls, so a flag left over from a previous call
+    # would show
+    assert [code for _, code in expected[:4]] == [2, 0, 0, 2]
+    for call, (out, code) in zip(calls, expected):
+        try:
+            got = run_cli(call)
+        except SystemExit as err:
+            got = (err.code, "", "")
+        assert got[:2] == (code, out), call
 
 
 def _curve_payload():
@@ -314,3 +423,30 @@ def test_cli_batch_stdout_follows_file_order(tmp_path):
         run_cli(["classify-link", "--input", str(tmp_path / name)])[1] for name in sorted(names)
     )
     assert out == singles
+
+
+def test_unwritable_output_exits_1(tmp_path):
+    paths = _malformed_curves(tmp_path)
+    missing = tmp_path / "no-such-dir"
+    for flag, target in (("--output", missing / "r.json"), ("--plot", missing / "c.svg")):
+        code, _, err = run_cli(["speed-check", "--input", str(paths["a_valid"]), flag, str(target)])
+        assert code == 1
+        assert err.startswith(f"output error: cannot write {target}")
+        assert "Traceback" not in err
+    assert not missing.exists()
+
+
+def test_batch_survives_unwritable_output(tmp_path):
+    link = mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS)
+    for name in ("l0", "l1"):
+        (tmp_path / f"{name}.json").write_text(docs.canonical_json(docs.link_circle_to_doc(link)))
+    (tmp_path / "l2.json").write_text('{"schema": "link-circle.json", "payload"')
+    code, _, err = run_cli(
+        ["classify-link", "--batch", str(tmp_path), "--output", str(tmp_path / "no-such-dir")]
+    )
+    assert code == 1
+    lines = err.strip().splitlines()
+    # each file gets its own error line and code, and the batch goes on to the end
+    assert [line.split(":")[0] for line in lines[:-1]] == ["output error"] * 2 + ["input error"]
+    assert json.loads(lines[-1]) == {"batch": {"l0.json": 1, "l1.json": 1, "l2.json": 1}}
+    assert "Traceback" not in err
