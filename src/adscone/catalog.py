@@ -14,7 +14,15 @@ import functools
 
 import numpy as np
 
-from .conesurf import ConeSurface, DiskSpec, Side, law_of_cosines, triangle_edge_from_angles
+from .conesurf import (
+    ConeSurface,
+    DiskSpec,
+    Side,
+    corner_table,
+    law_of_cosines,
+    triangle_edge_from_angles,
+    violates_triangle_inequality,
+)
 from .errors import GeometryError, LinkRealizationError
 from .isom import Proj2, classify, fixed_point_lift
 from .linalg import HSPointClass, classify_ray, dot12
@@ -309,78 +317,83 @@ def _disk_template() -> ConeSurface:
     return ConeSurface(edges, faces, np.ones(len(edges)), check_angles=False)
 
 
-def _disk_complex(rim, interior, eta1, eta2):
-    lengths = np.concatenate([np.asarray(rim, float), np.asarray(interior, float)])
-    return _disk_template().with_lengths(lengths, {3: eta1, 4: eta2})
+def _from_chart_centre(dist, ang):
+    """Points of H^2 at distance dist and chart angle ang from the chart
+    centre (1, 0, 0), as a triple of coordinate arrays."""
+    sh = np.sinh(dist)
+    return np.cosh(dist), sh * np.cos(ang), sh * np.sin(ang)
 
 
 def _hyp_dist(u, v):
-    return float(np.arccosh(max(1.0 + 5e-16, -dot12(u, v))))
+    """Distances between points of H^2 given as coordinate triples, with the
+    Minkowski product floored just above 1 so that coincident points give a
+    tiny length."""
+    x = -(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    return np.arccosh(np.where(x > 1.0 + 5e-16, x, 1.0 + 5e-16))
 
 
-def two_cone_disk_from_params(
-    eta1: float, eta2: float, d: float, params: np.ndarray
-) -> ConeSurface:
-    """An exact disk with cone angles (eta1, eta2) at distance d, developed
-    in the cone chart of the first point.
-
-    params = (log s1, log s2, log s3, u2, u3): spoke lengths to the three
-    rim vertices, and the logits of the angular breakpoints of (q2, p2, q3)
-    within the cone angle of the first point.  Cone angles are exact by
-    construction; rim lengths and rim corner angles come out as functions of
-    the parameters."""
-    s1, s2, s3 = np.exp(params[:3])
-    u2, u3 = params[3], params[4]
+def _disk_development(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact cone development behind two_cone_disk_from_params, over the
+    rows of P (B, 6): the nine edge lengths of the disk template (B, 9) and
+    the realized second cone angle (B,).  Rows that leave the hyperbolic
+    plane come out non-positive or non-finite."""
+    s = np.exp(P[:, :3])
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
     # q1 at chart angle 0; q2, the second cone point, and q3 at increasing
-    # angles: breakpoints at eta1 * (w1, w1+w2, w1+w2+w3) with weights from a
-    # softmax-like map keeping them ordered and inside (0, eta1)
-    w = np.exp([u2, 0.0, u3, 0.0])
-    w = w / w.sum()
-    a_q2 = eta1 * w[0]
-    a_p2 = eta1 * (w[0] + w[1])
-    a_q3 = eta1 * (w[0] + w[1] + w[2])
-
-    def from_p1(dist, ang):
-        return np.array(
-            [np.cosh(dist), np.sinh(dist) * np.cos(ang), np.sinh(dist) * np.sin(ang)]
-        )
-
-    p1 = np.array([1.0, 0.0, 0.0])
-    q1 = from_p1(s1, 0.0)
-    q2 = from_p1(s2, a_q2)
-    p2 = from_p1(d, a_p2)
-    q3 = from_p1(s3, a_q3)
+    # angles: breakpoints at eta1 * (w_q2, w_q2+w_p2, w_q2+w_p2+w_q3) with
+    # weights in the ratio e^u2 : 1 : e^u3 : 1, keeping them ordered and
+    # inside (0, eta1)
+    w = np.exp(P[:, 3:5])
+    total = w[:, 0] + 1.0 + w[:, 1] + 1.0
+    w_q2, w_p2, w_q3 = w[:, 0] / total, 1.0 / total, w[:, 1] / total
+    p1 = (1.0, 0.0, 0.0)
+    q1 = _from_chart_centre(s1, 0.0)
+    q2 = _from_chart_centre(s2, eta1 * w_q2)
+    p2 = _from_chart_centre(d, eta1 * (w_q2 + w_p2))
+    q3 = _from_chart_centre(s3, eta1 * (w_q2 + w_p2 + w_q3))
     leg2 = _hyp_dist(p2, q2)
     leg3 = _hyp_dist(p2, q3)
     # the angles at p2 of the triangles (p2, p1, q2) and (p2, q3, p1): corner 0
     # of sides (p2 -> a, a -> b, b -> p2)
-    sides = np.array(
-        [[_hyp_dist(p2, p1), _hyp_dist(p1, q2), leg2], [leg3, _hyp_dist(q3, p1), _hyp_dist(p1, p2)]]
+    sides = np.stack(
+        [_hyp_dist(p2, p1), _hyp_dist(p1, q2), leg2, leg3, _hyp_dist(q3, p1), _hyp_dist(p1, p2)],
+        axis=-1,
+    ).reshape(-1, 2, 3)
+    at_p2 = np.arccos(np.clip(law_of_cosines(sides)[..., 0], -1.0, 1.0))
+    # beta2, the angle at p2 of the rim triangle (p2, q2, q3), is its own
+    # parameter; the second cone angle is what it adds up to
+    beta2 = np.exp(P[:, 5])
+    eta2_realized = at_p2[:, 0] + at_p2[:, 1] + beta2
+    r2 = np.arccosh(
+        np.cosh(leg2) * np.cosh(leg3) - np.sinh(leg2) * np.sinh(leg3) * np.cos(beta2)
     )
-    ang_f1, ang_f3 = np.arccos(np.clip(law_of_cosines(sides)[:, 0], -1.0, 1.0)).tolist()
-    explicit_beta = len(params) >= 6
-    if explicit_beta:
-        # beta2 is its own parameter; the realized second cone angle is
-        # returned and the caller drives it to eta2 as a residual
-        beta2 = float(np.exp(params[5]))
-        eta2_realized = ang_f1 + ang_f3 + beta2
-    else:
-        beta2 = eta2 - ang_f1 - ang_f3
-        eta2_realized = eta2
-        if beta2 <= 1e-9:
-            raise GeometryError("second cone angle too small for this configuration")
-    r2 = float(
-        np.arccosh(
-            np.cosh(leg2) * np.cosh(leg3) - np.sinh(leg2) * np.sinh(leg3) * np.cos(beta2)
-        )
+    q1_cut = _from_chart_centre(s1, eta1)  # the cut copy seen by the last face
+    lengths = np.stack(
+        [_hyp_dist(q1, q2), r2, _hyp_dist(q3, q1_cut), s1, s2, leg2, np.full(len(P), d), leg3, s3],
+        axis=-1,
     )
-    q1_cut = from_p1(s1, eta1)  # the cut copy seen by the last face
-    rim = [_hyp_dist(q1, q2), r2, _hyp_dist(q3, q1_cut)]
-    interior = [s1, s2, leg2, d, leg3, s3]
-    disk = _disk_complex(rim, interior, eta1, eta2_realized)
-    if explicit_beta:
-        return disk, float(eta2_realized)
-    return disk
+    return lengths, eta2_realized
+
+
+def two_cone_disk_from_params(
+    eta1: float, d: float, params: np.ndarray
+) -> tuple[ConeSurface, float]:
+    """An exact disk with a cone point of angle eta1 and a second cone point
+    at distance d, developed in the cone chart of the first point; returns
+    (disk, realized second cone angle).
+
+    params = (log s1, log s2, log s3, u2, u3, log beta2): spoke lengths to
+    the three rim vertices, the logits of the angular breakpoints of
+    (q2, p2, q3) within the cone angle of the first point, and the angle at
+    the second point of its rim triangle.  The first cone angle is exact by
+    construction; rim lengths, rim corner angles and the second cone angle
+    come out as functions of the parameters.  Raises GeometryError where
+    the development is not a hyperbolic disk."""
+    with np.errstate(all="ignore"):
+        lengths, eta2 = _disk_development(eta1, d, np.asarray(params, dtype=float)[None])
+    eta2_realized = float(eta2[0])
+    disk = _disk_template().with_lengths(lengths[0], {3: eta1, 4: eta2_realized})
+    return disk, eta2_realized
 
 
 def _disk_rim_data(disk: ConeSurface):
@@ -388,6 +401,58 @@ def _disk_rim_data(disk: ConeSurface):
     sums = disk.vertex_angle_sums((0, 1, 2))
     rims = [float(disk.lengths[0]), float(disk.lengths[1]), float(disk.lengths[2])]
     return rims, [sums[0], sums[1], sums[2]]
+
+
+def _disk_collar(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The collar values of two_cone_disk_from_params over the rows of P
+    (B, 6): values (B, 6) = (rim lengths r1..r3, rim angle sums at q1 and q2,
+    realized second cone angle), and ok (B,), False exactly where
+    two_cone_disk_from_params or the rim angle sums raise GeometryError.
+    Values of rows that are not ok are meaningless.
+
+    Every row is computed with the same operations in the same order as the
+    single disk, so rows are bit-identical to _disk_rim_data of it."""
+    at_q1, at_q2, at_rim = _disk_rim_corners()
+    with np.errstate(all="ignore"):
+        lengths, eta2 = _disk_development(eta1, d, P)
+        sides = lengths[:, _disk_template()._face_edges]
+        angles, degenerate = corner_table(sides)
+        angles = angles.reshape(len(P), -1)
+        ok = (
+            np.all((lengths > 0) & np.isfinite(lengths), axis=1)
+            & ~np.any(violates_triangle_inequality(sides), axis=1)
+            & ~np.any(degenerate.reshape(len(P), -1)[:, at_rim], axis=1)
+        )
+    sums = []
+    for at in (at_q1, at_q2):
+        total = angles[:, at[0]]
+        for k in at[1:]:  # in the order of ConeSurface.vertex_angle_sums
+            total = total + angles[:, k]
+        sums.append(total)
+    return np.column_stack([lengths[:, :3], *sums, eta2]), ok
+
+
+@functools.cache
+def _disk_rim_corners() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (face, corner) indices of the disk template's corners at rim
+    vertex 0, at rim vertex 1, and at any rim vertex, in face order."""
+    corners = _disk_template()._corner_vertices.ravel()
+    return np.flatnonzero(corners == 0), np.flatnonzero(corners == 1), np.flatnonzero(corners < 3)
+
+
+def _collar_jacobian(eta1, d, p, at, h):
+    """Finite-difference Jacobians (S, 6, 6) of the collar values at the
+    rows of p, whose values are at: forward differences with step h,
+    backward ones in the columns where the forward point is not a disk, and
+    zero columns where neither is."""
+    eye = h * np.eye(6)
+    values, ok = _disk_collar(eta1, d, (p[:, None, :] + eye).reshape(-1, 6))
+    cols = (values.reshape(len(p), 6, 6) - at[:, None, :]) / h
+    seed, col = np.nonzero(~ok.reshape(len(p), 6))
+    if len(seed):
+        values, ok = _disk_collar(eta1, d, p[seed] - eye[col])
+        cols[seed, col] = np.where(ok[:, None], (at[seed] - values) / h, 0.0)
+    return cols.transpose(0, 2, 1)
 
 
 def fit_two_cone_disk(
@@ -402,88 +467,87 @@ def fit_two_cone_disk(
     (eta1, eta2) with rim lengths and rim corner angle sums matching the
     collar of the removed disk.
 
-    The disk is parametrized by its exact cone development (cone angles hold
-    by construction), and a damped Gauss-Newton drives the five collar values
-    to their targets; the sixth is then automatic, because a collar that
-    closes up around an elliptic holonomy of angle theta leaves exactly a
-    five-parameter family.  Unrealizable data fails in collision_distance."""
+    The disk is parametrized by its exact cone development (the first cone
+    angle holds by construction), and a damped Gauss-Newton drives five
+    collar values and the second cone angle to their targets; the last rim
+    angle is then automatic, because a collar that closes up around an
+    elliptic holonomy of angle theta leaves exactly a five-parameter family.
+    Unrealizable data fails in collision_distance.
+
+    The eight seeds run in lockstep as the rows of one state.  Each round
+    takes the finite-difference Jacobians of every running seed from one
+    batched development, solves the whole damping ladder (lam, then
+    max(lam, 1e-8) * 8^k) of every seed at once, and evaluates all trial
+    points together; a seed takes its first rung that lowers its residual
+    norm and stops when none does.  A seed converges when its largest
+    residual is below tol before one of its 400 steps (reaching tol only on
+    the last step does not count).  The lowest-index converged seed wins,
+    once every lower seed has stopped.  Otherwise the error gives the
+    largest residual of the seed that came closest (smallest residual norm,
+    lowest index on ties) among the seeds whose start is a disk."""
     d = collision_distance(theta, eta1, eta2)
     goal = np.array(
         [rim_lengths[0], rim_lengths[1], rim_lengths[2],
          rim_angles[0], rim_angles[1], eta2]
     )
-
-    def values(p):
-        disk, eta2_real = two_cone_disk_from_params(eta1, eta2, d, p)
-        rims, betas = _disk_rim_data(disk)
-        return np.array(rims + betas[:2] + [eta2_real])
-
     lo = np.array([-3.5] * 3 + [-5.0, -5.0, -6.0])
     hi = np.array([2.5] * 3 + [5.0, 5.0, 1.8])
-    best = None
-    for s_seed, b_seed in (
+    # (common spoke length, beta2 as a share of eta2) of each seed
+    seeds = (
         (0.65 * d, 0.5), (0.4 * d, 0.8), (0.85 * d, 0.3), (0.25 * d, 1.0),
         (0.4, 0.5), (0.7, 0.5), (1.1, 0.3), (1.6, 0.2),
-    ):
-        p = np.array([np.log(s_seed)] * 3 + [0.0, 0.0, np.log(b_seed * eta2)])
-        try:
-            r = values(p) - goal
-        except GeometryError:
-            continue
-        lam = 1e-8
-        ok = True
-        for _ in range(400):
-            if np.abs(r).max() < tol:
-                break
-            jac = np.empty((6, 6))
-            h = 1e-7
-            for j in range(6):
-                pp = p.copy()
-                pp[j] += h
-                try:
-                    jac[:, j] = (values(pp) - (r + goal)) / h
-                except GeometryError:
-                    try:
-                        pp[j] = p[j] - h
-                        jac[:, j] = ((r + goal) - values(pp)) / h
-                    except GeometryError:
-                        jac[:, j] = 0.0
-            improved = False
-            for _ in range(35):
-                a = jac.T @ jac + lam * np.eye(6)
-                step = np.linalg.solve(a, -jac.T @ r)
-                try:
-                    p_new = np.clip(p + step, lo, hi)
-                    r_new = values(p_new) - goal
-                    if np.linalg.norm(r_new) < np.linalg.norm(r):
-                        p = p_new
-                        r = r_new
-                        lam = max(lam / 4.0, 1e-12)
-                        improved = True
-                        break
-                except GeometryError:
-                    pass
-                lam = max(lam, 1e-8) * 8.0
-            if not improved:
-                ok = False
-                break
-        else:
-            ok = False
-        if ok and np.abs(r).max() < tol:
-            disk, _ = two_cone_disk_from_params(eta1, eta2, d, p)
-            rims, betas = _disk_rim_data(disk)
-            if abs(betas[2] - rim_angles[2]) > 1e-7:
-                raise LinkRealizationError(
-                    "collar data inconsistent: the closing angle differs by "
-                    f"{abs(betas[2] - rim_angles[2]):.3e}; the removed disk does not "
-                    f"carry an elliptic holonomy of angle {theta:.6g}"
-                )
-            return disk
-        best = r if best is None or np.linalg.norm(r) < np.linalg.norm(best) else best
-    raise LinkRealizationError(
-        "two-cone disk fit did not converge; residual "
-        + (f"{np.abs(best).max():.3e}" if best is not None else "n/a")
     )
+    p = np.array([[np.log(s)] * 3 + [0.0, 0.0, np.log(b * eta2)] for s, b in seeds])
+    values, started = _disk_collar(eta1, d, p)
+    r = values - goal
+    lam = np.full(len(p), 1e-8)
+    running = started.copy()
+    converged = np.zeros(len(p), dtype=bool)
+    rungs = 8.0 ** np.arange(35)  # rung k > 0 damps with max(lam, 1e-8) * 8^k
+    for _ in range(400):
+        converged |= running & (np.abs(r).max(axis=1) < tol)
+        running &= ~converged
+        if converged.any():
+            running[np.argmax(converged):] = False  # seeds after it cannot win
+        if not running.any():
+            break
+        (rows,) = np.nonzero(running)
+        pr, rr = p[rows], r[rows]
+        jac = _collar_jacobian(eta1, d, pr, rr + goal, 1e-7)
+        jt = jac.transpose(0, 2, 1)
+        lams = np.maximum(lam[rows], 1e-8)[:, None] * rungs
+        lams[:, 0] = lam[rows]
+        a = (jt @ jac)[:, None] + lams[..., None, None] * np.eye(6)
+        steps = np.linalg.solve(a, -(jt @ rr[..., None])[:, None])[..., 0]
+        trials = np.clip(pr[:, None, :] + steps, lo, hi)
+        values, ok = _disk_collar(eta1, d, trials.reshape(-1, 6))
+        r_trials = values.reshape(trials.shape) - goal
+        # both sides of the comparison from one norm evaluation, so an
+        # unchanged point never reads as an improvement
+        norms = np.linalg.norm(np.concatenate([rr[:, None], r_trials], axis=1), axis=-1)
+        better = ok.reshape(len(rows), -1) & (norms[:, 1:] < norms[:, :1])
+        took = better.any(axis=1)
+        rung = np.argmax(better, axis=1)
+        running[rows[~took]] = False
+        rows, rung = rows[took], rung[took]
+        p[rows] = trials[took, rung]
+        r[rows] = r_trials[took, rung]
+        lam[rows] = np.maximum(lams[took, rung] / 4.0, 1e-12)
+    if converged.any():
+        disk, _ = two_cone_disk_from_params(eta1, d, p[np.argmax(converged)])
+        _, betas = _disk_rim_data(disk)
+        if abs(betas[2] - rim_angles[2]) > 1e-7:
+            raise LinkRealizationError(
+                "collar data inconsistent: the closing angle differs by "
+                f"{abs(betas[2] - rim_angles[2]):.3e}; the removed disk does not "
+                f"carry an elliptic holonomy of angle {theta:.6g}"
+            )
+        return disk
+    best = "n/a"
+    if started.any():
+        norms = np.linalg.norm(r[started], axis=1)
+        best = f"{np.abs(r[started][np.argmin(norms)]).max():.3e}"
+    raise LinkRealizationError(f"two-cone disk fit did not converge; residual {best}")
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,7 @@ class ConeSurface:
             raise GeometryError("edge lengths must be positive and finite")
         if len(self.lengths) != len(self.edges):
             raise GeometryError("need one length per edge")
-        sides = self.lengths[self._face_edges]
-        broken = np.any(sides >= sides[:, _NEXT] + sides[:, _PREV] - 1e-12, axis=1)
+        broken = violates_triangle_inequality(self.lengths[self._face_edges])
         if broken.any():
             raise NotHyperbolicError(
                 f"face {int(np.argmax(broken))} violates the triangle inequality"
@@ -179,8 +178,7 @@ class ConeSurface:
         cached = getattr(self, "_corner_cache", None)
         if cached is not None:
             return cached
-        cosv = law_of_cosines(self.lengths[self._face_edges])
-        cached = (np.arccos(np.clip(cosv, -1.0, 1.0)), np.abs(cosv) > 1 + 1e-12)
+        cached = corner_table(self.lengths[self._face_edges])
         object.__setattr__(self, "_corner_cache", cached)
         return cached
 
@@ -317,6 +315,20 @@ def law_of_cosines(sides: np.ndarray) -> np.ndarray:
     i+1; the result's [..., i] is the cosine of the angle at corner i."""
     ch, sh = np.cosh(sides), np.sinh(sides)
     return (ch * ch[..., _PREV] - ch[..., _NEXT]) / (sh * sh[..., _PREV])
+
+
+def violates_triangle_inequality(sides: np.ndarray) -> np.ndarray:
+    """Which triangles (sides[..., 3]) have a side at least as long as the
+    other two together, up to a 1e-12 margin; shape sides.shape[:-1]."""
+    return np.any(sides >= sides[..., _NEXT] + sides[..., _PREV] - 1e-12, axis=-1)
+
+
+def corner_table(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(angles, degenerate), both shaped like sides: the corner angles of
+    the law of cosines (clipped into [0, pi]) and the corners whose cosine
+    leaves [-1, 1] by more than 1e-12."""
+    cosv = law_of_cosines(sides)
+    return np.arccos(np.clip(cosv, -1.0, 1.0)), np.abs(cosv) > 1 + 1e-12
 
 
 def _raise_degenerate(degenerate: np.ndarray):

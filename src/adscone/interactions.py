@@ -181,8 +181,12 @@ def validate_geometric_data(g: InteractionGraph, tol: float = 1e-8) -> Validatio
     additionally the exchanged disks carry the declared vanished/created cone
     points, and the before-disk is isometric between the left and right
     metrics when they differ."""
+    return _validate(g, tol, _holonomy_memo())
+
+
+def _validate(g: InteractionGraph, tol: float, holonomy) -> ValidationReport:
+    """validate_geometric_data, developing loops through the given memo."""
     failures = []
-    holonomy = _holonomy_memo()
     for name, v in g.vertices.items():
         for p, theta in v.marked.items():
             for side, surf in (("l", v.mu_l), ("r", v.mu_r)):
@@ -291,10 +295,11 @@ def assemble_holonomy(g: InteractionGraph, tol: float = 1e-8) -> HolonomyAssembl
     conjugator aligning the identified complement generators, solved from the
     stacked intertwining equations.  Alignment is propagated from an
     arbitrary root vertex over a spanning tree of the graph."""
-    report = validate_geometric_data(g, tol=tol)
+    # one memo for validation and the tables: no loop is developed twice
+    holonomy = _holonomy_memo()
+    report = _validate(g, tol, holonomy)
     if not report:
         raise GeometryError("graph fails validation: " + "; ".join(report.failures))
-    holonomy = _holonomy_memo()
     tables = {}
     for name, v in g.vertices.items():
         tables[name] = {

@@ -9,6 +9,7 @@ import pytest
 
 import adscone
 from adscone import documents as docs
+from adscone import interactions
 from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
 from adscone.cli import main
 from adscone.conesurf import holonomy_of_loop
@@ -132,6 +133,21 @@ def test_assembly_equals_holonomies_of_separate_surfaces(theta, face, eta):
     unshared = InteractionGraph(separate, g.edges, g.initial, g.final)
     residuals = [asm.relation_residual(e) for e in g.edges]
     assert residuals == [assemble_holonomy(unshared).relation_residual(e) for e in g.edges]
+
+
+def test_assembly_develops_each_loop_once(monkeypatch):
+    """Validation and the holonomy tables share one memo: the elastic graph
+    has four distinct (surface, loop) pairs, and each is developed once."""
+    g = docs.interaction_graph_from_doc(_graph_doc())
+    calls = []
+
+    def counted(surf, loop):
+        calls.append((id(surf), tuple(map(tuple, loop))))
+        return holonomy_of_loop(surf, loop)
+
+    monkeypatch.setattr(interactions, "holonomy_of_loop", counted)
+    assemble_holonomy(g)
+    assert len(calls) == len(set(calls)) == 4
 
 
 def sphere_fixture():

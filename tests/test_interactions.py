@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from adscone import catalog
 from adscone.catalog import (
     collision_distance,
+    fit_two_cone_disk,
     subdivide_face_with_cone,
     torus_with_cone_point,
     wedge_family_link,
@@ -262,3 +264,25 @@ def test_surgery_realizable_fixture_fails_loudly_not_silently():
     with pytest.raises(LinkRealizationError) as err:
         surgery_collision(M, collision_link(PI, PI / 3, PI / 3), at=4)
     assert "did not converge" in str(err.value) or "no hyperbolic realization" in str(err.value)
+
+
+def test_failing_fit_reports_what_the_sequential_fit_reports(monkeypatch, sequential_disk_fit):
+    """A request like the surgery benchmark's (host theta 4.0, eta1 + eta2 =
+    0.85 theta): the lockstep disk fit fails with the seed-by-seed fit's
+    error, word for word."""
+    theta = 4.0
+    eta = 0.85 * theta / 2
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return fit_two_cone_disk(*args)
+
+    monkeypatch.setattr(catalog, "fit_two_cone_disk", record)
+    host, _ = torus_with_cone_point(theta)
+    with pytest.raises(LinkRealizationError) as err:
+        surgery_collision(product_spacetime(host), collision_link(theta, eta, eta), at=4)
+    assert "did not converge" in str(err.value)
+    with pytest.raises(LinkRealizationError) as reference:
+        sequential_disk_fit(*calls[0])
+    assert str(err.value) == str(reference.value)
