@@ -24,9 +24,12 @@ from .conesurf import (
     violates_triangle_inequality,
 )
 from .errors import GeometryError, LinkRealizationError
-from .isom import Proj2, classify, fixed_point_lift
+from .isom import Proj2, fixed_point_lift
 from .linalg import HSPointClass, classify_ray, dot12
 from .rp1 import LinkCircle, RP1Circle, elliptic_link_circle, mark_timelike_arcs
+from .tolerances import BASIS_DET, DISK_CLOSING_ANGLE, DISK_FIT_STOP, METRIC_SOLVE_STOP
+from .tolerances import NULL_COORDINATE, NULL_EIGENVALUE, NULL_ROTATION_SECANT, RAY_SHORT
+from .tolerances import SPACELIKE_COMPLEMENT, TANGENT_BASIS_DEPENDENT, WEDGE_NULL
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -40,10 +43,7 @@ TWO_PI = 2.0 * np.pi
 def solve_metric(
     surface: ConeSurface,
     targets: dict[int, float],
-    free_edges: list[int] | None = None,
     length_targets: dict[int, float] | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
     continuation_steps: int = 1,
 ) -> ConeSurface:
     """Adjust edge lengths so prescribed vertices reach their target angles
@@ -58,30 +58,25 @@ def solve_metric(
     the residual cannot be driven to zero (the requested data has no
     hyperbolic realization near the seed).
     """
-    if free_edges is None:
-        free_edges = list(range(len(surface.edges)))
-    free_edges = list(free_edges)
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
     ledges = sorted(length_targets)
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
-    # d length[e] / d x[j] = length[e] where free_edges[j] == e
-    length_rows = np.equal.outer(ledges, free_edges).astype(float)
+    # d length[e] / d x[e] = length[e]
+    length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
 
     def build(x) -> ConeSurface:
-        lengths = surface.lengths.copy()
-        lengths[free_edges] = np.exp(x)
-        return surface.with_lengths(lengths)
+        return surface.with_lengths(np.exp(x))
 
     def values_of(s: ConeSurface) -> np.ndarray:
         sums = s.vertex_angle_sums()
         return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
 
     def jacobian(s: ConeSurface) -> np.ndarray:
-        angles = s.angle_sum_jacobian()[verts][:, free_edges]
+        angles = s.angle_sum_jacobian()[verts]
         return np.vstack([angles, length_rows * s.lengths[ledges][:, None]])
 
-    x = np.log(np.asarray(surface.lengths, dtype=float))[free_edges]
+    x = np.log(np.asarray(surface.lengths, dtype=float))
     current = build(x)
     start = values_of(current)
     stages = (
@@ -94,8 +89,8 @@ def solve_metric(
         stage_goal = (1 - t) * start + t * goal
         lam = 1e-10
         r = values_of(current) - stage_goal
-        for _ in range(max_iter):
-            if np.abs(r).max() < tol:
+        for _ in range(200):
+            if np.abs(r).max() < METRIC_SOLVE_STOP:
                 break
             jac = jacobian(current)
             a = jac.T @ jac + lam * np.eye(len(x))
@@ -461,7 +456,6 @@ def fit_two_cone_disk(
     eta1: float,
     eta2: float,
     theta: float,
-    tol: float = 1e-11,
 ) -> ConeSurface:
     """The disk a collision surgery glues in: two cone points of angles
     (eta1, eta2) with rim lengths and rim corner angle sums matching the
@@ -480,8 +474,8 @@ def fit_two_cone_disk(
     max(lam, 1e-8) * 8^k) of every seed at once, and evaluates all trial
     points together; a seed takes its first rung that lowers its residual
     norm and stops when none does.  A seed converges when its largest
-    residual is below tol before one of its 400 steps (reaching tol only on
-    the last step does not count).  The lowest-index converged seed wins,
+    residual is below DISK_FIT_STOP before one of its 400 steps (reaching
+    it only on the last step does not count).  The lowest-index converged seed wins,
     once every lower seed has stopped.  Otherwise the error gives the
     largest residual of the seed that came closest (smallest residual norm,
     lowest index on ties) among the seeds whose start is a disk."""
@@ -505,7 +499,7 @@ def fit_two_cone_disk(
     converged = np.zeros(len(p), dtype=bool)
     rungs = 8.0 ** np.arange(35)  # rung k > 0 damps with max(lam, 1e-8) * 8^k
     for _ in range(400):
-        converged |= running & (np.abs(r).max(axis=1) < tol)
+        converged |= running & (np.abs(r).max(axis=1) < DISK_FIT_STOP)
         running &= ~converged
         if converged.any():
             running[np.argmax(converged):] = False  # seeds after it cannot win
@@ -536,7 +530,7 @@ def fit_two_cone_disk(
     if converged.any():
         disk, _ = two_cone_disk_from_params(eta1, d, p[np.argmax(converged)])
         _, betas = _disk_rim_data(disk)
-        if abs(betas[2] - rim_angles[2]) > 1e-7:
+        if abs(betas[2] - rim_angles[2]) > DISK_CLOSING_ANGLE:
             raise LinkRealizationError(
                 "collar data inconsistent: the closing angle differs by "
                 f"{abs(betas[2] - rim_angles[2]):.3e}; the removed disk does not "
@@ -568,7 +562,7 @@ def _ray_direction(x: np.ndarray, target: np.ndarray) -> np.ndarray:
     q = dot12(x, x)
     v = target - (dot12(target, x) / q) * x
     n = np.sqrt(abs(dot12(v, v)))
-    return v / n if n > 1e-13 else v
+    return v / n if n > RAY_SHORT else v
 
 
 def _oriented_tangent_basis(x):
@@ -582,7 +576,7 @@ def _oriented_tangent_basis(x):
         w = e - (dot12(e, xhat) / dot12(xhat, xhat)) * xhat
         for b in basis:
             w = w - (dot12(w, b) / dot12(b, b)) * b
-        if abs(dot12(w, w)) > 1e-10:
+        if abs(dot12(w, w)) > TANGENT_BASIS_DEPENDENT:
             basis.append(w / np.sqrt(abs(dot12(w, w))))
         if len(basis) == 2:
             break
@@ -618,7 +612,7 @@ def _pencil_action(M: np.ndarray, x: np.ndarray) -> Proj2:
 def _stabilizer_map(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """The SO0(1,2) element fixing the ray x and mapping ray v1 to ray v2."""
     q = dot12(x, x)
-    if abs(q) > 1e-12:
+    if abs(q) > WEDGE_NULL:
         xhat = x / np.sqrt(abs(q))
         b1, b2 = _oriented_tangent_basis(x)
         c1, c2 = _tangent_coords(x, v1), _tangent_coords(x, v2)
@@ -632,7 +626,7 @@ def _stabilizer_map(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray
             A = np.column_stack([[1.0, 1.0], [1.0, -1.0]])
             u1 = np.linalg.solve(A, c1)
             u2 = np.linalg.solve(A, c2)
-            if np.any(np.abs(u1) < 1e-13) or np.any(np.abs(u2) < 1e-13):
+            if np.any(np.abs(u1) < NULL_COORDINATE) or np.any(np.abs(u2) < NULL_COORDINATE):
                 raise GeometryError("a requested ray is lightlike at x")
             ratio = (u2[0] / u1[0]) / (u2[1] / u1[1])
             if ratio <= 0:
@@ -665,7 +659,7 @@ def _stabilizer_map(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray
         return w[0] * v2m[1] - w[1] * v2m[0]
 
     f0, f1 = mismatch(0.0), mismatch(1.0)
-    if abs(f1 - f0) < 1e-15:
+    if abs(f1 - f0) < NULL_ROTATION_SECANT:
         raise GeometryError("degenerate null-rotation solve")
     s_star = -f0 / (f1 - f0)
     M = null_rot(s_star)
@@ -680,20 +674,23 @@ def _spacelike_complement(x: np.ndarray) -> np.ndarray:
     A = np.array([[-x[0], x[1], x[2]]])  # kernel of <., x>
     _, _, vt = np.linalg.svd(A)
     for w in (vt[1], vt[2]):
-        if dot12(w, w) > 1e-9:
+        if dot12(w, w) > SPACELIKE_COMPLEMENT:
             return w / np.sqrt(dot12(w, w))
     raise GeometryError("no spacelike complement found")
 
 
+def _null_basis(x, u) -> np.ndarray:
+    """The basis (x, u, z) of R^{1,2} as columns, z = e0 unless that is
+    degenerate, e1 then."""
+    B = np.column_stack([x, u, [1.0, 0.0, 0.0]])
+    if abs(np.linalg.det(B)) < BASIS_DET:
+        B = np.column_stack([x, u, [0.0, 1.0, 0.0]])
+    return B
+
+
 def _mod_null_coords(x, u, y):
-    """Coordinates of y in R^{1,2} / <x> in the basis (u, z)."""
-    z = np.array([1.0, 0.0, 0.0])
-    B = np.column_stack([x, u, z])
-    if abs(np.linalg.det(B)) < 1e-10:
-        z = np.array([0.0, 1.0, 0.0])
-        B = np.column_stack([x, u, z])
-    c = np.linalg.solve(B, y)
-    return c[1:]
+    """Coordinates of y in R^{1,2} / <x> in the basis (u, z) of _null_basis."""
+    return np.linalg.solve(_null_basis(x, u), y)[1:]
 
 
 def boundary_hit_angle(x, v) -> float | None:
@@ -743,8 +740,8 @@ def wedge_family_link(lam: float, arc=(-0.55, 0.55)) -> LinkCircle:
     p2 = np.array([1.0, np.cos(b2), np.sin(b2)])
     x = np.array([1.0, -lam, 0.0])
     cls = classify_ray(x)
-    v1 = _ray_direction(x, p1) if abs(dot12(x, x)) > 1e-12 else p1
-    v2 = _ray_direction(x, p2) if abs(dot12(x, x)) > 1e-12 else p2
+    v1 = _ray_direction(x, p1) if abs(dot12(x, x)) > WEDGE_NULL else p1
+    v2 = _ray_direction(x, p2) if abs(dot12(x, x)) > WEDGE_NULL else p2
     # the deck of the counterclockwise developing of the kept region is the
     # gluing that carries the second wedge side back onto the first
     M = _stabilizer_map(x, v2, v1)
@@ -767,15 +764,9 @@ def wedge_family_link(lam: float, arc=(-0.55, 0.55)) -> LinkCircle:
 def _boundary_pencil_action(M: np.ndarray, x: np.ndarray) -> Proj2:
     """Pencil action at a null basepoint, in a basis of R^{1,2}/<x> chosen to
     match the orientation of the nearby non-null pencil charts."""
-    u = _spacelike_complement(x)
-    z = np.array([1.0, 0.0, 0.0])
-    B = np.column_stack([x, u, z])
-    if abs(np.linalg.det(B)) < 1e-10:
-        z = np.array([0.0, 1.0, 0.0])
-        B = np.column_stack([x, u, z])
+    B = _null_basis(x, _spacelike_complement(x))
     if np.linalg.det(B) < 0:
-        u = -u
-        B = np.column_stack([x, u, z])
+        B[:, 1] = -B[:, 1]
     full = np.linalg.inv(B) @ M @ B
     m = full[1:, 1:]
     if np.linalg.det(m) <= 0:
@@ -789,7 +780,7 @@ def _future_anchor_angle(x, M) -> float:
     w, vecs = np.linalg.eig(M)
     nulls = []
     for i in range(3):
-        if abs(w[i].imag) < 1e-9 and abs(w[i].real - 1.0) > 1e-9:
+        if abs(w[i].imag) < NULL_EIGENVALUE and abs(w[i].real - 1.0) > NULL_EIGENVALUE:
             d = vecs[:, i].real
             nulls.append(d if d[0] > 0 else -d)  # future-pointing null rays
     if len(nulls) != 2:

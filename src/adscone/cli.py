@@ -24,6 +24,7 @@ from .hssurface import check_causal, check_polyhedron_conditions, classify_hs_sp
 from .interactions import assemble_holonomy, surgery_collision, validate_geometric_data
 from .links import classify_singularity
 from .spacetimes import causal_speed_check, link_of_line, model_lines, product_spacetime
+from .tolerances import CAUSAL_SPEED_SLACK, CONJUGATOR_RESIDUAL
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -115,7 +116,7 @@ def cmd_speed_check(args) -> int:
     ts = samples[:, 0]
     zs = samples[:, 1] + 1j * samples[:, 2]
     mass = float(payload["mass"])
-    ok = causal_speed_check(ts, zs, mass, slack=1e-6 * _scale(args))
+    ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * _scale(args))
     _emit({"causal": bool(ok), "mass": mass}, args.output)
     if args.plot:
         _plot_speed(ts, zs, mass, args.plot)
@@ -181,7 +182,7 @@ def cmd_surgery(args) -> int:
 
 def cmd_validate_graph(args) -> int:
     graph = docs.interaction_graph_from_doc(_load(args.input))
-    report = validate_geometric_data(graph, tol=1e-8 * _scale(args))
+    report = validate_geometric_data(graph, tol=CONJUGATOR_RESIDUAL * _scale(args))
     _emit({"valid": report.passed, "failures": list(report.failures)}, args.output)
     return EXIT_OK if report.passed else EXIT_REJECT
 
@@ -189,7 +190,7 @@ def cmd_validate_graph(args) -> int:
 def cmd_assemble_holonomy(args) -> int:
     graph = docs.interaction_graph_from_doc(_load(args.input))
     try:
-        asm = assemble_holonomy(graph, tol=1e-8 * _scale(args))
+        asm = assemble_holonomy(graph, tol=CONJUGATOR_RESIDUAL * _scale(args))
     except (GeometryError, ArithmeticError) as err:
         _emit({"assembly": None, "error": str(err)}, args.output)
         return EXIT_REJECT

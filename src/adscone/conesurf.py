@@ -20,11 +20,11 @@ import numpy as np
 from .errors import GeometryError, NotHyperbolicError
 from .isom import Proj2, psl_of_lorentz3
 from .linalg import cross12, dot12
+from .tolerances import ANGLE_MATCH, DEGENERATE_CORNER, DELAUNAY_MARGIN, DISK_ISOMETRY
+from .tolerances import GAUSS_BONNET_CROSS_CHECK, TRIANGLE_MARGIN
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
-
-ANGLE_TOL = 1e-9
 
 # corner i of a face lies between its sides i and i+2 (= i-1) and faces side i+1
 _CORNER = np.arange(3)
@@ -236,8 +236,8 @@ class ConeSurface:
     def target_angle(self, v: int) -> float:
         return self.cone_angles.get(v, TWO_PI)
 
-    def angle_defect_report(self, tol: float = ANGLE_TOL) -> dict[int, float]:
-        """Vertices whose angle sum misses the target by more than tol."""
+    def angle_defect_report(self) -> dict[int, float]:
+        """Vertices whose angle sum misses the target by more than ANGLE_MATCH."""
         sums = self.vertex_angle_sums()
         boundary = self.boundary_vertices()
         bad = {}
@@ -245,7 +245,7 @@ class ConeSurface:
             if v in boundary:
                 continue
             dev = s - self.target_angle(v)
-            if abs(dev) > tol:
+            if abs(dev) > ANGLE_MATCH:
                 bad[v] = dev
         return bad
 
@@ -319,16 +319,16 @@ def law_of_cosines(sides: np.ndarray) -> np.ndarray:
 
 def violates_triangle_inequality(sides: np.ndarray) -> np.ndarray:
     """Which triangles (sides[..., 3]) have a side at least as long as the
-    other two together, up to a 1e-12 margin; shape sides.shape[:-1]."""
-    return np.any(sides >= sides[..., _NEXT] + sides[..., _PREV] - 1e-12, axis=-1)
+    other two together, up to TRIANGLE_MARGIN; shape sides.shape[:-1]."""
+    return np.any(sides >= sides[..., _NEXT] + sides[..., _PREV] - TRIANGLE_MARGIN, axis=-1)
 
 
 def corner_table(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(angles, degenerate), both shaped like sides: the corner angles of
     the law of cosines (clipped into [0, pi]) and the corners whose cosine
-    leaves [-1, 1] by more than 1e-12."""
+    is not finite or leaves [-1, 1] by more than DEGENERATE_CORNER."""
     cosv = law_of_cosines(sides)
-    return np.arccos(np.clip(cosv, -1.0, 1.0)), np.abs(cosv) > 1 + 1e-12
+    return np.arccos(np.clip(cosv, -1.0, 1.0)), ~(np.abs(cosv) <= 1 + DEGENERATE_CORNER)
 
 
 def _raise_degenerate(degenerate: np.ndarray):
@@ -360,7 +360,7 @@ def _third_vertex(p, q, d_from_p, d_to_q, orientation):
     return cand
 
 
-def gauss_bonnet_area(s: ConeSurface, cross_check_tol: float = 1e-8) -> float:
+def gauss_bonnet_area(s: ConeSurface) -> float:
     """Area from the vertex form of Gauss-Bonnet, checked against the sum of
     triangle angle defects.  Closed surfaces only."""
     if s.boundary_edges():
@@ -368,7 +368,7 @@ def gauss_bonnet_area(s: ConeSurface, cross_check_tol: float = 1e-8) -> float:
     sums = s.vertex_angle_sums()
     area = sum(TWO_PI - sums[v] for v in s.vertices) - TWO_PI * s.euler_characteristic
     defects = float(np.sum(PI - s.corner_angles().sum(axis=1)))
-    if abs(area - defects) > cross_check_tol:
+    if abs(area - defects) > GAUSS_BONNET_CROSS_CHECK:
         raise ArithmeticError(
             f"Gauss-Bonnet cross-check failed: {area} vs defect sum {defects}"
         )
@@ -648,10 +648,10 @@ def extract_disk_surface(d: DiskSpec) -> tuple[ConeSurface, dict[int, int]]:
     return sub, {f: k for k, f in enumerate(faces)}
 
 
-def delaunay_normalize(s: ConeSurface, max_flips: int = 10000) -> ConeSurface:
+def delaunay_normalize(s: ConeSurface) -> ConeSurface:
     """Flip interior edges until the Delaunay angle condition holds."""
     current = s
-    for _ in range(max_flips):
+    for _ in range(10000):
         flipped = False
         for e in range(len(current.edges)):
             if _needs_flip(current, e):
@@ -663,7 +663,7 @@ def delaunay_normalize(s: ConeSurface, max_flips: int = 10000) -> ConeSurface:
     raise ArithmeticError("Delaunay normalization did not terminate")
 
 
-def _needs_flip(s: ConeSurface, e: int, tol: float = 1e-9) -> bool:
+def _needs_flip(s: ConeSurface, e: int) -> bool:
     uses = _uses_of(s, e)
     if len(uses) != 2:
         return False
@@ -672,7 +672,7 @@ def _needs_flip(s: ConeSurface, e: int, tol: float = 1e-9) -> bool:
         return False  # self-glued edges are never flipped
     a1 = s.corner_angle(f1, (s1 + 2) % 3)
     a2 = s.corner_angle(f2, (s2 + 2) % 3)
-    return a1 + a2 > PI + tol
+    return a1 + a2 > PI + DELAUNAY_MARGIN
 
 
 def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
@@ -713,22 +713,16 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
     return ConeSurface(tuple(edges), tuple(faces), lengths, s.cone_angles, s.check_angles)
 
 
-def disks_isometric(
-    s1: ConeSurface,
-    d1: DiskSpec,
-    s2: ConeSurface,
-    d2: DiskSpec,
-    tol: float = 1e-8,
-) -> bool:
+def disks_isometric(s1: ConeSurface, d1: DiskSpec, s2: ConeSurface, d2: DiskSpec) -> bool:
     """Whether two disk sub-complexes are isometric (marked angles match,
-    edge lengths match after a combinatorial isomorphism), trying every
-    boundary correspondence in both orientations after Delaunay
-    normalization of both disks."""
+    edge lengths match after a combinatorial isomorphism, each within
+    DISK_ISOMETRY), trying every boundary correspondence in both
+    orientations after Delaunay normalization of both disks."""
     if d1.surface is not s1 or d2.surface is not s2:
         raise GeometryError("disk specs must reference their surfaces")
-    if sorted(d1.marked_angles().values()) != sorted(d2.marked_angles().values()):
-        if not _angles_close(d1, d2, tol):
-            return False
+    ang1, ang2 = (sorted(d.marked_angles().values()) for d in (d1, d2))
+    if len(ang1) != len(ang2) or not all(abs(x - y) <= DISK_ISOMETRY for x, y in zip(ang1, ang2)):
+        return False
     a, _ = extract_disk_surface(d1)
     b, _ = extract_disk_surface(d2)
     a = delaunay_normalize(a)
@@ -749,18 +743,12 @@ def disks_isometric(
     )
     for fb, sb in boundary_b:
         for reflect in (False, True):
-            if _match_from(a, (fa, sa), b, (fb, sb), reflect, tol):
+            if _match_from(a, (fa, sa), b, (fb, sb), reflect):
                 return True
     return False
 
 
-def _angles_close(d1, d2, tol):
-    a = sorted(d1.marked_angles().values())
-    b = sorted(d2.marked_angles().values())
-    return len(a) == len(b) and all(abs(x - y) <= tol for x, y in zip(a, b))
-
-
-def _match_from(a, flag_a, b, flag_b, reflect, tol):
+def _match_from(a, flag_a, b, flag_b, reflect):
     """Propagate the correspondence side->side over both disks.
 
     The invariant stored per face is (image face, side offset): for a direct
@@ -780,7 +768,7 @@ def _match_from(a, flag_a, b, flag_b, reflect, tol):
             ib = (sb - k) % 3 if reflect else (sb + k) % 3
             ea = a.faces[fa][ia].edge
             eb = b.faces[fb][ib].edge
-            if abs(a.lengths[ea] - b.lengths[eb]) > tol:
+            if abs(a.lengths[ea] - b.lengths[eb]) > DISK_ISOMETRY:
                 return False
             ua, ub = _uses_of(a, ea), _uses_of(b, eb)
             if len(ua) != len(ub):

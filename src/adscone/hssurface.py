@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CausalityError, GeometryError
-from .links import SingKind, SingularityType
+from .links import SingKind, SingularityType, particle_mass
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -81,7 +81,7 @@ class SingularHSSurface:
         out = []
         for h in self.hyperbolic_regions:
             out.extend(
-                SingularityType(SingKind.MASSIVE_PARTICLE, angle=a, mass=1 - a / TWO_PI)
+                SingularityType(SingKind.MASSIVE_PARTICLE, angle=a, mass=particle_mass(a))
                 for a in h.cone_angles
             )
         for d in self.de_sitter_regions:

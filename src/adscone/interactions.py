@@ -26,13 +26,12 @@ from .conesurf import (
     loop_around_vertex,
     resolve_loop,
 )
-from .errors import GeometryError, LinkRealizationError
+from .errors import GeometryError
 from .hssurface import SingularHSSurface, SphereClass, classify_hs_sphere
 from .isom import Proj2
 from .spacetimes import ModelKind, ModelSpacetime
-
-PI = np.pi
-TWO_PI = 2.0 * np.pi
+from .tolerances import ANGLE_MATCH, CONJUGATOR_DET, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
+from .tolerances import CONJUGATOR_RESIDUAL
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,7 @@ class SliceVertex:
         for surf in (self.mu_l, self.mu_r):
             for v, theta in self.marked.items():
                 target = surf.cone_angles.get(v)
-                if target is None or abs(target - theta) > 1e-9:
+                if target is None or abs(target - theta) > ANGLE_MATCH:
                     raise GeometryError(
                         f"marked point {v} of slice {self.name} must be a cone point "
                         f"of angle {theta:.6g} in both metrics"
@@ -115,7 +114,7 @@ class ValidationReport:
         return self.passed
 
 
-def solve_conjugator(pairs, tol: float = 1e-8) -> tuple[Proj2, float]:
+def solve_conjugator(pairs) -> tuple[Proj2, float]:
     """A projective C with C a C^{-1} = b for all (a, b), via the stacked
     Sylvester system; returns (C, residual)."""
     rows = []
@@ -126,7 +125,7 @@ def solve_conjugator(pairs, tol: float = 1e-8) -> tuple[Proj2, float]:
         rows.append(block)
     A = np.vstack(rows)
     _, sv, vt = np.linalg.svd(A)
-    floor = max(1e-7 * (sv[0] if sv.size else 1.0), 1e-12)
+    floor = max(CONJUGATOR_NULL_REL * (sv[0] if sv.size else 1.0), CONJUGATOR_NULL_ABS)
     null_dim = int(np.sum(sv <= floor)) or 1
     basis = [vt[-(k + 1)].reshape(2, 2) for k in range(null_dim)]
     c = None
@@ -137,7 +136,7 @@ def solve_conjugator(pairs, tol: float = 1e-8) -> tuple[Proj2, float]:
         # determinant representative
         for t in np.linspace(0.0, np.pi, 37, endpoint=False):
             cand = np.cos(t) * basis[0] + np.sin(t) * basis[1]
-            if np.linalg.det(cand) > 1e-8:
+            if np.linalg.det(cand) > CONJUGATOR_DET:
                 c = cand
                 break
         if c is None:
@@ -169,7 +168,9 @@ def _holonomy_memo():
     return holonomy
 
 
-def validate_geometric_data(g: InteractionGraph, tol: float = 1e-8) -> ValidationReport:
+def validate_geometric_data(
+    g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL
+) -> ValidationReport:
     """Admissibility of the geometric data on the graph:
 
     (1) every marked point is a cone point of its declared angle in both
@@ -191,7 +192,7 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> ValidationReport:
         for p, theta in v.marked.items():
             for side, surf in (("l", v.mu_l), ("r", v.mu_r)):
                 got = surf.cone_angles.get(p)
-                if got is None or abs(got - theta) > 1e-9:
+                if got is None or abs(got - theta) > ANGLE_MATCH:
                     failures.append(
                         f"(1) slice {name}: marked point {p} is not a {theta:.6g} cone "
                         f"point of mu_{side}"
@@ -287,7 +288,7 @@ class HolonomyAssembly:
         return worst
 
 
-def assemble_holonomy(g: InteractionGraph, tol: float = 1e-8) -> HolonomyAssembly:
+def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> HolonomyAssembly:
     """Glue the per-vertex holonomy representations along the edges.
 
     Refuses unvalidated graphs.  Each vertex contributes the holonomies of
@@ -384,7 +385,7 @@ def surgery_collision(
     ]
     if len(future_angles) != 1 or len(past_angles) != 2:
         raise GeometryError("surgery expects a (theta; eta1, eta2) collision link")
-    if abs(future_angles[0] - theta) > 1e-9:
+    if abs(future_angles[0] - theta) > ANGLE_MATCH:
         raise GeometryError(
             f"link future angle {future_angles[0]:.6g} does not match the cone angle "
             f"{theta:.6g} at the surgery point"

@@ -16,11 +16,10 @@ from enum import Enum
 import numpy as np
 
 from .linalg import Mink3Vec
+from .tolerances import DECK_MULTIPLE, FACTOR_RANK, LIFT_CONGRUENCE, LORENTZ_ROUND_TRIP
+from .tolerances import PARABOLIC_DISPLACEMENT, RIGID_ROTATION, TRACE
 
 PI = np.pi
-
-EPS_DET = 1e-12
-EPS_TRACE = 1e-9
 
 
 def _canonical(m: np.ndarray) -> np.ndarray:
@@ -66,7 +65,7 @@ class Proj2:
     def conjugate(self, a: "Proj2") -> "Proj2":
         return Proj2(a.m @ self.m @ a.inverse().m)
 
-    def almost_equal(self, other: "Proj2", tol: float = 1e-9) -> bool:
+    def almost_equal(self, other: "Proj2", tol: float) -> bool:
         return bool(np.abs(self.m - other.m).max() <= tol)
 
     @staticmethod
@@ -114,13 +113,13 @@ def classify(g: Proj2) -> IsomClass:
     """
     m = g.m
     tr = g.trace
-    if np.abs(m - np.eye(2)).max() <= EPS_TRACE:
+    if np.abs(m - np.eye(2)).max() <= TRACE:
         return IsomClass(IsomKind.IDENTITY)
-    if tr < 2.0 - EPS_TRACE:
+    if tr < 2.0 - TRACE:
         a = float(np.arccos(np.clip(tr / 2.0, -1.0, 1.0)))
         half = a if (m[1, 0] - m[0, 1]) > 0 else PI - a
         return IsomClass(IsomKind.ELLIPTIC, angle=2.0 * half)
-    if tr > 2.0 + EPS_TRACE:
+    if tr > 2.0 + TRACE:
         return IsomClass(IsomKind.HYPERBOLIC, length=2.0 * float(np.arccosh(tr / 2.0)))
     return IsomClass(IsomKind.PARABOLIC, sign=parabolic_sign(g))
 
@@ -128,9 +127,9 @@ def classify(g: Proj2) -> IsomClass:
 def fixed_line_angles(g: Proj2) -> list[float]:
     """Fixed line angles of g on RP^1, each in [0, pi); empty for elliptic."""
     tr = g.trace
-    if tr < 2.0 - EPS_TRACE:
+    if tr < 2.0 - TRACE:
         return []
-    if tr <= 2.0 + EPS_TRACE:
+    if tr <= 2.0 + TRACE:
         # parabolic (or identity): the kernel of m - I, via SVD for stability
         _, _, vt = np.linalg.svd(g.m - np.eye(2))
         v = vt[-1]
@@ -156,9 +155,9 @@ def parabolic_sign(g: Proj2) -> int:
     lift = fixed_point_lift(g)
     xs = np.linspace(0.05, PI - 0.05, 37) + lift.s
     disp = np.array([lift(x) - x for x in xs])
-    if np.all(disp <= 1e-12):
+    if np.all(disp <= PARABOLIC_DISPLACEMENT):
         return +1
-    if np.all(disp >= -1e-12):
+    if np.all(disp >= -PARABOLIC_DISPLACEMENT):
         return -1
     raise ValueError("element is not parabolic (mixed displacements)")
 
@@ -177,7 +176,7 @@ class LiftedProj2:
 
     def __post_init__(self):
         alpha = _image_angle(self.g, 0.0)
-        if abs(((self.s - alpha) + PI / 2) % PI - PI / 2) > 1e-7:
+        if abs(((self.s - alpha) + PI / 2) % PI - PI / 2) > LIFT_CONGRUENCE:
             raise ValueError("lift offset s is not congruent to the image of 0")
 
     def __call__(self, phi: float) -> float:
@@ -202,15 +201,6 @@ class LiftedProj2:
     def shifted(self, k: int) -> "LiftedProj2":
         """Compose with delta^k (adds k*pi to the lift)."""
         return LiftedProj2(self.g, self.s + k * PI)
-
-    def power(self, n: int) -> "LiftedProj2":
-        if n == 0:
-            return lift_identity(0)
-        h = self if n > 0 else self.inverse()
-        out = h
-        for _ in range(abs(n) - 1):
-            out = h.compose(out)
-        return out
 
 
 def _image_angle(g: Proj2, phi: float) -> float:
@@ -257,7 +247,7 @@ def translation_number(h: LiftedProj2) -> float:
         t = rigid.s
         # guard: the conjugated map must be a rigid translation
         probe = rigid(1.2345) - 1.2345
-        if abs(probe - t) > 1e-8:
+        if abs(probe - t) > RIGID_ROTATION:
             raise ArithmeticError("conjugation to a rigid rotation failed")
         return float(t)
     k, _ = degree_decomposition(h)
@@ -311,7 +301,7 @@ def degree_decomposition(h: LiftedProj2) -> tuple[int, LiftedProj2]:
     g0 = fixed_point_lift(h.g)
     k = (h.s - g0.s) / PI
     ki = int(np.round(k))
-    if abs(k - ki) > 1e-7:
+    if abs(k - ki) > DECK_MULTIPLE:
         raise ArithmeticError("lift offset is not an integer multiple of pi")
     return ki, g0
 
@@ -371,7 +361,7 @@ def psl_of_lorentz3(L: np.ndarray) -> Proj2:
     beta = 0.5 * np.arctan2(y[0, 1], y[0, 0])
     r = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
     g = Proj2(shalf @ r)
-    if np.abs(lorentz3_of_psl(g) - L) .max() > 1e-6:
+    if np.abs(lorentz3_of_psl(g) - L).max() > LORENTZ_ROUND_TRIP:
         raise ArithmeticError("Lorentz matrix is not in SO0(1,2) within tolerance")
     return g
 
@@ -410,7 +400,7 @@ def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def factor_isometry(L: np.ndarray, tol: float = 1e-8) -> IsomPair:
+def factor_isometry(L: np.ndarray) -> IsomPair:
     """Factor a 4x4 isometry of the quadric into its left/right pair.
 
     Uses the Kronecker structure of X -> g_l X g_r^{-1} on matrix entries:
@@ -430,7 +420,7 @@ def factor_isometry(L: np.ndarray, tol: float = 1e-8) -> IsomPair:
     K = M @ np.linalg.inv(B)
     R = K.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     u, s, vt = np.linalg.svd(R)
-    if s[1] > tol * max(s[0], 1.0):
+    if s[1] > FACTOR_RANK * max(s[0], 1.0):
         raise ValueError("matrix is not an orientation-preserving quadric isometry")
     gl = (u[:, 0] * np.sqrt(s[0])).reshape(2, 2)
     grinvT = (vt[0] * np.sqrt(s[0])).reshape(2, 2)

@@ -18,11 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-EPS_QUADRIC = 1e-12
-EPS_NULL = 1e-10
-
-ETA22 = np.diag([-1.0, -1.0, 1.0, 1.0])
-ETA12 = np.diag([-1.0, 1.0, 1.0])
+from .tolerances import FRAME_DEPENDENT, NULL_REL, SAME_BASE, TANGENT, UNIT_SPEED
 
 Vec22 = np.ndarray  # shape (4,)
 Mink3Vec = np.ndarray  # shape (3,)
@@ -81,7 +77,7 @@ class CausalClass(Enum):
 def causal_class(x: Vec22, u: Vec22) -> CausalClass:
     q = dot22(u, u)
     scale = float(np.dot(u, u))
-    if abs(q) <= EPS_NULL * scale:
+    if abs(q) <= NULL_REL * scale:
         return CausalClass.LIGHTLIKE
     if q > 0:
         return CausalClass.SPACELIKE
@@ -90,7 +86,7 @@ def causal_class(x: Vec22, u: Vec22) -> CausalClass:
 
 @dataclass(frozen=True)
 class TangentVec:
-    """A tangent vector of the quadric: <base, v> = 0 within EPS_QUADRIC."""
+    """A tangent vector of the quadric: |<base, v>| <= TANGENT * max(1, |v|^2), |v| Euclidean."""
 
     base: AdSPoint
     v: Vec22
@@ -99,7 +95,7 @@ class TangentVec:
         v = np.asarray(self.v, dtype=float)
         object.__setattr__(self, "v", v)
         x = self.base.v
-        if abs(dot22(x, v)) > 1e-9 * max(1.0, float(np.dot(v, v))):
+        if abs(dot22(x, v)) > TANGENT * max(1.0, float(np.dot(v, v))):
             raise ValueError("vector is not tangent to the quadric at base")
 
     @property
@@ -121,9 +117,9 @@ def ads_geodesic(x: Vec22, v: Vec22, t: float) -> Vec22:
     ads_null_geodesic for those.
     """
     q = dot22(v, v)
-    if abs(abs(q) - 1.0) > 1e-9:
+    if abs(abs(q) - 1.0) > UNIT_SPEED:
         raise ValueError("velocity must be unit (timelike or spacelike)")
-    if abs(dot22(x, v)) > 1e-9:
+    if abs(dot22(x, v)) > TANGENT:
         raise ValueError("velocity must be tangent at x")
     if q < 0:
         p = np.cos(t) * x + np.sin(t) * v
@@ -136,9 +132,9 @@ def ads_null_geodesic(x: Vec22, v: Vec22, t: float) -> Vec22:
     """Affine null geodesic x + t v (lies on the quadric without rescaling)."""
     q = dot22(v, v)
     scale = float(np.dot(v, v))
-    if abs(q) > EPS_NULL * max(scale, 1.0):
+    if abs(q) > NULL_REL * max(scale, 1.0):
         raise ValueError("velocity is not lightlike")
-    if abs(dot22(x, v)) > 1e-9:
+    if abs(dot22(x, v)) > TANGENT:
         raise ValueError("velocity must be tangent at x")
     return x + t * v
 
@@ -167,7 +163,7 @@ def cross(x: Vec22, u: Vec22, w: Vec22) -> Vec22:
 
 
 def tangent_cross(u: TangentVec, w: TangentVec) -> TangentVec:
-    if not np.allclose(u.base.v, w.base.v, atol=1e-12):
+    if not np.allclose(u.base.v, w.base.v, atol=SAME_BASE):
         raise ValueError("cross product requires a common base point")
     return TangentVec(u.base, cross(u.base.v, u.v, w.v))
 
@@ -182,7 +178,7 @@ def orthonormal_tangent_frame(x: Vec22) -> tuple[Vec22, Vec22, Vec22]:
         for f in frame:
             v = v - (dot22(v, f) / dot22(f, f)) * f
         nv = dot22(v, v)
-        if nv > 1e-6:
+        if nv > FRAME_DEPENDENT:
             frame.append(v / np.sqrt(nv))
         if len(frame) == 3:
             break
@@ -220,7 +216,7 @@ class HSPointClass(Enum):
 def classify_ray(y: Mink3Vec) -> HSPointClass:
     """Class of the ray R+ * y in HS^2, stable under the library's own noise.
 
-    A ray counts as lightlike when |<y,y>| <= EPS_NULL * |y|^2 (Euclidean
+    A ray counts as lightlike when |<y,y>| <= NULL_REL * |y|^2 (Euclidean
     norm), so the decision is invariant under positive rescaling.
     """
     y = np.asarray(y, dtype=float)
@@ -228,7 +224,7 @@ def classify_ray(y: Mink3Vec) -> HSPointClass:
     if scale == 0.0 or not np.isfinite(scale):
         raise ValueError("zero or non-finite ray representative")
     q = dot12(y, y)
-    if abs(q) <= EPS_NULL * scale:
+    if abs(q) <= NULL_REL * scale:
         return HSPointClass.BOUNDARY_PLUS if y[0] > 0 else HSPointClass.BOUNDARY_MINUS
     if q < 0:
         return HSPointClass.H2_PLUS if y[0] > 0 else HSPointClass.H2_MINUS

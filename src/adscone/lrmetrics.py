@@ -31,6 +31,7 @@ from .linalg import (
     orthonormal_tangent_frame,
     project_tangent,
 )
+from .tolerances import JET_SELF_ADJOINT, JET_SYMMETRIC, POINT_MATCH, TRANSPORT_TANGENT, TRANSVERSE
 
 PI = np.pi
 
@@ -62,10 +63,10 @@ class JetSample:
         B = np.asarray(self.B, dtype=float)
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "B", B)
-        if np.abs(I - I.T).max() > 1e-12:
+        if np.abs(I - I.T).max() > JET_SYMMETRIC:
             raise GeometryError("I must be symmetric")
         s = I @ B
-        if np.abs(s - s.T).max() > 1e-9 * max(1.0, np.abs(s).max()):
+        if np.abs(s - s.T).max() > JET_SELF_ADJOINT * max(1.0, np.abs(s).max()):
             raise GeometryError("B must be self-adjoint for I")
 
     @property
@@ -113,7 +114,7 @@ class TransverseReport:
     degenerate_samples: tuple[int, ...]
 
 
-def transverse_check(j: SurfaceJet, tol: float = 1e-9) -> TransverseReport:
+def transverse_check(j: SurfaceJet, tol: float = TRANSVERSE) -> TransverseReport:
     """Rank-2 check of v -> D^{l,r}_v u for the normal field:
     det(-B +- J) = det(B) + 1 = -K must be bounded away from 0."""
     curvatures = []
@@ -166,7 +167,7 @@ def transport(
     path = np.asarray(path, dtype=float)
     u = np.asarray(u0, dtype=float).copy()
     x0 = path[0]
-    if abs(dot22(u, x0)) > 1e-8 * max(1.0, float(np.dot(u, u))):
+    if abs(dot22(u, x0)) > TRANSPORT_TANGENT * max(1.0, float(np.dot(u, u))):
         raise GeometryError("initial vector must be tangent at the path start")
     for k in range(len(path) - 1):
         a, b = path[k], path[k + 1]
@@ -235,7 +236,7 @@ def holonomy_pair(path: np.ndarray, closing: np.ndarray) -> IsomPair:
     sample and every chord sum a + b must lie in the timelike cone."""
     path = np.asarray(path, dtype=float)
     y = path[0]
-    if np.abs(closing @ path[-1] - y).max() > 1e-9:
+    if np.abs(closing @ path[-1] - y).max() > POINT_MATCH:
         raise GeometryError("closing isometry does not match the path endpoints")
     stages = np.concatenate((path, path[:-1] + path[1:]))
     norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
@@ -279,7 +280,7 @@ def jacobi_form_value(
     return float(dot22(val, val))
 
 
-def cone_point_field_samples(radii, n_phi: int = 16, vertex_time: float = 0.0):
+def cone_point_field_samples(radii, n_phi: int = 16):
     """Samples of the geodesic-cone configuration around a vertex: at each
     radius r, points of the past distance sphere with the field u' pointing
     back at the vertex, returning tuples (x, u', tangent basis).

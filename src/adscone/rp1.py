@@ -33,6 +33,8 @@ from .isom import (
     translation_number,
 )
 from .linalg import HSPointClass
+from .tolerances import ANGLE_MATCH, ARC_OVERLAP, DISTINCT_LINE, FIXED_POINT, INTERVAL_SLACK
+from .tolerances import LIFT_CONGRUENCE
 
 PI = np.pi
 
@@ -57,14 +59,14 @@ class RP1Circle:
         cls = classify(h.g)
         if self.interval is not None:
             x0, x1 = self.interval
-            if not x0 < x1 <= x0 + PI + 1e-9:
+            if not x0 < x1 <= x0 + PI + INTERVAL_SLACK:
                 raise GeometryError("interval must be a sub-arc between consecutive fixed points")
             for t in np.linspace(0.15, 0.85, 5):
                 x = x0 + t * (x1 - x0)
                 if h(x) <= x:
                     raise GeometryError("holonomy is not positive on the interval")
             for e in (x0, x1):
-                if abs(h(e) - e) > 1e-7:
+                if abs(h(e) - e) > FIXED_POINT:
                     raise GeometryError("interval endpoints are not fixed by the holonomy")
         else:
             if cls.kind is IsomKind.IDENTITY and h.s <= PI / 2:
@@ -74,7 +76,7 @@ class RP1Circle:
                     raise GeometryError("holonomy is not a positively oriented generator")
         if self.future_anchor is not None:
             k0 = _fixed_part(h)
-            if abs(k0(self.future_anchor) - self.future_anchor) > 1e-7:
+            if abs(k0(self.future_anchor) - self.future_anchor) > FIXED_POINT:
                 raise GeometryError("future anchor is not a fixed point of the holonomy")
 
     @property
@@ -136,7 +138,7 @@ def classify_circle(c: RP1Circle) -> CircleKind:
 
 
 def _same_line(a: float, b: float) -> bool:
-    return abs(((a - b) + PI / 2) % PI - PI / 2) < 1e-7
+    return abs(((a - b) + PI / 2) % PI - PI / 2) < LIFT_CONGRUENCE
 
 
 class ArcTag(Enum):
@@ -169,7 +171,7 @@ class LinkCircle:
         arcs = tuple(self.arcs)
         object.__setattr__(self, "arcs", arcs)
         for a, b in zip(arcs, arcs[1:]):
-            if b.start < a.end - 1e-12:
+            if b.start < a.end - ARC_OVERLAP:
                 raise GeometryError("arcs must be disjoint and ordered")
         if self.basepoint_class is HSPointClass.DS2 and len(arcs) > 1:
             tags = [a.tag for a in arcs]
@@ -235,10 +237,8 @@ def mark_timelike_arcs(
             anchor = data.get("future_anchor", c.future_anchor)
             if anchor is None:
                 raise GeometryError("hyperbolic link of positive degree needs a future anchor")
+            circle = RP1Circle(h, future_anchor=float(anchor))  # checks that it is fixed
             g0 = _fixed_part(h)
-            if abs(g0(anchor) - anchor) > 1e-7:
-                raise GeometryError("future anchor is not a fixed point")
-            circle = RP1Circle(h, future_anchor=float(anchor))
             x0 = float(anchor)
             x1 = _other_fixed_point(g0, x0)
             arcs = []
@@ -267,7 +267,7 @@ def mark_timelike_arcs(
         anchor = data.get("anchor")
         if anchor is None:
             anchor = _parabolic_fixed_angle(g0)
-        elif abs(g0(anchor) - anchor) > 1e-7:
+        elif abs(g0(anchor) - anchor) > FIXED_POINT:
             raise GeometryError("anchor is not a fixed point")
         h2_first = bool(data.get("h2_first", True))
         arcs = []
@@ -288,7 +288,7 @@ def _other_fixed_point(g0: LiftedProj2, x0: float) -> float:
         raise GeometryError("hyperbolic element must have two fixed lines")
     for a in angles:
         delta = (a - x0) % PI
-        if delta > 1e-9 and delta < PI - 1e-9:
+        if DISTINCT_LINE < delta < PI - DISTINCT_LINE:
             return float(x0 + delta)
     raise GeometryError("could not locate the second fixed point")
 
@@ -323,6 +323,6 @@ def elliptic_link_circle(theta: float) -> RP1Circle:
     lift = principal_lift(g)
     tau = translation_number(lift)
     lift = lift.shifted(int(np.round((theta - tau) / PI)))
-    if abs(translation_number(lift) - theta) > 1e-9:
+    if abs(translation_number(lift) - theta) > ANGLE_MATCH:
         raise GeometryError("could not realize the requested angle as a lift")
     return RP1Circle(lift)

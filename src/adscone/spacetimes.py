@@ -30,6 +30,8 @@ from .isom import (
 from .linalg import HSPointClass, dot22, normalize_point
 from .links import SingKind, SingularityType, particle_mass
 from .rp1 import LinkCircle, RP1Circle, elliptic_link_circle, mark_timelike_arcs
+from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK, DISTINCT_LINE
+from .tolerances import INTERTWINER_RANK, POINT_MATCH, SAMPLE_STEP_SLACK
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -107,7 +109,7 @@ def _degree2_hyperbolic_circle(length: float, positive: bool) -> RP1Circle:
     g = Proj2.hyperbolic(length)
     lift = fixed_point_lift(g).shifted(2)
     att = attracting_line_angle(g)
-    other = [a for a in fixed_line_angles(g) if abs(a - att) > 1e-9][0]
+    other = [a for a in fixed_line_angles(g) if abs(a - att) > DISTINCT_LINE][0]
     return RP1Circle(lift, future_anchor=float(att if positive else other))
 
 
@@ -120,35 +122,25 @@ def _parabolic_circle(sign: int, degree: int) -> RP1Circle:
     return RP1Circle(base.shifted(degree))
 
 
+# model kind -> (its name in messages, line name -> singularity kind)
+_MODEL_LINES = {
+    ModelKind.CONE: ("a cone", {"c": SingKind.MASSIVE_PARTICLE}),
+    ModelKind.TACHYON: ("a tachyon", {"c": SingKind.TACHYON, "c-": SingKind.TACHYON}),
+    ModelKind.BLACK_HOLE: ("a black hole", {"c": SingKind.BTZ_FUTURE, "c-": SingKind.BTZ_PAST}),
+    ModelKind.GRAVITON: ("a graviton", {"c": SingKind.GRAVITON_POSITIVE}),
+    ModelKind.EXTREME: (
+        "an extreme", {"c": SingKind.EXTREME_BTZ_FUTURE, "c-": SingKind.EXTREME_BTZ_PAST}
+    ),
+    ModelKind.BTZ_STATIC: ("a BTZ", {"future": SingKind.BTZ_FUTURE, "past": SingKind.BTZ_PAST}),
+}
+
+
 def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
     """The marked link circle of a singular line of a model spacetime."""
-    if m.kind is ModelKind.CONE:
-        if line != "c":
-            raise GeometryError(f"unknown line {line!r} of a cone spacetime")
-        return mark_timelike_arcs(elliptic_link_circle(m.theta), HSPointClass.H2_PLUS)
-    if m.kind is ModelKind.TACHYON:
-        if line not in ("c", "c-"):
-            raise GeometryError(f"unknown line {line!r} of a tachyon spacetime")
-        circ = _degree2_hyperbolic_circle(abs(m.mass), positive=m.mass > 0)
-        return mark_timelike_arcs(circ, HSPointClass.DS2)
-    if m.kind is ModelKind.BLACK_HOLE:
-        circ = _degree0_hyperbolic_circle(m.mass)
-        if line == "c":  # future singularity: no future, one past component
-            return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": "past"})
-        if line == "c-":
-            return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": "future"})
-        raise GeometryError(f"unknown line {line!r} of a black hole spacetime")
-    if m.kind is ModelKind.GRAVITON:
-        if line != "c":
-            raise GeometryError(f"unknown line {line!r} of a graviton spacetime")
-        return mark_timelike_arcs(_parabolic_circle(m.sign, 2), HSPointClass.BOUNDARY_PLUS)
-    if m.kind is ModelKind.EXTREME:
-        circ = _parabolic_circle(-1, 0)
-        if line == "c":  # future singularity of the extreme black hole
-            return mark_timelike_arcs(circ, HSPointClass.BOUNDARY_PLUS, {"side": "extreme"})
-        if line == "c-":
-            return mark_timelike_arcs(circ, HSPointClass.BOUNDARY_MINUS, {"side": "extreme"})
-        raise GeometryError(f"unknown line {line!r} of an extreme spacetime")
+    if m.kind is ModelKind.SUSPENSION:
+        if line not in m.line_links:
+            raise GeometryError(f"unknown line {line!r} of a suspension")
+        return m.line_links[line]
     if m.kind is ModelKind.PRODUCT:
         marked = m.base.marked_vertices()
         try:
@@ -157,31 +149,23 @@ def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
             raise GeometryError("product spacetime lines are marked vertex ids")
         if v not in marked:
             raise GeometryError(f"vertex {v} is not a marked point of the base")
-        return mark_timelike_arcs(elliptic_link_circle(marked[v]), HSPointClass.H2_PLUS)
-    if m.kind is ModelKind.BTZ_STATIC:
-        length = classify(m.holonomies[0]).length
-        circ = _degree0_hyperbolic_circle(length)
-        comp = {"future": "past", "past": "future"}.get(line)
-        if comp is None:
-            raise GeometryError(f"unknown line {line!r} of a BTZ spacetime")
-        return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
-    if m.kind is ModelKind.SUSPENSION:
-        links = m.line_links
-        if line not in links:
-            raise GeometryError(f"unknown line {line!r} of a suspension")
-        return links[line]
-    raise GeometryError(f"no singular lines on {m.kind}")
+        return _link_from_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=marked[v]))
+    if m.kind not in _MODEL_LINES:
+        raise GeometryError(f"no singular lines on {m.kind}")
+    what, kinds = _MODEL_LINES[m.kind]
+    if line not in kinds:
+        raise GeometryError(f"unknown line {line!r} of {what} spacetime")
+    kind = kinds[line]
+    if kind is SingKind.GRAVITON_POSITIVE and not m.sign > 0:
+        kind = SingKind.GRAVITON_NEGATIVE
+    return _link_from_type(SingularityType(kind, angle=m.theta, mass=m.mass))
 
 
 def model_lines(m: ModelSpacetime) -> list[str]:
-    if m.kind in (ModelKind.CONE, ModelKind.GRAVITON):
-        return ["c"]
-    if m.kind in (ModelKind.TACHYON, ModelKind.BLACK_HOLE, ModelKind.EXTREME):
-        return ["c", "c-"]
+    if m.kind in _MODEL_LINES:
+        return list(_MODEL_LINES[m.kind][1])
     if m.kind is ModelKind.PRODUCT:
         return [str(v) for v in sorted(m.base.marked_vertices())]
-    if m.kind is ModelKind.BTZ_STATIC:
-        return ["future", "past"]
     if m.kind is ModelKind.SUSPENSION:
         return sorted(m.line_links)
     return []
@@ -195,63 +179,39 @@ def suspend(link: SingularHSSurface) -> ModelSpacetime:
     report = check_causal(link)
     if not report.causal:
         raise CausalityError("; ".join(report.failures))
-    line_links = {}
-    counter = 0
+    circles = []
     for h in link.hyperbolic_regions:
         base = HSPointClass.H2_PLUS if h.orientation == "future" else HSPointClass.H2_MINUS
-        for a in h.cone_angles:
-            line_links[f"line{counter}"] = mark_timelike_arcs(elliptic_link_circle(a), base)
-            counter += 1
-    for d in link.de_sitter_regions:
-        for s in d.singularities:
-            line_links[f"line{counter}"] = _link_from_type(s)
-            counter += 1
-        for end in d.extreme_points:
-            circ = _parabolic_circle(-1, 0)
-            base = (
-                HSPointClass.BOUNDARY_PLUS if end == "future" else HSPointClass.BOUNDARY_MINUS
-            )
-            line_links[f"line{counter}"] = mark_timelike_arcs(circ, base, {"side": "extreme"})
-            counter += 1
-    for c in link.photon_circles:
-        for g in c.gravitons:
-            line_links[f"line{counter}"] = _link_from_type(g)
-            counter += 1
-    n = len(line_links)
+        circles.extend(mark_timelike_arcs(elliptic_link_circle(a), base) for a in h.cone_angles)
+    # all_singularities lists the particles of the hyperbolic regions first
+    circles.extend(_link_from_type(s) for s in link.all_singularities()[len(circles):])
     return ModelSpacetime(
         ModelKind.SUSPENSION,
         link_surface=link,
-        is_interaction=n >= 3,
-        line_links=line_links,
+        is_interaction=len(circles) >= 3,
+        line_links={f"line{i}": c for i, c in enumerate(circles)},
     )
 
 
 def _link_from_type(s: SingularityType) -> LinkCircle:
-    if s.kind is SingKind.MASSIVE_PARTICLE:
+    """The marked link circle of a singular line of the given type."""
+    k = s.kind
+    if k is SingKind.MASSIVE_PARTICLE:
         return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
-    if s.kind is SingKind.TACHYON:
-        return mark_timelike_arcs(
-            _degree2_hyperbolic_circle(abs(s.mass), s.mass > 0), HSPointClass.DS2
-        )
-    if s.kind is SingKind.BTZ_FUTURE:
-        return mark_timelike_arcs(
-            _degree0_hyperbolic_circle(s.mass or 1.0), HSPointClass.DS2, {"component": "past"}
-        )
-    if s.kind is SingKind.BTZ_PAST:
-        return mark_timelike_arcs(
-            _degree0_hyperbolic_circle(s.mass or 1.0), HSPointClass.DS2, {"component": "future"}
-        )
-    if s.kind in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):
-        sign = +1 if s.kind is SingKind.GRAVITON_POSITIVE else -1
+    if k is SingKind.TACHYON:
+        circ = _degree2_hyperbolic_circle(abs(s.mass), s.mass > 0)
+        return mark_timelike_arcs(circ, HSPointClass.DS2)
+    if k in (SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
+        circ = _degree0_hyperbolic_circle(s.mass or 1.0)
+        comp = "past" if k is SingKind.BTZ_FUTURE else "future"
+        return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
+    if k in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):
+        sign = +1 if k is SingKind.GRAVITON_POSITIVE else -1
         return mark_timelike_arcs(_parabolic_circle(sign, 2), HSPointClass.BOUNDARY_PLUS)
-    if s.kind is SingKind.EXTREME_BTZ_FUTURE:
-        return mark_timelike_arcs(
-            _parabolic_circle(-1, 0), HSPointClass.BOUNDARY_PLUS, {"side": "extreme"}
-        )
-    if s.kind is SingKind.EXTREME_BTZ_PAST:
-        return mark_timelike_arcs(
-            _parabolic_circle(-1, 0), HSPointClass.BOUNDARY_MINUS, {"side": "extreme"}
-        )
+    if k in (SingKind.EXTREME_BTZ_FUTURE, SingKind.EXTREME_BTZ_PAST):
+        future = k is SingKind.EXTREME_BTZ_FUTURE
+        base = HSPointClass.BOUNDARY_PLUS if future else HSPointClass.BOUNDARY_MINUS
+        return mark_timelike_arcs(_parabolic_circle(-1, 0), base, {"side": "extreme"})
     raise GeometryError(f"no link model for {s.kind}")
 
 
@@ -348,7 +308,7 @@ def model_isom_pair(kind: str, param: float) -> IsomPair:
 
 
 def causal_speed_check(
-    ts: np.ndarray, zs: np.ndarray, mass: float, slack: float = 1e-6
+    ts: np.ndarray, zs: np.ndarray, mass: float, slack: float = CAUSAL_SPEED_SLACK
 ) -> bool:
     """Whether a sampled curve t -> z(t) near a particle of the given mass is
     causal: |dz/dt| <= |z|^m / (1 - m) at every step.
@@ -360,7 +320,7 @@ def causal_speed_check(
     if np.any(np.abs(zs) >= 1.0):
         raise GeometryError("curve leaves the unit disk of the chart")
     dt = np.diff(ts)
-    if np.any(dt <= 0) or np.any(dt > 1e-3 + 1e-12):
+    if np.any(dt <= 0) or np.any(dt > 1e-3 + SAMPLE_STEP_SLACK):
         raise GeometryError("samples must advance in t by at most 1e-3")
     alpha = 1.0 - mass
     speeds = np.abs(np.diff(zs)) / dt
@@ -384,9 +344,7 @@ def saturating_null_curve(mass: float, t0: float, t1: float, z0: float, n: int =
     return ts, rs.astype(complex)
 
 
-def achronal_graph_check(
-    rs: np.ndarray, phis: np.ndarray, f: np.ndarray, mass: float, slack: float = 1e-9
-) -> bool:
+def achronal_graph_check(rs: np.ndarray, phis: np.ndarray, f: np.ndarray, mass: float) -> bool:
     """Whether a sampled graph t = f(z) over a polar grid is achronal:
     the finite-difference gradient satisfies |df| < (1-m) |z|^(-m).
 
@@ -406,7 +364,7 @@ def achronal_graph_check(
         df_dphi = np.zeros_like(f)
     grad = np.hypot(df_dr, df_dphi)
     bound = alpha * rs[:, None] ** (-mass)
-    return bool(np.all(grad < bound + slack))
+    return bool(np.all(grad < bound + ACHRONAL_SLACK))
 
 
 # -- static BTZ ---------------------------------------------------------------
@@ -419,14 +377,13 @@ class BTZLines:
     duality_error: float
 
 
-def btz_static(g1: Proj2, g2: Proj2, samples: int = 24) -> ModelSpacetime:
+def btz_static(g1: Proj2, g2: Proj2) -> ModelSpacetime:
     """The static BTZ descriptor for a pair of hyperbolic elements with the
-    same translation length, with its two invariant spacelike lines computed
-    and the pi/2 duality verified."""
+    same translation length (btz_invariant_lines computes its lines)."""
     c1, c2 = classify(g1), classify(g2)
     if c1.kind is not IsomKind.HYPERBOLIC or c2.kind is not IsomKind.HYPERBOLIC:
         raise GeometryError("both holonomies must be hyperbolic")
-    if abs(c1.length - c2.length) > 1e-9:
+    if abs(c1.length - c2.length) > BTZ_LENGTH_MATCH:
         raise GeometryError(
             f"translation lengths differ: {c1.length:.12g} vs {c2.length:.12g}"
         )
@@ -442,7 +399,7 @@ def btz_invariant_lines(m: ModelSpacetime, samples: int = 24) -> BTZLines:
     # pointwise-fixed points solve g1 X = X g2: the intertwiner pencil
     A = np.kron(g1.m, np.eye(2)) - np.kron(np.eye(2), g2.m.T)
     _, sv, vt = np.linalg.svd(A)
-    if sv[-2] > 1e-9:
+    if sv[-2] > INTERTWINER_RANK:
         raise GeometryError("intertwiner space is not two-dimensional")
     n1 = vt[-1].reshape(2, 2)
     n2 = vt[-2].reshape(2, 2)
@@ -459,10 +416,10 @@ def btz_invariant_lines(m: ModelSpacetime, samples: int = 24) -> BTZLines:
 
     G = matrix44_of_pair(IsomPair(g1, g2))
     err = max(np.abs(G @ x - x).max() for x in fixed)
-    if err > 1e-9:
+    if err > POINT_MATCH:
         raise ArithmeticError("fixed line is not pointwise fixed within tolerance")
     moved = max(np.abs(G @ q - q).max() for q in trans)
-    if moved < 1e-9:
+    if moved < POINT_MATCH:
         raise GeometryError("dual line should be translated, not fixed")
     dual_err = max(abs(dot22(x, q)) for x in fixed[:8] for q in trans[:8])
     return BTZLines(fixed_line=fixed, translated_line=trans, duality_error=float(dual_err))

@@ -334,6 +334,25 @@ def test_degenerate_corner_names_its_face():
         _two_face_strip([1.0, 1.0, 1.0, 0.5, 1.6])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cosh 400 * cosh 400 overflows
+def test_overflowing_corner_is_degenerate():
+    # (400, 400, 5) passes the triangle inequality, but the law of cosines
+    # gives inf / inf at the corner between the two long sides
+    s = ConeSurface(
+        ((0, 1), (1, 2), (2, 0)),
+        ((Side(0), Side(1), Side(2)),),
+        np.array([400.0, 400.0, 5.0]),
+        check_angles=False,
+    )
+    for call in (s.vertex_angle_sums, s.corner_angles, lambda: s.corner_angle(0, 1)):
+        with pytest.raises(NotHyperbolicError, match="degenerate corner at face 0"):
+            call()
+    sums = s.vertex_angle_sums([0, 2])
+    assert sums[0] == sums[2] and 0 < sums[0] < PI
+    with pytest.raises(NotHyperbolicError, match="degenerate corner at face 0"):
+        s.with_lengths(s.lengths, check_angles=True)
+
+
 def test_with_lengths_reruns_length_checks():
     s = double_triangle_sphere(PI / 4, PI / 3, PI / 8)
     with pytest.raises(NotHyperbolicError, match="triangle inequality"):

@@ -1,7 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
-from adscone.catalog import torus_with_cone_point
+from adscone.catalog import subdivide_face_with_cone, torus_with_cone_point
 from adscone.errors import CausalityError, GeometryError
 from adscone.hssurface import (
     DeSitterRegion,
@@ -12,7 +14,7 @@ from adscone.hssurface import (
 )
 from adscone.isom import IsomKind, Proj2, classify, factor_isometry
 from adscone.linalg import dot22
-from adscone.links import SingKind, classify_singularity
+from adscone.links import SingKind, SingularityType, classify_singularity
 from adscone.spacetimes import (
     ModelKind,
     achronal_graph_check,
@@ -161,6 +163,116 @@ def test_suspend_regular_sphere_has_no_lines():
     m = suspend(regular)
     assert model_lines(m) == []
     assert not m.is_interaction
+
+
+def _product():
+    surf, _ = torus_with_cone_point(2.0)
+    return product_spacetime(subdivide_face_with_cone(surf, 1, 2.5)[0])
+
+
+def _btz():
+    g = Proj2.hyperbolic(2.0)
+    return btz_static(g, g.conjugate(Proj2(np.array([[1.4, 0.3], [0.2, 1.0]]))))
+
+
+def _suspension():
+    """A past particle, a BTZ singularity, an extreme point and a graviton,
+    in the order all_singularities lists them."""
+    return suspend(
+        SingularHSSurface(
+            hyperbolic_regions=(HyperbolicRegion("past", RegionTopology.DISK, (1.0,), 0, (0,)),),
+            de_sitter_regions=(
+                DeSitterRegion(
+                    RegionTopology.DISK,
+                    (SingularityType(SingKind.BTZ_FUTURE, mass=1.3),),
+                    (0,),
+                    ("past",),
+                ),
+            ),
+            photon_circles=(PhotonCircle(0, 0, (SingularityType(SingKind.GRAVITON_POSITIVE),)),),
+        )
+    )
+
+
+MODELS = {
+    "cone": lambda: cone_spacetime(1.2),
+    "tachyon+": lambda: tachyon_spacetime(0.7),
+    "tachyon-": lambda: tachyon_spacetime(-0.7),
+    "black-hole": lambda: black_hole_spacetime(1.3),
+    "graviton+": lambda: graviton_spacetime(+1),
+    "graviton-": lambda: graviton_spacetime(-1),
+    "extreme": extreme_spacetime,
+    "product": _product,
+    "btz": _btz,
+    "suspension": _suspension,
+}
+
+
+@functools.cache
+def _model(name):
+    return MODELS[name]()
+
+
+def _particle(theta):
+    return SingKind.MASSIVE_PARTICLE, theta, 1 - theta / TWO_PI
+
+
+# model -> line -> (kind, angle, mass) of the classified link
+MODEL_LINES = {
+    "cone": {"c": _particle(1.2)},
+    "tachyon+": {"c": (SingKind.TACHYON, None, 0.7), "c-": (SingKind.TACHYON, None, 0.7)},
+    "tachyon-": {"c": (SingKind.TACHYON, None, -0.7), "c-": (SingKind.TACHYON, None, -0.7)},
+    "black-hole": {
+        "c": (SingKind.BTZ_FUTURE, None, 1.3),
+        "c-": (SingKind.BTZ_PAST, None, 1.3),
+    },
+    "graviton+": {"c": (SingKind.GRAVITON_POSITIVE, None, None)},
+    "graviton-": {"c": (SingKind.GRAVITON_NEGATIVE, None, None)},
+    "extreme": {
+        "c": (SingKind.EXTREME_BTZ_FUTURE, None, None),
+        "c-": (SingKind.EXTREME_BTZ_PAST, None, None),
+    },
+    "product": {"4": _particle(2.0), "5": _particle(2.5)},
+    "btz": {"future": (SingKind.BTZ_FUTURE, None, 2.0), "past": (SingKind.BTZ_PAST, None, 2.0)},
+    "suspension": {
+        "line0": _particle(1.0),
+        "line1": (SingKind.BTZ_FUTURE, None, 1.3),
+        "line2": (SingKind.EXTREME_BTZ_PAST, None, None),
+        "line3": (SingKind.GRAVITON_POSITIVE, None, None),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, line", [(name, line) for name, lines in MODEL_LINES.items() for line in lines]
+)
+def test_every_model_line_classifies(name, line):
+    m = _model(name)
+    assert model_lines(m) == list(MODEL_LINES[name])
+    kind, angle, mass = MODEL_LINES[name][line]
+    s = classify_singularity(link_of_line(m, line))
+    assert s.kind is kind
+    for got, want in ((s.angle, angle), (s.mass, mass)):
+        assert (got is None) if want is None else abs(got - want) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, line, message",
+    [
+        ("cone", "c-", "unknown line 'c-' of a cone spacetime"),
+        ("tachyon+", "future", "unknown line 'future' of a tachyon spacetime"),
+        ("black-hole", "0", "unknown line '0' of a black hole spacetime"),
+        ("graviton+", "c-", "unknown line 'c-' of a graviton spacetime"),
+        ("extreme", "past", "unknown line 'past' of an extreme spacetime"),
+        ("product", "6", "vertex 6 is not a marked point of the base"),
+        ("product", "c", "product spacetime lines are marked vertex ids"),
+        ("btz", "c", "unknown line 'c' of a BTZ spacetime"),
+        ("suspension", "line4", "unknown line 'line4' of a suspension"),
+    ],
+)
+def test_unknown_model_line_is_rejected(name, line, message):
+    with pytest.raises(GeometryError, match=message):
+        link_of_line(_model(name), line)
 
 
 # -- causal checks in the singular chart ---------------------------------------
