@@ -29,7 +29,7 @@ from .linalg import HSPointClass, classify_ray, dot12
 from .rp1 import LinkCircle, RP1Circle, elliptic_link_circle, mark_timelike_arcs
 from .tolerances import BASIS_DET, DISK_CLOSING_ANGLE, DISK_FIT_STOP, METRIC_SOLVE_STOP
 from .tolerances import NULL_COORDINATE, NULL_EIGENVALUE, NULL_ROTATION_SECANT, RAY_SHORT
-from .tolerances import SPACELIKE_COMPLEMENT, TANGENT_BASIS_DEPENDENT, WEDGE_NULL
+from .tolerances import SPACELIKE_COMPLEMENT, TANGENT_BASIS_DEPENDENT
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -610,35 +610,39 @@ def _pencil_action(M: np.ndarray, x: np.ndarray) -> Proj2:
 
 
 def _stabilizer_map(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The SO0(1,2) element fixing the ray x and mapping ray v1 to ray v2."""
+    """The SO0(1,2) element fixing the non-null ray x and mapping ray v1 to
+    ray v2: a rotation about a timelike x, a boost about a spacelike one."""
     q = dot12(x, x)
-    if abs(q) > WEDGE_NULL:
-        xhat = x / np.sqrt(abs(q))
-        b1, b2 = _oriented_tangent_basis(x)
-        c1, c2 = _tangent_coords(x, v1), _tangent_coords(x, v2)
-        if q < 0:
-            a1 = np.arctan2(c1[1], c1[0])
-            a2 = np.arctan2(c2[1], c2[0])
-            t = a2 - a1
-            r2 = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-        else:
-            # Lorentzian tangent plane, b1 timelike: boost in the null basis
-            A = np.column_stack([[1.0, 1.0], [1.0, -1.0]])
-            u1 = np.linalg.solve(A, c1)
-            u2 = np.linalg.solve(A, c2)
-            if np.any(np.abs(u1) < NULL_COORDINATE) or np.any(np.abs(u2) < NULL_COORDINATE):
-                raise GeometryError("a requested ray is lightlike at x")
-            ratio = (u2[0] / u1[0]) / (u2[1] / u1[1])
-            if ratio <= 0:
-                raise GeometryError("directions are not in a common boost sector")
-            rho = 0.5 * np.log(ratio)
-            r2 = A @ np.diag([np.exp(rho), np.exp(-rho)]) @ np.linalg.inv(A)
-        B = np.column_stack([xhat, b1, b2])
-        blk = np.zeros((3, 3))
-        blk[0, 0] = 1.0
-        blk[1:, 1:] = r2
-        return B @ blk @ np.linalg.inv(B)
-    # null basepoint: null rotations fixing x pointwise on the ray
+    xhat = x / np.sqrt(abs(q))
+    b1, b2 = _oriented_tangent_basis(x)
+    c1, c2 = _tangent_coords(x, v1), _tangent_coords(x, v2)
+    if q < 0:
+        a1 = np.arctan2(c1[1], c1[0])
+        a2 = np.arctan2(c2[1], c2[0])
+        t = a2 - a1
+        r2 = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    else:
+        # Lorentzian tangent plane, b1 timelike: boost in the null basis
+        A = np.column_stack([[1.0, 1.0], [1.0, -1.0]])
+        u1 = np.linalg.solve(A, c1)
+        u2 = np.linalg.solve(A, c2)
+        if np.any(np.abs(u1) < NULL_COORDINATE) or np.any(np.abs(u2) < NULL_COORDINATE):
+            raise GeometryError("a requested ray is lightlike at x")
+        ratio = (u2[0] / u1[0]) / (u2[1] / u1[1])
+        if ratio <= 0:
+            raise GeometryError("directions are not in a common boost sector")
+        rho = 0.5 * np.log(ratio)
+        r2 = A @ np.diag([np.exp(rho), np.exp(-rho)]) @ np.linalg.inv(A)
+    B = np.column_stack([xhat, b1, b2])
+    blk = np.zeros((3, 3))
+    blk[0, 0] = 1.0
+    blk[1:, 1:] = r2
+    return B @ blk @ np.linalg.inv(B)
+
+
+def _null_rotation(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """The null rotation fixing the null ray x pointwise and mapping ray v1
+    to ray v2 (modulo x)."""
     u = _spacelike_complement(x)
 
     def null_rot(s):
@@ -739,22 +743,22 @@ def wedge_family_link(lam: float, arc=(-0.55, 0.55)) -> LinkCircle:
     p1 = np.array([1.0, np.cos(b1), np.sin(b1)])
     p2 = np.array([1.0, np.cos(b2), np.sin(b2)])
     x = np.array([1.0, -lam, 0.0])
+    # classify_ray alone decides whether the apex is null; below, the deck
+    # of the counterclockwise developing of the kept region is the gluing
+    # that carries the second wedge side back onto the first
     cls = classify_ray(x)
-    v1 = _ray_direction(x, p1) if abs(dot12(x, x)) > WEDGE_NULL else p1
-    v2 = _ray_direction(x, p2) if abs(dot12(x, x)) > WEDGE_NULL else p2
-    # the deck of the counterclockwise developing of the kept region is the
-    # gluing that carries the second wedge side back onto the first
-    M = _stabilizer_map(x, v2, v1)
-
     if cls is HSPointClass.H2_PLUS:
         theta = _kept_ray_angle(x, p1, p2, arc)
         return mark_timelike_arcs(elliptic_link_circle(theta), cls)
 
     if cls.is_boundary:
+        # the sides of a wedge at a null apex are the rays to p1 and p2
+        M = _null_rotation(x, p2, p1)
         g = _boundary_pencil_action(M, x)
         lift = fixed_point_lift(g).shifted(2)
         return mark_timelike_arcs(RP1Circle(lift), cls)
 
+    M = _stabilizer_map(x, _ray_direction(x, p2), _ray_direction(x, p1))
     g = _pencil_action(M, x)
     lift = fixed_point_lift(g).shifted(2)
     anchor = _future_anchor_angle(x, M)

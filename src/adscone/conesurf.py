@@ -7,8 +7,9 @@ Edge lengths determine the corner angles by the hyperbolic law of cosines;
 cone points are vertices whose total angle is prescribed to something other
 than 2*pi.
 
-Developing maps run in the hyperboloid model of H^2 inside R^{1,2}; loop
-holonomies land in SO0(1,2) and are returned as projective 2x2 classes.
+Loop holonomies are products of closed-form PSL(2,R) transitions, one per
+glued side, read off the edge lengths and corner angles; developing maps in
+the hyperboloid model of H^2 inside R^{1,2} place faces for edge flips.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, NotHyperbolicError
-from .isom import Proj2, psl_of_lorentz3
+from .isom import Proj2
 from .linalg import cross12, dot12
 from .tolerances import ANGLE_MATCH, DEGENERATE_CORNER, DELAUNAY_MARGIN, DISK_ISOMETRY
 from .tolerances import GAUSS_BONNET_CROSS_CHECK, TRIANGLE_MARGIN
@@ -33,7 +34,7 @@ _PREV = np.array([2, 0, 1])
 
 # what a surface shares with every other metric on its triangulation
 _COMBINATORICS = (
-    "edges", "faces", "_side_table_cache", "_vertices", "_face_edges", "_corner_vertices"
+    "edges", "faces", "_vertices", "_face_edges", "_corner_vertices", "_neighbors", "_edge_sides"
 )
 
 
@@ -96,20 +97,9 @@ class ConeSurface:
     def vertices(self) -> list[int]:
         return list(self._vertices)
 
-    def _side_table(self) -> dict[int, list[tuple[int, int]]]:
-        """edge id -> list of (face, side index) using it."""
-        cached = getattr(self, "_side_table_cache", None)
-        if cached is not None:
-            return cached
-        table: dict[int, list[tuple[int, int]]] = {}
-        for fi, f in enumerate(self.faces):
-            for si, s in enumerate(f):
-                table.setdefault(s.edge, []).append((fi, si))
-        object.__setattr__(self, "_side_table_cache", table)
-        return table
-
     def boundary_edges(self) -> list[int]:
-        return [e for e, uses in self._side_table().items() if len(uses) == 1]
+        """Edges with one face side, in order of first use."""
+        return [int(e) for e in self._face_edges.ravel()[self._neighbors.ravel() < 0]]
 
     def boundary_vertices(self) -> set[int]:
         out = set()
@@ -127,27 +117,44 @@ class ConeSurface:
         self._check_metric()
 
     def _index_faces(self):
-        """Structural checks; sets the vertex list and the (F, 3) face -> edge
-        and corner -> vertex index arrays that the metric computations run on."""
-        table = self._side_table()
-        for e, uses in table.items():
-            if len(uses) > 2:
+        """Structural checks; sets the vertex list, the (F, 3) face -> edge and
+        corner -> vertex arrays, the (F, 3) side -> glued side array (flat
+        side index 3 * face + side, -1 on the boundary) and the (2, E) edge
+        -> forward and backward side array (-1 where unused)."""
+        n_edges = len(self.edges)
+        ids = np.array([s.edge for f in self.faces for s in f], dtype=np.intp)
+        fwd = np.array([s.forward for f in self.faces for s in f], dtype=bool)
+        if ids.size and not (0 <= ids.min() and ids.max() < n_edges):
+            side = int(np.argmax((ids < 0) | (ids >= n_edges)))
+            raise IndexError(
+                f"side {side % 3} of face {side // 3} names edge {ids[side]}, "
+                f"but there are {n_edges} edges"
+            )
+        on = np.bincount(ids[fwd], minlength=n_edges)
+        against = np.bincount(ids[~fwd], minlength=n_edges)
+        crowded = on + against > 2
+        bad = crowded | (on == 2) | (against == 2)
+        if bad.any():
+            e = next(e for e in ids.tolist() if bad[e])
+            if crowded[e]:
                 raise GeometryError(f"edge {e} used by more than two face sides")
-            if len(uses) == 2:
-                (f1, s1), (f2, s2) = uses
-                if self.faces[f1][s1].forward == self.faces[f2][s2].forward:
-                    raise GeometryError(f"edge {e} traversed twice in the same direction")
-        for fi, f in enumerate(self.faces):
-            for i in range(3):
-                head = self.side_endpoints(f[i])[1]
-                tail_next = self.side_endpoints(f[(i + 1) % 3])[0]
-                if head != tail_next:
-                    raise GeometryError(f"face {fi} side chain does not close")
-        face_edges = np.array([[s.edge for s in f] for f in self.faces], dtype=np.intp)
-        corners = np.array([self.face_corners(fi) for fi in range(len(self.faces))], dtype=np.intp)
+            raise GeometryError(f"edge {e} traversed twice in the same direction")
+        ends = np.array([v for e in self.edges for v in e], dtype=np.intp).reshape(-1, 2)[ids]
+        tails = np.where(fwd, ends[:, 0], ends[:, 1]).reshape(-1, 3)
+        heads = np.where(fwd, ends[:, 1], ends[:, 0]).reshape(-1, 3)
+        open_chain = (heads != tails[:, _NEXT]).any(axis=1)
+        if open_chain.any():
+            raise GeometryError(f"face {int(np.argmax(open_chain))} side chain does not close")
+        # each edge has at most one forward and one backward side, glued together
+        edge_sides = np.full((2, n_edges), -1, dtype=np.intp)
+        edge_sides[0, ids[fwd]] = np.flatnonzero(fwd)
+        edge_sides[1, ids[~fwd]] = np.flatnonzero(~fwd)
+        neighbors = np.where(fwd, edge_sides[1, ids], edge_sides[0, ids])
         object.__setattr__(self, "_vertices", tuple(sorted({v for e in self.edges for v in e})))
-        object.__setattr__(self, "_face_edges", face_edges.reshape(-1, 3))
-        object.__setattr__(self, "_corner_vertices", corners.reshape(-1, 3))
+        object.__setattr__(self, "_face_edges", ids.reshape(-1, 3))
+        object.__setattr__(self, "_corner_vertices", tails)
+        object.__setattr__(self, "_neighbors", neighbors.reshape(-1, 3))
+        object.__setattr__(self, "_edge_sides", edge_sides)
 
     def _check_metric(self):
         """Length checks (and the angle check when check_angles is set)."""
@@ -286,11 +293,10 @@ class ConeSurface:
         return np.vstack([p0, p1, p2])
 
     def neighbor_across(self, f: int, side_index: int) -> tuple[int, int]:
-        e = self.faces[f][side_index].edge
-        uses = [(fi, si) for (fi, si) in self._side_table()[e] if fi != f or si != side_index]
-        if not uses:
-            raise GeometryError(f"edge {e} is a boundary edge")
-        return uses[0]
+        k = self._neighbors[f, side_index]
+        if k < 0:
+            raise GeometryError(f"edge {self.faces[f][side_index].edge} is a boundary edge")
+        return divmod(int(k), 3)
 
     def develop_across(self, f: int, placed: np.ndarray, side_index: int):
         """Place the face across side_index of f, given f's placement."""
@@ -306,6 +312,55 @@ class ConeSurface:
             pos[(j + 1) % 3], pos[j], d_from_j1, d_to_j, -1
         )
         return g, pos
+
+    def _transition_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, degenerate): T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face
+        glued across side i of f from its own frame into the frame of f, and
+        degenerate (F,) flags the faces with a degenerate corner.  One pass
+        over the corner table, kept like it (the surface is frozen).
+
+        A face's frame has corner 0 at the origin and side 0 leaving it along
+        the first axis.  With B(d) = diag(e^{d/2}, e^{-d/2}), the translation
+        by d along that axis, and R(phi), the rotation by phi/2 that
+        lorentz3_of_psl reads as the rotation by phi, the frame at corner i
+        heading along side i is
+            E_0 = I,  E_1 = B(a_0) R(pi - alpha_1),  E_2 = E_1 B(a_1) R(pi - alpha_2),
+        and side j of the neighbour g runs the other way along the same edge:
+            T[f, i] = E_{f,i} B(a_i) R(pi) E_{g,j}^{-1}.
+        Boundary sides hold NaN."""
+        cached = getattr(self, "_transition_cache", None)
+        if cached is not None:
+            return cached
+        angles, degenerate = self._corner_table()
+        sides = self.lengths[self._face_edges]
+        grow, shrink = np.exp(sides / 2.0), np.exp(-sides / 2.0)
+        # B(a_i) R(pi - alpha_{i+1}) for i = 0, 1; the half angle of the
+        # rotation has cosine sin(alpha/2) and sine cos(alpha/2)
+        cos_h, sin_h = np.sin(angles[:, 1:] / 2.0), np.cos(angles[:, 1:] / 2.0)
+        turn = np.empty((len(sides), 2, 2, 2))
+        turn[..., 0, 0] = grow[:, :2] * cos_h
+        turn[..., 0, 1] = -grow[:, :2] * sin_h
+        turn[..., 1, 0] = shrink[:, :2] * sin_h
+        turn[..., 1, 1] = shrink[:, :2] * cos_h
+        frames = np.empty((len(sides), 3, 2, 2))
+        frames[:, 0] = np.eye(2)
+        frames[:, 1] = turn[:, 0]
+        frames[:, 2] = turn[:, 0] @ turn[:, 1]
+        # E_i B(a_i) R(pi), where B(a) R(pi) = [[0, -e^{a/2}], [e^{-a/2}, 0]]
+        back = np.empty_like(frames)
+        back[..., 0] = frames[..., 1] * shrink[..., None]
+        back[..., 1] = -frames[..., 0] * grow[..., None]
+        # E^{-1} is the adjugate: every factor has determinant 1
+        inverse = np.empty_like(frames)
+        inverse[..., 0, 0] = frames[..., 1, 1]
+        inverse[..., 0, 1] = -frames[..., 0, 1]
+        inverse[..., 1, 0] = -frames[..., 1, 0]
+        inverse[..., 1, 1] = frames[..., 0, 0]
+        table = back @ inverse.reshape(-1, 2, 2)[self._neighbors]
+        table[self._neighbors < 0] = np.nan
+        cached = (table, degenerate.any(axis=1))
+        object.__setattr__(self, "_transition_cache", cached)
+        return cached
 
 
 def law_of_cosines(sides: np.ndarray) -> np.ndarray:
@@ -430,34 +485,43 @@ def resolve_loop(s: ConeSurface, loop) -> list[tuple[int, int]]:
     return steps
 
 
-def _uses_of(s: ConeSurface, e: int):
-    return s._side_table()[e]
+def _uses_of(s: ConeSurface, e: int) -> list[tuple[int, int]]:
+    """The (face, side index) pairs that use edge e, in face order."""
+    return [divmod(k, 3) for k in sorted(s._edge_sides[:, e].tolist()) if k >= 0]
 
 
 def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     """Holonomy of a closed face path, as a projective 2x2 class.
 
-    The loop is developed in the hyperboloid model; the holonomy is the
-    isometry carrying the initial placement of the base face to its final
-    placement.  Face paths never meet vertices, so cone points are
-    automatically avoided."""
-    L = holonomy_lorentz(s, loop)
-    return psl_of_lorentz3(L)
-
-
-def holonomy_lorentz(s: ConeSurface, loop) -> np.ndarray:
+    The isometry carrying the base face from its own frame to where the
+    path develops it back: the ordered product T[s_0] ... T[s_k] of the
+    surface's closed-form transitions (ConeSurface._transition_table) over
+    the steps s_0, ..., s_k.  Face paths never meet vertices, so cone points
+    are automatically avoided; a path through a face with a degenerate
+    corner raises NotHyperbolicError naming the first such face."""
     steps = resolve_loop(s, loop)
+    table, degenerate = s._transition_table()
     f0 = steps[0][0]
-    initial = s.place_face(f0)
-    placed = initial
     f = f0
+    _check_sound(degenerate, f)
     for fi, si in steps:
         if fi != f:
             raise GeometryError("loop steps do not chain")
-        f, placed = s.develop_across(f, placed, si)
+        f, _ = s.neighbor_across(f, si)
+        _check_sound(degenerate, f)
     if f != f0:
         raise GeometryError("loop does not return to its base face")
-    return placed.T @ np.linalg.inv(initial.T)
+    faces, sides = zip(*steps)
+    factors = table[list(faces), list(sides)]
+    h = factors[0]
+    for t in factors[1:]:
+        h = h @ t
+    return Proj2(h)
+
+
+def _check_sound(degenerate: np.ndarray, f: int):
+    if degenerate[f]:
+        raise NotHyperbolicError(f"degenerate corner at face {f}")
 
 
 def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> list:
@@ -602,15 +666,15 @@ class DiskSpec:
 
     def boundary_edges(self) -> list[int]:
         s = self.surface
-        out = []
-        for f in self.face_ids:
-            for si in range(3):
-                e = s.faces[f][si].edge
-                uses = [fi for fi, _ in _uses_of(s, e)]
-                inside = sum(1 for fi in uses if fi in self.face_ids)
-                if inside == 1:
-                    out.append(e)
-        return sorted(set(out))
+        glued = s._neighbors.tolist()
+        return sorted(
+            {
+                s.faces[f][si].edge
+                for f in self.face_ids
+                for si in range(3)
+                if glued[f][si] < 0 or glued[f][si] // 3 not in self.face_ids
+            }
+        )
 
     def interior_vertices(self) -> set[int]:
         s = self.surface
@@ -729,18 +793,8 @@ def disks_isometric(s1: ConeSurface, d1: DiskSpec, s2: ConeSurface, d2: DiskSpec
     b = delaunay_normalize(b)
     if len(a.faces) != len(b.faces):
         return False
-    boundary_b = [
-        (f, si)
-        for f in range(len(b.faces))
-        for si in range(3)
-        if len(_uses_of(b, b.faces[f][si].edge)) == 1
-    ]
-    fa, sa = next(
-        (f, si)
-        for f in range(len(a.faces))
-        for si in range(3)
-        if len(_uses_of(a, a.faces[f][si].edge)) == 1
-    )
+    boundary_b = [tuple(side) for side in np.argwhere(b._neighbors < 0).tolist()]
+    fa, sa = np.argwhere(a._neighbors < 0)[0].tolist()
     for fb, sb in boundary_b:
         for reflect in (False, True):
             if _match_from(a, (fa, sa), b, (fb, sb), reflect):
@@ -770,13 +824,11 @@ def _match_from(a, flag_a, b, flag_b, reflect):
             eb = b.faces[fb][ib].edge
             if abs(a.lengths[ea] - b.lengths[eb]) > DISK_ISOMETRY:
                 return False
-            ua, ub = _uses_of(a, ea), _uses_of(b, eb)
-            if len(ua) != len(ub):
+            ka, kb = int(a._neighbors[fa, ia]), int(b._neighbors[fb, ib])
+            if (ka < 0) != (kb < 0):
                 return False
-            if len(ua) == 2:
-                na = [(f, s) for f, s in ua if (f, s) != (fa, ia)][0]
-                nb = [(f, s) for f, s in ub if (f, s) != (fb, ib)][0]
-                stack.append((na, nb))
+            if ka >= 0:
+                stack.append((divmod(ka, 3), divmod(kb, 3)))
     if len(fmap) != len(a.faces):
         return False
     return True

@@ -28,7 +28,7 @@ from .conesurf import (
 )
 from .errors import GeometryError
 from .hssurface import SingularHSSurface, SphereClass, classify_hs_sphere
-from .isom import Proj2
+from .isom import Proj2, sylvester_rows
 from .spacetimes import ModelKind, ModelSpacetime
 from .tolerances import ANGLE_MATCH, CONJUGATOR_DET, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
 from .tolerances import CONJUGATOR_RESIDUAL
@@ -117,15 +117,14 @@ class ValidationReport:
 def solve_conjugator(pairs) -> tuple[Proj2, float]:
     """A projective C with C a C^{-1} = b for all (a, b), via the stacked
     Sylvester system; returns (C, residual)."""
-    rows = []
-    for a, b in pairs:
-        am, bm = a.m, b.m
-        # C am - bm C = 0, unknown C flattened row-major
-        block = np.kron(np.eye(2), am.T) - np.kron(bm, np.eye(2))
-        rows.append(block)
-    A = np.vstack(rows)
+    if not pairs:
+        raise ValueError("no generator pairs to solve a conjugator from")
+    am = np.array([a.m for a, _ in pairs]).reshape(-1, 2, 2)
+    bm = np.array([b.m for _, b in pairs]).reshape(-1, 2, 2)
+    # C am - bm C = 0, unknown C flattened row-major
+    A = sylvester_rows(am, bm).reshape(-1, 4)
     _, sv, vt = np.linalg.svd(A)
-    floor = max(CONJUGATOR_NULL_REL * (sv[0] if sv.size else 1.0), CONJUGATOR_NULL_ABS)
+    floor = max(CONJUGATOR_NULL_REL * sv[0], CONJUGATOR_NULL_ABS)
     null_dim = int(np.sum(sv <= floor)) or 1
     basis = [vt[-(k + 1)].reshape(2, 2) for k in range(null_dim)]
     c = None
@@ -146,10 +145,7 @@ def solve_conjugator(pairs) -> tuple[Proj2, float]:
         # only conjugate through an orientation-reversing map
         raise GeometryError("conjugator is orientation-reversing or singular")
     C = Proj2(c)
-    resid = 0.0
-    for a, b in pairs:
-        d = C.m @ a.m @ np.linalg.inv(C.m) - b.m
-        resid = max(resid, float(np.abs(d).max()))
+    resid = float(np.abs(C.m @ am @ C.inverse().m - bm).max())
     return C, resid
 
 

@@ -26,7 +26,7 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    d = float(np.linalg.det(m))
+    d = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
     if d <= 0:
         raise ValueError("matrix must have positive determinant")
     m = m / np.sqrt(d)
@@ -86,6 +86,18 @@ class Proj2:
     @staticmethod
     def parabolic(s: float) -> "Proj2":
         return Proj2(np.array([[1.0, s], [0.0, 1.0]]))
+
+
+def sylvester_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix of X -> X a - b X on 2x2 matrices X flattened row-major,
+    for stacks a, b of shape (..., 2, 2); shape (..., 4, 4).  Row (i, k) and
+    column (i', j) hold delta(i, i') a[j, k] - b[i, i'] delta(j, k)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.zeros(a.shape[:-2] + (2, 2, 2, 2))
+    out[..., 0, :, 0, :] = out[..., 1, :, 1, :] = np.swapaxes(a, -1, -2)
+    out[..., :, 0, :, 0] -= b
+    out[..., :, 1, :, 1] -= b
+    return out.reshape(a.shape[:-2] + (4, 4))
 
 
 class IsomKind(Enum):

@@ -163,7 +163,7 @@ def cross(x: Vec22, u: Vec22, w: Vec22) -> Vec22:
 
 
 def tangent_cross(u: TangentVec, w: TangentVec) -> TangentVec:
-    if not np.allclose(u.base.v, w.base.v, atol=SAME_BASE):
+    if not np.allclose(u.base.v, w.base.v, rtol=0.0, atol=SAME_BASE):
         raise ValueError("cross product requires a common base point")
     return TangentVec(u.base, cross(u.base.v, u.v, w.v))
 

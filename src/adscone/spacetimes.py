@@ -26,6 +26,7 @@ from .isom import (
     fixed_line_angles,
     fixed_point_lift,
     matrix44_of_pair,
+    sylvester_rows,
 )
 from .linalg import HSPointClass, dot22, normalize_point
 from .links import SingKind, SingularityType, particle_mass
@@ -397,7 +398,7 @@ def btz_invariant_lines(m: ModelSpacetime, samples: int = 24) -> BTZLines:
         raise GeometryError("not a static BTZ descriptor")
     g1, g2 = m.holonomies
     # pointwise-fixed points solve g1 X = X g2: the intertwiner pencil
-    A = np.kron(g1.m, np.eye(2)) - np.kron(np.eye(2), g2.m.T)
+    A = -sylvester_rows(g2.m, g1.m)
     _, sv, vt = np.linalg.svd(A)
     if sv[-2] > INTERTWINER_RANK:
         raise GeometryError("intertwiner space is not two-dimensional")

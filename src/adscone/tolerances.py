@@ -43,7 +43,6 @@ DISK_CLOSING_ANGLE = 1e-7  # a fitted collision disk closes up at its last rim v
 METRIC_SOLVE_STOP = 1e-12  # solve_metric is done when every residual is below this
 DISK_FIT_STOP = 1e-11  # a fit_two_cone_disk seed converges when every residual is below this
 # the wedge family of links
-WEDGE_NULL = 1e-12  # the apex x of a wedge is a null ray: |<x,x>|
 RAY_SHORT = 1e-13  # a tangent direction this short is left unnormalized
 NULL_COORDINATE = 1e-13  # a requested ray is lightlike at x: a null-basis coordinate below this
 NULL_ROTATION_SECANT = 1e-15  # the secant solve for a null rotation is degenerate

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adscone.catalog import double_triangle_sphere, subdivide_face_with_cone, torus_with_cone_point
@@ -10,6 +10,7 @@ from adscone.conesurf import (
     ConeSurface,
     DiskSpec,
     Side,
+    _uses_of,
     cone_area,
     concatenate_loops,
     delaunay_normalize,
@@ -187,9 +188,9 @@ def test_disks_isometric_identical_and_flip():
     interior = [
         e
         for e in range(len(surf.edges))
-        if all(f in disk.face_ids for f, _ in surf._side_table()[e])
-        and len(surf._side_table()[e]) == 2
-        and surf._side_table()[e][0][0] != surf._side_table()[e][1][0]
+        if all(f in disk.face_ids for f, _ in _uses_of(surf, e))
+        and len(_uses_of(surf, e)) == 2
+        and _uses_of(surf, e)[0][0] != _uses_of(surf, e)[1][0]
     ]
     flipped = None
     for e in interior:
@@ -223,8 +224,6 @@ def test_flip_diagonal_matches_quadrilateral_oracle():
     sinh a sinh b cos(alpha1 + alpha2), with the angles on one side of the
     old diagonal."""
     surf, disk = torus_with_cone_point(PI)
-    from adscone.conesurf import _uses_of
-
     for e in range(len(surf.edges)):
         uses = _uses_of(surf, e)
         if len(uses) != 2 or uses[0][0] == uses[1][0]:
@@ -400,3 +399,98 @@ def test_metric_solve_stall_is_reported():
 def test_torus_solves_near_the_ends_of_its_range(theta):
     surf, _ = torus_with_cone_point(theta)
     assert abs(surf.vertex_angle_sums([4])[4] - theta) < 1e-9
+
+
+# -- structure and loop holonomy ---------------------------------------------
+
+
+def test_structural_errors_name_the_first_edge_to_appear():
+    # edge 3 is used first (twice the same way); edges 0 and 1, with lower
+    # ids, appear later and are used three times
+    edges = ((0, 1), (1, 2), (2, 0), (0, 1))
+    faces = (
+        (Side(3), Side(1), Side(2)),
+        (Side(3), Side(1, False), Side(0)),
+        (Side(0), Side(0, False), Side(1, False)),
+    )
+    with pytest.raises(GeometryError, match="^edge 3 traversed twice in the same direction$"):
+        ConeSurface(edges, faces, np.ones(4), check_angles=False)
+    with pytest.raises(GeometryError, match="^edge 0 used by more than two face sides$"):
+        ConeSurface(edges, (faces[2], faces[0], faces[1]), np.ones(4), check_angles=False)
+    # an edge id outside the edge list is an input error, negative ones too
+    for e in (4, -1):
+        with pytest.raises(IndexError, match=f"side 1 of face 0 names edge {e}"):
+            ConeSurface(edges, ((Side(3), Side(e), Side(2)),), np.ones(4), check_angles=False)
+
+
+def _three_face_strip():
+    """Faces 2 - 0 - 1 in a row: face 0 (0, 1, 2) and face 2 (1, 0, 4) are
+    equilateral of side 1e-5; face 1 (0, 2, 3) passes the triangle
+    inequality, but its corners are degenerate (see the test above)."""
+    y = 1e-5
+    edges = ((0, 1), (1, 2), (0, 2), (2, 3), (3, 0), (1, 4), (4, 0))
+    faces = (
+        (Side(0), Side(1), Side(2, False)),
+        (Side(2), Side(3), Side(4)),
+        (Side(0, False), Side(6, False), Side(5, False)),
+    )
+    lengths = [y, y, y, y, 2 * y - 1.1e-12, y, y]
+    return ConeSurface(edges, faces, np.array(lengths), check_angles=False)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(base=st.sampled_from((0, 1, 2)), choices=st.lists(st.integers(0, 2), min_size=1, max_size=6))
+def test_degenerate_face_raises_only_for_loops_that_enter_it(base, choices):
+    s = _three_face_strip()
+    # a walk across glued sides, then back the same way
+    steps, back, f = [], [], base
+    for c in choices:
+        glued = [si for si in range(3) if s.faces[f][si].edge not in s.boundary_edges()]
+        si = glued[c % len(glued)]
+        g, j = s.neighbor_across(f, si)
+        steps.append((f, si))
+        back.insert(0, (g, j))
+        f = g
+    loop = steps + back
+    if any(f == 1 for f, _ in loop):
+        with pytest.raises(NotHyperbolicError, match="^degenerate corner at face 1$"):
+            holonomy_of_loop(s, loop)
+    else:
+        assert classify(holonomy_of_loop(s, loop)).kind is IsomKind.IDENTITY
+
+
+def test_loop_errors_name_the_failing_step():
+    surf, _ = torus_with_cone_point(2.0)
+    lp = loop_around_vertex(surf, 4)
+    assert lp[0][0] != lp[1][0]
+    with pytest.raises(GeometryError, match="^loop steps do not chain$"):
+        holonomy_of_loop(surf, [lp[0], lp[0]])
+    with pytest.raises(GeometryError, match="^loop does not return to its base face$"):
+        holonomy_of_loop(surf, lp[:-1])
+    s = _three_face_strip()
+    with pytest.raises(GeometryError, match="^edge 1 is a boundary edge$"):
+        holonomy_of_loop(s, [(0, 1), (0, 1)])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(0.6, 5.0),
+    eta=st.floats(0.3, 4.2),
+    face=st.sampled_from((1, 3, 5, 7, 8, 9)),
+)
+@example(theta=1.0, eta=1.0, face=7)
+def test_loop_holonomy_matches_the_development(developed_holonomy, theta, eta, face):
+    surf, _ = torus_with_cone_point(theta)
+    refined, _, _ = subdivide_face_with_cone(surf, face, eta)
+    sums = refined.vertex_angle_sums()
+    for v in refined.vertices:
+        h = holonomy_of_loop(refined, loop_around_vertex(refined, v))
+        assert abs(h.trace - 2 * abs(math.cos(sums[v] / 2))) < 1e-10
+        if v in refined.cone_angles:
+            cls = classify(h)
+            assert cls.kind is IsomKind.ELLIPTIC and abs(cls.angle - sums[v]) < 1e-9
+    for lp in dual_cycles(refined):
+        got, want = holonomy_of_loop(refined, lp).m, developed_holonomy(refined, lp).m
+        # the reference rounds like the size of the holonomy (up to 6e-10 at
+        # entries of 110 in this box, against a 50-digit product)
+        assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())

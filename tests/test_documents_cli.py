@@ -466,3 +466,88 @@ def test_batch_survives_unwritable_output(tmp_path):
     assert [line.split(":")[0] for line in lines[:-1]] == ["output error"] * 2 + ["input error"]
     assert json.loads(lines[-1]) == {"batch": {"l0.json": 1, "l1.json": 1, "l2.json": 1}}
     assert "Traceback" not in err
+
+
+# -- structure and loop errors through the CLI -------------------------------
+
+
+def _broken_before(doc, change):
+    """Apply change to both metrics of the before slice (equal documents
+    stay equal, so they still parse to one surface)."""
+    before = doc["payload"]["vertices"]["before"]
+    for side in ("mu_l", "mu_r"):
+        change(before[side]["payload"])
+    return before
+
+
+def _third_use(p):
+    p["faces"][1][0] = list(p["faces"][0][0])
+
+
+def _same_way(p):
+    p["faces"][2][1][1] = not p["faces"][2][1][1]
+
+
+def _open_chain(p):
+    f = p["faces"][7]
+    f[1], f[2] = f[2], f[1]
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (_third_use, "edge {e0} used by more than two face sides"),
+        (_same_way, "edge {e2} traversed twice in the same direction"),
+        (_open_chain, "face 7 side chain does not close"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate-graph", "assemble-holonomy"])
+def test_broken_surface_is_rejected_naming_its_edge_or_face(tmp_path, command, change, message):
+    doc = _graph_doc()
+    faces = doc["payload"]["vertices"]["before"]["mu_l"]["payload"]["faces"]
+    expected = message.format(e0=faces[0][0][0], e2=faces[2][1][0])
+    _broken_before(doc, change)
+    path = tmp_path / "graph.json"
+    path.write_text(docs.canonical_json(doc))
+    code, out, err = run_cli([command, "--input", str(path)])
+    assert (code, out, err) == (2, "", f"rejected: {expected}\n")
+
+
+def _slit(p):
+    """Cut the surface open along the edge of side 2 of face 0: the other
+    side of that edge gets an edge of its own."""
+    e = p["faces"][0][2][0]
+    for f in p["faces"][1:]:
+        for side in f:
+            if side[0] == e:
+                side[0] = len(p["edges"])
+    p["edges"].append(list(p["edges"][e]))
+    p["lengths"].append(p["lengths"][e])
+
+
+@pytest.mark.parametrize(
+    "loops,message",
+    [
+        ({"g0": [[0, 2], [5, 2], [4, 0]]}, "loop steps do not chain"),
+        ({"g0": [[0, 2], [6, 2], [5, 2]]}, "loop does not return to its base face"),
+        ({}, "edge {e} is a boundary edge"),
+    ],
+)
+def test_broken_loop_is_reported_naming_its_edge(tmp_path, loops, message):
+    doc = _graph_doc()
+    before = doc["payload"]["vertices"]["before"]
+    assert before["generator_loops"]["g0"] == [[0, 2], [6, 2], [5, 2], [4, 0]]
+    expected = message.format(e=before["mu_l"]["payload"]["faces"][0][2][0])
+    if loops:
+        before["generator_loops"].update(loops)
+    else:
+        _broken_before(doc, _slit)
+    path = tmp_path / "graph.json"
+    path.write_text(docs.canonical_json(doc))
+    code, out, err = run_cli(["validate-graph", "--input", str(path)])
+    failures = json.loads(out)["failures"]
+    assert code == 2 and err == ""
+    assert f"(2/3) edge before->after, mu_l: {expected}" in failures
+    code, out, err = run_cli(["assemble-holonomy", "--input", str(path)])
+    assert code == 2 and err == ""
+    assert expected in json.loads(out)["error"]

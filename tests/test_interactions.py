@@ -204,6 +204,8 @@ def test_solve_conjugator_roundtrip():
         C, resid = solve_conjugator(pairs)
         assert resid < 1e-9
         assert C.almost_equal(a, 1e-7) or C.almost_equal(Proj2(-a.m), 1e-7)
+    with pytest.raises(ValueError):
+        solve_conjugator([])
 
 
 def test_assemble_refuses_unvalidated():
@@ -252,6 +254,20 @@ def test_wedge_family_positive_masses():
         s = classify_singularity(wedge_family_link(lam))
         assert s.kind is SingKind.TACHYON
         assert s.mass > 0
+
+
+@pytest.mark.parametrize("lam", [1 - 1e-9, 1 - 1e-11, 1 + 1e-11, 1 + 1e-9])
+def test_wedge_family_near_the_null_apex(lam):
+    """classify_ray alone decides whether the apex is null: within its
+    threshold (|<x,x>| <= 1e-10 |x|^2) the link is the graviton; outside it
+    the result is a link or a GeometryError, never a raw numpy error."""
+    if abs(lam - 1) < 1e-10:
+        assert classify_singularity(wedge_family_link(lam)).kind is SingKind.GRAVITON_POSITIVE
+        return
+    try:
+        classify_singularity(wedge_family_link(lam))
+    except GeometryError:
+        pass
 
 
 def test_surgery_realizable_fixture_fails_loudly_not_silently():

@@ -78,6 +78,12 @@ def test_tangent_cross_requires_common_base():
         tangent_cross(u, w)
     same = tangent_cross(u, TangentVec(x, np.array([0.0, 0, 1, 0])))
     assert np.allclose(same.v, np.eye(4)[3], atol=1e-14)
+    # far out, nearby base points differ by much more than the 1e-12 allowed
+    # entrywise, but less than a relative 1e-5
+    far = [AdSPoint(np.array([np.cosh(r), 0, np.sinh(r), 0])) for r in (5.0, 5.0 + 1e-6)]
+    assert 1e-5 < np.abs(far[0].v - far[1].v).max() < 1e-5 * np.abs(far[1].v).max()
+    with pytest.raises(ValueError, match="common base point"):
+        tangent_cross(TangentVec(far[0], np.eye(4)[1]), TangentVec(far[1], np.eye(4)[3]))
 
 
 def test_geodesic_identity_and_antipode():
