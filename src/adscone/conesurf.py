@@ -180,8 +180,8 @@ class ConeSurface:
 
     def _corner_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(angles, degenerate), both (F, 3) over (face, corner): one
-        evaluation of the law of cosines per surface, kept like the side
-        table (the surface is frozen)."""
+        evaluation of the law of cosines per surface, cached on the frozen
+        surface."""
         cached = getattr(self, "_corner_cache", None)
         if cached is not None:
             return cached

@@ -145,7 +145,11 @@ def solve_conjugator(pairs) -> tuple[Proj2, float]:
         # only conjugate through an orientation-reversing map
         raise GeometryError("conjugator is orientation-reversing or singular")
     C = Proj2(c)
-    resid = float(np.abs(C.m @ am @ C.inverse().m - bm).max())
+    # the true inverse of the unit-determinant C.m: Proj2.inverse would
+    # canonicalize it, negating it when tr C = 0
+    p, q, r, s = C.m.ravel()
+    c_inv = np.array([[s, -q], [-r, p]])
+    resid = float(np.abs(C.m @ am @ c_inv - bm).max())
     return C, resid
 
 

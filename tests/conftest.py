@@ -58,8 +58,7 @@ def developed_holonomy():
     from its canonical to that placement is taken to PSL(2,R) by polar
     decomposition, and the steps are multiplied in order.
 
-    Carrying the placements around the whole loop instead, as the library
-    once did, loses accuracy as the developed coordinates grow: on the
+    Carrying the placements around the whole loop instead loses accuracy as the developed coordinates grow: on the
     theta = 1 torus subdivided at face 7, its Lorentz matrix of a dual cycle
     is off by 7e-7 against a 60-digit development (eta = 4), and on another
     the polar decomposition fails its round trip (eta = 1)."""

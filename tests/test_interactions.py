@@ -208,6 +208,18 @@ def test_solve_conjugator_roundtrip():
         solve_conjugator([])
 
 
+def test_solve_conjugator_traceless_conjugator():
+    # pairs related only by a half-turn: the conjugator has trace 0, where its
+    # canonical class and its inverse differ by a sign
+    _, resid = solve_conjugator([(Proj2.hyperbolic(1.0), Proj2.hyperbolic(-1.0))])
+    assert resid < 1e-9
+    quarter = Proj2(np.array([[0.0, -1.0], [1.0, 0.0]]))
+    gens = (Proj2(np.array([[2.0, 1.0], [3.0, 2.0]])), Proj2.elliptic(1.3))
+    C, resid = solve_conjugator([(g, g.conjugate(quarter)) for g in gens])
+    assert resid < 1e-9
+    assert C.almost_equal(quarter, 1e-9)
+
+
 def test_assemble_refuses_unvalidated():
     graph, _ = (None, None)
     surf, disk = torus_with_cone_point(2.0)
