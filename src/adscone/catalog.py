@@ -18,9 +18,13 @@ from .conesurf import (
     ConeSurface,
     DiskSpec,
     Side,
+    angle_sum_jacobian,
+    checked_sides,
     corner_table,
     law_of_cosines,
+    raise_degenerate,
     triangle_edge_from_angles,
+    vertex_angle_totals,
     violates_triangle_inequality,
 )
 from .errors import GeometryError, LinkRealizationError
@@ -50,13 +54,19 @@ def solve_metric(
     (and, optionally, prescribed edges reach target lengths).
 
     Damped Gauss-Newton on log lengths with the closed-form Jacobian of the
-    hyperbolic law of cosines (ConeSurface.angle_sum_jacobian); the system is
+    hyperbolic law of cosines (conesurf.angle_sum_jacobian); the system is
     usually underdetermined and the minimum-norm step keeps the result close
     to the seed metric.  With continuation_steps > 1 the goals are walked
     from the seed metric's own values to the requested ones, which keeps
     every intermediate problem feasible.  Raises LinkRealizationError when
     the residual cannot be driven to zero (the requested data has no
     hyperbolic realization near the seed).
+
+    Each trial is evaluated on the length vector with the surface's own
+    length checks and corner kernel (conesurf.checked_sides, corner_table,
+    vertex_angle_totals), so a length vector fails here exactly when a
+    ConeSurface with those lengths would; the accepted trial's sides and
+    angles give the next Jacobian, and one surface is built per solve.
     """
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
@@ -64,54 +74,64 @@ def solve_metric(
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
     # d length[e] / d x[e] = length[e]
     length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
+    face_edges, corner_vertices = surface._face_edges, surface._corner_vertices
+    shape = (surface.num_vertices, len(surface.edges))
 
-    def build(x) -> ConeSurface:
-        return surface.with_lengths(np.exp(x))
+    def evaluate(x):
+        """(lengths, sides, angles, values) at log lengths x, or the
+        GeometryError a surface with these lengths raises."""
+        lengths = np.exp(x)
+        sides = checked_sides(lengths, face_edges, shape[1])
+        angles, degenerate = corner_table(sides)
+        raise_degenerate(degenerate)
+        values = vertex_angle_totals(angles, corner_vertices, shape[0])[verts]
+        if ledges:
+            values = np.concatenate([values, lengths[ledges]])
+        return lengths, sides, angles, values
 
-    def values_of(s: ConeSurface) -> np.ndarray:
-        sums = s.vertex_angle_sums()
-        return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
-
-    def jacobian(s: ConeSurface) -> np.ndarray:
-        angles = s.angle_sum_jacobian()[verts]
-        return np.vstack([angles, length_rows * s.lengths[ledges][:, None]])
+    def jacobian(lengths, sides, angles) -> np.ndarray:
+        rows = angle_sum_jacobian(sides, angles, face_edges, corner_vertices, shape)[verts]
+        if not ledges:
+            return rows
+        return np.vstack([rows, length_rows * lengths[ledges][:, None]])
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
-    current = build(x)
-    start = values_of(current)
+    lengths, sides, angles, values = evaluate(x)
+    start = values
     stages = (
         np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
         if continuation_steps > 1
         else [1.0]
     )
 
+    eye = np.eye(len(x))
     for t in stages:
         stage_goal = (1 - t) * start + t * goal
         lam = 1e-10
-        r = values_of(current) - stage_goal
+        r = values - stage_goal
         for _ in range(200):
             if np.abs(r).max() < METRIC_SOLVE_STOP:
                 break
-            jac = jacobian(current)
-            a = jac.T @ jac + lam * np.eye(len(x))
-            step = np.linalg.solve(a, -jac.T @ r)
+            jac = jacobian(lengths, sides, angles)
+            # fixed for the whole damping ladder of this iteration
+            normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, np.linalg.norm(r)
+            step = np.linalg.solve(normal + lam * eye, rhs)
             improved = False
             for _ in range(40):
                 try:
-                    trial = build(x + step)
-                    r_new = values_of(trial) - stage_goal
-                    if np.linalg.norm(r_new) < np.linalg.norm(r):
+                    trial = evaluate(x + step)
+                    r_new = trial[3] - stage_goal
+                    if np.linalg.norm(r_new) < r_norm:
                         x = x + step
                         r = r_new
-                        current = trial
+                        lengths, sides, angles, values = trial
                         lam = max(lam / 4.0, 1e-12)
                         improved = True
                         break
                 except GeometryError:
                     pass
                 lam = max(lam, 1e-8) * 8.0
-                a = jac.T @ jac + lam * np.eye(len(x))
-                step = np.linalg.solve(a, -jac.T @ r)
+                step = np.linalg.solve(normal + lam * eye, rhs)
             if not improved:
                 raise LinkRealizationError(
                     "metric solve stalled: the requested cone data has no "
@@ -119,7 +139,7 @@ def solve_metric(
                 )
         else:
             raise LinkRealizationError("metric solve did not converge")
-    return current
+    return surface.with_lengths(lengths)
 
 
 # ---------------------------------------------------------------------------

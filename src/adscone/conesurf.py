@@ -158,15 +158,7 @@ class ConeSurface:
 
     def _check_metric(self):
         """Length checks (and the angle check when check_angles is set)."""
-        if np.any(self.lengths <= 0) or not np.all(np.isfinite(self.lengths)):
-            raise GeometryError("edge lengths must be positive and finite")
-        if len(self.lengths) != len(self.edges):
-            raise GeometryError("need one length per edge")
-        broken = violates_triangle_inequality(self.lengths[self._face_edges])
-        if broken.any():
-            raise NotHyperbolicError(
-                f"face {int(np.argmax(broken))} violates the triangle inequality"
-            )
+        checked_sides(self.lengths, self._face_edges, len(self.edges))
         if self.check_angles:
             bad = self.angle_defect_report()
             if bad:
@@ -199,46 +191,32 @@ class ConeSurface:
         """All corner angles, (F, 3); corner i of a face lies between its
         sides i and i+2 and faces side i+1."""
         angles, degenerate = self._corner_table()
-        _raise_degenerate(degenerate)
+        raise_degenerate(degenerate)
         return angles
 
     def vertex_angle_sums(self, vertices=None) -> dict[int, float]:
         """Total corner angle at each of the given vertices (default: all).
         A degenerate corner at one of them raises NotHyperbolicError."""
         angles, degenerate = self._corner_table()
-        corners = self._corner_vertices
         if vertices is None:
             vertices = self.vertices
-            at = np.ones(corners.shape, dtype=bool)
+            raise_degenerate(degenerate)
         else:
-            at = (corners[..., None] == np.asarray(vertices)).any(axis=-1)
-        _raise_degenerate(degenerate & at)
-        sums = np.bincount(corners[at], weights=angles[at], minlength=self.num_vertices)
+            at = (self._corner_vertices[..., None] == np.asarray(vertices)).any(axis=-1)
+            raise_degenerate(degenerate & at)
+        sums = vertex_angle_totals(angles, self._corner_vertices, self.num_vertices)
         return {v: float(sums[v]) for v in vertices}
 
     def angle_sum_jacobian(self) -> np.ndarray:
-        """d(vertex angle sum) / d(log edge length), (num_vertices, E).
-
-        Closed form of the hyperbolic law of cosines: for the corner angle
-        alpha facing side a, between sides b and c,
-            d alpha / d a = sinh a / (sinh b sinh c sin alpha),
-            d alpha / d b = -(d alpha / d a) cos gamma,
-        where gamma is the angle where a meets b (likewise for c)."""
-        angles = self.corner_angles()
-        sides = self.lengths[self._face_edges]
-        sh = np.sinh(sides)
-        d_opp = sh[:, _NEXT] / (sh * sh[:, _PREV] * np.sin(angles))
-        cosv = np.cos(angles)
-        # grad[f, i, k] = d angle(f, i) / d side(f, k); side i meets side
-        # i+1 at corner i+1, side i+2 meets it at corner i+2
-        grad = np.empty((len(self.faces), 3, 3))
-        grad[:, _CORNER, _NEXT] = d_opp
-        grad[:, _CORNER, _CORNER] = -d_opp * cosv[:, _NEXT]
-        grad[:, _CORNER, _PREV] = -d_opp * cosv[:, _PREV]
-        grad *= sides[:, None, :]
-        n, m = self.num_vertices, len(self.edges)
-        cells = self._corner_vertices[:, :, None] * m + self._face_edges[:, None, :]
-        return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
+        """d(vertex angle sum) / d(log edge length), (num_vertices, E), in
+        closed form (the module-level angle_sum_jacobian)."""
+        return angle_sum_jacobian(
+            self.lengths[self._face_edges],
+            self.corner_angles(),
+            self._face_edges,
+            self._corner_vertices,
+            (self.num_vertices, len(self.edges)),
+        )
 
     def target_angle(self, v: int) -> float:
         return self.cone_angles.get(v, TWO_PI)
@@ -375,7 +353,23 @@ def law_of_cosines(sides: np.ndarray) -> np.ndarray:
 def violates_triangle_inequality(sides: np.ndarray) -> np.ndarray:
     """Which triangles (sides[..., 3]) have a side at least as long as the
     other two together, up to TRIANGLE_MARGIN; shape sides.shape[:-1]."""
-    return np.any(sides >= sides[..., _NEXT] + sides[..., _PREV] - TRIANGLE_MARGIN, axis=-1)
+    return (sides >= sides[..., _NEXT] + sides[..., _PREV] - TRIANGLE_MARGIN).any(axis=-1)
+
+
+def checked_sides(lengths: np.ndarray, face_edges: np.ndarray, num_edges: int) -> np.ndarray:
+    """The (F, 3) side table lengths[face_edges], after the length checks
+    every metric passes: lengths positive and finite, one per edge, and no
+    face breaking the triangle inequality (NotHyperbolicError naming the
+    first that does)."""
+    if (lengths <= 0).any() or not np.isfinite(lengths).all():
+        raise GeometryError("edge lengths must be positive and finite")
+    if len(lengths) != num_edges:
+        raise GeometryError("need one length per edge")
+    sides = lengths[face_edges]
+    broken = violates_triangle_inequality(sides)
+    if broken.any():
+        raise NotHyperbolicError(f"face {int(np.argmax(broken))} violates the triangle inequality")
+    return sides
 
 
 def corner_table(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,10 +377,49 @@ def corner_table(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the law of cosines (clipped into [0, pi]) and the corners whose cosine
     is not finite or leaves [-1, 1] by more than DEGENERATE_CORNER."""
     cosv = law_of_cosines(sides)
-    return np.arccos(np.clip(cosv, -1.0, 1.0)), ~(np.abs(cosv) <= 1 + DEGENERATE_CORNER)
+    return np.arccos(cosv.clip(-1.0, 1.0)), ~(np.abs(cosv) <= 1 + DEGENERATE_CORNER)
 
 
-def _raise_degenerate(degenerate: np.ndarray):
+def vertex_angle_totals(
+    angles: np.ndarray, corner_vertices: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """Total corner angle at each vertex id, (num_vertices,), from the (F, 3)
+    corner angles and the vertex at each corner."""
+    return np.bincount(corner_vertices.ravel(), weights=angles.ravel(), minlength=num_vertices)
+
+
+def angle_sum_jacobian(
+    sides: np.ndarray,
+    angles: np.ndarray,
+    face_edges: np.ndarray,
+    corner_vertices: np.ndarray,
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """d(vertex angle sum) / d(log edge length), shape = (num_vertices, E),
+    from the (F, 3) side lengths and corner angles of a metric without
+    degenerate corners.
+
+    Closed form of the hyperbolic law of cosines: for the corner angle
+    alpha facing side a, between sides b and c,
+        d alpha / d a = sinh a / (sinh b sinh c sin alpha),
+        d alpha / d b = -(d alpha / d a) cos gamma,
+    where gamma is the angle where a meets b (likewise for c)."""
+    sh = np.sinh(sides)
+    d_opp = sh[:, _NEXT] / (sh * sh[:, _PREV] * np.sin(angles))
+    cosv = np.cos(angles)
+    # grad[f, i, k] = d angle(f, i) / d side(f, k); side i meets side
+    # i+1 at corner i+1, side i+2 meets it at corner i+2
+    grad = np.empty((len(sides), 3, 3))
+    grad[:, _CORNER, _NEXT] = d_opp
+    grad[:, _CORNER, _CORNER] = -d_opp * cosv[:, _NEXT]
+    grad[:, _CORNER, _PREV] = -d_opp * cosv[:, _PREV]
+    grad *= sides[:, None, :]
+    n, m = shape
+    cells = corner_vertices[:, :, None] * m + face_edges[:, None, :]
+    return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
+
+
+def raise_degenerate(degenerate: np.ndarray):
     """NotHyperbolicError naming the first face with a flagged corner."""
     if degenerate.any():
         face = int(np.argmax(degenerate.any(axis=1)))
@@ -646,47 +679,36 @@ class DiskSpec:
                     frontier.append(g)
         if seen != self.face_ids:
             raise GeometryError("disk faces are not edge-connected")
+        # the spec is frozen: its vertex, edge and boundary sets are read once
+        glued = s._neighbors.tolist()
+        vertices, edges, rim = set(), set(), set()
+        for f in self.face_ids:
+            vertices.update(s.face_corners(f))
+            for si, side in enumerate(s.faces[f]):
+                edges.add(side.edge)
+                if glued[f][si] < 0 or glued[f][si] // 3 not in self.face_ids:
+                    rim.add(side.edge)
+        rim_vertices = {v for e in rim for v in s.edges[e]}
+        chi = len(vertices) - len(edges) + len(self.face_ids)
+        object.__setattr__(self, "_euler_characteristic", chi)
+        object.__setattr__(self, "_boundary_edges", tuple(sorted(rim)))
+        object.__setattr__(self, "_interior_vertices", frozenset(vertices - rim_vertices))
         if self.euler_characteristic != 1:
             raise GeometryError("sub-complex is not a disk (chi != 1)")
 
     @property
-    def _elements(self):
-        s = self.surface
-        es, vs = set(), set()
-        for f in self.face_ids:
-            for si in range(3):
-                es.add(s.faces[f][si].edge)
-            vs.update(s.face_corners(f))
-        return vs, es
-
-    @property
     def euler_characteristic(self) -> int:
-        vs, es = self._elements
-        return len(vs) - len(es) + len(self.face_ids)
+        return self._euler_characteristic
 
     def boundary_edges(self) -> list[int]:
-        s = self.surface
-        glued = s._neighbors.tolist()
-        return sorted(
-            {
-                s.faces[f][si].edge
-                for f in self.face_ids
-                for si in range(3)
-                if glued[f][si] < 0 or glued[f][si] // 3 not in self.face_ids
-            }
-        )
+        return list(self._boundary_edges)
 
     def interior_vertices(self) -> set[int]:
-        s = self.surface
-        vs, _ = self._elements
-        bvs = set()
-        for e in self.boundary_edges():
-            bvs.update(s.edges[e])
-        return vs - bvs
+        return set(self._interior_vertices)
 
     def marked_angles(self) -> dict[int, float]:
         s = self.surface
-        return {v: s.cone_angles[v] for v in self.interior_vertices() if v in s.cone_angles}
+        return {v: s.cone_angles[v] for v in self._interior_vertices if v in s.cone_angles}
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(len(self.surface.faces))) - self.face_ids

@@ -7,6 +7,7 @@ from adscone.errors import GeometryError, LinkRealizationError
 from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
 from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
 from adscone.lrmetrics import transport
+from adscone.tolerances import METRIC_SOLVE_STOP
 
 
 def _rk4_holonomy_pair(path, closing):
@@ -63,6 +64,99 @@ def developed_holonomy():
     is off by 7e-7 against a 60-digit development (eta = 4), and on another
     the polar decomposition fails its round trip (eta = 1)."""
     return _developed_holonomy
+
+
+# ---------------------------------------------------------------------------
+# the metric solve, one ConeSurface per trial
+# ---------------------------------------------------------------------------
+
+
+def _per_trial_solve_metric(surface, targets, length_targets=None, continuation_steps=1):
+    """catalog.solve_metric with every trial wrapped in a ConeSurface: its
+    angle sums read back through vertex_angle_sums and its Jacobian from
+    ConeSurface.angle_sum_jacobian."""
+    length_targets = dict(length_targets or {})
+    verts = sorted(targets)
+    ledges = sorted(length_targets)
+    goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
+    length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
+
+    def build(x):
+        return surface.with_lengths(np.exp(x))
+
+    def values_of(s):
+        sums = s.vertex_angle_sums()
+        return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
+
+    def jacobian(s):
+        angles = s.angle_sum_jacobian()[verts]
+        return np.vstack([angles, length_rows * s.lengths[ledges][:, None]])
+
+    x = np.log(np.asarray(surface.lengths, dtype=float))
+    current = build(x)
+    start = values_of(current)
+    stages = (
+        np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
+        if continuation_steps > 1
+        else [1.0]
+    )
+    for t in stages:
+        stage_goal = (1 - t) * start + t * goal
+        lam = 1e-10
+        r = values_of(current) - stage_goal
+        for _ in range(200):
+            if np.abs(r).max() < METRIC_SOLVE_STOP:
+                break
+            jac = jacobian(current)
+            a = jac.T @ jac + lam * np.eye(len(x))
+            step = np.linalg.solve(a, -jac.T @ r)
+            improved = False
+            for _ in range(40):
+                try:
+                    trial = build(x + step)
+                    r_new = values_of(trial) - stage_goal
+                    if np.linalg.norm(r_new) < np.linalg.norm(r):
+                        x = x + step
+                        r = r_new
+                        current = trial
+                        lam = max(lam / 4.0, 1e-12)
+                        improved = True
+                        break
+                except GeometryError:
+                    pass
+                lam = max(lam, 1e-8) * 8.0
+                a = jac.T @ jac + lam * np.eye(len(x))
+                step = np.linalg.solve(a, -jac.T @ r)
+            if not improved:
+                raise LinkRealizationError(
+                    "metric solve stalled: the requested cone data has no "
+                    "hyperbolic realization near the seed"
+                )
+        else:
+            raise LinkRealizationError("metric solve did not converge")
+    return current
+
+
+@pytest.fixture(scope="session")
+def per_trial_solve_metric():
+    """Reference for catalog.solve_metric: the same damping schedule, stop
+    rules and trial order, with a ConeSurface built for every trial."""
+    return _per_trial_solve_metric
+
+
+@pytest.fixture
+def solve_metric_calls(monkeypatch):
+    """The (surface, targets, length_targets, continuation_steps) of every
+    catalog.solve_metric call made while the test runs, in order."""
+    calls = []
+    solve = catalog.solve_metric
+
+    def recorded(surface, targets, length_targets=None, continuation_steps=1):
+        calls.append((surface, dict(targets), length_targets, continuation_steps))
+        return solve(surface, targets, length_targets, continuation_steps)
+
+    monkeypatch.setattr(catalog, "solve_metric", recorded)
+    return calls
 
 
 # ---------------------------------------------------------------------------
