@@ -11,6 +11,7 @@ plane.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -22,10 +23,11 @@ from .conesurf import (
     checked_sides,
     corner_table,
     law_of_cosines,
+    long_sides,
+    positive_and_finite,
     raise_degenerate,
     triangle_edge_from_angles,
     vertex_angle_totals,
-    violates_triangle_inequality,
 )
 from .errors import GeometryError, LinkRealizationError
 from .isom import Proj2, fixed_point_lift
@@ -63,10 +65,14 @@ def solve_metric(
     hyperbolic realization near the seed).
 
     Each trial is evaluated on the length vector with the surface's own
-    length checks and corner kernel (conesurf.checked_sides, corner_table,
+    length checks and corner kernel on the corner tables of its
+    triangulation (conesurf.checked_sides, corner_table,
     vertex_angle_totals), so a length vector fails here exactly when a
-    ConeSurface with those lengths would; the accepted trial's sides and
-    angles give the next Jacobian, and one surface is built per solve.
+    ConeSurface with those lengths would; the accepted trial's side and
+    corner tables give the next Jacobian (which divides by the trial's own
+    sinh b sinh c), and one surface is built per solve.  A rejected trial
+    may overflow (cosh of a long edge, say); numpy is told once per solve
+    not to warn about it.
     """
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
@@ -74,71 +80,74 @@ def solve_metric(
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
     # d length[e] / d x[e] = length[e]
     length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
-    face_edges, corner_vertices = surface._face_edges, surface._corner_vertices
-    shape = (surface.num_vertices, len(surface.edges))
+    tables = surface._tables
+    # the rows of the prescribed vertices (often every vertex, in order)
+    rows = slice(None) if verts == list(range(tables.shape[0])) else np.array(verts, dtype=np.intp)
 
     def evaluate(x):
-        """(lengths, sides, angles, values) at log lengths x, or the
+        """(lengths, sides, corners, values) at log lengths x, or the
         GeometryError a surface with these lengths raises."""
         lengths = np.exp(x)
-        sides = checked_sides(lengths, face_edges, shape[1])
-        angles, degenerate = corner_table(sides)
-        raise_degenerate(degenerate)
-        values = vertex_angle_totals(angles, corner_vertices, shape[0])[verts]
+        sides = checked_sides(lengths, tables)
+        corners = corner_table(lengths, tables)
+        raise_degenerate(corners.degenerate)
+        values = vertex_angle_totals(corners.angles, tables.corner_vertices, tables.shape[0])[rows]
         if ledges:
             values = np.concatenate([values, lengths[ledges]])
-        return lengths, sides, angles, values
+        return lengths, sides, corners, values
 
-    def jacobian(lengths, sides, angles) -> np.ndarray:
-        rows = angle_sum_jacobian(sides, angles, face_edges, corner_vertices, shape)[verts]
+    def jacobian(lengths, sides, corners) -> np.ndarray:
+        angle_rows = angle_sum_jacobian(sides, corners, tables)[rows]
         if not ledges:
-            return rows
-        return np.vstack([rows, length_rows * lengths[ledges][:, None]])
+            return angle_rows
+        return np.vstack([angle_rows, length_rows * lengths[ledges][:, None]])
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
-    lengths, sides, angles, values = evaluate(x)
-    start = values
-    stages = (
-        np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
-        if continuation_steps > 1
-        else [1.0]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        lengths, sides, corners, values = evaluate(x)
+        start = values
+        stages = (
+            np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
+            if continuation_steps > 1
+            else [1.0]
+        )
 
-    eye = np.eye(len(x))
-    for t in stages:
-        stage_goal = (1 - t) * start + t * goal
-        lam = 1e-10
-        r = values - stage_goal
-        for _ in range(200):
-            if np.abs(r).max() < METRIC_SOLVE_STOP:
-                break
-            jac = jacobian(lengths, sides, angles)
-            # fixed for the whole damping ladder of this iteration
-            normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, np.linalg.norm(r)
-            step = np.linalg.solve(normal + lam * eye, rhs)
-            improved = False
-            for _ in range(40):
-                try:
-                    trial = evaluate(x + step)
-                    r_new = trial[3] - stage_goal
-                    if np.linalg.norm(r_new) < r_norm:
-                        x = x + step
-                        r = r_new
-                        lengths, sides, angles, values = trial
-                        lam = max(lam / 4.0, 1e-12)
-                        improved = True
-                        break
-                except GeometryError:
-                    pass
-                lam = max(lam, 1e-8) * 8.0
+        eye = np.eye(len(x))
+        for t in stages:
+            stage_goal = (1 - t) * start + t * goal
+            lam = 1e-10
+            r = values - stage_goal
+            for _ in range(200):
+                if np.abs(r).max() < METRIC_SOLVE_STOP:
+                    break
+                jac = jacobian(lengths, sides, corners)
+                # fixed for the whole damping ladder of this iteration
+                normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, math.sqrt(r.dot(r))
                 step = np.linalg.solve(normal + lam * eye, rhs)
-            if not improved:
-                raise LinkRealizationError(
-                    "metric solve stalled: the requested cone data has no "
-                    "hyperbolic realization near the seed"
-                )
-        else:
-            raise LinkRealizationError("metric solve did not converge")
+                improved = False
+                for _ in range(40):
+                    try:
+                        x_new = x + step
+                        trial = evaluate(x_new)
+                        r_new = trial[3] - stage_goal
+                        if math.sqrt(r_new.dot(r_new)) < r_norm:
+                            x = x_new
+                            r = r_new
+                            lengths, sides, corners, values = trial
+                            lam = max(lam / 4.0, 1e-12)
+                            improved = True
+                            break
+                    except GeometryError:
+                        pass
+                    lam = max(lam, 1e-8) * 8.0
+                    step = np.linalg.solve(normal + lam * eye, rhs)
+                if not improved:
+                    raise LinkRealizationError(
+                        "metric solve stalled: the requested cone data has no "
+                        "hyperbolic realization near the seed"
+                    )
+            else:
+                raise LinkRealizationError("metric solve did not converge")
     return surface.with_lengths(lengths)
 
 
@@ -244,7 +253,7 @@ def torus_with_cone_point(
     if rim_length is not None:
         lt = {r1: rim_length, r2: rim_length, r3: rim_length}
         surf = solve_metric(surf, targets, length_targets=lt, continuation_steps=64)
-    surf = surf.with_lengths(surf.lengths, {p: theta}, check_angles=True)
+    surf = surf._switch_on_angle_check()
     disk = DiskSpec(surf, frozenset(range(7, 10)))
     return surf, disk
 
@@ -283,8 +292,7 @@ def subdivide_face_with_cone(
     seed = ConeSurface(tuple(edges), tuple(new_faces), np.array(lengths), cones, check_angles=False)
     targets = {v: seed.target_angle(v) for v in seed.vertices}
     targets[new_v] = theta
-    surf = solve_metric(seed, targets)
-    surf = surf.with_lengths(surf.lengths, cones, check_angles=True)
+    surf = solve_metric(seed, targets)._switch_on_angle_check()
     return surf, DiskSpec(surf, frozenset(ids)), new_v
 
 
@@ -428,21 +436,22 @@ def _disk_collar(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.n
     Every row is computed with the same operations in the same order as the
     single disk, so rows are bit-identical to _disk_rim_data of it."""
     at_q1, at_q2, at_rim = _disk_rim_corners()
+    tables = _disk_template()._tables
     with np.errstate(all="ignore"):
         lengths, eta2 = _disk_development(eta1, d, P)
-        sides = lengths[:, _disk_template()._face_edges]
-        angles, degenerate = corner_table(sides)
-        angles = angles.reshape(len(P), -1)
+        by_edge = lengths.T  # the corner tables gather along the first axis
+        corners = corner_table(by_edge, tables)
+        angles = corners.angles.reshape(-1, len(P))
         ok = (
-            np.all((lengths > 0) & np.isfinite(lengths), axis=1)
-            & ~np.any(violates_triangle_inequality(sides), axis=1)
-            & ~np.any(degenerate.reshape(len(P), -1)[:, at_rim], axis=1)
+            positive_and_finite(lengths, axis=1)
+            & ~np.any(long_sides(by_edge[tables.sides]), axis=(0, 1))
+            & ~np.any(corners.degenerate.reshape(-1, len(P))[at_rim], axis=0)
         )
     sums = []
     for at in (at_q1, at_q2):
-        total = angles[:, at[0]]
+        total = angles[at[0]]
         for k in at[1:]:  # in the order of ConeSurface.vertex_angle_sums
-            total = total + angles[:, k]
+            total = total + angles[k]
         sums.append(total)
     return np.column_stack([lengths[:, :3], *sums, eta2]), ok
 

@@ -14,7 +14,9 @@ the hyperboloid model of H^2 inside R^{1,2} place faces for edge flips.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,13 +30,20 @@ PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 # corner i of a face lies between its sides i and i+2 (= i-1) and faces side i+1
-_CORNER = np.arange(3)
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+# [w, i]: side i + w of a face, w = 0, 1, 2 for the side leaving corner i,
+# the side facing it and the side arriving at it
+_AROUND = np.array([[0, 1, 2], _NEXT, _PREV])
+# [i, k]: the corner whose cosine d angle(i) / d side(k) takes, the corner
+# where side k meets side i+1 (i+1 for k = i, k for k = i+2), or -1 for the
+# facing side k = i+1
+_COSINE_AT = np.array([[1, -1, 2], [0, 2, -1], [-1, 1, 0]])
 
 # what a surface shares with every other metric on its triangulation
 _COMBINATORICS = (
-    "edges", "faces", "_vertices", "_face_edges", "_corner_vertices", "_neighbors", "_edge_sides"
+    "edges", "faces", "_vertices", "_face_edges", "_corner_vertices", "_neighbors", "_edge_sides",
+    "_tables",
 )
 
 
@@ -119,8 +128,9 @@ class ConeSurface:
     def _index_faces(self):
         """Structural checks; sets the vertex list, the (F, 3) face -> edge and
         corner -> vertex arrays, the (F, 3) side -> glued side array (flat
-        side index 3 * face + side, -1 on the boundary) and the (2, E) edge
-        -> forward and backward side array (-1 where unused)."""
+        side index 3 * face + side, -1 on the boundary), the (2, E) edge
+        -> forward and backward side array (-1 where unused) and the corner
+        tables every metric on these faces is evaluated with."""
         n_edges = len(self.edges)
         ids = np.array([s.edge for f in self.faces for s in f], dtype=np.intp)
         fwd = np.array([s.forward for f in self.faces for s in f], dtype=bool)
@@ -150,73 +160,84 @@ class ConeSurface:
         edge_sides[0, ids[fwd]] = np.flatnonzero(fwd)
         edge_sides[1, ids[~fwd]] = np.flatnonzero(~fwd)
         neighbors = np.where(fwd, edge_sides[1, ids], edge_sides[0, ids])
-        object.__setattr__(self, "_vertices", tuple(sorted({v for e in self.edges for v in e})))
+        vertices = tuple(sorted({v for e in self.edges for v in e}))
+        shape = (1 + vertices[-1] if vertices else 0, n_edges)
+        object.__setattr__(self, "_vertices", vertices)
         object.__setattr__(self, "_face_edges", ids.reshape(-1, 3))
         object.__setattr__(self, "_corner_vertices", tails)
         object.__setattr__(self, "_neighbors", neighbors.reshape(-1, 3))
         object.__setattr__(self, "_edge_sides", edge_sides)
+        object.__setattr__(self, "_tables", CornerTables(ids.reshape(-1, 3), tails, shape))
 
     def _check_metric(self):
         """Length checks (and the angle check when check_angles is set)."""
-        checked_sides(self.lengths, self._face_edges, len(self.edges))
+        checked_sides(self.lengths, self._tables)
         if self.check_angles:
-            bad = self.angle_defect_report()
-            if bad:
-                worst = max(bad.items(), key=lambda kv: abs(kv[1]))
-                raise GeometryError(
-                    "vertex angle sums do not match targets: worst vertex "
-                    f"{worst[0]} deviates by {worst[1]:.3e}"
-                )
+            self._check_angle_sums()
+
+    def _check_angle_sums(self):
+        bad = self.angle_defect_report()
+        if bad:
+            worst = max(bad.items(), key=lambda kv: abs(kv[1]))
+            raise GeometryError(
+                "vertex angle sums do not match targets: worst vertex "
+                f"{worst[0]} deviates by {worst[1]:.3e}"
+            )
+
+    def _switch_on_angle_check(self) -> ConeSurface:
+        """This surface with check_angles set, after the angle check passes;
+        for a metric its maker has just solved and not handed out yet (the
+        surface is frozen to everyone else).  Raises what
+        with_lengths(lengths, check_angles=True) raises, without building a
+        second surface."""
+        object.__setattr__(self, "check_angles", True)
+        self._check_angle_sums()
+        return self
 
     # -- metric ------------------------------------------------------------
 
-    def _corner_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(angles, degenerate), both (F, 3) over (face, corner): one
-        evaluation of the law of cosines per surface, cached on the frozen
-        surface."""
+    def _corner_table(self) -> CornerTable:
+        """The corner table of this metric: one evaluation of the law of
+        cosines per surface, cached on the frozen surface."""
         cached = getattr(self, "_corner_cache", None)
         if cached is not None:
             return cached
-        cached = corner_table(self.lengths[self._face_edges])
+        cached = corner_table(self.lengths, self._tables)
         object.__setattr__(self, "_corner_cache", cached)
         return cached
 
     def corner_angle(self, f: int, i: int) -> float:
-        angles, degenerate = self._corner_table()
-        if degenerate[f, i]:
+        corners = self._corner_table()
+        if corners.degenerate[f, i]:
             raise NotHyperbolicError(f"degenerate corner at face {f}")
-        return float(angles[f, i])
+        return float(corners.angles[f, i])
 
     def corner_angles(self) -> np.ndarray:
         """All corner angles, (F, 3); corner i of a face lies between its
         sides i and i+2 and faces side i+1."""
-        angles, degenerate = self._corner_table()
-        raise_degenerate(degenerate)
-        return angles
+        corners = self._corner_table()
+        raise_degenerate(corners.degenerate)
+        return corners.angles
 
     def vertex_angle_sums(self, vertices=None) -> dict[int, float]:
         """Total corner angle at each of the given vertices (default: all).
         A degenerate corner at one of them raises NotHyperbolicError."""
-        angles, degenerate = self._corner_table()
+        corners = self._corner_table()
         if vertices is None:
             vertices = self.vertices
-            raise_degenerate(degenerate)
+            raise_degenerate(corners.degenerate)
         else:
             at = (self._corner_vertices[..., None] == np.asarray(vertices)).any(axis=-1)
-            raise_degenerate(degenerate & at)
-        sums = vertex_angle_totals(angles, self._corner_vertices, self.num_vertices)
+            raise_degenerate(corners.degenerate & at)
+        sums = vertex_angle_totals(corners.angles, self._tables.corner_vertices, self.num_vertices)
         return {v: float(sums[v]) for v in vertices}
 
     def angle_sum_jacobian(self) -> np.ndarray:
         """d(vertex angle sum) / d(log edge length), (num_vertices, E), in
         closed form (the module-level angle_sum_jacobian)."""
-        return angle_sum_jacobian(
-            self.lengths[self._face_edges],
-            self.corner_angles(),
-            self._face_edges,
-            self._corner_vertices,
-            (self.num_vertices, len(self.edges)),
-        )
+        corners = self._corner_table()
+        raise_degenerate(corners.degenerate)
+        return angle_sum_jacobian(self.lengths[self._tables.sides], corners, self._tables)
 
     def target_angle(self, v: int) -> float:
         return self.cone_angles.get(v, TWO_PI)
@@ -309,8 +330,8 @@ class ConeSurface:
         cached = getattr(self, "_transition_cache", None)
         if cached is not None:
             return cached
-        angles, degenerate = self._corner_table()
-        sides = self.lengths[self._face_edges]
+        corners = self._corner_table()
+        angles, sides = corners.angles, self.lengths[self._face_edges]
         grow, shrink = np.exp(sides / 2.0), np.exp(-sides / 2.0)
         # B(a_i) R(pi - alpha_{i+1}) for i = 0, 1; the half angle of the
         # rotation has cosine sin(alpha/2) and sine cos(alpha/2)
@@ -336,48 +357,131 @@ class ConeSurface:
         inverse[..., 1, 1] = frames[..., 0, 0]
         table = back @ inverse.reshape(-1, 2, 2)[self._neighbors]
         table[self._neighbors < 0] = np.nan
-        cached = (table, degenerate.any(axis=1))
+        cached = (table, corners.degenerate.any(axis=1))
         object.__setattr__(self, "_transition_cache", cached)
         return cached
 
 
+class CornerTables:
+    """Gather tables of one triangulation, built with its surface
+    (ConeSurface._index_faces) from the (F, 3) face -> edge and corner ->
+    vertex arrays, and shared by every metric on it (with_lengths,
+    catalog.solve_metric).
+
+    sides: (3, F, 3), the edges of sides i, i+1 and i+2 of face f at corner
+        (f, i) (the side leaving the corner, the one facing it and the one
+        arriving at it), in that order along the first axis; a per-edge
+        array (E, ...) gathered with it, (3, F, 3, ...), is what the corner
+        kernels read.
+    corner_vertices: (3F,), the vertex at each corner, flat.
+    shape: (num_vertices, E), the shape of the angle-sum Jacobian.
+    cells, cosine_at: the gather tables of that Jacobian, built when it is
+        first taken (a surface that is only looked at, an edge flip's or a
+        document's, needs none).
+    """
+
+    def __init__(self, face_edges: np.ndarray, corner_vertices: np.ndarray, shape):
+        self.sides = np.ascontiguousarray(face_edges[:, _AROUND].transpose(1, 0, 2))
+        self.corner_vertices = corner_vertices.ravel()
+        self.shape = shape
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """(9F,): the flat cell (vertex, edge) of the angle-sum Jacobian that
+        d angle(f, i) / d side(f, k) adds to, over (f, i, k)."""
+        corner_vertices = self.corner_vertices.reshape(-1, 3, 1)
+        return (corner_vertices * self.shape[1] + self.sides[0, :, None, :]).ravel()
+
+    @functools.cached_property
+    def cosine_at(self) -> np.ndarray:
+        """(F, 3, 3): where d angle(f, i) / d side(f, k) reads its cosine in
+        the flat table (-1, cos of every corner); 0, the -1, for the facing
+        side."""
+        corner = 1 + 3 * np.arange(self.sides.shape[1])[:, None, None] + _COSINE_AT
+        return np.where(_COSINE_AT < 0, 0, corner)
+
+
+class CornerTable(NamedTuple):
+    """The corners of one metric (or of a batch of them, along the trailing
+    axes of its lengths), (F, 3, ...) over (face, corner) unless said
+    otherwise.
+
+    angles: the corner angles of the law of cosines, clipped into [0, pi].
+    degenerate: the corners whose cosine is not finite or leaves [-1, 1] by
+        more than DEGENERATE_CORNER.
+    sinh: (3, F, 3, ...), sinh of the sides i, i+1 and i+2 at each corner.
+    denominator: sinh(side i) sinh(side i+2), the law of cosines' own; the
+        angle-sum Jacobian divides by it again.
+    """
+
+    angles: np.ndarray
+    degenerate: np.ndarray
+    sinh: np.ndarray
+    denominator: np.ndarray
+
+
+def _cosines(ch_leaving, ch_facing, ch_arriving, sh_leaving, sh_arriving):
+    """The hyperbolic law of cosines, the one formula every corner kernel
+    uses: (cosines, denominators) of the corner angles, unclipped, from
+    cosh and sinh of the sides leaving, facing and arriving at each corner."""
+    denominator = sh_leaving * sh_arriving
+    return (ch_leaving * ch_arriving - ch_facing) / denominator, denominator
+
+
 def law_of_cosines(sides: np.ndarray) -> np.ndarray:
-    """Cosines of the corner angles of hyperbolic triangles, unclipped.
+    """Cosines of the corner angles of hyperbolic triangles, unclipped, from
+    a raw side table (for triangles that belong to no triangulation).
 
     sides[..., i] is the length of side i, which runs from corner i to corner
     i+1; the result's [..., i] is the cosine of the angle at corner i."""
     ch, sh = np.cosh(sides), np.sinh(sides)
-    return (ch * ch[..., _PREV] - ch[..., _NEXT]) / (sh * sh[..., _PREV])
+    return _cosines(ch, ch[..., _NEXT], ch[..., _PREV], sh, sh[..., _PREV])[0]
 
 
-def violates_triangle_inequality(sides: np.ndarray) -> np.ndarray:
-    """Which triangles (sides[..., 3]) have a side at least as long as the
-    other two together, up to TRIANGLE_MARGIN; shape sides.shape[:-1]."""
-    return (sides >= sides[..., _NEXT] + sides[..., _PREV] - TRIANGLE_MARGIN).any(axis=-1)
+def positive_and_finite(lengths: np.ndarray, axis=None):
+    """Whether the lengths (all of them, or each vector along axis) are
+    positive and finite: a NaN fails both tests."""
+    return (lengths.min(axis) > 0) & (lengths.max(axis) < np.inf)
 
 
-def checked_sides(lengths: np.ndarray, face_edges: np.ndarray, num_edges: int) -> np.ndarray:
-    """The (F, 3) side table lengths[face_edges], after the length checks
-    every metric passes: lengths positive and finite, one per edge, and no
-    face breaking the triangle inequality (NotHyperbolicError naming the
-    first that does)."""
-    if (lengths <= 0).any() or not np.isfinite(lengths).all():
+def long_sides(sides: np.ndarray) -> np.ndarray:
+    """Which corners (F, 3, ...) of the side table sides (3, F, 3, ...) =
+    lengths[tables.sides] have a side i at least as long as the other two
+    together, up to TRIANGLE_MARGIN.  A triangle breaks the triangle
+    inequality where one of its corners does."""
+    return sides[0] >= sides[1] + sides[2] - TRIANGLE_MARGIN
+
+
+def checked_sides(lengths: np.ndarray, tables: CornerTables) -> np.ndarray:
+    """The side table lengths[tables.sides], (3, F, 3), after the length
+    checks every metric passes: lengths positive and finite, one per edge,
+    and no face breaking the triangle inequality (NotHyperbolicError naming
+    the first that does)."""
+    if lengths.size and not positive_and_finite(lengths):
         raise GeometryError("edge lengths must be positive and finite")
-    if len(lengths) != num_edges:
+    if len(lengths) != tables.shape[1]:
         raise GeometryError("need one length per edge")
-    sides = lengths[face_edges]
-    broken = violates_triangle_inequality(sides)
-    if broken.any():
-        raise NotHyperbolicError(f"face {int(np.argmax(broken))} violates the triangle inequality")
+    sides = lengths[tables.sides]
+    broken = long_sides(sides)
+    if np.count_nonzero(broken):
+        face = int(np.argmax(broken)) // 3  # broken is (F, 3)
+        raise NotHyperbolicError(f"face {face} violates the triangle inequality")
     return sides
 
 
-def corner_table(sides: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(angles, degenerate), both shaped like sides: the corner angles of
-    the law of cosines (clipped into [0, pi]) and the corners whose cosine
-    is not finite or leaves [-1, 1] by more than DEGENERATE_CORNER."""
-    cosv = law_of_cosines(sides)
-    return np.arccos(cosv.clip(-1.0, 1.0)), ~(np.abs(cosv) <= 1 + DEGENERATE_CORNER)
+def corner_table(lengths: np.ndarray, tables: CornerTables) -> CornerTable:
+    """The CornerTable of the lengths (E, ...) on the triangulation of the
+    tables: cosh and sinh are taken once per edge and gathered per corner,
+    and the law of cosines runs once over every corner."""
+    ch = np.cosh(lengths)[tables.sides]
+    sh = np.sinh(lengths)[tables.sides]
+    cosines, denominator = _cosines(ch[0], ch[1], ch[2], sh[0], sh[2])
+    return CornerTable(
+        np.arccos(cosines.clip(-1.0, 1.0)),
+        ~(np.abs(cosines) <= 1 + DEGENERATE_CORNER),
+        sh,
+        denominator,
+    )
 
 
 def vertex_angle_totals(
@@ -388,40 +492,30 @@ def vertex_angle_totals(
     return np.bincount(corner_vertices.ravel(), weights=angles.ravel(), minlength=num_vertices)
 
 
-def angle_sum_jacobian(
-    sides: np.ndarray,
-    angles: np.ndarray,
-    face_edges: np.ndarray,
-    corner_vertices: np.ndarray,
-    shape: tuple[int, int],
-) -> np.ndarray:
-    """d(vertex angle sum) / d(log edge length), shape = (num_vertices, E),
-    from the (F, 3) side lengths and corner angles of a metric without
+def angle_sum_jacobian(sides: np.ndarray, corners: CornerTable, tables: CornerTables) -> np.ndarray:
+    """d(vertex angle sum) / d(log edge length), shape = tables.shape, from
+    the side table (checked_sides) and corner table of a metric without
     degenerate corners.
 
     Closed form of the hyperbolic law of cosines: for the corner angle
     alpha facing side a, between sides b and c,
         d alpha / d a = sinh a / (sinh b sinh c sin alpha),
         d alpha / d b = -(d alpha / d a) cos gamma,
-    where gamma is the angle where a meets b (likewise for c)."""
-    sh = np.sinh(sides)
-    d_opp = sh[:, _NEXT] / (sh * sh[:, _PREV] * np.sin(angles))
-    cosv = np.cos(angles)
-    # grad[f, i, k] = d angle(f, i) / d side(f, k); side i meets side
-    # i+1 at corner i+1, side i+2 meets it at corner i+2
-    grad = np.empty((len(sides), 3, 3))
-    grad[:, _CORNER, _NEXT] = d_opp
-    grad[:, _CORNER, _CORNER] = -d_opp * cosv[:, _NEXT]
-    grad[:, _CORNER, _PREV] = -d_opp * cosv[:, _PREV]
-    grad *= sides[:, None, :]
-    n, m = shape
-    cells = corner_vertices[:, :, None] * m + face_edges[:, None, :]
-    return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
+    where gamma is the angle where a meets b (likewise for c).  The
+    denominator sinh b sinh c is the corner table's; tables.cosine_at reads
+    each cos gamma (or -1, so that -(d alpha / d a) comes back positive) and
+    tables.cells adds d angle / d side to its cell in (face, corner, side)
+    order."""
+    d_opp = corners.sinh[1] / (corners.denominator * np.sin(corners.angles))
+    cosines = np.concatenate(([-1.0], np.cos(corners.angles).ravel()))
+    grad = (np.negative(d_opp)[..., None] * cosines[tables.cosine_at]) * sides[0, :, None, :]
+    n, m = tables.shape
+    return np.bincount(tables.cells, weights=grad.ravel(), minlength=n * m).reshape(n, m)
 
 
 def raise_degenerate(degenerate: np.ndarray):
     """NotHyperbolicError naming the first face with a flagged corner."""
-    if degenerate.any():
+    if np.count_nonzero(degenerate):
         face = int(np.argmax(degenerate.any(axis=1)))
         raise NotHyperbolicError(f"degenerate corner at face {face}")
 

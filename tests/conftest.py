@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from adscone import catalog
-from adscone.conesurf import law_of_cosines, resolve_loop
-from adscone.errors import GeometryError, LinkRealizationError
+from adscone.conesurf import raise_degenerate, resolve_loop
+from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
 from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
 from adscone.lrmetrics import transport
-from adscone.tolerances import METRIC_SOLVE_STOP
+from adscone.tolerances import DEGENERATE_CORNER, METRIC_SOLVE_STOP, TRIANGLE_MARGIN
 
 
 def _rk4_holonomy_pair(path, closing):
@@ -67,30 +69,109 @@ def developed_holonomy():
 
 
 # ---------------------------------------------------------------------------
+# the corner kernel side by side, one face side at a time
+# ---------------------------------------------------------------------------
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+_CORNER = np.arange(3)
+
+
+def _per_side_law_of_cosines(sides):
+    ch, sh = np.cosh(sides), np.sinh(sides)
+    return (ch * ch[..., _PREV] - ch[..., _NEXT]) / (sh * sh[..., _PREV])
+
+
+def _per_side_violates_triangle_inequality(sides):
+    return (sides >= sides[..., _NEXT] + sides[..., _PREV] - TRIANGLE_MARGIN).any(axis=-1)
+
+
+def _per_side_checked_sides(lengths, face_edges, num_edges):
+    if (lengths <= 0).any() or not np.isfinite(lengths).all():
+        raise GeometryError("edge lengths must be positive and finite")
+    if len(lengths) != num_edges:
+        raise GeometryError("need one length per edge")
+    sides = lengths[face_edges]
+    broken = _per_side_violates_triangle_inequality(sides)
+    if broken.any():
+        raise NotHyperbolicError(f"face {int(np.argmax(broken))} violates the triangle inequality")
+    return sides
+
+
+def _per_side_corner_table(sides):
+    cosv = _per_side_law_of_cosines(sides)
+    return np.arccos(cosv.clip(-1.0, 1.0)), ~(np.abs(cosv) <= 1 + DEGENERATE_CORNER)
+
+
+def _per_side_angle_sum_jacobian(sides, angles, face_edges, corner_vertices, shape):
+    sh = np.sinh(sides)
+    d_opp = sh[:, _NEXT] / (sh * sh[:, _PREV] * np.sin(angles))
+    cosv = np.cos(angles)
+    grad = np.empty((len(sides), 3, 3))
+    grad[:, _CORNER, _NEXT] = d_opp
+    grad[:, _CORNER, _CORNER] = -d_opp * cosv[:, _NEXT]
+    grad[:, _CORNER, _PREV] = -d_opp * cosv[:, _PREV]
+    grad *= sides[:, None, :]
+    n, m = shape
+    cells = corner_vertices[:, :, None] * m + face_edges[:, None, :]
+    return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
+
+
+@pytest.fixture(scope="session")
+def per_side_kernel():
+    """Reference for the corner tables of conesurf: the law of cosines,
+    length checks and angle-sum Jacobian on the (F, 3) side table
+    lengths[face_edges], with cosh and sinh taken per side and each
+    neighbouring side gathered from that table, as the library computed
+    them before it gathered per-edge values through its corner tables."""
+    return SimpleNamespace(
+        law_of_cosines=_per_side_law_of_cosines,
+        violates_triangle_inequality=_per_side_violates_triangle_inequality,
+        checked_sides=_per_side_checked_sides,
+        corner_table=_per_side_corner_table,
+        angle_sum_jacobian=_per_side_angle_sum_jacobian,
+    )
+
+
+# ---------------------------------------------------------------------------
 # the metric solve, one ConeSurface per trial
 # ---------------------------------------------------------------------------
 
 
 def _per_trial_solve_metric(surface, targets, length_targets=None, continuation_steps=1):
-    """catalog.solve_metric with every trial wrapped in a ConeSurface: its
-    angle sums read back through vertex_angle_sums and its Jacobian from
-    ConeSurface.angle_sum_jacobian."""
+    """catalog.solve_metric with every trial wrapped in a ConeSurface, whose
+    length checks decide which trials fail, and its corner angles, angle
+    sums and Jacobian taken side by side (per_side_kernel), so that the
+    values do not come from the corner tables under test."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _per_trial_solve(surface, targets, length_targets, continuation_steps)
+
+
+def _per_trial_solve(surface, targets, length_targets, continuation_steps):
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
     ledges = sorted(length_targets)
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
     length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
+    face_edges, corner_vertices = surface._face_edges, surface._corner_vertices
+    shape = (surface.num_vertices, len(surface.edges))
 
     def build(x):
         return surface.with_lengths(np.exp(x))
 
+    def angles_of(s):
+        angles, degenerate = _per_side_corner_table(s.lengths[face_edges])
+        raise_degenerate(degenerate)
+        return angles
+
     def values_of(s):
-        sums = s.vertex_angle_sums()
+        sums = np.bincount(corner_vertices.ravel(), weights=angles_of(s).ravel(), minlength=shape[0])
         return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
 
     def jacobian(s):
-        angles = s.angle_sum_jacobian()[verts]
-        return np.vstack([angles, length_rows * s.lengths[ledges][:, None]])
+        sides = s.lengths[face_edges]
+        rows = _per_side_angle_sum_jacobian(sides, angles_of(s), face_edges, corner_vertices, shape)
+        return np.vstack([rows[verts], length_rows * s.lengths[ledges][:, None]])
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
     current = build(x)
@@ -140,7 +221,8 @@ def _per_trial_solve_metric(surface, targets, length_targets=None, continuation_
 @pytest.fixture(scope="session")
 def per_trial_solve_metric():
     """Reference for catalog.solve_metric: the same damping schedule, stop
-    rules and trial order, with a ConeSurface built for every trial."""
+    rules and trial order, with a ConeSurface built for every trial and
+    the corner kernel of per_side_kernel."""
     return _per_trial_solve_metric
 
 
@@ -195,7 +277,7 @@ def _scalar_two_cone_disk(eta1, d, params):
     sides = np.array(
         [[_hyp_dist(p2, p1), _hyp_dist(p1, q2), leg2], [leg3, _hyp_dist(q3, p1), _hyp_dist(p1, p2)]]
     )
-    ang_f1, ang_f3 = np.arccos(np.clip(law_of_cosines(sides)[:, 0], -1.0, 1.0)).tolist()
+    ang_f1, ang_f3 = np.arccos(np.clip(_per_side_law_of_cosines(sides)[:, 0], -1.0, 1.0)).tolist()
     beta2 = float(np.exp(params[5]))
     eta2_realized = ang_f1 + ang_f3 + beta2
     r2 = float(

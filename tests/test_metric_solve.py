@@ -3,6 +3,7 @@ lengths to the bit, the same errors and cone angles, and one ConeSurface per
 solve."""
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,61 @@ def test_a_solve_builds_one_surface(monkeypatch, solve_metric_calls):
     monkeypatch.setattr(ConeSurface, "_check_metric", counted)
     catalog.solve_metric(seed, targets)
     assert len(built) == 1
+
+
+def _count_checks(monkeypatch):
+    """The surfaces whose metric is checked, one entry per _check_metric."""
+    built = []
+    check = ConeSurface._check_metric
+
+    def counted(surface):
+        built.append(id(surface))
+        check(surface)
+
+    monkeypatch.setattr(ConeSurface, "_check_metric", counted)
+    return built
+
+
+def test_a_construction_builds_two_surfaces(monkeypatch):
+    """The seed and the solved surface, which checks its own angles: the
+    solve's result is not copied to switch the angle check on."""
+    torus, _ = catalog.torus_with_cone_point(2.0)
+    built = _count_checks(monkeypatch)
+    surf, _ = catalog.torus_with_cone_point(2.0)
+    assert len(built) == len(set(built)) == 2 and built[1] == id(surf)
+    del built[:]
+    refined, _, _ = catalog.subdivide_face_with_cone(torus, 1, 2.5)
+    assert len(built) == len(set(built)) == 2 and built[1] == id(refined)
+    assert surf.check_angles and refined.check_angles
+    assert surf.lengths.tobytes() == torus.lengths.tobytes()
+
+
+def test_a_construction_still_checks_the_solved_angles(monkeypatch):
+    """A solve that hands back a metric off its cone angles fails the
+    construction, as a checked copy of it would."""
+    seed_of = {}
+
+    def unsolved(surface, targets, length_targets=None, continuation_steps=1):
+        seed_of["torus"] = surface
+        return surface.with_lengths(surface.lengths)
+
+    monkeypatch.setattr(catalog, "solve_metric", unsolved)
+    with pytest.raises(GeometryError, match="^vertex angle sums do not match targets") as got:
+        catalog.torus_with_cone_point(2.0)
+    seed = seed_of["torus"]
+    with pytest.raises(GeometryError) as want:
+        seed.with_lengths(seed.lengths, {4: 2.0}, check_angles=True)
+    assert str(got.value) == str(want.value)
+
+
+def test_an_overflowing_stall_emits_no_warning():
+    """The trials of this solve overflow (exp, cosh, sinh) before it
+    stalls; numpy stays quiet about them."""
+    sphere = catalog.double_triangle_sphere(0.5, 0.6, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinkRealizationError, match="stalled"):
+            catalog.solve_metric(sphere, {0: PI, 1: PI, 2: PI})
 
 
 def test_disk_spec_reads_its_faces_once(monkeypatch):
