@@ -73,6 +73,10 @@ def solve_metric(
     sinh b sinh c), and one surface is built per solve.  A rejected trial
     may overflow (cosh of a long edge, say); numpy is told once per solve
     not to warn about it.
+
+    The result is always a new surface, never the one passed in, so the
+    constructions below may switch its angle check on in place
+    (ConeSurface._switch_on_angle_check).
     """
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
@@ -81,8 +85,7 @@ def solve_metric(
     # d length[e] / d x[e] = length[e]
     length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
     tables = surface._tables
-    # the rows of the prescribed vertices (often every vertex, in order)
-    rows = slice(None) if verts == list(range(tables.shape[0])) else np.array(verts, dtype=np.intp)
+    rows = np.array(verts, dtype=np.intp)  # the prescribed vertices
 
     def evaluate(x):
         """(lengths, sides, corners, values) at log lengths x, or the
@@ -460,7 +463,7 @@ def _disk_collar(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.n
 def _disk_rim_corners() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat (face, corner) indices of the disk template's corners at rim
     vertex 0, at rim vertex 1, and at any rim vertex, in face order."""
-    corners = _disk_template()._corner_vertices.ravel()
+    corners = _disk_template()._tables.corner_vertices.ravel()
     return np.flatnonzero(corners == 0), np.flatnonzero(corners == 1), np.flatnonzero(corners < 3)
 
 

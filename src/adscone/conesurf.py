@@ -14,7 +14,6 @@ the hyperboloid model of H^2 inside R^{1,2} place faces for edge flips.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,10 +40,7 @@ _AROUND = np.array([[0, 1, 2], _NEXT, _PREV])
 _COSINE_AT = np.array([[1, -1, 2], [0, 2, -1], [-1, 1, 0]])
 
 # what a surface shares with every other metric on its triangulation
-_COMBINATORICS = (
-    "edges", "faces", "_vertices", "_face_edges", "_corner_vertices", "_neighbors", "_edge_sides",
-    "_tables",
-)
+_COMBINATORICS = ("edges", "faces", "_vertices", "_neighbors", "_edge_sides", "_tables")
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,8 @@ class ConeSurface:
 
     @property
     def num_vertices(self) -> int:
-        return 1 + self._vertices[-1]
+        """One more than the largest vertex id."""
+        return self._tables.shape[0]
 
     @property
     def vertices(self) -> list[int]:
@@ -108,7 +105,7 @@ class ConeSurface:
 
     def boundary_edges(self) -> list[int]:
         """Edges with one face side, in order of first use."""
-        return [int(e) for e in self._face_edges.ravel()[self._neighbors.ravel() < 0]]
+        return [int(e) for e in self._tables.face_edges.ravel()[self._neighbors.ravel() < 0]]
 
     def boundary_vertices(self) -> set[int]:
         out = set()
@@ -126,11 +123,11 @@ class ConeSurface:
         self._check_metric()
 
     def _index_faces(self):
-        """Structural checks; sets the vertex list, the (F, 3) face -> edge and
-        corner -> vertex arrays, the (F, 3) side -> glued side array (flat
-        side index 3 * face + side, -1 on the boundary), the (2, E) edge
-        -> forward and backward side array (-1 where unused) and the corner
-        tables every metric on these faces is evaluated with."""
+        """Structural checks; sets the vertex list, the (F, 3) side -> glued
+        side array (flat side index 3 * face + side, -1 on the boundary), the
+        (2, E) edge -> forward and backward side array (-1 where unused) and
+        the corner tables (face -> edge, corner -> vertex) every metric on
+        these faces is evaluated with."""
         n_edges = len(self.edges)
         ids = np.array([s.edge for f in self.faces for s in f], dtype=np.intp)
         fwd = np.array([s.forward for f in self.faces for s in f], dtype=bool)
@@ -161,10 +158,10 @@ class ConeSurface:
         edge_sides[1, ids[~fwd]] = np.flatnonzero(~fwd)
         neighbors = np.where(fwd, edge_sides[1, ids], edge_sides[0, ids])
         vertices = tuple(sorted({v for e in self.edges for v in e}))
-        shape = (1 + vertices[-1] if vertices else 0, n_edges)
+        if not vertices:
+            raise GeometryError("a surface needs at least one edge")
+        shape = (1 + vertices[-1], n_edges)
         object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_face_edges", ids.reshape(-1, 3))
-        object.__setattr__(self, "_corner_vertices", tails)
         object.__setattr__(self, "_neighbors", neighbors.reshape(-1, 3))
         object.__setattr__(self, "_edge_sides", edge_sides)
         object.__setattr__(self, "_tables", CornerTables(ids.reshape(-1, 3), tails, shape))
@@ -185,57 +182,70 @@ class ConeSurface:
             )
 
     def _switch_on_angle_check(self) -> ConeSurface:
-        """This surface with check_angles set, after the angle check passes;
-        for a metric its maker has just solved and not handed out yet (the
-        surface is frozen to everyone else).  Raises what
-        with_lengths(lengths, check_angles=True) raises, without building a
-        second surface."""
-        object.__setattr__(self, "check_angles", True)
+        """This surface with check_angles set, once the angle check passes
+        (a failing check leaves it as it was); for a metric its maker has
+        just solved and not handed out yet, such as the new surface
+        catalog.solve_metric returns (the surface is frozen to everyone
+        else).  Raises what with_lengths(lengths, check_angles=True) raises,
+        without building a second surface."""
         self._check_angle_sums()
+        object.__setattr__(self, "check_angles", True)
         return self
 
     # -- metric ------------------------------------------------------------
 
-    def _corner_table(self) -> CornerTable:
-        """The corner table of this metric: one evaluation of the law of
-        cosines per surface, cached on the frozen surface."""
+    def _evaluate_corners(self) -> CornerTable:
+        """The corner table of this metric.  A side that overflows cosh or
+        sinh, or a side so short that sinh b sinh c underflows, leaves its
+        corners degenerate, which is what the callers report, so numpy is
+        told not to warn about it."""
+        with np.errstate(all="ignore"):
+            return corner_table(self.lengths, self._tables)
+
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """(angles, degenerate) of the corner table: one evaluation of the
+        law of cosines per surface, cached on the frozen surface.  Its sinh
+        products are not kept; only the Jacobian reads them, and most
+        surfaces never take one."""
         cached = getattr(self, "_corner_cache", None)
-        if cached is not None:
-            return cached
-        cached = corner_table(self.lengths, self._tables)
-        object.__setattr__(self, "_corner_cache", cached)
+        if cached is None:
+            corners = self._evaluate_corners()
+            cached = (corners.angles, corners.degenerate)
+            object.__setattr__(self, "_corner_cache", cached)
         return cached
 
     def corner_angle(self, f: int, i: int) -> float:
-        corners = self._corner_table()
-        if corners.degenerate[f, i]:
+        angles, degenerate = self._corners()
+        if degenerate[f, i]:
             raise NotHyperbolicError(f"degenerate corner at face {f}")
-        return float(corners.angles[f, i])
+        return float(angles[f, i])
 
     def corner_angles(self) -> np.ndarray:
         """All corner angles, (F, 3); corner i of a face lies between its
         sides i and i+2 and faces side i+1."""
-        corners = self._corner_table()
-        raise_degenerate(corners.degenerate)
-        return corners.angles
+        angles, degenerate = self._corners()
+        raise_degenerate(degenerate)
+        return angles
 
     def vertex_angle_sums(self, vertices=None) -> dict[int, float]:
         """Total corner angle at each of the given vertices (default: all).
         A degenerate corner at one of them raises NotHyperbolicError."""
-        corners = self._corner_table()
+        angles, degenerate = self._corners()
+        corner_vertices = self._tables.corner_vertices
         if vertices is None:
             vertices = self.vertices
-            raise_degenerate(corners.degenerate)
+            raise_degenerate(degenerate)
         else:
-            at = (self._corner_vertices[..., None] == np.asarray(vertices)).any(axis=-1)
-            raise_degenerate(corners.degenerate & at)
-        sums = vertex_angle_totals(corners.angles, self._tables.corner_vertices, self.num_vertices)
+            at = (corner_vertices[..., None] == np.asarray(vertices)).any(axis=-1)
+            raise_degenerate(degenerate & at)
+        sums = vertex_angle_totals(angles, corner_vertices, self.num_vertices)
         return {v: float(sums[v]) for v in vertices}
 
     def angle_sum_jacobian(self) -> np.ndarray:
         """d(vertex angle sum) / d(log edge length), (num_vertices, E), in
-        closed form (the module-level angle_sum_jacobian)."""
-        corners = self._corner_table()
+        closed form (the module-level angle_sum_jacobian) on a corner table
+        evaluated for it."""
+        corners = self._evaluate_corners()
         raise_degenerate(corners.degenerate)
         return angle_sum_jacobian(self.lengths[self._tables.sides], corners, self._tables)
 
@@ -316,7 +326,9 @@ class ConeSurface:
         """(T, degenerate): T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face
         glued across side i of f from its own frame into the frame of f, and
         degenerate (F,) flags the faces with a degenerate corner.  One pass
-        over the corner table, kept like it (the surface is frozen).
+        over the corner angles, kept like them (the surface is frozen); a
+        degenerate face's entries may overflow, and numpy is not asked to
+        warn about them, since no loop reads them.
 
         A face's frame has corner 0 at the origin and side 0 leaving it along
         the first axis.  With B(d) = diag(e^{d/2}, e^{-d/2}), the translation
@@ -330,8 +342,16 @@ class ConeSurface:
         cached = getattr(self, "_transition_cache", None)
         if cached is not None:
             return cached
-        corners = self._corner_table()
-        angles, sides = corners.angles, self.lengths[self._face_edges]
+        angles, degenerate = self._corners()
+        with np.errstate(all="ignore"):
+            table = self._transitions(angles, self.lengths[self._tables.face_edges])
+        cached = (table, degenerate.any(axis=1))
+        object.__setattr__(self, "_transition_cache", cached)
+        return cached
+
+    def _transitions(self, angles: np.ndarray, sides: np.ndarray) -> np.ndarray:
+        """The table T of _transition_table from the (F, 3) corner angles and
+        side lengths."""
         grow, shrink = np.exp(sides / 2.0), np.exp(-sides / 2.0)
         # B(a_i) R(pi - alpha_{i+1}) for i = 0, 1; the half angle of the
         # rotation has cosine sin(alpha/2) and sine cos(alpha/2)
@@ -357,48 +377,42 @@ class ConeSurface:
         inverse[..., 1, 1] = frames[..., 0, 0]
         table = back @ inverse.reshape(-1, 2, 2)[self._neighbors]
         table[self._neighbors < 0] = np.nan
-        cached = (table, corners.degenerate.any(axis=1))
-        object.__setattr__(self, "_transition_cache", cached)
-        return cached
+        return table
 
 
 class CornerTables:
     """Gather tables of one triangulation, built with its surface
     (ConeSurface._index_faces) from the (F, 3) face -> edge and corner ->
     vertex arrays, and shared by every metric on it (with_lengths,
-    catalog.solve_metric).
+    catalog.solve_metric).  They are the surface's only copy of those
+    arrays.
 
     sides: (3, F, 3), the edges of sides i, i+1 and i+2 of face f at corner
         (f, i) (the side leaving the corner, the one facing it and the one
         arriving at it), in that order along the first axis; a per-edge
         array (E, ...) gathered with it, (3, F, 3, ...), is what the corner
-        kernels read.
-    corner_vertices: (3F,), the vertex at each corner, flat.
+        kernels read.  Its first plane is the face -> edge array.
+    corner_vertices: (F, 3), the vertex at each corner.
     shape: (num_vertices, E), the shape of the angle-sum Jacobian.
-    cells, cosine_at: the gather tables of that Jacobian, built when it is
-        first taken (a surface that is only looked at, an edge flip's or a
-        document's, needs none).
+    cells: (9F,), the flat cell (vertex, edge) of that Jacobian that
+        d angle(f, i) / d side(f, k) adds to, over (f, i, k).
+    cosine_at: (F, 3, 3), where d angle(f, i) / d side(f, k) reads its
+        cosine in the flat table (-1, cos of every corner); 0, the -1, for
+        the facing side.
     """
 
     def __init__(self, face_edges: np.ndarray, corner_vertices: np.ndarray, shape):
         self.sides = np.ascontiguousarray(face_edges[:, _AROUND].transpose(1, 0, 2))
-        self.corner_vertices = corner_vertices.ravel()
+        self.corner_vertices = corner_vertices
         self.shape = shape
+        self.cells = (corner_vertices[:, :, None] * shape[1] + face_edges[:, None, :]).ravel()
+        corner = 1 + 3 * np.arange(len(face_edges))[:, None, None] + _COSINE_AT
+        self.cosine_at = np.where(_COSINE_AT < 0, 0, corner)
 
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        """(9F,): the flat cell (vertex, edge) of the angle-sum Jacobian that
-        d angle(f, i) / d side(f, k) adds to, over (f, i, k)."""
-        corner_vertices = self.corner_vertices.reshape(-1, 3, 1)
-        return (corner_vertices * self.shape[1] + self.sides[0, :, None, :]).ravel()
-
-    @functools.cached_property
-    def cosine_at(self) -> np.ndarray:
-        """(F, 3, 3): where d angle(f, i) / d side(f, k) reads its cosine in
-        the flat table (-1, cos of every corner); 0, the -1, for the facing
-        side."""
-        corner = 1 + 3 * np.arange(self.sides.shape[1])[:, None, None] + _COSINE_AT
-        return np.where(_COSINE_AT < 0, 0, corner)
+    @property
+    def face_edges(self) -> np.ndarray:
+        """(F, 3): the edge of side i of face f."""
+        return self.sides[0]
 
 
 class CornerTable(NamedTuple):

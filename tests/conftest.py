@@ -77,6 +77,17 @@ _PREV = np.array([2, 0, 1])
 _CORNER = np.arange(3)
 
 
+def _face_edges(surface):
+    """(F, 3): the edge of side i of face f, read off the faces."""
+    return np.array([[side.edge for side in face] for face in surface.faces], dtype=np.intp).reshape(-1, 3)
+
+
+def _corner_vertices(surface):
+    """(F, 3): the vertex at corner i of face f, read off the faces."""
+    corners = [surface.face_corners(f) for f in range(len(surface.faces))]
+    return np.array(corners, dtype=np.intp).reshape(-1, 3)
+
+
 def _per_side_law_of_cosines(sides):
     ch, sh = np.cosh(sides), np.sinh(sides)
     return (ch * ch[..., _PREV] - ch[..., _NEXT]) / (sh * sh[..., _PREV])
@@ -123,8 +134,11 @@ def per_side_kernel():
     length checks and angle-sum Jacobian on the (F, 3) side table
     lengths[face_edges], with cosh and sinh taken per side and each
     neighbouring side gathered from that table, as the library computed
-    them before it gathered per-edge values through its corner tables."""
+    them before it gathered per-edge values through its corner tables.
+    face_edges and corner_vertices read a surface's faces, not its tables."""
     return SimpleNamespace(
+        face_edges=_face_edges,
+        corner_vertices=_corner_vertices,
         law_of_cosines=_per_side_law_of_cosines,
         violates_triangle_inequality=_per_side_violates_triangle_inequality,
         checked_sides=_per_side_checked_sides,
@@ -153,7 +167,7 @@ def _per_trial_solve(surface, targets, length_targets, continuation_steps):
     ledges = sorted(length_targets)
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
     length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
-    face_edges, corner_vertices = surface._face_edges, surface._corner_vertices
+    face_edges, corner_vertices = _face_edges(surface), _corner_vertices(surface)
     shape = (surface.num_vertices, len(surface.edges))
 
     def build(x):

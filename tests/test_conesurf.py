@@ -333,10 +333,10 @@ def test_degenerate_corner_names_its_face():
         _two_face_strip([1.0, 1.0, 1.0, 0.5, 1.6])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cosh 400 * cosh 400 overflows
 def test_overflowing_corner_is_degenerate():
     # (400, 400, 5) passes the triangle inequality, but the law of cosines
-    # gives inf / inf at the corner between the two long sides
+    # gives inf / inf at the corner between the two long sides; the surface
+    # reports it without a numpy warning (tier-1 turns those into errors)
     s = ConeSurface(
         ((0, 1), (1, 2), (2, 0)),
         ((Side(0), Side(1), Side(2)),),
@@ -350,6 +350,27 @@ def test_overflowing_corner_is_degenerate():
     assert sums[0] == sums[2] and 0 < sums[0] < PI
     with pytest.raises(NotHyperbolicError, match="degenerate corner at face 0"):
         s.with_lengths(s.lengths, check_angles=True)
+    # the double of a triangle whose sides overflow exp: the transition
+    # table's entries overflow too, and a loop reports the face
+    edges = ((1, 2), (2, 0), (0, 1))
+    faces = ((Side(2), Side(0), Side(1)), (Side(1, False), Side(0, False), Side(2, False)))
+    double = ConeSurface(edges, faces, np.array([1500.0, 1500.0, 5.0]), check_angles=False)
+    with pytest.raises(NotHyperbolicError, match="degenerate corner at face 0"):
+        holonomy_of_loop(double, [(0, 0), (1, 1)])
+
+
+def test_an_unused_long_edge_is_never_read():
+    """cosh and sinh are taken once per edge, also of an edge that no face
+    uses; its overflow changes no corner and makes numpy say nothing."""
+    triangle = ((Side(0), Side(1), Side(2)),)
+    lengths = np.array([1.0, 1.2, 1.4])
+    edges = ((0, 1), (1, 2), (2, 0))
+    ref = ConeSurface(edges, triangle, lengths, check_angles=False)
+    s = ConeSurface(edges + ((0, 2),), triangle, np.append(lengths, 800.0), check_angles=False)
+    assert s.corner_angles().tobytes() == ref.corner_angles().tobytes()
+    jac = s.angle_sum_jacobian()
+    assert jac[:, :3].tobytes() == ref.angle_sum_jacobian().tobytes()
+    assert not jac[:, 3].any()
 
 
 def test_with_lengths_reruns_length_checks():
@@ -421,6 +442,10 @@ def test_structural_errors_name_the_first_edge_to_appear():
     for e in (4, -1):
         with pytest.raises(IndexError, match=f"side 1 of face 0 names edge {e}"):
             ConeSurface(edges, ((Side(3), Side(e), Side(2)),), np.ones(4), check_angles=False)
+    # no edges, so no vertices: rejected, with or without the angle check
+    for check in (True, False):
+        with pytest.raises(GeometryError, match="^a surface needs at least one edge$"):
+            ConeSurface((), (), [], check_angles=check)
 
 
 def _three_face_strip():

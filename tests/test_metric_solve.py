@@ -64,6 +64,26 @@ def test_rim_length_solves_match_the_per_trial_oracle(
     _assert_solves_match(calls, per_trial_solve_metric)
 
 
+def test_partial_targets_match_the_per_trial_oracle(solve_metric_calls, per_trial_solve_metric):
+    """Targets on some vertices only, in and out of order, with and without
+    length targets, from the solved torus and from its flat seed: the
+    solver's rows are the prescribed vertices'."""
+    seed, targets = _torus_seed(solve_metric_calls)
+    torus = catalog.solve_metric(seed, targets)
+    calls = [
+        (torus, {4: 2.2}),
+        (torus, {0: 2 * PI, 4: 2.2}),
+        (torus, {4: 2.2, 2: 2 * PI, 1: 2 * PI}),
+        (torus, {3: 2 * PI, 4: 2.2}, {9: 0.3}),
+        (torus, {0: 2 * PI, 4: 1.8}, {10: 0.31}),
+        (seed, {0: 2 * PI, 4: 2.0}),
+        (seed, {4: 2.0}),  # stalls
+        (seed, {4: 2.0, 2: 2 * PI, 1: 2 * PI}),  # runs out of iterations
+    ]
+    outcomes = _assert_solves_match(calls, per_trial_solve_metric)
+    assert [isinstance(o[0], bytes) for o in outcomes] == [True] * 6 + [False] * 2
+
+
 def _torus_seed(solve_metric_calls):
     catalog.torus_with_cone_point(2.0)
     seed, targets, _, _ = solve_metric_calls[0]
@@ -154,6 +174,17 @@ def test_a_construction_still_checks_the_solved_angles(monkeypatch):
     with pytest.raises(GeometryError) as want:
         seed.with_lengths(seed.lengths, {4: 2.0}, check_angles=True)
     assert str(got.value) == str(want.value)
+
+
+def test_a_failed_angle_check_leaves_the_surface_as_it_was():
+    """The angle check runs before the flag is set, so a surface that fails
+    it still reads check_angles=False."""
+    surf, _ = catalog.torus_with_cone_point(2.0)
+    off = surf.with_lengths(surf.lengths, {4: 2.5})
+    with pytest.raises(GeometryError, match="^vertex angle sums do not match targets"):
+        off._switch_on_angle_check()
+    assert not off.check_angles
+    assert surf.with_lengths(surf.lengths)._switch_on_angle_check().check_angles
 
 
 def test_an_overflowing_stall_emits_no_warning():
