@@ -30,14 +30,11 @@ from .conesurf import (
     vertex_angle_totals,
 )
 from .errors import GeometryError, LinkRealizationError
-from .isom import Proj2, fixed_point_lift
 from .linalg import HSPointClass, classify_ray, dot12
-from .rp1 import LinkCircle, RP1Circle, elliptic_link_circle, mark_timelike_arcs
-from .tolerances import BASIS_DET, DISK_CLOSING_ANGLE, DISK_FIT_STOP, METRIC_SOLVE_STOP
-from .tolerances import NULL_COORDINATE, NULL_EIGENVALUE, NULL_ROTATION_SECANT, RAY_SHORT
-from .tolerances import SPACELIKE_COMPLEMENT, TANGENT_BASIS_DEPENDENT
+from .links import SingKind, SingularityType, link_of_type
+from .rp1 import LinkCircle
+from .tolerances import DISK_CLOSING_ANGLE, DISK_FIT_STOP, METRIC_SOLVE_STOP, TRACE
 
-PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
@@ -79,6 +76,8 @@ def solve_metric(
     (ConeSurface._switch_on_angle_check).
     """
     length_targets = dict(length_targets or {})
+    if not targets and not length_targets:
+        return surface.with_lengths(surface.lengths)  # nothing to solve
     verts = sorted(targets)
     ledges = sorted(length_targets)
     goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
@@ -579,256 +578,55 @@ def fit_two_cone_disk(
 # ---------------------------------------------------------------------------
 # the wedge family: particle -> graviton -> tachyon
 # ---------------------------------------------------------------------------
-#
-# Remove the wedge of rays from x subtending a fixed arc of the boundary
-# circle and reglue.  Moving x from inside the hyperbolic disk across the
-# boundary into the de Sitter band deforms a massive particle through a
-# graviton into a tachyon.  All link charts below use the tangent basis
-# (b1, b2) at x with det[xhat, b1, b2] > 0, so the lifted pencil coordinate
-# increases counterclockwise and one fixed convention serves the whole
-# family.
+
+# the removed arc, as polar angles on the future boundary circle: it straddles
+# angle 0, opposite the path of the apex
+WEDGE_ARC = (-0.55, 0.55)
+
+# the smallest deficit or tachyon mass m the trace classifier tells from a
+# graviton: a holonomy of trace 2 cosh(m/2) is parabolic below 2 + TRACE
+LINK_RESOLUTION = 2.0 * math.acosh(1.0 + TRACE / 2.0)
 
 
-def _ray_direction(x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Tangent vector at the ray x pointing at the ray target (non-null x)."""
-    q = dot12(x, x)
-    v = target - (dot12(target, x) / q) * x
-    n = np.sqrt(abs(dot12(v, v)))
-    return v / n if n > RAY_SHORT else v
-
-
-def _oriented_tangent_basis(x):
-    """Basis (b1, b2) of the tangent plane at a non-null ray x, unit up to
-    sign, ordered so that det[x/|x|, b1, b2] > 0; for de Sitter basepoints
-    b1 is the future-pointing timelike direction."""
-    xq = dot12(x, x)
-    xhat = x / np.sqrt(abs(xq))
-    basis = []
-    for e in np.eye(3):
-        w = e - (dot12(e, xhat) / dot12(xhat, xhat)) * xhat
-        for b in basis:
-            w = w - (dot12(w, b) / dot12(b, b)) * b
-        if abs(dot12(w, w)) > TANGENT_BASIS_DEPENDENT:
-            basis.append(w / np.sqrt(abs(dot12(w, w))))
-        if len(basis) == 2:
-            break
-    b1, b2 = basis
-    if xq > 0:
-        if dot12(b1, b1) > 0:
-            b1, b2 = b2, b1
-        if b1[0] < 0:
-            b1 = -b1
-    if np.linalg.det(np.column_stack([xhat, b1, b2])) < 0:
-        b2 = -b2
-    return b1, b2
-
-
-def _tangent_coords(x, v):
-    b1, b2 = _oriented_tangent_basis(x)
-    s1, s2 = dot12(b1, b1), dot12(b2, b2)
-    return np.array([dot12(v, b1) / s1, dot12(v, b2) / s2])
-
-
-def _pencil_action(M: np.ndarray, x: np.ndarray) -> Proj2:
-    """Projective action of M on the pencil of lines through the non-null
-    ray x, written in the oriented tangent basis."""
-    b1, b2 = _oriented_tangent_basis(x)
-    c1 = _tangent_coords(x, M @ b1)
-    c2 = _tangent_coords(x, M @ b2)
-    m = np.column_stack([c1, c2])
-    if np.linalg.det(m) <= 0:
-        raise GeometryError("stabilizer element reverses the pencil orientation")
-    return Proj2(m)
-
-
-def _stabilizer_map(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The SO0(1,2) element fixing the non-null ray x and mapping ray v1 to
-    ray v2: a rotation about a timelike x, a boost about a spacelike one."""
-    q = dot12(x, x)
-    xhat = x / np.sqrt(abs(q))
-    b1, b2 = _oriented_tangent_basis(x)
-    c1, c2 = _tangent_coords(x, v1), _tangent_coords(x, v2)
-    if q < 0:
-        a1 = np.arctan2(c1[1], c1[0])
-        a2 = np.arctan2(c2[1], c2[0])
-        t = a2 - a1
-        r2 = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-    else:
-        # Lorentzian tangent plane, b1 timelike: boost in the null basis
-        A = np.column_stack([[1.0, 1.0], [1.0, -1.0]])
-        u1 = np.linalg.solve(A, c1)
-        u2 = np.linalg.solve(A, c2)
-        if np.any(np.abs(u1) < NULL_COORDINATE) or np.any(np.abs(u2) < NULL_COORDINATE):
-            raise GeometryError("a requested ray is lightlike at x")
-        ratio = (u2[0] / u1[0]) / (u2[1] / u1[1])
-        if ratio <= 0:
-            raise GeometryError("directions are not in a common boost sector")
-        rho = 0.5 * np.log(ratio)
-        r2 = A @ np.diag([np.exp(rho), np.exp(-rho)]) @ np.linalg.inv(A)
-    B = np.column_stack([xhat, b1, b2])
-    blk = np.zeros((3, 3))
-    blk[0, 0] = 1.0
-    blk[1:, 1:] = r2
-    return B @ blk @ np.linalg.inv(B)
-
-
-def _null_rotation(x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """The null rotation fixing the null ray x pointwise and mapping ray v1
-    to ray v2 (modulo x)."""
-    u = _spacelike_complement(x)
-
-    def null_rot(s):
-        def act(y):
-            return (
-                y
-                + s * dot12(y, x) * u
-                - s * dot12(y, u) * x
-                - (s * s / 2.0) * dot12(y, x) * x
-            )
-
-        return np.column_stack([act(e) for e in np.eye(3)])
-
-    v1m, v2m = _mod_null_coords(x, u, v1), _mod_null_coords(x, u, v2)
-
-    def mismatch(s):
-        w = _mod_null_coords(x, u, null_rot(s) @ v1)
-        return w[0] * v2m[1] - w[1] * v2m[0]
-
-    f0, f1 = mismatch(0.0), mismatch(1.0)
-    if abs(f1 - f0) < NULL_ROTATION_SECANT:
-        raise GeometryError("degenerate null-rotation solve")
-    s_star = -f0 / (f1 - f0)
-    M = null_rot(s_star)
-    w = _mod_null_coords(x, u, M @ v1)
-    if w @ v2m <= 0:
-        raise GeometryError("null rotation reverses the requested ray")
-    return M
-
-
-def _spacelike_complement(x: np.ndarray) -> np.ndarray:
-    """A unit spacelike vector orthogonal to the null vector x."""
-    A = np.array([[-x[0], x[1], x[2]]])  # kernel of <., x>
-    _, _, vt = np.linalg.svd(A)
-    for w in (vt[1], vt[2]):
-        if dot12(w, w) > SPACELIKE_COMPLEMENT:
-            return w / np.sqrt(dot12(w, w))
-    raise GeometryError("no spacelike complement found")
-
-
-def _null_basis(x, u) -> np.ndarray:
-    """The basis (x, u, z) of R^{1,2} as columns, z = e0 unless that is
-    degenerate, e1 then."""
-    B = np.column_stack([x, u, [1.0, 0.0, 0.0]])
-    if abs(np.linalg.det(B)) < BASIS_DET:
-        B = np.column_stack([x, u, [0.0, 1.0, 0.0]])
-    return B
-
-
-def _mod_null_coords(x, u, y):
-    """Coordinates of y in R^{1,2} / <x> in the basis (u, z) of _null_basis."""
-    return np.linalg.solve(_null_basis(x, u), y)[1:]
-
-
-def boundary_hit_angle(x, v) -> float | None:
-    """Polar angle on the future boundary circle hit by the ray from the
-    timelike point x in tangent direction v, None if the ray misses."""
-    q = dot12(x, x)
-    vv = dot12(v, v)
-    if vv <= 0:
-        return None
-    t = np.sqrt(-q / vv)
-    n = x + t * v
-    if n[0] <= 0:
-        return None
-    return float(np.arctan2(n[2], n[1]))
-
-
-def _kept_ray_angle(x, p1, p2, arc) -> float:
-    """Angle at the timelike point x of the rays missing the open arc."""
-    v1, v2 = _ray_direction(x, p1), _ray_direction(x, p2)
-    c1, c2 = _tangent_coords(x, v1), _tangent_coords(x, v2)
-    a1 = np.arctan2(c1[1], c1[0])
-    a2 = np.arctan2(c2[1], c2[0])
-    gap_12 = (a2 - a1) % TWO_PI
-    # decide which side subtends the arc by shooting the midpoint ray
-    mid = a1 + gap_12 / 2.0
-    b1, b2 = _oriented_tangent_basis(x)
-    w = np.cos(mid) * b1 + np.sin(mid) * b2
-    hit = boundary_hit_angle(x, w)
-    lo, hi = arc
-    hits_arc = hit is not None and lo < hit < hi
-    wedge = gap_12 if hits_arc else TWO_PI - gap_12
-    return float(TWO_PI - wedge)
-
-
-def wedge_family_link(lam: float, arc=(-0.55, 0.55)) -> LinkCircle:
+def wedge_family_link(lam: float) -> LinkCircle:
     """Link of the singularity made by removing the wedge of rays from
-    x(lam) = (1, lam, 0) subtending the boundary arc (angles on the future
-    null circle) and regluing.
+    x(lam) = (1, -lam, 0) subtending the boundary arc WEDGE_ARC and
+    regluing.
 
     For lam < 1 the result is a massive particle of positive mass, at
     lam = 1 a positive graviton, and for lam > 1 a tachyon of positive mass.
+
+    The wedge sides are the directions at x towards the ends p1, p2 of the
+    arc.  With q = <x,x> and a_i = <p_i,x> they meet with cosine
+    c = q <p1,p2> / (a1 a2) - 1.  At a timelike apex the deficit is
+    arccos(-c); at a spacelike one the sides are timelike and the tachyon
+    has mass 2 arccosh(-c).  classify_ray alone decides whether the apex is
+    null.  A deficit or mass at or below LINK_RESOLUTION raises
+    GeometryError, and so does lam <= -cos(0.55), where x is on the arc's
+    side of the geodesic p1 p2 and the wedge is no longer convex.
     """
-    b1, b2 = arc
-    if not b1 < 0 < b2:
-        raise GeometryError("the arc must straddle angle 0, opposite the path of x")
-    p1 = np.array([1.0, np.cos(b1), np.sin(b1)])
-    p2 = np.array([1.0, np.cos(b2), np.sin(b2)])
+    if not -math.cos(WEDGE_ARC[1]) < lam < math.inf:
+        raise GeometryError(
+            f"wedge family at lambda={lam!r}: the apex must stay opposite the arc, "
+            f"lambda > -cos({WEDGE_ARC[1]})"
+        )
+    p1, p2 = (np.array([1.0, math.cos(b), math.sin(b)]) for b in WEDGE_ARC)
     x = np.array([1.0, -lam, 0.0])
-    # classify_ray alone decides whether the apex is null; below, the deck
-    # of the counterclockwise developing of the kept region is the gluing
-    # that carries the second wedge side back onto the first
     cls = classify_ray(x)
-    if cls is HSPointClass.H2_PLUS:
-        theta = _kept_ray_angle(x, p1, p2, arc)
-        return mark_timelike_arcs(elliptic_link_circle(theta), cls)
-
     if cls.is_boundary:
-        # the sides of a wedge at a null apex are the rays to p1 and p2
-        M = _null_rotation(x, p2, p1)
-        g = _boundary_pencil_action(M, x)
-        lift = fixed_point_lift(g).shifted(2)
-        return mark_timelike_arcs(RP1Circle(lift), cls)
-
-    M = _stabilizer_map(x, _ray_direction(x, p2), _ray_direction(x, p1))
-    g = _pencil_action(M, x)
-    lift = fixed_point_lift(g).shifted(2)
-    anchor = _future_anchor_angle(x, M)
-    return mark_timelike_arcs(RP1Circle(lift), cls, {"future_anchor": anchor})
-
-
-def _boundary_pencil_action(M: np.ndarray, x: np.ndarray) -> Proj2:
-    """Pencil action at a null basepoint, in a basis of R^{1,2}/<x> chosen to
-    match the orientation of the nearby non-null pencil charts."""
-    B = _null_basis(x, _spacelike_complement(x))
-    if np.linalg.det(B) < 0:
-        B[:, 1] = -B[:, 1]
-    full = np.linalg.inv(B) @ M @ B
-    m = full[1:, 1:]
-    if np.linalg.det(m) <= 0:
-        raise GeometryError("boundary pencil action is orientation-reversing")
-    return Proj2(m)
-
-
-def _future_anchor_angle(x, M) -> float:
-    """Pencil angle (in the oriented tangent chart at the de Sitter point x)
-    of the fixed line that starts a future timelike component."""
-    w, vecs = np.linalg.eig(M)
-    nulls = []
-    for i in range(3):
-        if abs(w[i].imag) < NULL_EIGENVALUE and abs(w[i].real - 1.0) > NULL_EIGENVALUE:
-            d = vecs[:, i].real
-            nulls.append(d if d[0] > 0 else -d)  # future-pointing null rays
-    if len(nulls) != 2:
-        raise GeometryError("stabilizer should have two null eigen-directions")
-    cs = [_tangent_coords(x, d) for d in nulls]
-    angs = [np.arctan2(c[1], c[0]) % TWO_PI for c in cs]
-    # future sector = counterclockwise from one future null ray to the other
-    # across the future timelike cone; its start is the anchor
-    i, j = (0, 1) if (angs[1] - angs[0]) % TWO_PI < PI else (1, 0)
-    mid = angs[i] + ((angs[j] - angs[i]) % TWO_PI) / 2.0
-    b1, b2 = _oriented_tangent_basis(x)
-    vmid = np.cos(mid) * b1 + np.sin(mid) * b2
-    if not (dot12(vmid, vmid) < 0 and vmid[0] > 0):
-        i, j = j, i
-    return float(angs[i] % PI)
+        return link_of_type(SingularityType(SingKind.GRAVITON_POSITIVE))
+    # t = 1 + c is a product, so t is accurate where c is close to -1:
+    # arccos(1 - t) = 2 arcsin(sqrt(t/2)), arccosh(1 - t) = 2 arcsinh(sqrt(-t/2))
+    t = dot12(x, x) * dot12(p1, p2) / (dot12(p1, x) * dot12(p2, x))
+    if cls is HSPointClass.H2_PLUS:
+        what, size = "deficit", 2.0 * math.asin(math.sqrt(t / 2.0))
+    else:
+        what, size = "tachyon mass", 4.0 * math.asinh(math.sqrt(-t / 2.0))
+    if not size > LINK_RESOLUTION:
+        raise GeometryError(
+            f"wedge family at lambda={lam!r}: the {what} {size:.3e} is at or below "
+            f"{LINK_RESOLUTION:.3e}, the resolution of the trace classifier"
+        )
+    if cls is HSPointClass.H2_PLUS:
+        return link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=TWO_PI - size))
+    return link_of_type(SingularityType(SingKind.TACHYON, mass=size))

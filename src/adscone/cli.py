@@ -4,7 +4,8 @@ Every subcommand reads a JSON document, runs the corresponding library
 operation and writes a deterministic JSON report.  Exit codes: 0 for a
 successful classification or passing check, 2 for a domain rejection (a
 rejected singularity type, a failed causality or condition check), 1 for
-malformed input or a report or figure that cannot be written.
+malformed input (a usage error included) or a report or figure that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,10 +58,6 @@ def _emit(report: dict, out_path: str | None):
         _write(out_path, text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _scale(args) -> float:
-    return float(getattr(args, "tolerance_scale", 1.0) or 1.0)
 
 
 def cmd_classify_link(args) -> int:
@@ -116,7 +114,7 @@ def cmd_speed_check(args) -> int:
     ts = samples[:, 0]
     zs = samples[:, 1] + 1j * samples[:, 2]
     mass = float(payload["mass"])
-    ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * _scale(args))
+    ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * args.tolerance_scale)
     _emit({"causal": bool(ok), "mass": mass}, args.output)
     if args.plot:
         _plot_speed(ts, zs, mass, args.plot)
@@ -182,7 +180,7 @@ def cmd_surgery(args) -> int:
 
 def cmd_validate_graph(args) -> int:
     graph = docs.interaction_graph_from_doc(_load(args.input))
-    report = validate_geometric_data(graph, tol=CONJUGATOR_RESIDUAL * _scale(args))
+    report = validate_geometric_data(graph, tol=CONJUGATOR_RESIDUAL * args.tolerance_scale)
     _emit({"valid": report.passed, "failures": list(report.failures)}, args.output)
     return EXIT_OK if report.passed else EXIT_REJECT
 
@@ -190,7 +188,7 @@ def cmd_validate_graph(args) -> int:
 def cmd_assemble_holonomy(args) -> int:
     graph = docs.interaction_graph_from_doc(_load(args.input))
     try:
-        asm = assemble_holonomy(graph, tol=CONJUGATOR_RESIDUAL * _scale(args))
+        asm = assemble_holonomy(graph, tol=CONJUGATOR_RESIDUAL * args.tolerance_scale)
     except (GeometryError, ArithmeticError) as err:
         _emit({"assembly": None, "error": str(err)}, args.output)
         return EXIT_REJECT
@@ -290,11 +288,30 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 1 with an input error line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
+def _tolerance_scale(text: str) -> float:
+    """The value of --tolerance-scale: a finite number > 0."""
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = math.nan
+    if not 0 < scale < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return scale
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused for every
     later call in the process; parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adscone",
         description="anti-de Sitter cone-singularity toolkit",
     )
@@ -307,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--batch", help="process every .json file in this directory")
         p.add_argument(
             "--tolerance-scale",
-            type=float,
+            type=_tolerance_scale,
             default=1.0,
             dest="tolerance_scale",
             help="multiply the tolerances of speed-check, validate-graph and "

@@ -8,8 +8,7 @@ cone points are vertices whose total angle is prescribed to something other
 than 2*pi.
 
 Loop holonomies are products of closed-form PSL(2,R) transitions, one per
-glued side, read off the edge lengths and corner angles; developing maps in
-the hyperboloid model of H^2 inside R^{1,2} place faces for edge flips.
+glued side, read off the edge lengths and corner angles.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import GeometryError, NotHyperbolicError
 from .isom import Proj2
-from .linalg import cross12, dot12
 from .tolerances import ANGLE_MATCH, DEGENERATE_CORNER, DELAUNAY_MARGIN, DISK_ISOMETRY
 from .tolerances import GAUSS_BONNET_CROSS_CHECK, TRIANGLE_MARGIN
 
@@ -288,39 +286,13 @@ class ConeSurface:
         new._check_metric()
         return new
 
-    # -- developing --------------------------------------------------------
-
-    def place_face(self, f: int) -> np.ndarray:
-        """Canonical positions (3x3, rows = corners) in the hyperboloid."""
-        sides = self.faces[f]
-        a = self.lengths[sides[0].edge]
-        p0 = np.array([1.0, 0.0, 0.0])
-        p1 = np.array([np.cosh(a), np.sinh(a), 0.0])
-        p2 = _third_vertex(
-            p0, p1, self.lengths[sides[2].edge], self.lengths[sides[1].edge], +1
-        )
-        return np.vstack([p0, p1, p2])
+    # -- gluing ------------------------------------------------------------
 
     def neighbor_across(self, f: int, side_index: int) -> tuple[int, int]:
         k = self._neighbors[f, side_index]
         if k < 0:
             raise GeometryError(f"edge {self.faces[f][side_index].edge} is a boundary edge")
         return divmod(int(k), 3)
-
-    def develop_across(self, f: int, placed: np.ndarray, side_index: int):
-        """Place the face across side_index of f, given f's placement."""
-        g, j = self.neighbor_across(f, side_index)
-        pos = np.empty((3, 3))
-        pos[j] = placed[(side_index + 1) % 3]
-        pos[(j + 1) % 3] = placed[side_index]
-        sides = self.faces[g]
-        d_from_j1 = self.lengths[sides[(j + 1) % 3].edge]
-        d_to_j = self.lengths[sides[(j + 2) % 3].edge]
-        # counterclockwise placement: det[pos_j, pos_{j+1}, new] > 0
-        pos[(j + 2) % 3] = _third_vertex(
-            pos[(j + 1) % 3], pos[j], d_from_j1, d_to_j, -1
-        )
-        return g, pos
 
     def _transition_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, degenerate): T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face
@@ -532,28 +504,6 @@ def raise_degenerate(degenerate: np.ndarray):
     if np.count_nonzero(degenerate):
         face = int(np.argmax(degenerate.any(axis=1)))
         raise NotHyperbolicError(f"degenerate corner at face {face}")
-
-
-def _third_vertex(p, q, d_from_p, d_to_q, orientation):
-    """The point at distance d_from_p of p and d_to_q of q, on the side where
-    det[p, q, point] has the requested sign."""
-    npq = cross12(p, q)
-    qq = dot12(npq, npq)
-    if qq <= 0:
-        raise GeometryError("degenerate edge placement")
-    # solve x = alpha p + beta q + gamma n with <x,p> = -cosh d1, <x,q> = -cosh d2
-    gram = np.array([[-1.0, dot12(p, q)], [dot12(p, q), -1.0]])
-    rhs = np.array([-np.cosh(d_from_p), -np.cosh(d_to_q)])
-    ab = np.linalg.solve(gram, rhs)
-    base = ab[0] * p + ab[1] * q
-    rem = -1.0 - dot12(base, base)
-    if rem / qq <= 0:
-        raise NotHyperbolicError("triangle does not close in the hyperboloid")
-    gamma = np.sqrt(rem / qq)
-    cand = base + gamma * npq
-    if np.sign(np.linalg.det(np.vstack([p, q, cand]))) != orientation:
-        cand = base - gamma * npq
-    return cand
 
 
 def gauss_bonnet_area(s: ConeSurface) -> float:
@@ -877,16 +827,15 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
     (f1, i1), (f2, i2) = uses
     if f1 == f2:
         raise GeometryError("cannot flip a self-glued edge")
-    # placements: develop f2 across from f1 to measure the new diagonal
-    placed1 = s.place_face(f1)
-    g, placed2 = s.develop_across(f1, placed1, i1)
-    assert g == f2
-    p_far1 = placed1[(i1 + 2) % 3]
-    p_far2 = placed2[(i2 + 2) % 3]
-    q = dot12(p_far1, p_far2)
-    if q >= -1.0:
+    # the new diagonal by the law of cosines at the tail of e in f1 (corner
+    # i1 of f1, corner i2 + 1 of f2), across both corner angles there
+    into = s.lengths[s.faces[f1][(i1 + 2) % 3].edge]  # the side into the tail in f1
+    out_of = s.lengths[s.faces[f2][(i2 + 1) % 3].edge]  # the side out of the tail in f2
+    angle = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
+    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(angle)
+    if not cosh_new > 1.0:
         raise NotHyperbolicError("flip would degenerate the quadrilateral")
-    new_len = float(np.arccosh(-q))
+    new_len = float(np.arccosh(cosh_new))
     # rebuild the two faces: quadrilateral corners around e
     sides1, sides2 = s.faces[f1], s.faces[f2]
     a = sides1[(i1 + 1) % 3]

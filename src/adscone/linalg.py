@@ -229,14 +229,3 @@ def classify_ray(y: Mink3Vec) -> HSPointClass:
     if q < 0:
         return HSPointClass.H2_PLUS if y[0] > 0 else HSPointClass.H2_MINUS
     return HSPointClass.DS2
-
-
-def cross12(a: Mink3Vec, b: Mink3Vec) -> Mink3Vec:
-    """Lorentzian cross product on R^{1,2}: <a x b, c> = det[a,b,c]."""
-    return np.array(
-        [
-            -(a[1] * b[2] - a[2] * b[1]),
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )

@@ -22,10 +22,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError
+from .isom import Proj2, attracting_line_angle, fixed_line_angles, fixed_point_lift
 from .linalg import HSPointClass, dot12
-from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle
-from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL, SLOPE_VERTICAL
+from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
+from .rp1 import elliptic_link_circle, mark_timelike_arcs
+from .tolerances import COPLANAR_REL, DISTINCT_LINE, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
+from .tolerances import SLOPE_VERTICAL
 
+PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
@@ -122,6 +126,53 @@ def classify_singularity(link: LinkCircle) -> SingularityType:
             return SingularityType(SingKind.EXTREME_BTZ_FUTURE)
         return SingularityType(SingKind.EXTREME_BTZ_PAST)
     raise GeometryError(f"parabolic link of unsupported degree {kind.degree}")
+
+
+def link_of_type(s: SingularityType) -> LinkCircle:
+    """The marked link circle of a singular line of the given type: the
+    inverse of classify_singularity on every kind it does not reject."""
+    k = s.kind
+    if k is SingKind.MASSIVE_PARTICLE:
+        return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
+    if k is SingKind.TACHYON:
+        circ = _degree2_hyperbolic_circle(abs(s.mass), s.mass > 0)
+        return mark_timelike_arcs(circ, HSPointClass.DS2)
+    if k in (SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
+        circ = _degree0_hyperbolic_circle(s.mass or 1.0)
+        comp = "past" if k is SingKind.BTZ_FUTURE else "future"
+        return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
+    if k in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):
+        sign = +1 if k is SingKind.GRAVITON_POSITIVE else -1
+        return mark_timelike_arcs(_parabolic_circle(sign, 2), HSPointClass.BOUNDARY_PLUS)
+    if k in (SingKind.EXTREME_BTZ_FUTURE, SingKind.EXTREME_BTZ_PAST):
+        future = k is SingKind.EXTREME_BTZ_FUTURE
+        base = HSPointClass.BOUNDARY_PLUS if future else HSPointClass.BOUNDARY_MINUS
+        return mark_timelike_arcs(_parabolic_circle(-1, 0), base, {"side": "extreme"})
+    raise GeometryError(f"no link model for {s.kind}")
+
+
+def _degree0_hyperbolic_circle(length: float) -> RP1Circle:
+    g = Proj2.hyperbolic(length)
+    base = fixed_point_lift(g)
+    a = fixed_line_angles(g)  # angle 0 attracting for diag; interval (pi/2, pi)
+    return RP1Circle(base, interval=(a[1], a[0] + PI))
+
+
+def _degree2_hyperbolic_circle(length: float, positive: bool) -> RP1Circle:
+    g = Proj2.hyperbolic(length)
+    lift = fixed_point_lift(g).shifted(2)
+    att = attracting_line_angle(g)
+    other = [a for a in fixed_line_angles(g) if abs(a - att) > DISTINCT_LINE][0]
+    return RP1Circle(lift, future_anchor=float(att if positive else other))
+
+
+def _parabolic_circle(sign: int, degree: int) -> RP1Circle:
+    g = Proj2.parabolic(1.0 if sign > 0 else -1.0)
+    base = fixed_point_lift(g)
+    if degree == 0:
+        x0 = fixed_line_angles(g)[0]
+        return RP1Circle(base, interval=(x0, x0 + PI))
+    return RP1Circle(base.shifted(degree))
 
 
 def tachyon_mass_from_planes(l1, d1, d2, l2) -> float:

@@ -21,20 +21,16 @@ from .isom import (
     IsomKind,
     IsomPair,
     Proj2,
-    attracting_line_angle,
     classify,
-    fixed_line_angles,
-    fixed_point_lift,
     matrix44_of_pair,
     sylvester_rows,
 )
 from .linalg import HSPointClass, dot22, normalize_point
-from .links import SingKind, SingularityType, particle_mass
-from .rp1 import LinkCircle, RP1Circle, elliptic_link_circle, mark_timelike_arcs
-from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK, DISTINCT_LINE
+from .links import SingKind, SingularityType, link_of_type, particle_mass
+from .rp1 import LinkCircle, elliptic_link_circle, mark_timelike_arcs
+from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK
 from .tolerances import INTERTWINER_RANK, POINT_MATCH, SAMPLE_STEP_SLACK
 
-PI = np.pi
 TWO_PI = 2.0 * np.pi
 
 
@@ -98,31 +94,6 @@ def product_spacetime(base: ConeSurface) -> ModelSpacetime:
 
 # -- links of singular lines -------------------------------------------------
 
-
-def _degree0_hyperbolic_circle(length: float) -> RP1Circle:
-    g = Proj2.hyperbolic(length)
-    base = fixed_point_lift(g)
-    a = fixed_line_angles(g)  # angle 0 attracting for diag; interval (pi/2, pi)
-    return RP1Circle(base, interval=(a[1], a[0] + PI))
-
-
-def _degree2_hyperbolic_circle(length: float, positive: bool) -> RP1Circle:
-    g = Proj2.hyperbolic(length)
-    lift = fixed_point_lift(g).shifted(2)
-    att = attracting_line_angle(g)
-    other = [a for a in fixed_line_angles(g) if abs(a - att) > DISTINCT_LINE][0]
-    return RP1Circle(lift, future_anchor=float(att if positive else other))
-
-
-def _parabolic_circle(sign: int, degree: int) -> RP1Circle:
-    g = Proj2.parabolic(1.0 if sign > 0 else -1.0)
-    base = fixed_point_lift(g)
-    if degree == 0:
-        x0 = fixed_line_angles(g)[0]
-        return RP1Circle(base, interval=(x0, x0 + PI))
-    return RP1Circle(base.shifted(degree))
-
-
 # model kind -> (its name in messages, line name -> singularity kind)
 _MODEL_LINES = {
     ModelKind.CONE: ("a cone", {"c": SingKind.MASSIVE_PARTICLE}),
@@ -150,7 +121,7 @@ def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
             raise GeometryError("product spacetime lines are marked vertex ids")
         if v not in marked:
             raise GeometryError(f"vertex {v} is not a marked point of the base")
-        return _link_from_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=marked[v]))
+        return link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=marked[v]))
     if m.kind not in _MODEL_LINES:
         raise GeometryError(f"no singular lines on {m.kind}")
     what, kinds = _MODEL_LINES[m.kind]
@@ -159,7 +130,7 @@ def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
     kind = kinds[line]
     if kind is SingKind.GRAVITON_POSITIVE and not m.sign > 0:
         kind = SingKind.GRAVITON_NEGATIVE
-    return _link_from_type(SingularityType(kind, angle=m.theta, mass=m.mass))
+    return link_of_type(SingularityType(kind, angle=m.theta, mass=m.mass))
 
 
 def model_lines(m: ModelSpacetime) -> list[str]:
@@ -185,35 +156,13 @@ def suspend(link: SingularHSSurface) -> ModelSpacetime:
         base = HSPointClass.H2_PLUS if h.orientation == "future" else HSPointClass.H2_MINUS
         circles.extend(mark_timelike_arcs(elliptic_link_circle(a), base) for a in h.cone_angles)
     # all_singularities lists the particles of the hyperbolic regions first
-    circles.extend(_link_from_type(s) for s in link.all_singularities()[len(circles):])
+    circles.extend(link_of_type(s) for s in link.all_singularities()[len(circles):])
     return ModelSpacetime(
         ModelKind.SUSPENSION,
         link_surface=link,
         is_interaction=len(circles) >= 3,
         line_links={f"line{i}": c for i, c in enumerate(circles)},
     )
-
-
-def _link_from_type(s: SingularityType) -> LinkCircle:
-    """The marked link circle of a singular line of the given type."""
-    k = s.kind
-    if k is SingKind.MASSIVE_PARTICLE:
-        return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
-    if k is SingKind.TACHYON:
-        circ = _degree2_hyperbolic_circle(abs(s.mass), s.mass > 0)
-        return mark_timelike_arcs(circ, HSPointClass.DS2)
-    if k in (SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
-        circ = _degree0_hyperbolic_circle(s.mass or 1.0)
-        comp = "past" if k is SingKind.BTZ_FUTURE else "future"
-        return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
-    if k in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):
-        sign = +1 if k is SingKind.GRAVITON_POSITIVE else -1
-        return mark_timelike_arcs(_parabolic_circle(sign, 2), HSPointClass.BOUNDARY_PLUS)
-    if k in (SingKind.EXTREME_BTZ_FUTURE, SingKind.EXTREME_BTZ_PAST):
-        future = k is SingKind.EXTREME_BTZ_FUTURE
-        base = HSPointClass.BOUNDARY_PLUS if future else HSPointClass.BOUNDARY_MINUS
-        return mark_timelike_arcs(_parabolic_circle(-1, 0), base, {"side": "extreme"})
-    raise GeometryError(f"no link model for {s.kind}")
 
 
 # -- ambient gluing isometries and meridian paths ----------------------------

@@ -42,14 +42,6 @@ DISK_CLOSING_ANGLE = 1e-7  # a fitted collision disk closes up at its last rim v
 # solver stop rules
 METRIC_SOLVE_STOP = 1e-12  # solve_metric is done when every residual is below this
 DISK_FIT_STOP = 1e-11  # a fit_two_cone_disk seed converges when every residual is below this
-# the wedge family of links
-RAY_SHORT = 1e-13  # a tangent direction this short is left unnormalized
-NULL_COORDINATE = 1e-13  # a requested ray is lightlike at x: a null-basis coordinate below this
-NULL_ROTATION_SECANT = 1e-15  # the secant solve for a null rotation is degenerate
-TANGENT_BASIS_DEPENDENT = 1e-10  # a projected candidate adds nothing to a pencil basis
-SPACELIKE_COMPLEMENT = 1e-9  # a kernel vector counts as spacelike: <w,w> above this
-BASIS_DET = 1e-10  # (x, u, z) is a basis of R^{1,2}: |det| at least this
-NULL_EIGENVALUE = 1e-9  # an eigenvalue is real (|imag| below this) and differs from 1 by more
 # interaction graphs
 CONJUGATOR_NULL_REL = 1e-7  # a singular value <= max(this * largest, CONJUGATOR_NULL_ABS) ...
 CONJUGATOR_NULL_ABS = 1e-12  # ... spans the null space of the conjugator system

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from adscone import catalog
-from adscone.conesurf import raise_degenerate, resolve_loop
+from adscone.conesurf import _uses_of, raise_degenerate, resolve_loop
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
 from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
@@ -39,6 +39,90 @@ def rk4_holonomy_pair():
     return pair
 
 
+def _cross12(a, b):
+    """Lorentzian cross product on R^{1,2}: <a x b, c> = det[a,b,c]."""
+    return np.array(
+        [
+            -(a[1] * b[2] - a[2] * b[1]),
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0],
+        ]
+    )
+
+
+@pytest.fixture(scope="session")
+def cross12():
+    return _cross12
+
+
+def _third_vertex(p, q, d_from_p, d_to_q, orientation):
+    """The point at distance d_from_p of p and d_to_q of q, on the side where
+    det[p, q, point] has the requested sign."""
+    npq = _cross12(p, q)
+    qq = dot12(npq, npq)
+    if qq <= 0:
+        raise GeometryError("degenerate edge placement")
+    # solve x = alpha p + beta q + gamma n with <x,p> = -cosh d1, <x,q> = -cosh d2
+    gram = np.array([[-1.0, dot12(p, q)], [dot12(p, q), -1.0]])
+    rhs = np.array([-np.cosh(d_from_p), -np.cosh(d_to_q)])
+    ab = np.linalg.solve(gram, rhs)
+    base = ab[0] * p + ab[1] * q
+    rem = -1.0 - dot12(base, base)
+    if rem / qq <= 0:
+        raise NotHyperbolicError("triangle does not close in the hyperboloid")
+    gamma = np.sqrt(rem / qq)
+    cand = base + gamma * npq
+    if np.sign(np.linalg.det(np.vstack([p, q, cand]))) != orientation:
+        cand = base - gamma * npq
+    return cand
+
+
+def _place_face(s, f):
+    """Canonical positions (3x3, rows = corners) of face f in the hyperboloid."""
+    sides = s.faces[f]
+    a = s.lengths[sides[0].edge]
+    p0 = np.array([1.0, 0.0, 0.0])
+    p1 = np.array([np.cosh(a), np.sinh(a), 0.0])
+    p2 = _third_vertex(p0, p1, s.lengths[sides[2].edge], s.lengths[sides[1].edge], +1)
+    return np.vstack([p0, p1, p2])
+
+
+def _develop_across(s, f, placed, side_index):
+    """(g, positions): the face g across side_index of f, placed next to f's
+    placement."""
+    g, j = s.neighbor_across(f, side_index)
+    pos = np.empty((3, 3))
+    pos[j] = placed[(side_index + 1) % 3]
+    pos[(j + 1) % 3] = placed[side_index]
+    sides = s.faces[g]
+    d_from_j1 = s.lengths[sides[(j + 1) % 3].edge]
+    d_to_j = s.lengths[sides[(j + 2) % 3].edge]
+    # counterclockwise placement: det[pos_j, pos_{j+1}, new] > 0
+    pos[(j + 2) % 3] = _third_vertex(pos[(j + 1) % 3], pos[j], d_from_j1, d_to_j, -1)
+    return g, pos
+
+
+def _developed_flip_length(s, e):
+    """The diagonal that would replace edge e, measured between the far
+    corners of its two faces developed side by side in the hyperboloid."""
+    (f1, i1), (f2, i2) = _uses_of(s, e)
+    placed1 = _place_face(s, f1)
+    g, placed2 = _develop_across(s, f1, placed1, i1)
+    assert g == f2
+    q = dot12(placed1[(i1 + 2) % 3], placed2[(i2 + 2) % 3])
+    if q >= -1.0:
+        raise NotHyperbolicError("flip would degenerate the quadrilateral")
+    return float(np.arccosh(-q))
+
+
+@pytest.fixture(scope="session")
+def developed_flip_length():
+    """Reference for the new diagonal of conesurf.flip_edge (the law of
+    cosines across the quadrilateral): both faces placed in the hyperboloid
+    and the far corners' Minkowski product read off."""
+    return _developed_flip_length
+
+
 def _developed_holonomy(s, loop):
     steps = resolve_loop(s, loop)
     f0 = f = steps[0][0]
@@ -46,8 +130,8 @@ def _developed_holonomy(s, loop):
     for fi, si in steps:
         if fi != f:
             raise GeometryError("loop steps do not chain")
-        f, developed = s.develop_across(f, s.place_face(f), si)
-        h = h @ psl_of_lorentz3(developed.T @ np.linalg.inv(s.place_face(f).T)).m
+        f, developed = _develop_across(s, f, _place_face(s, f), si)
+        h = h @ psl_of_lorentz3(developed.T @ np.linalg.inv(_place_face(s, f).T)).m
     if f != f0:
         raise GeometryError("loop does not return to its base face")
     return Proj2(h)
@@ -57,7 +141,7 @@ def _developed_holonomy(s, loop):
 def developed_holonomy():
     """Reference for conesurf.holonomy_of_loop, developed in the hyperboloid:
     at each step the neighbour is placed across the side of the current
-    face's canonical placement (place_face, develop_across), the Lorentz map
+    face's canonical placement (_place_face, _develop_across), the Lorentz map
     from its canonical to that placement is taken to PSL(2,R) by polar
     decomposition, and the steps are multiplied in order.
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,9 @@ from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicErr
 from adscone.isom import IsomKind, classify
 
 PI = np.pi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def dual_law_of_cosines_oracle(alpha, beta, gamma):
@@ -246,6 +251,73 @@ def test_flip_diagonal_matches_quadrilateral_oracle():
         assert abs(flipped.lengths[e] - oracle) < 1e-10
         return
     pytest.skip("no flippable interior edge")
+
+
+def _benchmark_cone_surfaces(seed):
+    """The subdivided tori of the cone-surfaces benchmark inputs of a seed
+    (stalled solves left out)."""
+    out = []
+    for op in corpus.cone_inputs(seed):
+        try:
+            surf, _ = torus_with_cone_point(op.theta)
+            out.append(subdivide_face_with_cone(surf, op.face, op.eta)[0])
+        except LinkRealizationError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
+    """On the benchmark's cone surfaces, every flippable edge gets the
+    diagonal the hyperboloid development measures (within 1e-12 relative),
+    and Delaunay normalization flips the same edges in the same order as
+    with the developed diagonal."""
+    from adscone import conesurf
+
+    surfaces = _benchmark_cone_surfaces(seed)
+    checked = 0
+    for surf in surfaces:
+        # a flip across a non-convex quadrilateral moves angle sums, which a
+        # surface with its angle check on rejects; the diagonal is compared
+        # on every edge that has two distinct faces
+        unchecked = surf.with_lengths(surf.lengths)
+        for e in range(len(surf.edges)):
+            uses = _uses_of(surf, e)
+            if len(uses) != 2 or uses[0][0] == uses[1][0]:
+                continue
+            try:
+                want = developed_flip_length(surf, e)
+            except NotHyperbolicError:
+                with pytest.raises(NotHyperbolicError):
+                    flip_edge(unchecked, e)
+                continue
+            got = flip_edge(unchecked, e).lengths[e]
+            assert abs(got - want) <= 1e-12 * want
+            checked += 1
+    assert checked > 10 * len(surfaces)
+
+    library_flip = conesurf.flip_edge
+
+    def normalize(new_diagonal):
+        flips = []
+
+        def recorded(s, e):
+            flips.append(e)
+            flipped = library_flip(s, e)
+            return flipped.with_edge_length(e, new_diagonal(s, e), flipped.check_angles)
+
+        monkeypatch.setattr(conesurf, "flip_edge", recorded)
+        return delaunay_normalize(surf), flips
+
+    total = 0
+    for surf in surfaces:
+        got, got_flips = normalize(lambda s, e: library_flip(s, e).lengths[e])
+        want, want_flips = normalize(developed_flip_length)
+        assert got_flips == want_flips
+        assert got.faces == want.faces
+        np.testing.assert_allclose(got.lengths, want.lengths, rtol=1e-12, atol=0)
+        total += len(got_flips)
+    assert total > 0
 
 
 # -- the corner-angle kernel and its closed-form derivative -----------------

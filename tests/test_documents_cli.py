@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +38,6 @@ PI = np.pi
 
 
 def run_cli(args):
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
-
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -349,6 +348,8 @@ def test_reused_parser_matches_fresh_interpreters(tmp_path):
         ["classify-sphere", "--input", str(sphere_path), "--positive"],
         ["nonexistent-command"],
         ["speed-check", *curve_arg],
+        ["speed-check", *curve_arg, "--tolerance-scale", "inf"],
+        ["speed-check", *curve_arg],
     ]
     fresh = [
         subprocess.Popen(
@@ -364,12 +365,29 @@ def test_reused_parser_matches_fresh_interpreters(tmp_path):
     # the flags decide these calls, so a flag left over from a previous call
     # would show
     assert [code for _, code in expected[:4]] == [2, 0, 0, 2]
+    # usage errors are input errors, and leave nothing behind either
+    assert [code for _, code in expected[7:]] == [1, 2, 1, 2]
     for call, (out, code) in zip(calls, expected):
         try:
             got = run_cli(call)
         except SystemExit as err:
             got = (err.code, "", "")
         assert got[:2] == (code, out), call
+
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf", "abc"])
+def test_a_tolerance_scale_not_finite_and_positive_is_an_input_error(tmp_path, scale):
+    """0 used to mean 1, -1 and nan rejected every curve as a domain
+    rejection, inf passed every curve, and abc was an argparse exit 2."""
+    path = tmp_path / "curve.json"
+    path.write_text(docs.canonical_json(docs.envelope("causal-curve.json", _curve_payload())))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["speed-check", "--input", str(path), "--tolerance-scale", scale])
+    assert exc.value.code == 1
+    assert out.getvalue() == ""
+    assert f"input error: argument --tolerance-scale: must be a finite number > 0, got {scale!r}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def _curve_payload():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone import catalog
 from adscone.catalog import (
@@ -268,18 +270,74 @@ def test_wedge_family_positive_masses():
         assert s.mass > 0
 
 
-@pytest.mark.parametrize("lam", [1 - 1e-9, 1 - 1e-11, 1 + 1e-11, 1 + 1e-9])
+@pytest.mark.parametrize("lam", [1 - 1e-9, 1 - 1e-11, 1 + 1e-11, 1 + 1e-9, 1 + 3e-10])
 def test_wedge_family_near_the_null_apex(lam):
     """classify_ray alone decides whether the apex is null: within its
-    threshold (|<x,x>| <= 1e-10 |x|^2) the link is the graviton; outside it
-    the result is a link or a GeometryError, never a raw numpy error."""
+    threshold (|<x,x>| <= 1e-10 |x|^2) the link is the graviton.  Just
+    outside it the deficit or mass is below what the trace classifier
+    resolves, and the family raises a GeometryError that says so."""
     if abs(lam - 1) < 1e-10:
         assert classify_singularity(wedge_family_link(lam)).kind is SingKind.GRAVITON_POSITIVE
         return
-    try:
-        classify_singularity(wedge_family_link(lam))
-    except GeometryError:
-        pass
+    with pytest.raises(GeometryError, match="resolution of the trace classifier") as err:
+        wedge_family_link(lam)
+    assert type(err.value) is GeometryError
+
+
+# (lambda, kind, angle, mass, degree, is_positive) of the links the earlier
+# construction (stabilizer maps, a null-rotation secant solve and an eigen-
+# decomposition of the gluing) gave, to 17 digits
+WEDGE_FAMILY_RECORD = [
+    (0.01, SingKind.MASSIVE_PARTICLE, 5.19359491617095, 0.1734136966744555, None, True),
+    (0.3, SingKind.MASSIVE_PARTICLE, 5.466561321358489, 0.1299697439908335, None, True),
+    (0.6, SingKind.MASSIVE_PARTICLE, 5.722587540220054, 0.0892219056978879, None, True),
+    (0.9, SingKind.MASSIVE_PARTICLE, 6.024628685549788, 0.041150564401523204, None, True),
+    (0.99, SingKind.MASSIVE_PARTICLE, 6.203192032666369, 0.012731325052885434, None, True),
+    (0.9999, SingKind.MASSIVE_PARTICLE, 6.275204750281367, 0.0012701450789777136, None, True),
+    (0.9999999, SingKind.MASSIVE_PARTICLE, 6.282932945780333, 4.016456413680203e-05, None, True),
+    (1.0, SingKind.GRAVITON_POSITIVE, None, None, None, True),
+    (1.001, SingKind.TACHYON, None, 0.05046033454621321, None, True),
+    (1.1, SingKind.TACHYON, None, 0.49318282993083523, None, True),
+    (1.4, SingKind.TACHYON, None, 0.9256017242196558, None, True),
+    (2.0, SingKind.TACHYON, None, 1.3149028291731386, None, True),
+    (3.0, SingKind.TACHYON, None, 1.6177708441196392, None, True),
+    (20.0, SingKind.TACHYON, None, 2.200911063697474, None, True),
+]
+
+
+@pytest.mark.parametrize("lam, kind, angle, mass, degree, positive", WEDGE_FAMILY_RECORD)
+def test_wedge_family_matches_the_recorded_links(lam, kind, angle, mass, degree, positive):
+    s = classify_singularity(wedge_family_link(lam))
+    assert (s.kind, s.degree, s.is_positive) == (kind, degree, positive)
+    for got, want in ((s.angle, angle), (s.mass, mass)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert abs(got - want) <= 1e-12
+
+
+_WEDGE_LAMBDAS = st.floats(0.01, 1 - 1e-8) | st.floats(1 + 1e-8, 20.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(a=_WEDGE_LAMBDAS, b=_WEDGE_LAMBDAS)
+def test_wedge_family_builds_and_grows_on_both_sides(a, b):
+    """Away from the null apex every apex gives a positive link: a particle
+    whose angle rises with lambda below 1, a tachyon whose mass rises above."""
+    lo, hi = sorted((a, b))
+    s_lo, s_hi = (classify_singularity(wedge_family_link(lam)) for lam in (lo, hi))
+    for lam, s in ((lo, s_lo), (hi, s_hi)):
+        assert s.kind is (SingKind.MASSIVE_PARTICLE if lam < 1 else SingKind.TACHYON)
+        assert s.is_positive
+    if hi < 1:
+        assert s_lo.angle <= s_hi.angle
+    if lo > 1:
+        assert s_lo.mass <= s_hi.mass
+
+
+@pytest.mark.parametrize("lam", [-0.9, -1.0, -3.0, np.nan, np.inf])
+def test_wedge_family_rejects_an_apex_on_the_arc_side(lam):
+    with pytest.raises(GeometryError, match="apex must stay opposite the arc"):
+        wedge_family_link(lam)
 
 
 def test_surgery_realizable_fixture_fails_loudly_not_silently():

@@ -11,7 +11,6 @@ from adscone.linalg import (
     causal_class,
     classify_ray,
     cross,
-    cross12,
     dot22,
     frame_coordinates,
     is_future,
@@ -174,7 +173,7 @@ def test_orthonormal_frame():
         assert np.allclose(c[0] * t + c[1] * f1 + c[2] * f2, u, atol=1e-9)
 
 
-def test_cross12_determinant():
+def test_cross12_determinant(cross12):
     for _ in range(100):
         a, b = RNG.randn(3), RNG.randn(3)
         c = cross12(a, b)

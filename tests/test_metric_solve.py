@@ -115,6 +115,16 @@ def test_failing_solves_match_the_per_trial_oracle(solve_metric_calls, per_trial
             assert got == _outcome(per_trial_solve_metric, *args)
 
 
+@pytest.mark.parametrize("length_targets", [None, {}])
+def test_nothing_to_solve_gives_a_new_surface_with_the_same_lengths(length_targets):
+    sphere = catalog.double_triangle_sphere(0.5, 0.6, 0.7)
+    got = catalog.solve_metric(sphere, {}, length_targets)
+    assert got is not sphere
+    assert got.lengths.tobytes() == sphere.lengths.tobytes()
+    assert got.cone_angles == sphere.cone_angles
+    assert got.faces == sphere.faces and got.edges == sphere.edges
+
+
 def test_a_solve_builds_one_surface(monkeypatch, solve_metric_calls):
     """Trials are evaluated on the length vector; only the result is a
     ConeSurface."""

@@ -69,3 +69,18 @@ def test_every_tolerance_is_a_used_number():
             used |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [n for n in names if n not in used] == []
     assert len(set(names)) == len(names)
+
+
+def test_every_allowlisted_literal_is_still_there():
+    """An allowlist entry outlives neither its function nor its literals:
+    a stale entry would let a new threshold in at that site unnoticed."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for scope, value in _small_float_literals(path):
+            found.setdefault((path.stem, scope), set()).add(value)
+    stale = [
+        f"{module}: {scope}: {sorted(allowed - found.get((module, scope), set()))}"
+        for (module, scope), (allowed, _) in ALGORITHM_LITERALS.items()
+        if not allowed <= found.get((module, scope), set())
+    ]
+    assert not stale, "allowlisted literals no longer in the code:\n" + "\n".join(stale)
