@@ -21,6 +21,7 @@ from .conesurf import (
     Side,
     angle_sum_jacobian,
     checked_sides,
+    cone_area,
     corner_table,
     law_of_cosines,
     long_sides,
@@ -54,12 +55,15 @@ def solve_metric(
 
     Damped Gauss-Newton on log lengths with the closed-form Jacobian of the
     hyperbolic law of cosines (conesurf.angle_sum_jacobian); the system is
-    usually underdetermined and the minimum-norm step keeps the result close
-    to the seed metric.  With continuation_steps > 1 the goals are walked
-    from the seed metric's own values to the requested ones, which keeps
-    every intermediate problem feasible.  Raises LinkRealizationError when
-    the residual cannot be driven to zero (the requested data has no
-    hyperbolic realization near the seed).
+    usually underdetermined, and the minimum-norm step picks the point of
+    the solution family that the seed leads to.  So the seed decides both
+    which solution comes back and whether one is found: the constructions
+    below build theirs from the cone data they ask for.  With
+    continuation_steps > 1 the goals are walked from the seed metric's own
+    values to the requested ones, which keeps every intermediate problem
+    feasible.  Raises LinkRealizationError when the residual cannot be
+    driven to zero from this seed ("stalled" when no damping rung lowers
+    it).
 
     Each trial is evaluated on the length vector with the surface's own
     length checks and corner kernel on the corner tables of its
@@ -209,10 +213,16 @@ def _square_torus_complex(inner: list[tuple[float, float]]):
 
 
 def torus_with_cone_point(
-    theta: float, scale: float = 0.95, rim_length: float | None = None
+    theta: float, rim_length: float | None = None
 ) -> tuple[ConeSurface, DiskSpec]:
     """A hyperbolic torus with one cone point of angle theta < 2 pi, with the
     cone point inside an embedded 3-face disk (the star of the point).
+
+    The solve starts from the plane square complex scaled by
+    sqrt(2 pi - theta), so that the seed's Euclidean area equals the
+    Gauss-Bonnet area cone_area([theta], 0) of the target.  A seed that
+    grows and shrinks with the defect lets the solve reach angles near both
+    ends of (0, 2 pi); it still stalls below theta ~ 0.05.
 
     rim_length, when given, prescribes the length of each of the three rim
     edges of that disk (collision surgery wants a roomy collar).
@@ -246,7 +256,7 @@ def torus_with_cone_point(
     seed = ConeSurface(
         tuple(all_edges),
         faces,
-        scale * np.asarray(all_lengths),
+        math.sqrt(cone_area([theta], 0)) * np.asarray(all_lengths),
         {p: theta},
         check_angles=False,
     )
@@ -260,26 +270,86 @@ def torus_with_cone_point(
     return surf, disk
 
 
+# the apex angles fall like exp(-t); past this lift they are below ~1e-27,
+# and the solver is left to make up the rest (sinh(spoke + t) stays finite)
+_MAX_LIFT = 64.0
+
+
+def _cone_over_face(sides: list[float], theta: float) -> list[float]:
+    """Spoke lengths from a new vertex inside the hyperbolic triangle with
+    the given sides (side k from corner k to corner k+1) to its corners
+    0, 1, 2, for a new cone angle theta.
+
+    The vertex starts at the hyperbolic centroid, the normalized sum of the
+    three corners on the hyperboloid: with C_k = cosh(side k),
+        cosh(spoke k) = (1 + C_k + C_{k-1}) / sqrt(3 + 2 (C_0 + C_1 + C_2)),
+    which splits the triangle without changing its metric (a smooth point,
+    angle 2 pi).  For 0 < theta < 2 pi every spoke is then lifted by one
+    common t >= 0, found by bisection, until the three apex angles sum to
+    theta.  A lift keeps each difference of spokes, so every sub-triangle
+    stays a triangle and its apex angle, from the half-angle form
+        sin^2(apex k / 2) = sinh((l + dd)/2) sinh((l - dd)/2) / (sinh a sinh b)
+    (base l = side k, spokes a, b to its ends, dd = a - b), falls
+    monotonically with t."""
+    ch = [math.cosh(length) for length in sides]
+    norm = math.sqrt(3.0 + 2.0 * sum(ch))
+    spokes = [math.acosh(max((1.0 + ch[k] + ch[k - 1]) / norm, 1.0)) for k in range(3)]
+    if not 0 < theta < TWO_PI:
+        return spokes
+    bases = []  # (spoke to corner k, spoke to corner k+1, the numerator for side k)
+    for k in range(3):
+        a, b = spokes[k], spokes[(k + 1) % 3]
+        numerator = math.sinh((sides[k] + a - b) / 2) * math.sinh((sides[k] - a + b) / 2)
+        bases.append((a, b, max(numerator, 0.0)))
+
+    def apex_sum(t: float) -> float:
+        return 2.0 * sum(
+            math.asin(math.sqrt(min(n / (math.sinh(a + t) * math.sinh(b + t)), 1.0)))
+            for a, b, n in bases
+        )
+
+    lo, hi = 0.0, 1.0
+    while apex_sum(hi) > theta and hi < _MAX_LIFT:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if apex_sum(mid) > theta:
+            lo = mid
+        else:
+            hi = mid
+    return [spoke + hi for spoke in spokes]
+
+
 def subdivide_face_with_cone(
     s: ConeSurface, face: int, theta: float
 ) -> tuple[ConeSurface, DiskSpec, int]:
-    """Split a face barycentrically and make the new vertex a cone point of
-    angle theta, then re-solve the metric of the whole surface (every edge
-    length is free; the minimum-norm step stays near the old metric).
+    """Split a face at a new vertex and make it a cone point of angle theta,
+    then re-solve the metric of the whole surface (every edge length is
+    free; the minimum-norm step stays near the seed).
+
+    The seed is the cone over the face (_cone_over_face): the new vertex at
+    the face's hyperbolic centroid, its three spokes lifted by a common
+    amount until the new vertex has angle theta.  Nothing outside the face
+    moves, so the solve only has to restore the angle sums at the face's
+    three corners.
 
     Returns (surface, disk around the new point, new vertex id)."""
     corners = s.face_corners(face)
     if len(set(corners)) != 3:
         raise GeometryError("subdivision needs a face with three distinct corners")
+    s.corner_angle(face, 0)  # NotHyperbolicError for a face whose sides overflow cosh
     new_v = max(s.vertices) + 1
     edges = list(s.edges)
     lengths = list(s.lengths)
+    old_sides = s.faces[face]
+    spokes = _cone_over_face([float(s.lengths[side.edge]) for side in old_sides], theta)
     spoke = {}
-    for v in corners:
+    for v, length in zip(corners, spokes):
         spoke[v] = len(edges)
         edges.append((new_v, v))
-        lengths.append(max(float(np.max(s.lengths)), 0.5))
-    old_sides = s.faces[face]
+        lengths.append(length)
     new_faces = list(s.faces)
     replacement = [
         (Side(spoke[corners[0]]), old_sides[0], Side(spoke[corners[1]], False)),
@@ -611,7 +681,9 @@ def wedge_family_link(lam: float) -> LinkCircle:
             f"lambda > -cos({WEDGE_ARC[1]})"
         )
     p1, p2 = (np.array([1.0, math.cos(b), math.sin(b)]) for b in WEDGE_ARC)
-    x = np.array([1.0, -lam, 0.0])
+    # t below is homogeneous of degree 0 in x: a power of two as large as lam
+    # keeps <x,x> finite for every finite lam, without rounding
+    x = np.ldexp(np.array([1.0, -lam, 0.0]), -math.frexp(max(1.0, lam))[1])
     cls = classify_ray(x)
     if cls.is_boundary:
         return link_of_type(SingularityType(SingKind.GRAVITON_POSITIVE))

@@ -820,19 +820,33 @@ def _needs_flip(s: ConeSurface, e: int) -> bool:
 
 
 def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
-    """Replace the diagonal e of its two adjacent triangles by the other one."""
+    """Replace the diagonal e of its two adjacent triangles by the other one.
+
+    The quadrilateral they form must be convex: where the two corners at
+    either end of e sum to pi or more, the other diagonal leaves it, and a
+    flip would change the cone angles, so it raises GeometryError naming
+    that vertex and angle sum instead."""
     uses = _uses_of(s, e)
     if len(uses) != 2:
         raise GeometryError("cannot flip a boundary edge")
     (f1, i1), (f2, i2) = uses
     if f1 == f2:
         raise GeometryError("cannot flip a self-glued edge")
-    # the new diagonal by the law of cosines at the tail of e in f1 (corner
-    # i1 of f1, corner i2 + 1 of f2), across both corner angles there
+    # the quadrilateral's angles at the tail of e in f1 (corner i1 of f1,
+    # corner i2 + 1 of f2) and at its head (corner i1 + 1 of f1, i2 of f2)
+    tail = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
+    head = s.corner_angle(f1, (i1 + 1) % 3) + s.corner_angle(f2, i2)
+    for corner, angle in ((i1, tail), ((i1 + 1) % 3, head)):
+        if angle >= PI:
+            raise GeometryError(
+                f"cannot flip edge {e}: the quadrilateral is not convex at vertex "
+                f"{s.face_corners(f1)[corner]}, where its corners sum to {angle:.6g} >= pi"
+            )
+    # the new diagonal by the law of cosines at the tail, across both corner
+    # angles there
     into = s.lengths[s.faces[f1][(i1 + 2) % 3].edge]  # the side into the tail in f1
     out_of = s.lengths[s.faces[f2][(i2 + 1) % 3].edge]  # the side out of the tail in f2
-    angle = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
-    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(angle)
+    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
     if not cosh_new > 1.0:
         raise NotHyperbolicError("flip would degenerate the quadrilateral")
     new_len = float(np.arccosh(cosh_new))

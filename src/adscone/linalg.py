@@ -13,6 +13,7 @@ two hyperbolic disks, a de Sitter band and two null circles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -217,15 +218,22 @@ def classify_ray(y: Mink3Vec) -> HSPointClass:
     """Class of the ray R+ * y in HS^2, stable under the library's own noise.
 
     A ray counts as lightlike when |<y,y>| <= NULL_REL * |y|^2 (Euclidean
-    norm), so the decision is invariant under positive rescaling.
+    norm), so the decision is invariant under positive rescaling.  The ray
+    is first scaled by the power of two that brings its largest entry into
+    [1/2, 1), which rounds nothing the squares would keep: a ray whose
+    squares are finite gets the decision it would get unscaled, and any
+    other finite nonzero ray gets one too (|y|^2 ends up in [1/4, 3)).
     """
-    y = np.asarray(y, dtype=float)
-    scale = float(np.dot(y, y))
-    if scale == 0.0 or not np.isfinite(scale):
+    entries = np.asarray(y, dtype=float).tolist()
+    largest = max(map(abs, entries))
+    if largest == 0.0 or not all(map(math.isfinite, entries)):
         raise ValueError("zero or non-finite ray representative")
-    q = dot12(y, y)
+    exponent = math.frexp(largest)[1]
+    t, a, b = (math.ldexp(v, -exponent) for v in entries)
+    scale = t * t + a * a + b * b
+    q = -t * t + a * a + b * b  # dot12(y, y)
     if abs(q) <= NULL_REL * scale:
-        return HSPointClass.BOUNDARY_PLUS if y[0] > 0 else HSPointClass.BOUNDARY_MINUS
+        return HSPointClass.BOUNDARY_PLUS if t > 0 else HSPointClass.BOUNDARY_MINUS
     if q < 0:
-        return HSPointClass.H2_PLUS if y[0] > 0 else HSPointClass.H2_MINUS
+        return HSPointClass.H2_PLUS if t > 0 else HSPointClass.H2_MINUS
     return HSPointClass.DS2

@@ -266,6 +266,50 @@ def _benchmark_cone_surfaces(seed):
     return out
 
 
+def _quadrilateral_angles(surf, e):
+    """The angles of the quadrilateral around e at the two ends of e, each
+    the sum of the corners of its two faces there."""
+    (f1, i1), (f2, i2) = _uses_of(surf, e)
+    angles = surf.corner_angles()
+    ends1 = surf.face_corners(f1)[i1], surf.face_corners(f1)[(i1 + 1) % 3]
+    at = {v: angles[f1, i] for v, i in zip(ends1, (i1, (i1 + 1) % 3))}
+    ends2 = surf.face_corners(f2)[i2], surf.face_corners(f2)[(i2 + 1) % 3]
+    assert ends2 == ends1[::-1]  # the two faces traverse e both ways
+    return [at[v] + angles[f2, i] for v, i in zip(ends2, (i2, (i2 + 1) % 3))]
+
+
+def _kite(spoke, rim, diagonal):
+    """Two triangles (0, 1, 2) and (0, 2, 3) glued along the diagonal 0-2
+    (edge 0), with sides 0-1 and 0-3 of length spoke and 1-2 and 2-3 of
+    length rim: a quadrilateral disk, symmetric about the diagonal."""
+    edges = ((0, 2), (0, 1), (1, 2), (2, 3), (3, 0))
+    faces = (
+        (Side(1), Side(2), Side(0, False)),
+        (Side(0), Side(3), Side(4)),
+    )
+    lengths = np.array([diagonal, spoke, rim, rim, spoke])
+    return ConeSurface(edges, faces, lengths)
+
+
+def test_flip_refuses_a_non_convex_quadrilateral():
+    """Across a kite whose angle at vertex 0 exceeds pi the other diagonal
+    runs outside it: the flip names the vertex and its angle sum."""
+    kite = _kite(0.3, 2.2, 2.0)
+    angles = _quadrilateral_angles(kite, 0)
+    assert angles[0] > PI > angles[1]  # at vertex 0, and not at vertex 2
+    with pytest.raises(GeometryError, match=r"^cannot flip edge 0: .* at vertex 0, where its corners sum to ") as err:
+        flip_edge(kite, 0)
+    assert f"{angles[0]:.6g} >= pi" in str(err.value)
+    # the same kite, convex (a shorter diagonal): the flip keeps the corner
+    # sums at the ends of the old diagonal, now split by none
+    convex = _kite(1.0, 1.2, 1.5)
+    assert max(_quadrilateral_angles(convex, 0)) < PI
+    flipped = flip_edge(convex, 0)
+    before = convex.vertex_angle_sums()
+    after = flipped.vertex_angle_sums()
+    assert all(abs(before[v] - after[v]) < 1e-12 for v in before)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
     """On the benchmark's cone surfaces, every flippable edge gets the
@@ -275,26 +319,32 @@ def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
     from adscone import conesurf
 
     surfaces = _benchmark_cone_surfaces(seed)
-    checked = 0
+    checked = refused = 0
     for surf in surfaces:
-        # a flip across a non-convex quadrilateral moves angle sums, which a
-        # surface with its angle check on rejects; the diagonal is compared
-        # on every edge that has two distinct faces
-        unchecked = surf.with_lengths(surf.lengths)
+        # every edge that has two distinct faces: across a non-convex
+        # quadrilateral the flip is refused, across a convex one it keeps
+        # every angle sum (the surfaces have their angle check on) and the
+        # diagonal is compared
         for e in range(len(surf.edges)):
             uses = _uses_of(surf, e)
             if len(uses) != 2 or uses[0][0] == uses[1][0]:
+                continue
+            if max(_quadrilateral_angles(surf, e)) >= PI:
+                with pytest.raises(GeometryError, match=f"cannot flip edge {e}: .* not convex"):
+                    flip_edge(surf, e)
+                refused += 1
                 continue
             try:
                 want = developed_flip_length(surf, e)
             except NotHyperbolicError:
                 with pytest.raises(NotHyperbolicError):
-                    flip_edge(unchecked, e)
+                    flip_edge(surf, e)
                 continue
-            got = flip_edge(unchecked, e).lengths[e]
+            got = flip_edge(surf, e).lengths[e]
             assert abs(got - want) <= 1e-12 * want
             checked += 1
     assert checked > 10 * len(surfaces)
+    assert refused > 0
 
     library_flip = conesurf.flip_edge
 
@@ -474,24 +524,92 @@ def test_subdivided_torus_satisfies_its_cone_angles(theta, eta, face):
 
 
 def test_metric_solve_stall_is_reported():
+    """A corner the cone seed does not reach: a small new angle on face 1 of
+    a host with a large one."""
     surf, _ = torus_with_cone_point(4.5)
     with pytest.raises(LinkRealizationError, match="stalled"):
-        subdivide_face_with_cone(surf, 7, 5.45)
+        subdivide_face_with_cone(surf, 1, 0.2)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=LinkRealizationError,
-    reason=(
-        "known defect: near the ends of (0, 2 pi) the seed metric is too far "
-        "from the solution for the minimum-norm Gauss-Newton step, and the "
-        "torus solve stalls; more continuation steps do not help"
-    ),
-)
-@pytest.mark.parametrize("theta", [0.2, 5.9])
+@pytest.mark.parametrize("theta", [0.1, 0.2, 0.4, 5.59, 5.9, 6.0, 6.2])
 def test_torus_solves_near_the_ends_of_its_range(theta):
+    """The seed scaled to the target's area reaches the angles near both
+    ends of (0, 2 pi) where a fixed-size seed stalled."""
     surf, _ = torus_with_cone_point(theta)
     assert abs(surf.vertex_angle_sums([4])[4] - theta) < 1e-9
+    assert surf.check_angles and not surf.angle_defect_report()
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0, 6.0])
+def test_torus_seed_has_the_target_area(theta, solve_metric_calls):
+    """The solve starts from the unit square complex scaled so that its
+    plane area, the square's side squared, is the Gauss-Bonnet area
+    2 pi - theta of the target."""
+    torus_with_cone_point(theta)
+    seed = solve_metric_calls[0][0]
+    side = seed.lengths[0]  # edge a, the bottom of the square
+    assert abs(side * side - cone_area([theta], 0)) < 1e-12
+    assert seed.lengths[1] == side  # edge b, its right side
+
+
+def _subdivision_seed(surf, face, eta, solve_metric_calls):
+    del solve_metric_calls[:]
+    out = subdivide_face_with_cone(surf, face, eta)
+    return solve_metric_calls[0][0], out
+
+
+@pytest.mark.parametrize("face", [1, 3, 5, 7, 8, 9])
+@pytest.mark.parametrize("eta", [0.05, 1.0, 4.0, 6.2])
+def test_subdivision_seed_is_the_cone_over_the_face(face, eta, solve_metric_calls):
+    """The seed keeps every old edge, and its new vertex already has the
+    target angle; the three corners of the split face are what is left for
+    the solver."""
+    surf, _ = torus_with_cone_point(2.0)
+    seed, (refined, _, v) = _subdivision_seed(surf, face, eta, solve_metric_calls)
+    n = len(surf.edges)
+    assert seed.lengths[:n].tobytes() == surf.lengths.tobytes()
+    sums = seed.vertex_angle_sums()
+    assert abs(sums[v] - eta) < 1e-12
+    corners = set(surf.face_corners(face))
+    assert all(abs(sums[u] - 2 * PI) < 1e-9 for u in surf.vertices if u not in corners | {4})
+    assert abs(refined.vertex_angle_sums([v])[v] - eta) < 1e-9
+
+
+@pytest.mark.parametrize("scale", [300.0, 1000.0])
+def test_subdividing_a_face_with_overflowing_sides_is_not_hyperbolic(scale):
+    """Sides so long that cosh overflows in the seed (scale 1000) fail as
+    the corner kernel fails on sides whose products overflow (scale 300)."""
+    surf, _ = torus_with_cone_point(2.0)
+    big = surf.with_lengths(surf.lengths * scale)
+    with pytest.raises(NotHyperbolicError, match="degenerate corner at face"):
+        subdivide_face_with_cone(big, 1, 1.0)
+
+
+@pytest.mark.parametrize("face", [1, 3, 5, 7, 8, 9])
+def test_a_smooth_point_at_the_centroid_keeps_the_metric(face, solve_metric_calls):
+    """With angle 2 pi the seed is the old metric split at the face's
+    hyperbolic centroid: every vertex keeps its angle sum, and the solve
+    moves no edge by more than 1e-12."""
+    surf, _ = torus_with_cone_point(2.0)
+    seed, (refined, _, v) = _subdivision_seed(surf, face, 2 * PI, solve_metric_calls)
+    before, sums = surf.vertex_angle_sums(), seed.vertex_angle_sums()
+    assert all(abs(sums[u] - before[u]) < 1e-12 for u in before)
+    assert abs(sums[v] - 2 * PI) < 1e-12
+    assert np.abs(refined.lengths - seed.lengths).max() < 1e-12
+    # the spokes reach the corners of the face developed on the hyperboloid
+    # from the normalized sum of those corners
+    side = [surf.lengths[s.edge] for s in surf.faces[face]]  # side k: corner k to k+1
+    alpha = surf.corner_angle(face, 0)
+    points = np.array([
+        [1.0, 0.0, 0.0],
+        [np.cosh(side[0]), np.sinh(side[0]), 0.0],
+        [np.cosh(side[2]), np.sinh(side[2]) * np.cos(alpha), np.sinh(side[2]) * np.sin(alpha)],
+    ])
+    centroid = points.sum(axis=0)
+    centroid /= np.sqrt(centroid[0] ** 2 - centroid[1] ** 2 - centroid[2] ** 2)
+    for k, p in enumerate(points):
+        want = np.arccosh(centroid[0] * p[0] - centroid[1] * p[1] - centroid[2] * p[2])
+        assert abs(seed.lengths[len(surf.edges) + k] - want) < 1e-12
 
 
 # -- structure and loop holonomy ---------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,20 @@ def test_wedge_family_builds_and_grows_on_both_sides(a, b):
         assert s_lo.angle <= s_hi.angle
     if lo > 1:
         assert s_lo.mass <= s_hi.mass
+
+
+@pytest.mark.parametrize("lam", [1e155, 1e300, np.finfo(float).max])
+def test_wedge_family_far_from_the_apex(lam):
+    """An apex far out in the de Sitter plane: the tachyon of the limit
+    apex direction (0, -1, 0), whose wedge sides meet with
+    1 + c = (cos 1.1 - 1) / cos(0.55)^2, with no numpy warning."""
+    t = (np.cos(1.1) - 1.0) / np.cos(0.55) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = classify_singularity(wedge_family_link(lam))
+    assert s.kind is SingKind.TACHYON and s.is_positive
+    assert abs(s.mass - 4.0 * np.arcsinh(np.sqrt(-t / 2.0))) <= 1e-12
+    assert abs(s.mass - 2.3201) < 1e-4
 
 
 @pytest.mark.parametrize("lam", [-0.9, -1.0, -3.0, np.nan, np.inf])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,30 @@ def test_classify_ray_table():
     assert classify_ray(np.array([-1.0, 0, 1])) is HSPointClass.BOUNDARY_MINUS
     with pytest.raises(ValueError):
         classify_ray(np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-320, 1e-300, 1e-160, 1e155, 1e300])
+def test_classify_ray_at_extreme_scales(scale):
+    """Rays whose squares overflow or underflow get the class of the unit
+    ray, with no numpy warning."""
+    table = [
+        ([1.0, 0, 0], HSPointClass.H2_PLUS),
+        ([-1.0, 0.5, 0], HSPointClass.H2_MINUS),
+        ([0.0, 1, 0], HSPointClass.DS2),
+        ([1.0, 1, 0], HSPointClass.BOUNDARY_PLUS),
+        ([-1.0, 0, 1], HSPointClass.BOUNDARY_MINUS),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y, cls in table:
+            assert classify_ray(scale * np.array(y)) is cls
+        assert classify_ray(np.array([np.finfo(float).max, 0, 0])) is HSPointClass.H2_PLUS
+
+
+@pytest.mark.parametrize("y", [[0.0, 0, 0], [np.nan, 1, 0], [1.0, np.inf, 0], [-np.inf, 0, 0]])
+def test_classify_ray_rejects_zero_and_non_finite_rays(y):
+    with pytest.raises(ValueError, match="^zero or non-finite ray representative$"):
+        classify_ray(np.array(y))
 
 
 def test_classify_ray_scale_invariant():

@@ -41,17 +41,49 @@ def test_cone_surface_solves_match_the_per_trial_oracle(
     seed, solve_metric_calls, per_trial_solve_metric
 ):
     """Every solve of the cone-surfaces benchmark inputs: the torus and the
-    subdivided torus, stalls included."""
+    subdivided torus.  None of them stalls; the stalls the oracle is held
+    to are those of test_partial_targets_match_the_per_trial_oracle and
+    test_failing_solves_match_the_per_trial_oracle."""
     for op in corpus.cone_inputs(seed):
-        try:
-            surf, _ = catalog.torus_with_cone_point(op.theta)
-            catalog.subdivide_face_with_cone(surf, op.face, op.eta)
-        except GeometryError:
-            pass
+        surf, _ = catalog.torus_with_cone_point(op.theta)
+        catalog.subdivide_face_with_cone(surf, op.face, op.eta)
     calls = list(solve_metric_calls)
+    assert len(calls) == 2 * len(corpus.cone_inputs(seed))
     outcomes = _assert_solves_match(calls, per_trial_solve_metric)
-    assert any(isinstance(o[1], str) and "stalled" in o[1] for o in outcomes)
-    assert sum(isinstance(o[0], bytes) for o in outcomes) > len(outcomes) // 2
+    assert all(isinstance(o[0], bytes) for o in outcomes)
+
+
+def test_cone_surface_solver_work_stays_bounded(monkeypatch):
+    """The work of every metric solve behind the cone-surfaces benchmark
+    inputs of seeds 1-3 (216 tori, each subdivided once), as counts that
+    repeat exactly: linear solves, Jacobian builds and stalls.  Seeds sized
+    to the target cone data take 3,605 solves, 2,566 Jacobians and no
+    stall; a fixed-size torus seed and longest-edge spokes took 11,623,
+    5,119 and 30.  The bounds leave room for a different but equally good
+    seed, not for the old ones."""
+    counts = {"solves": 0, "jacobians": 0, "stalls": 0}
+    linear_solve, jacobian = np.linalg.solve, catalog.angle_sum_jacobian
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solves", linear_solve))
+    monkeypatch.setattr(catalog, "angle_sum_jacobian", counted("jacobians", jacobian))
+    for seed in (1, 2, 3):
+        for op in corpus.cone_inputs(seed):
+            try:
+                surf, _ = catalog.torus_with_cone_point(op.theta)
+                catalog.subdivide_face_with_cone(surf, op.face, op.eta)
+            except LinkRealizationError as err:
+                assert "stalled" in str(err)
+                counts["stalls"] += 1
+    assert counts["stalls"] == 0
+    assert counts["solves"] <= 6000
+    assert counts["jacobians"] <= 3500
 
 
 @pytest.mark.parametrize("theta", [4.0, 4.5, 5.0])
