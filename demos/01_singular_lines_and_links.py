@@ -6,12 +6,14 @@ Every model spacetime carries singular lines whose links are projective
 circles: elliptic circles for massive particles, degree-2 hyperbolic circles
 for tachyons, degree-2 parabolic circles for gravitons, degree-0 circles for
 the singularities of (possibly extreme) BTZ black holes.  The classification
-of the link recovers the defining data of the model.
+of the link recovers the defining data of the model.  A regular point is the
+calibration: its link is elliptic of angle exactly 2 pi.
 """
 
 import numpy as np
 
 from adscone.links import classify_singularity
+from adscone.rp1 import regular_point_link
 from adscone.spacetimes import (
     black_hole_spacetime,
     cone_spacetime,
@@ -32,6 +34,9 @@ models = [
     ("negative graviton", graviton_spacetime(-1)),
     ("extreme black hole", extreme_spacetime()),
 ]
+
+regular = classify_singularity(regular_point_link())
+print(f"regular point: {regular.kind.value}, angle={regular.angle:.6f} (2 pi = {2 * np.pi:.6f})")
 
 for label, model in models:
     print(f"\n{label}")

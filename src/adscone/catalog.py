@@ -77,7 +77,10 @@ def solve_metric(
 
     The result is always a new surface, never the one passed in, so the
     constructions below may switch its angle check on in place
-    (ConeSurface._switch_on_angle_check).
+    (ConeSurface._switch_on_angle_check).  It shares the structure of the
+    surface passed in and carries the corner table of its last accepted
+    trial, so its angle sums, angle check and loop holonomies do not
+    evaluate the law of cosines again.
     """
     length_targets = dict(length_targets or {})
     if not targets and not length_targets:
@@ -154,7 +157,7 @@ def solve_metric(
                     )
             else:
                 raise LinkRealizationError("metric solve did not converge")
-    return surface.with_lengths(lengths)
+    return surface.with_lengths(lengths)._keep_corners(corners)
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +180,38 @@ def double_triangle_sphere(alpha: float, beta: float, gamma: float) -> ConeSurfa
     return ConeSurface(edges, faces, lengths, cones)
 
 
-def _square_torus_complex(inner: list[tuple[float, float]]):
-    """Combinatorics and plane seed coordinates of the one-holed square torus
-    with an inner triangle (q1, q2, q3); corners C1..C4 all map to vertex 0."""
-    q1, q2, q3 = inner
-    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    coords = {"C1": corners[0], "C2": corners[1], "C3": corners[2], "C4": corners[3],
-              "q1": q1, "q2": q2, "q3": q3}
-    # vertex ids: 0 = square corner, 1..3 = rim
-    vid = {"C1": 0, "C2": 0, "C3": 0, "C4": 0, "q1": 1, "q2": 2, "q3": 3}
+@functools.cache
+def _torus_seed(roomy: bool) -> ConeSurface:
+    """The plane square complex torus_with_cone_point seeds from, one per
+    seed shape: a one-holed unit square whose corners C1..C4 all map to
+    vertex 0, with an inner triangle q1, q2, q3 (vertices 1, 2, 3; roomy for
+    a long collar) coned off at its centroid, vertex 4.  Edges a, b (the
+    square's sides), k1..k7 (square corners to the triangle), r1..r3 (the
+    rim q1 q2, q2 q3, q3 q1) and m1..m3 (the centroid to q1, q2, q3), in that
+    order; faces 0..6 outside the triangle and 7..9 inside it, the star of
+    vertex 4.  Lengths are plane distances (read-only: every caller gets this
+    surface), and no cone angle is set."""
+    if roomy:
+        inner = [(0.5, 0.12), (0.88, 0.62), (0.18, 0.82)]
+    else:
+        inner = [(0.5, 0.28), (0.72, 0.6), (0.34, 0.66)]
+    coords = {"C1": (0.0, 0.0), "C2": (1.0, 0.0), "C3": (1.0, 1.0), "C4": (0.0, 1.0),
+              "q1": inner[0], "q2": inner[1], "q3": inner[2],
+              "p": tuple(np.mean(np.array(inner), axis=0))}
+    vid = {"C1": 0, "C2": 0, "C3": 0, "C4": 0, "q1": 1, "q2": 2, "q3": 3, "p": 4}
     edge_names = [
         ("a", "C1", "C2"), ("b", "C2", "C3"),
         ("k1", "C1", "q1"), ("k2", "C2", "q1"), ("k3", "C2", "q2"),
         ("k4", "C3", "q2"), ("k5", "C3", "q3"), ("k6", "C4", "q3"), ("k7", "C4", "q1"),
         ("r1", "q1", "q2"), ("r2", "q2", "q3"), ("r3", "q3", "q1"),
+        ("m1", "p", "q1"), ("m2", "p", "q2"), ("m3", "p", "q3"),
     ]
     eid = {name: i for i, (name, _, _) in enumerate(edge_names)}
-    edges = [(vid[t], vid[h]) for _, t, h in edge_names]
-    plane = {name: (coords[t], coords[h]) for name, t, h in edge_names}
 
     def S(name, fwd=True):
         return Side(eid[name], fwd)
 
-    outer_faces = [
+    faces = (
         (S("a"), S("k2"), S("k1", False)),
         (S("k3"), S("r1", False), S("k2", False)),
         (S("b"), S("k4"), S("k3", False)),
@@ -207,9 +219,19 @@ def _square_torus_complex(inner: list[tuple[float, float]]):
         (S("a", False), S("k6"), S("k5", False)),
         (S("k7"), S("r3", False), S("k6", False)),
         (S("b", False), S("k1"), S("k7", False)),
-    ]
-    lengths = np.array([np.hypot(p[0] - q[0], p[1] - q[1]) for p, q in plane.values()])
-    return eid, edges, outer_faces, lengths, coords
+        (S("m1"), S("r1"), S("m2", False)),
+        (S("m2"), S("r2"), S("m3", False)),
+        (S("m3"), S("r3"), S("m1", False)),
+    )
+    lengths = [float(np.hypot(*np.subtract(coords[h], coords[t]))) for _, t, h in edge_names]
+    edges = tuple((vid[t], vid[h]) for _, t, h in edge_names)
+    plane = ConeSurface(edges, faces, lengths, check_angles=False)
+    plane.lengths.flags.writeable = False
+    return plane
+
+
+# the rim edges r1, r2, r3 of _torus_seed
+_TORUS_RIM = (9, 10, 11)
 
 
 def torus_with_cone_point(
@@ -218,7 +240,7 @@ def torus_with_cone_point(
     """A hyperbolic torus with one cone point of angle theta < 2 pi, with the
     cone point inside an embedded 3-face disk (the star of the point).
 
-    The solve starts from the plane square complex scaled by
+    The solve starts from the plane square complex (_torus_seed) scaled by
     sqrt(2 pi - theta), so that the seed's Euclidean area equals the
     Gauss-Bonnet area cone_area([theta], 0) of the target.  A seed that
     grows and shrinks with the defect lets the solve reach angles near both
@@ -230,40 +252,13 @@ def torus_with_cone_point(
     """
     if not 0 < theta < TWO_PI:
         raise GeometryError("torus cone angle must be in (0, 2 pi)")
-    if rim_length is None:
-        inner = [(0.5, 0.28), (0.72, 0.6), (0.34, 0.66)]
-    else:
-        # seed with a roomy inner triangle when a long collar is requested
-        inner = [(0.5, 0.12), (0.88, 0.62), (0.18, 0.82)]
-    eid, edges, outer_faces, lengths, coords = _square_torus_complex(inner)
+    plane = _torus_seed(rim_length is not None)
     p = 4
-    centroid = np.mean(np.array(inner), axis=0)
-    medges = [("m1", 1), ("m2", 2), ("m3", 3)]
-    all_edges = list(edges)
-    all_lengths = list(lengths)
-    m_ids = {}
-    for name, q in medges:
-        m_ids[name] = len(all_edges)
-        all_edges.append((p, q))
-        all_lengths.append(float(np.hypot(*(centroid - np.array(inner[q - 1])))))
-    r1, r2, r3 = eid["r1"], eid["r2"], eid["r3"]
-    disk_faces = [
-        (Side(m_ids["m1"]), Side(r1), Side(m_ids["m2"], False)),
-        (Side(m_ids["m2"]), Side(r2), Side(m_ids["m3"], False)),
-        (Side(m_ids["m3"]), Side(r3), Side(m_ids["m1"], False)),
-    ]
-    faces = tuple(outer_faces + disk_faces)
-    seed = ConeSurface(
-        tuple(all_edges),
-        faces,
-        math.sqrt(cone_area([theta], 0)) * np.asarray(all_lengths),
-        {p: theta},
-        check_angles=False,
-    )
+    seed = plane.with_lengths(math.sqrt(cone_area([theta], 0)) * plane.lengths, {p: theta})
     targets = {0: TWO_PI, 1: TWO_PI, 2: TWO_PI, 3: TWO_PI, p: theta}
     surf = solve_metric(seed, targets)
     if rim_length is not None:
-        lt = {r1: rim_length, r2: rim_length, r3: rim_length}
+        lt = dict.fromkeys(_TORUS_RIM, rim_length)
         surf = solve_metric(surf, targets, length_targets=lt, continuation_steps=64)
     surf = surf._switch_on_angle_check()
     disk = DiskSpec(surf, frozenset(range(7, 10)))

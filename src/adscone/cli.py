@@ -350,9 +350,10 @@ def _run_single(fn, args) -> int:
     except GeometryError as err:
         sys.stderr.write(f"rejected: {err}\n")
         return EXIT_REJECT
-    except (KeyError, IndexError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError) as err:
         # after GeometryError, which is a ValueError: a document missing an
-        # entry or holding a value of the wrong kind
+        # entry or holding a value of the wrong kind (a null where a mapping
+        # belongs, a vertex id too large for an index array)
         sys.stderr.write(f"input error: {type(err).__name__}: {err}\n")
         return EXIT_INPUT
 

@@ -38,7 +38,7 @@ _AROUND = np.array([[0, 1, 2], _NEXT, _PREV])
 _COSINE_AT = np.array([[1, -1, 2], [0, 2, -1], [-1, 1, 0]])
 
 # what a surface shares with every other metric on its triangulation
-_COMBINATORICS = ("edges", "faces", "_vertices", "_neighbors", "_edge_sides", "_tables")
+_COMBINATORICS = ("edges", "faces", "_structure")
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,15 @@ class ConeSurface:
 
     def __post_init__(self):
         edges = tuple((int(a), int(b)) for a, b in self.edges)
-        faces = tuple(tuple(_as_side(s) for s in f) for f in self.faces)
+        faces = tuple(tuple(map(_as_side, f)) for f in self.faces)
         lengths = np.asarray(self.lengths, dtype=float)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "faces", faces)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "cone_angles", dict(self.cone_angles))
-        self._validate()
+        structure = _STRUCTURES.get(edges, faces)
+        object.__setattr__(self, "edges", structure.edges)
+        object.__setattr__(self, "faces", structure.faces)
+        object.__setattr__(self, "_structure", structure)
+        self._check_metric()
 
     # -- structure ---------------------------------------------------------
 
@@ -99,70 +101,26 @@ class ConeSurface:
 
     @property
     def vertices(self) -> list[int]:
-        return list(self._vertices)
+        return list(self._structure.vertices)
+
+    @property
+    def _tables(self) -> CornerTables:
+        return self._structure.tables
+
+    @property
+    def _neighbors(self) -> np.ndarray:
+        return self._structure.neighbors
 
     def boundary_edges(self) -> list[int]:
         """Edges with one face side, in order of first use."""
-        return [int(e) for e in self._tables.face_edges.ravel()[self._neighbors.ravel() < 0]]
+        return list(self._structure.boundary_edges)
 
     def boundary_vertices(self) -> set[int]:
-        out = set()
-        for e in self.boundary_edges():
-            t, h = self.edges[e]
-            out.update((t, h))
-        return out
+        return set(self._structure.boundary_vertices)
 
     @property
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces)
-
-    def _validate(self):
-        self._index_faces()
-        self._check_metric()
-
-    def _index_faces(self):
-        """Structural checks; sets the vertex list, the (F, 3) side -> glued
-        side array (flat side index 3 * face + side, -1 on the boundary), the
-        (2, E) edge -> forward and backward side array (-1 where unused) and
-        the corner tables (face -> edge, corner -> vertex) every metric on
-        these faces is evaluated with."""
-        n_edges = len(self.edges)
-        ids = np.array([s.edge for f in self.faces for s in f], dtype=np.intp)
-        fwd = np.array([s.forward for f in self.faces for s in f], dtype=bool)
-        if ids.size and not (0 <= ids.min() and ids.max() < n_edges):
-            side = int(np.argmax((ids < 0) | (ids >= n_edges)))
-            raise IndexError(
-                f"side {side % 3} of face {side // 3} names edge {ids[side]}, "
-                f"but there are {n_edges} edges"
-            )
-        on = np.bincount(ids[fwd], minlength=n_edges)
-        against = np.bincount(ids[~fwd], minlength=n_edges)
-        crowded = on + against > 2
-        bad = crowded | (on == 2) | (against == 2)
-        if bad.any():
-            e = next(e for e in ids.tolist() if bad[e])
-            if crowded[e]:
-                raise GeometryError(f"edge {e} used by more than two face sides")
-            raise GeometryError(f"edge {e} traversed twice in the same direction")
-        ends = np.array([v for e in self.edges for v in e], dtype=np.intp).reshape(-1, 2)[ids]
-        tails = np.where(fwd, ends[:, 0], ends[:, 1]).reshape(-1, 3)
-        heads = np.where(fwd, ends[:, 1], ends[:, 0]).reshape(-1, 3)
-        open_chain = (heads != tails[:, _NEXT]).any(axis=1)
-        if open_chain.any():
-            raise GeometryError(f"face {int(np.argmax(open_chain))} side chain does not close")
-        # each edge has at most one forward and one backward side, glued together
-        edge_sides = np.full((2, n_edges), -1, dtype=np.intp)
-        edge_sides[0, ids[fwd]] = np.flatnonzero(fwd)
-        edge_sides[1, ids[~fwd]] = np.flatnonzero(~fwd)
-        neighbors = np.where(fwd, edge_sides[1, ids], edge_sides[0, ids])
-        vertices = tuple(sorted({v for e in self.edges for v in e}))
-        if not vertices:
-            raise GeometryError("a surface needs at least one edge")
-        shape = (1 + vertices[-1], n_edges)
-        object.__setattr__(self, "_vertices", vertices)
-        object.__setattr__(self, "_neighbors", neighbors.reshape(-1, 3))
-        object.__setattr__(self, "_edge_sides", edge_sides)
-        object.__setattr__(self, "_tables", CornerTables(ids.reshape(-1, 3), tails, shape))
+        return len(self._structure.vertices) - len(self.edges) + len(self.faces)
 
     def _check_metric(self):
         """Length checks (and the angle check when check_angles is set)."""
@@ -178,6 +136,14 @@ class ConeSurface:
                 "vertex angle sums do not match targets: worst vertex "
                 f"{worst[0]} deviates by {worst[1]:.3e}"
             )
+
+    def _keep_corners(self, corners: CornerTable) -> ConeSurface:
+        """This surface with the corner table of its own lengths, evaluated
+        by its maker (catalog.solve_metric, whose last trial it is), cached
+        as if _corners had evaluated it; only for a surface not handed out
+        yet."""
+        object.__setattr__(self, "_corner_cache", (corners.angles, corners.degenerate))
+        return self
 
     def _switch_on_angle_check(self) -> ConeSurface:
         """This surface with check_angles set, once the angle check passes
@@ -274,8 +240,10 @@ class ConeSurface:
     def with_lengths(self, lengths, cone_angles=None, check_angles: bool = False):
         """The same triangulation with new edge lengths (and cone angles).
 
-        Every length check runs again; the structural checks, which these
-        edges and faces have already passed, do not."""
+        The new surface shares this one's structure (its interned
+        _Structure, corner tables included); every length check runs again,
+        the structural checks, which these edges and faces have already
+        passed, do not."""
         new = object.__new__(ConeSurface)
         for name in _COMBINATORICS:
             object.__setattr__(new, name, getattr(self, name))
@@ -352,12 +320,123 @@ class ConeSurface:
         return table
 
 
+class _Structure:
+    """The validated combinatorics of one triangulation, built once per
+    process (_STRUCTURES) and shared, read-only, by every surface on it.
+
+    edges, faces: the normalized edges and faces it was built from.
+    vertices: the sorted vertex ids.
+    neighbors: (F, 3), the side glued to side i of face f, as the flat side
+        index 3 * face + side, or -1 on the boundary.
+    edge_sides: (2, E), the forward and the backward side of each edge, -1
+        where unused.
+    tables: the CornerTables every metric on these faces is evaluated with.
+    boundary_edges, boundary_vertices: the edges with one face side, in
+        order of first use, and their ends.
+    flips: (edges, corners), the edges delaunay_normalize may flip (glued to
+        two different faces), ascending, and (2, C) the flat corner 3 * face
+        + i facing each in its lower and in its higher face.
+
+    Raises, building nothing, where a side names a missing edge
+    (IndexError), an edge has more than two sides or two in one direction,
+    or a face's side chain does not close (GeometryError)."""
+
+    def __init__(self, edges: tuple, faces: tuple):
+        n_edges = len(edges)
+        ids = np.array([s.edge for f in faces for s in f], dtype=np.intp)
+        fwd = np.array([s.forward for f in faces for s in f], dtype=bool)
+        if ids.size and not (0 <= ids.min() and ids.max() < n_edges):
+            side = int(np.argmax((ids < 0) | (ids >= n_edges)))
+            raise IndexError(
+                f"side {side % 3} of face {side // 3} names edge {ids[side]}, "
+                f"but there are {n_edges} edges"
+            )
+        on = np.bincount(ids[fwd], minlength=n_edges)
+        against = np.bincount(ids[~fwd], minlength=n_edges)
+        crowded = on + against > 2
+        bad = crowded | (on == 2) | (against == 2)
+        if bad.any():
+            e = next(e for e in ids.tolist() if bad[e])
+            if crowded[e]:
+                raise GeometryError(f"edge {e} used by more than two face sides")
+            raise GeometryError(f"edge {e} traversed twice in the same direction")
+        ends = np.array([v for e in edges for v in e], dtype=np.intp).reshape(-1, 2)[ids]
+        tails = np.where(fwd, ends[:, 0], ends[:, 1]).reshape(-1, 3)
+        heads = np.where(fwd, ends[:, 1], ends[:, 0]).reshape(-1, 3)
+        open_chain = (heads != tails[:, _NEXT]).any(axis=1)
+        if open_chain.any():
+            raise GeometryError(f"face {int(np.argmax(open_chain))} side chain does not close")
+        vertices = tuple(sorted({v for e in edges for v in e}))
+        if not vertices:
+            raise GeometryError("a surface needs at least one edge")
+        # each edge has at most one forward and one backward side, glued together
+        edge_sides = np.full((2, n_edges), -1, dtype=np.intp)
+        edge_sides[0, ids[fwd]] = np.flatnonzero(fwd)
+        edge_sides[1, ids[~fwd]] = np.flatnonzero(~fwd)
+        neighbors = np.where(fwd, edge_sides[1, ids], edge_sides[0, ids]).reshape(-1, 3)
+        boundary = ids[neighbors.ravel() < 0].tolist()
+        # the sides of an edge in face order; the corner facing side i is i + 2
+        first, last = edge_sides.min(axis=0), edge_sides.max(axis=0)
+        inner = (first >= 0) & (first // 3 != last // 3)
+        uses = np.stack([first[inner], last[inner]])
+        self.edges, self.faces, self.vertices = edges, faces, vertices
+        self.neighbors = _read_only(neighbors)
+        self.edge_sides = _read_only(edge_sides)
+        self.tables = CornerTables(ids.reshape(-1, 3), tails, (1 + vertices[-1], n_edges))
+        self.boundary_edges = tuple(boundary)
+        self.boundary_vertices = frozenset(v for e in boundary for v in edges[e])
+        self.flips = (
+            _read_only(np.flatnonzero(inner)),
+            _read_only(uses - uses % 3 + _PREV[uses % 3]),
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _StructureCache:
+    """Process-wide cache of _Structure, keyed by the normalized (edges,
+    faces); once the faces it holds pass max_faces, the oldest entries go
+    first.  Only structures that validate are kept, so a malformed one
+    raises on every construction."""
+
+    def __init__(self, max_faces: int):
+        self.max_faces = max_faces
+        self.faces_held = 0
+        self._entries: dict[tuple, _Structure] = {}
+
+    def get(self, edges: tuple, faces: tuple) -> _Structure:
+        key = (edges, faces)
+        found = self._entries.get(key)
+        if found is not None:
+            return found
+        built = _Structure(edges, faces)
+        if len(faces) <= self.max_faces:
+            self._entries[key] = built
+            self.faces_held += len(faces)
+            while self.faces_held > self.max_faces:
+                dropped = self._entries.pop(next(iter(self._entries)))
+                self.faces_held -= len(dropped.faces)
+        return built
+
+
+# The bound of the structure cache, in faces held over all triangulations.
+# Worst case, when nothing else keeps a structure's edges and faces alive, it
+# holds 1.0-1.2 kB per face (tracemalloc, CPython 3.11, numpy 2.4, open fans
+# of 12-2000 faces with vertex ids above 1000; arrays, key tuples and Side
+# objects), so the cache holds at most ~9.5 MB.
+_STRUCTURE_FACES = 8192
+_STRUCTURES = _StructureCache(_STRUCTURE_FACES)
+
+
 class CornerTables:
-    """Gather tables of one triangulation, built with its surface
-    (ConeSurface._index_faces) from the (F, 3) face -> edge and corner ->
-    vertex arrays, and shared by every metric on it (with_lengths,
-    catalog.solve_metric).  They are the surface's only copy of those
-    arrays.
+    """Gather tables of one triangulation, built once per process with its
+    _Structure from the (F, 3) face -> edge and corner -> vertex arrays, and
+    shared read-only by every metric on it (every surface on these faces,
+    catalog.solve_metric's trials).  They are the surface's only copy of
+    those arrays.
 
     sides: (3, F, 3), the edges of sides i, i+1 and i+2 of face f at corner
         (f, i) (the side leaving the corner, the one facing it and the one
@@ -380,6 +459,8 @@ class CornerTables:
         self.cells = (corner_vertices[:, :, None] * shape[1] + face_edges[:, None, :]).ravel()
         corner = 1 + 3 * np.arange(len(face_edges))[:, None, None] + _COSINE_AT
         self.cosine_at = np.where(_COSINE_AT < 0, 0, corner)
+        for a in (self.sides, corner_vertices, self.cells, self.cosine_at):
+            _read_only(a)
 
     @property
     def face_edges(self) -> np.ndarray:
@@ -578,7 +659,7 @@ def resolve_loop(s: ConeSurface, loop) -> list[tuple[int, int]]:
 
 def _uses_of(s: ConeSurface, e: int) -> list[tuple[int, int]]:
     """The (face, side index) pairs that use edge e, in face order."""
-    return [divmod(k, 3) for k in sorted(s._edge_sides[:, e].tolist()) if k >= 0]
+    return [divmod(k, 3) for k in sorted(s._structure.edge_sides[:, e].tolist()) if k >= 0]
 
 
 def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
@@ -639,13 +720,6 @@ def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> 
         if len(steps) > 4 * len(s.faces):
             raise GeometryError("vertex link does not close up")
     return steps
-
-
-def concatenate_loops(*loops) -> list:
-    out = []
-    for lp in loops:
-        out.extend(lp)
-    return out
 
 
 def dual_cycles(s: ConeSurface, faces: frozenset[int] | None = None) -> list[list]:
@@ -722,30 +796,31 @@ class DiskSpec:
         if not self.face_ids:
             raise GeometryError("empty disk")
         s = self.surface
+        glued = s._neighbors
         # connectivity over shared edges
         seen = {min(self.face_ids)}
         frontier = [min(self.face_ids)]
         while frontier:
-            f = frontier.pop()
-            for si in range(3):
-                try:
-                    g, _ = s.neighbor_across(f, si)
-                except GeometryError:
-                    continue
-                if g in self.face_ids and g not in seen:
+            for k in glued[frontier.pop()].tolist():
+                g = k // 3
+                if k >= 0 and g in self.face_ids and g not in seen:
                     seen.add(g)
                     frontier.append(g)
         if seen != self.face_ids:
             raise GeometryError("disk faces are not edge-connected")
-        # the spec is frozen: its vertex, edge and boundary sets are read once
-        glued = s._neighbors.tolist()
-        vertices, edges, rim = set(), set(), set()
-        for f in self.face_ids:
-            vertices.update(s.face_corners(f))
-            for si, side in enumerate(s.faces[f]):
-                edges.add(side.edge)
-                if glued[f][si] < 0 or glued[f][si] // 3 not in self.face_ids:
-                    rim.add(side.edge)
+        # the spec is frozen: its vertex, edge and boundary sets are read once,
+        # from the rows of the surface's structure
+        faces = np.array(sorted(self.face_ids))
+        corners = s._tables.corner_vertices[faces].tolist()
+        sides = s._tables.face_edges[faces].tolist()
+        vertices = {v for row in corners for v in row}
+        edges = {e for row in sides for e in row}
+        rim = {
+            e
+            for row, across in zip(sides, glued[faces].tolist())
+            for e, k in zip(row, across)
+            if k < 0 or k // 3 not in self.face_ids
+        }
         rim_vertices = {v for e in rim for v in s.edges[e]}
         chi = len(vertices) - len(edges) + len(self.face_ids)
         object.__setattr__(self, "_euler_characteristic", chi)
@@ -793,30 +868,37 @@ def extract_disk_surface(d: DiskSpec) -> tuple[ConeSurface, dict[int, int]]:
 
 
 def delaunay_normalize(s: ConeSurface) -> ConeSurface:
-    """Flip interior edges until the Delaunay angle condition holds."""
+    """Flip interior edges until the Delaunay angle condition holds: while
+    some edge glued to two different faces has facing corners that sum past
+    pi + DELAUNAY_MARGIN, flip the lowest-numbered such edge (flip_edge).
+
+    Each round is one vectorized pass over the structure's flip candidates
+    (_Structure.flips) on the surface's cached corner table.  A degenerate
+    corner facing a candidate edge that the scan reaches raises
+    NotHyperbolicError naming its face (the lower face first)."""
     current = s
     for _ in range(10000):
-        flipped = False
-        for e in range(len(current.edges)):
-            if _needs_flip(current, e):
-                current = flip_edge(current, e)
-                flipped = True
-                break
-        if not flipped:
+        e = _first_flip(current)
+        if e is None:
             return current
+        current = flip_edge(current, e)
     raise ArithmeticError("Delaunay normalization did not terminate")
 
 
-def _needs_flip(s: ConeSurface, e: int) -> bool:
-    uses = _uses_of(s, e)
-    if len(uses) != 2:
-        return False
-    (f1, s1), (f2, s2) = uses
-    if f1 == f2:
-        return False  # self-glued edges are never flipped
-    a1 = s.corner_angle(f1, (s1 + 2) % 3)
-    a2 = s.corner_angle(f2, (s2 + 2) % 3)
-    return a1 + a2 > PI + DELAUNAY_MARGIN
+def _first_flip(s: ConeSurface) -> int | None:
+    """The lowest edge that delaunay_normalize flips next, or None."""
+    edges, corners = s._structure.flips
+    angles, degenerate = s._corners()
+    bad = degenerate.ravel()[corners]
+    facing = angles.ravel()[corners]
+    stop = bad.any(axis=0) | (facing[0] + facing[1] > PI + DELAUNAY_MARGIN)
+    if not stop.any():
+        return None
+    k = int(np.argmax(stop))
+    for which in (0, 1):
+        if bad[which, k]:
+            raise NotHyperbolicError(f"degenerate corner at face {corners[which, k] // 3}")
+    return int(edges[k])
 
 
 def flip_edge(s: ConeSurface, e: int) -> ConeSurface:

@@ -266,24 +266,6 @@ def translation_number(h: LiftedProj2) -> float:
     return float(k * PI)
 
 
-def translation_number_by_iteration(h: LiftedProj2, n: int = 2 ** 14) -> float:
-    """Orbit-average translation number with one Richardson extrapolation.
-
-    Exact for rational rotations and rapidly convergent in the parabolic and
-    hyperbolic cases; used as an independent cross-check of
-    translation_number.
-    """
-    phi = 0.0
-    half = None
-    for i in range(n):
-        if i == n // 2:
-            half = phi
-        phi = h(phi)
-    tau_n = phi / n
-    tau_half = half / (n // 2)
-    return float(2.0 * tau_n - tau_half)
-
-
 def _diagonalizing_conjugator(g: Proj2) -> Proj2:
     """For elliptic g, a matrix a with a g a^-1 a rigid rotation."""
     # complex eigenvector x + i y gives a real basis (x, y) in which g is a

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .tolerances import FRAME_DEPENDENT, NULL_REL, SAME_BASE, TANGENT, UNIT_SPEED
+from .tolerances import FRAME_DEPENDENT, NULL_REL, TANGENT, UNIT_SPEED
 
 Vec22 = np.ndarray  # shape (4,)
 Mink3Vec = np.ndarray  # shape (3,)
@@ -161,12 +161,6 @@ def cross(x: Vec22, u: Vec22, w: Vec22) -> Vec22:
             x[0] * m12 - x[1] * m02 + x[2] * m01,
         ]
     )
-
-
-def tangent_cross(u: TangentVec, w: TangentVec) -> TangentVec:
-    if not np.allclose(u.base.v, w.base.v, rtol=0.0, atol=SAME_BASE):
-        raise ValueError("cross product requires a common base point")
-    return TangentVec(u.base, cross(u.base.v, u.v, w.v))
 
 
 def orthonormal_tangent_frame(x: Vec22) -> tuple[Vec22, Vec22, Vec22]:

@@ -324,16 +324,3 @@ def disk_link_isometry_check(radii, n_phi: int = 10) -> float:
             rhs = dot22(w, w)
             worst = max(worst, abs(lhs - rhs))
     return float(worst)
-
-
-def metric_path_length(metric_field, path: np.ndarray) -> float:
-    """Length of a sampled chart path under a 2x2 metric field mu(point);
-    composite trapezoid on sqrt(mu(v, v))."""
-    path = np.asarray(path, dtype=float)
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        mid = 0.5 * (a + b)
-        mu = np.asarray(metric_field(mid), dtype=float)
-        d = b - a
-        total += float(np.sqrt(max(0.0, d @ mu @ d)))
-    return total

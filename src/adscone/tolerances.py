@@ -10,7 +10,6 @@ arccosh floor, sampling grids, plot floors) stay at their one site.
 NULL_REL = 1e-10  # a vector or ray is lightlike: |<y,y>| <= NULL_REL |y|^2
 TANGENT = 1e-9  # v is tangent at x: |<x,v>| at most this (times max(1, |v|^2) in TangentVec)
 UNIT_SPEED = 1e-9  # a geodesic velocity is unit: ||<v,v>| - 1|
-SAME_BASE = 1e-12  # two tangent vectors share their base point, entrywise
 FRAME_DEPENDENT = 1e-6  # a projected candidate with <v,v> below this adds nothing to a frame
 POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps, fixed and moved lines)
 # projective classes and their lifts

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from adscone import catalog
-from adscone.conesurf import _uses_of, raise_degenerate, resolve_loop
+from adscone.conesurf import _uses_of, flip_edge, raise_degenerate, resolve_loop
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
 from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
 from adscone.lrmetrics import transport
-from adscone.tolerances import DEGENERATE_CORNER, METRIC_SOLVE_STOP, TRIANGLE_MARGIN
+from adscone.tolerances import DEGENERATE_CORNER, DELAUNAY_MARGIN, METRIC_SOLVE_STOP
+from adscone.tolerances import TRIANGLE_MARGIN
 
 
 def _rk4_holonomy_pair(path, closing):
@@ -37,6 +38,28 @@ def rk4_holonomy_pair():
         return done[key]
 
     return pair
+
+
+def _translation_number_by_iteration(h, n=2 ** 14):
+    """Orbit-average translation number of a lifted map with one Richardson
+    extrapolation: exact for rational rotations and rapidly convergent in
+    the parabolic and hyperbolic cases."""
+    phi = 0.0
+    half = None
+    for i in range(n):
+        if i == n // 2:
+            half = phi
+        phi = h(phi)
+    tau_n = phi / n
+    tau_half = half / (n // 2)
+    return float(2.0 * tau_n - tau_half)
+
+
+@pytest.fixture(scope="session")
+def translation_number_by_iteration():
+    """Reference for isom.translation_number (the conjugation to a rigid
+    rotation): the orbit average of the lift itself."""
+    return _translation_number_by_iteration
 
 
 def _cross12(a, b):
@@ -113,6 +136,38 @@ def _developed_flip_length(s, e):
     if q >= -1.0:
         raise NotHyperbolicError("flip would degenerate the quadrilateral")
     return float(np.arccosh(-q))
+
+
+def _needs_flip(s, e):
+    """The per-edge Delaunay test: an edge glued to two different faces whose
+    facing corners sum past pi + DELAUNAY_MARGIN (the lower face's corner
+    read first, so a degenerate one there is the one reported)."""
+    uses = _uses_of(s, e)
+    if len(uses) != 2:
+        return False
+    (f1, s1), (f2, s2) = uses
+    if f1 == f2:
+        return False  # self-glued edges are never flipped
+    a1 = s.corner_angle(f1, (s1 + 2) % 3)
+    a2 = s.corner_angle(f2, (s2 + 2) % 3)
+    return a1 + a2 > np.pi + DELAUNAY_MARGIN
+
+
+def _per_edge_delaunay(s):
+    """delaunay_normalize with the per-edge scan: flip the first edge that
+    _needs_flip, until none does."""
+    for _ in range(10000):
+        e = next((e for e in range(len(s.edges)) if _needs_flip(s, e)), None)
+        if e is None:
+            return s
+        s = flip_edge(s, e)
+    raise ArithmeticError("Delaunay normalization did not terminate")
+
+
+@pytest.fixture(scope="session")
+def per_edge_delaunay():
+    """Reference for conesurf.delaunay_normalize's vectorized scan."""
+    return _per_edge_delaunay
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from adscone.conesurf import (
     Side,
     _uses_of,
     cone_area,
-    concatenate_loops,
     delaunay_normalize,
     disks_isometric,
     dual_cycles,
@@ -118,7 +117,7 @@ def test_figure_eight_composes():
     s = double_triangle_sphere(PI / 4, PI / 3, PI / 8)
     lp0 = loop_around_vertex(s, 0, base_face=0)
     lp1 = loop_around_vertex(s, 1, base_face=0)
-    eight = concatenate_loops(lp0, lp1)
+    eight = lp0 + lp1
     h = holonomy_of_loop(s, eight)
     h0 = holonomy_of_loop(s, lp0)
     h1 = holonomy_of_loop(s, lp1)
@@ -134,7 +133,7 @@ def test_meridian_relation_on_sphere():
     # the three meridians of the double triangle compose to the identity
     s = double_triangle_sphere(PI / 4, PI / 3, PI / 8)
     lps = [loop_around_vertex(s, v, base_face=0) for v in (0, 1, 2)]
-    h = holonomy_of_loop(s, concatenate_loops(*lps))
+    h = holonomy_of_loop(s, lps[0] + lps[1] + lps[2])
     assert classify(h).kind is IsomKind.IDENTITY
 
 
@@ -368,6 +367,36 @@ def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
         np.testing.assert_allclose(got.lengths, want.lengths, rtol=1e-12, atol=0)
         total += len(got_flips)
     assert total > 0
+
+
+def _outcome(normalize, surface):
+    """(edges, faces, length bytes) of the normalized surface, or the error."""
+    try:
+        s = normalize(surface)
+    except (GeometryError, ArithmeticError) as err:
+        return type(err), str(err)
+    return s.edges, s.faces, s.lengths.tobytes()
+
+
+def test_delaunay_scan_matches_the_per_edge_test(per_edge_delaunay):
+    """On the cone-surfaces inputs of seeds 1-3, the vectorized scan flips
+    the same edges to the same bits as the per-edge test, and with the
+    metrics scaled until some sides overflow cosh, names the same face with
+    a degenerate corner."""
+    surfaces = [s for seed in (1, 2, 3) for s in _benchmark_cone_surfaces(seed)]
+    assert len(surfaces) == 216
+    flipped = degenerate = 0
+    for surf in surfaces:
+        want = _outcome(per_edge_delaunay, surf)
+        assert _outcome(delaunay_normalize, surf) == want
+        flipped += want[0] != surf.edges
+        for scale in (300.0, 500.0):
+            scaled = surf.with_lengths(surf.lengths * scale)
+            want = _outcome(per_edge_delaunay, scaled)
+            assert _outcome(delaunay_normalize, scaled) == want
+            degenerate += want[0] is NotHyperbolicError
+    assert flipped > 20
+    assert degenerate > 100
 
 
 # -- the corner-angle kernel and its closed-form derivative -----------------

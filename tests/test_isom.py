@@ -17,7 +17,6 @@ from adscone.isom import (
     principal_lift,
     psl_of_lorentz3,
     translation_number,
-    translation_number_by_iteration,
 )
 
 RNG = np.random.RandomState(11)
@@ -152,7 +151,7 @@ def test_translation_number_delta_and_identity():
     assert abs(translation_number(lift_identity(0))) < 1e-12
 
 
-def test_translation_number_quarter_turn_matches_orbit_average():
+def test_translation_number_quarter_turn_matches_orbit_average(translation_number_by_iteration):
     g = Proj2(np.array([[0.0, -1.0], [1.0, 0.0]]))
     lift = principal_lift(g)  # s = pi/2, the only choice in (0, pi)
     assert 0 < lift.s < PI
@@ -163,7 +162,7 @@ def test_translation_number_quarter_turn_matches_orbit_average():
     assert abs(tau_iter - PI / 2) < 1e-10
 
 
-def test_translation_number_elliptic_generic_against_iteration():
+def test_translation_number_elliptic_generic_against_iteration(translation_number_by_iteration):
     for theta in (0.37, 1.1, 2.0, 4.4):
         lift = principal_lift(Proj2.elliptic(theta)).shifted(1)
         tau = translation_number(lift)

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from adscone.linalg import (
-    AdSPoint,
     CausalClass,
     HSPointClass,
-    TangentVec,
     ads_geodesic,
     ads_null_geodesic,
     causal_class,
@@ -19,7 +17,6 @@ from adscone.linalg import (
     normalize_point,
     orthonormal_tangent_frame,
     project_tangent,
-    tangent_cross,
 )
 
 RNG = np.random.RandomState(7)
@@ -68,23 +65,6 @@ def test_cross_antisymmetry_and_orthogonality():
         assert abs(dot22(c, u)) <= 1e-12 * (1 + abs(dot22(u, u)))
         assert abs(dot22(c, w)) <= 1e-12 * (1 + abs(dot22(w, w)))
         assert abs(dot22(c, x)) <= 1e-12
-
-
-def test_tangent_cross_requires_common_base():
-    x = AdSPoint(np.array([1.0, 0, 0, 0]))
-    y = AdSPoint(np.array([np.cosh(0.3), 0, np.sinh(0.3), 0]))
-    u = TangentVec(x, np.array([0.0, 1, 0, 0]))
-    w = TangentVec(y, project_tangent(y.v, np.array([0.0, 0, 0, 1])))
-    with pytest.raises(ValueError):
-        tangent_cross(u, w)
-    same = tangent_cross(u, TangentVec(x, np.array([0.0, 0, 1, 0])))
-    assert np.allclose(same.v, np.eye(4)[3], atol=1e-14)
-    # far out, nearby base points differ by much more than the 1e-12 allowed
-    # entrywise, but less than a relative 1e-5
-    far = [AdSPoint(np.array([np.cosh(r), 0, np.sinh(r), 0])) for r in (5.0, 5.0 + 1e-6)]
-    assert 1e-5 < np.abs(far[0].v - far[1].v).max() < 1e-5 * np.abs(far[1].v).max()
-    with pytest.raises(ValueError, match="common base point"):
-        tangent_cross(TangentVec(far[0], np.eye(4)[1]), TangentVec(far[1], np.eye(4)[3]))
 
 
 def test_geodesic_identity_and_antipode():

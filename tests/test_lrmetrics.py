@@ -16,7 +16,6 @@ from adscone.lrmetrics import (
     jacobi_form_value,
     left_right_metrics,
     loop_deviation,
-    metric_path_length,
     square_loop,
     transport,
     transverse_check,
@@ -258,12 +257,6 @@ def test_product_structure_rank_four():
         # degenerate directions of one side are nondegenerate for the other
         if dot22(val_l, val_l) < 1e-14:
             assert dot22(val_r, val_r) > 1e-10
-
-
-def test_metric_path_length_flat_metric():
-    mu = np.eye(2)
-    path = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    assert abs(metric_path_length(lambda p: mu, path) - 2.0) < 1e-12
 
 
 def test_holonomy_pair_intertwines_model_factors():
