@@ -34,7 +34,13 @@ from .errors import GeometryError, LinkRealizationError
 from .linalg import HSPointClass, classify_ray, dot12
 from .links import SingKind, SingularityType, link_of_type
 from .rp1 import LinkCircle
-from .tolerances import DISK_CLOSING_ANGLE, DISK_FIT_STOP, METRIC_SOLVE_STOP, TRACE
+from .tolerances import (
+    DISK_CLOSING_ANGLE,
+    DISK_FIT_STALL,
+    DISK_FIT_STOP,
+    METRIC_SOLVE_STOP,
+    TRACE,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -566,12 +572,17 @@ def fit_two_cone_disk(
 
     The eight seeds run in lockstep as the rows of one state.  Each round
     takes the finite-difference Jacobians of every running seed from one
-    batched development, solves the whole damping ladder (lam, then
-    max(lam, 1e-8) * 8^k) of every seed at once, and evaluates all trial
-    points together; a seed takes its first rung that lowers its residual
-    norm and stops when none does.  A seed converges when its largest
-    residual is below DISK_FIT_STOP before one of its 400 steps (reaching
-    it only on the last step does not count).  The lowest-index converged seed wins,
+    batched development and walks the damping ladder (lam, then
+    max(lam, 1e-8) * 8^k for k = 1..34) in two blocks: rungs 0-1 of every
+    seed are solved and evaluated together, rungs 2-34 only for the seeds
+    neither of those improved.  A seed takes its first rung that lowers its
+    residual norm and stops when none does.  It also stops, at the point it
+    took, when that rung lowers the norm by at most DISK_FIT_STALL of it
+    while its largest residual is still at least DISK_FIT_STOP (Moré's
+    relative-reduction test for Levenberg-Marquardt): past that point the
+    doubling lam only creeps.  A seed converges when its largest residual
+    is below DISK_FIT_STOP before one of its 400 steps (reaching it only on
+    the last step does not count).  The lowest-index converged seed wins,
     once every lower seed has stopped.  Otherwise the error gives the
     largest residual of the seed that came closest (smallest residual norm,
     lowest index on ties) among the seeds whose start is a disk."""
@@ -605,24 +616,37 @@ def fit_two_cone_disk(
         pr, rr = p[rows], r[rows]
         jac = _collar_jacobian(eta1, d, pr, rr + goal, 1e-7)
         jt = jac.transpose(0, 2, 1)
+        jtj, rhs = jt @ jac, -(jt @ rr[..., None])
         lams = np.maximum(lam[rows], 1e-8)[:, None] * rungs
         lams[:, 0] = lam[rows]
-        a = (jt @ jac)[:, None] + lams[..., None, None] * np.eye(6)
-        steps = np.linalg.solve(a, -(jt @ rr[..., None])[:, None])[..., 0]
-        trials = np.clip(pr[:, None, :] + steps, lo, hi)
-        values, ok = _disk_collar(eta1, d, trials.reshape(-1, 6))
-        r_trials = values.reshape(trials.shape) - goal
-        # both sides of the comparison from one norm evaluation, so an
-        # unchanged point never reads as an improvement
-        norms = np.linalg.norm(np.concatenate([rr[:, None], r_trials], axis=1), axis=-1)
-        better = ok.reshape(len(rows), -1) & (norms[:, 1:] < norms[:, :1])
-        took = better.any(axis=1)
-        rung = np.argmax(better, axis=1)
-        running[rows[~took]] = False
-        rows, rung = rows[took], rung[took]
-        p[rows] = trials[took, rung]
-        r[rows] = r_trials[took, rung]
-        lam[rows] = np.maximum(lams[took, rung] / 4.0, 1e-12)
+        # rungs 0-1 of every seed, then rungs 2-34 of the seeds neither improved
+        waiting = np.arange(len(rows))
+        for ks in (slice(0, 2), slice(2, None)):
+            lk = lams[waiting, ks]
+            a = jtj[waiting, None] + lk[..., None, None] * np.eye(6)
+            steps = np.linalg.solve(a, rhs[waiting, None])[..., 0]
+            trials = np.clip(pr[waiting, None, :] + steps, lo, hi)
+            values, ok = _disk_collar(eta1, d, trials.reshape(-1, 6))
+            r_trials = values.reshape(trials.shape) - goal
+            # both sides of the comparison from one norm evaluation, so an
+            # unchanged point never reads as an improvement
+            norms = np.linalg.norm(np.concatenate([rr[waiting, None], r_trials], axis=1), axis=-1)
+            better = ok.reshape(len(waiting), -1) & (norms[:, 1:] < norms[:, :1])
+            took = better.any(axis=1)
+            rung = np.argmax(better[took], axis=1)
+            moved = rows[waiting[took]]
+            p[moved] = trials[took, rung]
+            r[moved] = r_trials[took, rung]
+            lam[moved] = np.maximum(lk[took, rung] / 4.0, 1e-12)
+            # a seed short of DISK_FIT_STOP stops where its step stalls
+            before, after = norms[took, 0], norms[took, rung + 1]
+            running[moved] = (before - after > DISK_FIT_STALL * before) | (
+                np.abs(r[moved]).max(axis=1) < DISK_FIT_STOP
+            )
+            waiting = waiting[~took]
+            if not len(waiting):
+                break
+        running[rows[waiting]] = False
     if converged.any():
         disk, _ = two_cone_disk_from_params(eta1, d, p[np.argmax(converged)])
         _, betas = _disk_rim_data(disk)

@@ -54,7 +54,7 @@ def _as_side(s) -> Side:
     return Side(int(e), bool(fwd))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSurface:
     """A geodesically triangulated hyperbolic surface with cone points.
 

@@ -41,6 +41,7 @@ DISK_CLOSING_ANGLE = 1e-7  # a fitted collision disk closes up at its last rim v
 # solver stop rules
 METRIC_SOLVE_STOP = 1e-12  # solve_metric is done when every residual is below this
 DISK_FIT_STOP = 1e-11  # a fit_two_cone_disk seed converges when every residual is below this
+DISK_FIT_STALL = 1e-10  # ... and gives up when a step cuts its residual norm by at most this, relative
 # interaction graphs
 CONJUGATOR_NULL_REL = 1e-7  # a singular value <= max(this * largest, CONJUGATOR_NULL_ABS) ...
 CONJUGATOR_NULL_ABS = 1e-12  # ... spans the null space of the conjugator system

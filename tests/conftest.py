@@ -9,8 +9,14 @@ from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicErr
 from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
 from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
 from adscone.lrmetrics import transport
-from adscone.tolerances import DEGENERATE_CORNER, DELAUNAY_MARGIN, METRIC_SOLVE_STOP
-from adscone.tolerances import TRIANGLE_MARGIN
+from adscone.tolerances import (
+    DEGENERATE_CORNER,
+    DELAUNAY_MARGIN,
+    DISK_FIT_STALL,
+    DISK_FIT_STOP,
+    METRIC_SOLVE_STOP,
+    TRIANGLE_MARGIN,
+)
 
 
 def _rk4_holonomy_pair(path, closing):
@@ -446,9 +452,10 @@ def _scalar_two_cone_disk(eta1, d, params):
     return disk, float(eta2_realized)
 
 
-def _sequential_disk_fit(rim_lengths, rim_angles, eta1, eta2, theta, tol=1e-11):
+def _sequential_disk_fit(rim_lengths, rim_angles, eta1, eta2, theta):
     """The two-cone disk fit seed after seed, with one forward-difference
-    column and one damping rung at a time."""
+    column and one damping rung at a time; a seed stops where the rung it
+    takes lowers its residual norm by at most DISK_FIT_STALL, relative."""
     d = catalog.collision_distance(theta, eta1, eta2)
     goal = np.array(
         [rim_lengths[0], rim_lengths[1], rim_lengths[2],
@@ -475,7 +482,7 @@ def _sequential_disk_fit(rim_lengths, rim_angles, eta1, eta2, theta, tol=1e-11):
         lam = 1e-8
         ok = True
         for _ in range(400):
-            if np.abs(r).max() < tol:
+            if np.abs(r).max() < DISK_FIT_STOP:
                 break
             jac = np.empty((6, 6))
             h = 1e-7
@@ -490,28 +497,31 @@ def _sequential_disk_fit(rim_lengths, rim_angles, eta1, eta2, theta, tol=1e-11):
                         jac[:, j] = ((r + goal) - values(pp)) / h
                     except GeometryError:
                         jac[:, j] = 0.0
-            improved = False
+            moving = False
             for _ in range(35):
                 a = jac.T @ jac + lam * np.eye(6)
                 step = np.linalg.solve(a, -jac.T @ r)
                 try:
                     p_new = np.clip(p + step, lo, hi)
                     r_new = values(p_new) - goal
-                    if np.linalg.norm(r_new) < np.linalg.norm(r):
+                    before, after = np.linalg.norm(r), np.linalg.norm(r_new)
+                    if after < before:
                         p = p_new
                         r = r_new
                         lam = max(lam / 4.0, 1e-12)
-                        improved = True
+                        moving = before - after > DISK_FIT_STALL * before or (
+                            np.abs(r).max() < DISK_FIT_STOP
+                        )
                         break
                 except GeometryError:
                     pass
                 lam = max(lam, 1e-8) * 8.0
-            if not improved:
+            if not moving:
                 ok = False
                 break
         else:
             ok = False
-        if ok and np.abs(r).max() < tol:
+        if ok and np.abs(r).max() < DISK_FIT_STOP:
             disk, _ = _scalar_two_cone_disk(eta1, d, p)
             rims, betas = catalog._disk_rim_data(disk)
             if abs(betas[2] - rim_angles[2]) > 1e-7:

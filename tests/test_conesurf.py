@@ -176,6 +176,19 @@ def test_torus_with_cone_point_properties():
     assert sum(1 for k in kinds if k is not IsomKind.IDENTITY) >= 2
 
 
+def test_surfaces_and_disks_compare_by_identity():
+    """Two surfaces on one triangulation with different lengths compare
+    unequal without asking numpy for the truth value of an array, and
+    surfaces and disk specs can be hashed."""
+    (a, disk_a), (b, disk_b) = torus_with_cone_point(2.0), torus_with_cone_point(2.5)
+    assert a != b and not a == b
+    assert a in [a] and a not in [b]
+    assert len({a, b, a}) == 2
+    assert disk_a != disk_b
+    assert disk_a == DiskSpec(a, disk_a.face_ids)
+    assert len({disk_a, disk_b, DiskSpec(a, disk_a.face_ids)}) == 2
+
+
 def test_subdivide_face_with_cone():
     surf, _ = torus_with_cone_point(2.0)
     surf2, disk2, v2 = subdivide_face_with_cone(surf, 1, 2.5)
