@@ -12,6 +12,8 @@ convex polyhedra in the extended hyperbolic space.
 
 import numpy as np
 
+from adscone.catalog import double_triangle_sphere
+from adscone.conesurf import cone_area, gauss_bonnet_area, holonomy_of_loop, loop_around_vertex
 from adscone.hssurface import (
     CurveRecord,
     DeSitterRegion,
@@ -27,6 +29,7 @@ from adscone.hssurface import (
     classify_hs_sphere,
     time_reverse_surface,
 )
+from adscone.isom import classify
 from adscone.links import SingKind, SingularityType
 
 PI = np.pi
@@ -59,6 +62,18 @@ double_triangle = SingularHSSurface(
     ),
 )
 print("double of a triangle:", classify_hs_sphere(double_triangle).value)
+
+# Its hyperbolic part as a cone surface: the double of the triangle with
+# angles pi/4, a sphere with three cone points of angle pi/2.  Gauss-Bonnet
+# on the triangulation gives the area the cone angles predict, and the loop
+# around each cone point is a rotation by its cone angle.
+sphere = double_triangle_sphere(PI / 4, PI / 4, PI / 4)
+print(f"  area {gauss_bonnet_area(sphere):.12f}, "
+      f"from the cone angles alone {cone_area(sphere.cone_angles.values(), chi=2):.12f}")
+for v, angle in sorted(sphere.cone_angles.items()):
+    rotation = classify(holonomy_of_loop(sphere, loop_around_vertex(sphere, v)))
+    print(f"  cone point {v}: {rotation.kind.value} holonomy of angle {rotation.angle:.12f} "
+          f"(cone angle {angle:.12f})")
 
 print("\npolyhedral conditions on marked structures:")
 examples = [

@@ -1,11 +1,12 @@
 """Constructions of standard surfaces, disks and link families.
 
 Everything here produces data for the rest of the library: triangulated
-hyperbolic cone surfaces (spheres from doubled triangles, one-holed-square
-tori with marked cone points), the two-cone disks used by collision surgery,
-and the one-parameter family of singular links obtained by moving the apex
-of a wedge from the hyperbolic plane across the boundary into the de Sitter
-plane.
+hyperbolic cone surfaces (spheres from doubled triangles and tori from a
+regular hyperbolic square around their cone point, both in closed form, and
+more cone points by subdivision and a metric solve), the two-cone disks used
+by collision surgery, and the one-parameter family of singular links
+obtained by moving the apex of a wedge from the hyperbolic plane across the
+boundary into the de Sitter plane.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .conesurf import (
     Side,
     angle_sum_jacobian,
     checked_sides,
-    cone_area,
     corner_table,
     law_of_cosines,
     long_sides,
@@ -54,7 +54,6 @@ def solve_metric(
     surface: ConeSurface,
     targets: dict[int, float],
     length_targets: dict[int, float] | None = None,
-    continuation_steps: int = 1,
 ) -> ConeSurface:
     """Adjust edge lengths so prescribed vertices reach their target angles
     (and, optionally, prescribed edges reach target lengths).
@@ -63,13 +62,10 @@ def solve_metric(
     hyperbolic law of cosines (conesurf.angle_sum_jacobian); the system is
     usually underdetermined, and the minimum-norm step picks the point of
     the solution family that the seed leads to.  So the seed decides both
-    which solution comes back and whether one is found: the constructions
-    below build theirs from the cone data they ask for.  With
-    continuation_steps > 1 the goals are walked from the seed metric's own
-    values to the requested ones, which keeps every intermediate problem
-    feasible.  Raises LinkRealizationError when the residual cannot be
-    driven to zero from this seed ("stalled" when no damping rung lowers
-    it).
+    which solution comes back and whether one is found:
+    subdivide_face_with_cone builds its seed from the cone data it asks
+    for.  Raises LinkRealizationError when the residual cannot be driven to
+    zero from this seed ("stalled" when no damping rung lowers it).
 
     Each trial is evaluated on the length vector with the surface's own
     length checks and corner kernel on the corner tables of its
@@ -81,8 +77,8 @@ def solve_metric(
     may overflow (cosh of a long edge, say); numpy is told once per solve
     not to warn about it.
 
-    The result is always a new surface, never the one passed in, so the
-    constructions below may switch its angle check on in place
+    The result is always a new surface, never the one passed in, so
+    subdivide_face_with_cone may switch its angle check on in place
     (ConeSurface._switch_on_angle_check).  It shares the structure of the
     surface passed in and carries the corner table of its last accepted
     trial, so its angle sums, angle check and loop holonomies do not
@@ -120,49 +116,40 @@ def solve_metric(
     x = np.log(np.asarray(surface.lengths, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
         lengths, sides, corners, values = evaluate(x)
-        start = values
-        stages = (
-            np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
-            if continuation_steps > 1
-            else [1.0]
-        )
-
         eye = np.eye(len(x))
-        for t in stages:
-            stage_goal = (1 - t) * start + t * goal
-            lam = 1e-10
-            r = values - stage_goal
-            for _ in range(200):
-                if np.abs(r).max() < METRIC_SOLVE_STOP:
-                    break
-                jac = jacobian(lengths, sides, corners)
-                # fixed for the whole damping ladder of this iteration
-                normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, math.sqrt(r.dot(r))
+        lam = 1e-10
+        r = values - goal
+        for _ in range(200):
+            if np.abs(r).max() < METRIC_SOLVE_STOP:
+                break
+            jac = jacobian(lengths, sides, corners)
+            # fixed for the whole damping ladder of this iteration
+            normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, math.sqrt(r.dot(r))
+            step = np.linalg.solve(normal + lam * eye, rhs)
+            improved = False
+            for _ in range(40):
+                try:
+                    x_new = x + step
+                    trial = evaluate(x_new)
+                    r_new = trial[3] - goal
+                    if math.sqrt(r_new.dot(r_new)) < r_norm:
+                        x = x_new
+                        r = r_new
+                        lengths, sides, corners, values = trial
+                        lam = max(lam / 4.0, 1e-12)
+                        improved = True
+                        break
+                except GeometryError:
+                    pass
+                lam = max(lam, 1e-8) * 8.0
                 step = np.linalg.solve(normal + lam * eye, rhs)
-                improved = False
-                for _ in range(40):
-                    try:
-                        x_new = x + step
-                        trial = evaluate(x_new)
-                        r_new = trial[3] - stage_goal
-                        if math.sqrt(r_new.dot(r_new)) < r_norm:
-                            x = x_new
-                            r = r_new
-                            lengths, sides, corners, values = trial
-                            lam = max(lam / 4.0, 1e-12)
-                            improved = True
-                            break
-                    except GeometryError:
-                        pass
-                    lam = max(lam, 1e-8) * 8.0
-                    step = np.linalg.solve(normal + lam * eye, rhs)
-                if not improved:
-                    raise LinkRealizationError(
-                        "metric solve stalled: the requested cone data has no "
-                        "hyperbolic realization near the seed"
-                    )
-            else:
-                raise LinkRealizationError("metric solve did not converge")
+            if not improved:
+                raise LinkRealizationError(
+                    "metric solve stalled: the requested cone data has no "
+                    "hyperbolic realization near the seed"
+                )
+        else:
+            raise LinkRealizationError("metric solve did not converge")
     return surface.with_lengths(lengths)._keep_corners(corners)
 
 
@@ -186,89 +173,125 @@ def double_triangle_sphere(alpha: float, beta: float, gamma: float) -> ConeSurfa
     return ConeSurface(edges, faces, lengths, cones)
 
 
+# The torus complex: a square C1 C2 C3 C4 whose opposite sides are glued, so
+# that its corners are one vertex, 0, with an inner triangle q1, q2, q3
+# (vertices 1, 2, 3) coned off at the cone point p, vertex 4.  Edges a, b (the
+# square's sides), k1..k7 (square corners to the triangle), r1..r3 (the rim
+# q1 q2, q2 q3, q3 q1) and m1..m3 (p to q1, q2, q3), in that order, each from
+# its first point to its second; faces 0..6 outside the triangle and 7..9
+# inside it, the star of p.
+_TORUS_EDGES = (
+    ("C1", "C2"), ("C2", "C3"),
+    ("C1", "q1"), ("C2", "q1"), ("C2", "q2"), ("C3", "q2"), ("C3", "q3"), ("C4", "q3"), ("C4", "q1"),
+    ("q1", "q2"), ("q2", "q3"), ("q3", "q1"),
+    ("p", "q1"), ("p", "q2"), ("p", "q3"),
+)
+_TORUS_VERTEX = {"C1": 0, "C2": 0, "C3": 0, "C4": 0, "q1": 1, "q2": 2, "q3": 3, "p": 4}
+# each face as its sides (edge id, forward)
+_TORUS_FACES = (
+    ((0, True), (3, True), (2, False)),
+    ((4, True), (9, False), (3, False)),
+    ((1, True), (5, True), (4, False)),
+    ((6, True), (10, False), (5, False)),
+    ((0, False), (7, True), (6, False)),
+    ((8, True), (11, False), (7, False)),
+    ((1, False), (2, True), (8, False)),
+    ((12, True), (9, True), (13, False)),
+    ((13, True), (10, True), (14, False)),
+    ((14, True), (11, True), (12, False)),
+)
+# Where the points sit on the cone of angle theta about p: the corners at
+# distance R, the triangle at distance rho, each at a polar angle given in
+# degrees of a full turn, which the cone scales by theta / 360.  The corners
+# sit where a plane square's would; q1, q2, q3 are spaced evenly from 205
+# degrees, so each of C2, C3, C4 lies in the sector of the rim edge its face
+# (1, 3, 5) spans, which makes every face a positively oriented triangle for
+# every rho below the square's inradius h.  The offset and the share of h
+# decide how well conditioned subdivide_face_with_cone's solves on the torus
+# are, and were chosen by measuring them: on the cone-surfaces benchmark
+# inputs of seeds 1-10 none stalls, and seeds 1-3 take 1,901 linear solves.
+# With q1 towards a corner (225 or 235 degrees), or at 0.55 h, some of those
+# inputs stall; at 0.3-0.4 h, or from 260 degrees, they take more solves.
+_TORUS_POLAR = {"C1": 225, "C2": 315, "C3": 45, "C4": 135, "q1": 205, "q2": 325, "q3": 85}
+# rho as a share of h, when no rim length is asked for
+_TORUS_RIM_SHARE = 0.45
+
+
 @functools.cache
-def _torus_seed(roomy: bool) -> ConeSurface:
-    """The plane square complex torus_with_cone_point seeds from, one per
-    seed shape: a one-holed unit square whose corners C1..C4 all map to
-    vertex 0, with an inner triangle q1, q2, q3 (vertices 1, 2, 3; roomy for
-    a long collar) coned off at its centroid, vertex 4.  Edges a, b (the
-    square's sides), k1..k7 (square corners to the triangle), r1..r3 (the
-    rim q1 q2, q2 q3, q3 q1) and m1..m3 (the centroid to q1, q2, q3), in that
-    order; faces 0..6 outside the triangle and 7..9 inside it, the star of
-    vertex 4.  Lengths are plane distances (read-only: every caller gets this
-    surface), and no cone angle is set."""
-    if roomy:
-        inner = [(0.5, 0.12), (0.88, 0.62), (0.18, 0.82)]
-    else:
-        inner = [(0.5, 0.28), (0.72, 0.6), (0.34, 0.66)]
-    coords = {"C1": (0.0, 0.0), "C2": (1.0, 0.0), "C3": (1.0, 1.0), "C4": (0.0, 1.0),
-              "q1": inner[0], "q2": inner[1], "q3": inner[2],
-              "p": tuple(np.mean(np.array(inner), axis=0))}
-    vid = {"C1": 0, "C2": 0, "C3": 0, "C4": 0, "q1": 1, "q2": 2, "q3": 3, "p": 4}
-    edge_names = [
-        ("a", "C1", "C2"), ("b", "C2", "C3"),
-        ("k1", "C1", "q1"), ("k2", "C2", "q1"), ("k3", "C2", "q2"),
-        ("k4", "C3", "q2"), ("k5", "C3", "q3"), ("k6", "C4", "q3"), ("k7", "C4", "q1"),
-        ("r1", "q1", "q2"), ("r2", "q2", "q3"), ("r3", "q3", "q1"),
-        ("m1", "p", "q1"), ("m2", "p", "q2"), ("m3", "p", "q3"),
-    ]
-    eid = {name: i for i, (name, _, _) in enumerate(edge_names)}
-
-    def S(name, fwd=True):
-        return Side(eid[name], fwd)
-
-    faces = (
-        (S("a"), S("k2"), S("k1", False)),
-        (S("k3"), S("r1", False), S("k2", False)),
-        (S("b"), S("k4"), S("k3", False)),
-        (S("k5"), S("r2", False), S("k4", False)),
-        (S("a", False), S("k6"), S("k5", False)),
-        (S("k7"), S("r3", False), S("k6", False)),
-        (S("b", False), S("k1"), S("k7", False)),
-        (S("m1"), S("r1"), S("m2", False)),
-        (S("m2"), S("r2"), S("m3", False)),
-        (S("m3"), S("r3"), S("m1", False)),
-    )
-    lengths = [float(np.hypot(*np.subtract(coords[h], coords[t]))) for _, t, h in edge_names]
-    edges = tuple((vid[t], vid[h]) for _, t, h in edge_names)
-    plane = ConeSurface(edges, faces, lengths, check_angles=False)
-    plane.lengths.flags.writeable = False
-    return plane
-
-
-# the rim edges r1, r2, r3 of _torus_seed
-_TORUS_RIM = (9, 10, 11)
+def _torus_template():
+    """The torus complex with unit lengths (read-only: every torus shares
+    its structure), and for each edge its ends' distances from p as a
+    selector (0 for R, 1 for rho, 2 for p itself) and the angle between
+    them at p, the short way round, as a share of theta."""
+    edges = tuple((_TORUS_VERTEX[t], _TORUS_VERTEX[h]) for t, h in _TORUS_EDGES)
+    faces = tuple(tuple(Side(e, fwd) for e, fwd in f) for f in _TORUS_FACES)
+    template = ConeSurface(edges, faces, np.ones(len(edges)), check_angles=False)
+    template.lengths.flags.writeable = False
+    radius = {"C": 0, "q": 1, "p": 2}
+    ends = np.array([[radius[t[0]], radius[h[0]]] for t, h in _TORUS_EDGES])
+    turn = [abs(_TORUS_POLAR.get(t, 0) - _TORUS_POLAR.get(h, 0)) / 360.0 for t, h in _TORUS_EDGES]
+    share = np.array([0.0 if "p" in e else min(u, 1.0 - u) for e, u in zip(_TORUS_EDGES, turn)])
+    return template, ends, share
 
 
 def torus_with_cone_point(
     theta: float, rim_length: float | None = None
 ) -> tuple[ConeSurface, DiskSpec]:
-    """A hyperbolic torus with one cone point of angle theta < 2 pi, with the
-    cone point inside an embedded 3-face disk (the star of the point).
+    """A hyperbolic torus with one cone point p of angle theta < 2 pi, with
+    p inside an embedded 3-face disk (the star of the point), in closed
+    form: no metric is solved.
 
-    The solve starts from the plane square complex (_torus_seed) scaled by
-    sqrt(2 pi - theta), so that the seed's Euclidean area equals the
-    Gauss-Bonnet area cone_area([theta], 0) of the target.  A seed that
-    grows and shrinks with the defect lets the solve reach angles near both
-    ends of (0, 2 pi); it still stalls below theta ~ 0.05.
+    The torus is a regular hyperbolic square centred on p, its opposite
+    sides glued.  Its four triangles (p, C_k, C_k+1) have angle theta / 4
+    at p and pi / 4 at both corners, so the corners close up to one smooth
+    vertex (4 x pi / 2 = 2 pi), the area is the Gauss-Bonnet area 2 pi -
+    theta, and the centre-to-corner distance R and the inradius h are
+        cosh R = cot(theta / 8),  cosh h = cos(pi / 4) / sin(theta / 8).
+    The inner triangle q1 q2 q3 sits on the circle of radius rho about p,
+    at angles theta / 3 apart (_TORUS_POLAR), and every edge length is the
+    distance on the cone between its ends: for ends at distances r1, r2
+    from p, an angle D apart the short way round (D <= theta / 2 < pi),
+        sinh^2(l / 2) = sinh^2((r1 - r2) / 2) + sinh r1 sinh r2 sin^2(D / 2),
+    the law of cosines cosh l = cosh r1 cosh r2 - sinh r1 sinh r2 cos D in
+    a form that stays accurate for short edges.  The surface's own angle
+    check certifies the result.
 
-    rim_length, when given, prescribes the length of each of the three rim
-    edges of that disk (collision surgery wants a roomy collar).
+    rho is _TORUS_RIM_SHARE of h.  rim_length, when given, is the length of
+    each of the three rim edges of the disk instead (collision surgery
+    wants a roomy collar): sinh^2 rho = (cosh l - 1) / (1 - cos(theta / 3)).
+    The triangle fits for every rho < h; a rim it cannot fit raises
+    LinkRealizationError.  (Rims shorter than about 2e-3 fail the angle
+    check on rounding in the law of cosines.)
+
     Returns the surface and the disk around the cone point.
     """
     if not 0 < theta < TWO_PI:
         raise GeometryError("torus cone angle must be in (0, 2 pi)")
-    plane = _torus_seed(rim_length is not None)
-    p = 4
-    seed = plane.with_lengths(math.sqrt(cone_area([theta], 0)) * plane.lengths, {p: theta})
-    targets = {0: TWO_PI, 1: TWO_PI, 2: TWO_PI, 3: TWO_PI, p: theta}
-    surf = solve_metric(seed, targets)
-    if rim_length is not None:
-        lt = dict.fromkeys(_TORUS_RIM, rim_length)
-        surf = solve_metric(surf, targets, length_targets=lt, continuation_steps=64)
-    surf = surf._switch_on_angle_check()
-    disk = DiskSpec(surf, frozenset(range(7, 10)))
-    return surf, disk
+    s8 = math.sin(theta / 8)
+    # sinh^2(R / 2) = (cot(theta / 8) - 1) / 2, sinh^2(h / 2) = (cosh h - 1) / 2,
+    # as products that stay accurate as theta -> 2 pi
+    big_r = 2.0 * math.asinh(math.sqrt(math.sin(math.pi / 4 - theta / 8) / (math.sqrt(2.0) * s8)))
+    h = 2.0 * math.asinh(
+        math.sqrt(math.cos(math.pi / 8 + theta / 16) * math.sin(math.pi / 8 - theta / 16) / s8)
+    )
+    if rim_length is None:
+        rho = _TORUS_RIM_SHARE * h
+    else:
+        if not 0 < rim_length < math.inf:
+            raise GeometryError(f"rim_length must be positive and finite, got {rim_length!r}")
+        rho = math.asinh(math.sinh(rim_length / 2) / math.sin(theta / 6))
+        if not rho < h:
+            raise LinkRealizationError(
+                f"torus (theta={theta:.6g}) has no room for rim_length={rim_length:.6g}: "
+                f"the rim's circumradius rho = {rho:.6g} must be below the square's "
+                f"inradius h = {h:.6g}"
+            )
+    template, ends, share = _torus_template()
+    r = np.array([big_r, rho, 0.0])[ends]
+    sh = np.sinh(r)
+    half = np.sinh(0.5 * (r[:, 0] - r[:, 1])) ** 2 + sh[:, 0] * sh[:, 1] * np.sin(0.5 * theta * share) ** 2
+    surf = template.with_lengths(2.0 * np.arcsinh(np.sqrt(half)), {4: theta}, check_angles=True)
+    return surf, DiskSpec(surf, frozenset(range(7, 10)))
 
 
 # the apex angles fall like exp(-t); past this lift they are below ~1e-27,

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,16 +298,16 @@ def per_side_kernel():
 # ---------------------------------------------------------------------------
 
 
-def _per_trial_solve_metric(surface, targets, length_targets=None, continuation_steps=1):
+def _per_trial_solve_metric(surface, targets, length_targets=None):
     """catalog.solve_metric with every trial wrapped in a ConeSurface, whose
     length checks decide which trials fail, and its corner angles, angle
     sums and Jacobian taken side by side (per_side_kernel), so that the
     values do not come from the corner tables under test."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _per_trial_solve(surface, targets, length_targets, continuation_steps)
+        return _per_trial_solve(surface, targets, length_targets)
 
 
-def _per_trial_solve(surface, targets, length_targets, continuation_steps):
+def _per_trial_solve(surface, targets, length_targets):
     length_targets = dict(length_targets or {})
     verts = sorted(targets)
     ledges = sorted(length_targets)
@@ -334,46 +335,38 @@ def _per_trial_solve(surface, targets, length_targets, continuation_steps):
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
     current = build(x)
-    start = values_of(current)
-    stages = (
-        np.linspace(0.0, 1.0, max(2, continuation_steps + 1))[1:]
-        if continuation_steps > 1
-        else [1.0]
-    )
-    for t in stages:
-        stage_goal = (1 - t) * start + t * goal
-        lam = 1e-10
-        r = values_of(current) - stage_goal
-        for _ in range(200):
-            if np.abs(r).max() < METRIC_SOLVE_STOP:
-                break
-            jac = jacobian(current)
+    lam = 1e-10
+    r = values_of(current) - goal
+    for _ in range(200):
+        if np.abs(r).max() < METRIC_SOLVE_STOP:
+            break
+        jac = jacobian(current)
+        a = jac.T @ jac + lam * np.eye(len(x))
+        step = np.linalg.solve(a, -jac.T @ r)
+        improved = False
+        for _ in range(40):
+            try:
+                trial = build(x + step)
+                r_new = values_of(trial) - goal
+                if np.linalg.norm(r_new) < np.linalg.norm(r):
+                    x = x + step
+                    r = r_new
+                    current = trial
+                    lam = max(lam / 4.0, 1e-12)
+                    improved = True
+                    break
+            except GeometryError:
+                pass
+            lam = max(lam, 1e-8) * 8.0
             a = jac.T @ jac + lam * np.eye(len(x))
             step = np.linalg.solve(a, -jac.T @ r)
-            improved = False
-            for _ in range(40):
-                try:
-                    trial = build(x + step)
-                    r_new = values_of(trial) - stage_goal
-                    if np.linalg.norm(r_new) < np.linalg.norm(r):
-                        x = x + step
-                        r = r_new
-                        current = trial
-                        lam = max(lam / 4.0, 1e-12)
-                        improved = True
-                        break
-                except GeometryError:
-                    pass
-                lam = max(lam, 1e-8) * 8.0
-                a = jac.T @ jac + lam * np.eye(len(x))
-                step = np.linalg.solve(a, -jac.T @ r)
-            if not improved:
-                raise LinkRealizationError(
-                    "metric solve stalled: the requested cone data has no "
-                    "hyperbolic realization near the seed"
-                )
-        else:
-            raise LinkRealizationError("metric solve did not converge")
+        if not improved:
+            raise LinkRealizationError(
+                "metric solve stalled: the requested cone data has no "
+                "hyperbolic realization near the seed"
+            )
+    else:
+        raise LinkRealizationError("metric solve did not converge")
     return current
 
 
@@ -387,17 +380,47 @@ def per_trial_solve_metric():
 
 @pytest.fixture
 def solve_metric_calls(monkeypatch):
-    """The (surface, targets, length_targets, continuation_steps) of every
-    catalog.solve_metric call made while the test runs, in order."""
+    """The (surface, targets, length_targets) of every catalog.solve_metric
+    call made while the test runs, in order."""
     calls = []
     solve = catalog.solve_metric
 
-    def recorded(surface, targets, length_targets=None, continuation_steps=1):
-        calls.append((surface, dict(targets), length_targets, continuation_steps))
-        return solve(surface, targets, length_targets, continuation_steps)
+    def recorded(surface, targets, length_targets=None):
+        calls.append((surface, dict(targets), length_targets))
+        return solve(surface, targets, length_targets)
 
     monkeypatch.setattr(catalog, "solve_metric", recorded)
     return calls
+
+
+# the one-holed unit square of the torus complex (catalog._TORUS_EDGES), with
+# the inner triangle coned off at its centroid p
+_PLANE_SQUARE = {
+    "C1": (0.0, 0.0), "C2": (1.0, 0.0), "C3": (1.0, 1.0), "C4": (0.0, 1.0),
+    "q1": (0.5, 0.28), "q2": (0.72, 0.6), "q3": (0.34, 0.66),
+}
+_PLANE_SQUARE["p"] = tuple(np.mean(np.array([_PLANE_SQUARE[q] for q in ("q1", "q2", "q3")]), axis=0))
+
+
+def _plane_torus_seed(theta):
+    """(seed, targets): a start for catalog.solve_metric that is far from
+    any hyperbolic metric, on the triangulation of
+    catalog.torus_with_cone_point.  The lengths are the plane distances of
+    _PLANE_SQUARE scaled by sqrt(2 pi - theta), so that the square's area is
+    the Gauss-Bonnet area of the torus with one cone point of angle theta;
+    the targets are that torus's angle sums (2 pi at vertices 0-3, theta at
+    the cone point 4)."""
+    template, _, _ = catalog._torus_template()
+    plane = np.array([
+        float(np.hypot(*np.subtract(_PLANE_SQUARE[h], _PLANE_SQUARE[t]))) for t, h in catalog._TORUS_EDGES
+    ])
+    seed = template.with_lengths(math.sqrt(2 * math.pi - theta) * plane, {4: theta})
+    return seed, {0: 2 * math.pi, 1: 2 * math.pi, 2: 2 * math.pi, 3: 2 * math.pi, 4: theta}
+
+
+@pytest.fixture(scope="session")
+def plane_torus_seed():
+    return _plane_torus_seed
 
 
 # ---------------------------------------------------------------------------

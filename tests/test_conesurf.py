@@ -568,30 +568,62 @@ def test_subdivided_torus_satisfies_its_cone_angles(theta, eta, face):
 def test_metric_solve_stall_is_reported():
     """A corner the cone seed does not reach: a small new angle on face 1 of
     a host with a large one."""
-    surf, _ = torus_with_cone_point(4.5)
+    surf, _ = torus_with_cone_point(6.0)
     with pytest.raises(LinkRealizationError, match="stalled"):
         subdivide_face_with_cone(surf, 1, 0.2)
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.2, 0.4, 5.59, 5.9, 6.0, 6.2])
 def test_torus_solves_near_the_ends_of_its_range(theta):
-    """The seed scaled to the target's area reaches the angles near both
-    ends of (0, 2 pi) where a fixed-size seed stalled."""
+    """The closed form holds its angles near both ends of (0, 2 pi), where
+    a solved torus needed a seed sized to the target and stalled below
+    theta ~ 0.05."""
     surf, _ = torus_with_cone_point(theta)
     assert abs(surf.vertex_angle_sums([4])[4] - theta) < 1e-9
     assert surf.check_angles and not surf.angle_defect_report()
 
 
-@pytest.mark.parametrize("theta", [0.3, 2.0, 6.0])
-def test_torus_seed_has_the_target_area(theta, solve_metric_calls):
-    """The solve starts from the unit square complex scaled so that its
-    plane area, the square's side squared, is the Gauss-Bonnet area
-    2 pi - theta of the target."""
-    torus_with_cone_point(theta)
-    seed = solve_metric_calls[0][0]
-    side = seed.lengths[0]  # edge a, the bottom of the square
-    assert abs(side * side - cone_area([theta], 0)) < 1e-12
-    assert seed.lengths[1] == side  # edge b, its right side
+def _from_cone_point(surf, spoke, side, corners):
+    """The distance from the cone point 4 to the far end of side, an edge
+    leaving the far end q of spoke (an edge from 4), with the given
+    (face, corner) angles at q filling the angle between the two."""
+    m, k = surf.lengths[spoke], surf.lengths[side]
+    at_q = sum(surf.corner_angle(f, i) for f, i in corners)
+    return math.acosh(math.cosh(m) * math.cosh(k) - math.sinh(m) * math.sinh(k) * math.cos(at_q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(theta=st.floats(0.01, 2 * PI - 0.01))
+@example(theta=0.01)
+@example(theta=2 * PI - 0.01)
+def test_torus_is_the_regular_square_around_its_cone_point(theta):
+    """Every angle sum on target, the Gauss-Bonnet area 2 pi - theta, an
+    elliptic loop around the cone point, and a regular square: sides a = b
+    with cosh a = 1 + 2 cos(theta / 4), and all four corners at the distance
+    R from the cone point with cosh R = cot(theta / 8), each reached across
+    the inner triangle."""
+    surf, disk = torus_with_cone_point(theta)
+    sums = surf.vertex_angle_sums()
+    assert max(abs(sums[v] - surf.target_angle(v)) for v in surf.vertices) <= 1e-9
+    assert surf.cone_angles == {4: theta} and disk.interior_vertices() == {4}
+    assert abs(gauss_bonnet_area(surf) - (2 * PI - theta)) < 1e-9
+    assert abs(PI * len(surf.faces) - surf.corner_angles().sum() - (2 * PI - theta)) < 1e-9
+    h = holonomy_of_loop(surf, loop_around_vertex(surf, 4))
+    assert classify(h).kind is IsomKind.ELLIPTIC
+    assert abs(abs(h.trace) - 2 * abs(math.cos(theta / 2))) < 1e-9
+    a, b = surf.lengths[0], surf.lengths[1]
+    assert a == b
+    assert abs(math.cosh(a) - (1 + 2 * math.cos(theta / 4))) < 1e-12 * math.cosh(a)
+    # (spoke m, side k from its end q, corners at q from m round to k)
+    paths = (
+        (12, 2, ((7, 1), (1, 2), (0, 2))),  # C1 from q1
+        (13, 4, ((7, 2), (1, 1))),  # C2 from q2
+        (14, 6, ((8, 2), (3, 1))),  # C3 from q3
+        (12, 8, ((9, 2), (5, 1))),  # C4 from q1
+    )
+    cot = 1 / math.tan(theta / 8)
+    for spoke, side, corners in paths:
+        assert abs(math.cosh(_from_cone_point(surf, spoke, side, corners)) - cot) < 1e-9 * cot
 
 
 def _subdivision_seed(surf, face, eta, solve_metric_calls):

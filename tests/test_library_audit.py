@@ -18,7 +18,6 @@ CALLERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbenc
 # (module, name) -> why it stays with test callers only: each states a claim
 # of the paper that a test checks, and none has a demo yet
 DOCUMENTED_API = {
-    ("catalog", "double_triangle_sphere"): "the catalog's sphere with three cone points",
     ("linalg", "ads_null_geodesic"): "null geodesics of AdS3 are affine lines on the quadric",
     ("links", "positivity_from_gluing"): "causal positivity of a gluing along the singular line",
     ("links", "tachyon_mass_from_planes"): "a tachyon's mass is the log cross-ratio of its planes",

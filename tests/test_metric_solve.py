@@ -19,9 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import corpus  # noqa: E402
 
 
-def _outcome(solve, surface, targets, length_targets=None, continuation_steps=1):
+def _outcome(solve, surface, targets, length_targets=None):
     try:
-        s = solve(surface, targets, length_targets, continuation_steps)
+        s = solve(surface, targets, length_targets)
     except GeometryError as err:
         return type(err), str(err)
     return s.lengths.tobytes(), s.cone_angles, s.check_angles
@@ -40,15 +40,16 @@ def _assert_solves_match(calls, per_trial_solve_metric):
 def test_cone_surface_solves_match_the_per_trial_oracle(
     seed, solve_metric_calls, per_trial_solve_metric
 ):
-    """Every solve of the cone-surfaces benchmark inputs: the torus and the
-    subdivided torus.  None of them stalls; the stalls the oracle is held
-    to are those of test_partial_targets_match_the_per_trial_oracle and
+    """Every solve of the cone-surfaces benchmark inputs: one per input, the
+    subdivision of the closed-form torus.  None of them stalls; the stalls
+    the oracle is held to are those of
+    test_partial_targets_match_the_per_trial_oracle and
     test_failing_solves_match_the_per_trial_oracle."""
     for op in corpus.cone_inputs(seed):
         surf, _ = catalog.torus_with_cone_point(op.theta)
         catalog.subdivide_face_with_cone(surf, op.face, op.eta)
     calls = list(solve_metric_calls)
-    assert len(calls) == 2 * len(corpus.cone_inputs(seed))
+    assert len(calls) == len(corpus.cone_inputs(seed))
     outcomes = _assert_solves_match(calls, per_trial_solve_metric)
     assert all(isinstance(o[0], bytes) for o in outcomes)
 
@@ -56,11 +57,14 @@ def test_cone_surface_solves_match_the_per_trial_oracle(
 def test_cone_surface_solver_work_stays_bounded(monkeypatch):
     """The work of every metric solve behind the cone-surfaces benchmark
     inputs of seeds 1-3 (216 tori, each subdivided once), as counts that
-    repeat exactly: linear solves, Jacobian builds and stalls.  Seeds sized
-    to the target cone data take 3,605 solves, 2,566 Jacobians and no
-    stall; a fixed-size torus seed and longest-edge spokes took 11,623,
-    5,119 and 30.  The bounds leave room for a different but equally good
-    seed, not for the old ones."""
+    repeat exactly: linear solves, Jacobian builds and stalls.  The
+    closed-form torus solves nothing, and the subdivisions of it take 1,901
+    solves, 1,255 Jacobians and no stall.  A torus solved from the plane
+    square scaled to its area took 3,605 and 2,566 (1,188 solves for the
+    tori alone), and a fixed-size torus seed with longest-edge spokes
+    11,623, 5,119 and 30 stalls.  The bounds leave room for a different but
+    equally good placement of the torus's inner triangle, not for the old
+    constructions."""
     counts = {"solves": 0, "jacobians": 0, "stalls": 0}
     linear_solve, jacobian = np.linalg.solve, catalog.angle_sum_jacobian
 
@@ -82,25 +86,49 @@ def test_cone_surface_solver_work_stays_bounded(monkeypatch):
                 assert "stalled" in str(err)
                 counts["stalls"] += 1
     assert counts["stalls"] == 0
-    assert counts["solves"] <= 6000
-    assert counts["jacobians"] <= 3500
+    assert counts["solves"] <= 2300
+    assert counts["jacobians"] <= 1500
 
 
-@pytest.mark.parametrize("theta", [4.0, 4.5, 5.0])
-def test_rim_length_solves_match_the_per_trial_oracle(
-    theta, solve_metric_calls, per_trial_solve_metric
-):
-    catalog.torus_with_cone_point(theta, rim_length=0.8)
-    calls = list(solve_metric_calls)
-    assert [c[3] for c in calls] == [1, 64]
-    _assert_solves_match(calls, per_trial_solve_metric)
+@pytest.mark.parametrize("theta", [0.01, 2.0, 6.27])
+def test_the_torus_solves_no_metric(theta, solve_metric_calls):
+    catalog.torus_with_cone_point(theta)
+    catalog.torus_with_cone_point(theta, rim_length=0.05)
+    assert solve_metric_calls == []
 
 
-def test_partial_targets_match_the_per_trial_oracle(solve_metric_calls, per_trial_solve_metric):
+@pytest.mark.parametrize("theta", [0.5, 1.0, 2.0, 4.0, 4.5, 5.0])
+def test_rim_length_is_exact(theta, solve_metric_calls):
+    """A roomy collar, also at host angles where the rim-length
+    continuation from the solved torus stalled (theta <= 2): the three rim
+    edges, the disk's boundary, are 0.8 to rounding, with no solve."""
+    surf, disk = catalog.torus_with_cone_point(theta, rim_length=0.8)
+    assert solve_metric_calls == []
+    assert disk.boundary_edges() == [9, 10, 11]
+    assert np.abs(surf.lengths[disk.boundary_edges()] - 0.8).max() < 1e-15
+    assert surf.check_angles and not surf.angle_defect_report()
+    assert abs(surf.vertex_angle_sums([4])[4] - theta) < 1e-9
+
+
+def test_a_rim_with_no_room_is_refused():
+    """At theta = 6 a rim of 0.8 needs the inner triangle on a circle wider
+    than the square's incircle."""
+    with pytest.raises(
+        LinkRealizationError,
+        match=r"^torus \(theta=6\) has no room for rim_length=0\.8: the rim's circumradius "
+        r"rho = 0\.470575 must be below the square's inradius h = 0\.272516$",
+    ):
+        catalog.torus_with_cone_point(6.0, rim_length=0.8)
+    for bad in (0.0, -0.8, float("nan"), float("inf")):
+        with pytest.raises(GeometryError, match="^rim_length must be positive and finite"):
+            catalog.torus_with_cone_point(2.0, rim_length=bad)
+
+
+def test_partial_targets_match_the_per_trial_oracle(plane_torus_seed, per_trial_solve_metric):
     """Targets on some vertices only, in and out of order, with and without
-    length targets, from the solved torus and from its flat seed: the
+    length targets, from the solved torus and from its plane seed: the
     solver's rows are the prescribed vertices'."""
-    seed, targets = _torus_seed(solve_metric_calls)
+    seed, targets = plane_torus_seed(2.0)
     torus = catalog.solve_metric(seed, targets)
     calls = [
         (torus, {4: 2.2}),
@@ -116,17 +144,10 @@ def test_partial_targets_match_the_per_trial_oracle(solve_metric_calls, per_tria
     assert [isinstance(o[0], bytes) for o in outcomes] == [True] * 6 + [False] * 2
 
 
-def _torus_seed(solve_metric_calls):
-    catalog.torus_with_cone_point(2.0)
-    seed, targets, _, _ = solve_metric_calls[0]
-    del solve_metric_calls[:]
-    return seed, targets
-
-
-def test_failing_solves_match_the_per_trial_oracle(solve_metric_calls, per_trial_solve_metric):
+def test_failing_solves_match_the_per_trial_oracle(plane_torus_seed, per_trial_solve_metric):
     """The seed's own length errors, a solve that runs out of iterations and
     one whose trials overflow."""
-    seed, targets = _torus_seed(solve_metric_calls)
+    seed, targets = plane_torus_seed(2.0)
     torus = catalog.solve_metric(seed, targets)
     long_side = seed.with_lengths(seed.lengths.copy())
     long_side.lengths[0] = 10.0  # past the checks: the solver must redo them
@@ -157,10 +178,10 @@ def test_nothing_to_solve_gives_a_new_surface_with_the_same_lengths(length_targe
     assert got.faces == sphere.faces and got.edges == sphere.edges
 
 
-def test_a_solve_builds_one_surface(monkeypatch, solve_metric_calls):
+def test_a_solve_builds_one_surface(monkeypatch, plane_torus_seed):
     """Trials are evaluated on the length vector; only the result is a
     ConeSurface."""
-    seed, targets = _torus_seed(solve_metric_calls)
+    seed, targets = plane_torus_seed(2.0)
     built = []
     check = ConeSurface._check_metric
 
@@ -187,12 +208,13 @@ def _count_checks(monkeypatch):
 
 
 def test_a_construction_builds_two_surfaces(monkeypatch):
-    """The seed and the solved surface, which checks its own angles: the
-    solve's result is not copied to switch the angle check on."""
+    """A subdivision builds the seed and the solved surface, which checks
+    its own angles: the solve's result is not copied to switch the angle
+    check on.  The closed-form torus builds only itself."""
     torus, _ = catalog.torus_with_cone_point(2.0)
     built = _count_checks(monkeypatch)
     surf, _ = catalog.torus_with_cone_point(2.0)
-    assert len(built) == len(set(built)) == 2 and built[1] == id(surf)
+    assert built == [id(surf)]
     del built[:]
     refined, _, _ = catalog.subdivide_face_with_cone(torus, 1, 2.5)
     assert len(built) == len(set(built)) == 2 and built[1] == id(refined)
@@ -202,19 +224,21 @@ def test_a_construction_builds_two_surfaces(monkeypatch):
 
 def test_a_construction_still_checks_the_solved_angles(monkeypatch):
     """A solve that hands back a metric off its cone angles fails the
-    construction, as a checked copy of it would."""
+    subdivision, as a checked copy of it would."""
+    torus, _ = catalog.torus_with_cone_point(2.0)
     seed_of = {}
 
-    def unsolved(surface, targets, length_targets=None, continuation_steps=1):
-        seed_of["torus"] = surface
+    def unsolved(surface, targets, length_targets=None):
+        seed_of["refined"] = surface
         return surface.with_lengths(surface.lengths)
 
     monkeypatch.setattr(catalog, "solve_metric", unsolved)
     with pytest.raises(GeometryError, match="^vertex angle sums do not match targets") as got:
-        catalog.torus_with_cone_point(2.0)
-    seed = seed_of["torus"]
+        catalog.subdivide_face_with_cone(torus, 1, 2.5)
+    seed = seed_of["refined"]
+    assert seed.cone_angles == {4: 2.0, 5: 2.5}
     with pytest.raises(GeometryError) as want:
-        seed.with_lengths(seed.lengths, {4: 2.0}, check_angles=True)
+        seed.with_lengths(seed.lengths, check_angles=True)
     assert str(got.value) == str(want.value)
 
 

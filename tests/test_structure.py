@@ -113,15 +113,16 @@ def _assert_carries_its_corner_table(surface):
     assert degenerate.tobytes() == fresh.degenerate.tobytes()
 
 
-def test_solve_metric_hands_its_last_corner_table_to_its_result(monkeypatch):
+def test_solve_metric_hands_its_last_corner_table_to_its_result(monkeypatch, plane_torus_seed):
+    """The solved surfaces, and the closed-form tori, whose angle checks
+    evaluated theirs."""
     torus, _ = catalog.torus_with_cone_point(2.0)
     refined, _, _ = catalog.subdivide_face_with_cone(torus, 5, 3.0)
     roomy, _ = catalog.torus_with_cone_point(3.0, rim_length=0.8)
-    targets = {v: torus.target_angle(v) for v in torus.vertices}
-    plane = catalog._torus_seed(False)
-    seed = plane.with_lengths(np.sqrt(2 * np.pi - 2.0) * plane.lengths, torus.cone_angles)
+    refined_roomy, _, _ = catalog.subdivide_face_with_cone(roomy, 7, 1.0)
+    seed, targets = plane_torus_seed(2.0)
     solved = catalog.solve_metric(seed, targets)
-    for surface in (torus, refined, roomy, solved):
+    for surface in (torus, refined, roomy, refined_roomy, solved):
         _assert_carries_its_corner_table(surface)
     # so the checks on the result evaluate no corner table of their own
     evaluated = []
