@@ -583,6 +583,22 @@ def test_torus_solves_near_the_ends_of_its_range(theta):
     assert surf.check_angles and not surf.angle_defect_report()
 
 
+@pytest.mark.parametrize("theta", [0.3, 2.0, 6.0])
+def test_torus_seed_has_the_target_area(theta, plane_torus_seed):
+    """The plane square seed that the solver tests start from is the unit
+    square complex scaled so that its plane area, the square's side squared,
+    is the Gauss-Bonnet area 2 pi - theta of the target, the area of the
+    closed-form torus on the same triangulation."""
+    seed, targets = plane_torus_seed(theta)
+    side = seed.lengths[0]  # edge a, the bottom of the square
+    assert abs(side * side - cone_area([theta], 0)) < 1e-12
+    assert seed.lengths[1] == side  # edge b, its right side
+    assert targets[4] == theta and seed.cone_angles == {4: theta}
+    surf, _ = torus_with_cone_point(theta)
+    assert len(surf.lengths) == len(seed.lengths)
+    assert abs(gauss_bonnet_area(surf) - side * side) < 1e-9
+
+
 def _from_cone_point(surf, spoke, side, corners):
     """The distance from the cone point 4 to the far end of side, an edge
     leaving the far end q of spoke (an edge from 4), with the given
