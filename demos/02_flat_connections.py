@@ -12,8 +12,9 @@ angle.
 
 The contractible-loop deviations come from RK4 transport.  The meridian
 pairs are exact: on the quadric, identified with SL(2,R), the flat
-connections are left and right translation, so holonomy_pair needs only the
-endpoints of the meridian and the gluing.
+connections are left and right translation, so holonomy_pair reads the pair
+off the gluing's own factors, X -> g_l X g_r^{-1}, as (S g_r S, S g_l S)
+with S = diag(1, -1); the meridian path is only checked.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ print("\ntachyon meridian vs the gluing isometry's factors")
 path, G = meridian_loop("tachyon", 0.8, radius=0.25, samples=1600)
 pair = holonomy_pair(path, G)
 model = model_isom_pair("tachyon", 0.8)
-print(f"  transported: lengths ({classify(pair.left).length:.6f}, "
+print(f"  meridian pair: lengths ({classify(pair.left).length:.6f}, "
       f"{classify(pair.right).length:.6f})")
-print(f"  factored:    lengths ({classify(model.left).length:.6f}, "
+print(f"  factors:       lengths ({classify(model.left).length:.6f}, "
       f"{classify(model.right).length:.6f})")

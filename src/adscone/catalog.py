@@ -50,13 +50,8 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 
-def solve_metric(
-    surface: ConeSurface,
-    targets: dict[int, float],
-    length_targets: dict[int, float] | None = None,
-) -> ConeSurface:
-    """Adjust edge lengths so prescribed vertices reach their target angles
-    (and, optionally, prescribed edges reach target lengths).
+def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface:
+    """Adjust edge lengths so prescribed vertices reach their target angles.
 
     Damped Gauss-Newton on log lengths with the closed-form Jacobian of the
     hyperbolic law of cosines (conesurf.angle_sum_jacobian); the system is
@@ -84,14 +79,10 @@ def solve_metric(
     trial, so its angle sums, angle check and loop holonomies do not
     evaluate the law of cosines again.
     """
-    length_targets = dict(length_targets or {})
-    if not targets and not length_targets:
+    if not targets:
         return surface.with_lengths(surface.lengths)  # nothing to solve
     verts = sorted(targets)
-    ledges = sorted(length_targets)
-    goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
-    # d length[e] / d x[e] = length[e]
-    length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
+    goal = np.array([targets[v] for v in verts])
     tables = surface._tables
     rows = np.array(verts, dtype=np.intp)  # the prescribed vertices
 
@@ -103,15 +94,7 @@ def solve_metric(
         corners = corner_table(lengths, tables)
         raise_degenerate(corners.degenerate)
         values = vertex_angle_totals(corners.angles, tables.corner_vertices, tables.shape[0])[rows]
-        if ledges:
-            values = np.concatenate([values, lengths[ledges]])
         return lengths, sides, corners, values
-
-    def jacobian(lengths, sides, corners) -> np.ndarray:
-        angle_rows = angle_sum_jacobian(sides, corners, tables)[rows]
-        if not ledges:
-            return angle_rows
-        return np.vstack([angle_rows, length_rows * lengths[ledges][:, None]])
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -122,7 +105,7 @@ def solve_metric(
         for _ in range(200):
             if np.abs(r).max() < METRIC_SOLVE_STOP:
                 break
-            jac = jacobian(lengths, sides, corners)
+            jac = angle_sum_jacobian(sides, corners, tables)[rows]
             # fixed for the whole damping ladder of this iteration
             normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, math.sqrt(r.dot(r))
             step = np.linalg.solve(normal + lam * eye, rhs)

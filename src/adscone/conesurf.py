@@ -272,8 +272,9 @@ class ConeSurface:
 
         A face's frame has corner 0 at the origin and side 0 leaving it along
         the first axis.  With B(d) = diag(e^{d/2}, e^{-d/2}), the translation
-        by d along that axis, and R(phi), the rotation by phi/2 that
-        lorentz3_of_psl reads as the rotation by phi, the frame at corner i
+        by d along that axis, and R(phi), the rotation matrix of angle phi/2,
+        which rotates the hyperbolic plane by phi (g acts on R^{1,2}, as
+        symmetric 2x2 matrices, by X -> g X g^T), the frame at corner i
         heading along side i is
             E_0 = I,  E_1 = B(a_0) R(pi - alpha_1),  E_2 = E_1 B(a_1) R(pi - alpha_2),
         and side j of the neighbour g runs the other way along the same edge:

@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import Mink3Vec
-from .tolerances import DECK_MULTIPLE, FACTOR_RANK, LIFT_CONGRUENCE, LORENTZ_ROUND_TRIP
+from .tolerances import DECK_MULTIPLE, FACTOR_RANK, LIFT_CONGRUENCE
 from .tolerances import PARABOLIC_DISPLACEMENT, RIGID_ROTATION, TRACE
 
 PI = np.pi
@@ -316,51 +315,6 @@ class IsomPair:
 
 
 # ---------------------------------------------------------------------------
-# spin isomorphism PSL(2,R) <-> SO0(1,2)
-#
-# R^{1,2} is identified with symmetric 2x2 matrices via
-#   X(v) = [[v0+v1, v2], [v2, v0-v1]],   det X = v0^2 - v1^2 - v2^2,
-# on which g acts by X -> g X g^T.
-# ---------------------------------------------------------------------------
-
-
-def _sym_of_vec(v: Mink3Vec) -> np.ndarray:
-    return np.array([[v[0] + v[1], v[2]], [v[2], v[0] - v[1]]])
-
-
-def _vec_of_sym(x: np.ndarray) -> Mink3Vec:
-    return np.array([(x[0, 0] + x[1, 1]) / 2.0, (x[0, 0] - x[1, 1]) / 2.0, x[0, 1]])
-
-
-def lorentz3_of_psl(g: Proj2) -> np.ndarray:
-    """The SO0(1,2) matrix of g acting on R^{1,2}."""
-    m = g.m
-    cols = [_vec_of_sym(m @ _sym_of_vec(e) @ m.T) for e in np.eye(3)]
-    return np.column_stack(cols)
-
-
-def psl_of_lorentz3(L: np.ndarray) -> Proj2:
-    """Inverse of lorentz3_of_psl, via polar decomposition.
-
-    L e0 determines g g^T; the rotation factor is then solved from L e1.
-    """
-    L = np.asarray(L, dtype=float)
-    S = _sym_of_vec(L[:, 0])
-    w, P = np.linalg.eigh(S)
-    if np.any(w <= 0):
-        raise ValueError("matrix does not preserve the future cone")
-    shalf = P @ np.diag(np.sqrt(w)) @ P.T
-    sinv = P @ np.diag(1.0 / np.sqrt(w)) @ P.T
-    y = sinv @ _sym_of_vec(L[:, 1]) @ sinv
-    beta = 0.5 * np.arctan2(y[0, 1], y[0, 0])
-    r = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
-    g = Proj2(shalf @ r)
-    if np.abs(lorentz3_of_psl(g) - L).max() > LORENTZ_ROUND_TRIP:
-        raise ArithmeticError("Lorentz matrix is not in SO0(1,2) within tolerance")
-    return g
-
-
-# ---------------------------------------------------------------------------
 # left/right factorization of ambient isometries
 #
 # The quadric is identified with SL(2,R) via
@@ -385,6 +339,11 @@ def point_of_sl2(X: np.ndarray) -> np.ndarray:
     )
 
 
+# the matrices of x -> vec X(x) and of its inverse
+_SL2_OF_POINT = np.column_stack([sl2_of_point(e).ravel() for e in np.eye(4)])
+_POINT_OF_SL2 = np.column_stack([point_of_sl2(E.reshape(2, 2)) for E in np.eye(4)])
+
+
 def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
     """The 4x4 ambient matrix of x -> g_l X(x) g_r^{-1}."""
     gl, gr = pair.left.m, pair.right.inverse().m
@@ -397,30 +356,19 @@ def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
 def factor_isometry(L: np.ndarray) -> IsomPair:
     """Factor a 4x4 isometry of the quadric into its left/right pair.
 
-    Uses the Kronecker structure of X -> g_l X g_r^{-1} on matrix entries:
-    rearranged as a 4x4 array it is the outer product vec(g_l) vec(g_r^{-T}),
-    recovered from the dominant singular pair.
+    On 2x2 entries X -> g_l X g_r^{-1} is K = kron(g_l, g_r^{-T}); rearranged
+    as a 4x4 array, K is the rank-one outer product vec(g_l) vec(g_r^{-T})^T,
+    so the column of its largest entry is a multiple of vec(g_l) and that
+    entry's row is a multiple of vec(g_r^{-T}).
     """
-    L = np.asarray(L, dtype=float)
-    M = np.zeros((4, 4))
-    for j, e in enumerate(np.eye(4)):
-        M[:, j] = sl2_of_point(L @ e).ravel()
-    B = np.zeros((4, 4))
-    for j in range(4):
-        E = sl2_of_point(np.eye(4)[j]).ravel()
-        B[:, j] = E
-    # entries: sl2_of_point is linear, M = K B with K the matrix of
-    # Y -> g_l Y g_r^{-1} on 2x2 entries, i.e. K = kron(g_l, g_r^{-T}).
-    K = M @ np.linalg.inv(B)
+    K = _SL2_OF_POINT @ np.asarray(L, dtype=float) @ _POINT_OF_SL2
     R = K.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    u, s, vt = np.linalg.svd(R)
-    if s[1] > FACTOR_RANK * max(s[0], 1.0):
+    i, j = np.unravel_index(np.argmax(np.abs(R)), R.shape)
+    col, row = R[:, j] / R[i, j], R[i]
+    if not np.abs(R - np.outer(col, row)).max() <= FACTOR_RANK * max(abs(R[i, j]), 1.0):
         raise ValueError("matrix is not an orientation-preserving quadric isometry")
-    gl = (u[:, 0] * np.sqrt(s[0])).reshape(2, 2)
-    grinvT = (vt[0] * np.sqrt(s[0])).reshape(2, 2)
-    dl = np.linalg.det(gl)
-    if dl < 0:
+    gl, grinvT = col.reshape(2, 2), row.reshape(2, 2)
+    if np.linalg.det(gl) < 0:
         # time-orientation reversing candidates do not factor with real signs
         raise ValueError("matrix does not preserve orientation data")
-    gr = np.linalg.inv(grinvT.T)
-    return IsomPair(Proj2(gl), Proj2(gr))
+    return IsomPair(Proj2(gl), Proj2(grinvT.T).inverse())

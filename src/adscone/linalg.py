@@ -184,12 +184,6 @@ def orthonormal_tangent_frame(x: Vec22) -> tuple[Vec22, Vec22, Vec22]:
     return t, f1, f2
 
 
-def frame_coordinates(x: Vec22, frame: tuple[Vec22, Vec22, Vec22], u: Vec22) -> Mink3Vec:
-    """Coordinates of a tangent vector in an orthonormal frame (t, f1, f2)."""
-    t, f1, f2 = frame
-    return np.array([-dot22(u, t), dot22(u, f1), dot22(u, f2)])
-
-
 class HSPointClass(Enum):
     """The five-piece partition of the space of rays in R^{1,2}."""
 

@@ -5,9 +5,10 @@ The connections on the bundle of unit timelike vectors are
 
     D^l_x u = nabla_x u + u x x ,      D^r_x u = nabla_x u - u x x ,
 
-both flat; their holonomies around loops give the two projective factors of
-the ambient holonomy.  On a spacelike surface with shape operator B and
-complex structure J the induced metrics are
+both flat.  On the quadric, identified with SL(2,R), they are left and right
+translation, so their holonomies around a meridian are the two SL(2,R)
+factors of the gluing isometry (holonomy_pair).  On a spacelike surface with
+shape operator B and complex structure J the induced metrics are
 
     mu_l(v, v) = I((-B + J) v, (-B + J) v),
     mu_r(v, v) = I((-B - J) v, (-B - J) v),
@@ -22,18 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .isom import IsomPair, point_of_sl2, psl_of_lorentz3, sl2_of_point
-from .linalg import (
-    cross,
-    dot22,
-    frame_coordinates,
-    normalize_point,
-    orthonormal_tangent_frame,
-    project_tangent,
-)
+from .isom import IsomPair, Proj2, factor_isometry
+from .linalg import cross, dot22, normalize_point, project_tangent
 from .tolerances import JET_SELF_ADJOINT, JET_SYMMETRIC, POINT_MATCH, TRANSPORT_TANGENT, TRANSVERSE
 
 PI = np.pi
+_S = np.diag([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +154,10 @@ def transport(
     Fourth-order Runge-Kutta per segment with re-projection onto the tangent
     space; paths sampled at parameter steps around 1e-3 keep contractible
     loop deviations of the flat connections below 1e-6.  The left and right
-    connections also have the exact endpoint form that holonomy_pair uses;
-    this integrator serves the non-flat "lc" connection and is the reference
-    the exact form is tested against."""
+    connections are left and right translation on SL(2,R), so holonomy_pair
+    reads their meridian holonomies off the gluing's factors; this
+    integrator serves the non-flat "lc" connection and is the reference the
+    closed form is tested against."""
     if kind not in ("left", "right", "lc"):
         raise GeometryError("kind must be left, right or lc")
     path = np.asarray(path, dtype=float)
@@ -222,21 +218,25 @@ def square_loop(x: np.ndarray, d1: np.ndarray, d2: np.ndarray, size: float, n: i
 def holonomy_pair(path: np.ndarray, closing: np.ndarray) -> IsomPair:
     """Left/right holonomies around a meridian of a model spacetime.
 
-    path runs from y to G^{-1} y in the ambient quadric and closes through
-    the gluing G ('closing'); the transports of an orthonormal tangent frame,
-    corrected by dG, give isometries of the fiber hyperbolic plane, returned
-    as the pair of projective classes (left first).
+    path runs from a = path[0] to b = path[-1] = G^{-1} a in the ambient
+    quadric and closes through the gluing G ('closing'), which acts on the
+    quadric, identified with SL(2,R) by x -> X(x) (isom.sl2_of_point), as
+    X -> G_l X G_r^{-1}.  The left and right connections are left and right
+    translation, flat and globally trivial: from a to b a tangent vector U
+    goes to X(b) X(a)^{-1} U (left) or U X(a)^{-1} X(b) (right), whatever
+    the samples in between.  Since G_l X(b) G_r^{-1} = X(a), left transport
+    followed by dG acts on V = X(a)^{-1} U as V -> G_r V G_r^{-1}, and right
+    transport on V = U X(a)^{-1} as V -> G_l V G_l^{-1}.  Read in the frame
+    orthonormal_tangent_frame(e) at the identity e = (1, 0, 0, 0), these are
+    (S G_r S, S G_l S) with S = diag(1, -1): the pair, left first, is the
+    gluing's own factors, swapped and conjugated by S.  At another base
+    point it is the holonomy in the frame that translation carries there
+    from e.
 
-    The transports are exact.  Under the identification x -> X(x) of the
-    quadric with SL(2,R) (isom.sl2_of_point) the left and right connections
-    are left and right translation, flat and globally trivial: from
-    a = path[0] to b = path[-1] a tangent vector U goes to X(b) X(a)^{-1} U
-    (left) or U X(a)^{-1} X(b) (right), whatever the samples in between.
     The path is still checked where `transport` would evaluate it: every
     sample and every chord sum a + b must lie in the timelike cone."""
     path = np.asarray(path, dtype=float)
-    y = path[0]
-    if np.abs(closing @ path[-1] - y).max() > POINT_MATCH:
+    if np.abs(closing @ path[-1] - path[0]).max() > POINT_MATCH:
         raise GeometryError("closing isometry does not match the path endpoints")
     stages = np.concatenate((path, path[:-1] + path[1:]))
     norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
@@ -246,18 +246,8 @@ def holonomy_pair(path: np.ndarray, closing: np.ndarray) -> IsomPair:
         raise GeometryError(
             f"path leaves the timelike cone at {where}: <p,p> = {norms[k]:.3e} >= 0"
         )
-    xa_inv = np.linalg.inv(sl2_of_point(normalize_point(y)))
-    xb = sl2_of_point(normalize_point(path[-1]))
-    gl, gr = xb @ xa_inv, xa_inv @ xb
-    frame = orthonormal_tangent_frame(y)
-    out = []
-    for translate in (lambda u: gl @ u, lambda u: u @ gr):
-        cols = [
-            frame_coordinates(y, frame, closing @ point_of_sl2(translate(sl2_of_point(u0))))
-            for u0 in frame
-        ]
-        out.append(psl_of_lorentz3(np.column_stack(cols)))
-    return IsomPair(*out)
+    factors = factor_isometry(closing)
+    return IsomPair(Proj2(_S @ factors.right.m @ _S), Proj2(_S @ factors.left.m @ _S))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ PARABOLIC_DISPLACEMENT = 1e-12  # a parabolic lift moves every angle one way, up
 LIFT_CONGRUENCE = 1e-7  # two line angles agree mod pi
 DECK_MULTIPLE = 1e-7  # a lift offset is a whole number of deck translations (in units of pi)
 RIGID_ROTATION = 1e-8  # a conjugated elliptic lift translates every angle by the same amount
-LORENTZ_ROUND_TRIP = 1e-6  # a PSL(2,R) element maps back to its SO0(1,2) matrix, entrywise
-FACTOR_RANK = 1e-8  # an ambient isometry factors: 2nd singular value <= this * max(1st, 1)
+FACTOR_RANK = 1e-8  # kron(g_l, g_r^-T) rearranged is rank one, entrywise within this * max(top entry, 1)
 # projective circles and links
 FIXED_POINT = 1e-7  # a lifted angle x is fixed by a lift h: |h(x) - x|
 DISTINCT_LINE = 1e-9  # two fixed lines differ: their line angles differ by more, mod pi

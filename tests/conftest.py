@@ -7,8 +7,8 @@ import pytest
 from adscone import catalog
 from adscone.conesurf import _uses_of, flip_edge, raise_degenerate, resolve_loop
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
-from adscone.isom import IsomPair, Proj2, psl_of_lorentz3
-from adscone.linalg import dot12, frame_coordinates, orthonormal_tangent_frame
+from adscone.isom import IsomPair, Proj2, point_of_sl2, sl2_of_point
+from adscone.linalg import dot12, dot22, normalize_point, orthonormal_tangent_frame
 from adscone.lrmetrics import transport
 from adscone.tolerances import (
     DEGENERATE_CORNER,
@@ -20,22 +20,105 @@ from adscone.tolerances import (
 )
 
 
+# ---------------------------------------------------------------------------
+# the spin isomorphism PSL(2,R) <-> SO0(1,2) and frame coordinates
+#
+# R^{1,2} is identified with symmetric 2x2 matrices via
+#   X(v) = [[v0+v1, v2], [v2, v0-v1]],   det X = v0^2 - v1^2 - v2^2,
+# on which g acts by X -> g X g^T.
+# ---------------------------------------------------------------------------
+
+
+def _sym_of_vec(v):
+    return np.array([[v[0] + v[1], v[2]], [v[2], v[0] - v[1]]])
+
+
+def _vec_of_sym(x):
+    return np.array([(x[0, 0] + x[1, 1]) / 2.0, (x[0, 0] - x[1, 1]) / 2.0, x[0, 1]])
+
+
+def _lorentz3_of_psl(g):
+    """The SO0(1,2) matrix of g acting on R^{1,2}."""
+    m = g.m
+    cols = [_vec_of_sym(m @ _sym_of_vec(e) @ m.T) for e in np.eye(3)]
+    return np.column_stack(cols)
+
+
+def _psl_of_lorentz3(L):
+    """Inverse of _lorentz3_of_psl, via polar decomposition: L e0 determines
+    g g^T, and the rotation factor is then solved from L e1."""
+    L = np.asarray(L, dtype=float)
+    S = _sym_of_vec(L[:, 0])
+    w, P = np.linalg.eigh(S)
+    if np.any(w <= 0):
+        raise ValueError("matrix does not preserve the future cone")
+    shalf = P @ np.diag(np.sqrt(w)) @ P.T
+    sinv = P @ np.diag(1.0 / np.sqrt(w)) @ P.T
+    y = sinv @ _sym_of_vec(L[:, 1]) @ sinv
+    beta = 0.5 * np.arctan2(y[0, 1], y[0, 0])
+    r = np.array([[np.cos(beta), -np.sin(beta)], [np.sin(beta), np.cos(beta)]])
+    g = Proj2(shalf @ r)
+    if np.abs(_lorentz3_of_psl(g) - L).max() > 1e-6:
+        raise ArithmeticError("Lorentz matrix is not in SO0(1,2) within tolerance")
+    return g
+
+
+def _frame_coordinates(x, frame, u):
+    """Coordinates of a tangent vector at x in an orthonormal frame (t, f1, f2)."""
+    t, f1, f2 = frame
+    return np.array([-dot22(u, t), dot22(u, f1), dot22(u, f2)])
+
+
+@pytest.fixture(scope="session")
+def spin():
+    """The spin isomorphism PSL(2,R) -> SO0(1,2) and its inverse, and
+    coordinates in an orthonormal tangent frame: the frame round trip the
+    RK4 and development oracles read their holonomies through."""
+    return SimpleNamespace(
+        lorentz3_of_psl=_lorentz3_of_psl,
+        psl_of_lorentz3=_psl_of_lorentz3,
+        frame_coordinates=_frame_coordinates,
+    )
+
+
+_E_BASE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _frame_change(y, kind):
+    """The class p that takes a holonomy h read in the frame
+    orthonormal_tangent_frame(y) to p h p^-1, the same holonomy read in the
+    frame orthonormal_tangent_frame(e) at e = (1, 0, 0, 0), with tangent
+    vectors moved from y to e by left (kind 'left': U -> X(y)^-1 U) or
+    right (U -> U X(y)^-1) translation."""
+    xy_inv = np.linalg.inv(sl2_of_point(normalize_point(y)))
+    frame_e = orthonormal_tangent_frame(_E_BASE)
+    cols = []
+    for u in orthonormal_tangent_frame(y):
+        U = sl2_of_point(u)
+        V = xy_inv @ U if kind == "left" else U @ xy_inv
+        cols.append(_frame_coordinates(_E_BASE, frame_e, point_of_sl2(V)))
+    return _psl_of_lorentz3(np.column_stack(cols))
+
+
 def _rk4_holonomy_pair(path, closing):
     y = path[0]
     frame = orthonormal_tangent_frame(y)
     sides = []
     for kind in ("left", "right"):
-        cols = [frame_coordinates(y, frame, closing @ transport(path, u0, kind)) for u0 in frame]
-        sides.append(psl_of_lorentz3(np.column_stack(cols)))
+        cols = [_frame_coordinates(y, frame, closing @ transport(path, u0, kind)) for u0 in frame]
+        sides.append(_psl_of_lorentz3(np.column_stack(cols)).conjugate(_frame_change(y, kind)))
     return IsomPair(*sides)
 
 
 @pytest.fixture(scope="session")
 def rk4_holonomy_pair():
-    """Reference for lrmetrics.holonomy_pair: the same frame and closing
-    tail, with the left/right transports integrated by RK4 along every
-    segment of the path instead of taken in closed form.  Results are kept
-    for the session, because several tests integrate the same meridians."""
+    """Reference for lrmetrics.holonomy_pair: the transports of the frame
+    orthonormal_tangent_frame(path[0]) integrated by RK4 along every
+    segment of the path, closed by the gluing, read in that frame through
+    the spin isomorphism, and conjugated by the frame change that left or
+    right translation makes to the frame at the identity (_frame_change,
+    taken from the two frames alone).  Results are kept for the session,
+    because several tests integrate the same meridians."""
     done = {}
 
     def pair(path, closing):
@@ -193,7 +276,7 @@ def _developed_holonomy(s, loop):
         if fi != f:
             raise GeometryError("loop steps do not chain")
         f, developed = _develop_across(s, f, _place_face(s, f), si)
-        h = h @ psl_of_lorentz3(developed.T @ np.linalg.inv(_place_face(s, f).T)).m
+        h = h @ _psl_of_lorentz3(developed.T @ np.linalg.inv(_place_face(s, f).T)).m
     if f != f0:
         raise GeometryError("loop does not return to its base face")
     return Proj2(h)
@@ -298,21 +381,18 @@ def per_side_kernel():
 # ---------------------------------------------------------------------------
 
 
-def _per_trial_solve_metric(surface, targets, length_targets=None):
+def _per_trial_solve_metric(surface, targets):
     """catalog.solve_metric with every trial wrapped in a ConeSurface, whose
     length checks decide which trials fail, and its corner angles, angle
     sums and Jacobian taken side by side (per_side_kernel), so that the
     values do not come from the corner tables under test."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _per_trial_solve(surface, targets, length_targets)
+        return _per_trial_solve(surface, targets)
 
 
-def _per_trial_solve(surface, targets, length_targets):
-    length_targets = dict(length_targets or {})
+def _per_trial_solve(surface, targets):
     verts = sorted(targets)
-    ledges = sorted(length_targets)
-    goal = np.array([targets[v] for v in verts] + [length_targets[e] for e in ledges])
-    length_rows = np.equal.outer(ledges, range(len(surface.edges))).astype(float)
+    goal = np.array([targets[v] for v in verts])
     face_edges, corner_vertices = _face_edges(surface), _corner_vertices(surface)
     shape = (surface.num_vertices, len(surface.edges))
 
@@ -326,12 +406,11 @@ def _per_trial_solve(surface, targets, length_targets):
 
     def values_of(s):
         sums = np.bincount(corner_vertices.ravel(), weights=angles_of(s).ravel(), minlength=shape[0])
-        return np.array([sums[v] for v in verts] + [s.lengths[e] for e in ledges])
+        return np.array([sums[v] for v in verts])
 
     def jacobian(s):
         sides = s.lengths[face_edges]
-        rows = _per_side_angle_sum_jacobian(sides, angles_of(s), face_edges, corner_vertices, shape)
-        return np.vstack([rows[verts], length_rows * s.lengths[ledges][:, None]])
+        return _per_side_angle_sum_jacobian(sides, angles_of(s), face_edges, corner_vertices, shape)[verts]
 
     x = np.log(np.asarray(surface.lengths, dtype=float))
     current = build(x)
@@ -380,14 +459,14 @@ def per_trial_solve_metric():
 
 @pytest.fixture
 def solve_metric_calls(monkeypatch):
-    """The (surface, targets, length_targets) of every catalog.solve_metric
-    call made while the test runs, in order."""
+    """The (surface, targets) of every catalog.solve_metric call made while
+    the test runs, in order."""
     calls = []
     solve = catalog.solve_metric
 
-    def recorded(surface, targets, length_targets=None):
-        calls.append((surface, dict(targets), length_targets))
-        return solve(surface, targets, length_targets)
+    def recorded(surface, targets):
+        calls.append((surface, dict(targets)))
+        return solve(surface, targets)
 
     monkeypatch.setattr(catalog, "solve_metric", recorded)
     return calls

@@ -11,11 +11,11 @@ from adscone.isom import (
     fixed_line_angles,
     fixed_point_lift,
     lift_identity,
-    lorentz3_of_psl,
     matrix44_of_pair,
     parabolic_sign,
+    point_of_sl2,
     principal_lift,
-    psl_of_lorentz3,
+    sl2_of_point,
     translation_number,
 )
 
@@ -217,14 +217,14 @@ def test_fixed_point_lift_fixes_both_hyperbolic_points():
         assert abs(lift(a) - a) < 1e-9
 
 
-def test_spin_isomorphism_roundtrip():
+def test_spin_isomorphism_roundtrip(spin):
     for _ in range(300):
         g = random_psl()
-        L = lorentz3_of_psl(g)
+        L = spin.lorentz3_of_psl(g)
         # preserves the Minkowski form
         eta = np.diag([-1.0, 1.0, 1.0])
         assert np.abs(L.T @ eta @ L - eta).max() < 1e-9
-        h = psl_of_lorentz3(L)
+        h = spin.psl_of_lorentz3(L)
         assert h.almost_equal(g, 1e-8) or h.almost_equal(Proj2(-g.m), 1e-8)
 
 
@@ -237,3 +237,19 @@ def test_factor_isometry_roundtrip():
         back = factor_isometry(L)
         assert back.left.almost_equal(pair.left, 1e-8)
         assert back.right.almost_equal(pair.right, 1e-8)
+
+
+def test_factor_isometry_rejects_the_transpose():
+    """X -> X^T (x1 -> -x1) is an isometry of the quadric that reverses
+    orientation; its rearranged Kronecker array has rank 4, not 1."""
+    with pytest.raises(ValueError, match="not an orientation-preserving quadric isometry"):
+        factor_isometry(np.diag([1.0, -1.0, 1.0, 1.0]))
+
+
+def test_factor_isometry_rejects_a_reflection_of_both_factors():
+    """X -> S X S with S = diag(1, -1) has the rank-one form, but its factor
+    S has determinant -1: it reverses the time orientation."""
+    s = np.diag([1.0, -1.0])
+    L = np.column_stack([point_of_sl2(s @ sl2_of_point(e) @ s) for e in np.eye(4)])
+    with pytest.raises(ValueError, match="does not preserve orientation data"):
+        factor_isometry(L)

@@ -4,7 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adscone.errors import GeometryError
-from adscone.isom import IsomKind, classify
+from adscone.isom import (
+    IsomKind,
+    IsomPair,
+    Proj2,
+    classify,
+    factor_isometry,
+    matrix44_of_pair,
+    point_of_sl2,
+)
 from adscone.linalg import dot22, normalize_point, orthonormal_tangent_frame
 from adscone.lrmetrics import (
     JetSample,
@@ -20,7 +28,7 @@ from adscone.lrmetrics import (
     transport,
     transverse_check,
 )
-from adscone.spacetimes import meridian_loop, model_isom_pair
+from adscone.spacetimes import graviton_gluing, meridian_loop, model_isom_pair
 
 PI = np.pi
 RNG = np.random.RandomState(23)
@@ -271,3 +279,76 @@ def test_holonomy_pair_intertwines_model_factors():
     for got, want in ((pair.left, model.left), (pair.right, model.right)):
         _, resid = solve_conjugator([(got, want)])
         assert resid < 1e-6
+
+
+E_BASE = np.array([1.0, 0.0, 0.0, 0.0])
+S = np.diag([1.0, -1.0])
+
+
+def _chord_path(a, b, samples=200):
+    """a, the normalized points of the chord from a to b, and b."""
+    inner = [normalize_point(a + t * (b - a)) for t in np.linspace(0.0, 1.0, samples)[1:-1]]
+    return np.array([a, *inner, b])
+
+
+def _flipped(g):
+    return Proj2(S @ g.m @ S)
+
+
+def _mixed_closing():
+    """A closing whose factors differ in kind: g_l elliptic, g_r hyperbolic."""
+    gl = Proj2.elliptic(1.1).conjugate(Proj2(np.array([[1.2, 0.3], [-0.4, 0.9]])))
+    gr = Proj2.hyperbolic(0.9).conjugate(Proj2(np.array([[0.8, -0.5], [0.2, 1.1]])))
+    return IsomPair(gl, gr), matrix44_of_pair(IsomPair(gl, gr))
+
+
+def test_holonomy_pair_is_the_flipped_swapped_factors_at_the_identity():
+    """Left holonomy S g_r S, right holonomy S g_l S: with factors of
+    different kinds a swapped or unflipped pair cannot pass."""
+    factors, G = _mixed_closing()
+    pair = holonomy_pair(_chord_path(E_BASE, np.linalg.solve(G, E_BASE)), G)
+    assert_pairs_close(pair, IsomPair(_flipped(factors.right), _flipped(factors.left)), 1e-12)
+    assert classify(pair.left).kind is IsomKind.HYPERBOLIC
+    assert classify(pair.right).kind is IsomKind.ELLIPTIC
+
+
+def test_holonomy_pair_matches_the_transported_frame_at_a_generic_point(rk4_holonomy_pair):
+    _, G = _mixed_closing()
+    y = normalize_point(np.array([1.3, 0.2, 0.5, -0.1]))
+    path = _chord_path(y, np.linalg.solve(G, y))
+    assert_pairs_close(holonomy_pair(path, G), rk4_holonomy_pair(path, G))
+
+
+@pytest.mark.parametrize("base", [E_BASE, normalize_point(np.array([1.3, 0.2, 0.5, -0.1]))])
+def test_holonomy_pair_of_a_graviton_gluing(base, rk4_holonomy_pair):
+    """Parabolic factors: S g S reverses the orientation of the line, so the
+    meridian pair's parabolic signs are the factors' signs reversed."""
+    G = graviton_gluing(0.7)
+    path = _chord_path(base, np.linalg.solve(G, base))
+    pair = holonomy_pair(path, G)
+    assert_pairs_close(pair, rk4_holonomy_pair(path, G))
+    factors = factor_isometry(G)
+    for got, factor in ((pair.left, factors.right), (pair.right, factors.left)):
+        assert classify(got).kind is classify(factor).kind is IsomKind.PARABOLIC
+        assert classify(got).sign == -classify(factor).sign
+
+
+@pytest.mark.parametrize("entry, tol", [(35.0, 1e-12), (100.0, 4e-12)])
+def test_holonomy_pair_is_exact_for_large_boosts(entry, tol):
+    """Factors with entries ~35 and ~100, whose SO0(1,2) matrices have
+    entries ~1.2e3 and ~1e4, where a frame round trip through the polar
+    decomposition (the oracles' spin fixture) loses accuracy or raises: the
+    pair is the flipped factors to rounding.  A unit-determinant matrix
+    with entries ~100 is itself only fixed to about |g|^2 eps ~ 2e-12
+    relative (its determinant cancels 1e4 against 1e4), hence the wider
+    bound there.  The meridian ends at b with X(b) = g_l^-1 g_r = h, taken
+    from h: solved from the closing, b would miss it by ~1e-8."""
+    gl = Proj2.hyperbolic(2.0 * np.log(2.0 * entry)).conjugate(Proj2.elliptic(PI / 2))
+    h = Proj2.elliptic(0.7)
+    gr = gl @ h
+    assert np.abs(gr.m - gl.m @ h.m).max() < 1e-9  # the same sign: X(b) = h
+    G = matrix44_of_pair(IsomPair(gl, gr))
+    pair = holonomy_pair(_chord_path(E_BASE, point_of_sl2(h.m)), G)
+    for got, want in ((pair.left, _flipped(gr)), (pair.right, _flipped(gl))):
+        assert np.abs(want.m).max() > 0.9 * entry
+        assert np.abs(got.m - want.m).max() <= tol * np.abs(want.m).max()
