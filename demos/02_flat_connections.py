@@ -10,11 +10,13 @@ holonomies around a meridian of a cone spacetime are the two projective
 factors of the gluing isometry: an elliptic pair whose angle is the cone
 angle.
 
-The contractible-loop deviations come from RK4 transport.  The meridian
-pairs are exact: on the quadric, identified with SL(2,R), the flat
-connections are left and right translation, so holonomy_pair reads the pair
-off the gluing's own factors, X -> g_l X g_r^{-1}, as (S g_r S, S g_l S)
-with S = diag(1, -1); the meridian path is only checked.
+On the quadric, identified with SL(2,R) by the chart Z (isom.sl2_of_point),
+the flat connections are right and left translation, so left/right
+transport is closed form and returns around every loop to rounding; only
+the Levi-Civita deviation is integrated (RK4).  In the same chart the
+gluing acts as Z -> g_l Z g_r^{-1}, and holonomy_pair returns its factors
+(g_l, g_r) themselves, which model_isom_pair also returns: the meridian path
+is only checked.
 """
 
 import numpy as np
@@ -33,21 +35,24 @@ print("transport around a contractible square loop of side 1e-2:")
 for kind in ("left", "right", "lc"):
     print(f"  {kind:5s}: deviation {loop_deviation(loop, u0, kind):.3e}")
 
-print("\ncone meridians: holonomy pairs")
+print("\ncone meridians: holonomy pairs and the gluing's factors")
 for theta in (np.pi / 3, np.pi / 2, np.pi):
     path, G = meridian_loop("cone", theta, samples=1200)
     pair = holonomy_pair(path, G)
-    cl, cr = classify(pair.left), classify(pair.right)
+    model = model_isom_pair("cone", theta)
     print(
-        f"  theta={theta:.4f}: left elliptic({cl.angle:.6f}), "
-        f"right elliptic({cr.angle:.6f})"
+        f"  theta={theta:.4f}: pair elliptic({classify(pair.left).angle:.6f}, "
+        f"{classify(pair.right).angle:.6f}), factors elliptic("
+        f"{classify(model.left).angle:.6f}, {classify(model.right).angle:.6f})"
     )
 
-print("\ntachyon meridian vs the gluing isometry's factors")
+print("\ntachyon meridian: the pair is the gluing isometry's factors")
 path, G = meridian_loop("tachyon", 0.8, radius=0.25, samples=1600)
 pair = holonomy_pair(path, G)
 model = model_isom_pair("tachyon", 0.8)
+gap = max(np.abs(pair.left.m - model.left.m).max(), np.abs(pair.right.m - model.right.m).max())
 print(f"  meridian pair: lengths ({classify(pair.left).length:.6f}, "
       f"{classify(pair.right).length:.6f})")
 print(f"  factors:       lengths ({classify(model.left).length:.6f}, "
       f"{classify(model.right).length:.6f})")
+print(f"  largest entry gap between pair and factors: {gap:.1e}")

@@ -108,11 +108,12 @@ def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface
             jac = angle_sum_jacobian(sides, corners, tables)[rows]
             # fixed for the whole damping ladder of this iteration
             normal, rhs, r_norm = jac.T @ jac, -jac.T @ r, math.sqrt(r.dot(r))
-            step = np.linalg.solve(normal + lam * eye, rhs)
             improved = False
             for _ in range(40):
                 try:
-                    x_new = x + step
+                    # a damped system that is singular to working precision
+                    # fails its rung like a rejected trial
+                    x_new = x + np.linalg.solve(normal + lam * eye, rhs)
                     trial = evaluate(x_new)
                     r_new = trial[3] - goal
                     if math.sqrt(r_new.dot(r_new)) < r_norm:
@@ -122,10 +123,9 @@ def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface
                         lam = max(lam / 4.0, 1e-12)
                         improved = True
                         break
-                except GeometryError:
+                except (GeometryError, np.linalg.LinAlgError):
                     pass
                 lam = max(lam, 1e-8) * 8.0
-                step = np.linalg.solve(normal + lam * eye, rhs)
             if not improved:
                 raise LinkRealizationError(
                     "metric solve stalled: the requested cone data has no "

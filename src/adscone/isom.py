@@ -6,6 +6,9 @@ direction (cos(phi), sin(phi)) has line angle phi mod pi, and the universal
 cover of the projective line is the real line with deck translation
 delta: phi -> phi + pi.  A lift of g is the pair (g, s) where s is the image
 of the basepoint angle 0 under the chosen monotone lift.
+
+Isometries of the quadric factor into pairs (g_l, g_r) in the SL(2,R) chart
+sl2_of_point, in which a gluing's factors are its meridian holonomies.
 """
 
 from __future__ import annotations
@@ -318,34 +321,36 @@ class IsomPair:
 # left/right factorization of ambient isometries
 #
 # The quadric is identified with SL(2,R) via
-#   X(x) = [[x0+x3, x2+x1], [x2-x1, x0-x3]],  det X = -<x,x> ,
+#   Z(x) = [[x0-x3, x2+x1], [x2-x1, x0+x3]],  det Z = -<x,x> ,
 # and an orientation/time-orientation preserving isometry acts as
-# X -> g_l X g_r^{-1}.
+# Z -> g_l Z g_r^{-1}.  The flat connections are right and left translation
+# in this chart (lrmetrics.transport), so g_l and g_r are the left and right
+# meridian holonomies.
 # ---------------------------------------------------------------------------
 
 
 def sl2_of_point(x: np.ndarray) -> np.ndarray:
-    return np.array([[x[0] + x[3], x[2] + x[1]], [x[2] - x[1], x[0] - x[3]]])
+    return np.array([[x[0] - x[3], x[2] + x[1]], [x[2] - x[1], x[0] + x[3]]])
 
 
-def point_of_sl2(X: np.ndarray) -> np.ndarray:
+def point_of_sl2(Z: np.ndarray) -> np.ndarray:
     return np.array(
         [
-            (X[0, 0] + X[1, 1]) / 2.0,
-            (X[0, 1] - X[1, 0]) / 2.0,
-            (X[0, 1] + X[1, 0]) / 2.0,
-            (X[0, 0] - X[1, 1]) / 2.0,
+            (Z[0, 0] + Z[1, 1]) / 2.0,
+            (Z[0, 1] - Z[1, 0]) / 2.0,
+            (Z[0, 1] + Z[1, 0]) / 2.0,
+            (Z[1, 1] - Z[0, 0]) / 2.0,
         ]
     )
 
 
-# the matrices of x -> vec X(x) and of its inverse
+# the matrices of x -> vec Z(x) and of its inverse
 _SL2_OF_POINT = np.column_stack([sl2_of_point(e).ravel() for e in np.eye(4)])
 _POINT_OF_SL2 = np.column_stack([point_of_sl2(E.reshape(2, 2)) for E in np.eye(4)])
 
 
 def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
-    """The 4x4 ambient matrix of x -> g_l X(x) g_r^{-1}."""
+    """The 4x4 ambient matrix of x -> g_l Z(x) g_r^{-1}."""
     gl, gr = pair.left.m, pair.right.inverse().m
     cols = []
     for e in np.eye(4):
@@ -354,9 +359,10 @@ def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
 
 
 def factor_isometry(L: np.ndarray) -> IsomPair:
-    """Factor a 4x4 isometry of the quadric into its left/right pair.
+    """Factor a 4x4 isometry of the quadric into its left/right pair, which
+    is also its pair of left/right meridian holonomies.
 
-    On 2x2 entries X -> g_l X g_r^{-1} is K = kron(g_l, g_r^{-T}); rearranged
+    On 2x2 entries Z -> g_l Z g_r^{-1} is K = kron(g_l, g_r^{-T}); rearranged
     as a 4x4 array, K is the rank-one outer product vec(g_l) vec(g_r^{-T})^T,
     so the column of its largest entry is a multiple of vec(g_l) and that
     entry's row is a multiple of vec(g_r^{-T}).

@@ -5,8 +5,9 @@ The connections on the bundle of unit timelike vectors are
 
     D^l_x u = nabla_x u + u x x ,      D^r_x u = nabla_x u - u x x ,
 
-both flat.  On the quadric, identified with SL(2,R), they are left and right
-translation, so their holonomies around a meridian are the two SL(2,R)
+both flat.  On the quadric, identified with SL(2,R) by the chart
+isom.sl2_of_point, they are right and left translation, so transport along
+them is closed form and their holonomies around a meridian are the two
 factors of the gluing isometry (holonomy_pair).  On a spacelike surface with
 shape operator B and complex structure J the induced metrics are
 
@@ -23,12 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .isom import IsomPair, Proj2, factor_isometry
+from .isom import IsomPair, factor_isometry, point_of_sl2, sl2_of_point
 from .linalg import cross, dot22, normalize_point, project_tangent
 from .tolerances import JET_SELF_ADJOINT, JET_SYMMETRIC, POINT_MATCH, TRANSPORT_TANGENT, TRANSVERSE
 
 PI = np.pi
-_S = np.diag([1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +137,19 @@ def equidistant_jet(mu: np.ndarray, t: float) -> JetSample:
 # ---------------------------------------------------------------------------
 
 
-def _transport_rhs(x, xdot, u, kind):
-    r = dot22(u, xdot) * x
-    if kind == "lc":
-        return r
-    c = cross(x, u, xdot)
-    return r - c if kind == "left" else r + c
+def _checked_path(path) -> np.ndarray:
+    """path as an array, once every point an integrator along it would
+    evaluate is in the timelike cone: each sample and each chord sum a + b."""
+    path = np.asarray(path, dtype=float)
+    stages = np.concatenate((path, path[:-1] + path[1:]))
+    norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
+    if np.any(norms >= 0):
+        k = int(np.argmax(norms))
+        where = f"sample {k}" if k < len(path) else f"chord {k - len(path)}"
+        raise GeometryError(
+            f"path leaves the timelike cone at {where}: <p,p> = {norms[k]:.3e} >= 0"
+        )
+    return path
 
 
 def transport(
@@ -151,46 +158,43 @@ def transport(
     """Parallel transport of a tangent vector along a polyline of quadric
     points, for the left, right, or Levi-Civita connection.
 
-    Fourth-order Runge-Kutta per segment with re-projection onto the tangent
-    space; paths sampled at parameter steps around 1e-3 keep contractible
-    loop deviations of the flat connections below 1e-6.  The left and right
-    connections are left and right translation on SL(2,R), so holonomy_pair
-    reads their meridian holonomies off the gluing's factors; this
-    integrator serves the non-flat "lc" connection and is the reference the
-    closed form is tested against."""
+    The left and right connections are flat and globally trivial: in the
+    chart Z = isom.sl2_of_point a tangent vector U at a = path[0] arrives at
+    b = path[-1] as U Z(a)^{-1} Z(b) (left) or Z(b) Z(a)^{-1} U (right),
+    whatever the samples in between.  The Levi-Civita connection is not
+    flat; it is integrated by fourth-order Runge-Kutta, substeps per
+    segment, with re-projection onto the tangent space.  Every path is
+    checked where that integrator evaluates it (_checked_path)."""
     if kind not in ("left", "right", "lc"):
         raise GeometryError("kind must be left, right or lc")
-    path = np.asarray(path, dtype=float)
+    path = _checked_path(path)
     u = np.asarray(u0, dtype=float).copy()
-    x0 = path[0]
-    if abs(dot22(u, x0)) > TRANSPORT_TANGENT * max(1.0, float(np.dot(u, u))):
+    if abs(dot22(u, path[0])) > TRANSPORT_TANGENT * max(1.0, float(np.dot(u, u))):
         raise GeometryError("initial vector must be tangent at the path start")
-    for k in range(len(path) - 1):
-        a, b = path[k], path[k + 1]
+    if kind != "lc":
+        a, b = normalize_point(path[0]), normalize_point(path[-1])
+        za, zb, U = sl2_of_point(a), sl2_of_point(b), sl2_of_point(u)
+        moved = U @ np.linalg.solve(za, zb) if kind == "left" else zb @ np.linalg.solve(za, U)
+        return project_tangent(b, point_of_sl2(moved))
+    h = 1.0 / substeps
+    for a, b in zip(path[:-1], path[1:]):
         d = b - a
-        h = 1.0 / substeps
+
+        def F(t, uu):
+            # the Levi-Civita transport equation u' = <u, x'> x
+            p = a + t * d
+            x = normalize_point(p)
+            nu = np.sqrt(-dot22(p, p))
+            return dot22(uu, d / nu + p * (dot22(p, d) / nu ** 3)) * x
+
         for j in range(substeps):
             t0 = j * h
-
-            def X(t):
-                p = a + t * d
-                return normalize_point(p)
-
-            def Xdot(t):
-                p = a + t * d
-                nu = np.sqrt(-dot22(p, p))
-                return d / nu + p * (dot22(p, d) / nu ** 3)
-
-            def F(t, uu):
-                return _transport_rhs(X(t), Xdot(t), uu, kind)
-
             k1 = F(t0, u)
             k2 = F(t0 + h / 2, u + h / 2 * k1)
             k3 = F(t0 + h / 2, u + h / 2 * k2)
             k4 = F(t0 + h, u + h * k3)
             u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        xb = normalize_point(b)
-        u = project_tangent(xb, u)
+        u = project_tangent(normalize_point(b), u)
     return u
 
 
@@ -219,35 +223,22 @@ def holonomy_pair(path: np.ndarray, closing: np.ndarray) -> IsomPair:
     """Left/right holonomies around a meridian of a model spacetime.
 
     path runs from a = path[0] to b = path[-1] = G^{-1} a in the ambient
-    quadric and closes through the gluing G ('closing'), which acts on the
-    quadric, identified with SL(2,R) by x -> X(x) (isom.sl2_of_point), as
-    X -> G_l X G_r^{-1}.  The left and right connections are left and right
-    translation, flat and globally trivial: from a to b a tangent vector U
-    goes to X(b) X(a)^{-1} U (left) or U X(a)^{-1} X(b) (right), whatever
-    the samples in between.  Since G_l X(b) G_r^{-1} = X(a), left transport
-    followed by dG acts on V = X(a)^{-1} U as V -> G_r V G_r^{-1}, and right
-    transport on V = U X(a)^{-1} as V -> G_l V G_l^{-1}.  Read in the frame
-    orthonormal_tangent_frame(e) at the identity e = (1, 0, 0, 0), these are
-    (S G_r S, S G_l S) with S = diag(1, -1): the pair, left first, is the
-    gluing's own factors, swapped and conjugated by S.  At another base
-    point it is the holonomy in the frame that translation carries there
-    from e.
+    quadric and closes through the gluing G ('closing'), Z -> G_l Z G_r^{-1}
+    in the chart Z = isom.sl2_of_point.  Left transport takes U at a to
+    U Z(a)^{-1} Z(b), and dG brings that back as G_l U Z(a)^{-1} G_l^{-1} Z(a):
+    on V = U Z(a)^{-1} the left holonomy is conjugation by G_l, and likewise
+    the right one by G_r on V = Z(a)^{-1} U.  Read in the frame
+    orthonormal_tangent_frame(e) at the identity e = (1, 0, 0, 0), the pair
+    is the closing's factors (isom.factor_isometry); at another base point
+    it is the holonomy in the frame that translation carries there from e.
 
-    The path is still checked where `transport` would evaluate it: every
-    sample and every chord sum a + b must lie in the timelike cone."""
+    The path is checked as transport checks it: every sample and every
+    chord sum a + b must lie in the timelike cone."""
     path = np.asarray(path, dtype=float)
     if np.abs(closing @ path[-1] - path[0]).max() > POINT_MATCH:
         raise GeometryError("closing isometry does not match the path endpoints")
-    stages = np.concatenate((path, path[:-1] + path[1:]))
-    norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
-    if np.any(norms >= 0):
-        k = int(np.argmax(norms))
-        where = f"sample {k}" if k < len(path) else f"chord {k - len(path)}"
-        raise GeometryError(
-            f"path leaves the timelike cone at {where}: <p,p> = {norms[k]:.3e} >= 0"
-        )
-    factors = factor_isometry(closing)
-    return IsomPair(Proj2(_S @ factors.right.m @ _S), Proj2(_S @ factors.left.m @ _S))
+    _checked_path(path)
+    return factor_isometry(closing)
 
 
 # ---------------------------------------------------------------------------

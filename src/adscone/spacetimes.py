@@ -22,7 +22,9 @@ from .isom import (
     IsomPair,
     Proj2,
     classify,
+    factor_isometry,
     matrix44_of_pair,
+    point_of_sl2,
     sylvester_rows,
 )
 from .linalg import HSPointClass, dot22, normalize_point
@@ -241,17 +243,16 @@ def meridian_loop(kind: str, param: float, radius: float = 0.3, samples: int = 2
     raise GeometryError(f"no meridian model for kind {kind!r}")
 
 
-def model_isom_pair(kind: str, param: float) -> IsomPair:
-    """The left/right factorization of a model's gluing isometry."""
-    from .isom import factor_isometry
+_GLUINGS = {"cone": cone_gluing, "tachyon": tachyon_gluing, "graviton": graviton_gluing}
 
-    if kind == "cone":
-        return factor_isometry(cone_gluing(param))
-    if kind == "tachyon":
-        return factor_isometry(tachyon_gluing(param))
-    if kind == "graviton":
-        return factor_isometry(graviton_gluing(param))
-    raise GeometryError(f"no model of kind {kind!r}")
+
+def model_isom_pair(kind: str, param: float) -> IsomPair:
+    """The left/right factors of a model's gluing isometry, which are its
+    meridian holonomies (holonomy_pair): elliptic of angle theta on both
+    sides for a cone, hyperbolic of length m for a tachyon of mass m."""
+    if kind not in _GLUINGS:
+        raise GeometryError(f"no model of kind {kind!r}")
+    return factor_isometry(_GLUINGS[kind](param))
 
 
 # -- causal checks in the singular chart -------------------------------------
@@ -353,8 +354,6 @@ def btz_invariant_lines(m: ModelSpacetime, samples: int = 24) -> BTZLines:
         raise GeometryError("intertwiner space is not two-dimensional")
     n1 = vt[-1].reshape(2, 2)
     n2 = vt[-2].reshape(2, 2)
-
-    from .isom import point_of_sl2
 
     x1, x2 = point_of_sl2(n1), point_of_sl2(n2)
     fixed = _geodesic_from_plane(x1, x2, samples)

@@ -7,15 +7,15 @@ import pytest
 from adscone import catalog
 from adscone.conesurf import _uses_of, flip_edge, raise_degenerate, resolve_loop
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
-from adscone.isom import IsomPair, Proj2, point_of_sl2, sl2_of_point
-from adscone.linalg import dot12, dot22, normalize_point, orthonormal_tangent_frame
-from adscone.lrmetrics import transport
+from adscone.isom import IsomPair, Proj2
+from adscone.linalg import cross, dot12, dot22, normalize_point, orthonormal_tangent_frame
 from adscone.tolerances import (
     DEGENERATE_CORNER,
     DELAUNAY_MARGIN,
     DISK_FIT_STALL,
     DISK_FIT_STOP,
     METRIC_SOLVE_STOP,
+    TRANSPORT_TANGENT,
     TRIANGLE_MARGIN,
 )
 
@@ -81,6 +81,80 @@ def spin():
     )
 
 
+# ---------------------------------------------------------------------------
+# the RK4 oracle for the flat connections
+#
+# D^l u = nabla u + u x x' and D^r u = nabla u - u x x', integrated along
+# every segment of a path.  Frames are moved by left/right translation in
+# the oracle's own SL(2,R) chart
+#   X(x) = [[x0+x3, x2+x1], [x2-x1, x0-x3]],
+# not in the library's isom.sl2_of_point, so the oracle never reads the chart
+# under test.
+# ---------------------------------------------------------------------------
+
+
+def _x_of_point(x):
+    return np.array([[x[0] + x[3], x[2] + x[1]], [x[2] - x[1], x[0] - x[3]]])
+
+
+def _point_of_x(X):
+    return np.array(
+        [
+            (X[0, 0] + X[1, 1]) / 2.0,
+            (X[0, 1] - X[1, 0]) / 2.0,
+            (X[0, 1] + X[1, 0]) / 2.0,
+            (X[0, 0] - X[1, 1]) / 2.0,
+        ]
+    )
+
+
+def _on_quadric(p):
+    """p scaled onto the quadric; GeometryError outside the timelike cone."""
+    q = dot22(p, p)
+    if q >= 0:
+        raise GeometryError("transport evaluates a point outside the timelike cone")
+    return p / np.sqrt(-q)
+
+
+def _rk4_transport(path, u0, kind, substeps=1):
+    """Left or right transport by fourth-order Runge-Kutta per segment, with
+    re-projection onto the tangent space at every sample."""
+    sign = {"left": -1.0, "right": 1.0}[kind]
+    path = np.asarray(path, dtype=float)
+    u = np.asarray(u0, dtype=float).copy()
+    if abs(dot22(u, path[0])) > TRANSPORT_TANGENT * max(1.0, float(np.dot(u, u))):
+        raise GeometryError("initial vector must be tangent at the path start")
+    h = 1.0 / substeps
+    for a, b in zip(path[:-1], path[1:]):
+        d = b - a
+
+        def F(t, uu):
+            p = a + t * d
+            x = _on_quadric(p)
+            nu = np.sqrt(-dot22(p, p))
+            xdot = d / nu + p * (dot22(p, d) / nu ** 3)
+            return dot22(uu, xdot) * x + sign * cross(x, uu, xdot)
+
+        for j in range(substeps):
+            t0 = j * h
+            k1 = F(t0, u)
+            k2 = F(t0 + h / 2, u + h / 2 * k1)
+            k3 = F(t0 + h / 2, u + h / 2 * k2)
+            k4 = F(t0 + h, u + h * k3)
+            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        xb = _on_quadric(b)
+        u = u + dot22(u, xb) * xb
+    return u
+
+
+@pytest.fixture(scope="session")
+def rk4_transport():
+    """Reference for lrmetrics.transport(kind="left"/"right"): the flat
+    transport equations integrated by RK4, raising GeometryError where a
+    point it evaluates leaves the timelike cone or u0 is not tangent."""
+    return _rk4_transport
+
+
 _E_BASE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
@@ -90,13 +164,13 @@ def _frame_change(y, kind):
     frame orthonormal_tangent_frame(e) at e = (1, 0, 0, 0), with tangent
     vectors moved from y to e by left (kind 'left': U -> X(y)^-1 U) or
     right (U -> U X(y)^-1) translation."""
-    xy_inv = np.linalg.inv(sl2_of_point(normalize_point(y)))
+    xy_inv = np.linalg.inv(_x_of_point(normalize_point(y)))
     frame_e = orthonormal_tangent_frame(_E_BASE)
     cols = []
     for u in orthonormal_tangent_frame(y):
-        U = sl2_of_point(u)
+        U = _x_of_point(u)
         V = xy_inv @ U if kind == "left" else U @ xy_inv
-        cols.append(_frame_coordinates(_E_BASE, frame_e, point_of_sl2(V)))
+        cols.append(_frame_coordinates(_E_BASE, frame_e, _point_of_x(V)))
     return _psl_of_lorentz3(np.column_stack(cols))
 
 
@@ -105,7 +179,7 @@ def _rk4_holonomy_pair(path, closing):
     frame = orthonormal_tangent_frame(y)
     sides = []
     for kind in ("left", "right"):
-        cols = [_frame_coordinates(y, frame, closing @ transport(path, u0, kind)) for u0 in frame]
+        cols = [_frame_coordinates(y, frame, closing @ _rk4_transport(path, u0, kind)) for u0 in frame]
         sides.append(_psl_of_lorentz3(np.column_stack(cols)).conjugate(_frame_change(y, kind)))
     return IsomPair(*sides)
 
@@ -113,12 +187,12 @@ def _rk4_holonomy_pair(path, closing):
 @pytest.fixture(scope="session")
 def rk4_holonomy_pair():
     """Reference for lrmetrics.holonomy_pair: the transports of the frame
-    orthonormal_tangent_frame(path[0]) integrated by RK4 along every
-    segment of the path, closed by the gluing, read in that frame through
-    the spin isomorphism, and conjugated by the frame change that left or
-    right translation makes to the frame at the identity (_frame_change,
-    taken from the two frames alone).  Results are kept for the session,
-    because several tests integrate the same meridians."""
+    orthonormal_tangent_frame(path[0]) integrated by the RK4 oracle along
+    every segment of the path, closed by the gluing, read in that frame
+    through the spin isomorphism, and conjugated by the frame change that
+    left or right translation makes to the frame at the identity
+    (_frame_change, taken from the two frames alone).  Results are kept for
+    the session, because several tests integrate the same meridians."""
     done = {}
 
     def pair(path, closing):

@@ -63,7 +63,10 @@ def report(criterion, ok, detail=""):
     assert ok, detail
 
 
-def test_criterion_01_flatness():
+def test_criterion_01_flatness(rk4_transport):
+    # the flat kinds run on the RK4 oracle: the library's closed form
+    # returns around every loop by construction, so only the transport
+    # equations can show flatness
     t0 = time.time()
     charts = [
         normalize_point(np.array([1.0, 0.0, 0.0, 0.0])),
@@ -77,7 +80,7 @@ def test_criterion_01_flatness():
         u0 = np.cosh(chi) * t + np.sinh(chi) * f1
         loop = square_loop(x, f1, f2, 1e-2, 40)
         for kind in ("left", "right"):
-            worst_flat = max(worst_flat, loop_deviation(loop, u0, kind))
+            worst_flat = max(worst_flat, np.linalg.norm(rk4_transport(loop, u0, kind) - u0))
         best_lc = min(best_lc, loop_deviation(loop, u0, "lc"))
     elapsed = time.time() - t0
     ok = worst_flat <= 1e-4 and best_lc >= 5e-3 and elapssed_ok(elapsed, 10)

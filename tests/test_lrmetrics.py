@@ -119,7 +119,10 @@ def test_transverse_check_flags_flat_slices():
         left_right_metrics(flat)
 
 
-def test_flatness_of_left_right_connections():
+def test_flatness_of_left_right_connections(rk4_transport):
+    """The transport equations of D^l and D^r are flat: their RK4 oracle
+    returns around a contractible loop.  (The library's closed form returns
+    by construction, so it could not show this.)"""
     x = np.array([1.0, 0, 0, 0])
     e1, e2 = np.eye(4)[2], np.eye(4)[3]
     chi = 5.0
@@ -127,7 +130,7 @@ def test_flatness_of_left_right_connections():
     loop = square_loop(x, e1, e2, 1e-2, 40)
     area = 1e-4
     for kind in ("left", "right"):
-        dev = loop_deviation(loop, u0, kind)
+        dev = np.linalg.norm(rk4_transport(loop, u0, kind) - u0)
         assert dev / area <= 1e-4
     lc = loop_deviation(loop, u0, "lc")
     assert lc / area >= 1e-2
@@ -158,6 +161,15 @@ def test_geodesic_flow_invariance():
         ref = max(abs(v) for v in vals) or 1.0
         worst = max(worst, (max(vals) - min(vals)) / ref)
     assert worst <= 1e-8
+
+
+E_BASE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _chord_path(a, b, samples=200):
+    """a, the normalized points of the chord from a to b, and b."""
+    inner = [normalize_point(a + t * (b - a)) for t in np.linspace(0.0, 1.0, samples)[1:-1]]
+    return np.array([a, *inner, b])
 
 
 def assert_pairs_close(got, want, tol=1e-9):
@@ -202,15 +214,32 @@ def test_holonomy_pair_tachyon_matches_model_factors(rk4_holonomy_pair):
     st.one_of(
         st.tuples(st.just("cone"), st.floats(0.05, 2 * PI - 0.05)),
         st.tuples(st.just("tachyon"), st.floats(0.05, 1.7)),
+        st.tuples(st.just("graviton"), st.sampled_from([0.7, -0.7])),
     )
 )
 def test_holonomy_pair_equals_model_factors(model):
+    """One convention: a model's factors are its meridian pair, entry by
+    entry, so they share their class and its parameter: the cone angle
+    theta, the tachyon mass m, the graviton's parabolic sign."""
     kind, param = model
-    pair = holonomy_pair(*meridian_loop(kind, param, radius=0.3))
+    if kind == "graviton":
+        G = graviton_gluing(param)
+        pair = holonomy_pair(_chord_path(E_BASE, np.linalg.solve(G, E_BASE)), G)
+    else:
+        pair = holonomy_pair(*meridian_loop(kind, param, radius=0.3))
     want = model_isom_pair(kind, param)
+    assert_pairs_close(pair, want, 1e-12)
     for got, ref in ((pair.left, want.left), (pair.right, want.right)):
-        assert abs(got.trace - ref.trace) <= 1e-9
-        assert classify(got).kind is classify(ref).kind
+        cg, cr = classify(got), classify(ref)
+        assert cg.kind is cr.kind
+        if kind == "cone":
+            assert cg.kind is IsomKind.ELLIPTIC and abs(cg.angle - param) <= 1e-9
+            assert abs(cr.angle - param) <= 1e-9
+        elif kind == "tachyon":
+            assert cg.kind is IsomKind.HYPERBOLIC and abs(cg.length - param) <= 1e-9
+            assert abs(cr.length - param) <= 1e-9
+        else:
+            assert cg.kind is IsomKind.PARABOLIC and cg.sign == cr.sign
 
 
 def test_holonomy_pair_rejects_closing_mismatch():
@@ -233,6 +262,65 @@ def test_holonomy_pair_rejects_path_outside_timelike_cone():
             transport(path, orthonormal_tangent_frame(a)[1], "left")
         with pytest.raises(GeometryError, match=f"timelike cone at {where}"):
             holonomy_pair(path, np.eye(4))
+
+
+def _quadric_point(s, phi, psi):
+    return np.cosh(s) * np.array([np.cos(phi), np.sin(phi), 0.0, 0.0]) + np.sinh(s) * np.array(
+        [0.0, 0.0, np.cos(psi), np.sin(psi)]
+    )
+
+
+_coefficient = st.floats(-0.3, 0.3)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 2 * PI), st.floats(0.0, 2 * PI)),
+    st.lists(_coefficient, min_size=9, max_size=9),
+    st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).filter(
+        lambda c: max(map(abs, c)) >= 0.1
+    ),
+    st.sampled_from(["left", "right"]),
+)
+def test_closed_form_transport_matches_the_rk4_oracle(
+    rk4_transport, base, path_coefficients, u_coefficients, kind
+):
+    """A curved path x + t v1 + t^2 v2 + sin(3t) v3 (v_i tangent at x) in
+    200 samples, and a tangent vector at its start: the closed form and the
+    RK4 oracle agree to 1e-9 relative."""
+    x = _quadric_point(*base)
+    frame = orthonormal_tangent_frame(x)
+    v1, v2, v3 = (c @ np.array(frame) for c in np.reshape(path_coefficients, (3, 3)))
+    ts = np.linspace(0.0, 1.0, 200)
+    path = np.array([normalize_point(x + t * v1 + t * t * v2 + np.sin(3 * t) * v3) for t in ts])
+    u0 = np.array(u_coefficients) @ np.array(orthonormal_tangent_frame(path[0]))
+    want = rk4_transport(path, u0, kind)
+    got = transport(path, u0, kind)
+    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+_A = np.array([1.0, 0.0, 0.0, 0.0])
+_REJECTED = {
+    # c is not in the timelike cone at all
+    "sample outside the cone": (np.array([_A, [0.0, 0.0, 2.0, 0.0], _A]), np.array([0.0, 1.0, 0.0, 0.0])),
+    # b is on the quadric, but <a, b> = cosh(1) > 1: the chord a + b is spacelike
+    "spacelike chord": (
+        np.array([_A, [-np.cosh(1.0), 0.0, np.sinh(1.0), 0.0], _A]),
+        np.array([0.0, 1.0, 0.0, 0.0]),
+    ),
+    "u0 not tangent": (np.array([_A, normalize_point(_A + [0.0, 0.0, 0.1, 0.0])]), _A),
+}
+
+
+@pytest.mark.parametrize("kind", ["left", "right"])
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_closed_form_transport_rejects_what_the_oracle_rejects(case, kind, rk4_transport):
+    path, u0 = _REJECTED[case]
+    with pytest.raises(GeometryError) as closed:
+        transport(path, u0, kind)
+    with pytest.raises(GeometryError) as oracle:
+        rk4_transport(path, u0, kind)
+    assert type(closed.value) is type(oracle.value)
 
 
 def test_disk_link_isometry_values():
@@ -281,20 +369,6 @@ def test_holonomy_pair_intertwines_model_factors():
         assert resid < 1e-6
 
 
-E_BASE = np.array([1.0, 0.0, 0.0, 0.0])
-S = np.diag([1.0, -1.0])
-
-
-def _chord_path(a, b, samples=200):
-    """a, the normalized points of the chord from a to b, and b."""
-    inner = [normalize_point(a + t * (b - a)) for t in np.linspace(0.0, 1.0, samples)[1:-1]]
-    return np.array([a, *inner, b])
-
-
-def _flipped(g):
-    return Proj2(S @ g.m @ S)
-
-
 def _mixed_closing():
     """A closing whose factors differ in kind: g_l elliptic, g_r hyperbolic."""
     gl = Proj2.elliptic(1.1).conjugate(Proj2(np.array([[1.2, 0.3], [-0.4, 0.9]])))
@@ -302,14 +376,16 @@ def _mixed_closing():
     return IsomPair(gl, gr), matrix44_of_pair(IsomPair(gl, gr))
 
 
-def test_holonomy_pair_is_the_flipped_swapped_factors_at_the_identity():
-    """Left holonomy S g_r S, right holonomy S g_l S: with factors of
-    different kinds a swapped or unflipped pair cannot pass."""
+def test_holonomy_pair_is_the_factors_at_the_identity(rk4_holonomy_pair):
+    """Left holonomy g_l, right holonomy g_r, as the RK4 oracle transports
+    them: with factors of different kinds a swapped pair cannot pass."""
     factors, G = _mixed_closing()
-    pair = holonomy_pair(_chord_path(E_BASE, np.linalg.solve(G, E_BASE)), G)
-    assert_pairs_close(pair, IsomPair(_flipped(factors.right), _flipped(factors.left)), 1e-12)
-    assert classify(pair.left).kind is IsomKind.HYPERBOLIC
-    assert classify(pair.right).kind is IsomKind.ELLIPTIC
+    path = _chord_path(E_BASE, np.linalg.solve(G, E_BASE))
+    pair = holonomy_pair(path, G)
+    assert_pairs_close(pair, factors, 1e-12)
+    assert_pairs_close(pair, rk4_holonomy_pair(path, G))
+    assert classify(pair.left).kind is IsomKind.ELLIPTIC
+    assert classify(pair.right).kind is IsomKind.HYPERBOLIC
 
 
 def test_holonomy_pair_matches_the_transported_frame_at_a_generic_point(rk4_holonomy_pair):
@@ -321,16 +397,16 @@ def test_holonomy_pair_matches_the_transported_frame_at_a_generic_point(rk4_holo
 
 @pytest.mark.parametrize("base", [E_BASE, normalize_point(np.array([1.3, 0.2, 0.5, -0.1]))])
 def test_holonomy_pair_of_a_graviton_gluing(base, rk4_holonomy_pair):
-    """Parabolic factors: S g S reverses the orientation of the line, so the
-    meridian pair's parabolic signs are the factors' signs reversed."""
+    """Parabolic factors: the meridian pair is the factors, parabolic signs
+    included."""
     G = graviton_gluing(0.7)
     path = _chord_path(base, np.linalg.solve(G, base))
     pair = holonomy_pair(path, G)
     assert_pairs_close(pair, rk4_holonomy_pair(path, G))
     factors = factor_isometry(G)
-    for got, factor in ((pair.left, factors.right), (pair.right, factors.left)):
+    for got, factor in ((pair.left, factors.left), (pair.right, factors.right)):
         assert classify(got).kind is classify(factor).kind is IsomKind.PARABOLIC
-        assert classify(got).sign == -classify(factor).sign
+        assert classify(got).sign == classify(factor).sign
 
 
 @pytest.mark.parametrize("entry, tol", [(35.0, 1e-12), (100.0, 4e-12)])
@@ -338,17 +414,17 @@ def test_holonomy_pair_is_exact_for_large_boosts(entry, tol):
     """Factors with entries ~35 and ~100, whose SO0(1,2) matrices have
     entries ~1.2e3 and ~1e4, where a frame round trip through the polar
     decomposition (the oracles' spin fixture) loses accuracy or raises: the
-    pair is the flipped factors to rounding.  A unit-determinant matrix
+    pair is the factors to rounding.  A unit-determinant matrix
     with entries ~100 is itself only fixed to about |g|^2 eps ~ 2e-12
     relative (its determinant cancels 1e4 against 1e4), hence the wider
-    bound there.  The meridian ends at b with X(b) = g_l^-1 g_r = h, taken
+    bound there.  The meridian ends at b with Z(b) = g_l^-1 g_r = h, taken
     from h: solved from the closing, b would miss it by ~1e-8."""
     gl = Proj2.hyperbolic(2.0 * np.log(2.0 * entry)).conjugate(Proj2.elliptic(PI / 2))
     h = Proj2.elliptic(0.7)
     gr = gl @ h
-    assert np.abs(gr.m - gl.m @ h.m).max() < 1e-9  # the same sign: X(b) = h
+    assert np.abs(gr.m - gl.m @ h.m).max() < 1e-9  # the same sign: Z(b) = h
     G = matrix44_of_pair(IsomPair(gl, gr))
     pair = holonomy_pair(_chord_path(E_BASE, point_of_sl2(h.m)), G)
-    for got, want in ((pair.left, _flipped(gr)), (pair.right, _flipped(gl))):
+    for got, want in ((pair.left, gl), (pair.right, gr)):
         assert np.abs(want.m).max() > 0.9 * entry
         assert np.abs(got.m - want.m).max() <= tol * np.abs(want.m).max()

@@ -169,6 +169,20 @@ def test_failing_solves_match_the_per_trial_oracle(plane_torus_seed, per_trial_s
             assert got == _outcome(per_trial_solve_metric, *args)
 
 
+@pytest.mark.parametrize(
+    "targets, text",
+    [({1: 3.5, 2: 3.5}, "stalled"), ({0: 3.5, 2: 3.5}, "stalled"), ({0: 3.5, 1: 3.5}, "did not converge")],
+)
+def test_a_singular_damped_step_fails_its_rung(targets, text):
+    """Two half-angles of 1.75 leave no hyperbolic triangle.  On the way the
+    normal matrix grows to ~1e12, the damping 1e-10 is lost beside it and
+    numpy finds the damped system singular: that rung fails like a rejected
+    trial, and the solve ends in LinkRealizationError, not LinAlgError."""
+    sphere = catalog.double_triangle_sphere(0.5, 0.6, 0.7)
+    with pytest.raises(LinkRealizationError, match=text):
+        catalog.solve_metric(sphere, targets)
+
+
 def test_empty_targets_give_a_new_surface_with_the_same_lengths():
     sphere = catalog.double_triangle_sphere(0.5, 0.6, 0.7)
     got = catalog.solve_metric(sphere, {})

@@ -374,6 +374,7 @@ def test_cone_gluing_factors_elliptic():
     cl, cr = classify(pair.left), classify(pair.right)
     assert cl.kind is IsomKind.ELLIPTIC and cr.kind is IsomKind.ELLIPTIC
     assert abs(cl.angle - cr.angle) < 1e-9
+    assert abs(cl.angle - PI / 2) < 1e-9
 
 
 def test_tachyon_gluing_factors_hyperbolic():
