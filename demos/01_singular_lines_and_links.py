@@ -12,7 +12,7 @@ calibration: its link is elliptic of angle exactly 2 pi.
 
 import numpy as np
 
-from adscone.links import classify_singularity
+from adscone.links import classify_singularity, tachyon_mass_from_planes
 from adscone.rp1 import regular_point_link
 from adscone.spacetimes import (
     black_hole_spacetime,
@@ -49,6 +49,18 @@ for label, model in models:
         if s.mass is not None:
             parts.append(f"mass={s.mass:+.6f}")
         print(f"  line {line!r}: " + ", ".join(parts))
+
+# A tachyon's mass is also a cross-ratio: the log cross-ratio of the two
+# isotropic rays of a Lorentzian plane and the traces of the two timelike
+# planes of its wedge, here at boosts -1/4 and +1/4 (mass 4 x 1/4 = 1).
+def boosted(u):
+    return np.array([np.cosh(u), np.sinh(u), 0.0])
+
+
+null_rays = np.array([1.0, -1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+cross_ratio_mass = tachyon_mass_from_planes(null_rays[0], boosted(-0.25), boosted(0.25), null_rays[1])
+link_length = link_of_line(tachyon_spacetime(1.0), "c").kind.length
+print(f"\ntachyon of mass +1: cross-ratio mass={cross_ratio_mass:.6f}, link length={link_length:.6f}")
 
 # The wedge family: moving the apex of a cut-and-glue wedge from the
 # hyperbolic plane across its boundary circle into the de Sitter band turns

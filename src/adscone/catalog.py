@@ -282,6 +282,15 @@ def torus_with_cone_point(
 _MAX_LIFT = 64.0
 
 
+def _apex_sum(bases: list[tuple[float, float, float]], t: float) -> float:
+    """The apex angles of _cone_over_face's three sub-triangles, summed, at
+    lift t, from (spoke a, spoke b, numerator) per side."""
+    return 2.0 * sum(
+        math.asin(math.sqrt(min(n / (math.sinh(a + t) * math.sinh(b + t)), 1.0)))
+        for a, b, n in bases
+    )
+
+
 def _cone_over_face(sides: list[float], theta: float) -> list[float]:
     """Spoke lengths from a new vertex inside the hyperbolic triangle with
     the given sides (side k from corner k to corner k+1) to its corners
@@ -292,12 +301,21 @@ def _cone_over_face(sides: list[float], theta: float) -> list[float]:
         cosh(spoke k) = (1 + C_k + C_{k-1}) / sqrt(3 + 2 (C_0 + C_1 + C_2)),
     which splits the triangle without changing its metric (a smooth point,
     angle 2 pi).  For 0 < theta < 2 pi every spoke is then lifted by one
-    common t >= 0, found by bisection, until the three apex angles sum to
-    theta.  A lift keeps each difference of spokes, so every sub-triangle
-    stays a triangle and its apex angle, from the half-angle form
+    common t >= 0 until the three apex angles sum to theta.  A lift keeps
+    each difference of spokes, so every sub-triangle stays a triangle and
+    its apex angle, from the half-angle form
         sin^2(apex k / 2) = sinh((l + dd)/2) sinh((l - dd)/2) / (sinh a sinh b)
     (base l = side k, spokes a, b to its ends, dd = a - b), falls
-    monotonically with t."""
+    monotonically with t.
+
+    Doubling brackets t, a few Illinois steps narrow the bracket
+    (_illinois), and bisection to adjacent doubles decides it: t is the
+    upper end, the first double found at which the computed apex sum is at
+    most theta.  Every narrowing step keeps the bracket's comparisons with
+    theta, and the computed sum falls with t, so the narrowing changes how
+    many apex sums are taken (about 13 instead of 56 on the cone-surfaces
+    inputs), not t: the tests compare the spokes bit for bit with plain
+    bisection from the doubling bracket."""
     ch = [math.cosh(length) for length in sides]
     norm = math.sqrt(3.0 + 2.0 * sum(ch))
     spokes = [math.acosh(max((1.0 + ch[k] + ch[k - 1]) / norm, 1.0)) for k in range(3)]
@@ -308,16 +326,17 @@ def _cone_over_face(sides: list[float], theta: float) -> list[float]:
         a, b = spokes[k], spokes[(k + 1) % 3]
         numerator = math.sinh((sides[k] + a - b) / 2) * math.sinh((sides[k] - a + b) / 2)
         bases.append((a, b, max(numerator, 0.0)))
-
-    def apex_sum(t: float) -> float:
-        return 2.0 * sum(
-            math.asin(math.sqrt(min(n / (math.sinh(a + t) * math.sinh(b + t)), 1.0)))
-            for a, b, n in bases
-        )
-
+    apex_sum = functools.partial(_apex_sum, bases)
+    # bracket the lift, apex_sum(lo) > theta >= apex_sum(hi), by doubling
+    # (the centroid, t = 0, is a smooth point: its apex angles sum to 2 pi)
     lo, hi = 0.0, 1.0
-    while apex_sum(hi) > theta and hi < _MAX_LIFT:
+    f_lo, f_hi = TWO_PI, apex_sum(hi)
+    while f_hi > theta and hi < _MAX_LIFT:
         lo, hi = hi, 2.0 * hi
+        f_lo, f_hi = f_hi, apex_sum(hi)
+    if f_hi <= theta:
+        lo, hi = _illinois(apex_sum, theta, lo, hi, f_lo, f_hi)
+    # bisection to adjacent doubles decides the lift
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -327,6 +346,50 @@ def _cone_over_face(sides: list[float], theta: float) -> list[float]:
         else:
             hi = mid
     return [spoke + hi for spoke in spokes]
+
+
+# at most this many narrowing steps per lift; the cone-surfaces inputs of
+# seeds 1-10 take 6-16
+_ILLINOIS_STEPS = 16
+
+
+def _illinois(f, theta: float, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float]:
+    """A narrower bracket lo < hi with f(lo) > theta >= f(hi), from one with
+    f_lo > theta >= f_hi (f falling), by Illinois steps (modified regula
+    falsi, Dowell and Jarratt 1971) on g = log(f / theta): the secant
+    through the ends, whose g at an end kept twice in a row is halved.  The
+    apex sums of _cone_over_face fall like exp(-t), so g is close to linear
+    in t.  An estimate that lands on an end of the bracket is moved four
+    ulps inside it, so that an end sitting on the root does not stall the
+    other; the steps stop once that point is outside the bracket, or after
+    _ILLINOIS_STEPS.  Each point goes to the end its comparison with theta
+    says, so the bracket stays a bracket."""
+
+    def gap(value: float) -> float:
+        # log(value / theta), exactly 0 only where value == theta
+        return math.log1p((value - theta) / theta) if value > 0 else -math.inf
+
+    g_lo, g_hi = gap(f_lo), gap(f_hi)
+    moved = 0  # the end the last step moved: +1 lo, -1 hi
+    for _ in range(_ILLINOIS_STEPS):
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            step = 4.0 * math.ulp(hi)
+            x = hi - step if x >= hi else lo + step
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx > theta:
+            lo, g_lo = x, gap(fx)
+            if moved > 0:
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = x, gap(fx)
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
+    return lo, hi
 
 
 def subdivide_face_with_cone(

@@ -338,6 +338,9 @@ class _Structure:
         two different faces), ascending, and (2, C) the flat corner 3 * face
         + i facing each in its lower and in its higher face.
 
+    disk(face_ids) gives the _Disk data of a face set, walked once per face
+    set and kept on the structure.
+
     Raises, building nothing, where a side names a missing edge
     (IndexError), an edge has more than two sides or two in one direction,
     or a face's side chain does not close (GeometryError)."""
@@ -390,6 +393,65 @@ class _Structure:
             _read_only(np.flatnonzero(inner)),
             _read_only(uses - uses % 3 + _PREV[uses % 3]),
         )
+        self._disks: dict[frozenset, _Disk] = {}
+        self._disk_faces = 0
+
+    def disk(self, face_ids: frozenset) -> _Disk:
+        """The _Disk data of a non-empty set of face ids, walked once
+        (_walk_disk) and kept; the disks kept cover at most as many faces as
+        the structure has, the oldest going first.  A face set that is not
+        a disk is not kept, so it raises on every call."""
+        found = self._disks.get(face_ids)
+        if found is None:
+            found = _walk_disk(self, face_ids)
+            self._disks[face_ids] = found
+            self._disk_faces += len(face_ids)
+            while self._disk_faces > len(self.faces):
+                oldest = next(iter(self._disks))
+                del self._disks[oldest]
+                self._disk_faces -= len(oldest)
+        return found
+
+
+class _Disk(NamedTuple):
+    """What a DiskSpec reads of its face set: its rim edges ascending and
+    its vertices off the rim."""
+
+    boundary_edges: tuple
+    interior_vertices: frozenset
+
+
+def _walk_disk(structure: _Structure, face_ids: frozenset) -> _Disk:
+    """The _Disk of a face set, from the rows of the structure's arrays.
+    Raises GeometryError where the faces are not edge-connected or their
+    Euler characteristic is not 1."""
+    glued = structure.neighbors
+    # connectivity over shared edges
+    seen = {min(face_ids)}
+    frontier = [min(face_ids)]
+    while frontier:
+        for k in glued[frontier.pop()].tolist():
+            g = k // 3
+            if k >= 0 and g in face_ids and g not in seen:
+                seen.add(g)
+                frontier.append(g)
+    if seen != face_ids:
+        raise GeometryError("disk faces are not edge-connected")
+    faces = np.array(sorted(face_ids))
+    corners = structure.tables.corner_vertices[faces].tolist()
+    sides = structure.tables.face_edges[faces].tolist()
+    vertices = {v for row in corners for v in row}
+    edges = {e for row in sides for e in row}
+    rim = {
+        e
+        for row, across in zip(sides, glued[faces].tolist())
+        for e, k in zip(row, across)
+        if k < 0 or k // 3 not in face_ids
+    }
+    if len(vertices) - len(edges) + len(face_ids) != 1:
+        raise GeometryError("sub-complex is not a disk (chi != 1)")
+    rim_vertices = {v for e in rim for v in structure.edges[e]}
+    return _Disk(tuple(sorted(rim)), frozenset(vertices - rim_vertices))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -427,7 +489,11 @@ class _StructureCache:
 # Worst case, when nothing else keeps a structure's edges and faces alive, it
 # holds 1.0-1.2 kB per face (tracemalloc, CPython 3.11, numpy 2.4, open fans
 # of 12-2000 faces with vertex ids above 1000; arrays, key tuples and Side
-# objects), so the cache holds at most ~9.5 MB.
+# objects), so the cache holds at most ~9.5 MB.  Each structure also keeps the
+# _Disk data of disks covering at most as many faces as it has; that adds at
+# most ~0.7 kB per face (one-face disks, the worst case, measured the same way
+# on fans of 12-2000 faces; 0.15-0.45 kB per face for larger disks), so ~15 MB
+# in all.
 _STRUCTURE_FACES = 8192
 _STRUCTURES = _StructureCache(_STRUCTURE_FACES)
 
@@ -699,23 +765,28 @@ def _check_sound(degenerate: np.ndarray, f: int):
 
 def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> list:
     """The positively oriented face loop circling vertex v once, as
-    (face, side) steps; its holonomy is elliptic of the cone angle at v."""
-    start = None
-    for fi in range(len(s.faces)):
-        corners = s.face_corners(fi)
-        if v in corners and (base_face is None or fi == base_face):
-            start = (fi, corners.index(v))
-            break
-    if start is None:
+    (face, side) steps; its holonomy is elliptic of the cone angle at v.
+
+    It starts at the first corner at v (in face order, or in base_face) of
+    the structure's corner -> vertex table and crosses, face after face,
+    the side arriving at v (neighbor_across, the glued-side table)."""
+    corner_vertices = s._tables.corner_vertices
+    if base_face is None:
+        at = np.flatnonzero(corner_vertices.ravel() == v)
+    elif base_face in range(len(corner_vertices)):
+        at = 3 * int(base_face) + np.flatnonzero(corner_vertices[int(base_face)] == v)
+    else:
+        at = ()
+    if not len(at):
         raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
+    start = divmod(int(at[0]), 3)
     steps = []
     f, i = start
     while True:
         # cross the side arriving at v (side i+2 ends at corner i)
         exit_side = (i + 2) % 3
         steps.append((f, exit_side))
-        g, j = s.neighbor_across(f, exit_side)
-        f, i = g, j
+        f, i = s.neighbor_across(f, exit_side)
         if (f, i) == start:
             break
         if len(steps) > 4 * len(s.faces):
@@ -796,53 +867,23 @@ class DiskSpec:
         object.__setattr__(self, "face_ids", frozenset(int(f) for f in self.face_ids))
         if not self.face_ids:
             raise GeometryError("empty disk")
-        s = self.surface
-        glued = s._neighbors
-        # connectivity over shared edges
-        seen = {min(self.face_ids)}
-        frontier = [min(self.face_ids)]
-        while frontier:
-            for k in glued[frontier.pop()].tolist():
-                g = k // 3
-                if k >= 0 and g in self.face_ids and g not in seen:
-                    seen.add(g)
-                    frontier.append(g)
-        if seen != self.face_ids:
-            raise GeometryError("disk faces are not edge-connected")
-        # the spec is frozen: its vertex, edge and boundary sets are read once,
-        # from the rows of the surface's structure
-        faces = np.array(sorted(self.face_ids))
-        corners = s._tables.corner_vertices[faces].tolist()
-        sides = s._tables.face_edges[faces].tolist()
-        vertices = {v for row in corners for v in row}
-        edges = {e for row in sides for e in row}
-        rim = {
-            e
-            for row, across in zip(sides, glued[faces].tolist())
-            for e, k in zip(row, across)
-            if k < 0 or k // 3 not in self.face_ids
-        }
-        rim_vertices = {v for e in rim for v in s.edges[e]}
-        chi = len(vertices) - len(edges) + len(self.face_ids)
-        object.__setattr__(self, "_euler_characteristic", chi)
-        object.__setattr__(self, "_boundary_edges", tuple(sorted(rim)))
-        object.__setattr__(self, "_interior_vertices", frozenset(vertices - rim_vertices))
-        if self.euler_characteristic != 1:
-            raise GeometryError("sub-complex is not a disk (chi != 1)")
+        # the spec is frozen: its sets come from the structure, which walks
+        # each face set once
+        object.__setattr__(self, "_disk", self.surface._structure.disk(self.face_ids))
 
     @property
     def euler_characteristic(self) -> int:
-        return self._euler_characteristic
+        return 1  # _walk_disk refuses every other face set
 
     def boundary_edges(self) -> list[int]:
-        return list(self._boundary_edges)
+        return list(self._disk.boundary_edges)
 
     def interior_vertices(self) -> set[int]:
-        return set(self._interior_vertices)
+        return set(self._disk.interior_vertices)
 
     def marked_angles(self) -> dict[int, float]:
         s = self.surface
-        return {v: s.cone_angles[v] for v in self._interior_vertices if v in s.cone_angles}
+        return {v: s.cone_angles[v] for v in self._disk.interior_vertices if v in s.cone_angles}
 
     def complement(self) -> frozenset[int]:
         return frozenset(range(len(self.surface.faces))) - self.face_ids

@@ -741,3 +741,128 @@ def sequential_disk_fit():
         return done[key]
 
     return fit
+
+
+# ---------------------------------------------------------------------------
+# the lift of catalog._cone_over_face by plain bisection
+# ---------------------------------------------------------------------------
+
+
+def _bisection_lift(sides, theta):
+    """catalog._cone_over_face with its lift found by plain bisection from
+    the doubling bracket, with no narrowing, on the same centroid spokes
+    and apex sums."""
+    ch = [math.cosh(length) for length in sides]
+    norm = math.sqrt(3.0 + 2.0 * sum(ch))
+    spokes = [math.acosh(max((1.0 + ch[k] + ch[k - 1]) / norm, 1.0)) for k in range(3)]
+    if not 0 < theta < 2.0 * np.pi:
+        return spokes
+    bases = []
+    for k in range(3):
+        a, b = spokes[k], spokes[(k + 1) % 3]
+        numerator = math.sinh((sides[k] + a - b) / 2) * math.sinh((sides[k] - a + b) / 2)
+        bases.append((a, b, max(numerator, 0.0)))
+
+    def apex_sum(t):
+        return 2.0 * sum(
+            math.asin(math.sqrt(min(n / (math.sinh(a + t) * math.sinh(b + t)), 1.0)))
+            for a, b, n in bases
+        )
+
+    lo, hi = 0.0, 1.0
+    while apex_sum(hi) > theta and hi < 64.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if apex_sum(mid) > theta:
+            lo = mid
+        else:
+            hi = mid
+    return [spoke + hi for spoke in spokes]
+
+
+@pytest.fixture(scope="session")
+def bisection_lift():
+    """Reference for catalog._cone_over_face: the spokes of the lift by
+    plain bisection."""
+    return _bisection_lift
+
+
+# ---------------------------------------------------------------------------
+# disk data and vertex loops read face by face
+# ---------------------------------------------------------------------------
+
+
+def _walked_disk(surface, face_ids):
+    """(chi, rim edges ascending, vertices off the rim) of a face set, walked
+    over the surface's faces and sides (face_corners, neighbor_across), or
+    the GeometryError of a face set that is not edge-connected; chi is
+    returned whatever it is."""
+    face_ids = frozenset(int(f) for f in face_ids)
+    seen = {min(face_ids)}
+    frontier = [min(face_ids)]
+    while frontier:
+        f = frontier.pop()
+        for i in range(3):
+            try:
+                g, _ = surface.neighbor_across(f, i)
+            except GeometryError:
+                continue
+            if g in face_ids and g not in seen:
+                seen.add(g)
+                frontier.append(g)
+    if seen != face_ids:
+        raise GeometryError("disk faces are not edge-connected")
+    vertices = {v for f in face_ids for v in surface.face_corners(f)}
+    edges = {side.edge for f in face_ids for side in surface.faces[f]}
+    rim = set()
+    for f in face_ids:
+        for i, side in enumerate(surface.faces[f]):
+            try:
+                g, _ = surface.neighbor_across(f, i)
+            except GeometryError:
+                g = None
+            if g not in face_ids:
+                rim.add(side.edge)
+    rim_vertices = {v for e in rim for v in surface.edges[e]}
+    return len(vertices) - len(edges) + len(face_ids), tuple(sorted(rim)), frozenset(vertices - rim_vertices)
+
+
+@pytest.fixture(scope="session")
+def walked_disk():
+    """Reference for the disk data of conesurf.DiskSpec, walked anew on
+    every call."""
+    return _walked_disk
+
+
+def _scanned_vertex_loop(s, v, base_face=None):
+    """conesurf.loop_around_vertex as it scanned face_corners for its start
+    and stepped with neighbor_across."""
+    start = None
+    for fi in range(len(s.faces)):
+        corners = s.face_corners(fi)
+        if v in corners and (base_face is None or fi == base_face):
+            start = (fi, corners.index(v))
+            break
+    if start is None:
+        raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
+    steps = []
+    f, i = start
+    while True:
+        exit_side = (i + 2) % 3
+        steps.append((f, exit_side))
+        f, i = s.neighbor_across(f, exit_side)
+        if (f, i) == start:
+            break
+        if len(steps) > 4 * len(s.faces):
+            raise GeometryError("vertex link does not close up")
+    return steps
+
+
+@pytest.fixture(scope="session")
+def scanned_vertex_loop():
+    """Reference for conesurf.loop_around_vertex: the start corner found by
+    scanning every face's corners."""
+    return _scanned_vertex_loop

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from adscone.conesurf import (
     delaunay_normalize,
     disks_isometric,
     dual_cycles,
+    extract_disk_surface,
     flip_edge,
     gauss_bonnet_area,
     holonomy_of_loop,
@@ -276,6 +278,38 @@ def _benchmark_cone_surfaces(seed):
         except LinkRealizationError:
             pass
     return out
+
+
+def _loop_outcome(loop_of, s, v, base_face):
+    try:
+        return loop_of(s, v, base_face)
+    except GeometryError as err:
+        return str(err)
+
+
+def test_vertex_loops_equal_the_face_scan(scanned_vertex_loop):
+    """loop_around_vertex gives the scan's steps (as Python ints) or its
+    error text for every vertex, one past the last, and every base face (and
+    none, -1, 0.5 and one past the last) of the subdivided tori of the
+    cone-surfaces inputs of seeds 1-3 and of the torus's star disk taken out
+    as a surface with boundary; all three errors occur."""
+    _, star = torus_with_cone_point(2.0)
+    surfaces = [extract_disk_surface(star)[0]]
+    for seed in (1, 2, 3):
+        surfaces += _benchmark_cone_surfaces(seed)
+    errors = set()
+    for s in surfaces:
+        faces = len(s.faces)
+        for v in [*s.vertices, max(s.vertices) + 1]:
+            for base_face in (None, -1, 0.5, *range(faces), faces):
+                got = _loop_outcome(loop_around_vertex, s, v, base_face)
+                assert got == _loop_outcome(scanned_vertex_loop, s, v, base_face)
+                if isinstance(got, str):
+                    errors.add(re.sub(r"\d+", "N", got))
+                else:
+                    assert all(type(f) is int and type(i) is int for f, i in got)
+    assert errors == {"vertex N not found", "vertex N not found in base face", "edge N is a boundary edge"}
+    assert len(surfaces) == 217
 
 
 def _quadrilateral_angles(surf, e):

@@ -20,7 +20,6 @@ CALLERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbenc
 DOCUMENTED_API = {
     ("linalg", "ads_null_geodesic"): "null geodesics of AdS3 are affine lines on the quadric",
     ("links", "positivity_from_gluing"): "causal positivity of a gluing along the singular line",
-    ("links", "tachyon_mass_from_planes"): "a tachyon's mass is the log cross-ratio of its planes",
     ("lrmetrics", "jacobi_form_value"): "acceptance criterion 05: the left/right metrics on Jacobi fields",
     ("lrmetrics", "disk_link_isometry_check"): "acceptance criterion 10: the cone-field identity",
     ("spacetimes", "suspend"): "the AdS suspension of a causal singular HS-surface",

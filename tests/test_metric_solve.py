@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from adscone import catalog
+from adscone import catalog, conesurf
 from adscone.conesurf import ConeSurface, DiskSpec
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 
@@ -278,20 +280,145 @@ def test_an_overflowing_stall_emits_no_warning():
 
 
 def test_disk_spec_reads_its_faces_once(monkeypatch):
-    """The vertex, edge and boundary sets of a frozen spec are read from the
-    surface's structure when it is built, not on every query."""
+    """A face set is walked once per structure: a second spec on it, a spec
+    on another surface of the same triangulation and every query walk
+    nothing, and a new face set is walked once more."""
     surf, _ = catalog.torus_with_cone_point(2.0)
-    reads = []
-    for name in ("_tables", "_neighbors"):
-        read = getattr(ConeSurface, name).fget
-        counted = property(lambda surface, read=read, name=name: reads.append(name) or read(surface))
-        monkeypatch.setattr(ConeSurface, name, counted)
+    structure = surf._structure
+    monkeypatch.setattr(structure, "_disks", {})
+    monkeypatch.setattr(structure, "_disk_faces", 0)
+    walks = []
+    walk = conesurf._walk_disk
+    monkeypatch.setattr(conesurf, "_walk_disk", lambda st, ids: walks.append(ids) or walk(st, ids))
     disk = DiskSpec(surf, frozenset({7, 8, 9}))
-    built = len(reads)
-    assert built > 0
-    for _ in range(3):
-        assert disk.euler_characteristic == 1
-        assert disk.interior_vertices() == {4}
-        assert disk.marked_angles() == {4: 2.0}
-        assert disk.boundary_edges() == [9, 10, 11]
-    assert len(reads) == built
+    assert walks == [frozenset({7, 8, 9})]
+    other, _ = catalog.torus_with_cone_point(3.0)
+    again = [DiskSpec(surf, [9, 8, 7]), DiskSpec(other, frozenset({7, 8, 9}))]
+    for spec in (disk, *again):
+        for _ in range(3):
+            assert spec.euler_characteristic == 1
+            assert spec.interior_vertices() == {4}
+            assert spec.boundary_edges() == [9, 10, 11]
+    assert disk.marked_angles() == {4: 2.0}
+    assert again[1].marked_angles() == {4: 3.0}
+    assert len(walks) == 1
+    assert DiskSpec(surf, frozenset({7, 8})).boundary_edges() == [9, 10, 12, 14]
+    assert walks == [frozenset({7, 8, 9}), frozenset({7, 8})]
+
+
+def _connected_face_sets(surface, most):
+    """Every edge-connected set of 1 to most faces of a surface."""
+    sets = {frozenset({f}) for f in range(len(surface.faces))}
+    grown = set(sets)
+    for _ in range(most - 1):
+        grown = {
+            faces | {g}
+            for faces in grown
+            for f in faces
+            for g in (k // 3 for k in surface._neighbors[f].tolist() if k >= 0)
+            if g not in faces
+        }
+        sets |= grown
+    return sorted(sets, key=sorted)
+
+
+def test_disk_data_equal_the_walk_on_every_small_face_set(walked_disk):
+    """On the torus and one subdivision of it, every connected set of 1-4
+    faces gives a spec (built twice, the second from what the structure
+    kept) with the walk's Euler characteristic, rim and interior, or, where
+    the walk's Euler characteristic is not 1, raises on both constructions."""
+    torus, _ = catalog.torus_with_cone_point(2.0)
+    refined, _, _ = catalog.subdivide_face_with_cone(torus, 7, 1.0)
+    disks = refused = 0
+    for surf in (torus, refined):
+        for faces in _connected_face_sets(surf, 4):
+            chi, rim, interior = walked_disk(surf, faces)
+            for _ in range(2):
+                if chi != 1:
+                    with pytest.raises(GeometryError, match=r"not a disk \(chi != 1\)"):
+                        DiskSpec(surf, faces)
+                    continue
+                spec = DiskSpec(surf, faces)
+                assert spec.euler_characteristic == chi
+                assert spec.boundary_edges() == list(rim)
+                assert spec.interior_vertices() == set(interior)
+                assert spec.marked_angles() == {v: surf.cone_angles[v] for v in interior if v in surf.cone_angles}
+            disks += chi == 1
+            refused += chi != 1
+    assert (disks, refused) == (66, 172)
+
+
+def test_a_face_set_that_is_no_disk_raises_on_every_construction(monkeypatch):
+    """A disconnected set and the whole torus raise on each of three
+    constructions, each walked anew, and the structure keeps neither."""
+    surf, _ = catalog.torus_with_cone_point(2.0)
+    walks = []
+    walk = conesurf._walk_disk
+    monkeypatch.setattr(conesurf, "_walk_disk", lambda st, ids: walks.append(ids) or walk(st, ids))
+    cases = [
+        (frozenset({0, 8}), "not edge-connected"),
+        (frozenset(range(10)), r"not a disk \(chi != 1\)"),
+    ]
+    for faces, message in cases:
+        for _ in range(3):
+            with pytest.raises(GeometryError, match=message):
+                DiskSpec(surf, faces)
+        assert faces not in surf._structure._disks
+    assert len(walks) == 6
+    with pytest.raises(GeometryError, match="empty disk"):
+        DiskSpec(surf, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# the lift of the subdivision seed
+# ---------------------------------------------------------------------------
+
+
+def test_the_lift_is_the_bisection_lift_on_the_benchmark_inputs(monkeypatch, bisection_lift):
+    """On every cone-surfaces input of seeds 1-10 the spokes equal plain
+    bisection's to the bit, with at most 30 apex sums per lift (plain
+    bisection takes about 56)."""
+    taken = []
+    apex_sum = catalog._apex_sum
+    monkeypatch.setattr(catalog, "_apex_sum", lambda bases, t: taken.append(t) or apex_sum(bases, t))
+    most = 0
+    for seed in range(1, 11):
+        for op in corpus.cone_inputs(seed):
+            surf, _ = catalog.torus_with_cone_point(op.theta)
+            sides = [float(surf.lengths[side.edge]) for side in surf.faces[op.face]]
+            taken.clear()
+            spokes = catalog._cone_over_face(sides, op.eta)
+            oracle = bisection_lift(sides, op.eta)
+            assert np.array(spokes).tobytes() == np.array(oracle).tobytes()
+            most = max(most, len(taken))
+    assert most <= 30
+
+
+@st.composite
+def _triangles(draw):
+    """Sides of a hyperbolic triangle: two in [1e-3, 12], the third between
+    their difference and their sum, at least 1e-3 of that gap inside."""
+    a, b = draw(st.floats(1e-3, 12.0)), draw(st.floats(1e-3, 12.0))
+    u = draw(st.floats(1e-3, 1.0 - 1e-3))
+    return [a, b, abs(a - b) + u * (a + b - abs(a - b))]
+
+
+_ANGLES = st.one_of(
+    st.floats(1e-3, 2 * PI - 1e-3),
+    st.floats(1e-300, 1e-3),  # a lift past _MAX_LIFT is capped there
+    st.floats(2 * PI - 1e-3, 2 * PI, exclude_max=True),
+    st.floats(-10.0, 0.0),  # no lift: the centroid spokes
+    st.floats(2 * PI, 20.0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sides=_triangles(), theta=_ANGLES)
+@example(sides=[0.5, 0.6, 0.7], theta=1e-30)
+@example(sides=[0.5, 0.6, 0.7], theta=0.0)
+@example(sides=[0.5, 0.6, 0.7], theta=2 * PI)
+@example(sides=[0.5, 0.6, 0.7], theta=2 * PI - 1e-15)
+def test_the_lift_is_the_bisection_lift(sides, theta, bisection_lift):
+    spokes = catalog._cone_over_face(sides, theta)
+    oracle = bisection_lift(sides, theta)
+    assert np.array(spokes).tobytes() == np.array(oracle).tobytes()
