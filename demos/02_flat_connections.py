@@ -12,8 +12,9 @@ angle.
 
 On the quadric, identified with SL(2,R) by the chart Z (isom.sl2_of_point),
 the flat connections are right and left translation, so left/right
-transport is closed form and returns around every loop to rounding; only
-the Levi-Civita deviation is integrated (RK4).  In the same chart the
+transport is closed form and returns around every loop to rounding.  The
+Levi-Civita transport is closed form along each geodesic segment of the
+loop, and its deviation is the curvature.  In the same chart the
 gluing acts as Z -> g_l Z g_r^{-1}, and holonomy_pair returns its factors
 (g_l, g_r) themselves, which model_isom_pair also returns: the meridian path
 is only checked.

@@ -867,6 +867,10 @@ class DiskSpec:
         object.__setattr__(self, "face_ids", frozenset(int(f) for f in self.face_ids))
         if not self.face_ids:
             raise GeometryError("empty disk")
+        n = len(self.surface.faces)
+        for f in sorted(self.face_ids):
+            if not 0 <= f < n:
+                raise GeometryError(f"face id {f} is not a face of the surface (0..{n - 1})")
         # the spec is frozen: its sets come from the structure, which walks
         # each face set once
         object.__setattr__(self, "_disk", self.surface._structure.disk(self.face_ids))

@@ -13,13 +13,14 @@ sl2_of_point, in which a gluing's factors are its meridian holonomies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .tolerances import DECK_MULTIPLE, FACTOR_RANK, LIFT_CONGRUENCE
-from .tolerances import PARABOLIC_DISPLACEMENT, RIGID_ROTATION, TRACE
+from .tolerances import TRACE
 
 PI = np.pi
 
@@ -28,10 +29,14 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    d = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-    if d <= 0:
+    a, b, c, d = m.ravel().tolist()
+    det = a * d - b * c
+    if not math.isfinite(det):
+        # an infinite or NaN entry makes the determinant infinite or NaN
+        raise ValueError("matrix entries and determinant must be finite")
+    if det <= 0:
         raise ValueError("matrix must have positive determinant")
-    m = m / np.sqrt(d)
+    m = m / math.sqrt(det)
     tr = m[0, 0] + m[1, 1]
     if tr < 0:
         m = -m
@@ -120,60 +125,68 @@ class IsomClass:
 def classify(g: Proj2) -> IsomClass:
     """Elliptic / parabolic / hyperbolic classification with parameters.
 
-    The elliptic angle theta in (0, 2pi) satisfies tr = 2 cos(theta/2) up to
-    the rotation direction, which is read from the sign of m10 - m01; the
-    hyperbolic length solves tr = 2 cosh(l/2); the parabolic sign is the
-    lifted-line inequality (positive iff gx <= x for every x).
+    The elliptic angle theta in (0, 2pi) is twice the line angle t in
+    (0, pi) by which g turns every line: g is the rotation by t mod pi, with
+    cos t = tr/2 and sin t of the sign of m10 - m01 and modulus
+    sqrt(-(a - d)^2/4 - bc), which is 1 - tr^2/4 without its cancellation
+    near tr = 2.  The hyperbolic length solves tr = 2 cosh(l/2); the
+    parabolic sign is the lifted-line inequality (parabolic_sign).
     """
-    m = g.m
-    tr = g.trace
-    if np.abs(m - np.eye(2)).max() <= TRACE:
+    a, b, c, d = g.m.ravel().tolist()
+    tr = a + d
+    if max(abs(a - 1.0), abs(b), abs(c), abs(d - 1.0)) <= TRACE:
         return IsomClass(IsomKind.IDENTITY)
     if tr < 2.0 - TRACE:
-        a = float(np.arccos(np.clip(tr / 2.0, -1.0, 1.0)))
-        half = a if (m[1, 0] - m[0, 1]) > 0 else PI - a
-        return IsomClass(IsomKind.ELLIPTIC, angle=2.0 * half)
+        sin = math.sqrt(max(-0.25 * (a - d) ** 2 - b * c, 0.0))
+        t = math.atan2(sin if c > b else -sin, 0.5 * tr) % PI
+        return IsomClass(IsomKind.ELLIPTIC, angle=2.0 * t)
     if tr > 2.0 + TRACE:
         return IsomClass(IsomKind.HYPERBOLIC, length=2.0 * float(np.arccosh(tr / 2.0)))
     return IsomClass(IsomKind.PARABOLIC, sign=parabolic_sign(g))
 
 
+def _eigenline_angle(m: np.ndarray, lam: float) -> float:
+    """The line angle in [0, pi) of the eigenline of m for the eigenvalue
+    lam: the longer of (b, lam - a) and (lam - d, c), each orthogonal to a
+    row of m - lam, turned into the upper half-plane first, so that a line
+    just below the x-axis does not round to pi."""
+    a, b, c, d = m.ravel().tolist()
+    x, y = (b, lam - a) if b * b + (lam - a) ** 2 >= c * c + (lam - d) ** 2 else (lam - d, c)
+    if y < 0 or (y == 0 and x < 0):
+        x, y = -x, -y
+    return math.atan2(y, x) % PI
+
+
+def _eigenvalues(tr: float) -> tuple[float, float]:
+    """The eigenvalues (larger, smaller) of a unit-determinant matrix of
+    trace tr > 2; the smaller is 1/larger, free of cancellation."""
+    big = 0.5 * (tr + math.sqrt((tr - 2.0) * (tr + 2.0)))
+    return big, 1.0 / big
+
+
 def fixed_line_angles(g: Proj2) -> list[float]:
-    """Fixed line angles of g on RP^1, each in [0, pi); empty for elliptic."""
+    """Fixed line angles of g on RP^1, each in [0, pi); empty for elliptic,
+    one (the eigenline of 1) within TRACE of tr = 2."""
     tr = g.trace
     if tr < 2.0 - TRACE:
         return []
     if tr <= 2.0 + TRACE:
-        # parabolic (or identity): the kernel of m - I, via SVD for stability
-        _, _, vt = np.linalg.svd(g.m - np.eye(2))
-        v = vt[-1]
-        return [float(np.arctan2(v[1], v[0]) % PI)]
-    w, vecs = np.linalg.eig(g.m)
-    out = []
-    for i in range(2):
-        v = vecs[:, i].real
-        out.append(float(np.arctan2(v[1], v[0]) % PI))
-    return sorted(out)
+        return [_eigenline_angle(g.m, 1.0)]
+    return sorted(_eigenline_angle(g.m, lam) for lam in _eigenvalues(tr))
 
 
 def attracting_line_angle(g: Proj2) -> float:
-    """Fixed line of the larger-modulus eigenvalue (hyperbolic g only)."""
-    w, vecs = np.linalg.eig(g.m)
-    i = int(np.argmax(np.abs(w)))
-    v = vecs[:, i].real
-    return float(np.arctan2(v[1], v[0]) % PI)
+    """Fixed line of the larger eigenvalue (hyperbolic g only)."""
+    return _eigenline_angle(g.m, _eigenvalues(g.trace)[0])
 
 
 def parabolic_sign(g: Proj2) -> int:
-    """+1 for the positive parabolic class (gx <= x for every lifted x)."""
-    lift = fixed_point_lift(g)
-    xs = np.linspace(0.05, PI - 0.05, 37) + lift.s
-    disp = np.array([lift(x) - x for x in xs])
-    if np.all(disp <= PARABOLIC_DISPLACEMENT):
-        return +1
-    if np.all(disp >= -PARABOLIC_DISPLACEMENT):
-        return -1
-    raise ValueError("element is not parabolic (mixed displacements)")
+    """+1 for the positive parabolic class (gx <= x for every lifted x).
+
+    g must be parabolic (classify decides that; the sign does not check
+    it): a conjugate A [[1, s], [0, 1]] A^-1 has m01 - m10 = s |A e1|^2, so
+    the class is the sign of m01 - m10."""
+    return +1 if g.m[0, 1] > g.m[1, 0] else -1
 
 
 @dataclass(frozen=True)
@@ -189,6 +202,8 @@ class LiftedProj2:
     s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError("lift offset s must be finite")
         alpha = _image_angle(self.g, 0.0)
         if abs(((self.s - alpha) + PI / 2) % PI - PI / 2) > LIFT_CONGRUENCE:
             raise ValueError("lift offset s is not congruent to the image of 0")
@@ -246,40 +261,20 @@ def fixed_point_lift(g: Proj2) -> LiftedProj2:
 def translation_number(h: LiftedProj2) -> float:
     """Translation number of the lift, in line-angle units (delta has pi).
 
-    Computed exactly per conjugacy class: elliptic lifts are conjugated to a
-    rigid rotation, parabolic/hyperbolic lifts reduce to their fixed-point
-    lift, identity lifts translate by a multiple of pi.
+    Exact per conjugacy class.  An elliptic lift fixes no lifted angle, so
+    it moves every angle by between k pi and (k + 1) pi, k = floor(s / pi):
+    its translation number is k pi plus the line angle by which g turns
+    every line, half its classify angle.  A parabolic or
+    hyperbolic lift is k deck translations of its fixed-point lift, and an
+    identity lift translates by a multiple of pi.
     """
     cls = classify(h.g)
     if cls.kind == IsomKind.IDENTITY:
         return float(PI * np.round(h.s / PI))
     if cls.kind == IsomKind.ELLIPTIC:
-        conj = _diagonalizing_conjugator(h.g)
-        a = principal_lift(conj)
-        rigid = a.compose(h).compose(a.inverse())
-        # rigid is a lift of a rotation: its translation number is exactly s'
-        t = rigid.s
-        # guard: the conjugated map must be a rigid translation
-        probe = rigid(1.2345) - 1.2345
-        if abs(probe - t) > RIGID_ROTATION:
-            raise ArithmeticError("conjugation to a rigid rotation failed")
-        return float(t)
+        return float(PI * math.floor(h.s / PI) + cls.angle / 2.0)
     k, _ = degree_decomposition(h)
     return float(k * PI)
-
-
-def _diagonalizing_conjugator(g: Proj2) -> Proj2:
-    """For elliptic g, a matrix a with a g a^-1 a rigid rotation."""
-    # complex eigenvector x + i y gives a real basis (x, y) in which g is a
-    # rotation-and-scale; normalizing the basis makes it a pure rotation.
-    w, vecs = np.linalg.eig(g.m)
-    i = 0 if w[0].imag > 0 else 1
-    v = vecs[:, i]
-    x, y = v.real, v.imag
-    b = np.column_stack([x, y])
-    if np.linalg.det(b) < 0:
-        b = np.column_stack([x, -y])
-    return Proj2(np.linalg.inv(b))
 
 
 def degree_decomposition(h: LiftedProj2) -> tuple[int, LiftedProj2]:

@@ -138,8 +138,9 @@ def equidistant_jet(mu: np.ndarray, t: float) -> JetSample:
 
 
 def _checked_path(path) -> np.ndarray:
-    """path as an array, once every point an integrator along it would
-    evaluate is in the timelike cone: each sample and each chord sum a + b."""
+    """path as an array, once each sample and each chord sum a + b is in the
+    timelike cone: then every chord is, and its normalization is the
+    geodesic segment from a to b."""
     path = np.asarray(path, dtype=float)
     stages = np.concatenate((path, path[:-1] + path[1:]))
     norms = -stages[:, 0] ** 2 - stages[:, 1] ** 2 + stages[:, 2] ** 2 + stages[:, 3] ** 2
@@ -152,9 +153,7 @@ def _checked_path(path) -> np.ndarray:
     return path
 
 
-def transport(
-    path: np.ndarray, u0: np.ndarray, kind: str = "left", substeps: int = 1
-) -> np.ndarray:
+def transport(path: np.ndarray, u0: np.ndarray, kind: str = "left") -> np.ndarray:
     """Parallel transport of a tangent vector along a polyline of quadric
     points, for the left, right, or Levi-Civita connection.
 
@@ -162,9 +161,10 @@ def transport(
     chart Z = isom.sl2_of_point a tangent vector U at a = path[0] arrives at
     b = path[-1] as U Z(a)^{-1} Z(b) (left) or Z(b) Z(a)^{-1} U (right),
     whatever the samples in between.  The Levi-Civita connection is not
-    flat; it is integrated by fourth-order Runge-Kutta, substeps per
-    segment, with re-projection onto the tangent space.  Every path is
-    checked where that integrator evaluates it (_checked_path)."""
+    flat; each segment of the path is the geodesic from a to b, whose
+    transport is u -> u + <b, u> / (1 - <a, b>) (a + b), and the result is
+    projected onto the tangent space once, at the end.  Every path is
+    checked where a segment's geodesic is defined (_checked_path)."""
     if kind not in ("left", "right", "lc"):
         raise GeometryError("kind must be left, right or lc")
     path = _checked_path(path)
@@ -176,26 +176,10 @@ def transport(
         za, zb, U = sl2_of_point(a), sl2_of_point(b), sl2_of_point(u)
         moved = U @ np.linalg.solve(za, zb) if kind == "left" else zb @ np.linalg.solve(za, U)
         return project_tangent(b, point_of_sl2(moved))
-    h = 1.0 / substeps
-    for a, b in zip(path[:-1], path[1:]):
-        d = b - a
-
-        def F(t, uu):
-            # the Levi-Civita transport equation u' = <u, x'> x
-            p = a + t * d
-            x = normalize_point(p)
-            nu = np.sqrt(-dot22(p, p))
-            return dot22(uu, d / nu + p * (dot22(p, d) / nu ** 3)) * x
-
-        for j in range(substeps):
-            t0 = j * h
-            k1 = F(t0, u)
-            k2 = F(t0 + h / 2, u + h / 2 * k1)
-            k3 = F(t0 + h / 2, u + h / 2 * k2)
-            k4 = F(t0 + h, u + h * k3)
-            u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        u = project_tangent(normalize_point(b), u)
-    return u
+    points = [normalize_point(p) for p in path]
+    for a, b in zip(points[:-1], points[1:]):
+        u = u + dot22(b, u) / (1.0 - dot22(a, b)) * (a + b)
+    return project_tangent(points[-1], u)
 
 
 def loop_deviation(path: np.ndarray, u0: np.ndarray, kind: str) -> float:

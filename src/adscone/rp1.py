@@ -37,6 +37,10 @@ from .tolerances import ANGLE_MATCH, ARC_OVERLAP, DISTINCT_LINE, FIXED_POINT, IN
 from .tolerances import LIFT_CONGRUENCE
 
 PI = np.pi
+# where a circle's holonomy is checked to move points forward: fractions of
+# a degree-0 interval, and angles across one deck translation
+_INTERVAL_PROBES = tuple(np.linspace(0.15, 0.85, 5).tolist())
+_LINE_PROBES = tuple(np.linspace(0.0, PI, 7).tolist())
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class RP1Circle:
             x0, x1 = self.interval
             if not x0 < x1 <= x0 + PI + INTERVAL_SLACK:
                 raise GeometryError("interval must be a sub-arc between consecutive fixed points")
-            for t in np.linspace(0.15, 0.85, 5):
+            for t in _INTERVAL_PROBES:
                 x = x0 + t * (x1 - x0)
                 if h(x) <= x:
                     raise GeometryError("holonomy is not positive on the interval")
@@ -71,7 +75,7 @@ class RP1Circle:
         else:
             if cls.kind is IsomKind.IDENTITY and h.s <= PI / 2:
                 raise GeometryError("holonomy must translate the lifted line positively")
-            for x in np.linspace(0.0, PI, 7):
+            for x in _LINE_PROBES:
                 if h(x) <= x:
                     raise GeometryError("holonomy is not a positively oriented generator")
         if self.future_anchor is not None:

@@ -14,10 +14,8 @@ FRAME_DEPENDENT = 1e-6  # a projected candidate with <v,v> below this adds nothi
 POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps, fixed and moved lines)
 # projective classes and their lifts
 TRACE = 1e-9  # identity within this entrywise, else elliptic/parabolic/hyperbolic: tr vs 2 +- this
-PARABOLIC_DISPLACEMENT = 1e-12  # a parabolic lift moves every angle one way, up to this
 LIFT_CONGRUENCE = 1e-7  # two line angles agree mod pi
 DECK_MULTIPLE = 1e-7  # a lift offset is a whole number of deck translations (in units of pi)
-RIGID_ROTATION = 1e-8  # a conjugated elliptic lift translates every angle by the same amount
 FACTOR_RANK = 1e-8  # kron(g_l, g_r^-T) rearranged is rank one, entrywise within this * max(top entry, 1)
 # projective circles and links
 FIXED_POINT = 1e-7  # a lifted angle x is fixed by a lift h: |h(x) - x|

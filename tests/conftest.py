@@ -82,10 +82,10 @@ def spin():
 
 
 # ---------------------------------------------------------------------------
-# the RK4 oracle for the flat connections
+# the RK4 oracle for the flat connections and Levi-Civita
 #
-# D^l u = nabla u + u x x' and D^r u = nabla u - u x x', integrated along
-# every segment of a path.  Frames are moved by left/right translation in
+# D^l u = nabla u + u x x', D^r u = nabla u - u x x' and nabla u, integrated
+# along every segment of a path.  Frames are moved by left/right translation in
 # the oracle's own SL(2,R) chart
 #   X(x) = [[x0+x3, x2+x1], [x2-x1, x0-x3]],
 # not in the library's isom.sl2_of_point, so the oracle never reads the chart
@@ -117,9 +117,10 @@ def _on_quadric(p):
 
 
 def _rk4_transport(path, u0, kind, substeps=1):
-    """Left or right transport by fourth-order Runge-Kutta per segment, with
-    re-projection onto the tangent space at every sample."""
-    sign = {"left": -1.0, "right": 1.0}[kind]
+    """Left, right or Levi-Civita ('lc': no cross term) transport by
+    fourth-order Runge-Kutta, substeps per segment, with re-projection onto
+    the tangent space at every sample."""
+    sign = {"left": -1.0, "right": 1.0, "lc": 0.0}[kind]
     path = np.asarray(path, dtype=float)
     u = np.asarray(u0, dtype=float).copy()
     if abs(dot22(u, path[0])) > TRANSPORT_TANGENT * max(1.0, float(np.dot(u, u))):
@@ -149,9 +150,10 @@ def _rk4_transport(path, u0, kind, substeps=1):
 
 @pytest.fixture(scope="session")
 def rk4_transport():
-    """Reference for lrmetrics.transport(kind="left"/"right"): the flat
-    transport equations integrated by RK4, raising GeometryError where a
-    point it evaluates leaves the timelike cone or u0 is not tangent."""
+    """Reference for lrmetrics.transport: the transport equations of the
+    flat connections and of Levi-Civita integrated by RK4, raising
+    GeometryError where a point it evaluates leaves the timelike cone or u0
+    is not tangent."""
     return _rk4_transport
 
 
@@ -207,13 +209,22 @@ def rk4_holonomy_pair():
 def _translation_number_by_iteration(h, n=2 ** 14):
     """Orbit-average translation number of a lifted map with one Richardson
     extrapolation: exact for rational rotations and rapidly convergent in
-    the parabolic and hyperbolic cases."""
+    the parabolic and hyperbolic cases.
+
+    The lift is evaluated from its matrix and offset alone: phi = k pi + r
+    goes to k pi + s plus the oriented angle from g e1 to g (cos r, sin r),
+    which is continuous across the seams r = 0, pi where the image of r
+    taken mod pi is not."""
+    a, b, c, d = h.g.m.ravel().tolist()
     phi = 0.0
     half = None
     for i in range(n):
         if i == n // 2:
             half = phi
-        phi = h(phi)
+        k = math.floor(phi / math.pi)
+        r = phi - k * math.pi
+        x, y = a * math.cos(r) + b * math.sin(r), c * math.cos(r) + d * math.sin(r)
+        phi = k * math.pi + h.s + math.atan2(a * y - c * x, a * x + c * y)
     tau_n = phi / n
     tau_half = half / (n // 2)
     return float(2.0 * tau_n - tau_half)
@@ -221,8 +232,9 @@ def _translation_number_by_iteration(h, n=2 ** 14):
 
 @pytest.fixture(scope="session")
 def translation_number_by_iteration():
-    """Reference for isom.translation_number (the conjugation to a rigid
-    rotation): the orbit average of the lift itself."""
+    """Reference for isom.translation_number (k pi plus the rotation angle
+    for an elliptic lift, k deck translations of the fixed-point lift
+    otherwise): the orbit average of the lift itself."""
     return _translation_number_by_iteration
 
 

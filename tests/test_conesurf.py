@@ -191,6 +191,16 @@ def test_surfaces_and_disks_compare_by_identity():
     assert len({disk_a, disk_b, DiskSpec(a, disk_a.face_ids)}) == 2
 
 
+@pytest.mark.parametrize("face_ids,bad", [({-1}, -1), ({0, 10}, 10), ({3, 4, 99}, 99)])
+def test_disk_face_ids_outside_the_surface_are_named(face_ids, bad):
+    """A face id below 0 or at least F names no face of an F-face surface;
+    numpy would read -1 as the last face, and F as a bare IndexError."""
+    surf, _ = torus_with_cone_point(2.0)
+    assert len(surf.faces) == 10
+    with pytest.raises(GeometryError, match=rf"^face id {bad} is not a face of the surface \(0\.\.9\)$"):
+        DiskSpec(surf, face_ids)
+
+
 def test_subdivide_face_with_cone():
     surf, _ = torus_with_cone_point(2.0)
     surf2, disk2, v2 = subdivide_face_with_cone(surf, 1, 2.5)

@@ -60,6 +60,26 @@ def test_link_circle_roundtrip():
     assert abs(back.kind.angle - PI / 2) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "key,index,message",
+    [
+        ("holonomy", 1, "matrix entries and determinant must be finite"),
+        ("lift_offset", None, "lift offset s must be finite"),
+    ],
+)
+def test_classify_link_refuses_a_non_finite_number(tmp_path, key, index, message):
+    """NaN in a link document is malformed input (exit 1), not a NaN angle."""
+    doc = docs.link_circle_to_doc(mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS))
+    doc = json.loads(docs.canonical_json(doc))
+    if index is None:
+        doc["payload"][key] = float("nan")
+    else:
+        doc["payload"][key][index] = float("nan")
+    path = tmp_path / "link.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(["classify-link", "--input", str(path)]) == (1, "", f"input error: ValueError: {message}\n")
+
+
 def test_cone_surface_roundtrip():
     surf, _ = torus_with_cone_point(2.0)
     doc = docs.cone_surface_to_doc(surf)
@@ -255,6 +275,21 @@ def test_cli_validate_and_assemble(tmp_path):
     report = json.loads(out)
     assert max(report["relation_residuals"]) < 1e-8
     assert "m4" in report["generators"]["after"]["l"]
+
+
+@pytest.mark.parametrize("face", [-1, 12])
+def test_cli_validate_graph_names_a_disk_face_outside_the_surface(tmp_path, face):
+    """A disk face id outside 0..F-1 is a bad disk, a domain rejection like
+    every other: not face F - 1 read from the end, and not an IndexError."""
+    doc = _graph_doc()
+    doc["payload"]["edges"][0]["disk_before"] = [face]
+    path = tmp_path / "graph.json"
+    path.write_text(docs.canonical_json(doc))
+    code, out, err = run_cli(["validate-graph", "--input", str(path)])
+    assert (code, err) == (2, "")
+    assert json.loads(out)["failures"] == [
+        f"edge before->after: bad disk: face id {face} is not a face of the surface (0..11)"
+    ]
 
 
 def test_cli_surgery_rejects_impossible(tmp_path):

@@ -9,7 +9,9 @@ from adscone.linalg import HSPointClass
 from adscone.links import (
     GluingPositivity,
     SingKind,
+    SingularityType,
     classify_singularity,
+    link_of_type,
     particle_mass,
     positivity_from_gluing,
     tachyon_mass_from_planes,
@@ -224,3 +226,16 @@ def test_graviton_sign_agrees_with_causal_displacement():
         # and the lift-inequality sign of the gluing's projective factors
         pair = factor_isometry(G)
         assert parabolic_sign(pair.left) == parabolic_sign(pair.right)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=GeometryError,
+    reason="classify reads a rotation within TRACE of tr = 2 (|theta - k pi| up to "
+    "about 3e-5) as parabolic or identity, so elliptic_link_circle cannot realize "
+    "the angle as a lift; the window is a tolerance decision (ROADMAP item 8)",
+)
+@pytest.mark.parametrize("theta", [1e-6, PI - 1e-6, PI + 1e-6, 2 * PI - 1e-6])
+def test_massive_particle_round_trip_near_a_multiple_of_pi(theta):
+    link = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta))
+    assert abs(classify_singularity(link).angle - theta) <= 1e-12

@@ -136,6 +136,28 @@ def test_flatness_of_left_right_connections(rk4_transport):
     assert lc / area >= 1e-2
 
 
+_LC_PATHS = {
+    "square 1e-2": lambda: square_loop(np.array([1.0, 0, 0, 0]), np.eye(4)[2], np.eye(4)[3], 1e-2, 40),
+    "square 5e-2": lambda: square_loop(np.array([1.0, 0, 0, 0]), np.eye(4)[2], np.eye(4)[3], 5e-2, 30),
+    "cone pi/3": lambda: meridian_loop("cone", PI / 3, samples=1200)[0],
+    "cone 3pi/2": lambda: meridian_loop("cone", 3 * PI / 2, samples=1200)[0],
+    "tachyon 0.8": lambda: meridian_loop("tachyon", 0.8, radius=0.25, samples=1600)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LC_PATHS))
+def test_levi_civita_transport_matches_the_rk4_oracle(name, rk4_transport):
+    """Each segment's geodesic transport in closed form against RK4 on the
+    Levi-Civita equation u' = <u, x'> x, for a frame at the path start and
+    a strongly boosted vector, to 1e-13 relative."""
+    path = _LC_PATHS[name]()
+    t, f1, f2 = orthonormal_tangent_frame(path[0])
+    for u0 in (t, f1, f2, np.cosh(5.0) * t + np.sinh(5.0) * f1):
+        want = rk4_transport(path, u0, "lc")
+        got = transport(path, u0, "lc")
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
 def test_transport_constant_path():
     x = np.array([1.0, 0, 0, 0])
     u0 = np.array([0.0, 1.0, 0, 0])
