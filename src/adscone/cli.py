@@ -6,6 +6,11 @@ successful classification or passing check, 2 for a domain rejection (a
 rejected singularity type, a failed causality or condition check), 1 for
 malformed input (a usage error included) or a report or figure that cannot
 be written.
+
+Start-up is most of the wall time of one invocation, so each subcommand
+imports the library layer it runs only when it runs: `import adscone.cli`
+loads this front end, documents, errors, tolerances and the modules the
+package itself imports (isom, linalg, rp1, links), and no other layer.
 """
 
 from __future__ import annotations
@@ -22,10 +27,7 @@ import numpy as np
 
 from . import documents as docs
 from .errors import GeometryError
-from .hssurface import check_causal, check_polyhedron_conditions, classify_hs_sphere
-from .interactions import assemble_holonomy, surgery_collision, validate_geometric_data
 from .links import classify_singularity
-from .spacetimes import causal_speed_check, link_of_line, model_lines, product_spacetime
 from .tolerances import CAUSAL_SPEED_SLACK, CONJUGATOR_RESIDUAL
 
 EXIT_OK = 0
@@ -77,6 +79,8 @@ def cmd_classify_link(args) -> int:
 
 
 def cmd_classify_sphere(args) -> int:
+    from .hssurface import classify_hs_sphere
+
     surface = docs.hs_surface_from_doc(_load(args.input))
     try:
         tag = classify_hs_sphere(surface, positive=args.positive)
@@ -88,6 +92,8 @@ def cmd_classify_sphere(args) -> int:
 
 
 def cmd_trace_causal(args) -> int:
+    from .hssurface import check_causal
+
     surface = docs.hs_surface_from_doc(_load(args.input))
     report = check_causal(surface, positive=args.positive)
     _emit({"causal": report.causal, "failures": list(report.failures)}, args.output)
@@ -95,6 +101,8 @@ def cmd_trace_causal(args) -> int:
 
 
 def cmd_check_polyhedron(args) -> int:
+    from .hssurface import check_polyhedron_conditions
+
     metric = docs.marked_metric_from_doc(_load(args.input))
     report = check_polyhedron_conditions(metric)
     _emit(
@@ -108,12 +116,19 @@ def cmd_check_polyhedron(args) -> int:
 
 
 def cmd_speed_check(args) -> int:
+    from .spacetimes import causal_speed_check
+
     doc = _load(args.input)
     payload = docs.check_envelope(doc, "causal-curve.json")
+    # a null reads as NaN, and 1e400 or "nan" as a float that is not finite
     samples = np.asarray(payload["samples"], dtype=float)
+    if not np.isfinite(samples).all():
+        raise docs.DocumentError("causal-curve samples must be finite")
     ts = samples[:, 0]
     zs = samples[:, 1] + 1j * samples[:, 2]
     mass = float(payload["mass"])
+    if not math.isfinite(mass):
+        raise docs.DocumentError(f"causal-curve mass must be finite, got {mass}")
     ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * args.tolerance_scale)
     _emit({"causal": bool(ok), "mass": mass}, args.output)
     if args.plot:
@@ -122,6 +137,8 @@ def cmd_speed_check(args) -> int:
 
 
 def cmd_classify_model_links(args) -> int:
+    from .spacetimes import link_of_line, model_lines
+
     model = docs.model_from_doc(_load(args.input))
     out = {}
     rejected = False
@@ -134,9 +151,9 @@ def cmd_classify_model_links(args) -> int:
 
 
 def cmd_lr_metrics(args) -> int:
-    jet = docs.surface_jet_from_doc(_load(args.input))
     from .lrmetrics import left_right_metrics, transverse_check
 
+    jet = docs.surface_jet_from_doc(_load(args.input))
     check = transverse_check(jet)
     if not check.transverse:
         _emit(
@@ -164,6 +181,9 @@ def cmd_lr_metrics(args) -> int:
 
 
 def cmd_surgery(args) -> int:
+    from .interactions import surgery_collision
+    from .spacetimes import product_spacetime
+
     doc = _load(args.input)
     payload = docs.check_envelope(doc, "surgery-request.json")
     base = docs.cone_surface_from_doc(payload["base"])
@@ -179,6 +199,8 @@ def cmd_surgery(args) -> int:
 
 
 def cmd_validate_graph(args) -> int:
+    from .interactions import validate_geometric_data
+
     graph = docs.interaction_graph_from_doc(_load(args.input))
     report = validate_geometric_data(graph, tol=CONJUGATOR_RESIDUAL * args.tolerance_scale)
     _emit({"valid": report.passed, "failures": list(report.failures)}, args.output)
@@ -186,6 +208,8 @@ def cmd_validate_graph(args) -> int:
 
 
 def cmd_assemble_holonomy(args) -> int:
+    from .interactions import assemble_holonomy
+
     graph = docs.interaction_graph_from_doc(_load(args.input))
     try:
         asm = assemble_holonomy(graph, tol=CONJUGATOR_RESIDUAL * args.tolerance_scale)

@@ -4,23 +4,30 @@ Every document is an envelope {"schema": ..., "version": ..., "payload":
 ...}.  Serialization is deterministic: keys are sorted and floats rendered
 with 17 significant digits, so identical inputs give byte-identical output.
 Matrices travel as length-4 arrays in row-major order.
+
+Each *_from_doc function imports the layer whose types it builds when it is
+called, so that importing this module (as the command line does) loads none
+of conesurf, hssurface, lrmetrics, spacetimes or interactions.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .conesurf import ConeSurface, Side
-from .hssurface import CurveRecord, FaceAngle, MarkedHSMetric, VertexPosition, VertexRecord
 from .isom import LiftedProj2, Proj2
 from .linalg import HSPointClass
-from .lrmetrics import JetSample, SurfaceJet
+from .links import SingKind, SingularityType
 from .rp1 import Arc, ArcTag, LinkCircle, RP1Circle
-from .spacetimes import ModelKind, ModelSpacetime, black_hole_spacetime, cone_spacetime
-from .spacetimes import extreme_spacetime, graviton_spacetime, product_spacetime
-from .spacetimes import tachyon_spacetime
+
+if TYPE_CHECKING:
+    from .conesurf import ConeSurface
+    from .hssurface import CurveRecord, FaceAngle, MarkedHSMetric, SingularHSSurface
+    from .lrmetrics import SurfaceJet
+    from .spacetimes import ModelSpacetime
 
 
 class DocumentError(ValueError):
@@ -71,6 +78,10 @@ def matrix_from_list(vals) -> np.ndarray:
     arr = np.asarray(vals, dtype=float)
     if arr.size != 4:
         raise DocumentError("matrices are length-4 row-major arrays")
+    entries = arr.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        # a null entry reads as NaN
+        raise DocumentError(f"matrix entries must be finite, got {entries}")
     return arr.reshape(2, 2)
 
 
@@ -123,6 +134,8 @@ def cone_surface_to_doc(s: ConeSurface) -> dict:
 
 
 def cone_surface_from_doc(doc: dict, check_angles: bool = True) -> ConeSurface:
+    from .conesurf import ConeSurface, Side
+
     payload = check_envelope(doc, "cone-surface.json")
     return ConeSurface(
         tuple((int(t), int(h)) for t, h in payload["edges"]),
@@ -140,12 +153,6 @@ def _angle_to_obj(a: FaceAngle):
     if a.is_lorentzian:
         return {"k": int(a.k), "r": float(a.r), "lightlike": bool(a.lightlike)}
     return {"real": float(a.real)}
-
-
-def _angle_from_obj(o) -> FaceAngle:
-    if "real" in o:
-        return FaceAngle(real=float(o["real"]))
-    return FaceAngle(k=int(o["k"]), r=float(o["r"]), lightlike=bool(o.get("lightlike", False)))
 
 
 def marked_metric_to_doc(m: MarkedHSMetric) -> dict:
@@ -183,30 +190,37 @@ def _curve_to_obj(c: CurveRecord):
     }
 
 
-def _curve_from_obj(o) -> CurveRecord:
-    return CurveRecord(
-        float(o["length"]),
-        bool(o.get("closed", True)),
-        bool(o.get("simple", True)),
-        bool(o.get("bounds_degenerate_domain", False)),
-    )
-
-
 def marked_metric_from_doc(doc: dict) -> MarkedHSMetric:
+    from .hssurface import CurveRecord, FaceAngle, MarkedHSMetric, VertexPosition, VertexRecord
+
     payload = check_envelope(doc, "marked-hs-metric.json")
+
+    def angle(o):
+        if "real" in o:
+            return FaceAngle(real=float(o["real"]))
+        return FaceAngle(k=int(o["k"]), r=float(o["r"]), lightlike=bool(o.get("lightlike", False)))
+
+    def curve(o):
+        return CurveRecord(
+            float(o["length"]),
+            bool(o.get("closed", True)),
+            bool(o.get("simple", True)),
+            bool(o.get("bounds_degenerate_domain", False)),
+        )
+
     vertices = tuple(
         VertexRecord(
             VertexPosition(v["position"]),
-            tuple(_angle_from_obj(a) for a in v.get("angles", [])),
-            tuple(tuple(_angle_from_obj(a) for a in comp) for comp in v.get("sigma_components", [])),
-            tuple(tuple(_angle_from_obj(a) for a in comp) for comp in v.get("t_components", [])),
+            tuple(angle(a) for a in v.get("angles", [])),
+            tuple(tuple(angle(a) for a in comp) for comp in v.get("sigma_components", [])),
+            tuple(tuple(angle(a) for a in comp) for comp in v.get("t_components", [])),
         )
         for v in payload.get("vertices", [])
     )
     return MarkedHSMetric(
         vertices=vertices,
-        sigma_geodesics=tuple(_curve_from_obj(c) for c in payload.get("sigma_geodesics", [])),
-        t_geodesics=tuple(_curve_from_obj(c) for c in payload.get("t_geodesics", [])),
+        sigma_geodesics=tuple(curve(c) for c in payload.get("sigma_geodesics", [])),
+        t_geodesics=tuple(curve(c) for c in payload.get("t_geodesics", [])),
         type_tag=payload.get("type", "hyperbolic"),
         timelike_arcs_join=payload.get("timelike_arcs_join", "H-Sigma"),
         compact_segments=tuple(payload.get("compact_segments", [])),
@@ -218,10 +232,7 @@ def marked_metric_from_doc(doc: dict) -> MarkedHSMetric:
 # -- hs-surfaces (region decompositions) --------------------------------------
 
 
-def hs_surface_to_doc(s) -> dict:
-    from .hssurface import SingularHSSurface
-    from .links import SingularityType
-
+def hs_surface_to_doc(s: SingularHSSurface) -> dict:
     def sing(x: SingularityType):
         return {
             "kind": x.kind.value,
@@ -262,10 +273,9 @@ def hs_surface_to_doc(s) -> dict:
     return envelope("hs-surface.json", payload)
 
 
-def hs_surface_from_doc(doc: dict):
+def hs_surface_from_doc(doc: dict) -> SingularHSSurface:
     from .hssurface import DeSitterRegion, HyperbolicRegion, PhotonCircle, RegionTopology
     from .hssurface import SingularHSSurface
-    from .links import SingKind, SingularityType
 
     payload = check_envelope(doc, "hs-surface.json")
 
@@ -327,6 +337,10 @@ def model_to_doc(m: ModelSpacetime) -> dict:
 
 
 def model_from_doc(doc: dict) -> ModelSpacetime:
+    from .spacetimes import ModelKind, black_hole_spacetime, btz_static, cone_spacetime
+    from .spacetimes import extreme_spacetime, graviton_spacetime, product_spacetime
+    from .spacetimes import tachyon_spacetime
+
     payload = check_envelope(doc, "model.json")
     kind = ModelKind(payload["kind"])
     if kind is ModelKind.CONE:
@@ -342,8 +356,6 @@ def model_from_doc(doc: dict) -> ModelSpacetime:
     if kind is ModelKind.PRODUCT:
         return product_spacetime(cone_surface_from_doc(payload["base"]))
     if kind is ModelKind.BTZ_STATIC:
-        from .spacetimes import btz_static
-
         g1, g2 = (Proj2(matrix_from_list(v)) for v in payload["holonomies"])
         return btz_static(g1, g2)
     raise DocumentError(f"cannot rebuild model of kind {kind}")
@@ -362,6 +374,8 @@ def surface_jet_to_doc(j: SurfaceJet) -> dict:
 
 
 def surface_jet_from_doc(doc: dict) -> SurfaceJet:
+    from .lrmetrics import JetSample, SurfaceJet
+
     payload = check_envelope(doc, "surface-jet.json")
     return SurfaceJet(
         tuple(

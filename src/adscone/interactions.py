@@ -14,12 +14,14 @@ group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .conesurf import (
     ConeSurface,
     DiskSpec,
+    Side,
     disks_isometric,
     dual_cycles,
     holonomy_of_loop,
@@ -27,11 +29,13 @@ from .conesurf import (
     resolve_loop,
 )
 from .errors import GeometryError
-from .hssurface import SingularHSSurface, SphereClass, classify_hs_sphere
 from .isom import Proj2, sylvester_rows
-from .spacetimes import ModelKind, ModelSpacetime
 from .tolerances import ANGLE_MATCH, CONJUGATOR_DET, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
 from .tolerances import CONJUGATOR_RESIDUAL
+
+if TYPE_CHECKING:
+    from .hssurface import SingularHSSurface
+    from .spacetimes import ModelSpacetime
 
 
 @dataclass(frozen=True)
@@ -369,6 +373,9 @@ def surgery_collision(
     exchanged disk and complement holonomies matching the after slice's, the
     computable content of the cut-and-paste locality of the surgery.
     """
+    from .hssurface import SphereClass, classify_hs_sphere
+    from .spacetimes import ModelKind
+
     if base.kind is not ModelKind.PRODUCT:
         raise GeometryError("surgery operates on a static product spacetime")
     surf = base.base
@@ -497,7 +504,6 @@ def _before_surface(surf: ConeSurface, at: int, eta1: float, eta2: float):
         emap[e] = len(edges)
         edges.append((vmap[t], vmap[h]))
         lengths.append(float(disk.lengths[e]))
-    from .conesurf import Side
 
     def remap_side(s: Side) -> Side:
         if s.edge < 3:

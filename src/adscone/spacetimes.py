@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .conesurf import ConeSurface
 from .errors import CausalityError, GeometryError
-from .hssurface import SingularHSSurface, check_causal
 from .isom import (
     IsomKind,
     IsomPair,
@@ -32,6 +31,10 @@ from .links import SingKind, SingularityType, link_of_type, particle_mass
 from .rp1 import LinkCircle, elliptic_link_circle, mark_timelike_arcs
 from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK
 from .tolerances import INTERTWINER_RANK, POINT_MATCH, SAMPLE_STEP_SLACK
+
+if TYPE_CHECKING:
+    from .conesurf import ConeSurface
+    from .hssurface import SingularHSSurface
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,6 +153,8 @@ def suspend(link: SingularHSSurface) -> ModelSpacetime:
 
     Its singular lines are the singularities of the surface; the vertex is an
     interaction exactly when there are at least three of them."""
+    from .hssurface import check_causal
+
     report = check_causal(link)
     if not report.causal:
         raise CausalityError("; ".join(report.failures))

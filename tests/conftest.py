@@ -1,9 +1,12 @@
 import math
+import os
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import adscone
 from adscone import catalog
 from adscone.conesurf import _uses_of, flip_edge, raise_degenerate, resolve_loop
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
@@ -878,3 +881,13 @@ def scanned_vertex_loop():
     """Reference for conesurf.loop_around_vertex: the start corner found by
     scanning every face's corners."""
     return _scanned_vertex_loop
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """The environment of a child interpreter that imports the same adscone
+    as this process, also when pytest put src/ on sys.path itself
+    (pythonpath in pyproject.toml)."""
+    src = str(Path(adscone.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,15 +1,18 @@
-"""The CLI contract on mutated documents: every run of `surgery`,
-`validate-graph` and `assemble-holonomy` exits 0, 1 or 2 without a traceback,
-and writes the same bytes to stdout and stderr when it runs twice in one
-process and once through --batch.
+"""The CLI contract on mutated documents: every run of every subcommand
+exits 0, 1 or 2 without a traceback, writes strict JSON (no NaN or
+Infinity) to stdout or nothing, and writes the same bytes to stdout and
+stderr when it runs twice in one process and once through --batch.  On the
+unmutated documents a fresh interpreter answers as the running process does.
 
-The documents start from adscone.catalog constructions.  Surfaces parsed
-from them share one interned structure per triangulation across runs, so a
-stale or corrupted structure cache would show here as a changed answer."""
+The documents start from library constructions.  Surfaces parsed from them
+share one interned structure per triangulation across runs, so a stale or
+corrupted structure cache would show here as a changed answer."""
 
 import functools
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,18 +24,26 @@ from hypothesis import strategies as st
 
 from adscone import documents as docs
 from adscone.catalog import subdivide_face_with_cone, torus_with_cone_point
-from adscone.cli import main
+from adscone.cli import COMMANDS, main
 from adscone.hssurface import (
+    CurveRecord,
     DeSitterRegion,
+    FaceAngle,
     HyperbolicRegion,
+    MarkedHSMetric,
     PhotonCircle,
     RegionTopology,
     SingularHSSurface,
+    VertexPosition,
+    VertexRecord,
 )
 from adscone.interactions import elastic_collision_graph
+from adscone.linalg import HSPointClass
+from adscone.lrmetrics import SurfaceJet, equidistant_jet
+from adscone.rp1 import elliptic_link_circle, mark_timelike_arcs
+from adscone.spacetimes import product_spacetime, saturating_null_curve
 
 PI = np.pi
-COMMANDS = ("surgery", "validate-graph", "assemble-holonomy")
 # what a mutated leaf becomes, besides a scaled copy of a number
 ODD_VALUES = (None, True, -1, 0, 2, 7, 0.5, -0.25, 1e300, "x", [], {})
 
@@ -44,26 +55,67 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
-@functools.cache
-def _base_text(command: str) -> str:
-    """The canonical text of the unmutated document of a command: a surgery
-    request outside the collision window on the theta = pi torus, and the
-    elastic collision graph on that torus refined at face 1."""
-    torus, _ = torus_with_cone_point(PI)
-    if command == "surgery":
-        link = SingularHSSurface(
-            hyperbolic_regions=(
-                HyperbolicRegion("future", RegionTopology.DISK, (PI,), 0, (0,)),
-                HyperbolicRegion("past", RegionTopology.DISK, (2 * PI / 3, 2 * PI / 3), 0, (1,)),
+def _base_doc(command: str) -> dict:
+    """The unmutated document of a command.  The link circle is a massive
+    particle, the sphere the (pi; 2pi/3, 2pi/3) collision link, the marked
+    metric has a hyperbolic and a timelike vertex, the curve saturates the
+    causal bound and the jet samples an equidistant slice.  The model is the
+    product over the theta = pi torus, the surgery request is outside the
+    collision window on that torus, and the graph is the elastic collision
+    graph on that torus refined at face 1."""
+    if command == "classify-link":
+        return docs.link_circle_to_doc(mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS))
+    link = SingularHSSurface(
+        hyperbolic_regions=(
+            HyperbolicRegion("future", RegionTopology.DISK, (PI,), 0, (0,)),
+            HyperbolicRegion("past", RegionTopology.DISK, (2 * PI / 3, 2 * PI / 3), 0, (1,)),
+        ),
+        de_sitter_regions=(DeSitterRegion(RegionTopology.ANNULUS, (), (0, 1)),),
+        photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
+    )
+    if command in ("classify-sphere", "trace-causal"):
+        return docs.hs_surface_to_doc(link)
+    if command == "check-polyhedron":
+        metric = MarkedHSMetric(
+            vertices=(
+                VertexRecord(VertexPosition.HYPERBOLIC, (FaceAngle(real=1.2),) * 3),
+                VertexRecord(VertexPosition.INTERIOR_T, (FaceAngle(k=2, r=0.3), FaceAngle(k=2, r=0.2))),
             ),
-            de_sitter_regions=(DeSitterRegion(RegionTopology.ANNULUS, (), (0, 1)),),
-            photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
+            sigma_geodesics=(CurveRecord(7.0),),
+            t_geodesics=(CurveRecord(5.0),),
         )
+        return docs.marked_metric_to_doc(metric)
+    if command == "speed-check":
+        ts, zs = saturating_null_curve(0.5, 0.0, 0.02, 0.05, n=21)
+        samples = [[float(t), float(z.real), float(z.imag)] for t, z in zip(ts, zs)]
+        return docs.envelope("causal-curve.json", {"mass": 0.5, "samples": samples})
+    if command == "lr-metrics":
+        mu = np.array([[2.0, 0.3], [0.3, 1.0]])
+        return docs.surface_jet_to_doc(SurfaceJet(tuple(equidistant_jet(mu, t) for t in (-0.4, 0.2, 0.7))))
+    torus, _ = torus_with_cone_point(PI)
+    if command == "classify-model-links":
+        return docs.model_to_doc(product_spacetime(torus))
+    if command == "surgery":
         payload = {"base": docs.cone_surface_to_doc(torus), "link": docs.hs_surface_to_doc(link), "at": 4}
-        return docs.canonical_json(docs.envelope("surgery-request.json", payload))
+        return docs.envelope("surgery-request.json", payload)
     refined, disk, _ = subdivide_face_with_cone(torus, 1, 2.5)
     graph = elastic_collision_graph(refined, frozenset(disk.face_ids) | frozenset({7, 8, 9}))
-    return docs.canonical_json(docs.interaction_graph_to_doc(graph))
+    return docs.interaction_graph_to_doc(graph)
+
+
+@functools.cache
+def _base_text(command: str) -> str:
+    """The canonical text of the unmutated document of a command."""
+    return docs.canonical_json(_base_doc(command))
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: str):
+    """The value of a JSON text that holds no NaN, Infinity or -Infinity."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 def _paths(node, path=()):
@@ -106,8 +158,8 @@ def _mutate(doc, data) -> str:
     return text
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(command=st.sampled_from(COMMANDS), data=st.data())
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(command=st.sampled_from(sorted(COMMANDS)), data=st.data())
 def test_mutated_documents_keep_the_cli_contract(command, data):
     text = _mutate(json.loads(_base_text(command)), data)
     with tempfile.TemporaryDirectory() as tmp:
@@ -119,6 +171,8 @@ def test_mutated_documents_keep_the_cli_contract(command, data):
     code, out, err = first
     assert code in (0, 1, 2)
     assert "Traceback" not in out + err
+    if out:
+        _strict_json(out)
     assert second == first
     summary = docs.canonical_json({"batch": {"doc.json": code}}) + "\n"
     assert batch == (code, out, err + summary)
@@ -141,3 +195,34 @@ def test_values_of_the_wrong_kind_are_input_errors(tmp_path, path, value, error)
     code, out, err = run_cli(["surgery", "--input", str(doc_path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {error}: ")
+
+
+def test_fresh_interpreters_answer_as_the_running_process(tmp_path, child_env):
+    """Each subcommand on its unmutated document, run by `python -m
+    adscone.cli`, gives the exit code, stdout and stderr of main() in this
+    process.  A fresh interpreter imports only the layers that subcommand
+    runs, and in its own order, where pytest has every module loaded."""
+    calls = []
+    for command in sorted(COMMANDS):
+        path = tmp_path / f"{command}.json"
+        path.write_text(_base_text(command))
+        calls.append([command, "--input", str(path)])
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "adscone.cli", *call],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=child_env,
+        )
+        for call in calls
+    ]
+    expected = []
+    for proc in fresh:
+        out, err = proc.communicate(timeout=60)
+        expected.append((proc.returncode, out, err))
+    for call, want in zip(calls, expected):
+        got = run_cli(call)
+        assert got == want, call
+        assert got[0] in (0, 2) and got[1] and not got[2], call
+        _strict_json(got[1])

@@ -1,15 +1,12 @@
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import adscone
 from adscone import documents as docs
 from adscone import interactions
 from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
@@ -60,24 +57,82 @@ def test_link_circle_roundtrip():
     assert abs(back.kind.angle - PI / 2) < 1e-12
 
 
+def _non_finite_doc(command):
+    if command == "classify-link":
+        return docs.link_circle_to_doc(mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS))
+    if command == "lr-metrics":
+        return docs.surface_jet_to_doc(SurfaceJet(tuple(JetSample(np.eye(2), k * np.eye(2)) for k in (0.5, 0.7))))
+    return docs.envelope("causal-curve.json", _curve_payload())
+
+
 @pytest.mark.parametrize(
-    "key,index,message",
+    "command,path,value,error",
     [
-        ("holonomy", 1, "matrix entries and determinant must be finite"),
-        ("lift_offset", None, "lift offset s must be finite"),
+        pytest.param(
+            "classify-link",
+            ("holonomy", 1),
+            float("nan"),
+            "matrix entries must be finite, got [6.123233995736766e-17, nan, 1.0, 6.123233995736766e-17]",
+            id="classify-link-holonomy",
+        ),
+        pytest.param(
+            "classify-link",
+            ("lift_offset",),
+            float("nan"),
+            "ValueError: lift offset s must be finite",
+            id="classify-link-lift-offset",
+        ),
+        pytest.param(
+            "lr-metrics",
+            ("samples", 0, "B", 3),
+            None,
+            "matrix entries must be finite, got [0.5, 0.0, 0.0, nan]",
+            id="lr-metrics-null-in-B",
+        ),
+        pytest.param(
+            "lr-metrics",
+            ("samples", 1, "I", 0),
+            float("inf"),
+            "matrix entries must be finite, got [inf, 0.0, 0.0, 1.0]",
+            id="lr-metrics-infinite-I",
+        ),
+        pytest.param(
+            "speed-check",
+            ("samples", 1, 2),
+            None,
+            "causal-curve samples must be finite",
+            id="speed-check-null-sample",
+        ),
+        pytest.param(
+            "speed-check",
+            ("mass",),
+            float("inf"),
+            "causal-curve mass must be finite, got inf",
+            id="speed-check-infinite-mass",
+        ),
+        pytest.param(
+            "speed-check",
+            ("mass",),
+            "nan",
+            "causal-curve mass must be finite, got nan",
+            id="speed-check-nan-text-mass",
+        ),
     ],
 )
-def test_classify_link_refuses_a_non_finite_number(tmp_path, key, index, message):
-    """NaN in a link document is malformed input (exit 1), not a NaN angle."""
-    doc = docs.link_circle_to_doc(mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS))
-    doc = json.loads(docs.canonical_json(doc))
-    if index is None:
-        doc["payload"][key] = float("nan")
-    else:
-        doc["payload"][key][index] = float("nan")
-    path = tmp_path / "link.json"
-    path.write_text(json.dumps(doc))
-    assert run_cli(["classify-link", "--input", str(path)]) == (1, "", f"input error: ValueError: {message}\n")
+def test_a_non_finite_number_is_an_input_error(tmp_path, command, path, value, error):
+    """A null, NaN or infinite number in a link circle, a matrix or a causal
+    curve is malformed input (exit 1), not a NaN in the report.  A null in a
+    surface jet used to reach the report as NaN, which is not JSON, with
+    exit 0 and numpy's "invalid value" warning on the first call in a
+    process only."""
+    doc = json.loads(docs.canonical_json(_non_finite_doc(command)))
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert run_cli([command, "--input", str(doc_path)]) == (1, "", f"input error: {error}\n")
 
 
 def test_cone_surface_roundtrip():
@@ -342,22 +397,14 @@ def test_cli_model_doc(tmp_path):
     assert json.loads(out)["lines"]["c"]["kind"] == "MassiveParticle"
 
 
-def _child_env():
-    # the child imports the same adscone as this process, also when pytest
-    # put src/ on sys.path itself (pythonpath in pyproject.toml)
-    src = str(Path(adscone.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return {**os.environ, "PYTHONPATH": path}
-
-
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     code = subprocess.run(
-        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=_child_env()
+        [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=child_env
     )
     assert code.returncode == 0
 
 
-def test_reused_parser_matches_fresh_interpreters(tmp_path):
+def test_reused_parser_matches_fresh_interpreters(tmp_path, child_env):
     """main() called again and again in one process, with flags switched on
     and off between calls, answers each call as a fresh interpreter does."""
     # a massive particle of angle > 2 pi: accepted, but not positive
@@ -392,7 +439,7 @@ def test_reused_parser_matches_fresh_interpreters(tmp_path):
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             text=True,
-            env=_child_env(),
+            env=child_env,
         )
         for call in calls
     ]
