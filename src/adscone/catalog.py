@@ -458,9 +458,15 @@ def collision_distance(theta: float, eta1: float, eta2: float) -> float:
         raise LinkRealizationError(
             f"{what}: needs theta < 2 pi, but theta - 2 pi = {theta - TWO_PI:.6g}"
         )
-    c = (np.cos(eta1 / 2) * np.cos(eta2 / 2) - np.cos(theta / 2)) / (
-        np.sin(eta1 / 2) * np.sin(eta2 / 2)
-    )
+    num = float(np.cos(eta1 / 2) * np.cos(eta2 / 2) - np.cos(theta / 2))
+    den = float(np.sin(eta1 / 2) * np.sin(eta2 / 2))
+    # a cone angle near 0 makes den tiny or 0: the float quotient is then inf,
+    # where numpy's would warn
+    c = num / den if den else math.inf
+    if c == math.inf:
+        raise LinkRealizationError(
+            f"{what}: cosh d = {num:.6g} / {den:.6g} is beyond the float range"
+        )
     return float(np.arccosh(max(c, 1.0)))
 
 

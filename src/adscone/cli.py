@@ -127,8 +127,9 @@ def cmd_speed_check(args) -> int:
     ts = samples[:, 0]
     zs = samples[:, 1] + 1j * samples[:, 2]
     mass = float(payload["mass"])
-    if not math.isfinite(mass):
-        raise docs.DocumentError(f"causal-curve mass must be finite, got {mass}")
+    # the speed bound |z|^m / (1 - m) and the plot's envelope need 0 <= m < 1
+    if not 0.0 <= mass < 1.0:
+        raise docs.DocumentError(f"causal-curve mass must lie in [0, 1), got {mass}")
     ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * args.tolerance_scale)
     _emit({"causal": bool(ok), "mass": mass}, args.output)
     if args.plot:

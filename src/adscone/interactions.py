@@ -30,7 +30,7 @@ from .conesurf import (
 )
 from .errors import GeometryError
 from .isom import Proj2, sylvester_rows
-from .tolerances import ANGLE_MATCH, CONJUGATOR_DET, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
+from .tolerances import ANGLE_MATCH, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
 from .tolerances import CONJUGATOR_RESIDUAL
 
 if TYPE_CHECKING:
@@ -118,9 +118,21 @@ class ValidationReport:
         return self.passed
 
 
+# det X = x^T _DET_FORM x on 2x2 matrices X flattened row-major: the
+# polarization of det is (X, Y) -> tr(adj(X) Y) / 2
+_DET_FORM = 0.5 * np.array(
+    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+)
+
+
 def solve_conjugator(pairs) -> tuple[Proj2, float]:
     """A projective C with C a C^{-1} = b for all (a, b), via the stacked
-    Sylvester system; returns (C, residual)."""
+    Sylvester system; returns (C, residual).
+
+    With a trivial centralizer the null space is one line and C spans it.
+    Otherwise C is the representative of largest determinant over the
+    orthonormal null basis: the top eigenvector of det's quadratic form
+    restricted to the null space."""
     if not pairs:
         raise ValueError("no generator pairs to solve a conjugator from")
     am = np.array([a.m for a, _ in pairs]).reshape(-1, 2, 2)
@@ -130,20 +142,10 @@ def solve_conjugator(pairs) -> tuple[Proj2, float]:
     _, sv, vt = np.linalg.svd(A)
     floor = max(CONJUGATOR_NULL_REL * sv[0], CONJUGATOR_NULL_ABS)
     null_dim = int(np.sum(sv <= floor)) or 1
-    basis = [vt[-(k + 1)].reshape(2, 2) for k in range(null_dim)]
-    c = None
-    if null_dim == 1:
-        c = basis[0]
-    else:
-        # non-trivial centralizer: search the null pencil for a positive
-        # determinant representative
-        for t in np.linspace(0.0, np.pi, 37, endpoint=False):
-            cand = np.cos(t) * basis[0] + np.sin(t) * basis[1]
-            if np.linalg.det(cand) > CONJUGATOR_DET:
-                c = cand
-                break
-        if c is None:
-            c = basis[0]
+    basis = vt[4 - null_dim :]
+    # one null vector is its own top eigenvector: eigh of the 1x1 form is 1
+    _, vecs = np.linalg.eigh(basis @ _DET_FORM @ basis.T)
+    c = (vecs[:, -1] @ basis).reshape(2, 2)
     if np.linalg.det(c) <= 0:
         # a 2x2 sign flip cannot fix the determinant; the representations are
         # only conjugate through an orientation-reversing map

@@ -204,17 +204,20 @@ class LiftedProj2:
     def __post_init__(self):
         if not math.isfinite(self.s):
             raise ValueError("lift offset s must be finite")
-        alpha = _image_angle(self.g, 0.0)
+        alpha = _image_angle(self.g)
         if abs(((self.s - alpha) + PI / 2) % PI - PI / 2) > LIFT_CONGRUENCE:
             raise ValueError("lift offset s is not congruent to the image of 0")
 
     def __call__(self, phi: float) -> float:
-        n = np.floor(phi / PI)
+        """n pi + s plus the turn from g e1 to g (cos r, sin r), for
+        phi = n pi + r with r in [0, pi).  The turn has sine det(g) sin r =
+        sin r >= 0, so it lies in [0, pi] and crosses no seam of the
+        line-angle coordinate; its cosine is the dot product of the images."""
+        n = math.floor(phi / PI)
         r = phi - n * PI
-        if r == 0.0:
-            return float(n * PI + self.s)
-        alpha = _image_angle(self.g, r)
-        return float(n * PI + self.s + ((alpha - self.s) % PI))
+        a, b, c, d = self.g.m.ravel().tolist()
+        sin, cos = math.sin(r), math.cos(r)
+        return n * PI + self.s + math.atan2(sin, (a * a + c * c) * cos + (a * b + c * d) * sin)
 
     def compose(self, other: "LiftedProj2") -> "LiftedProj2":
         """The lift of self after other (self o other)."""
@@ -222,7 +225,7 @@ class LiftedProj2:
 
     def inverse(self) -> "LiftedProj2":
         ginv = self.g.inverse()
-        beta = _image_angle(ginv, 0.0)
+        beta = _image_angle(ginv)
         raw = self(beta)
         k = np.round(raw / PI)
         return LiftedProj2(ginv, float(beta - k * PI))
@@ -232,9 +235,9 @@ class LiftedProj2:
         return LiftedProj2(self.g, self.s + k * PI)
 
 
-def _image_angle(g: Proj2, phi: float) -> float:
-    w = g.m @ np.array([np.cos(phi), np.sin(phi)])
-    return float(np.arctan2(w[1], w[0]) % PI)
+def _image_angle(g: Proj2) -> float:
+    """The line angle in [0, pi) of g e1, the image of the basepoint angle 0."""
+    return math.atan2(g.m[1, 0], g.m[0, 0]) % PI
 
 
 def lift_identity(k: int = 0) -> LiftedProj2:
@@ -244,7 +247,7 @@ def lift_identity(k: int = 0) -> LiftedProj2:
 
 def principal_lift(g: Proj2) -> LiftedProj2:
     """The lift with s in [0, pi)."""
-    return LiftedProj2(g, _image_angle(g, 0.0))
+    return LiftedProj2(g, _image_angle(g))
 
 
 def fixed_point_lift(g: Proj2) -> LiftedProj2:

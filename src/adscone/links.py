@@ -22,11 +22,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError
-from .isom import Proj2, attracting_line_angle, fixed_line_angles, fixed_point_lift
+from .isom import LiftedProj2, Proj2
 from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs
-from .tolerances import COPLANAR_REL, DISTINCT_LINE, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
+from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
 from .tolerances import SLOPE_VERTICAL
 
 PI = np.pi
@@ -151,28 +151,25 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     raise GeometryError(f"no link model for {s.kind}")
 
 
+# The model holonomies fix the line angle 0, so their fixed-point lifts have
+# offset 0.  diag(e^(l/2), e^(-l/2)) fixes 0 (attracting for l > 0) and pi/2,
+# and moves the lines of (pi/2, pi) forward; [[1, +-1], [0, 1]] fixes 0 only.
+
+
 def _degree0_hyperbolic_circle(length: float) -> RP1Circle:
-    g = Proj2.hyperbolic(length)
-    base = fixed_point_lift(g)
-    a = fixed_line_angles(g)  # angle 0 attracting for diag; interval (pi/2, pi)
-    return RP1Circle(base, interval=(a[1], a[0] + PI))
+    return RP1Circle(LiftedProj2(Proj2.hyperbolic(length), 0.0), interval=(PI / 2, PI))
 
 
 def _degree2_hyperbolic_circle(length: float, positive: bool) -> RP1Circle:
-    g = Proj2.hyperbolic(length)
-    lift = fixed_point_lift(g).shifted(2)
-    att = attracting_line_angle(g)
-    other = [a for a in fixed_line_angles(g) if abs(a - att) > DISTINCT_LINE][0]
-    return RP1Circle(lift, future_anchor=float(att if positive else other))
+    lift = LiftedProj2(Proj2.hyperbolic(length), 2 * PI)
+    return RP1Circle(lift, future_anchor=0.0 if positive else PI / 2)
 
 
 def _parabolic_circle(sign: int, degree: int) -> RP1Circle:
     g = Proj2.parabolic(1.0 if sign > 0 else -1.0)
-    base = fixed_point_lift(g)
     if degree == 0:
-        x0 = fixed_line_angles(g)[0]
-        return RP1Circle(base, interval=(x0, x0 + PI))
-    return RP1Circle(base.shifted(degree))
+        return RP1Circle(LiftedProj2(g, 0.0), interval=(0.0, PI))
+    return RP1Circle(LiftedProj2(g, degree * PI))
 
 
 def tachyon_mass_from_planes(l1, d1, d2, l2) -> float:

@@ -26,10 +26,14 @@ from .errors import DegreeParityError, GeometryError
 from .isom import (
     IsomKind,
     LiftedProj2,
+    Proj2,
     attracting_line_angle,
     classify,
     degree_decomposition,
+    fixed_line_angles,
+    lift_identity,
     parabolic_sign,
+    principal_lift,
     translation_number,
 )
 from .linalg import HSPointClass
@@ -37,10 +41,6 @@ from .tolerances import ANGLE_MATCH, ARC_OVERLAP, DISTINCT_LINE, FIXED_POINT, IN
 from .tolerances import LIFT_CONGRUENCE
 
 PI = np.pi
-# where a circle's holonomy is checked to move points forward: fractions of
-# a degree-0 interval, and angles across one deck translation
-_INTERVAL_PROBES = tuple(np.linspace(0.15, 0.85, 5).tolist())
-_LINE_PROBES = tuple(np.linspace(0.0, PI, 7).tolist())
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,28 @@ class RP1Circle:
 
     def __post_init__(self):
         h = self.holonomy
-        cls = classify(h.g)
         if self.interval is not None:
             x0, x1 = self.interval
             if not x0 < x1 <= x0 + PI + INTERVAL_SLACK:
                 raise GeometryError("interval must be a sub-arc between consecutive fixed points")
-            for t in _INTERVAL_PROBES:
-                x = x0 + t * (x1 - x0)
-                if h(x) <= x:
-                    raise GeometryError("holonomy is not positive on the interval")
             for e in (x0, x1):
                 if abs(h(e) - e) > FIXED_POINT:
                     raise GeometryError("interval endpoints are not fixed by the holonomy")
-        else:
-            if cls.kind is IsomKind.IDENTITY and h.s <= PI / 2:
-                raise GeometryError("holonomy must translate the lifted line positively")
-            for x in _LINE_PROBES:
-                if h(x) <= x:
-                    raise GeometryError("holonomy is not a positively oriented generator")
+            # the first lift of each fixed line after x0 comes at x1 or later
+            for a in fixed_line_angles(h.g):
+                if (a - x0 - DISTINCT_LINE) % PI < x1 - x0 - 2 * DISTINCT_LINE:
+                    raise GeometryError("interval must be a sub-arc between consecutive fixed points")
+            mid = 0.5 * (x0 + x1)
+            if h(mid) <= mid:
+                raise GeometryError("holonomy is not positive on the interval")
+        elif translation_number(h) <= 0:
+            # a non-elliptic lift moves every point forward exactly when it is
+            # a positive number of deck translations from its fixed-point lift
+            raise GeometryError("holonomy is not a positively oriented generator")
         if self.future_anchor is not None:
-            k0 = _fixed_part(h)
-            if abs(k0(self.future_anchor) - self.future_anchor) > FIXED_POINT:
+            k, _ = degree_decomposition(h)
+            a = self.future_anchor
+            if abs(h(a) - a - k * PI) > FIXED_POINT:
                 raise GeometryError("future anchor is not a fixed point of the holonomy")
 
     @property
@@ -92,11 +93,6 @@ class RP1Circle:
             return 0
         k, _ = degree_decomposition(self.holonomy)
         return int(k)
-
-
-def _fixed_part(h: LiftedProj2) -> LiftedProj2:
-    _, g0 = degree_decomposition(h)
-    return g0
 
 
 class CircleTag(Enum):
@@ -133,9 +129,8 @@ def classify_circle(c: RP1Circle) -> CircleKind:
         return CircleKind(
             CircleTag.HYPERBOLIC, degree=degree, length=float(cls.length), sign=sign
         )
-    # parabolic
-    _, g0 = degree_decomposition(h)
-    sign = parabolic_sign(g0.g)
+    # parabolic: h.g is the element of the fixed-point lift too
+    sign = parabolic_sign(h.g)
     if degree == 0 and sign == +1:
         raise GeometryError("parabolic circles of degree 0 are always negative")
     return CircleKind(CircleTag.PARABOLIC, degree=degree, sign=sign)
@@ -242,9 +237,8 @@ def mark_timelike_arcs(
             if anchor is None:
                 raise GeometryError("hyperbolic link of positive degree needs a future anchor")
             circle = RP1Circle(h, future_anchor=float(anchor))  # checks that it is fixed
-            g0 = _fixed_part(h)
             x0 = float(anchor)
-            x1 = _other_fixed_point(g0, x0)
+            x1 = _other_fixed_point(h.g, x0)
             arcs = []
             for j in range(k):
                 t = ArcTag.FUTURE if j % 2 == 0 else ArcTag.PAST
@@ -256,7 +250,7 @@ def mark_timelike_arcs(
     if basepoint_class.is_boundary:
         if cls.kind is not IsomKind.PARABOLIC:
             raise GeometryError("links over boundary points have parabolic holonomy")
-        k, g0 = degree_decomposition(h)
+        k, _ = degree_decomposition(h)
         future = basepoint_class is HSPointClass.BOUNDARY_PLUS
         if k == 0 or c.interval is not None:
             side = data.get("side")
@@ -270,8 +264,8 @@ def mark_timelike_arcs(
             raise DegreeParityError(k)
         anchor = data.get("anchor")
         if anchor is None:
-            anchor = _parabolic_fixed_angle(g0)
-        elif abs(g0(anchor) - anchor) > FIXED_POINT:
+            anchor = fixed_line_angles(h.g)[0]
+        elif abs(h(anchor) - anchor - k * PI) > FIXED_POINT:
             raise GeometryError("anchor is not a fixed point")
         h2_first = bool(data.get("h2_first", True))
         arcs = []
@@ -284,10 +278,8 @@ def mark_timelike_arcs(
     raise GeometryError(f"unsupported basepoint class {basepoint_class}")
 
 
-def _other_fixed_point(g0: LiftedProj2, x0: float) -> float:
-    from .isom import fixed_line_angles
-
-    angles = fixed_line_angles(g0.g)
+def _other_fixed_point(g: Proj2, x0: float) -> float:
+    angles = fixed_line_angles(g)
     if len(angles) != 2:
         raise GeometryError("hyperbolic element must have two fixed lines")
     for a in angles:
@@ -297,27 +289,17 @@ def _other_fixed_point(g0: LiftedProj2, x0: float) -> float:
     raise GeometryError("could not locate the second fixed point")
 
 
-def _parabolic_fixed_angle(g0: LiftedProj2) -> float:
-    from .isom import fixed_line_angles
-
-    return float(fixed_line_angles(g0.g)[0])
-
-
 def regular_point_link() -> LinkCircle:
     """The link of a regular point: elliptic of angle exactly 2*pi.
 
     The ray circle around a regular point double-covers the pencil of lines,
     so its holonomy is the square of the deck translation."""
-    from .isom import lift_identity
-
     return mark_timelike_arcs(RP1Circle(lift_identity(2)), HSPointClass.H2_PLUS)
 
 
 def elliptic_link_circle(theta: float) -> RP1Circle:
     """The link circle of a cone of angle theta: holonomy translating the
     lifted coordinate by exactly theta."""
-    from .isom import Proj2, lift_identity, principal_lift
-
     if theta <= 0:
         raise GeometryError("cone angle must be positive")
     t = theta % PI

@@ -42,7 +42,6 @@ DISK_FIT_STALL = 1e-10  # ... and gives up when a step cuts its residual norm by
 # interaction graphs
 CONJUGATOR_NULL_REL = 1e-7  # a singular value <= max(this * largest, CONJUGATOR_NULL_ABS) ...
 CONJUGATOR_NULL_ABS = 1e-12  # ... spans the null space of the conjugator system
-CONJUGATOR_DET = 1e-8  # a conjugator from a null pencil has determinant above this
 CONJUGATOR_RESIDUAL = 1e-8  # complement holonomies match across an edge (--tolerance-scale)
 # surface jets and transport
 JET_SYMMETRIC = 1e-12  # a first fundamental form is symmetric, entrywise

@@ -14,6 +14,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -46,6 +47,10 @@ from adscone.spacetimes import product_spacetime, saturating_null_curve
 PI = np.pi
 # what a mutated leaf becomes, besides a scaled copy of a number
 ODD_VALUES = (None, True, -1, 0, 2, 7, 0.5, -0.25, 1e300, "x", [], {})
+# the JSON texts a numeric leaf is set to in the repeat test, and how many
+# leaves of one document it visits
+EXTREME_TEXTS = ("null", '"nan"', "1e400", "-1e400", "1e300", "-1e300", "1e-320", "0")
+EXTREME_LEAVES = 12
 
 
 def run_cli(args):
@@ -176,6 +181,41 @@ def test_mutated_documents_keep_the_cli_contract(command, data):
     assert second == first
     summary = docs.canonical_json({"batch": {"doc.json": code}}) + "\n"
     assert batch == (code, out, err + summary)
+
+
+def _numeric_leaves(command, doc):
+    """At most EXTREME_LEAVES numeric leaves of a document, spread over it;
+    for surgery only the cone angles of the link, since one disk fit on a
+    changed host can take seconds."""
+    leaves = [p for p in _paths(doc) if type(_parent(doc, p)[p[-1]]) in (int, float)]
+    if command == "surgery":
+        return [p for p in leaves if p[:2] == ("payload", "link") and "cone_angles" in p]
+    return leaves[:: -(-len(leaves) // EXTREME_LEAVES)]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_extreme_numbers_give_the_same_answer_twice(tmp_path, command):
+    """Each visited leaf set to null, "nan", +-1e400, +-1e300, 1e-320 or 0:
+    two runs in one process give the same exit code, stdout and stderr, with
+    no traceback and no RuntimeWarning.  numpy warns once per call site and
+    process, so a warning that escaped would reach stderr on the first run
+    only."""
+    base = json.loads(_base_text(command))
+    path = tmp_path / "doc.json"
+    for leaf in _numeric_leaves(command, base):
+        doc = json.loads(_base_text(command))
+        _parent(doc, leaf)[leaf[-1]] = "__leaf__"
+        template = docs.canonical_json(doc)
+        for text in EXTREME_TEXTS:
+            path.write_text(template.replace('"__leaf__"', text))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                first = run_cli([command, "--input", str(path)])
+                second = run_cli([command, "--input", str(path)])
+            where = (leaf, text)
+            assert [str(w.message) for w in caught] == [], where
+            assert first == second, where
+            assert first[0] in (0, 1, 2) and "Traceback" not in first[1] + first[2], where
 
 
 @pytest.mark.parametrize(

@@ -107,14 +107,14 @@ def _non_finite_doc(command):
             "speed-check",
             ("mass",),
             float("inf"),
-            "causal-curve mass must be finite, got inf",
+            "causal-curve mass must lie in [0, 1), got inf",
             id="speed-check-infinite-mass",
         ),
         pytest.param(
             "speed-check",
             ("mass",),
             "nan",
-            "causal-curve mass must be finite, got nan",
+            "causal-curve mass must lie in [0, 1), got nan",
             id="speed-check-nan-text-mass",
         ),
     ],
@@ -261,6 +261,50 @@ def test_cli_classify_link_rejects_degree4(tmp_path):
     code, out, _ = run_cli(["classify-link", "--input", str(path)])
     assert code == 2
     assert json.loads(out)["kind"] == "RejectedDegree"
+
+
+def _fixed_line_link_doc(m, basepoint_class):
+    """A link-circle document whose holonomy is the fixed-point lift of m,
+    with no interval and one future arc over a deck translation."""
+    from adscone.isom import Proj2, fixed_point_lift
+
+    lift = fixed_point_lift(Proj2(m))
+    payload = {
+        "holonomy": docs.matrix_to_list(lift.g.m),
+        "lift_offset": lift.s,
+        "basepoint_class": basepoint_class,
+        "arcs": [{"start": 0.0, "end": PI, "tag": "future"}],
+    }
+    return docs.envelope("link-circle.json", payload)
+
+
+def _turned(t, m):
+    c, s = np.cos(t), np.sin(t)
+    r = np.array([[c, -s], [s, c]])
+    return r @ np.asarray(m) @ r.T
+
+
+def _eigenlines(t0, t1, lam):
+    """The matrix with eigenvalue lam on the line t0 and 1 / lam on t1."""
+    p = np.array([[np.cos(t0), np.cos(t1)], [np.sin(t0), np.sin(t1)]])
+    return p @ np.diag([lam, 1 / lam]) @ np.linalg.inv(p)
+
+
+@pytest.mark.parametrize(
+    "m,basepoint_class",
+    [
+        pytest.param(_turned(0.15, [[1.0, -1.0], [0.0, 1.0]]), "BoundaryPlus", id="parabolic-line-0.15"),
+        pytest.param(_turned(0.0, [[1.0, -1.0], [0.0, 1.0]]), "BoundaryPlus", id="parabolic-line-0"),
+        pytest.param(_eigenlines(0.1, 0.2, 1.3), "DS2", id="hyperbolic-lines-0.1-0.2"),
+    ],
+)
+def test_cli_classify_link_refuses_a_lift_with_fixed_points(tmp_path, m, basepoint_class):
+    """Translation number 0 is no generator, wherever the fixed lines sit:
+    a fixed line at 0.15 used to pass as ExtremeBTZPast with exit 0."""
+    path = tmp_path / "link.json"
+    path.write_text(docs.canonical_json(_fixed_line_link_doc(m, basepoint_class)))
+    code, out, err = run_cli(["classify-link", "--input", str(path)])
+    assert (code, out, err) == (2, "", "rejected: holonomy is not a positively oriented generator\n")
 
 
 def test_cli_truncated_input(tmp_path):
@@ -478,6 +522,18 @@ def _curve_payload():
         "mass": 0.5,
         "samples": [[float(t), float(z.real), float(z.imag)] for t, z in zip(ts, zs)],
     }
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.5, -0.5, -1e300])
+def test_cli_speed_check_refuses_a_mass_outside_the_unit_interval(tmp_path, mass):
+    """The speed bound |z|^m / (1 - m) holds for 0 <= m < 1 only; a mass of
+    1 used to pass as causal, with numpy's divide-by-zero warning on the
+    first call in a process only."""
+    path = tmp_path / "curve.json"
+    payload = dict(_curve_payload(), mass=mass)
+    path.write_text(docs.canonical_json(docs.envelope("causal-curve.json", payload)))
+    code, out, err = run_cli(["speed-check", "--input", str(path)])
+    assert (code, out, err) == (1, "", f"input error: causal-curve mass must lie in [0, 1), got {mass}\n")
 
 
 def _malformed_curves(tmp_path):

@@ -77,6 +77,16 @@ def test_collision_distance_rejects_spec_fixture():
         assert f"{excess:.6g}" in msg
 
 
+@pytest.mark.parametrize("eta1,eta2", [(1e-320, 1.0), (5e-324, 1.0), (1e-200, 1e-200)])
+def test_collision_distance_refuses_a_distance_beyond_the_float_range(eta1, eta2):
+    """A cone angle near 0 puts cosh d past the largest float: refused by
+    name, with no numpy warning and no infinite distance."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LinkRealizationError, match="is beyond the float range"):
+            collision_distance(4.0, eta1, eta2)
+
+
 def test_surgery_rejects_impossible_link():
     surf, _ = torus_with_cone_point(PI)
     M = product_spacetime(surf)
@@ -222,6 +232,34 @@ def test_solve_conjugator_traceless_conjugator():
     C, resid = solve_conjugator([(g, g.conjugate(quarter)) for g in gens])
     assert resid < 1e-9
     assert C.almost_equal(quarter, 1e-9)
+
+
+def test_solve_conjugator_of_identity_pairs_is_the_identity():
+    """Every matrix solves the system of (I, I), and the rotations share the
+    largest determinant on its unit sphere; the top eigenvector taken is I."""
+    C, resid = solve_conjugator([(Proj2.identity(), Proj2.identity())])
+    assert C.almost_equal(Proj2.identity(), 1e-12)
+    assert resid == 0.0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Proj2.hyperbolic(1.0), Proj2.parabolic(1.0), Proj2.parabolic(-1.0), Proj2.elliptic(1.0)],
+    ids=["hyperbolic", "parabolic+", "parabolic-", "elliptic"],
+)
+def test_solve_conjugator_on_a_single_pair_pencil(g):
+    """One pair has a two-dimensional null space (its centralizer); the
+    representative of largest determinant is orientation preserving and
+    conjugates the pair."""
+    rng = np.random.RandomState(11)
+    for _ in range(20):
+        m = rng.randn(2, 2)
+        if np.linalg.det(m) < 0:
+            m = m[::-1]
+        a = Proj2(m)
+        C, resid = solve_conjugator([(g, g.conjugate(a))])
+        assert np.linalg.det(C.m) > 0
+        assert resid <= 1e-9
 
 
 def test_assemble_refuses_unvalidated():

@@ -163,12 +163,6 @@ def test_lift_composition_and_inverse():
             assert abs(inv(l1(x)) - x) < 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="LiftedProj2.__call__ takes the image of r mod pi: just below a seam, "
-    "where g fixes the line angle 0, that image rounds to pi, wraps to 0 and the "
-    "lift drops by pi",
-)
 def test_lift_is_continuous_just_below_a_seam():
     h = fixed_point_lift(Proj2.hyperbolic(1.0))
     x = float(np.nextafter(PI, 0.0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone.errors import DegreeParityError, GeometryError
 from adscone.isom import (
@@ -198,3 +200,86 @@ def test_arc_alternation_enforced_over_ds2():
             HSPointClass.DS2,
             (Arc(0.0, 0.5, ArcTag.FUTURE), Arc(0.6, 1.0, ArcTag.PAST)),
         )
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _line(v):
+    return float(np.arctan2(v[1], v[0]) % PI)
+
+
+# R(alpha) diag(e^t, e^-t) R(beta): every SL(2,R) matrix, here with
+# condition number at most e^3
+CONJUGATORS = st.tuples(st.floats(0.0, PI), st.floats(-1.5, 1.5), st.floats(0.0, PI)).map(
+    lambda p: _rotation(p[0]) @ np.diag([np.exp(p[1]), np.exp(-p[1])]) @ _rotation(p[2])
+)
+# diag(e^(l/2), e^(-l/2)) fixes the lines 0 (attracting) and pi/2; [[1, s], [0, 1]]
+# fixes 0 only and moves every other line forward exactly when s < 0
+MODELS = st.one_of(
+    st.floats(0.3, 3.0).map(lambda l: np.diag([np.exp(l / 2), np.exp(-l / 2)])),
+    st.sampled_from((1.0, -1.0)).map(lambda s: np.array([[1.0, s], [0.0, 1.0]])),
+)
+SHIFTS = st.sampled_from((-1, 0, 1, 2))
+PROPERTY = settings(derandomize=True, max_examples=300, deadline=None, database=None)
+
+
+@PROPERTY
+@given(model=MODELS, a=CONJUGATORS, k=SHIFTS)
+def test_a_shifted_fixed_point_lift_is_a_generator_exactly_when_shifted_forward(model, a, k):
+    """delta^k g0 moves every lifted point forward exactly when k >= 1: for
+    k <= 0 it fixes the fixed lines or moves them back, wherever they sit."""
+    lift = fixed_point_lift(Proj2(a @ model @ np.linalg.inv(a))).shifted(k)
+    if k >= 1:
+        assert RP1Circle(lift).degree == k
+    else:
+        with pytest.raises(GeometryError, match="positively oriented generator"):
+            RP1Circle(lift)
+
+
+@PROPERTY
+@given(model=MODELS, a=CONJUGATORS, k=SHIFTS, start=st.integers(0, 3), span=st.integers(1, 2))
+def test_an_interval_circle_is_an_arc_between_consecutive_fixed_lines(model, a, k, start, span):
+    """The interval from a lifted fixed line to the next one but span - 1 is
+    accepted exactly when span is 1, the lift is the fixed-point lift and it
+    moves the arc forward: from the repelling line to the attracting one, or
+    anywhere for the parabolic class that moves lines forward."""
+    hyperbolic = model[0, 1] == 0.0
+    lines = [(_line(a[:, 0]), "attracting")]
+    if hyperbolic:
+        lines.append((_line(a[:, 1]), "repelling"))
+    lifted = sorted((x + j * PI, kind) for x, kind in lines for j in range(6))
+    (x0, kind0), (x1, _) = lifted[start], lifted[start + span]
+    forward = kind0 == "repelling" if hyperbolic else model[0, 1] < 0
+    lift = fixed_point_lift(Proj2(a @ model @ np.linalg.inv(a))).shifted(k)
+    if k == 0 and span == 1 and forward:
+        assert RP1Circle(lift, interval=(x0, x1)).degree == 0
+    else:
+        with pytest.raises(GeometryError):
+            RP1Circle(lift, interval=(x0, x1))
+
+
+def _two_line_hyperbolic():
+    """Fixed lines 0.1 (eigenvalue 1.3) and 0.2."""
+    p = np.column_stack([[np.cos(0.1), np.sin(0.1)], [np.cos(0.2), np.sin(0.2)]])
+    return Proj2(p @ np.diag([1.3, 1 / 1.3]) @ np.linalg.inv(p))
+
+
+def test_an_interval_holding_the_other_fixed_line_is_refused():
+    lift = fixed_point_lift(_two_line_hyperbolic())
+    for x0 in (0.1, 0.2):
+        with pytest.raises(GeometryError, match="consecutive fixed points"):
+            RP1Circle(lift, interval=(x0, x0 + PI))
+    assert RP1Circle(lift, interval=(0.2, 0.1 + PI)).degree == 0
+
+
+def test_a_fixed_point_lift_is_no_generator_wherever_its_fixed_lines_sit():
+    """A fixed line at 0.15, or two at 0.1 and 0.2, leaves most of [0, pi)
+    moving forward: the translation number, 0, tells such a lift from a
+    generator."""
+    tilted = _rotation(0.15) @ np.array([[1.0, -1.0], [0.0, 1.0]]) @ _rotation(0.15).T
+    for g in (Proj2(tilted), _two_line_hyperbolic()):
+        with pytest.raises(GeometryError, match="positively oriented generator"):
+            RP1Circle(fixed_point_lift(g))
+        assert RP1Circle(fixed_point_lift(g).shifted(2)).degree == 2
