@@ -18,13 +18,25 @@ loop, and its deviation is the curvature.  In the same chart the
 gluing acts as Z -> g_l Z g_r^{-1}, and holonomy_pair returns its factors
 (g_l, g_r) themselves, which model_isom_pair also returns: the meridian path
 is only checked.
+
+The metrics the two connections induce on a spacelike slice,
+mu_l = I((-B + J)., (-B + J).) and mu_r = I((-B - J)., (-B - J).), are the
+base metric mu itself on every equidistant slice of a static product
+-dt^2 + cos^2(t) mu, where I = cos^2(t) mu and B = tan(t) Id.
 """
 
 import numpy as np
 
 from adscone.isom import classify
 from adscone.linalg import normalize_point, orthonormal_tangent_frame
-from adscone.lrmetrics import holonomy_pair, loop_deviation, square_loop
+from adscone.lrmetrics import (
+    SurfaceJet,
+    equidistant_jet,
+    holonomy_pair,
+    left_right_metrics,
+    loop_deviation,
+    square_loop,
+)
 from adscone.spacetimes import meridian_loop, model_isom_pair
 
 x = normalize_point(np.array([1.1, 0.2, 0.3, -0.1]))
@@ -57,3 +69,11 @@ print(f"  meridian pair: lengths ({classify(pair.left).length:.6f}, "
 print(f"  factors:       lengths ({classify(model.left).length:.6f}, "
       f"{classify(model.right).length:.6f})")
 print(f"  largest entry gap between pair and factors: {gap:.1e}")
+
+print("\nleft/right metrics of equidistant slices of a static product")
+mu = np.array([[2.0, 0.3], [0.3, 1.0]])
+ts = (-0.6, 0.0, 0.4, 1.0)
+mls, mrs = left_right_metrics(SurfaceJet(tuple(equidistant_jet(mu, t) for t in ts)))
+for t, ml, mr in zip(ts, mls, mrs):
+    print(f"  t={t:+.1f}: largest entry gap to mu: mu_l {np.abs(ml - mu).max():.1e}, "
+          f"mu_r {np.abs(mr - mu).max():.1e}")

@@ -38,8 +38,8 @@ from .tolerances import (
     DISK_CLOSING_ANGLE,
     DISK_FIT_STALL,
     DISK_FIT_STOP,
+    LINK_RESOLUTION,
     METRIC_SOLVE_STOP,
-    TRACE,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -746,10 +746,6 @@ def fit_two_cone_disk(
 # the removed arc, as polar angles on the future boundary circle: it straddles
 # angle 0, opposite the path of the apex
 WEDGE_ARC = (-0.55, 0.55)
-
-# the smallest deficit or tachyon mass m the trace classifier tells from a
-# graviton: a holonomy of trace 2 cosh(m/2) is parabolic below 2 + TRACE
-LINK_RESOLUTION = 2.0 * math.acosh(1.0 + TRACE / 2.0)
 
 
 def wedge_family_link(lam: float) -> LinkCircle:

@@ -152,7 +152,7 @@ def cmd_classify_model_links(args) -> int:
 
 
 def cmd_lr_metrics(args) -> int:
-    from .lrmetrics import left_right_metrics, transverse_check
+    from .lrmetrics import _pullback_metrics, transverse_check
 
     jet = docs.surface_jet_from_doc(_load(args.input))
     check = transverse_check(jet)
@@ -166,7 +166,8 @@ def cmd_lr_metrics(args) -> int:
             args.output,
         )
         return EXIT_REJECT
-    mls, mrs = left_right_metrics(jet)
+    # the check above is the one left_right_metrics would make
+    mls, mrs = _pullback_metrics(jet)
     report = {
         "transverse": True,
         "curvatures": list(check.curvatures),

@@ -106,14 +106,29 @@ def link_circle_to_doc(link: LinkCircle) -> dict:
     return envelope("link-circle.json", payload)
 
 
+def _finite_number(value, field: str) -> float:
+    """A JSON number that is finite, as a float; anything else (a string,
+    null, NaN, an infinity, a boolean) is refused by the field's name."""
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise DocumentError(f"{field} must be a finite number, got {value!r}")
+    return x
+
+
 def link_circle_from_doc(doc: dict) -> LinkCircle:
     payload = check_envelope(doc, "link-circle.json")
     lift = LiftedProj2(Proj2(matrix_from_list(payload["holonomy"])), float(payload["lift_offset"]))
-    circle = RP1Circle(
-        lift,
-        interval=tuple(payload["interval"]) if "interval" in payload else None,
-        future_anchor=payload.get("future_anchor"),
-    )
+    interval, anchor = payload.get("interval"), payload.get("future_anchor")
+    if "interval" in payload:
+        if not (isinstance(interval, list) and len(interval) == 2):
+            raise DocumentError(f"interval must be two finite numbers, got {interval!r}")
+        interval = tuple(_finite_number(x, "interval end") for x in interval)
+    if "future_anchor" in payload:
+        anchor = _finite_number(anchor, "future_anchor")
+    circle = RP1Circle(lift, interval=interval, future_anchor=anchor)
     arcs = tuple(
         Arc(float(a["start"]), float(a["end"]), ArcTag(a["tag"])) for a in payload["arcs"]
     )

@@ -6,9 +6,9 @@ metric on the same marked surface; edges are collisions, carrying the disks
 that the surgery exchanges and the identification of the complement
 generators.  Validation reduces complement isometry to holonomy matching on
 those generators (a closed hyperbolic cone surface is determined by its
-holonomy), and the assembly solves one conjugator per edge to glue the
-per-vertex representations into one representation of the glued fundamental
-group.
+holonomy) and solves one conjugator per edge; the assembly composes those
+conjugators to glue the per-vertex representations into one representation
+of the glued fundamental group.
 """
 
 from __future__ import annotations
@@ -188,12 +188,17 @@ def validate_geometric_data(
     additionally the exchanged disks carry the declared vanished/created cone
     points, and the before-disk is isometric between the left and right
     metrics when they differ."""
-    return _validate(g, tol, _holonomy_memo())
+    return _validate(g, tol, _holonomy_memo())[0]
 
 
-def _validate(g: InteractionGraph, tol: float, holonomy) -> ValidationReport:
-    """validate_geometric_data, developing loops through the given memo."""
+def _validate(g: InteractionGraph, tol: float, holonomy) -> tuple[ValidationReport, dict]:
+    """validate_geometric_data, developing loops through the given memo, and
+    the conjugators it certified: (edge index, side) -> C with
+    C h_after C^{-1} = h_before on the identified generators.  A side whose
+    surfaces are those of a side already solved (a static slice) reuses its
+    conjugator."""
     failures = []
+    conjugators = {}
     for name, v in g.vertices.items():
         for p, theta in v.marked.items():
             for side, surf in (("l", v.mu_l), ("r", v.mu_r)):
@@ -203,28 +208,31 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> ValidationReport:
                         f"(1) slice {name}: marked point {p} is not a {theta:.6g} cone "
                         f"point of mu_{side}"
                     )
-    for e in g.edges:
+    for ei, e in enumerate(g.edges):
         vb, va = g.vertex(e.before), g.vertex(e.after)
-        for side in ("l", "r"):
-            sb = vb.mu_l if side == "l" else vb.mu_r
-            sa = va.mu_l if side == "l" else va.mu_r
-            pairs = []
-            try:
-                for name_b, name_a in e.identification.items():
-                    hb = holonomy(sb, vb.generator_loops[name_b])
-                    ha = holonomy(sa, va.generator_loops[name_a])
-                    pairs.append((hb, ha))
-                if not pairs:
-                    continue
-                _, resid = solve_conjugator(pairs)
-            except (GeometryError, KeyError) as err:
-                failures.append(f"(2/3) edge {e.before}->{e.after}, mu_{side}: {err}")
-                continue
-            if resid > tol:
-                failures.append(
-                    f"(2/3) edge {e.before}->{e.after}: complement holonomies of "
-                    f"mu_{side} differ by {resid:.3e}"
-                )
+        solved = {}  # (before surface, after surface) -> (C, residual), None or error
+        for side, sb, sa in (("l", vb.mu_l, va.mu_l), ("r", vb.mu_r, va.mu_r)):
+            key = (id(sb), id(sa))
+            if key not in solved:
+                try:
+                    pairs = []
+                    for name_b, name_a in e.identification.items():
+                        hb = holonomy(sb, vb.generator_loops[name_b])
+                        pairs.append((holonomy(sa, va.generator_loops[name_a]), hb))
+                    solved[key] = solve_conjugator(pairs) if pairs else None
+                except (GeometryError, KeyError) as err:
+                    solved[key] = err
+            outcome = solved[key]
+            if isinstance(outcome, Exception):
+                failures.append(f"(2/3) edge {e.before}->{e.after}, mu_{side}: {outcome}")
+            elif outcome is not None:
+                C, resid = outcome
+                conjugators[(ei, side)] = C
+                if resid > tol:
+                    failures.append(
+                        f"(2/3) edge {e.before}->{e.after}: complement holonomies of "
+                        f"mu_{side} differ by {resid:.3e}"
+                    )
         # disk contents
         try:
             db = DiskSpec(vb.mu_l, e.disk_before)
@@ -251,7 +259,7 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> ValidationReport:
                     f"edge {e.before}->{e.after}: before-disk not isometric between "
                     "the left and right metrics"
                 )
-    return ValidationReport(passed=not failures, failures=tuple(failures))
+    return ValidationReport(passed=not failures, failures=tuple(failures)), conjugators
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +306,14 @@ def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> 
     """Glue the per-vertex holonomy representations along the edges.
 
     Refuses unvalidated graphs.  Each vertex contributes the holonomies of
-    its marked generator loops for both metrics; each edge contributes a
-    conjugator aligning the identified complement generators, solved from the
-    stacked intertwining equations.  Alignment is propagated from an
-    arbitrary root vertex over a spanning tree of the graph."""
+    its marked generator loops for both metrics; each edge contributes the
+    conjugator validation certified on the identified complement generators.
+    Alignment is propagated from an arbitrary root vertex over a spanning
+    tree of the graph, through C on a step from an edge's before slice to
+    its after slice and through C's adjugate on a step back."""
     # one memo for validation and the tables: no loop is developed twice
     holonomy = _holonomy_memo()
-    report = _validate(g, tol, holonomy)
+    report, solved = _validate(g, tol, holonomy)
     if not report:
         raise GeometryError("graph fails validation: " + "; ".join(report.failures))
     tables = {}
@@ -322,26 +331,15 @@ def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> 
     while frontier:
         cur = frontier.pop()
         for ei, e in enumerate(g.edges):
-            if e.before in seen and e.after in seen:
-                continue
-            if cur not in (e.before, e.after):
+            if cur not in (e.before, e.after) or {e.before, e.after} <= seen:
                 continue
             other = e.after if cur == e.before else e.before
             for side in ("l", "r"):
-                pairs = []
-                for nb, na in e.identification.items():
-                    h_cur = tables[cur][side][nb if cur == e.before else na]
-                    h_other = tables[other][side][na if cur == e.before else nb]
-                    pairs.append((h_other, h_cur))
+                if (ei, side) not in solved:
+                    raise ValueError("no generator pairs to solve a conjugator from")
                 # C (other-gen) C^-1 = cur-gen aligns the new vertex
-                C, resid = solve_conjugator(pairs)
-                if resid > tol:
-                    raise ArithmeticError(
-                        f"conjugator residual {resid:.3e} beyond tolerance on edge "
-                        f"{e.before}->{e.after}"
-                    )
-                base = alignment[cur][side]
-                alignment[other][side] = Proj2(base.m @ C.m)
+                C = solved[(ei, side)] if cur == e.before else solved[(ei, side)].inverse()
+                alignment[other][side] = Proj2(alignment[cur][side].m @ C.m)
                 conjugators[(ei, side)] = C
             seen.add(other)
             frontier.append(other)

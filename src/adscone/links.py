@@ -27,7 +27,7 @@ from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
-from .tolerances import SLOPE_VERTICAL
+from .tolerances import LINK_RESOLUTION, SLOPE_VERTICAL
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -130,15 +130,25 @@ def classify_singularity(link: LinkCircle) -> SingularityType:
 
 def link_of_type(s: SingularityType) -> LinkCircle:
     """The marked link circle of a singular line of the given type: the
-    inverse of classify_singularity on every kind it does not reject."""
+    inverse of classify_singularity on every kind it does not reject.
+
+    A tachyon or BTZ mass at or below LINK_RESOLUTION in size is refused:
+    its holonomy would read as parabolic."""
     k = s.kind
     if k is SingKind.MASSIVE_PARTICLE:
         return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
+    if k in (SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
+        mass = s.mass if k is SingKind.TACHYON else s.mass or 1.0
+        if abs(mass) <= LINK_RESOLUTION:
+            raise GeometryError(
+                f"{k.value} link of mass {mass:.3e}: the mass is at or below "
+                f"{LINK_RESOLUTION:.3e} in size, the resolution of the trace classifier"
+            )
     if k is SingKind.TACHYON:
-        circ = _degree2_hyperbolic_circle(abs(s.mass), s.mass > 0)
+        circ = _degree2_hyperbolic_circle(abs(mass), mass > 0)
         return mark_timelike_arcs(circ, HSPointClass.DS2)
     if k in (SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
-        circ = _degree0_hyperbolic_circle(s.mass or 1.0)
+        circ = _degree0_hyperbolic_circle(mass)
         comp = "past" if k is SingKind.BTZ_FUTURE else "future"
         return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
     if k in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):

@@ -92,6 +92,11 @@ def left_right_metrics(j: SurfaceJet):
         raise GeometryError(
             f"field is not transverse at samples {check.degenerate_samples}"
         )
+    return _pullback_metrics(j)
+
+
+def _pullback_metrics(j: SurfaceJet):
+    """left_right_metrics of a jet that transverse_check has passed."""
     out_l, out_r = [], []
     for s in j.samples:
         J = s.J

@@ -40,6 +40,7 @@ from adscone.hssurface import (
 )
 from adscone.interactions import elastic_collision_graph
 from adscone.linalg import HSPointClass
+from adscone.links import SingKind, SingularityType, link_of_type
 from adscone.lrmetrics import SurfaceJet, equidistant_jet
 from adscone.rp1 import elliptic_link_circle, mark_timelike_arcs
 from adscone.spacetimes import product_spacetime, saturating_null_curve
@@ -51,6 +52,12 @@ ODD_VALUES = (None, True, -1, 0, 2, 7, 0.5, -0.25, 1e300, "x", [], {})
 # leaves of one document it visits
 EXTREME_TEXTS = ("null", '"nan"', "1e400", "-1e400", "1e300", "-1e300", "1e-320", "0")
 EXTREME_LEAVES = 12
+# link documents with the fields an elliptic link lacks: a tachyon's future
+# anchor and a BTZ line's interval
+LINK_VARIANTS = {
+    "classify-link/tachyon": SingularityType(SingKind.TACHYON, mass=0.8),
+    "classify-link/btz": SingularityType(SingKind.BTZ_FUTURE, mass=1.3),
+}
 
 
 def run_cli(args):
@@ -67,7 +74,10 @@ def _base_doc(command: str) -> dict:
     causal bound and the jet samples an equidistant slice.  The model is the
     product over the theta = pi torus, the surgery request is outside the
     collision window on that torus, and the graph is the elastic collision
-    graph on that torus refined at face 1."""
+    graph on that torus refined at face 1.  The variants in LINK_VARIANTS
+    are classify-link documents of a tachyon and a BTZ line."""
+    if command in LINK_VARIANTS:
+        return docs.link_circle_to_doc(link_of_type(LINK_VARIANTS[command]))
     if command == "classify-link":
         return docs.link_circle_to_doc(mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS))
     link = SingularHSSurface(
@@ -188,12 +198,14 @@ def _numeric_leaves(command, doc):
     for surgery only the cone angles of the link, since one disk fit on a
     changed host can take seconds."""
     leaves = [p for p in _paths(doc) if type(_parent(doc, p)[p[-1]]) in (int, float)]
+    if command in LINK_VARIANTS:
+        return leaves  # at most 15, the interval or anchor among them
     if command == "surgery":
         return [p for p in leaves if p[:2] == ("payload", "link") and "cone_angles" in p]
     return leaves[:: -(-len(leaves) // EXTREME_LEAVES)]
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted(COMMANDS) + sorted(LINK_VARIANTS))
 def test_extreme_numbers_give_the_same_answer_twice(tmp_path, command):
     """Each visited leaf set to null, "nan", +-1e400, +-1e300, 1e-320 or 0:
     two runs in one process give the same exit code, stdout and stderr, with
@@ -202,6 +214,7 @@ def test_extreme_numbers_give_the_same_answer_twice(tmp_path, command):
     only."""
     base = json.loads(_base_text(command))
     path = tmp_path / "doc.json"
+    run = command.split("/")[0]
     for leaf in _numeric_leaves(command, base):
         doc = json.loads(_base_text(command))
         _parent(doc, leaf)[leaf[-1]] = "__leaf__"
@@ -210,8 +223,8 @@ def test_extreme_numbers_give_the_same_answer_twice(tmp_path, command):
             path.write_text(template.replace('"__leaf__"', text))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                first = run_cli([command, "--input", str(path)])
-                second = run_cli([command, "--input", str(path)])
+                first = run_cli([run, "--input", str(path)])
+                second = run_cli([run, "--input", str(path)])
             where = (leaf, text)
             assert [str(w.message) for w in caught] == [], where
             assert first == second, where
@@ -235,6 +248,37 @@ def test_values_of_the_wrong_kind_are_input_errors(tmp_path, path, value, error)
     code, out, err = run_cli(["surgery", "--input", str(doc_path)])
     assert (code, out) == (1, "")
     assert err.startswith(f"input error: {error}: ")
+
+
+@pytest.mark.parametrize(
+    "variant,path,text",
+    [
+        ("classify-link/btz", ("interval", 0), "NaN"),
+        ("classify-link/btz", ("interval", 1), "Infinity"),
+        ("classify-link/btz", ("interval", 1), '"pi"'),
+        ("classify-link/btz", ("interval", 0), "null"),
+        ("classify-link/btz", ("interval",), "null"),
+        ("classify-link/btz", ("interval",), "[1.5]"),
+        ("classify-link/tachyon", ("future_anchor",), "NaN"),
+        ("classify-link/tachyon", ("future_anchor",), "-Infinity"),
+        ("classify-link/tachyon", ("future_anchor",), "1e400"),
+        ("classify-link/tachyon", ("future_anchor",), '"0"'),
+        ("classify-link/tachyon", ("future_anchor",), "null"),
+        ("classify-link/tachyon", ("future_anchor",), "true"),
+    ],
+)
+def test_link_interval_and_anchor_must_be_finite_numbers(tmp_path, variant, path, text):
+    """A link document's interval is two finite numbers and its future anchor
+    one: anything else is an input error that names the field (a NaN interval
+    end was a domain rejection, and a bad anchor surfaced as math.floor's
+    text)."""
+    doc = json.loads(_base_text(variant))
+    _parent(doc["payload"], path)[path[-1]] = "__leaf__"
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(docs.canonical_json(doc).replace('"__leaf__"', text))
+    code, out, err = run_cli(["classify-link", "--input", str(doc_path)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"input error: {path[0]}") and err.count("\n") == 1, err
 
 
 def test_fresh_interpreters_answer_as_the_running_process(tmp_path, child_env):

@@ -9,6 +9,7 @@ import pytest
 
 from adscone import documents as docs
 from adscone import interactions
+from adscone import lrmetrics
 from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
 from adscone.cli import main
 from adscone.conesurf import holonomy_of_loop
@@ -362,6 +363,22 @@ def test_cli_lr_metrics_and_determinism(tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical reports
     assert svg.exists()
+
+
+@pytest.mark.parametrize(
+    "b_last,code", [(0.7 * np.eye(2), 0), (np.diag([1.0, -1.0]), 2)], ids=["transverse", "degenerate"]
+)
+def test_cli_lr_metrics_checks_transversality_once(tmp_path, monkeypatch, b_last, code):
+    """One transverse_check per lr-metrics run, whether the jet passes it or
+    not: the metric pass does not check again."""
+    jet = SurfaceJet((JetSample(np.eye(2), 0.3 * np.eye(2)), JetSample(np.eye(2), b_last)))
+    path = tmp_path / "jet.json"
+    path.write_text(docs.canonical_json(docs.surface_jet_to_doc(jet)))
+    calls = []
+    check = lrmetrics.transverse_check
+    monkeypatch.setattr(lrmetrics, "transverse_check", lambda j: calls.append(j) or check(j))
+    assert run_cli(["lr-metrics", "--input", str(path)])[0] == code
+    assert len(calls) == 1
 
 
 def test_cli_validate_and_assemble(tmp_path):

@@ -1,11 +1,14 @@
+import dataclasses
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adscone import catalog
+from adscone import catalog, interactions
 from adscone.catalog import (
     collision_distance,
     fit_two_cone_disk,
@@ -35,6 +38,9 @@ from adscone.links import SingKind, classify_singularity
 from adscone.spacetimes import product_spacetime
 
 PI = np.pi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def collision_link(theta, eta1, eta2):
@@ -203,6 +209,90 @@ def test_single_vertex_graph_passes_vacuously():
     assert validate_geometric_data(g).passed
     asm = assemble_holonomy(g)
     assert asm.alignment["only"]["l"] is not None
+
+
+def _changed(g, change):
+    """The graph with one change: a wrong vanished angle (a disk failure),
+    two identified generators swapped (a holonomy failure), a right metric
+    on the after slice that is a copy of its left one (valid, with a second
+    surface pair to solve), or the after slice's complement generators based
+    at a neighbouring face, which conjugates them all by one transition
+    (valid, with a conjugator that is not the identity)."""
+    e = g.edges[0]
+    if change == "rebase":
+        after = g.vertex(e.after)
+        names = set(e.identification.values())
+        f0, si = after.generator_loops[min(names)][0]
+        f1, sj = after.mu_l.neighbor_across(f0, si)
+        loops = {
+            k: [(f1, sj), *lp, (f0, si)] if k in names else lp
+            for k, lp in after.generator_loops.items()
+        }
+        rebased = dataclasses.replace(after, generator_loops=loops)
+        return dataclasses.replace(g, vertices={**g.vertices, e.after: rebased})
+    if change == "mislabel":
+        bad = dataclasses.replace(e, vanished=(e.vanished[0] + 0.25,) + e.vanished[1:])
+        return dataclasses.replace(g, edges=(bad,))
+    if change == "swap":
+        names = list(e.identification)
+        swapped = dict(zip(names, [e.identification[n] for n in names[1:] + names[:1]]))
+        return dataclasses.replace(g, edges=(dataclasses.replace(e, identification=swapped),))
+    if change == "copy":
+        after = g.vertex(e.after)
+        copy = dataclasses.replace(after, mu_r=after.mu_l.with_lengths(after.mu_l.lengths))
+        return dataclasses.replace(g, vertices={**g.vertices, e.after: copy})
+    return g
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    design=st.sampled_from(corpus.GRAPH_DESIGN),
+    jitter=st.tuples(*[st.floats(-corpus.GRAPH_JITTER, corpus.GRAPH_JITTER)] * 2),
+    change=st.sampled_from((None, "mislabel", "swap", "copy", "rebase")),
+    reverse=st.booleans(),
+    rooted=st.booleans(),
+)
+def test_validated_graphs_assemble(design, jitter, change, reverse, rooted):
+    """Over the corpus graph design, jittered, with or without a change, in
+    either time direction and rooted at the initial slice or (without one)
+    at the alphabetically first: a graph that validates assembles with
+    relations within 1e-8, one that does not is refused with validation's
+    failures, and each edge's conjugator is solved once per distinct pair of
+    (before, after) surfaces."""
+    theta, face, eta = design
+    g = _changed(corpus.elastic_graph(theta + jitter[0], face, eta + jitter[1])[0], change)
+    if reverse:
+        g = time_reverse(g)
+    if not rooted:
+        g = dataclasses.replace(g, initial=None)
+    pairs = 0
+    for e in g.edges:
+        vb, va = g.vertex(e.before), g.vertex(e.after)
+        pairs += len({(id(vb.mu_l), id(va.mu_l)), (id(vb.mu_r), id(va.mu_r))})
+    calls = []
+    solve = interactions.solve_conjugator
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interactions, "solve_conjugator", lambda ps: calls.append(ps) or solve(ps))
+        report = validate_geometric_data(g)
+        assert len(calls) == pairs
+        calls.clear()
+        if report.passed:
+            asm = assemble_holonomy(g)
+            assert max(asm.relation_residual(e) for e in g.edges) <= 1e-8
+        else:
+            with pytest.raises(GeometryError) as err:
+                assemble_holonomy(g)
+            assert str(err.value) == "graph fails validation: " + "; ".join(report.failures)
+        assert len(calls) == pairs
+    assert report.passed == (change in (None, "copy", "rebase"))
+
+
+def test_an_edge_identifying_no_generators_validates_but_does_not_assemble(elastic):
+    graph, _ = elastic
+    bare = dataclasses.replace(graph, edges=(dataclasses.replace(graph.edges[0], identification={}),))
+    assert validate_geometric_data(bare).passed
+    with pytest.raises(ValueError, match="^no generator pairs to solve a conjugator from$"):
+        assemble_holonomy(bare)
 
 
 def test_solve_conjugator_roundtrip():

@@ -239,3 +239,40 @@ def test_graviton_sign_agrees_with_causal_displacement():
 def test_massive_particle_round_trip_near_a_multiple_of_pi(theta):
     link = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta))
     assert abs(classify_singularity(link).angle - theta) <= 1e-12
+
+
+def test_link_resolution_is_the_trace_window_in_mass():
+    """A hyperbolic holonomy of length m has tr = 2 cosh(m/2): within TRACE of
+    2 exactly when m is at or below LINK_RESOLUTION."""
+    import math
+
+    from adscone.tolerances import LINK_RESOLUTION, TRACE
+
+    assert LINK_RESOLUTION == 2.0 * math.acosh(1.0 + TRACE / 2.0)
+
+
+@pytest.mark.parametrize(
+    "kind", [SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST], ids=lambda k: k.value
+)
+@pytest.mark.parametrize("mass", [0.0, 1e-12, 1e-5, -1e-5, 6.3e-5])
+def test_small_hyperbolic_masses_are_refused_by_the_resolution(kind, mass):
+    """Tachyon and BTZ masses at or below LINK_RESOLUTION are refused up front,
+    by kind, mass and resolution; a BTZ mass of 0 means the default 1."""
+    if mass == 0.0 and kind is not SingKind.TACHYON:
+        assert classify_singularity(link_of_type(SingularityType(kind, mass=mass))).kind is kind
+        return
+    with pytest.raises(GeometryError) as err:
+        link_of_type(SingularityType(kind, mass=mass))
+    assert str(err.value) == (
+        f"{kind.value} link of mass {mass:.3e}: the mass is at or below 6.325e-05 in size, "
+        "the resolution of the trace classifier"
+    )
+
+
+@pytest.mark.parametrize("kind", [SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST])
+def test_hyperbolic_masses_just_above_the_resolution_round_trip(kind):
+    from adscone.tolerances import LINK_RESOLUTION
+
+    mass = LINK_RESOLUTION * (1 + 1e-6)
+    s = classify_singularity(link_of_type(SingularityType(kind, mass=mass)))
+    assert s.kind is kind and abs(s.mass - mass) <= 1e-9
