@@ -38,7 +38,6 @@ from .tolerances import (
     DISK_CLOSING_ANGLE,
     DISK_FIT_STALL,
     DISK_FIT_STOP,
-    LINK_RESOLUTION,
     METRIC_SOLVE_STOP,
 )
 
@@ -761,9 +760,9 @@ def wedge_family_link(lam: float) -> LinkCircle:
     c = q <p1,p2> / (a1 a2) - 1.  At a timelike apex the deficit is
     arccos(-c); at a spacelike one the sides are timelike and the tachyon
     has mass 2 arccosh(-c).  classify_ray alone decides whether the apex is
-    null.  A deficit or mass at or below LINK_RESOLUTION raises
-    GeometryError, and so does lam <= -cos(0.55), where x is on the arc's
-    side of the geodesic p1 p2 and the wedge is no longer convex.
+    null; link_of_type refuses a deficit or mass too small for classify to
+    read back.  lam <= -cos(0.55), where x is on the arc's side of the
+    geodesic p1 p2 and the wedge is no longer convex, raises GeometryError.
     """
     if not -math.cos(WEDGE_ARC[1]) < lam < math.inf:
         raise GeometryError(
@@ -781,14 +780,6 @@ def wedge_family_link(lam: float) -> LinkCircle:
     # arccos(1 - t) = 2 arcsin(sqrt(t/2)), arccosh(1 - t) = 2 arcsinh(sqrt(-t/2))
     t = dot12(x, x) * dot12(p1, p2) / (dot12(p1, x) * dot12(p2, x))
     if cls is HSPointClass.H2_PLUS:
-        what, size = "deficit", 2.0 * math.asin(math.sqrt(t / 2.0))
-    else:
-        what, size = "tachyon mass", 4.0 * math.asinh(math.sqrt(-t / 2.0))
-    if not size > LINK_RESOLUTION:
-        raise GeometryError(
-            f"wedge family at lambda={lam!r}: the {what} {size:.3e} is at or below "
-            f"{LINK_RESOLUTION:.3e}, the resolution of the trace classifier"
-        )
-    if cls is HSPointClass.H2_PLUS:
-        return link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=TWO_PI - size))
-    return link_of_type(SingularityType(SingKind.TACHYON, mass=size))
+        deficit = 2.0 * math.asin(math.sqrt(t / 2.0))
+        return link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=TWO_PI - deficit))
+    return link_of_type(SingularityType(SingKind.TACHYON, mass=4.0 * math.asinh(math.sqrt(-t / 2.0))))

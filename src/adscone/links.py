@@ -22,12 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import GeometryError
-from .isom import LiftedProj2, Proj2
+from .isom import IsomKind, LiftedProj2, Proj2, classify
 from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
-from .tolerances import LINK_RESOLUTION, SLOPE_VERTICAL
+from .tolerances import SLOPE_VERTICAL, TRACE
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -112,7 +112,6 @@ def classify_singularity(link: LinkCircle) -> SingularityType:
     # parabolic
     if not base.is_boundary:
         raise GeometryError("parabolic links must sit over a boundary point")
-    future_base = base is HSPointClass.BOUNDARY_PLUS
     if kind.degree == 2:
         k = SingKind.GRAVITON_POSITIVE if kind.sign == +1 else SingKind.GRAVITON_NEGATIVE
         return SingularityType(k)
@@ -120,11 +119,11 @@ def classify_singularity(link: LinkCircle) -> SingularityType:
         tags = link.arc_tags()
         if len(tags) != 1:
             raise GeometryError("degree-0 parabolic link must carry one arc")
-        into_h2 = (tags[0] is ArcTag.FUTURE) == future_base
-        cuspidal = into_h2
-        if (future_base and not cuspidal) or (not future_base and cuspidal):
-            return SingularityType(SingKind.EXTREME_BTZ_FUTURE)
-        return SingularityType(SingKind.EXTREME_BTZ_PAST)
+        # the side of the boundary point cancels: an extreme line over B+ and a
+        # cuspidal one over B- both carry a past arc (mark_timelike_arcs)
+        if tags[0] is ArcTag.FUTURE:
+            return SingularityType(SingKind.EXTREME_BTZ_PAST)
+        return SingularityType(SingKind.EXTREME_BTZ_FUTURE)
     raise GeometryError(f"parabolic link of unsupported degree {kind.degree}")
 
 
@@ -132,23 +131,25 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     """The marked link circle of a singular line of the given type: the
     inverse of classify_singularity on every kind it does not reject.
 
-    A tachyon or BTZ mass at or below LINK_RESOLUTION in size is refused:
-    its holonomy would read as parabolic."""
+    A missing BTZ mass means 1.  A holonomy that classify would not read
+    back as built (_resolved) is refused: a particle angle within about
+    sqrt(TRACE) of k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE."""
     k = s.kind
     if k is SingKind.MASSIVE_PARTICLE:
+        # the rotation elliptic_link_circle builds, which is exact at k pi
+        if not s.angle <= 0 and s.angle % PI:
+            request = f"{k.value} link of angle {s.angle!r}"
+            _resolved(Proj2.elliptic(2.0 * (s.angle % PI)), IsomKind.ELLIPTIC, request)
         return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
     if k in (SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
-        mass = s.mass if k is SingKind.TACHYON else s.mass or 1.0
-        if abs(mass) <= LINK_RESOLUTION:
-            raise GeometryError(
-                f"{k.value} link of mass {mass:.3e}: the mass is at or below "
-                f"{LINK_RESOLUTION:.3e} in size, the resolution of the trace classifier"
-            )
-    if k is SingKind.TACHYON:
-        circ = _degree2_hyperbolic_circle(abs(mass), mass > 0)
-        return mark_timelike_arcs(circ, HSPointClass.DS2)
-    if k in (SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
-        circ = _degree0_hyperbolic_circle(mass)
+        mass = 1.0 if s.mass is None and k is not SingKind.TACHYON else s.mass
+        length = abs(mass) if k is SingKind.TACHYON else mass
+        request = f"{k.value} link of mass {mass!r}"
+        g = _resolved(Proj2.hyperbolic(length), IsomKind.HYPERBOLIC, request)
+        if k is SingKind.TACHYON:
+            circ = RP1Circle(LiftedProj2(g, 2 * PI), future_anchor=0.0 if mass > 0 else PI / 2)
+            return mark_timelike_arcs(circ, HSPointClass.DS2)
+        circ = RP1Circle(LiftedProj2(g, 0.0), interval=(PI / 2, PI))
         comp = "past" if k is SingKind.BTZ_FUTURE else "future"
         return mark_timelike_arcs(circ, HSPointClass.DS2, {"component": comp})
     if k in (SingKind.GRAVITON_POSITIVE, SingKind.GRAVITON_NEGATIVE):
@@ -161,18 +162,19 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     raise GeometryError(f"no link model for {s.kind}")
 
 
+def _resolved(g: Proj2, built: IsomKind, request: str) -> Proj2:
+    """g, if classify reads it as built; else the one near-parabolic refusal."""
+    if classify(g).kind is not built:
+        raise GeometryError(
+            f"{request}: its holonomy has |tr - 2| = {abs(g.trace - 2.0):.3e}, within "
+            f"TRACE = {TRACE:g}, the resolution of the trace classifier"
+        )
+    return g
+
+
 # The model holonomies fix the line angle 0, so their fixed-point lifts have
 # offset 0.  diag(e^(l/2), e^(-l/2)) fixes 0 (attracting for l > 0) and pi/2,
 # and moves the lines of (pi/2, pi) forward; [[1, +-1], [0, 1]] fixes 0 only.
-
-
-def _degree0_hyperbolic_circle(length: float) -> RP1Circle:
-    return RP1Circle(LiftedProj2(Proj2.hyperbolic(length), 0.0), interval=(PI / 2, PI))
-
-
-def _degree2_hyperbolic_circle(length: float, positive: bool) -> RP1Circle:
-    lift = LiftedProj2(Proj2.hyperbolic(length), 2 * PI)
-    return RP1Circle(lift, future_anchor=0.0 if positive else PI / 2)
 
 
 def _parabolic_circle(sign: int, degree: int) -> RP1Circle:

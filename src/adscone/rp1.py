@@ -305,8 +305,7 @@ def elliptic_link_circle(theta: float) -> RP1Circle:
     t = theta % PI
     if t == 0.0:
         return RP1Circle(lift_identity(int(np.round(theta / PI))))
-    g = Proj2(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
-    lift = principal_lift(g)
+    lift = principal_lift(Proj2.elliptic(2.0 * t))
     tau = translation_number(lift)
     lift = lift.shifted(int(np.round((theta - tau) / PI)))
     if abs(translation_number(lift) - theta) > ANGLE_MATCH:

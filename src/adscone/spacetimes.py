@@ -196,7 +196,14 @@ def tachyon_gluing(rapidity: float) -> np.ndarray:
 
 
 def graviton_gluing(s: float) -> np.ndarray:
-    """Unipotent fixing the null line through e_base in direction e0 + e2."""
+    """Unipotent fixing the null line through e_base in direction e0 + e2.
+
+    For s > 0 it moves the cut half-plane to the future.  Both factors are
+    I + (s/2) [[1, -1], [1, -1]] (m10 - m01 = s), of parabolic_sign -sign(s):
+    for s > 0 they turn lines forward, like a cone's just above 2 pi, while
+    graviton_spacetime(+1)'s link [[1, 1], [0, 1]] turns them back, like a
+    cone's just below.  Nothing derives which should change: an observed
+    convention, pinned by a test."""
     x = np.array([1.0, 0.0, 0.0, 0.0])
     ll = np.array([0.0, 1.0, 0.0, 1.0])
     u = np.array([0.0, 0.0, 1.0, 0.0])
@@ -254,7 +261,8 @@ _GLUINGS = {"cone": cone_gluing, "tachyon": tachyon_gluing, "graviton": graviton
 def model_isom_pair(kind: str, param: float) -> IsomPair:
     """The left/right factors of a model's gluing isometry, which are its
     meridian holonomies (holonomy_pair): elliptic of angle theta on both
-    sides for a cone, hyperbolic of length m for a tachyon of mass m."""
+    sides for a cone, hyperbolic of length m for a tachyon of mass m, and
+    parabolic of sign -sign(s) for graviton_gluing(s)."""
     if kind not in _GLUINGS:
         raise GeometryError(f"no model of kind {kind!r}")
     return factor_isometry(_GLUINGS[kind](param))

@@ -13,8 +13,8 @@ UNIT_SPEED = 1e-9  # a geodesic velocity is unit: ||<v,v>| - 1|
 FRAME_DEPENDENT = 1e-6  # a projected candidate with <v,v> below this adds nothing to a frame
 POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps, fixed and moved lines)
 # projective classes and their lifts
-TRACE = 1e-9  # identity within this entrywise, else elliptic/parabolic/hyperbolic: tr vs 2 +- this
-LINK_RESOLUTION = 6.324555581721258e-05  # 2 arccosh(1 + TRACE/2): a smaller deficit or mass reads as parabolic
+TRACE = 1e-9  # identity within this entrywise, else elliptic/parabolic/hyperbolic: tr vs 2 +- this;
+# so links are refused at particle angles ~sqrt(TRACE) from k pi, masses to 2 arccosh(1 + TRACE/2)
 LIFT_CONGRUENCE = 1e-7  # two line angles agree mod pi
 DECK_MULTIPLE = 1e-7  # a lift offset is a whole number of deck translations (in units of pi)
 FACTOR_RANK = 1e-8  # kron(g_l, g_r^-T) rearranged is rank one, entrywise within this * max(top entry, 1)

@@ -36,6 +36,7 @@ from adscone.interactions import (
 from adscone.isom import IsomKind, Proj2, classify
 from adscone.links import SingKind, classify_singularity
 from adscone.spacetimes import product_spacetime
+from adscone.tolerances import TRACE
 
 PI = np.pi
 
@@ -412,6 +413,15 @@ def test_wedge_family_near_the_null_apex(lam):
     with pytest.raises(GeometryError, match="resolution of the trace classifier") as err:
         wedge_family_link(lam)
     assert type(err.value) is GeometryError
+
+
+@pytest.mark.parametrize("lam", [1 - 3e-9, 1 - 5e-9])
+def test_wedge_family_deficits_just_outside_the_trace_window_are_particles(lam):
+    """Deficits of 4.4e-5 and 5.6e-5 are past the elliptic window
+    |theta - 2 pi| <= about sqrt(TRACE) = 3.2e-5, so they read back."""
+    s = classify_singularity(wedge_family_link(lam))
+    assert s.kind is SingKind.MASSIVE_PARTICLE
+    assert np.sqrt(TRACE) < 2 * PI - s.angle < 6e-5
 
 
 # (lambda, kind, angle, mass, degree, is_positive) of the links the earlier

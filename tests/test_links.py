@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import numpy as np
 from adscone.errors import GeometryError
 from adscone.isom import Proj2 as _P
 from adscone.isom import Proj2, fixed_line_angles, fixed_point_lift  # noqa: F401
@@ -17,6 +18,7 @@ from adscone.links import (
     tachyon_mass_from_planes,
 )
 from adscone.rp1 import RP1Circle, mark_timelike_arcs
+from adscone.tolerances import ANGLE_MATCH, TRACE
 
 from test_rp1 import degree0_hyperbolic_circle, degree2_hyperbolic_circle, elliptic_lift
 
@@ -228,51 +230,113 @@ def test_graviton_sign_agrees_with_causal_displacement():
         assert parabolic_sign(pair.left) == parabolic_sign(pair.right)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=GeometryError,
-    reason="classify reads a rotation within TRACE of tr = 2 (|theta - k pi| up to "
-    "about 3e-5) as parabolic or identity, so elliptic_link_circle cannot realize "
-    "the angle as a lift; the window is a tolerance decision (ROADMAP item 8)",
-)
+# -- the near-parabolic rule: classify reads back what link_of_type built ----
+
+# the smallest boost length whose trace classify reads as hyperbolic
+MASS_WINDOW = 2.0 * np.arccosh(1.0 + TRACE / 2.0)
+
+
+def _refusal(request: str, g: Proj2) -> str:
+    return (
+        f"{request}: its holonomy has |tr - 2| = {abs(g.trace - 2.0):.3e}, within "
+        "TRACE = 1e-09, the resolution of the trace classifier"
+    )
+
+
 @pytest.mark.parametrize("theta", [1e-6, PI - 1e-6, PI + 1e-6, 2 * PI - 1e-6])
-def test_massive_particle_round_trip_near_a_multiple_of_pi(theta):
+def test_massive_particle_near_a_multiple_of_pi_is_refused(theta):
+    """A rotation within about sqrt(TRACE) of k pi reads as parabolic: the
+    particle is refused by kind, angle and |tr - 2|, not realized wrongly."""
+    with pytest.raises(GeometryError) as err:
+        link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta))
+    t = theta % PI
+    rotation = Proj2(np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]))
+    assert str(err.value) == _refusal(f"MassiveParticle link of angle {theta!r}", rotation)
+
+
+@pytest.mark.parametrize("theta", [2 * PI - 5e-5, PI + 5e-5, PI, 2 * PI, 3 * PI])
+def test_massive_particle_just_outside_the_window_round_trips(theta):
     link = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta))
     assert abs(classify_singularity(link).angle - theta) <= 1e-12
-
-
-def test_link_resolution_is_the_trace_window_in_mass():
-    """A hyperbolic holonomy of length m has tr = 2 cosh(m/2): within TRACE of
-    2 exactly when m is at or below LINK_RESOLUTION."""
-    import math
-
-    from adscone.tolerances import LINK_RESOLUTION, TRACE
-
-    assert LINK_RESOLUTION == 2.0 * math.acosh(1.0 + TRACE / 2.0)
 
 
 @pytest.mark.parametrize(
     "kind", [SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST], ids=lambda k: k.value
 )
-@pytest.mark.parametrize("mass", [0.0, 1e-12, 1e-5, -1e-5, 6.3e-5])
+@pytest.mark.parametrize("mass", [0.0, 1e-12, 1e-5, -1e-5, 6.3e-5, MASS_WINDOW * (1 + 1e-12)])
 def test_small_hyperbolic_masses_are_refused_by_the_resolution(kind, mass):
-    """Tachyon and BTZ masses at or below LINK_RESOLUTION are refused up front,
-    by kind, mass and resolution; a BTZ mass of 0 means the default 1."""
-    if mass == 0.0 and kind is not SingKind.TACHYON:
-        assert classify_singularity(link_of_type(SingularityType(kind, mass=mass))).kind is kind
-        return
+    """Tachyon and BTZ masses whose boost classify reads as parabolic or the
+    identity are refused by kind, mass and |tr - 2|; a stated BTZ mass of 0
+    is refused like a tachyon's (only a missing one means 1)."""
     with pytest.raises(GeometryError) as err:
         link_of_type(SingularityType(kind, mass=mass))
-    assert str(err.value) == (
-        f"{kind.value} link of mass {mass:.3e}: the mass is at or below 6.325e-05 in size, "
-        "the resolution of the trace classifier"
-    )
+    assert str(err.value) == _refusal(f"{kind.value} link of mass {mass!r}", Proj2.hyperbolic(mass))
+
+
+@pytest.mark.parametrize("kind", [SingKind.BTZ_FUTURE, SingKind.BTZ_PAST])
+def test_a_missing_btz_mass_means_one(kind):
+    s = classify_singularity(link_of_type(SingularityType(kind)))
+    assert s.kind is kind and abs(s.mass - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", [SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST])
 def test_hyperbolic_masses_just_above_the_resolution_round_trip(kind):
-    from adscone.tolerances import LINK_RESOLUTION
-
-    mass = LINK_RESOLUTION * (1 + 1e-6)
+    mass = MASS_WINDOW * (1 + 1e-6)
     s = classify_singularity(link_of_type(SingularityType(kind, mass=mass)))
     assert s.kind is kind and abs(s.mass - mass) <= 1e-9
+
+
+def _round_trips(s: SingularityType) -> bool:
+    """True if s reads back as itself, False if the near-parabolic rule
+    refuses it; any other outcome fails."""
+    try:
+        link = link_of_type(s)
+    except GeometryError as err:
+        value = s.angle if s.kind is SingKind.MASSIVE_PARTICLE else s.mass
+        what = "angle" if s.kind is SingKind.MASSIVE_PARTICLE else "mass"
+        assert str(err).startswith(f"{s.kind.value} link of {what} {value!r}: its holonomy has")
+        assert str(err).endswith("within TRACE = 1e-09, the resolution of the trace classifier")
+        return False
+    got = classify_singularity(link)
+    assert got.kind is s.kind
+    if s.kind is SingKind.MASSIVE_PARTICLE:
+        assert abs(got.angle - s.angle) <= ANGLE_MATCH
+    else:
+        assert abs(got.mass - s.mass) <= 1e-9
+    return True
+
+
+_LOG_OFFSETS = st.floats(-12.0, -3.0)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(k=st.sampled_from([0, 1, 2]), side=st.sampled_from([-1, 1]), log_delta=_LOG_OFFSETS)
+def test_particles_near_a_multiple_of_pi_round_trip_or_are_refused(k, side, log_delta):
+    delta = 10.0 ** log_delta
+    theta = k * PI + (side * delta if k else delta)
+    done = _round_trips(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta))
+    # the window is |theta - k pi| <= about sqrt(TRACE) = 3.16e-5
+    if delta >= 2 * np.sqrt(TRACE):
+        assert done
+    if delta <= np.sqrt(TRACE) / 2:
+        assert not done
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from([SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST]),
+    sign=st.sampled_from([-1, 1]),
+    side=st.sampled_from([-1, 1]),
+    log_eps=st.floats(-12.0, -5.0),
+)
+def test_masses_around_the_window_round_trip_or_are_refused(kind, sign, side, log_eps):
+    """Tachyon masses of either sign, BTZ lengths positive (a negative BTZ
+    length is refused by the interval's orientation, a different rule)."""
+    if kind is not SingKind.TACHYON:
+        sign = 1
+    mass = sign * MASS_WINDOW * (1 + side * 10.0 ** log_eps)
+    done = _round_trips(SingularityType(kind, mass=mass))
+    if side < 0:
+        assert not done
+    elif log_eps >= -6.0:
+        assert done

@@ -12,7 +12,7 @@ from adscone.hssurface import (
     RegionTopology,
     SingularHSSurface,
 )
-from adscone.isom import IsomKind, Proj2, classify, factor_isometry
+from adscone.isom import IsomKind, Proj2, classify, factor_isometry, parabolic_sign
 from adscone.linalg import dot22
 from adscone.links import SingKind, SingularityType, classify_singularity
 from adscone.spacetimes import (
@@ -28,6 +28,7 @@ from adscone.spacetimes import (
     graviton_spacetime,
     link_of_line,
     meridian_loop,
+    model_isom_pair,
     model_lines,
     product_spacetime,
     saturating_null_curve,
@@ -87,6 +88,20 @@ def test_graviton_round_trip():
     for sign, expected in ((+1, SingKind.GRAVITON_POSITIVE), (-1, SingKind.GRAVITON_NEGATIVE)):
         s = classify_singularity(link_of_line(graviton_spacetime(sign), "c"))
         assert s.kind is expected
+
+
+@pytest.mark.parametrize("s", [0.7, -0.7, 2.0, -2.0])
+def test_graviton_factor_sign_is_opposite_to_the_gluing_parameter(s):
+    """The convention graviton_gluing states: both factors are
+    I + (s/2) [[1, -1], [1, -1]], parabolic of sign -sign(s), while the
+    positive model graviton's link reads as GravitonPositive."""
+    pair = model_isom_pair("graviton", s)
+    for g in (pair.left, pair.right):
+        assert np.abs(g.m - (np.eye(2) + s / 2 * np.array([[1, -1], [1, -1]]))).max() <= 1e-12
+        assert classify(g).kind is IsomKind.PARABOLIC
+        assert parabolic_sign(g) == -np.sign(s)
+    positive = classify_singularity(link_of_line(graviton_spacetime(+1)))
+    assert positive.kind is SingKind.GRAVITON_POSITIVE
 
 
 def test_extreme_round_trip():
