@@ -12,8 +12,13 @@ calibration: its link is elliptic of angle exactly 2 pi.
 
 import numpy as np
 
-from adscone.links import classify_singularity, tachyon_mass_from_planes
-from adscone.rp1 import regular_point_link
+from adscone.links import (
+    SingKind,
+    SingularityType,
+    classify_singularity,
+    link_of_type,
+    tachyon_mass_from_planes,
+)
 from adscone.spacetimes import (
     black_hole_spacetime,
     cone_spacetime,
@@ -35,7 +40,9 @@ models = [
     ("extreme black hole", extreme_spacetime()),
 ]
 
-regular = classify_singularity(regular_point_link())
+# the link of a regular point is that of a particle of angle 2 pi
+regular_link = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=2 * np.pi))
+regular = classify_singularity(regular_link)
 print(f"regular point: {regular.kind.value}, angle={regular.angle:.6f} (2 pi = {2 * np.pi:.6f})")
 
 for label, model in models:

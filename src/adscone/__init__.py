@@ -15,12 +15,11 @@ from .errors import (
     NotHyperbolicError,
 )
 from .isom import IsomKind, IsomPair, LiftedProj2, Proj2, classify, translation_number
-from .linalg import AdSPoint, HSPointClass, TangentVec, ads_geodesic, classify_ray, cross
+from .linalg import HSPointClass, classify_ray, cross
 from .links import SingKind, SingularityType, classify_singularity, particle_mass
 from .rp1 import CircleKind, CircleTag, LinkCircle, RP1Circle, classify_circle, mark_timelike_arcs
 
 __all__ = [
-    "AdSPoint",
     "CausalityError",
     "CircleKind",
     "CircleTag",
@@ -37,8 +36,6 @@ __all__ = [
     "RP1Circle",
     "SingKind",
     "SingularityType",
-    "TangentVec",
-    "ads_geodesic",
     "classify",
     "classify_circle",
     "classify_ray",

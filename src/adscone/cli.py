@@ -233,66 +233,47 @@ def cmd_assemble_holonomy(args) -> int:
 # -- tiny deterministic SVG plots ----------------------------------------------
 
 
-def _svg_header(w, h):
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">'
-    )
-
-
 def _plot_speed(ts, zs, mass, path):
     """Causal curve |z|(t) against the saturating envelope."""
-    w, hgt = 480, 320
     rs = np.abs(zs)
     alpha = 1.0 - mass
     t0, t1 = float(ts[0]), float(ts[-1])
     env = (ts - t0 + rs[0] ** alpha) ** (1.0 / alpha)
-
-    def sx(t):
-        return 40 + 400 * (t - t0) / max(t1 - t0, 1e-12)
-
-    def sy(r):
-        return 300 - 280 * min(r, 1.0)
-
-    def poly(vals, color):
-        pts = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in zip(ts, vals))
-        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
-
-    parts = [_svg_header(w, hgt)]
-    parts.append('<rect width="100%" height="100%" fill="white"/>')
-    parts.append(poly(rs, "#225599"))
-    parts.append(poly(env, "#bb3333"))
-    parts.append(
-        '<text x="46" y="24" font-size="12">|z|(t) (blue) vs saturating envelope (red), '
-        f"m={mass:.4g}</text>"
-    )
-    parts.append("</svg>")
-    _write(path, "".join(parts))
+    xs = [400 * (t - t0) / max(t1 - t0, 1e-12) for t in ts]
+    curves = [
+        ([280 * min(r, 1.0) for r in rs], "#225599", 1.5),
+        ([280 * min(r, 1.0) for r in env], "#bb3333", 1.5),
+    ]
+    caption = f"|z|(t) (blue) vs saturating envelope (red), m={mass:.4g}"
+    _write_svg(path, xs, curves, caption)
 
 
 def _plot_determinants(det_l, det_r, path):
     """Determinant profiles of the left and right metrics over the samples."""
-    w, hgt = 480, 320
     n = len(det_l)
     top = max(max(det_l), max(det_r), 1e-12)
+    xs = [400 * (i / max(n - 1, 1)) for i in range(n)]
+    curves = [
+        ([280 * (v / top) for v in det_l], "#225599", 2.5),
+        ([280 * (v / top) for v in det_r], "#dd8800", 1.2),
+    ]
+    _write_svg(path, xs, curves, "det mu_l (blue) and det mu_r (orange) per sample")
 
-    def sx(i):
-        return 40 + 400 * (i / max(n - 1, 1))
 
-    def sy(v):
-        return 300 - 280 * (v / top)
-
-    def poly(vals, color, width):
-        pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(vals))
-        return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
-
-    parts = [_svg_header(w, hgt), '<rect width="100%" height="100%" fill="white"/>']
-    parts.append(poly(det_l, "#225599", 2.5))
-    parts.append(poly(det_r, "#dd8800", 1.2))
-    parts.append(
-        '<text x="46" y="24" font-size="12">det mu_l (blue) and det mu_r (orange) '
-        "per sample</text>"
-    )
+def _write_svg(path, xs, curves, caption):
+    """A 480 x 320 figure on white: a polyline through (40 + x, 300 - y) for
+    each (ys, color, stroke width) of curves, and the caption at the top."""
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="320" '
+        'viewBox="0 0 480 320">',
+        '<rect width="100%" height="100%" fill="white"/>',
+    ]
+    for ys, color, width in curves:
+        pts = " ".join(f"{40 + x:.2f},{300 - y:.2f}" for x, y in zip(xs, ys))
+        parts.append(
+            f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
+        )
+    parts.append(f'<text x="46" y="24" font-size="12">{caption}</text>')
     parts.append("</svg>")
     _write(path, "".join(parts))
 

@@ -148,7 +148,7 @@ def cone_surface_to_doc(s: ConeSurface) -> dict:
     return envelope("cone-surface.json", payload)
 
 
-def cone_surface_from_doc(doc: dict, check_angles: bool = True) -> ConeSurface:
+def cone_surface_from_doc(doc: dict) -> ConeSurface:
     from .conesurf import ConeSurface, Side
 
     payload = check_envelope(doc, "cone-surface.json")
@@ -157,7 +157,6 @@ def cone_surface_from_doc(doc: dict, check_angles: bool = True) -> ConeSurface:
         tuple(tuple(Side(int(e), bool(fwd)) for e, fwd in f) for f in payload["faces"]),
         np.asarray(payload["lengths"], dtype=float),
         {int(v): float(a) for v, a in payload.get("cone_angles", {}).items()},
-        check_angles=check_angles,
     )
 
 

@@ -180,7 +180,7 @@ def validate_geometric_data(
     """Admissibility of the geometric data on the graph:
 
     (1) every marked point is a cone point of its declared angle in both
-        metrics of its slice;
+        metrics of its slice (SliceVertex refuses any other at construction);
     (2) across each edge, the left metrics of the two slices have isometric
         complements, certified by matching holonomies of the identified
         complement generators (one conjugator per edge);
@@ -199,15 +199,6 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> tuple[ValidationRepo
     conjugator."""
     failures = []
     conjugators = {}
-    for name, v in g.vertices.items():
-        for p, theta in v.marked.items():
-            for side, surf in (("l", v.mu_l), ("r", v.mu_r)):
-                got = surf.cone_angles.get(p)
-                if got is None or abs(got - theta) > ANGLE_MATCH:
-                    failures.append(
-                        f"(1) slice {name}: marked point {p} is not a {theta:.6g} cone "
-                        f"point of mu_{side}"
-                    )
     for ei, e in enumerate(g.edges):
         vb, va = g.vertex(e.before), g.vertex(e.after)
         solved = {}  # (before surface, after surface) -> (C, residual), None or error

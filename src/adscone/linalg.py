@@ -14,12 +14,11 @@ two hyperbolic disks, a de Sitter band and two null circles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .tolerances import FRAME_DEPENDENT, NULL_REL, TANGENT, UNIT_SPEED
+from .tolerances import FRAME_DEPENDENT, NULL_REL
 
 Vec22 = np.ndarray  # shape (4,)
 Mink3Vec = np.ndarray  # shape (3,)
@@ -40,104 +39,14 @@ def normalize_point(p: Vec22) -> Vec22:
     return p / np.sqrt(-q)
 
 
-@dataclass(frozen=True)
-class AdSPoint:
-    """A point on the quadric <v,v> = -1, re-normalized on construction."""
-
-    v: Vec22
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        q = dot22(v, v)
-        if not np.isfinite(q) or q >= 0:
-            raise ValueError("not a quadric point: <v,v> = %r" % q)
-        object.__setattr__(self, "v", v / np.sqrt(-q))
-
-    @property
-    def coords(self) -> Vec22:
-        return self.v
-
-
 def time_orientation_field(x: Vec22) -> Vec22:
     """Global future timelike field V(x) = (-x1, x0, 0, 0) on the quadric."""
     return np.array([-x[1], x[0], 0.0, 0.0])
 
 
-def is_future(x: Vec22, u: Vec22) -> bool:
-    """Whether the causal tangent vector u at x points to the future."""
-    return dot22(u, time_orientation_field(x)) < 0
-
-
-class CausalClass(Enum):
-    TIMELIKE_FUTURE = "timelike-future"
-    TIMELIKE_PAST = "timelike-past"
-    SPACELIKE = "spacelike"
-    LIGHTLIKE = "lightlike"
-
-
-def causal_class(x: Vec22, u: Vec22) -> CausalClass:
-    q = dot22(u, u)
-    scale = float(np.dot(u, u))
-    if abs(q) <= NULL_REL * scale:
-        return CausalClass.LIGHTLIKE
-    if q > 0:
-        return CausalClass.SPACELIKE
-    return CausalClass.TIMELIKE_FUTURE if is_future(x, u) else CausalClass.TIMELIKE_PAST
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """A tangent vector of the quadric: |<base, v>| <= TANGENT * max(1, |v|^2), |v| Euclidean."""
-
-    base: AdSPoint
-    v: Vec22
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "v", v)
-        x = self.base.v
-        if abs(dot22(x, v)) > TANGENT * max(1.0, float(np.dot(v, v))):
-            raise ValueError("vector is not tangent to the quadric at base")
-
-    @property
-    def kind(self) -> CausalClass:
-        return causal_class(self.base.v, self.v)
-
-
 def project_tangent(x: Vec22, u: Vec22) -> Vec22:
     """Orthogonal projection of an ambient vector onto T_x of the quadric."""
     return u + dot22(u, x) * x
-
-
-def ads_geodesic(x: Vec22, v: Vec22, t: float) -> Vec22:
-    """Point at parameter t on the unit-speed geodesic through x with velocity v.
-
-    Timelike directions give trigonometric circles in the quadric (the
-    first conjugate point sits at proper time pi), spacelike directions
-    hyperbolic branches.  Lightlike directions are rejected; use
-    ads_null_geodesic for those.
-    """
-    q = dot22(v, v)
-    if abs(abs(q) - 1.0) > UNIT_SPEED:
-        raise ValueError("velocity must be unit (timelike or spacelike)")
-    if abs(dot22(x, v)) > TANGENT:
-        raise ValueError("velocity must be tangent at x")
-    if q < 0:
-        p = np.cos(t) * x + np.sin(t) * v
-    else:
-        p = np.cosh(t) * x + np.sinh(t) * v
-    return normalize_point(p)
-
-
-def ads_null_geodesic(x: Vec22, v: Vec22, t: float) -> Vec22:
-    """Affine null geodesic x + t v (lies on the quadric without rescaling)."""
-    q = dot22(v, v)
-    scale = float(np.dot(v, v))
-    if abs(q) > NULL_REL * max(scale, 1.0):
-        raise ValueError("velocity is not lightlike")
-    if abs(dot22(x, v)) > TANGENT:
-        raise ValueError("velocity must be tangent at x")
-    return x + t * v
 
 
 def cross(x: Vec22, u: Vec22, w: Vec22) -> Vec22:

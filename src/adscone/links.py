@@ -16,6 +16,7 @@ model-spacetime round trips pin down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,7 +28,7 @@ from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
-from .tolerances import SLOPE_VERTICAL, TRACE
+from .tolerances import LIFT_CONGRUENCE, SLOPE_VERTICAL, TRACE
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -131,18 +132,32 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     """The marked link circle of a singular line of the given type: the
     inverse of classify_singularity on every kind it does not reject.
 
-    A missing BTZ mass means 1.  A holonomy that classify would not read
-    back as built (_resolved) is refused: a particle angle within about
-    sqrt(TRACE) of k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE."""
+    A particle needs its angle and a tachyon its mass; a missing BTZ mass
+    means 1.  A holonomy that classify would not read back as built
+    (_resolved) is refused: a particle angle within about sqrt(TRACE) of
+    k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE.  So is a
+    finite particle angle of 2^28 (about 2.7e8) or more: its lift offset,
+    about the angle itself, is a sum rounded twice and the congruence test
+    rounds it twice more, so it is known only to 2 ulp(angle), which then
+    exceeds LIFT_CONGRUENCE."""
     k = s.kind
     if k is SingKind.MASSIVE_PARTICLE:
+        if s.angle is None:
+            raise GeometryError(f"{k.value} link needs an angle")
+        request = f"{k.value} link of angle {s.angle!r}"
+        if 0 < s.angle < math.inf and 2 * math.ulp(s.angle) > LIFT_CONGRUENCE:
+            raise GeometryError(
+                f"{request}: its lift offset cannot be held to "
+                f"LIFT_CONGRUENCE = {LIFT_CONGRUENCE:g} at that size"
+            )
         # the rotation elliptic_link_circle builds, which is exact at k pi
         if not s.angle <= 0 and s.angle % PI:
-            request = f"{k.value} link of angle {s.angle!r}"
             _resolved(Proj2.elliptic(2.0 * (s.angle % PI)), IsomKind.ELLIPTIC, request)
         return mark_timelike_arcs(elliptic_link_circle(s.angle), HSPointClass.H2_PLUS)
     if k in (SingKind.TACHYON, SingKind.BTZ_FUTURE, SingKind.BTZ_PAST):
-        mass = 1.0 if s.mass is None and k is not SingKind.TACHYON else s.mass
+        if s.mass is None and k is SingKind.TACHYON:
+            raise GeometryError(f"{k.value} link needs a mass")
+        mass = 1.0 if s.mass is None else s.mass
         length = abs(mass) if k is SingKind.TACHYON else mass
         request = f"{k.value} link of mass {mass!r}"
         g = _resolved(Proj2.hyperbolic(length), IsomKind.HYPERBOLIC, request)

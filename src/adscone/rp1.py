@@ -207,9 +207,10 @@ def mark_timelike_arcs(
     fixed_point_data carries whatever the basepoint class needs:
       DS2, hyperbolic degree >= 2 : {"future_anchor": x0}
       DS2, hyperbolic degree 0    : {"component": "future"|"past"|"spacelike"}
-      Boundary+-, parabolic deg>=2: {"anchor": x0, "h2_first": bool}
       Boundary+-, parabolic deg 0 : {"side": "cuspidal"|"extreme"}
-    Inconsistent data (anchors that are not fixed points) is rejected.
+    Inconsistent data (an anchor that is not a fixed point) is rejected.  A
+    parabolic link of degree >= 2 starts at its fixed line, with its
+    first arc going into H^2.
     """
     data = dict(fixed_point_data or {})
     h = c.holonomy
@@ -262,15 +263,10 @@ def mark_timelike_arcs(
             return LinkCircle(c, basepoint_class, (Arc(x0, x1, tag),))
         if k % 2 != 0:
             raise DegreeParityError(k)
-        anchor = data.get("anchor")
-        if anchor is None:
-            anchor = fixed_line_angles(h.g)[0]
-        elif abs(h(anchor) - anchor - k * PI) > FIXED_POINT:
-            raise GeometryError("anchor is not a fixed point")
-        h2_first = bool(data.get("h2_first", True))
+        anchor = fixed_line_angles(h.g)[0]
         arcs = []
         for j in range(k):
-            into_h2 = (j % 2 == 0) == h2_first
+            into_h2 = j % 2 == 0
             tag = ArcTag.FUTURE if (future == into_h2) else ArcTag.PAST
             arcs.append(Arc(anchor + j * PI, anchor + (j + 1) * PI, tag))
         return LinkCircle(c, basepoint_class, tuple(arcs))
@@ -287,14 +283,6 @@ def _other_fixed_point(g: Proj2, x0: float) -> float:
         if DISTINCT_LINE < delta < PI - DISTINCT_LINE:
             return float(x0 + delta)
     raise GeometryError("could not locate the second fixed point")
-
-
-def regular_point_link() -> LinkCircle:
-    """The link of a regular point: elliptic of angle exactly 2*pi.
-
-    The ray circle around a regular point double-covers the pencil of lines,
-    so its holonomy is the square of the deck translation."""
-    return mark_timelike_arcs(RP1Circle(lift_identity(2)), HSPointClass.H2_PLUS)
 
 
 def elliptic_link_circle(theta: float) -> RP1Circle:

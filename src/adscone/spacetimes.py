@@ -28,7 +28,7 @@ from .isom import (
 )
 from .linalg import HSPointClass, dot22, normalize_point
 from .links import SingKind, SingularityType, link_of_type, particle_mass
-from .rp1 import LinkCircle, elliptic_link_circle, mark_timelike_arcs
+from .rp1 import LinkCircle, mark_timelike_arcs
 from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK
 from .tolerances import INTERTWINER_RANK, POINT_MATCH, SAMPLE_STEP_SLACK
 
@@ -161,7 +161,9 @@ def suspend(link: SingularHSSurface) -> ModelSpacetime:
     circles = []
     for h in link.hyperbolic_regions:
         base = HSPointClass.H2_PLUS if h.orientation == "future" else HSPointClass.H2_MINUS
-        circles.extend(mark_timelike_arcs(elliptic_link_circle(a), base) for a in h.cone_angles)
+        for a in h.cone_angles:
+            particle = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=a))
+            circles.append(mark_timelike_arcs(particle.circle, base))
     # all_singularities lists the particles of the hyperbolic regions first
     circles.extend(link_of_type(s) for s in link.all_singularities()[len(circles):])
     return ModelSpacetime(

@@ -8,8 +8,6 @@ arccosh floor, sampling grids, plot floors) stay at their one site.
 
 # the ambient spaces R^{2,2} and R^{1,2}
 NULL_REL = 1e-10  # a vector or ray is lightlike: |<y,y>| <= NULL_REL |y|^2
-TANGENT = 1e-9  # v is tangent at x: |<x,v>| at most this (times max(1, |v|^2) in TangentVec)
-UNIT_SPEED = 1e-9  # a geodesic velocity is unit: ||<v,v>| - 1|
 FRAME_DEPENDENT = 1e-6  # a projected candidate with <v,v> below this adds nothing to a frame
 POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps, fixed and moved lines)
 # projective classes and their lifts

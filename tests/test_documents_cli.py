@@ -458,6 +458,24 @@ def test_cli_model_doc(tmp_path):
     assert json.loads(out)["lines"]["c"]["kind"] == "MassiveParticle"
 
 
+@pytest.mark.parametrize("theta, code", [(1e8, 0), (1e10, 2), (1e16, 2)])
+def test_cli_huge_cone_angles_are_rejected_by_angle(tmp_path, theta, code):
+    """A cone angle whose link's lift offset cannot be held (from 2^28 on) is
+    a domain rejection naming the angle, not an input error."""
+    path = tmp_path / "model.json"
+    path.write_text(docs.canonical_json(docs.model_to_doc(cone_spacetime(theta))))
+    got, out, err = run_cli(["classify-model-links", "--input", str(path)])
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == (
+            f"rejected: MassiveParticle link of angle {theta!r}: its lift offset cannot be "
+            "held to LIFT_CONGRUENCE = 1e-07 at that size\n"
+        )
+    else:
+        assert json.loads(out)["lines"]["c"]["angle"] == theta
+
+
 def test_console_entry_point(child_env):
     code = subprocess.run(
         [sys.executable, "-m", "adscone.cli", "--help"], capture_output=True, env=child_env

@@ -1,6 +1,7 @@
 """The library keeps no helper that only tests use: every public function and
-class of adscone has a caller in the library, the demos or the benchmark, or
-is documented API (adscone.__all__, or the allowlist below with its reason).
+class of adscone, exported in adscone.__all__ or not, has a caller in the
+library, the demos or the benchmark, or an allowlist entry below with its
+reason.
 
 A name counts as called where it appears as a name or an attribute in one
 of those files, imports aside; names are matched by spelling, not by
@@ -18,7 +19,6 @@ CALLERS = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbenc
 # (module, name) -> why it stays with test callers only: each states a claim
 # of the paper that a test checks, and none has a demo yet
 DOCUMENTED_API = {
-    ("linalg", "ads_null_geodesic"): "null geodesics of AdS3 are affine lines on the quadric",
     ("links", "positivity_from_gluing"): "causal positivity of a gluing along the singular line",
     ("lrmetrics", "jacobi_form_value"): "acceptance criterion 05: the left/right metrics on Jacobi fields",
     ("lrmetrics", "disk_link_isometry_check"): "acceptance criterion 10: the cone-field identity",
@@ -52,7 +52,7 @@ def test_every_public_name_has_a_caller_or_is_documented_api():
     uncalled = sorted(
         f"{module}.{name}"
         for module, name in _public_names()
-        if name not in called and name not in adscone.__all__ and (module, name) not in DOCUMENTED_API
+        if name not in called and (module, name) not in DOCUMENTED_API
     )
     assert not uncalled, "public names that only tests use:\n" + "\n".join(uncalled)
 

@@ -4,6 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adscone.errors import GeometryError
+from adscone.hssurface import (
+    DeSitterRegion,
+    HyperbolicRegion,
+    PhotonCircle,
+    RegionTopology,
+    SingularHSSurface,
+)
 from adscone.isom import Proj2 as _P
 from adscone.isom import Proj2, fixed_line_angles, fixed_point_lift  # noqa: F401
 from adscone.linalg import HSPointClass
@@ -18,6 +25,7 @@ from adscone.links import (
     tachyon_mass_from_planes,
 )
 from adscone.rp1 import RP1Circle, mark_timelike_arcs
+from adscone.spacetimes import link_of_line, suspend
 from adscone.tolerances import ANGLE_MATCH, TRACE
 
 from test_rp1 import degree0_hyperbolic_circle, degree2_hyperbolic_circle, elliptic_lift
@@ -201,7 +209,7 @@ def test_graviton_sign_agrees_with_causal_displacement():
     gamma * s along the null direction, future exactly when s > 0 on the
     gamma > 0 side."""
     from adscone.isom import factor_isometry, parabolic_sign
-    from adscone.linalg import dot22, is_future
+    from adscone.linalg import dot22, time_orientation_field
     from adscone.spacetimes import graviton_gluing, graviton_spacetime, link_of_line
 
     for s_param in (0.7, -0.7):
@@ -216,7 +224,8 @@ def test_graviton_sign_agrees_with_causal_displacement():
                 disp = G @ x - x
                 q = dot22(disp, disp)
                 assert abs(q) < 1e-9  # displacement along the null ruling
-                future_displacing = future_displacing and is_future(x, disp)
+                future = dot22(disp, time_orientation_field(x)) < 0
+                future_displacing = future_displacing and future
         # the link sign of the corresponding model graviton
         model_sign = +1 if future_displacing else -1
         link = link_of_line(graviton_spacetime(model_sign), "c")
@@ -286,24 +295,102 @@ def test_hyperbolic_masses_just_above_the_resolution_round_trip(kind):
     assert s.kind is kind and abs(s.mass - mass) <= 1e-9
 
 
+# the refusal of a particle angle too large for its lift offset: from 2^28 on
+HUGE_ANGLE = 2.0 ** 28
+
+
 def _round_trips(s: SingularityType) -> bool:
-    """True if s reads back as itself, False if the near-parabolic rule
-    refuses it; any other outcome fails."""
+    """True if s reads back as itself, False if link_of_type refuses it by
+    name: the near-parabolic rule, a particle angle of HUGE_ANGLE or more,
+    or a missing angle or mass.  Any other outcome fails."""
+    particle = s.kind is SingKind.MASSIVE_PARTICLE
+    what, value = ("angle", s.angle) if particle else ("mass", s.mass)
     try:
         link = link_of_type(s)
     except GeometryError as err:
-        value = s.angle if s.kind is SingKind.MASSIVE_PARTICLE else s.mass
-        what = "angle" if s.kind is SingKind.MASSIVE_PARTICLE else "mass"
-        assert str(err).startswith(f"{s.kind.value} link of {what} {value!r}: its holonomy has")
-        assert str(err).endswith("within TRACE = 1e-09, the resolution of the trace classifier")
+        if value is None:
+            assert str(err) == f"{s.kind.value} link needs {'an' if particle else 'a'} {what}"
+            return False
+        request = f"{s.kind.value} link of {what} {value!r}: "
+        if particle and value >= HUGE_ANGLE:
+            assert str(err) == (
+                request + "its lift offset cannot be held to LIFT_CONGRUENCE = 1e-07 at that size"
+            )
+        else:
+            assert str(err).startswith(request + "its holonomy has")
+            assert str(err).endswith("within TRACE = 1e-09, the resolution of the trace classifier")
         return False
     got = classify_singularity(link)
     assert got.kind is s.kind
-    if s.kind is SingKind.MASSIVE_PARTICLE:
+    if particle:
         assert abs(got.angle - s.angle) <= ANGLE_MATCH
     else:
         assert abs(got.mass - s.mass) <= 1e-9
     return True
+
+
+@pytest.mark.parametrize("kind", [SingKind.MASSIVE_PARTICLE, SingKind.TACHYON])
+def test_a_missing_angle_or_mass_is_refused_by_name(kind):
+    assert not _round_trips(SingularityType(kind))
+
+
+@pytest.mark.parametrize(
+    "theta, done",
+    [(1e8, True), (float(np.nextafter(HUGE_ANGLE, 0)), True), (HUGE_ANGLE, False), (1e9, False),
+     (1e10, False), (1e16, False), (np.finfo(float).max, False)],
+)
+def test_particle_angles_from_2_to_the_28_are_refused(theta, done):
+    """From 2^28 on, 2 ulp(theta) exceed LIFT_CONGRUENCE: the lift offset of
+    the link is no longer held to it, and the angle is refused by name."""
+    assert _round_trips(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta)) is done
+
+
+def _regular_sphere_carrying(theta: float, orientation: str) -> SingularHSSurface:
+    """The causally regular HS-sphere, a future and a past disk glued to a de
+    Sitter annulus, with one particle of angle theta in the disk of the
+    given orientation."""
+    disks = {o: () for o in ("future", "past")}
+    disks[orientation] = (theta,)
+    return SingularHSSurface(
+        hyperbolic_regions=tuple(
+            HyperbolicRegion(o, RegionTopology.DISK, angles, 0, (i,))
+            for i, (o, angles) in enumerate(disks.items())
+        ),
+        de_sitter_regions=(DeSitterRegion(RegionTopology.ANNULUS, (), (0, 1)),),
+        photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
+    )
+
+
+def test_suspend_refuses_a_past_particle_in_the_trace_window():
+    """suspend builds its particles' links with link_of_type, so a past
+    particle of angle 1e-6 gets the one near-parabolic refusal."""
+    with pytest.raises(GeometryError) as err:
+        suspend(_regular_sphere_carrying(1e-6, "past"))
+    rotation = Proj2(np.array([[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]))
+    assert str(err.value) == _refusal("MassiveParticle link of angle 1e-06", rotation)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(log_theta=st.floats(-3.0, 17.0), orientation=st.sampled_from(["future", "past"]))
+def test_particle_angles_of_every_size_round_trip_or_are_refused(log_theta, orientation):
+    """Built by link_of_type and by the suspension of a regular sphere
+    carrying the angle, a particle reads back as itself or is refused by
+    name, and both ways agree."""
+    theta = 10.0 ** log_theta
+    s = SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta)
+    done = _round_trips(s)
+    try:
+        link = link_of_line(suspend(_regular_sphere_carrying(theta, orientation)), "line0")
+    except GeometryError as err:
+        assert not done
+        with pytest.raises(GeometryError) as direct:
+            link_of_type(s)
+        assert str(err) == str(direct.value)
+        return
+    assert done
+    side = HSPointClass.H2_PLUS if orientation == "future" else HSPointClass.H2_MINUS
+    assert link.basepoint_class is side
+    assert abs(classify_singularity(link).angle - theta) <= ANGLE_MATCH
 
 
 _LOG_OFFSETS = st.floats(-12.0, -3.0)

@@ -21,7 +21,6 @@ from adscone.rp1 import (
     RP1Circle,
     classify_circle,
     mark_timelike_arcs,
-    regular_point_link,
 )
 
 PI = np.pi
@@ -53,7 +52,10 @@ def degree2_hyperbolic_circle(length=1.0, anchor_attracting=True):
 
 
 def test_regular_point_link_calibration():
-    link = regular_point_link()
+    """The link of a regular point is a particle's of angle 2 pi."""
+    from adscone.links import SingKind, SingularityType, link_of_type
+
+    link = link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=2 * PI))
     kind = link.kind
     assert kind.tag is CircleTag.ELLIPTIC
     assert kind.angle == 2 * PI  # exact: the ray circle is the double deck

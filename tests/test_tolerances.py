@@ -18,7 +18,7 @@ ALGORITHM_LITERALS = {
     ("spacetimes", "causal_speed_check"): ({1e-3}, "the sampling step the check requires"),
     ("spacetimes", "saturating_null_curve"): ({1e-3}, "sampling step"),
     ("links", "positivity_from_gluing"): ({1e-3}, "sampling grid"),
-    ("cli", "_plot_speed.sx"): ({1e-12}, "plot floor for a zero time span"),
+    ("cli", "_plot_speed"): ({1e-12}, "plot floor for a zero time span"),
     ("cli", "_plot_determinants"): ({1e-12}, "plot floor for zero determinants"),
 }
 
