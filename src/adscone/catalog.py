@@ -487,61 +487,61 @@ def _disk_template() -> ConeSurface:
     return ConeSurface(edges, faces, np.ones(len(edges)), check_angles=False)
 
 
-def _from_chart_centre(dist, ang):
-    """Points of H^2 at distance dist and chart angle ang from the chart
-    centre (1, 0, 0), as a triple of coordinate arrays."""
-    sh = np.sinh(dist)
-    return np.cosh(dist), sh * np.cos(ang), sh * np.sin(ang)
-
-
-def _hyp_dist(u, v):
-    """Distances between points of H^2 given as coordinate triples, with the
-    Minkowski product floored just above 1 so that coincident points give a
-    tiny length."""
-    x = -(-u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
-    return np.arccosh(np.where(x > 1.0 + 5e-16, x, 1.0 + 5e-16))
+# the chart points of the development are p1 (the first cone point, at the
+# chart centre), q1, q2, p2 (the second cone point), q3 and q1' (the cut copy
+# of q1); its eight distances are the sides of the triangles (p2, p1, q2) and
+# (p2, q3, p1) from corner 0 on, then the rim edges q1 q2 and q3 q1'
+_DISK_PAIRS = np.array([[3, 0], [0, 2], [3, 2], [3, 4], [4, 0], [0, 3], [1, 2], [4, 5]]).T
 
 
 def _disk_development(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The exact cone development behind two_cone_disk_from_params, over the
-    rows of P (B, 6): the nine edge lengths of the disk template (B, 9) and
-    the realized second cone angle (B,).  Rows that leave the hyperbolic
-    plane come out non-positive or non-finite."""
-    s = np.exp(P[:, :3])
-    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    # q1 at chart angle 0; q2, the second cone point, and q3 at increasing
-    # angles: breakpoints at eta1 * (w_q2, w_q2+w_p2, w_q2+w_p2+w_q3) with
+    rows of P (B, 6): the nine edge lengths of the disk template by edge
+    (9, B) and the realized second cone angle (B,).  Rows that leave the
+    hyperbolic plane come out non-positive or non-finite."""
+    x = np.exp(P.T)  # s1, s2, s3, e^u2, e^u3, beta2
+    # distance r and chart angle a of each chart point: q1 at angle 0; q2, p2
+    # and q3 at breakpoints eta1 * (w_q2, w_q2+w_p2, w_q2+w_p2+w_q3) with
     # weights in the ratio e^u2 : 1 : e^u3 : 1, keeping them ordered and
     # inside (0, eta1)
-    w = np.exp(P[:, 3:5])
-    total = w[:, 0] + 1.0 + w[:, 1] + 1.0
-    w_q2, w_p2, w_q3 = w[:, 0] / total, 1.0 / total, w[:, 1] / total
-    p1 = (1.0, 0.0, 0.0)
-    q1 = _from_chart_centre(s1, 0.0)
-    q2 = _from_chart_centre(s2, eta1 * w_q2)
-    p2 = _from_chart_centre(d, eta1 * (w_q2 + w_p2))
-    q3 = _from_chart_centre(s3, eta1 * (w_q2 + w_p2 + w_q3))
-    leg2 = _hyp_dist(p2, q2)
-    leg3 = _hyp_dist(p2, q3)
-    # the angles at p2 of the triangles (p2, p1, q2) and (p2, q3, p1): corner 0
-    # of sides (p2 -> a, a -> b, b -> p2)
-    sides = np.stack(
-        [_hyp_dist(p2, p1), _hyp_dist(p1, q2), leg2, leg3, _hyp_dist(q3, p1), _hyp_dist(p1, p2)],
-        axis=-1,
-    ).reshape(-1, 2, 3)
-    at_p2 = np.arccos(np.clip(law_of_cosines(sides)[..., 0], -1.0, 1.0))
+    r, a = np.zeros((2, 6, len(P)))
+    r[1:3] = x[:2]
+    r[3] = d
+    r[4] = x[2]
+    r[5] = x[0]
+    w = a[2:5]
+    w[::2] = x[3:5]
+    w[1] = 1.0
+    w /= x[3] + 1.0 + x[4] + 1.0
+    w[1] += w[0]
+    w[2] += w[1]
+    w *= eta1
+    a[5] = eta1
+    # the points (3, 6, B) of H^2, then -<u, v> of each pair, floored just
+    # above 1 so that coincident points get a tiny length: u0 v0 - u1 v1 -
+    # u2 v2 is -dot12(u, v) bit for bit, as rounding commutes with negation,
+    # and fmax gives the floor for NaN, as Python's max(floor, x) does
+    pts = np.empty((3, 6, len(P)))
+    sh = np.sinh(r)
+    np.cosh(r, out=pts[0])
+    np.multiply(sh, np.cos(a), out=pts[1])
+    np.multiply(sh, np.sin(a), out=pts[2])
+    ends = pts[:, _DISK_PAIRS]
+    prod = ends[:, 0] * ends[:, 1]
+    dist = np.arccosh(np.fmax(prod[0] - prod[1] - prod[2], 1.0 + 5e-16))
+    # the angles at p2 of the triangles (p2, p1, q2) and (p2, q3, p1)
+    sides = dist[:6].reshape(2, 3, -1).transpose(0, 2, 1)
+    at_p2 = np.arccos(law_of_cosines(sides)[..., 0].clip(-1.0, 1.0))
     # beta2, the angle at p2 of the rim triangle (p2, q2, q3), is its own
     # parameter; the second cone angle is what it adds up to
-    beta2 = np.exp(P[:, 5])
-    eta2_realized = at_p2[:, 0] + at_p2[:, 1] + beta2
-    r2 = np.arccosh(
-        np.cosh(leg2) * np.cosh(leg3) - np.sinh(leg2) * np.sinh(leg3) * np.cos(beta2)
-    )
-    q1_cut = _from_chart_centre(s1, eta1)  # the cut copy seen by the last face
-    lengths = np.stack(
-        [_hyp_dist(q1, q2), r2, _hyp_dist(q3, q1_cut), s1, s2, leg2, np.full(len(P), d), leg3, s3],
-        axis=-1,
-    )
+    beta2 = x[5]
+    eta2_realized = at_p2[0] + at_p2[1] + beta2
+    ch, sh = np.cosh(dist[2:4]), np.sinh(dist[2:4])  # of |p2 q2| and |p2 q3|
+    lengths = np.empty((9, len(P)))  # r1, r2, r3, s1, s2, |p2 q2|, d, |p2 q3|, s3
+    lengths[0:3:2] = dist[6:]
+    lengths[1] = np.arccosh(ch[0] * ch[1] - sh[0] * sh[1] * np.cos(beta2))
+    lengths[5:8:2] = dist[2:4]
+    lengths[[3, 4, 6, 8]] = r[1:5]
     return lengths, eta2_realized
 
 
@@ -562,7 +562,7 @@ def two_cone_disk_from_params(
     with np.errstate(all="ignore"):
         lengths, eta2 = _disk_development(eta1, d, np.asarray(params, dtype=float)[None])
     eta2_realized = float(eta2[0])
-    disk = _disk_template().with_lengths(lengths[0], {3: eta1, 4: eta2_realized})
+    disk = _disk_template().with_lengths(lengths[:, 0], {3: eta1, 4: eta2_realized})
     return disk, eta2_realized
 
 
@@ -584,23 +584,20 @@ def _disk_collar(eta1: float, d: float, P: np.ndarray) -> tuple[np.ndarray, np.n
     single disk, so rows are bit-identical to _disk_rim_data of it."""
     at_q1, at_q2, at_rim = _disk_rim_corners()
     tables = _disk_template()._tables
+    values = np.empty((len(P), 6))
     with np.errstate(all="ignore"):
-        lengths, eta2 = _disk_development(eta1, d, P)
-        by_edge = lengths.T  # the corner tables gather along the first axis
-        corners = corner_table(by_edge, tables)
+        lengths, values[:, 5] = _disk_development(eta1, d, P)
+        corners = corner_table(lengths, tables)
         angles = corners.angles.reshape(-1, len(P))
         ok = (
-            positive_and_finite(lengths, axis=1)
-            & ~np.any(long_sides(by_edge[tables.sides]), axis=(0, 1))
-            & ~np.any(corners.degenerate.reshape(-1, len(P))[at_rim], axis=0)
+            positive_and_finite(lengths, axis=0)
+            & ~long_sides(lengths[tables.sides]).any(axis=(0, 1))
+            & ~corners.degenerate.reshape(-1, len(P))[at_rim].any(axis=0)
         )
-    sums = []
-    for at in (at_q1, at_q2):
-        total = angles[at[0]]
-        for k in at[1:]:  # in the order of ConeSurface.vertex_angle_sums
-            total = total + angles[k]
-        sums.append(total)
-    return np.column_stack([lengths[:, :3], *sums, eta2]), ok
+    values[:, :3] = lengths[:3].T
+    for col, at in ((3, at_q1), (4, at_q2)):  # added in ConeSurface.vertex_angle_sums order
+        values[:, col] = functools.reduce(np.add, angles[at])
+    return values, ok
 
 
 @functools.cache
@@ -679,6 +676,7 @@ def fit_two_cone_disk(
     running = started.copy()
     converged = np.zeros(len(p), dtype=bool)
     rungs = 8.0 ** np.arange(35)  # rung k > 0 damps with max(lam, 1e-8) * 8^k
+    eye = np.eye(6)
     for _ in range(400):
         converged |= running & (np.abs(r).max(axis=1) < DISK_FIT_STOP)
         running &= ~converged
@@ -693,19 +691,20 @@ def fit_two_cone_disk(
         jtj, rhs = jt @ jac, -(jt @ rr[..., None])
         lams = np.maximum(lam[rows], 1e-8)[:, None] * rungs
         lams[:, 0] = lam[rows]
+        # both sides of each comparison below are norms of contiguous rows of
+        # six, so an unchanged point never reads as an improvement
+        now = np.linalg.norm(rr, axis=1)
         # rungs 0-1 of every seed, then rungs 2-34 of the seeds neither improved
         waiting = np.arange(len(rows))
         for ks in (slice(0, 2), slice(2, None)):
             lk = lams[waiting, ks]
-            a = jtj[waiting, None] + lk[..., None, None] * np.eye(6)
+            a = jtj[waiting, None] + lk[..., None, None] * eye
             steps = np.linalg.solve(a, rhs[waiting, None])[..., 0]
             trials = np.clip(pr[waiting, None, :] + steps, lo, hi)
             values, ok = _disk_collar(eta1, d, trials.reshape(-1, 6))
             r_trials = values.reshape(trials.shape) - goal
-            # both sides of the comparison from one norm evaluation, so an
-            # unchanged point never reads as an improvement
-            norms = np.linalg.norm(np.concatenate([rr[waiting, None], r_trials], axis=1), axis=-1)
-            better = ok.reshape(len(waiting), -1) & (norms[:, 1:] < norms[:, :1])
+            norms = np.linalg.norm(r_trials, axis=-1)
+            better = ok.reshape(len(waiting), -1) & (norms < now[waiting, None])
             took = better.any(axis=1)
             rung = np.argmax(better[took], axis=1)
             moved = rows[waiting[took]]
@@ -713,7 +712,7 @@ def fit_two_cone_disk(
             r[moved] = r_trials[took, rung]
             lam[moved] = np.maximum(lk[took, rung] / 4.0, 1e-12)
             # a seed short of DISK_FIT_STOP stops where its step stalls
-            before, after = norms[took, 0], norms[took, rung + 1]
+            before, after = now[waiting[took]], norms[took, rung]
             running[moved] = (before - after > DISK_FIT_STALL * before) | (
                 np.abs(r[moved]).max(axis=1) < DISK_FIT_STOP
             )

@@ -16,7 +16,6 @@ model-spacetime round trips pin down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,7 +27,7 @@ from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
-from .tolerances import LIFT_CONGRUENCE, SLOPE_VERTICAL, TRACE
+from .tolerances import SLOPE_VERTICAL, TRACE
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -135,21 +134,14 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     A particle needs its angle and a tachyon its mass; a missing BTZ mass
     means 1.  A holonomy that classify would not read back as built
     (_resolved) is refused: a particle angle within about sqrt(TRACE) of
-    k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE.  So is a
-    finite particle angle of 2^28 (about 2.7e8) or more: its lift offset,
-    about the angle itself, is a sum rounded twice and the congruence test
-    rounds it twice more, so it is known only to 2 ulp(angle), which then
-    exceeds LIFT_CONGRUENCE."""
+    k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE.  A finite
+    particle angle of 2^28 or more that passes this check is refused by
+    elliptic_link_circle, which cannot hold its lift offset."""
     k = s.kind
     if k is SingKind.MASSIVE_PARTICLE:
         if s.angle is None:
             raise GeometryError(f"{k.value} link needs an angle")
         request = f"{k.value} link of angle {s.angle!r}"
-        if 0 < s.angle < math.inf and 2 * math.ulp(s.angle) > LIFT_CONGRUENCE:
-            raise GeometryError(
-                f"{request}: its lift offset cannot be held to "
-                f"LIFT_CONGRUENCE = {LIFT_CONGRUENCE:g} at that size"
-            )
         # the rotation elliptic_link_circle builds, which is exact at k pi
         if not s.angle <= 0 and s.angle % PI:
             _resolved(Proj2.elliptic(2.0 * (s.angle % PI)), IsomKind.ELLIPTIC, request)

@@ -17,6 +17,7 @@ hyperbolic length equal to the log cross-ratio mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -287,9 +288,19 @@ def _other_fixed_point(g: Proj2, x0: float) -> float:
 
 def elliptic_link_circle(theta: float) -> RP1Circle:
     """The link circle of a cone of angle theta: holonomy translating the
-    lifted coordinate by exactly theta."""
+    lifted coordinate by exactly theta.
+
+    A finite angle of 2^28 (about 2.7e8) or more is refused, naming the
+    angle: the lift offset, about the angle itself, is a sum rounded twice
+    and the congruence test rounds it twice more, so it is known only to
+    2 ulp(theta), which then exceeds LIFT_CONGRUENCE."""
     if theta <= 0:
         raise GeometryError("cone angle must be positive")
+    if theta < math.inf and 2 * math.ulp(theta) > LIFT_CONGRUENCE:
+        raise GeometryError(
+            f"cone angle {theta!r}: its lift offset cannot be held to "
+            f"LIFT_CONGRUENCE = {LIFT_CONGRUENCE:g} at that size"
+        )
     t = theta % PI
     if t == 0.0:
         return RP1Circle(lift_identity(int(np.round(theta / PI))))

@@ -7,6 +7,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone import catalog
 from adscone.catalog import (
@@ -66,6 +68,41 @@ def test_collar_rows_match_the_single_disk(scalar_two_cone_disk):
                 reasons.add(next(r for r in ("finite", "triangle", "degenerate") if r in err))
         assert 0.1 < ok.mean() < 0.9
     assert reasons == {"finite", "triangle", "degenerate"}
+
+
+def _boxed_rows(lo, hi):
+    return st.tuples(*[st.floats(float(a), float(b)) for a, b in zip(lo, hi)])
+
+
+# the rows of _parameter_rows: around the box, with or without the
+# breakpoint logits pinned one past its bounds; far outside it; and with
+# beta2 overflowing
+_COLLAR_ROWS = st.one_of(
+    _boxed_rows(LO - 1.0, HI + 1.0),
+    _boxed_rows(LO - 1.0, HI + 1.0).map(lambda row: row[:3] + (LO[3] - 1.0, HI[4] + 1.0) + row[5:]),
+    _boxed_rows(LO - 10.0, HI + 10.0),
+    _boxed_rows(LO, HI).map(lambda row: row[:5] + (710.0,)),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the reference, far outside the box
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    eta1=st.floats(0.0, 2 * np.pi, exclude_min=True, exclude_max=True),
+    d=st.floats(0.0, 5.0, exclude_min=True, exclude_max=True),
+    rows=st.lists(_COLLAR_ROWS, min_size=1, max_size=8),
+)
+def test_collar_batches_match_the_single_disk(scalar_two_cone_disk, eta1, d, rows):
+    """Over any eta1, d and batch, down to a single row: each row of the
+    stacked collar pass is bit-identical to the disk built from its
+    parameters alone, and ok is False exactly where building it raises."""
+    P = np.array(rows)
+    values, ok = _disk_collar(eta1, d, P)
+    for i, params in enumerate(P):
+        want, err = _scalar_collar(scalar_two_cone_disk, eta1, d, params)
+        assert ok[i] == (err is None), (i, err)
+        if err is None:
+            assert np.array_equal(values[i], want), i
 
 
 def test_jacobian_steps_back_where_the_forward_point_is_no_disk(scalar_two_cone_disk):

@@ -469,8 +469,8 @@ def test_cli_huge_cone_angles_are_rejected_by_angle(tmp_path, theta, code):
     if code:
         assert out == ""
         assert err == (
-            f"rejected: MassiveParticle link of angle {theta!r}: its lift offset cannot be "
-            "held to LIFT_CONGRUENCE = 1e-07 at that size\n"
+            f"rejected: cone angle {theta!r}: its lift offset cannot be held to "
+            "LIFT_CONGRUENCE = 1e-07 at that size\n"
         )
     else:
         assert json.loads(out)["lines"]["c"]["angle"] == theta

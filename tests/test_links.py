@@ -314,7 +314,8 @@ def _round_trips(s: SingularityType) -> bool:
         request = f"{s.kind.value} link of {what} {value!r}: "
         if particle and value >= HUGE_ANGLE:
             assert str(err) == (
-                request + "its lift offset cannot be held to LIFT_CONGRUENCE = 1e-07 at that size"
+                f"cone angle {value!r}: its lift offset cannot be held to "
+                "LIFT_CONGRUENCE = 1e-07 at that size"
             )
         else:
             assert str(err).startswith(request + "its holonomy has")

@@ -70,6 +70,23 @@ def test_cone_angle_lifts_recover_their_angle():
         assert abs(kind.angle - theta) < 1e-9
 
 
+@pytest.mark.parametrize("theta", [2.0 ** 28, 1e10, 1e16])
+def test_huge_cone_angles_are_refused_where_the_lift_is_built(theta):
+    """From 2^28 on, 2 ulp(theta) exceed LIFT_CONGRUENCE: the lift offset
+    cannot be held, and the cone angle is refused by name, not with the bare
+    congruence error of the lift; just below 2^28 the lift is built."""
+    from adscone.rp1 import elliptic_link_circle
+
+    with pytest.raises(GeometryError) as err:
+        elliptic_link_circle(theta)
+    assert str(err.value) == (
+        f"cone angle {theta!r}: its lift offset cannot be held to "
+        "LIFT_CONGRUENCE = 1e-07 at that size"
+    )
+    below = float(np.nextafter(2.0 ** 28, 0))
+    assert abs(classify_circle(elliptic_link_circle(below)).angle - below) < 1e-6
+
+
 def test_elliptic_half_mass_example():
     # ray angle pi: a massive particle of mass 1 - pi/2pi = 1/2 downstream
     c = RP1Circle(elliptic_lift(PI))

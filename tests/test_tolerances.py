@@ -13,7 +13,7 @@ SRC = Path(adscone.__file__).parent
 # why they are not tolerances): parameters of one algorithm, not decisions
 ALGORITHM_LITERALS = {
     ("catalog", "solve_metric"): ({1e-10, 1e-12, 1e-8}, "damping schedule"),
-    ("catalog", "_hyp_dist"): ({5e-16}, "arccosh floor: coincident points get a tiny length"),
+    ("catalog", "_disk_development"): ({5e-16}, "arccosh floor: coincident points get a tiny length"),
     ("catalog", "fit_two_cone_disk"): ({1e-8, 1e-12, 1e-7}, "damping schedule, FD step"),
     ("spacetimes", "causal_speed_check"): ({1e-3}, "the sampling step the check requires"),
     ("spacetimes", "saturating_null_curve"): ({1e-3}, "sampling step"),
