@@ -27,6 +27,7 @@ from .conesurf import (
     long_sides,
     positive_and_finite,
     raise_degenerate,
+    splice_disk,
     triangle_edge_from_angles,
     vertex_angle_totals,
 )
@@ -398,43 +399,40 @@ def subdivide_face_with_cone(
     then re-solve the metric of the whole surface (every edge length is
     free; the minimum-norm step stays near the seed).
 
-    The seed is the cone over the face (_cone_over_face): the new vertex at
-    the face's hyperbolic centroid, its three spokes lifted by a common
-    amount until the new vertex has angle theta.  Nothing outside the face
-    moves, so the solve only has to restore the angle sums at the face's
-    three corners.
+    The seed is the cone over the face (_cone_over_face), spliced into the
+    face as a three-face fan (conesurf.splice_disk): the new vertex at the
+    face's hyperbolic centroid, its three spokes lifted by a common amount
+    until the new vertex has angle theta.  Nothing outside the face moves,
+    so the solve only has to restore the angle sums at the face's three
+    corners.  The fan keeps the face's id, and the new vertex, spokes and
+    other two faces take the next ids.
 
     Returns (surface, disk around the new point, new vertex id)."""
     corners = s.face_corners(face)
     if len(set(corners)) != 3:
         raise GeometryError("subdivision needs a face with three distinct corners")
     s.corner_angle(face, 0)  # NotHyperbolicError for a face whose sides overflow cosh
-    new_v = max(s.vertices) + 1
-    edges = list(s.edges)
-    lengths = list(s.lengths)
-    old_sides = s.faces[face]
-    spokes = _cone_over_face([float(s.lengths[side.edge]) for side in old_sides], theta)
-    spoke = {}
-    for v, length in zip(corners, spokes):
-        spoke[v] = len(edges)
-        edges.append((new_v, v))
-        lengths.append(length)
-    new_faces = list(s.faces)
-    replacement = [
-        (Side(spoke[corners[0]]), old_sides[0], Side(spoke[corners[1]], False)),
-        (Side(spoke[corners[1]]), old_sides[1], Side(spoke[corners[2]], False)),
-        (Side(spoke[corners[2]]), old_sides[2], Side(spoke[corners[0]], False)),
-    ]
-    new_faces[face] = replacement[0]
-    ids = [face, len(new_faces), len(new_faces) + 1]
-    new_faces.extend(replacement[1:])
-    cones = dict(s.cone_angles)
-    cones[new_v] = theta
-    seed = ConeSurface(tuple(edges), tuple(new_faces), np.array(lengths), cones, check_angles=False)
+    spokes = _cone_over_face([float(s.lengths[side.edge]) for side in s.faces[face]], theta)
+    seed, fan = splice_disk(DiskSpec(s, frozenset((face,))), _FAN_TEMPLATE, spokes, {3: theta})
+    (new_v,) = fan.interior_vertices()
     targets = {v: seed.target_angle(v) for v in seed.vertices}
-    targets[new_v] = theta
     surf = solve_metric(seed, targets)._switch_on_angle_check()
-    return surf, DiskSpec(surf, frozenset(ids)), new_v
+    return surf, DiskSpec(surf, fan.face_ids), new_v
+
+
+# The patch subdivide_face_with_cone splices in, built on import (a subdivision
+# builds only its seed and its solved surface): rim vertices 0, 1, 2 and the
+# new vertex 3, with spokes 3, 4, 5 to them.
+_FAN_TEMPLATE = ConeSurface(
+    ((0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)),
+    (
+        (Side(3), Side(0), Side(4, False)),
+        (Side(4), Side(1), Side(5, False)),
+        (Side(5), Side(2), Side(3, False)),
+    ),
+    np.ones(6),
+    check_angles=False,
+)
 
 
 def collision_distance(theta: float, eta1: float, eta2: float) -> float:

@@ -13,7 +13,9 @@ glued side, read off the edge lengths and corner angles.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -232,11 +234,6 @@ class ConeSurface:
     def marked_vertices(self) -> dict[int, float]:
         return dict(self.cone_angles)
 
-    def with_edge_length(self, e: int, length: float, check_angles: bool = False):
-        lengths = self.lengths.copy()
-        lengths[e] = length
-        return self.with_lengths(lengths, check_angles=check_angles)
-
     def with_lengths(self, lengths, cone_angles=None, check_angles: bool = False):
         """The same triangulation with new edge lengths (and cone angles).
 
@@ -414,17 +411,20 @@ class _Structure:
 
 
 class _Disk(NamedTuple):
-    """What a DiskSpec reads of its face set: its rim edges ascending and
-    its vertices off the rim."""
+    """What a DiskSpec reads of its face set: its rim edges ascending, its
+    vertices off the rim and its rim walk (DiskSpec.rim)."""
 
     boundary_edges: tuple
     interior_vertices: frozenset
+    rim: tuple
 
 
 def _walk_disk(structure: _Structure, face_ids: frozenset) -> _Disk:
     """The _Disk of a face set, from the rows of the structure's arrays.
-    Raises GeometryError where the faces are not edge-connected or their
-    Euler characteristic is not 1."""
+    Raises GeometryError where the faces are not edge-connected, their
+    Euler characteristic is not 1 or they have no rim: so they form a disk
+    (a surface with a rim has chi <= 1, equality only for a disk, and
+    identified vertices lower chi), whose rim is one cycle."""
     glued = structure.neighbors
     # connectivity over shared edges
     seen = {min(face_ids)}
@@ -437,21 +437,37 @@ def _walk_disk(structure: _Structure, face_ids: frozenset) -> _Disk:
                 frontier.append(g)
     if seen != face_ids:
         raise GeometryError("disk faces are not edge-connected")
-    faces = np.array(sorted(face_ids))
+    order = sorted(face_ids)
+    faces = np.array(order)
     corners = structure.tables.corner_vertices[faces].tolist()
-    sides = structure.tables.face_edges[faces].tolist()
+    sides = dict(zip(order, structure.tables.face_edges[faces].tolist()))
+    across = dict(zip(order, glued[faces].tolist()))
     vertices = {v for row in corners for v in row}
-    edges = {e for row in sides for e in row}
+    edges = {e for row in sides.values() for e in row}
     rim = {
         e
-        for row, across in zip(sides, glued[faces].tolist())
-        for e, k in zip(row, across)
+        for f in order
+        for e, k in zip(sides[f], across[f])
         if k < 0 or k // 3 not in face_ids
     }
     if len(vertices) - len(edges) + len(face_ids) != 1:
         raise GeometryError("sub-complex is not a disk (chi != 1)")
+    if not rim:
+        raise GeometryError("sub-complex is not a disk (no rim)")
+    # the rim walk (DiskSpec.rim), turning about each vertex it reaches
+    # across the interior edges there
+    start = f, i = next((f, i) for f in order for i in range(3) if sides[f][i] in rim)
+    walk = []
+    while True:
+        walk.append((f, i))
+        i = (i + 1) % 3  # the side leaving the head of side i
+        while sides[f][i] not in rim:
+            f, j = divmod(across[f][i], 3)
+            i = (j + 1) % 3
+        if (f, i) == start:
+            break
     rim_vertices = {v for e in rim for v in structure.edges[e]}
-    return _Disk(tuple(sorted(rim)), frozenset(vertices - rim_vertices))
+    return _Disk(tuple(sorted(rim)), frozenset(vertices - rim_vertices), tuple(walk))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -490,10 +506,10 @@ class _StructureCache:
 # holds 1.0-1.2 kB per face (tracemalloc, CPython 3.11, numpy 2.4, open fans
 # of 12-2000 faces with vertex ids above 1000; arrays, key tuples and Side
 # objects), so the cache holds at most ~9.5 MB.  Each structure also keeps the
-# _Disk data of disks covering at most as many faces as it has; that adds at
-# most ~0.7 kB per face (one-face disks, the worst case, measured the same way
-# on fans of 12-2000 faces; 0.15-0.45 kB per face for larger disks), so ~15 MB
-# in all.
+# _Disk data of disks covering at most as many faces as it has, rim walks
+# included; that adds at most ~0.95 kB per face (one-face disks, the worst
+# case, measured the same way on fans of 12-2000 faces; 0.07-0.35 kB per face
+# for disks of 4-64 faces), so ~17 MB in all.
 _STRUCTURE_FACES = 8192
 _STRUCTURES = _StructureCache(_STRUCTURE_FACES)
 
@@ -700,28 +716,11 @@ def triangle_edge_from_angles(alpha: float, beta: float, gamma: float):
 # -- loops and holonomy ------------------------------------------------------
 
 
-def resolve_loop(s: ConeSurface, loop) -> list[tuple[int, int]]:
-    """Normalize a loop to a list of (face, exit side index) steps.
-
-    Input is either already in that form or a list of face ids
-    [f0, f1, ..., f0]; in the latter form each consecutive pair must share
-    exactly one edge."""
+def resolve_loop(loop) -> list[tuple[int, int]]:
+    """A loop of (face, exit side index) steps, as a list of int pairs."""
     if not loop:
         raise GeometryError("empty loop")
-    if isinstance(loop[0], (tuple, list)):
-        return [(int(f), int(i)) for f, i in loop]
-    faces = [int(f) for f in loop]
-    if faces[0] != faces[-1]:
-        raise GeometryError("face loop must return to its base face")
-    steps = []
-    for f, g in zip(faces, faces[1:]):
-        shared = [si for si in range(3) if s.neighbor_across(f, si)[0] == g]
-        if len(shared) != 1:
-            raise GeometryError(
-                f"faces {f} and {g} share {len(shared)} edges; use (face, side) steps"
-            )
-        steps.append((f, shared[0]))
-    return steps
+    return [(int(f), int(i)) for f, i in loop]
 
 
 def _uses_of(s: ConeSurface, e: int) -> list[tuple[int, int]]:
@@ -738,7 +737,7 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     the steps s_0, ..., s_k.  Face paths never meet vertices, so cone points
     are automatically avoided; a path through a face with a degenerate
     corner raises NotHyperbolicError naming the first such face."""
-    steps = resolve_loop(s, loop)
+    steps = resolve_loop(loop)
     table, degenerate = s._transition_table()
     f0 = steps[0][0]
     f = f0
@@ -889,6 +888,12 @@ class DiskSpec:
         s = self.surface
         return {v: s.cone_angles[v] for v in self._disk.interior_vertices if v in s.cone_angles}
 
+    def rim(self) -> list[tuple[int, int]]:
+        """The rim as (face, side index) steps, as the disk's faces traverse
+        it: from the first rim side of the lowest face that has one, each
+        step leaves the vertex the last one reached."""
+        return list(self._disk.rim)
+
     def complement(self) -> frozenset[int]:
         return frozenset(range(len(self.surface.faces))) - self.face_ids
 
@@ -911,6 +916,78 @@ def extract_disk_surface(d: DiskSpec) -> tuple[ConeSurface, dict[int, int]]:
     cones = {vmap[v]: a for v, a in d.marked_angles().items()}
     sub = ConeSurface(edges, new_faces, lengths, cones, check_angles=False)
     return sub, {f: k for k, f in enumerate(faces)}
+
+
+def splice_disk(
+    disk: DiskSpec, patch: ConeSurface, lengths, cone_angles
+) -> tuple[ConeSurface, DiskSpec]:
+    """The disk's surface with the disk's faces replaced by the patch, a
+    disk glued in along the rim; returns (surface, the patch's faces in it).
+
+    The patch's rim is its edges 0..k-1, edge i running from vertex i to
+    vertex i+1 (mod k) as its faces traverse it (_patch_rim).  lengths are
+    those of its edges k, k+1, ..., the rim keeping the host's; cone_angles
+    are by patch vertex, and replace the host's inside the disk.  Patch
+    vertex i lands on the tail of rim step i (DiskSpec.rim), whose Side the
+    patch face takes.  The patch's interior vertices, edges and faces take
+    the disk's interior ids in ascending order, then new ids past the
+    host's last, so nothing off the disk is renumbered; a patch with fewer
+    interior edges or faces than the disk is refused.  The angle check is
+    off: the maker switches it on once the metric is final."""
+    host = disk.surface
+    rim = [host.faces[f][i] for f, i in disk._disk.rim]
+    k = _patch_rim(patch._structure)
+    if k != len(rim):
+        raise GeometryError(f"a patch with a rim of {k} edges does not fit a rim of {len(rim)}")
+    faces_in = sorted(disk.face_ids)
+    rim_edges = set(disk._disk.boundary_edges)
+    edges_in = sorted({s.edge for f in faces_in for s in host.faces[f]} - rim_edges)
+    new_edges = len(patch.edges) - k - len(edges_in)
+    new_faces = len(patch.faces) - len(faces_in)
+    if new_edges < 0 or new_faces < 0:
+        raise GeometryError("the patch has fewer interior edges or faces than the disk")
+    if len(lengths) != len(patch.edges) - k:
+        raise GeometryError("need one length per interior edge of the patch")
+    # patch id -> host id
+    tails = [host.side_endpoints(side)[0] for side in rim]
+    inside = sorted(disk._disk.interior_vertices)
+    vertex = dict(zip(patch._structure.vertices, chain(tails, inside, count(host.num_vertices))))
+    edge_ids = [*edges_in, *range(len(host.edges), len(host.edges) + new_edges)]
+    face_ids = [*faces_in, *range(len(host.faces), len(host.faces) + new_faces)]
+    edges = [*host.edges, *[None] * new_edges]
+    all_lengths = [*host.lengths.tolist(), *[None] * new_edges]
+    for e, (t, h), length in zip(edge_ids, patch.edges[k:], lengths):
+        edges[e] = (vertex[t], vertex[h])
+        all_lengths[e] = length
+    sides = [
+        rim[s.edge] if s.edge < k else Side(edge_ids[s.edge - k], s.forward)
+        for s in chain(*patch.faces)
+    ]
+    faces = [*host.faces, *[None] * new_faces]
+    for n, f in enumerate(face_ids):
+        faces[f] = (sides[3 * n], sides[3 * n + 1], sides[3 * n + 2])
+    cones = {v: a for v, a in host.cone_angles.items() if v not in disk._disk.interior_vertices}
+    cones.update((vertex[v], a) for v, a in cone_angles.items())
+    spliced = ConeSurface(tuple(edges), tuple(faces), all_lengths, cones, check_angles=False)
+    return spliced, DiskSpec(spliced, frozenset(face_ids))
+
+
+@functools.lru_cache(maxsize=8)
+def _patch_rim(structure: _Structure) -> int:
+    """The rim length k of a splice patch, whose rim must be its edges
+    0..k-1, edge i running from vertex i to vertex i+1 (mod k) as its faces
+    traverse it (GeometryError otherwise)."""
+    k = len(structure.boundary_edges)
+    rim_sides = [(s.edge, s.forward) for f in structure.faces for s in f if s.edge < k]
+    if sorted(structure.boundary_edges) != list(range(k)) or any(
+        structure.edges[e] != ((e, (e + 1) % k) if forward else ((e + 1) % k, e))
+        for e, forward in rim_sides
+    ):
+        raise GeometryError(
+            "a patch's rim must be its edges 0..k-1, edge i running from vertex i "
+            "to vertex i+1 (mod k) as its faces traverse it"
+        )
+    return k
 
 
 def delaunay_normalize(s: ConeSurface) -> ConeSurface:

@@ -21,12 +21,12 @@ import numpy as np
 from .conesurf import (
     ConeSurface,
     DiskSpec,
-    Side,
     disks_isometric,
     dual_cycles,
     holonomy_of_loop,
     loop_around_vertex,
     resolve_loop,
+    splice_disk,
 )
 from .errors import GeometryError
 from .isom import Proj2, sylvester_rows
@@ -166,7 +166,7 @@ def _holonomy_memo():
     done = {}
 
     def holonomy(surf: ConeSurface, loop) -> Proj2:
-        key = (id(surf), tuple(resolve_loop(surf, loop)))
+        key = (id(surf), tuple(resolve_loop(loop)))
         if key not in done:
             done[key] = holonomy_of_loop(surf, loop)
         return done[key]
@@ -389,32 +389,29 @@ def surgery_collision(
             f"{theta:.6g} at the surgery point"
         )
     eta1, eta2 = past_angles
-    before_surface, disk_before, new_vertex, face_map = _before_surface(surf, at, eta1, eta2)
-    disk_after = _star_disk(surf, at)
+    fan = frozenset(f for f in range(len(surf.faces)) if at in surf.face_corners(f))
+    if len(fan) != 3:
+        raise GeometryError("surgery expects the collision point inside a 3-face fan")
+    star = DiskSpec(surf, fan)
+    before_surface, disk_before, new_vertex = _before_surface(star, at, eta1, eta2)
 
-    gen_loops_after = _complement_generator_loops(surf, disk_after)
-    # the complement faces keep their structure in the before surface but
-    # get re-indexed when the old fan is dropped
-    gen_loops_before = {
-        k: [(face_map[f], si) for f, si in lp] for k, lp in gen_loops_after.items()
-    }
-    after_loops = dict(gen_loops_after)
+    # the complement faces keep their ids and sides in the before surface
+    gen_loops = _complement_generator_loops(surf, star)
+    after_loops = dict(gen_loops)
     after_loops[f"m{at}"] = loop_around_vertex(surf, at)
-    before_loops = dict(gen_loops_before)
+    before_loops = dict(gen_loops)
     before_loops[f"m{at}"] = loop_around_vertex(before_surface, at)
     before_loops[f"m{new_vertex}"] = loop_around_vertex(before_surface, new_vertex)
-
-    after_marked = dict(surf.marked_vertices())
-    before_marked = dict(before_surface.marked_vertices())
-
-    v_after = SliceVertex(after_name, surf, surf, after_marked, after_loops)
-    v_before = SliceVertex(before_name, before_surface, before_surface, before_marked, before_loops)
+    v_after = SliceVertex(after_name, surf, surf, surf.marked_vertices(), after_loops)
+    v_before = SliceVertex(
+        before_name, before_surface, before_surface, before_surface.marked_vertices(), before_loops
+    )
     edge = CollisionEdge(
         before=before_name,
         after=after_name,
         disk_before=disk_before.face_ids,
-        disk_after=frozenset(_star_disk_faces(surf, at)),
-        identification={k: k for k in gen_loops_after},
+        disk_after=star.face_ids,
+        identification={k: k for k in gen_loops},
         vanished=(eta1, eta2),
         created=(theta,),
     )
@@ -426,105 +423,33 @@ def surgery_collision(
     )
 
 
-def _star_disk_faces(s: ConeSurface, v: int) -> list[int]:
-    faces = [fi for fi in range(len(s.faces)) if v in s.face_corners(fi)]
-    return faces
-
-
-def _star_disk(s: ConeSurface, v: int) -> DiskSpec:
-    return DiskSpec(s, frozenset(_star_disk_faces(s, v)))
-
-
 def _complement_generator_loops(s: ConeSurface, disk: DiskSpec) -> dict:
-    comp = disk.complement()
-    loops = dual_cycles(s, comp)
-    return {f"g{i}": lp for i, lp in enumerate(loops)}
+    return {f"g{i}": lp for i, lp in enumerate(dual_cycles(s, disk.complement()))}
 
 
-def _before_surface(surf: ConeSurface, at: int, eta1: float, eta2: float):
-    """The pre-collision metric: the star disk of the collision point is cut
-    out and the exact two-cone disk with the matching collar is glued in.
-
-    The complement keeps its metric verbatim, so complement holonomies match
-    exactly; the glued disk carries the two incoming particles.  Raises
-    LinkRealizationError both for unrealizable interaction angles (the trace
-    window) and when the collar fit does not converge (deep, thin collars
-    are outside the fitted family; see the decisions notes)."""
+def _before_surface(star: DiskSpec, at: int, eta1: float, eta2: float):
+    """The pre-collision metric: the star of the collision point spliced
+    out for the two-cone disk whose collar matches it (conesurf.splice_disk,
+    with the disk's cone angles; the first cone point keeps the id at), so
+    the complement keeps its faces, ids and metric and its holonomies match
+    exactly.  Returns (surface, the glued-in disk, the second cone point).
+    Raises LinkRealizationError both for unrealizable interaction angles
+    (the trace window) and when the collar fit does not converge (deep,
+    thin collars are outside the fitted family)."""
     from .catalog import fit_two_cone_disk
 
-    theta = surf.cone_angles[at]
-    star = _star_disk_faces(surf, at)
-    if len(star) != 3:
-        raise GeometryError("surgery expects the collision point inside a 3-face fan")
-    rim_edges = []
-    rim_cycle = []
-    for f in star:
-        sides = surf.faces[f]
-        corners = surf.face_corners(f)
-        i = corners.index(at)
-        rim_side = sides[(i + 1) % 3]
-        rim_edges.append(rim_side.edge)
-        rim_cycle.append(surf.side_endpoints(rim_side))
-    # order the fan so the rim is a cycle q1 -> q2 -> q3 -> q1
-    order = [0]
-    while len(order) < 3:
-        tail = rim_cycle[order[-1]][1]
-        nxt = next(k for k in range(3) if k not in order and rim_cycle[k][0] == tail)
-        order.append(nxt)
-    star = [star[k] for k in order]
-    rim_edges = [rim_edges[k] for k in order]
-    rim_cycle = [rim_cycle[k] for k in order]
-    q_ids = [tc[0] for tc in rim_cycle]
-    rim_lengths = [float(surf.lengths[e]) for e in rim_edges]
-    splits = {q: 0.0 for q in q_ids}
-    for f in star:
-        for i, v in enumerate(surf.face_corners(f)):
-            if v in splits:
-                splits[v] += surf.corner_angle(f, i)
-    rim_splits = [splits[q] for q in q_ids]
-
-    disk = fit_two_cone_disk(rim_lengths, rim_splits, eta1, eta2, theta)
-
-    new_v = max(surf.vertices) + 1
-    vmap = {0: q_ids[0], 1: q_ids[1], 2: q_ids[2], 3: at, 4: new_v}
-    edges = list(surf.edges)
-    lengths = list(surf.lengths)
-    emap = {0: rim_edges[0], 1: rim_edges[1], 2: rim_edges[2]}
-    for e in range(3, 9):
-        t, h = disk.edges[e]
-        emap[e] = len(edges)
-        edges.append((vmap[t], vmap[h]))
-        lengths.append(float(disk.lengths[e]))
-
-    def remap_side(s: Side) -> Side:
-        if s.edge < 3:
-            # rim edges keep the orientation of the host surface
-            host = rim_edges[s.edge]
-            t, h = disk.edges[s.edge]
-            want = (vmap[t], vmap[h]) if s.forward else (vmap[h], vmap[t])
-            fwd = surf.edges[host] == want
-            return Side(host, fwd)
-        return Side(emap[s.edge], s.forward)
-
-    new_faces = list(surf.faces)
-    disk_ids = []
-    for fi, fsides in enumerate(disk.faces):
-        mapped = tuple(remap_side(s) for s in fsides)
-        disk_ids.append(len(new_faces))
-        new_faces.append(mapped)
-    # remove the old fan faces (replace by the last three new ones to keep
-    # face ids dense: instead drop the fan by index filtering)
-    keep = [f for f in range(len(surf.faces)) if f not in star]
-    face_list = [new_faces[f] for f in keep] + [new_faces[f] for f in disk_ids]
-    # rebuild and track where the disk faces landed
-    cones = dict(surf.cone_angles)
-    cones[at] = eta1
-    cones[new_v] = eta2
-    solved = ConeSurface(tuple(edges), tuple(face_list), np.array(lengths), cones)
-    disk_start = len(keep)
-    disk_faces = frozenset(range(disk_start, disk_start + len(disk.faces)))
-    face_map = {old: i for i, old in enumerate(keep)}
-    return solved, DiskSpec(solved, disk_faces), new_v, face_map
+    surf = star.surface
+    rim = star.rim()
+    rim_lengths = [float(surf.lengths[surf.faces[f][i].edge]) for f, i in rim]
+    # the star's two corners at the tail of each rim step: the step's own
+    # and the head of the step before
+    rim_splits = [
+        surf.corner_angle(f, i) + surf.corner_angle(g, (j + 1) % 3)
+        for (f, i), (g, j) in zip(rim, rim[-1:] + rim[:-1])
+    ]
+    disk = fit_two_cone_disk(rim_lengths, rim_splits, eta1, eta2, surf.cone_angles[at])
+    before, glued = splice_disk(star, disk, disk.lengths[3:], disk.cone_angles)
+    return before._switch_on_angle_check(), glued, surf.num_vertices
 
 
 def elastic_collision_graph(

@@ -72,9 +72,6 @@ class Proj2:
     def conjugate(self, a: "Proj2") -> "Proj2":
         return Proj2(a.m @ self.m @ a.inverse().m)
 
-    def almost_equal(self, other: "Proj2", tol: float) -> bool:
-        return bool(np.abs(self.m - other.m).max() <= tol)
-
     @staticmethod
     def identity() -> "Proj2":
         return Proj2(np.eye(2))

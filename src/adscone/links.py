@@ -25,7 +25,7 @@ from .errors import GeometryError
 from .isom import IsomKind, LiftedProj2, Proj2, classify
 from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
-from .rp1 import elliptic_link_circle, mark_timelike_arcs
+from .rp1 import elliptic_link_circle, mark_timelike_arcs, refuse_unheld_lift
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
 from .tolerances import SLOPE_VERTICAL, TRACE
 
@@ -135,13 +135,14 @@ def link_of_type(s: SingularityType) -> LinkCircle:
     means 1.  A holonomy that classify would not read back as built
     (_resolved) is refused: a particle angle within about sqrt(TRACE) of
     k pi, a tachyon or BTZ mass (0 too) with |tr - 2| <= TRACE.  A finite
-    particle angle of 2^28 or more that passes this check is refused by
-    elliptic_link_circle, which cannot hold its lift offset."""
+    particle angle of 2^28 or more is refused first, as elliptic_link_circle
+    refuses it (rp1.refuse_unheld_lift): its lift offset cannot be held."""
     k = s.kind
     if k is SingKind.MASSIVE_PARTICLE:
         if s.angle is None:
             raise GeometryError(f"{k.value} link needs an angle")
         request = f"{k.value} link of angle {s.angle!r}"
+        refuse_unheld_lift(s.angle)
         # the rotation elliptic_link_circle builds, which is exact at k pi
         if not s.angle <= 0 and s.angle % PI:
             _resolved(Proj2.elliptic(2.0 * (s.angle % PI)), IsomKind.ELLIPTIC, request)

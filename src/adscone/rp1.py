@@ -193,12 +193,6 @@ class LinkCircle:
     def arc_tags(self) -> list[ArcTag]:
         return [a.tag for a in self.arcs]
 
-    def future_arc_count(self) -> int:
-        return sum(1 for a in self.arcs if a.tag is ArcTag.FUTURE)
-
-    def past_arc_count(self) -> int:
-        return sum(1 for a in self.arcs if a.tag is ArcTag.PAST)
-
 
 def mark_timelike_arcs(
     c: RP1Circle, basepoint_class: HSPointClass, fixed_point_data: dict | None = None
@@ -286,21 +280,27 @@ def _other_fixed_point(g: Proj2, x0: float) -> float:
     raise GeometryError("could not locate the second fixed point")
 
 
-def elliptic_link_circle(theta: float) -> RP1Circle:
-    """The link circle of a cone of angle theta: holonomy translating the
-    lifted coordinate by exactly theta.
-
-    A finite angle of 2^28 (about 2.7e8) or more is refused, naming the
-    angle: the lift offset, about the angle itself, is a sum rounded twice
-    and the congruence test rounds it twice more, so it is known only to
-    2 ulp(theta), which then exceeds LIFT_CONGRUENCE."""
-    if theta <= 0:
-        raise GeometryError("cone angle must be positive")
-    if theta < math.inf and 2 * math.ulp(theta) > LIFT_CONGRUENCE:
+def refuse_unheld_lift(theta: float):
+    """GeometryError, naming the angle, for a positive finite cone angle of
+    2^28 (about 2.7e8) or more: the lift offset of its link, about the
+    angle itself, is a sum rounded twice and the congruence test rounds it
+    twice more, so it is known only to 2 ulp(theta), which then exceeds
+    LIFT_CONGRUENCE."""
+    if 0 < theta < math.inf and 2 * math.ulp(theta) > LIFT_CONGRUENCE:
         raise GeometryError(
             f"cone angle {theta!r}: its lift offset cannot be held to "
             f"LIFT_CONGRUENCE = {LIFT_CONGRUENCE:g} at that size"
         )
+
+
+def elliptic_link_circle(theta: float) -> RP1Circle:
+    """The link circle of a cone of angle theta: holonomy translating the
+    lifted coordinate by exactly theta.
+
+    A finite angle of 2^28 or more is refused (refuse_unheld_lift)."""
+    if theta <= 0:
+        raise GeometryError("cone angle must be positive")
+    refuse_unheld_lift(theta)
     t = theta % PI
     if t == 0.0:
         return RP1Circle(lift_identity(int(np.round(theta / PI))))

@@ -357,8 +357,35 @@ def developed_flip_length():
     return _developed_flip_length
 
 
+def _star_split_at_a_point(star):
+    """The two-cone disk of a collision surgery, realized by the star of a
+    cone point itself (a 3-face disk) split at the centroid of the face of
+    its second rim step: catalog's two-cone template with rim vertex i on
+    the tail of rim step i, p1 the cone point and p2 a smooth point, so its
+    cone angles are (the star's own, 2 pi)."""
+    s = star.surface
+    rim = star.rim()
+    (p1,) = star.interior_vertices()
+    # the spoke to the tail of each rim step: the side arriving at it
+    spokes = [float(s.lengths[s.faces[f][(i + 2) % 3].edge]) for f, i in rim]
+    # p2 at the centroid of the face (q1, q2, p1) of rim step 1
+    f, i = rim[1]
+    to_p2 = catalog._cone_over_face([float(s.lengths[side.edge]) for side in s.faces[f]], 2 * math.pi)
+    q1_p2, q2_p2, p1_p2 = (to_p2[(i + n) % 3] for n in range(3))
+    rims = [float(s.lengths[s.faces[f][i].edge]) for f, i in rim]
+    lengths = rims + [spokes[0], spokes[1], q1_p2, p1_p2, q2_p2, spokes[2]]
+    return catalog._disk_template().with_lengths(lengths, {3: s.cone_angles[p1], 4: 2 * math.pi})
+
+
+@pytest.fixture(scope="session")
+def star_split_at_a_point():
+    """A stand-in for catalog.fit_two_cone_disk whose disk is known: the
+    surgery's before slice is then the host itself, split at one point."""
+    return _star_split_at_a_point
+
+
 def _developed_holonomy(s, loop):
-    steps = resolve_loop(s, loop)
+    steps = resolve_loop(loop)
     f0 = f = steps[0][0]
     h = np.eye(2)
     for fi, si in steps:

@@ -402,7 +402,9 @@ def test_criterion_12_rigidity_shadow():
     base = [holonomy_of_loop(surf, lp).m for lp in loops]
     again = [holonomy_of_loop(surf, lp).m for lp in loops]
     repro = max(np.abs(b - a).max() for b, a in zip(base, again))
-    perturbed = surf.with_edge_length(9, float(surf.lengths[9]) + 1e-3)
+    lengths = surf.lengths.copy()
+    lengths[9] += 1e-3
+    perturbed = surf.with_lengths(lengths)
     moved = [holonomy_of_loop(perturbed, lp).m for lp in loops]
     deviation = max(np.abs(b - m).max() for b, m in zip(base, moved))
     ok = repro <= 1e-10 and deviation >= 1e-6

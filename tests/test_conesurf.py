@@ -23,6 +23,7 @@ from adscone.conesurf import (
     gauss_bonnet_area,
     holonomy_of_loop,
     loop_around_vertex,
+    splice_disk,
     triangle_edge_from_angles,
 )
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
@@ -144,7 +145,9 @@ def test_rigidity_shadow_perturbation():
     base = [holonomy_of_loop(s, loop_around_vertex(s, v)).m for v in (0, 1, 2)]
     recomputed = [holonomy_of_loop(s, loop_around_vertex(s, v)).m for v in (0, 1, 2)]
     assert max(np.abs(b - r).max() for b, r in zip(base, recomputed)) < 1e-10
-    perturbed = s.with_edge_length(0, float(s.lengths[0]) + 1e-3)
+    lengths = s.lengths.copy()
+    lengths[0] += 1e-3
+    perturbed = s.with_lengths(lengths)
     moved = [holonomy_of_loop(perturbed, loop_around_vertex(perturbed, v)).m for v in (0, 1, 2)]
     deviation = max(np.abs(b - m).max() for b, m in zip(base, moved))
     assert deviation >= 1e-6
@@ -410,7 +413,9 @@ def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
         def recorded(s, e):
             flips.append(e)
             flipped = library_flip(s, e)
-            return flipped.with_edge_length(e, new_diagonal(s, e), flipped.check_angles)
+            lengths = flipped.lengths.copy()
+            lengths[e] = new_diagonal(s, e)
+            return flipped.with_lengths(lengths, check_angles=flipped.check_angles)
 
         monkeypatch.setattr(conesurf, "flip_edge", recorded)
         return delaunay_normalize(surf), flips
@@ -812,6 +817,8 @@ def test_loop_errors_name_the_failing_step():
     surf, _ = torus_with_cone_point(2.0)
     lp = loop_around_vertex(surf, 4)
     assert lp[0][0] != lp[1][0]
+    with pytest.raises(GeometryError, match="^empty loop$"):
+        holonomy_of_loop(surf, [])
     with pytest.raises(GeometryError, match="^loop steps do not chain$"):
         holonomy_of_loop(surf, [lp[0], lp[0]])
     with pytest.raises(GeometryError, match="^loop does not return to its base face$"):
@@ -843,3 +850,141 @@ def test_loop_holonomy_matches_the_development(developed_holonomy, theta, eta, f
         # the reference rounds like the size of the holonomy (up to 6e-10 at
         # entries of 110 in this box, against a 50-digit product)
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def _own_patch(disk: DiskSpec):
+    """The disk as a splice patch with the ids splice_disk gives back: rim
+    vertex i on the tail of rim step i, and the interior vertices, edges and
+    faces in the host's ascending order; returns (patch, interior lengths,
+    cone angles by patch vertex)."""
+    s = disk.surface
+    rim = disk.rim()
+    k = len(rim)
+    step = {f_i: n for n, f_i in enumerate(rim)}
+    vertex = {s.face_corners(f)[i]: n for n, (f, i) in enumerate(rim)}
+    vertex.update((v, k + j) for j, v in enumerate(sorted(disk.interior_vertices())))
+    inner = sorted({side.edge for f in disk.face_ids for side in s.faces[f]} - set(disk.boundary_edges()))
+    edge = {e: k + j for j, e in enumerate(inner)}
+    edges = [(n, (n + 1) % k) for n in range(k)]
+    edges += [(vertex[s.edges[e][0]], vertex[s.edges[e][1]]) for e in inner]
+    faces = [
+        tuple(
+            Side(step[(f, i)]) if (f, i) in step else Side(edge[side.edge], side.forward)
+            for i, side in enumerate(s.faces[f])
+        )
+        for f in sorted(disk.face_ids)
+    ]
+    patch = ConeSurface(edges, faces, np.ones(len(edges)), check_angles=False)
+    return patch, s.lengths[inner], {vertex[v]: a for v, a in disk.marked_angles().items()}
+
+
+def _same_surface(a: ConeSurface, b: ConeSurface) -> bool:
+    return (
+        a.edges == b.edges
+        and [[(x.edge, x.forward) for x in f] for f in a.faces]
+        == [[(x.edge, x.forward) for x in f] for f in b.faces]
+        and a.lengths.tobytes() == b.lengths.tobytes()
+        and a.cone_angles == b.cone_angles
+    )
+
+
+def _splice_hosts():
+    """(host, disk face ids) pairs: the cone point's star on tori of three
+    angles, and on a subdivided torus the old point's star (faces 7, 8, 9,
+    11: not the last faces), the new point's fan and a disk of the old
+    star with a face of the complement."""
+    for theta in (0.5, 2.0, 6.0):
+        surf, disk = torus_with_cone_point(theta)
+        yield surf, disk.face_ids
+    refined, fan, v = subdivide_face_with_cone(torus_with_cone_point(2.0)[0], 8, 2.5)
+    yield refined, frozenset(f for f in range(len(refined.faces)) if 4 in refined.face_corners(f))
+    yield refined, fan.face_ids
+    yield refined, frozenset({1, 7, 8, 9, 11})
+
+
+@pytest.mark.parametrize("host, faces", list(_splice_hosts()))
+def test_splicing_a_disk_back_into_itself_is_the_identity(host, faces):
+    """A disk spliced back in as its own patch gives the host bit for bit:
+    same edges, sides, length bytes and cone angles, the same face ids."""
+    disk = DiskSpec(host, faces)
+    patch, lengths, cones = _own_patch(disk)
+    spliced, glued = splice_disk(disk, patch, lengths, cones)
+    assert _same_surface(spliced, host)
+    assert glued.face_ids == disk.face_ids
+    assert not spliced.check_angles
+    assert spliced.boundary_edges() == []
+
+
+def test_the_star_of_a_subdivided_torus_is_not_its_last_faces():
+    refined, _, _ = subdivide_face_with_cone(torus_with_cone_point(2.0)[0], 8, 2.5)
+    star = DiskSpec(refined, frozenset(f for f in range(len(refined.faces)) if 4 in refined.face_corners(f)))
+    assert sorted(star.face_ids) == [7, 8, 9, 11]
+    assert star.rim()[0][0] == 7
+    # each step leaves the vertex the last one reached
+    heads = [refined.face_corners(f)[(i + 1) % 3] for f, i in star.rim()]
+    tails = [refined.face_corners(f)[i] for f, i in star.rim()]
+    assert heads == tails[1:] + tails[:1]
+
+
+def test_a_splice_gives_the_patch_the_disk_ids_then_new_ones(star_split_at_a_point):
+    """A bigger patch (the star split again at a point, on the two-cone
+    template) takes the disk's interior ids first: the cone point keeps its
+    id, the star's spokes and faces pass to the patch, and the rest are new
+    ids past the last; every edge is used and the metric is the host's."""
+    host, star = torus_with_cone_point(2.0)
+    patch = star_split_at_a_point(star)
+    spliced, glued = splice_disk(star, patch, patch.lengths[3:], patch.cone_angles)
+    assert sorted(glued.face_ids) == [7, 8, 9, 10, 11]
+    assert spliced.faces[:7] == host.faces[:7]
+    assert spliced.edges[:12] == host.edges[:12]
+    assert len(spliced.edges) == len(host.edges) + 3
+    assert spliced.vertices == [0, 1, 2, 3, 4, 5]
+    assert spliced.cone_angles == {4: 2.0, 5: 2 * PI}
+    assert glued.interior_vertices() == {4, 5}
+    assert sorted(s.edge for f in spliced.faces for s in f) == sorted(2 * list(range(len(spliced.edges))))
+    assert spliced.euler_characteristic == host.euler_characteristic
+    spliced._switch_on_angle_check()
+    assert abs(gauss_bonnet_area(spliced) - gauss_bonnet_area(host)) < 1e-9
+
+
+def test_splice_refuses_patches_that_do_not_fit():
+    host, disk = torus_with_cone_point(2.0)
+    triangle = ConeSurface(((0, 1), (1, 2), (2, 0)), ((Side(0), Side(1), Side(2)),), np.ones(3))
+    with pytest.raises(GeometryError, match="^the patch has fewer interior edges or faces than the disk$"):
+        splice_disk(disk, triangle, [], {})
+    patch, lengths, cones = _own_patch(disk)
+    with pytest.raises(GeometryError, match="^need one length per interior edge of the patch$"):
+        splice_disk(disk, patch, lengths[:2], cones)
+    with pytest.raises(GeometryError, match="^a patch with a rim of 3 edges does not fit a rim of 4$"):
+        splice_disk(DiskSpec(host, frozenset({7, 8})), patch, lengths, cones)
+    # the same fan with its rim turned the other way
+    turned = ConeSurface(
+        ((0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)),
+        ((Side(4), Side(0, False), Side(3, False)), (Side(5), Side(1, False), Side(4, False)),
+         (Side(3), Side(2, False), Side(5, False))),
+        np.ones(6), check_angles=False,
+    )
+    with pytest.raises(GeometryError, match="^a patch's rim must be its edges 0..k-1, edge i running"):
+        splice_disk(disk, turned, lengths, cones)
+    shifted = ConeSurface(
+        ((3, 0), (3, 1), (3, 2), (0, 1), (1, 2), (2, 0)),
+        ((Side(0), Side(3), Side(1, False)), (Side(1), Side(4), Side(2, False)),
+         (Side(2), Side(5), Side(0, False))),
+        np.ones(6), check_angles=False,
+    )
+    with pytest.raises(GeometryError, match="^a patch's rim must be its edges 0..k-1, edge i running"):
+        splice_disk(disk, shifted, lengths, cones)
+
+
+def test_a_closed_face_set_is_no_disk_even_at_euler_characteristic_1():
+    """Two triangles glued along all three sides with two corners identified
+    (a pinched sphere) have chi = 1 and no rim: not a disk."""
+    s = ConeSurface(
+        ((0, 2), (2, 0), (0, 0)),
+        ((Side(2), Side(0), Side(1)), (Side(1, False), Side(0, False), Side(2, False))),
+        np.ones(3),
+        check_angles=False,
+    )
+    assert s.euler_characteristic == 1 and s.boundary_edges() == []
+    with pytest.raises(GeometryError, match=r"^sub-complex is not a disk \(no rim\)$"):
+        DiskSpec(s, frozenset({0, 1}))

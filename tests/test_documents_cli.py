@@ -458,7 +458,57 @@ def test_cli_model_doc(tmp_path):
     assert json.loads(out)["lines"]["c"]["kind"] == "MassiveParticle"
 
 
-@pytest.mark.parametrize("theta, code", [(1e8, 0), (1e10, 2), (1e16, 2)])
+def _models_with_documents():
+    """A model of each kind that has a document form, with the singularity
+    kinds of its lines."""
+    from adscone.isom import Proj2
+    from adscone.spacetimes import black_hole_spacetime, btz_static, extreme_spacetime
+    from adscone.spacetimes import graviton_spacetime, product_spacetime, tachyon_spacetime
+
+    g = Proj2.hyperbolic(1.3)
+    two_cones, _, _ = subdivide_face_with_cone(torus_with_cone_point(2.0)[0], 1, 2.5)
+    return {
+        "graviton +1": (graviton_spacetime(+1), ["GravitonPositive"]),
+        "graviton -1": (graviton_spacetime(-1), ["GravitonNegative"]),
+        "extreme": (extreme_spacetime(), ["ExtremeBTZFuture", "ExtremeBTZPast"]),
+        "static BTZ": (
+            btz_static(g, g.conjugate(Proj2(np.array([[1.4, 0.3], [0.2, 1.0]])))),
+            ["BTZFuture", "BTZPast"],
+        ),
+        "cone": (cone_spacetime(2.0), ["MassiveParticle"]),
+        "tachyon": (tachyon_spacetime(-0.7), ["Tachyon", "Tachyon"]),
+        "black hole": (black_hole_spacetime(1.5), ["BTZFuture", "BTZPast"]),
+        "product": (product_spacetime(two_cones), ["MassiveParticle", "MassiveParticle"]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_models_with_documents()))
+def test_every_model_kind_round_trips_through_its_document(tmp_path, name):
+    """model_to_doc -> canonical_json -> model_from_doc gives the same lines,
+    each classified as before, and classify-model-links reads them from
+    the document."""
+    from adscone.links import classify_singularity
+    from adscone.spacetimes import link_of_line, model_lines
+
+    model, kinds = _models_with_documents()[name]
+    text = docs.canonical_json(docs.model_to_doc(model))
+    back = docs.model_from_doc(json.loads(text))
+    assert back.kind is model.kind
+    assert model_lines(back) == model_lines(model)
+    for line in model_lines(model):
+        assert classify_singularity(link_of_line(back, line)) == classify_singularity(
+            link_of_line(model, line)
+        )
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    code, out, err = run_cli(["classify-model-links", "--input", str(path)])
+    assert (code, err) == (0, "")
+    lines = json.loads(out)["lines"]
+    assert list(lines) == sorted(model_lines(model))
+    assert [lines[line]["kind"] for line in model_lines(model)] == kinds
+
+
+@pytest.mark.parametrize("theta, code", [(1e8, 0), (1e10, 2), (1e16, 2), (3141592653.589793, 2)])
 def test_cli_huge_cone_angles_are_rejected_by_angle(tmp_path, theta, code):
     """A cone angle whose link's lift offset cannot be held (from 2^28 on) is
     a domain rejection naming the angle, not an input error."""

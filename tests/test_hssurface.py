@@ -1,6 +1,12 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 
+from adscone import cli
+from adscone import documents as docs
 from adscone.errors import CausalityError, GeometryError
 from adscone.hssurface import (
     CurveRecord,
@@ -354,3 +360,123 @@ def test_case_7_disconnected():
         )
     )
     assert not check_polyhedron_conditions(bad_total).passed["A"]
+
+
+def _real(*xs):
+    return tuple(FaceAngle(real=x) for x in xs)
+
+
+def _lorentz(*krs, lightlike=False):
+    return tuple(FaceAngle(k=k, r=r, lightlike=lightlike) for k, r in krs)
+
+
+def _vertex(position, angles=(), sigma=(), t=()):
+    return VertexRecord(VertexPosition(position), angles, sigma, t)
+
+
+# one vertex per case, at each position of the convexity condition (A): the
+# first case of a position passes, each other one fails with its text
+_VERTICES = {
+    "H": (_vertex("H", _real(2.0, 2.0)), None),
+    "H sum": (_vertex("H", _real(3.0, 3.5)), "hyperbolic vertex angle sum 6.5 not < 2 pi"),
+    "interior Sigma": (_vertex("interior-Sigma", _real(3.0, 3.5)), None),
+    "interior Sigma sum": (
+        _vertex("interior-Sigma", _real(3.0, 3.0)),
+        "interior Sigma vertex angle sum 6 not > 2 pi",
+    ),
+    "interior T": (_vertex("interior-T", _lorentz((2, 0.3), (2, 0.1))), None),
+    "interior T real part": (
+        _vertex("interior-T", _lorentz((2, 0.3), (1, 0.1))),
+        "interior T vertex real part 3*pi/2 differs from 2 pi",
+    ),
+    "interior T imaginary part": (
+        _vertex("interior-T", _lorentz((2, 0.3), (2, -0.5))),
+        "interior T vertex imaginary part -0.2 not > 0",
+    ),
+    "isolated Sigma": (_vertex("isolated-Sigma"), None),
+    "S_T": (
+        _vertex(
+            "S_T",
+            sigma=(_real(1.0, 0.5), _real(0.0)),
+            t=(_lorentz((0, 0.4)), _lorentz((1, 0.0), (-1, 0.0))),
+        ),
+        None,
+    ),
+    "S_T components": (
+        _vertex("S_T", sigma=(_real(1.0),), t=(_lorentz((0, 0.4)),) * 2),
+        "S_T vertex needs two Sigma and two T components",
+    ),
+    "S_T Sigma angle": (
+        _vertex("S_T", sigma=(_real(2.0, 1.5), _real(1.0)), t=(_lorentz((0, 0.4)),) * 2),
+        "S_T Sigma component angle 3.5 not in [0, pi)",
+    ),
+    "S_T T angle": (
+        _vertex("S_T", sigma=(_real(1.0),) * 2, t=(_lorentz((0, 0.4)), _lorentz((2, 0.0)))),
+        "S_T T-component angle not in i R_{>=0}",
+    ),
+    "Sigma-T connected": (
+        _vertex("Sigma-T-connected", sigma=(_real(3.5),), t=(_lorentz((1, -0.2), (1, -0.1)),)),
+        None,
+    ),
+    "Sigma-T connected, r2 < pi": (_vertex("Sigma-T-connected", t=(_lorentz((2, 0.0)),)), None),
+    "Sigma-T connected components": (
+        _vertex("Sigma-T-connected", t=(_lorentz((2, -0.1)),) * 2),
+        "connected case needs a single T component",
+    ),
+    "Sigma-T connected real part": (
+        _vertex("Sigma-T-connected", t=(_lorentz((4, -0.1)),)),
+        "T angles must sum to pi - i r1",
+    ),
+    "Sigma-T connected r2": (
+        _vertex("Sigma-T-connected", sigma=(_real(-0.5),), t=(_lorentz((2, -0.1)),)),
+        "Sigma angle sum r2 negative",
+    ),
+    "Sigma-T connected r1 or r2": (
+        _vertex("Sigma-T-connected", sigma=(_real(2.0, 1.5),), t=(_lorentz((2, 0.25)),)),
+        "need r1 > 0 or r2 < pi (r1=-0.25, r2=3.5)",
+    ),
+    "Sigma-T disconnected": (
+        _vertex(
+            "Sigma-T-disconnected", t=(_lorentz((2, -0.4)), _lorentz((2, 0.0), lightlike=True))
+        ),
+        None,
+    ),
+    "Sigma-T disconnected components": (
+        _vertex("Sigma-T-disconnected", t=(_lorentz((2, -0.4)),)),
+        "disconnected case needs at least two T components",
+    ),
+    "Sigma-T disconnected T angle": (
+        _vertex("Sigma-T-disconnected", t=(_lorentz((2, -0.4)), _lorentz((2, 0.3)))),
+        "T-component angle not in pi - i R_{>0} nor lightlike pi",
+    ),
+    "Sigma-T disconnected total": (
+        _vertex("Sigma-T-disconnected", t=(_lorentz((2, 0.0), lightlike=True),) * 2),
+        "total angle sum equals 2 pi",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_VERTICES))
+def test_convexity_condition_at_every_vertex_position(case):
+    """Condition A decides each position on its own rule: a vertex that
+    meets it passes, and each way to miss it is named once."""
+    vertex, failure = _VERTICES[case]
+    report = check_polyhedron_conditions(MarkedHSMetric(vertices=(vertex,)))
+    assert report.passed["A"] is (failure is None)
+    assert report.failures == (() if failure is None else (f"vertex 0: {failure}",))
+
+
+@pytest.mark.parametrize("case", list(_VERTICES))
+def test_check_polyhedron_reads_every_vertex_position_from_its_document(tmp_path, case):
+    """The same vertices as check-polyhedron documents: exit 0 with no
+    failure, or exit 2 naming it."""
+    vertex, failure = _VERTICES[case]
+    path = tmp_path / "metric.json"
+    doc = docs.marked_metric_to_doc(MarkedHSMetric(vertices=(vertex,)))
+    path.write_text(docs.canonical_json(doc))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check-polyhedron", "--input", str(path)])
+    report = json.loads(out.getvalue())
+    assert (code, report["conditions"]["A"]) == ((0, True) if failure is None else (2, False))
+    assert report["failures"] == ([] if failure is None else [f"vertex 0: {failure}"])

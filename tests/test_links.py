@@ -338,11 +338,13 @@ def test_a_missing_angle_or_mass_is_refused_by_name(kind):
 @pytest.mark.parametrize(
     "theta, done",
     [(1e8, True), (float(np.nextafter(HUGE_ANGLE, 0)), True), (HUGE_ANGLE, False), (1e9, False),
-     (1e10, False), (1e16, False), (np.finfo(float).max, False)],
+     (1e10, False), (1e16, False), (np.finfo(float).max, False), (3141592653.589793, False)],
 )
 def test_particle_angles_from_2_to_the_28_are_refused(theta, done):
     """From 2^28 on, 2 ulp(theta) exceed LIFT_CONGRUENCE: the lift offset of
-    the link is no longer held to it, and the angle is refused by name."""
+    the link is no longer held to it, and the angle is refused by name,
+    before the near-parabolic check (3141592653.589793 mod pi is within
+    sqrt(TRACE) of 0)."""
     assert _round_trips(SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta)) is done
 
 
