@@ -189,7 +189,14 @@ def cmd_surgery(args) -> int:
     doc = _load(args.input)
     payload = docs.check_envelope(doc, "surgery-request.json")
     base = docs.cone_surface_from_doc(payload["base"])
-    link = docs.hs_surface_from_doc(payload["link"])
+    link = payload["link"]
+    # past its envelope, every error the link's reader raises names a leaf by
+    # its path in the link, which sits at payload.link of this request
+    docs.check_envelope(link, "hs-surface.json")
+    try:
+        link = docs.hs_surface_from_doc(link)
+    except docs.DocumentError as err:
+        raise docs.DocumentError(f"payload.link.{err}") from None
     at = int(payload["at"])
     try:
         graph = surgery_collision(product_spacetime(base), link, at)

@@ -12,20 +12,23 @@ of conesurf, hssurface, lrmetrics, spacetimes or interactions.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
+from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .isom import LiftedProj2, Proj2
 from .linalg import HSPointClass
-from .links import SingKind, SingularityType
 from .rp1 import Arc, ArcTag, LinkCircle, RP1Circle
 
 if TYPE_CHECKING:
     from .conesurf import ConeSurface
-    from .hssurface import CurveRecord, FaceAngle, MarkedHSMetric, SingularHSSurface
+    from .hssurface import MarkedHSMetric, SingularHSSurface
     from .lrmetrics import SurfaceJet
     from .spacetimes import ModelSpacetime
 
@@ -56,8 +59,8 @@ def canonical_json(obj) -> str:
     return render(obj)
 
 
-def envelope(schema: str, payload: dict, version: int = 1) -> dict:
-    return {"schema": schema, "version": version, "payload": payload}
+def envelope(schema: str, payload: dict) -> dict:
+    return {"schema": schema, "version": 1, "payload": payload}
 
 
 def check_envelope(doc: dict, schema: str) -> dict:
@@ -160,178 +163,6 @@ def cone_surface_from_doc(doc: dict) -> ConeSurface:
     )
 
 
-# -- marked HS-metrics --------------------------------------------------------
-
-
-def _angle_to_obj(a: FaceAngle):
-    if a.is_lorentzian:
-        return {"k": int(a.k), "r": float(a.r), "lightlike": bool(a.lightlike)}
-    return {"real": float(a.real)}
-
-
-def marked_metric_to_doc(m: MarkedHSMetric) -> dict:
-    payload = {
-        "vertices": [
-            {
-                "position": v.position.value,
-                "angles": [_angle_to_obj(a) for a in v.angles],
-                "sigma_components": [
-                    [_angle_to_obj(a) for a in comp] for comp in v.sigma_components
-                ],
-                "t_components": [
-                    [_angle_to_obj(a) for a in comp] for comp in v.t_components
-                ],
-            }
-            for v in m.vertices
-        ],
-        "sigma_geodesics": [_curve_to_obj(c) for c in m.sigma_geodesics],
-        "t_geodesics": [_curve_to_obj(c) for c in m.t_geodesics],
-        "type": m.type_tag,
-        "timelike_arcs_join": m.timelike_arcs_join,
-        "compact_segments": [float(x) for x in m.compact_segments],
-        "compact_boundary_lengths": [float(x) for x in m.compact_boundary_lengths],
-        "has_degenerate_t_domain": bool(m.has_degenerate_t_domain),
-    }
-    return envelope("marked-hs-metric.json", payload)
-
-
-def _curve_to_obj(c: CurveRecord):
-    return {
-        "length": float(c.length),
-        "closed": bool(c.closed),
-        "simple": bool(c.simple),
-        "bounds_degenerate_domain": bool(c.bounds_degenerate_domain),
-    }
-
-
-def marked_metric_from_doc(doc: dict) -> MarkedHSMetric:
-    from .hssurface import CurveRecord, FaceAngle, MarkedHSMetric, VertexPosition, VertexRecord
-
-    payload = check_envelope(doc, "marked-hs-metric.json")
-
-    def angle(o):
-        if "real" in o:
-            return FaceAngle(real=float(o["real"]))
-        return FaceAngle(k=int(o["k"]), r=float(o["r"]), lightlike=bool(o.get("lightlike", False)))
-
-    def curve(o):
-        return CurveRecord(
-            float(o["length"]),
-            bool(o.get("closed", True)),
-            bool(o.get("simple", True)),
-            bool(o.get("bounds_degenerate_domain", False)),
-        )
-
-    vertices = tuple(
-        VertexRecord(
-            VertexPosition(v["position"]),
-            tuple(angle(a) for a in v.get("angles", [])),
-            tuple(tuple(angle(a) for a in comp) for comp in v.get("sigma_components", [])),
-            tuple(tuple(angle(a) for a in comp) for comp in v.get("t_components", [])),
-        )
-        for v in payload.get("vertices", [])
-    )
-    return MarkedHSMetric(
-        vertices=vertices,
-        sigma_geodesics=tuple(curve(c) for c in payload.get("sigma_geodesics", [])),
-        t_geodesics=tuple(curve(c) for c in payload.get("t_geodesics", [])),
-        type_tag=payload.get("type", "hyperbolic"),
-        timelike_arcs_join=payload.get("timelike_arcs_join", "H-Sigma"),
-        compact_segments=tuple(payload.get("compact_segments", [])),
-        compact_boundary_lengths=tuple(payload.get("compact_boundary_lengths", [])),
-        has_degenerate_t_domain=bool(payload.get("has_degenerate_t_domain", False)),
-    )
-
-
-# -- hs-surfaces (region decompositions) --------------------------------------
-
-
-def hs_surface_to_doc(s: SingularHSSurface) -> dict:
-    def sing(x: SingularityType):
-        return {
-            "kind": x.kind.value,
-            "angle": None if x.angle is None else float(x.angle),
-            "mass": None if x.mass is None else float(x.mass),
-            "degree": None if x.degree is None else int(x.degree),
-        }
-
-    payload = {
-        "hyperbolic_regions": [
-            {
-                "orientation": h.orientation,
-                "topology": h.topology.value,
-                "cone_angles": [float(a) for a in h.cone_angles],
-                "cusps": int(h.cusps),
-                "boundary_circles": [int(c) for c in h.boundary_circles],
-            }
-            for h in s.hyperbolic_regions
-        ],
-        "de_sitter_regions": [
-            {
-                "topology": d.topology.value,
-                "singularities": [sing(x) for x in d.singularities],
-                "boundary_circles": [int(c) for c in d.boundary_circles],
-                "extreme_points": list(d.extreme_points),
-            }
-            for d in s.de_sitter_regions
-        ],
-        "photon_circles": [
-            {
-                "hyperbolic_side": c.hyperbolic_side,
-                "de_sitter_side": c.de_sitter_side,
-                "gravitons": [sing(x) for x in c.gravitons],
-            }
-            for c in s.photon_circles
-        ],
-    }
-    return envelope("hs-surface.json", payload)
-
-
-def hs_surface_from_doc(doc: dict) -> SingularHSSurface:
-    from .hssurface import DeSitterRegion, HyperbolicRegion, PhotonCircle, RegionTopology
-    from .hssurface import SingularHSSurface
-
-    payload = check_envelope(doc, "hs-surface.json")
-
-    def sing(o):
-        return SingularityType(
-            SingKind(o["kind"]),
-            angle=o.get("angle"),
-            mass=o.get("mass"),
-            degree=o.get("degree"),
-        )
-
-    return SingularHSSurface(
-        hyperbolic_regions=tuple(
-            HyperbolicRegion(
-                h["orientation"],
-                RegionTopology(h["topology"]),
-                tuple(float(a) for a in h.get("cone_angles", [])),
-                int(h.get("cusps", 0)),
-                tuple(int(c) for c in h.get("boundary_circles", [])),
-            )
-            for h in payload.get("hyperbolic_regions", [])
-        ),
-        de_sitter_regions=tuple(
-            DeSitterRegion(
-                RegionTopology(d["topology"]),
-                tuple(sing(x) for x in d.get("singularities", [])),
-                tuple(int(c) for c in d.get("boundary_circles", [])),
-                tuple(d.get("extreme_points", [])),
-            )
-            for d in payload.get("de_sitter_regions", [])
-        ),
-        photon_circles=tuple(
-            PhotonCircle(
-                c.get("hyperbolic_side"),
-                c.get("de_sitter_side"),
-                tuple(sing(x) for x in c.get("gravitons", [])),
-            )
-            for c in payload.get("photon_circles", [])
-        ),
-    )
-
-
 # -- models -------------------------------------------------------------------
 
 
@@ -375,28 +206,154 @@ def model_from_doc(doc: dict) -> ModelSpacetime:
     raise DocumentError(f"cannot rebuild model of kind {kind}")
 
 
-# -- surface jets -------------------------------------------------------------
+# -- HS-structures and surface jets: one codec --------------------------------
+#
+# These documents are their dataclasses, every field under its own name and
+# of its annotated kind, encoded and decoded by a plan built per class on
+# first use.  The departures: MarkedHSMetric.type_tag travels under "type"; a
+# FaceAngle, real or Lorentzian, writes and reads the first of its _LAYOUTS
+# whose first field it holds, and each field of that layout holds a value; a
+# missing field takes its default, or None where it is annotated X | None.
+
+_KEYS = {"type_tag": "type"}
+_LAYOUTS = {"FaceAngle": (("real",), ("k", "r", "lightlike"))}
+_LEAVES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+
+
+class _Wrong(DocumentError):
+    """A value of the wrong kind, or a missing entry: its text starts ": "
+    until each container it leaves prepends its key."""
+
+
+def _expected(kind: str, value) -> _Wrong:
+    return _Wrong(f": expected {kind}, got {json.dumps(value)}")
+
+
+def _optional(tp):
+    """X for an annotation X | None, else None."""
+    args = typing.get_args(tp)
+    return args[0] if type(None) in args else None
+
+
+@functools.cache
+def _codec(tp):
+    """(encode, decode) for values annotated tp; decode refuses a value of
+    another kind."""
+    if dataclasses.is_dataclass(tp):
+        return _dataclass_codec(tp)
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
+        enc, dec = _codec(typing.get_args(tp)[0])
+
+        def decode_items(v):
+            if not isinstance(v, (list, tuple)):
+                raise _expected("array", v)
+            items = []
+            try:
+                for x in v:
+                    items.append(dec(x))
+            except _Wrong as err:
+                err.args = (f"[{len(items)}]{err}",)
+                raise
+            return tuple(items)
+
+        return (lambda v: [enc(x) for x in v]), decode_items
+    if _optional(tp) is not None:
+        enc, dec = _codec(_optional(tp))
+        return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
+    if tp is np.ndarray:
+        return matrix_to_list, matrix_from_list
+    if issubclass(tp, Enum):
+        enc, kinds = (lambda m: m.value), (str,)
+        kind = "one of " + ", ".join(json.dumps(m.value) for m in tp)
+    else:  # an int is a number too, but a bool is no int
+        enc, kind, kinds = tp, _LEAVES[tp], (int, float) if tp is float else (tp,)
+
+    def decode_leaf(v):
+        if type(v) in kinds:
+            try:
+                return tp(v)
+            except ValueError:  # a string that names no member
+                pass
+        raise _expected(kind, v)
+
+    return enc, decode_leaf
+
+
+def _dataclass_codec(cls):
+    """(encode, decode) for a dataclass, from its fields and their annotations."""
+    hints = typing.get_type_hints(cls)
+    variants = _LAYOUTS.get(cls.__name__)
+    plan = {}  # field name -> (key, encode, decode, default or MISSING)
+    for f in dataclasses.fields(cls):
+        tp, default = hints[f.name], f.default
+        if variants and default is None:
+            tp, default = _optional(tp), dataclasses.MISSING
+        elif default is dataclasses.MISSING and _optional(tp) is not None:
+            default = None
+        plan[f.name] = (_KEYS.get(f.name, f.name), *_codec(tp), default)
+    layouts = [[(name, *plan[name]) for name in names] for names in variants or (plan,)]
+
+    def encode(x):
+        fields = next((l for l in layouts if getattr(x, l[0][0]) is not None), layouts[-1])
+        return {key: enc(getattr(x, name)) for name, key, enc, _, _ in fields}
+
+    def decode(v):
+        if not isinstance(v, dict):
+            raise _expected("object", v)
+        fields = next((l for l in layouts if l[0][1] in v), layouts[-1])
+        values = {}
+        try:
+            for name, key, _, dec, default in fields:
+                if key in v:
+                    values[name] = dec(v[key])
+                elif default is dataclasses.MISSING:
+                    raise _Wrong(": missing")
+                else:
+                    values[name] = default
+        except _Wrong as err:
+            err.args = (f".{key}{err}",)
+            raise
+        return cls(**values)
+
+    return encode, decode
+
+
+def _from_doc(doc: dict, schema: str, cls):
+    try:
+        return _codec(cls)[1](check_envelope(doc, schema))
+    except _Wrong as err:
+        err.args = (f"payload{err}",)
+        raise
+
+
+def hs_surface_to_doc(s: SingularHSSurface) -> dict:
+    return envelope("hs-surface.json", _codec(type(s))[0](s))
+
+
+def hs_surface_from_doc(doc: dict) -> SingularHSSurface:
+    from .hssurface import SingularHSSurface
+
+    return _from_doc(doc, "hs-surface.json", SingularHSSurface)
+
+
+def marked_metric_to_doc(m: MarkedHSMetric) -> dict:
+    return envelope("marked-hs-metric.json", _codec(type(m))[0](m))
+
+
+def marked_metric_from_doc(doc: dict) -> MarkedHSMetric:
+    from .hssurface import MarkedHSMetric
+
+    return _from_doc(doc, "marked-hs-metric.json", MarkedHSMetric)
 
 
 def surface_jet_to_doc(j: SurfaceJet) -> dict:
-    payload = {
-        "samples": [
-            {"I": matrix_to_list(s.I), "B": matrix_to_list(s.B)} for s in j.samples
-        ]
-    }
-    return envelope("surface-jet.json", payload)
+    return envelope("surface-jet.json", _codec(type(j))[0](j))
 
 
 def surface_jet_from_doc(doc: dict) -> SurfaceJet:
-    from .lrmetrics import JetSample, SurfaceJet
+    from .lrmetrics import SurfaceJet
 
-    payload = check_envelope(doc, "surface-jet.json")
-    return SurfaceJet(
-        tuple(
-            JetSample(matrix_from_list(s["I"]), matrix_from_list(s["B"]))
-            for s in payload["samples"]
-        )
-    )
+    return _from_doc(doc, "surface-jet.json", SurfaceJet)
 
 
 # -- interaction graphs -------------------------------------------------------

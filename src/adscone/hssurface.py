@@ -441,6 +441,9 @@ def _check_vertex(v: VertexRecord, out: list):
         if len(v.t_components) != 1:
             out.append("connected case needs a single T component")
             return
+        if len(v.sigma_components) > 1:
+            out.append("connected case needs at most one Sigma component")
+            return
         k, r1 = _sum_lorentz(v.t_components[0])
         r1 = -r1  # sum = pi - i r1
         if k * PI / 2 != PI:

@@ -345,14 +345,7 @@ def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> 
 # ---------------------------------------------------------------------------
 
 
-def surgery_collision(
-    base: ModelSpacetime,
-    link: SingularHSSurface,
-    at: int,
-    *,
-    before_name: str = "before",
-    after_name: str = "after",
-) -> InteractionGraph:
+def surgery_collision(base: ModelSpacetime, link: SingularHSSurface, at: int) -> InteractionGraph:
     """Add a collision to a static product spacetime: the marked point `at`
     of the base surface becomes the outcome of the collision of the link's
     two past particles.
@@ -402,13 +395,13 @@ def surgery_collision(
     before_loops = dict(gen_loops)
     before_loops[f"m{at}"] = loop_around_vertex(before_surface, at)
     before_loops[f"m{new_vertex}"] = loop_around_vertex(before_surface, new_vertex)
-    v_after = SliceVertex(after_name, surf, surf, surf.marked_vertices(), after_loops)
+    v_after = SliceVertex("after", surf, surf, surf.marked_vertices(), after_loops)
     v_before = SliceVertex(
-        before_name, before_surface, before_surface, before_surface.marked_vertices(), before_loops
+        "before", before_surface, before_surface, before_surface.marked_vertices(), before_loops
     )
     edge = CollisionEdge(
-        before=before_name,
-        after=after_name,
+        before="before",
+        after="after",
         disk_before=disk_before.face_ids,
         disk_after=star.face_ids,
         identification={k: k for k in gen_loops},
@@ -416,10 +409,10 @@ def surgery_collision(
         created=(theta,),
     )
     return InteractionGraph(
-        {before_name: v_before, after_name: v_after},
+        {"before": v_before, "after": v_after},
         (edge,),
-        initial=before_name,
-        final=after_name,
+        initial="before",
+        final="after",
     )
 
 
@@ -452,13 +445,7 @@ def _before_surface(star: DiskSpec, at: int, eta1: float, eta2: float):
     return before._switch_on_angle_check(), glued, surf.num_vertices
 
 
-def elastic_collision_graph(
-    surface: ConeSurface,
-    disk_faces: frozenset,
-    *,
-    before_name: str = "before",
-    after_name: str = "after",
-) -> InteractionGraph:
+def elastic_collision_graph(surface: ConeSurface, disk_faces: frozenset) -> InteractionGraph:
     """The graph of an elastic collision: two particles meet and separate
     with unchanged angles, so the slices before and after the interaction
     carry isometric metrics and the exchanged disks coincide.
@@ -476,12 +463,12 @@ def elastic_collision_graph(
     for v in surface.marked_vertices():
         gen_loops[f"m{v}"] = loop_around_vertex(surface, v)
     marked = dict(surface.marked_vertices())
-    v_before = SliceVertex(before_name, surface, surface, marked, gen_loops)
-    v_after = SliceVertex(after_name, surface, surface, marked, gen_loops)
+    v_before = SliceVertex("before", surface, surface, marked, gen_loops)
+    v_after = SliceVertex("after", surface, surface, marked, gen_loops)
     angles = tuple(sorted(marked_in_disk.values()))
     edge = CollisionEdge(
-        before=before_name,
-        after=after_name,
+        before="before",
+        after="after",
         disk_before=disk.face_ids,
         disk_after=disk.face_ids,
         identification={k: k for k in loops},
@@ -489,8 +476,8 @@ def elastic_collision_graph(
         created=angles,
     )
     return InteractionGraph(
-        {before_name: v_before, after_name: v_after},
+        {"before": v_before, "after": v_after},
         (edge,),
-        initial=before_name,
-        final=after_name,
+        initial="before",
+        final="after",
     )

@@ -114,7 +114,7 @@ class TransverseReport:
     degenerate_samples: tuple[int, ...]
 
 
-def transverse_check(j: SurfaceJet, tol: float = TRANSVERSE) -> TransverseReport:
+def transverse_check(j: SurfaceJet) -> TransverseReport:
     """Rank-2 check of v -> D^{l,r}_v u for the normal field:
     det(-B +- J) = det(B) + 1 = -K must be bounded away from 0."""
     curvatures = []
@@ -122,7 +122,7 @@ def transverse_check(j: SurfaceJet, tol: float = TRANSVERSE) -> TransverseReport
     for i, s in enumerate(j.samples):
         detb = float(np.linalg.det(s.B))
         curvatures.append(-(detb + 1.0))
-        if abs(detb + 1.0) <= tol:
+        if abs(detb + 1.0) <= TRANSVERSE:
             bad.append(i)
     return TransverseReport(
         transverse=not bad, curvatures=tuple(curvatures), degenerate_samples=tuple(bad)

@@ -164,7 +164,7 @@ def test_criterion_05_curvature_identity():
         target = np.linalg.det(B) + 1.0
         for sign in (+1, -1):
             worst = max(worst, abs(np.linalg.det(-B + sign * J) - target))
-        rep = transverse_check(SurfaceJet((JetSample(I, B),)), tol=1e-9)
+        rep = transverse_check(SurfaceJet((JetSample(I, B),)))
         degenerate = abs(target) <= 1e-9
         agree = agree and (rep.transverse != degenerate)
     ok = worst <= 1e-12 and agree

@@ -281,6 +281,171 @@ def test_link_interval_and_anchor_must_be_finite_numbers(tmp_path, variant, path
     assert err.startswith(f"input error: {path[0]}") and err.count("\n") == 1, err
 
 
+# the annotated kind of each leaf of the classify-sphere, trace-causal and
+# check-polyhedron base documents, by the key that holds it or its array; a
+# "?" marks a kind that admits null
+LEAF_KINDS = {
+    "orientation": "string",
+    "topology": "string",
+    "cone_angles": "number",
+    "cusps": "integer",
+    "boundary_circles": "integer",
+    "hyperbolic_side": "integer?",
+    "de_sitter_side": "integer?",
+    "position": "string",
+    "real": "number",
+    "k": "integer",
+    "r": "number",
+    "lightlike": "boolean",
+    "length": "number",
+    "closed": "boolean",
+    "simple": "boolean",
+    "bounds_degenerate_domain": "boolean",
+    "type": "string",
+    "timelike_arcs_join": "string",
+    "has_degenerate_t_domain": "boolean",
+}
+# values of another JSON kind for a node of each kind
+WRONG_KINDS = {
+    "number": ("2.5", True),
+    "integer": (0.5, "1", False),
+    "boolean": (1, "false"),
+    "string": (7, True),
+    "object": ([], "x"),
+    "array": ({}, 1.5),
+}
+CODEC_COMMANDS = ("check-polyhedron", "classify-sphere", "trace-causal")
+DELETE = object()
+
+
+def _path_text(path) -> str:
+    """A document path as the CLI names it: payload.key[index]."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:]
+
+
+def _kind_at(doc, path) -> str:
+    node = _parent(doc, path)[path[-1]]
+    if isinstance(node, (dict, list)):
+        return "object" if isinstance(node, dict) else "array"
+    return LEAF_KINDS[next(k for k in reversed(path) if type(k) is str)]
+
+
+def _run_with(command, path, value):
+    """The CLI on the base document of a command with the node at path set
+    to value, or deleted for DELETE."""
+    doc = json.loads(_base_text(command))
+    if value is DELETE:
+        del _parent(doc, path)[path[-1]]
+    else:
+        _parent(doc, path)[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_path = Path(tmp) / "doc.json"
+        doc_path.write_text(json.dumps(doc))
+        return run_cli([command, "--input", str(doc_path)])
+
+
+@pytest.mark.parametrize("command", CODEC_COMMANDS)
+def test_a_value_of_the_wrong_kind_is_refused_by_its_path(command):
+    """Every node of an HS-surface or marked-metric document set to a value
+    of another JSON kind (a string or bool for a number, a float for an int,
+    an int for a bool, a list for an object), or to null where its entry is
+    required: exit 1, nothing on stdout and one stderr line naming the node.
+    An int where a number belongs and a null where the annotation admits one
+    stay accepted."""
+    base = json.loads(_base_text(command))
+    refused = accepted = 0
+    for path in _paths(base):
+        if path[0] != "payload" or len(path) == 1:
+            continue
+        kind = _kind_at(base, path)
+        wrong = WRONG_KINDS[kind.rstrip("?")] + (() if kind.endswith("?") else (None,))
+        for value in wrong:
+            code, out, err = _run_with(command, path, value)
+            assert (code, out) == (1, ""), (path, value, err)
+            assert err.startswith(f"input error: {_path_text(path)}: ") and err.count("\n") == 1, err
+            refused += 1
+        for value in (3,) * (kind == "number") + (None,) * kind.endswith("?"):
+            code, out, err = _run_with(command, path, value)
+            assert code in (0, 2) and out and not err, (path, value, err)
+            accepted += 1
+    assert refused > 40 and accepted > 4
+
+
+@pytest.mark.parametrize(
+    "command,path,value,error",
+    [
+        (
+            "classify-sphere",
+            ("payload", "hyperbolic_regions", 1, "cone_angles", 0),
+            "2.5",
+            'payload.hyperbolic_regions[1].cone_angles[0]: expected number, got "2.5"',
+        ),
+        (
+            "classify-sphere",
+            ("payload", "hyperbolic_regions", 0, "cone_angles", 0),
+            True,
+            "payload.hyperbolic_regions[0].cone_angles[0]: expected number, got true",
+        ),
+        (
+            "trace-causal",
+            ("payload", "hyperbolic_regions", 0, "cusps"),
+            0.4,
+            "payload.hyperbolic_regions[0].cusps: expected integer, got 0.4",
+        ),
+        (
+            "check-polyhedron",
+            ("payload", "has_degenerate_t_domain"),
+            "false",
+            'payload.has_degenerate_t_domain: expected boolean, got "false"',
+        ),
+        (
+            "check-polyhedron",
+            ("payload", "sigma_geodesics", 0, "closed"),
+            0,
+            "payload.sigma_geodesics[0].closed: expected boolean, got 0",
+        ),
+        (
+            "classify-sphere",
+            ("payload", "hyperbolic_regions", 0, "orientation"),
+            7,
+            "payload.hyperbolic_regions[0].orientation: expected string, got 7",
+        ),
+        (
+            "check-polyhedron",
+            ("payload", "vertices", 0, "position"),
+            "corner",
+            'payload.vertices[0].position: expected one of "H", "interior-Sigma", "interior-T", '
+            '"isolated-Sigma", "S_T", "Sigma-T-connected", "Sigma-T-disconnected", got "corner"',
+        ),
+        (
+            "surgery",
+            ("payload", "link", "payload", "photon_circles", 1, "de_sitter_side"),
+            "0",
+            'payload.link.payload.photon_circles[1].de_sitter_side: expected integer, got "0"',
+        ),
+        (
+            "classify-sphere",
+            ("payload", "hyperbolic_regions", 0, "orientation"),
+            DELETE,
+            "payload.hyperbolic_regions[0].orientation: missing",
+        ),
+        (
+            "check-polyhedron",
+            ("payload", "vertices", 1, "angles", 0, "k"),
+            DELETE,
+            "payload.vertices[1].angles[0].k: missing",
+        ),
+        ("lr-metrics", ("payload", "samples", 0, "B"), DELETE, "payload.samples[0].B: missing"),
+    ],
+)
+def test_the_escapes_of_the_hand_written_readers_are_refused(command, path, value, error):
+    """The first six passed as valid (exit 0), or, for the orientation,
+    failed as a domain rejection (exit 2).  A surgery request names a leaf
+    of its link by the path from the request, and a missing entry, which
+    was a KeyError naming only its key, is named by its path."""
+    assert _run_with(command, path, value) == (1, "", f"input error: {error}\n")
+
+
 def test_fresh_interpreters_answer_as_the_running_process(tmp_path, child_env):
     """Each subcommand on its unmutated document, run by `python -m
     adscone.cli`, gives the exit code, stdout and stderr of main() in this

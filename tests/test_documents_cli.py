@@ -3,9 +3,12 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adscone import documents as docs
 from adscone import interactions
@@ -14,11 +17,16 @@ from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_c
 from adscone.cli import main
 from adscone.conesurf import holonomy_of_loop
 from adscone.hssurface import (
+    CurveRecord,
     DeSitterRegion,
+    FaceAngle,
     HyperbolicRegion,
+    MarkedHSMetric,
     PhotonCircle,
     RegionTopology,
     SingularHSSurface,
+    VertexPosition,
+    VertexRecord,
 )
 from adscone.interactions import (
     InteractionGraph,
@@ -28,11 +36,15 @@ from adscone.interactions import (
     validate_geometric_data,
 )
 from adscone.linalg import HSPointClass
+from adscone.links import SingKind, SingularityType
 from adscone.lrmetrics import JetSample, SurfaceJet
 from adscone.rp1 import elliptic_link_circle, mark_timelike_arcs
 from adscone.spacetimes import cone_spacetime, saturating_null_curve
 
 PI = np.pi
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import corpus  # noqa: E402
 
 
 def run_cli(args):
@@ -143,6 +155,122 @@ def test_cone_surface_roundtrip():
     assert np.abs(back.lengths - surf.lengths).max() < 1e-15
     assert back.cone_angles == surf.cone_angles
     assert back.faces == surf.faces
+
+
+# the reader and writer of each cli-corpus subcommand whose document the
+# dataclass codec reads
+CODEC_DOCS = {
+    "classify-sphere": (docs.hs_surface_from_doc, docs.hs_surface_to_doc),
+    "trace-causal": (docs.hs_surface_from_doc, docs.hs_surface_to_doc),
+    "check-polyhedron": (docs.marked_metric_from_doc, docs.marked_metric_to_doc),
+    "lr-metrics": (docs.surface_jet_from_doc, docs.surface_jet_to_doc),
+}
+
+
+def _codec_documents():
+    """Every valid codec document of the cli-corpus seeds 1-3, and the link
+    of every surgery request, with the reader and writer of its kind."""
+    for seed in (1, 2, 3):
+        for d in corpus.cli_corpus(seed):
+            if d.kind != "valid":
+                continue
+            if d.cmd in CODEC_DOCS:
+                yield json.loads(d.text), *CODEC_DOCS[d.cmd]
+            elif d.cmd == "surgery":
+                yield json.loads(d.text)["payload"]["link"], *CODEC_DOCS["classify-sphere"]
+
+
+def test_codec_documents_are_written_back_byte_for_byte():
+    """Reading a document and writing what was read gives its own bytes, on
+    the benchmark's documents (108 of them, and 27 surgery links)."""
+    seen = 0
+    for doc, read, write in _codec_documents():
+        assert docs.canonical_json(write(read(doc))) == docs.canonical_json(doc)
+        seen += 1
+    assert seen == 135
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_singularities = st.builds(
+    SingularityType,
+    st.sampled_from(SingKind),
+    st.none() | _finite,
+    st.none() | _finite,
+    st.none() | st.integers(),
+)
+_hs_surfaces = st.builds(
+    SingularHSSurface,
+    st.lists(
+        st.builds(
+            HyperbolicRegion,
+            st.sampled_from(("future", "past")),
+            st.sampled_from(RegionTopology),
+            st.lists(_finite, max_size=3).map(tuple),
+            st.integers(),
+            st.lists(st.integers(), max_size=2).map(tuple),
+        ),
+        max_size=2,
+    ).map(tuple),
+    st.lists(
+        st.builds(
+            DeSitterRegion,
+            st.sampled_from(RegionTopology),
+            st.lists(_singularities, max_size=3).map(tuple),
+            st.lists(st.integers(), max_size=2).map(tuple),
+            st.lists(st.text(max_size=6), max_size=2).map(tuple),
+        ),
+        max_size=2,
+    ).map(tuple),
+    st.lists(
+        st.builds(
+            PhotonCircle,
+            st.none() | st.integers(),
+            st.none() | st.integers(),
+            st.lists(_singularities, max_size=2).map(tuple),
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+_angles = st.lists(
+    st.builds(FaceAngle, real=_finite)
+    | st.builds(FaceAngle, k=st.integers(), r=_finite, lightlike=st.booleans()),
+    max_size=3,
+).map(tuple)
+_curves = st.lists(
+    st.builds(CurveRecord, _finite, st.booleans(), st.booleans(), st.booleans()), max_size=2
+).map(tuple)
+_marked_metrics = st.builds(
+    MarkedHSMetric,
+    st.lists(
+        st.builds(
+            VertexRecord,
+            st.sampled_from(VertexPosition),
+            _angles,
+            st.lists(_angles, max_size=2).map(tuple),
+            st.lists(_angles, max_size=2).map(tuple),
+        ),
+        max_size=3,
+    ).map(tuple),
+    _curves,
+    _curves,
+    st.sampled_from(("hyperbolic", "bi-hyperbolic", "compact")),
+    st.text(max_size=12),
+    st.lists(_finite, max_size=2).map(tuple),
+    st.lists(_finite, max_size=2).map(tuple),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    value=st.tuples(_hs_surfaces, st.just((docs.hs_surface_from_doc, docs.hs_surface_to_doc)))
+    | st.tuples(_marked_metrics, st.just((docs.marked_metric_from_doc, docs.marked_metric_to_doc)))
+)
+def test_codec_reads_back_what_it_writes(value):
+    """An HS-surface or a marked HS-metric, written as JSON text and read
+    back, is the value that was written."""
+    x, (read, write) = value
+    assert read(json.loads(docs.canonical_json(write(x)))) == x
 
 
 def _graph_doc(theta=2.0, face=1, eta=2.5):

@@ -423,6 +423,10 @@ _VERTICES = {
         _vertex("Sigma-T-connected", t=(_lorentz((2, -0.1)),) * 2),
         "connected case needs a single T component",
     ),
+    "Sigma-T connected Sigma components": (
+        _vertex("Sigma-T-connected", sigma=(_real(1.0), _real(-5.0)), t=(_lorentz((2, -0.1)),)),
+        "connected case needs at most one Sigma component",
+    ),
     "Sigma-T connected real part": (
         _vertex("Sigma-T-connected", t=(_lorentz((4, -0.1)),)),
         "T angles must sum to pi - i r1",
