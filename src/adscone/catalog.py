@@ -84,7 +84,8 @@ def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface
     verts = sorted(targets)
     goal = np.array([targets[v] for v in verts])
     tables = surface._tables
-    rows = np.array(verts, dtype=np.intp)  # the prescribed vertices
+    # the prescribed vertices' rows, or every row in order
+    rows = slice(None) if verts == list(range(tables.shape[0])) else np.array(verts, dtype=np.intp)
 
     def evaluate(x):
         """(lengths, sides, corners, values) at log lengths x, or the

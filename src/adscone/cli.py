@@ -154,32 +154,48 @@ def cmd_classify_model_links(args) -> int:
 def cmd_lr_metrics(args) -> int:
     from .lrmetrics import _pullback_metrics, transverse_check
 
-    jet = docs.surface_jet_from_doc(_load(args.input))
-    check = transverse_check(jet)
-    if not check.transverse:
-        _emit(
-            {
-                "transverse": False,
-                "degenerate_samples": list(check.degenerate_samples),
-                "curvatures": list(check.curvatures),
-            },
-            args.output,
-        )
-        return EXIT_REJECT
-    # the check above is the one left_right_metrics would make
-    mls, mrs = _pullback_metrics(jet)
-    report = {
-        "transverse": True,
-        "curvatures": list(check.curvatures),
-        "mu_l": [docs.matrix_to_list(m) for m in mls],
-        "mu_r": [docs.matrix_to_list(m) for m in mrs],
-        "det_mu_l": [float(np.linalg.det(m)) for m in mls],
-        "det_mu_r": [float(np.linalg.det(m)) for m in mrs],
-    }
+    # the products of a jet with large entries overflow: numpy is told not
+    # to warn, and a sample whose curvature, metrics or determinants are not
+    # finite is refused, naming the sample and the quantity
+    with np.errstate(all="ignore"):
+        jet = docs.surface_jet_from_doc(_load(args.input))
+        check = transverse_check(jet)
+        _refuse_non_finite({"curvature": check.curvatures})
+        if not check.transverse:
+            _emit(
+                {
+                    "transverse": False,
+                    "degenerate_samples": list(check.degenerate_samples),
+                    "curvatures": list(check.curvatures),
+                },
+                args.output,
+            )
+            return EXIT_REJECT
+        # the check above is the one left_right_metrics would make
+        mls, mrs = _pullback_metrics(jet)
+        report = {
+            "transverse": True,
+            "curvatures": list(check.curvatures),
+            "mu_l": [docs.matrix_to_list(m) for m in mls],
+            "mu_r": [docs.matrix_to_list(m) for m in mrs],
+            "det_mu_l": [float(np.linalg.det(m)) for m in mls],
+            "det_mu_r": [float(np.linalg.det(m)) for m in mrs],
+        }
+    _refuse_non_finite({key: report[key] for key in ("mu_l", "mu_r", "det_mu_l", "det_mu_r")})
     _emit(report, args.output)
     if args.plot:
         _plot_determinants(report["det_mu_l"], report["det_mu_r"], args.plot)
     return EXIT_OK
+
+
+def _refuse_non_finite(quantities: dict):
+    """GeometryError naming the first sample, and in it the first of the
+    quantities (name -> per sample a number or a list of numbers), that is
+    not finite."""
+    for k, values in enumerate(zip(*quantities.values())):
+        for name, value in zip(quantities, values):
+            if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
+                raise GeometryError(f"sample {k}: {name} is not finite")
 
 
 def cmd_surgery(args) -> int:

@@ -14,6 +14,7 @@ glued side, read off the edge lengths and corner angles.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import NamedTuple
@@ -38,9 +39,6 @@ _AROUND = np.array([[0, 1, 2], _NEXT, _PREV])
 # where side k meets side i+1 (i+1 for k = i, k for k = i+2), or -1 for the
 # facing side k = i+1
 _COSINE_AT = np.array([[1, -1, 2], [0, 2, -1], [-1, 1, 0]])
-
-# what a surface shares with every other metric on its triangulation
-_COMBINATORICS = ("edges", "faces", "_structure")
 
 
 @dataclass(frozen=True)
@@ -79,13 +77,23 @@ class ConeSurface:
         edges = tuple((int(a), int(b)) for a, b in self.edges)
         faces = tuple(tuple(map(_as_side, f)) for f in self.faces)
         lengths = np.asarray(self.lengths, dtype=float)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "cone_angles", dict(self.cone_angles))
-        structure = _STRUCTURES.get(edges, faces)
+        cones = dict(self.cone_angles)
+        self._on(_interned(edges, faces), lengths, cones, self.check_angles)
+
+    def _on(self, structure: _Structure, lengths, cone_angles, check_angles: bool) -> ConeSurface:
+        """This surface on an interned structure, with the metric given: the
+        one place a surface takes its fields.  The structure's edges and
+        faces have passed its checks, and are not normalized or hashed
+        again; every length check runs, and the angle check when
+        check_angles is set."""
         object.__setattr__(self, "edges", structure.edges)
         object.__setattr__(self, "faces", structure.faces)
         object.__setattr__(self, "_structure", structure)
+        object.__setattr__(self, "lengths", np.asarray(lengths, dtype=float))
+        object.__setattr__(self, "cone_angles", dict(cone_angles))
+        object.__setattr__(self, "check_angles", check_angles)
         self._check_metric()
+        return self
 
     # -- structure ---------------------------------------------------------
 
@@ -241,23 +249,13 @@ class ConeSurface:
         _Structure, corner tables included); every length check runs again,
         the structural checks, which these edges and faces have already
         passed, do not."""
-        new = object.__new__(ConeSurface)
-        for name in _COMBINATORICS:
-            object.__setattr__(new, name, getattr(self, name))
-        object.__setattr__(new, "lengths", np.asarray(lengths, dtype=float))
         cones = self.cone_angles if cone_angles is None else cone_angles
-        object.__setattr__(new, "cone_angles", dict(cones))
-        object.__setattr__(new, "check_angles", check_angles)
-        new._check_metric()
-        return new
+        return _surface_on(self._structure, lengths, cones, check_angles)
 
     # -- gluing ------------------------------------------------------------
 
     def neighbor_across(self, f: int, side_index: int) -> tuple[int, int]:
-        k = self._neighbors[f, side_index]
-        if k < 0:
-            raise GeometryError(f"edge {self.faces[f][side_index].edge} is a boundary edge")
-        return divmod(int(k), 3)
+        return _across(self._structure, f, side_index)
 
     def _transition_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(T, degenerate): T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face
@@ -293,7 +291,8 @@ class ConeSurface:
         grow, shrink = np.exp(sides / 2.0), np.exp(-sides / 2.0)
         # B(a_i) R(pi - alpha_{i+1}) for i = 0, 1; the half angle of the
         # rotation has cosine sin(alpha/2) and sine cos(alpha/2)
-        cos_h, sin_h = np.sin(angles[:, 1:] / 2.0), np.cos(angles[:, 1:] / 2.0)
+        half = angles[:, 1:] / 2.0
+        cos_h, sin_h = np.sin(half), np.cos(half)
         turn = np.empty((len(sides), 2, 2, 2))
         turn[..., 0, 0] = grow[:, :2] * cos_h
         turn[..., 0, 1] = -grow[:, :2] * sin_h
@@ -314,8 +313,14 @@ class ConeSurface:
         inverse[..., 1, 0] = -frames[..., 1, 0]
         inverse[..., 1, 1] = frames[..., 0, 0]
         table = back @ inverse.reshape(-1, 2, 2)[self._neighbors]
-        table[self._neighbors < 0] = np.nan
+        if self._structure.boundary_edges:
+            table[self._neighbors < 0] = np.nan
         return table
+
+
+def _surface_on(structure: _Structure, lengths, cone_angles, check_angles: bool = False) -> ConeSurface:
+    """A new surface on an interned structure (ConeSurface._on)."""
+    return object.__new__(ConeSurface)._on(structure, lengths, cone_angles, check_angles)
 
 
 class _Structure:
@@ -336,7 +341,9 @@ class _Structure:
         + i facing each in its lower and in its higher face.
 
     disk(face_ids) gives the _Disk data of a face set, walked once per face
-    set and kept on the structure.
+    set and kept on the structure; plan(key, build) gives the plan of one
+    combinatorial operation on it (splice_disk, flip_edge,
+    holonomy_of_loop), worked out once and kept likewise.
 
     Raises, building nothing, where a side names a missing edge
     (IndexError), an edge has more than two sides or two in one direction,
@@ -390,8 +397,8 @@ class _Structure:
             _read_only(np.flatnonzero(inner)),
             _read_only(uses - uses % 3 + _PREV[uses % 3]),
         )
-        self._disks: dict[frozenset, _Disk] = {}
-        self._disk_faces = 0
+        self._disks = _Kept(len(faces))
+        self._plans = _Kept(_PLAN_ENTRIES * len(faces))
 
     def disk(self, face_ids: frozenset) -> _Disk:
         """The _Disk data of a non-empty set of face ids, walked once
@@ -401,13 +408,28 @@ class _Structure:
         found = self._disks.get(face_ids)
         if found is None:
             found = _walk_disk(self, face_ids)
-            self._disks[face_ids] = found
-            self._disk_faces += len(face_ids)
-            while self._disk_faces > len(self.faces):
-                oldest = next(iter(self._disks))
-                del self._disks[oldest]
-                self._disk_faces -= len(oldest)
+            self._disks.keep(face_ids, found, len(face_ids))
         return found
+
+    def plan(self, key, build):
+        """(plan, the structure it leads to or None) of one operation on
+        this structure, built once by build(self, key) and kept: the plans
+        kept hold at most _PLAN_ENTRIES index entries per face (their
+        sizes), the oldest going first.  A plan holds the structure it
+        leads to only by weak reference (plan.leads_to), so that no chain
+        of plans keeps alive what _STRUCTURES has let go; where that
+        structure has gone, the plan is built again.  A build that raises
+        keeps nothing, so it raises on every call."""
+        found = self._plans.get(key)
+        if found is not None:
+            if found.leads_to is None:
+                return found, None
+            target = found.leads_to()
+            if target is not None:
+                return found, target
+        found, target = build(self, key)
+        self._plans.keep(key, found, found.size)
+        return found, target
 
 
 class _Disk(NamedTuple):
@@ -475,30 +497,44 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _StructureCache:
-    """Process-wide cache of _Structure, keyed by the normalized (edges,
-    faces); once the faces it holds pass max_faces, the oldest entries go
-    first.  Only structures that validate are kept, so a malformed one
-    raises on every construction."""
+class _Kept:
+    """Values kept by key, oldest first out once their sizes add up to more
+    than budget (held is the sum); a value larger than the whole budget is
+    not kept."""
 
-    def __init__(self, max_faces: int):
-        self.max_faces = max_faces
-        self.faces_held = 0
-        self._entries: dict[tuple, _Structure] = {}
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.held = 0
+        self._entries: dict = {}  # key -> (value, size)
 
-    def get(self, edges: tuple, faces: tuple) -> _Structure:
-        key = (edges, faces)
+    def get(self, key):
         found = self._entries.get(key)
-        if found is not None:
-            return found
-        built = _Structure(edges, faces)
-        if len(faces) <= self.max_faces:
-            self._entries[key] = built
-            self.faces_held += len(faces)
-            while self.faces_held > self.max_faces:
-                dropped = self._entries.pop(next(iter(self._entries)))
-                self.faces_held -= len(dropped.faces)
-        return built
+        return None if found is None else found[0]
+
+    def keep(self, key, value, size: int):
+        replaced = self._entries.pop(key, None)
+        if replaced is not None:
+            self.held -= replaced[1]
+        if size > self.budget:
+            return
+        self._entries[key] = (value, size)
+        self.held += size
+        while self.held > self.budget:
+            _, dropped = self._entries.pop(next(iter(self._entries)))
+            self.held -= dropped
+
+
+def _interned(edges: tuple, faces: tuple) -> _Structure:
+    """The _Structure of normalized edges and faces, from the process-wide
+    _STRUCTURES, keyed by (edges, faces), or built and kept there.  Only
+    structures that validate are kept, so a malformed one raises on every
+    construction."""
+    key = (edges, faces)
+    found = _STRUCTURES.get(key)
+    if found is None:
+        found = _Structure(edges, faces)
+        _STRUCTURES.keep(key, found, len(faces))
+    return found
 
 
 # The bound of the structure cache, in faces held over all triangulations.
@@ -509,9 +545,20 @@ class _StructureCache:
 # _Disk data of disks covering at most as many faces as it has, rim walks
 # included; that adds at most ~0.95 kB per face (one-face disks, the worst
 # case, measured the same way on fans of 12-2000 faces; 0.07-0.35 kB per face
-# for disks of 4-64 faces), so ~17 MB in all.
+# for disks of 4-64 faces), so ~17 MB in all.  And each structure keeps the
+# plans of its splices, flips and loops (_Structure.plan), up to _PLAN_ENTRIES
+# per face of their sizes: index entries, and _PLAN_OVERHEAD more per plan,
+# enough for a flip plan on every edge.  Filled with plans of one kind, a
+# structure holds 42-91 bytes per unit, so at most ~2.2 kB per face (measured
+# the same way on fans of 12 and 200 faces and on closed surfaces of 16 and
+# 90 faces, the keys included), ~18 MB more in all.  The structures plans
+# lead to are held weakly, so they are the cache's and not counted again.
+# The cone-surfaces benchmark keeps at most 15.6 units per face (the torus
+# structure's six splice plans).
 _STRUCTURE_FACES = 8192
-_STRUCTURES = _StructureCache(_STRUCTURE_FACES)
+_STRUCTURES = _Kept(_STRUCTURE_FACES)
+_PLAN_ENTRIES = 24
+_PLAN_OVERHEAD = 16
 
 
 class CornerTables:
@@ -723,9 +770,9 @@ def resolve_loop(loop) -> list[tuple[int, int]]:
     return [(int(f), int(i)) for f, i in loop]
 
 
-def _uses_of(s: ConeSurface, e: int) -> list[tuple[int, int]]:
+def _uses_of(structure: _Structure, e: int) -> list[tuple[int, int]]:
     """The (face, side index) pairs that use edge e, in face order."""
-    return [divmod(k, 3) for k in sorted(s._structure.edge_sides[:, e].tolist()) if k >= 0]
+    return [divmod(k, 3) for k in sorted(structure.edge_sides[:, e].tolist()) if k >= 0]
 
 
 def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
@@ -736,30 +783,68 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     surface's closed-form transitions (ConeSurface._transition_table) over
     the steps s_0, ..., s_k.  Face paths never meet vertices, so cone points
     are automatically avoided; a path through a face with a degenerate
-    corner raises NotHyperbolicError naming the first such face."""
+    corner raises NotHyperbolicError naming the first such face it reaches
+    before its first structural error (steps that do not chain, a boundary
+    side, a path that misses its base face), which comes next.
+
+    The walk is the loop's plan on the structure (_Loop), worked out once
+    per loop; each call reads the metric's degenerate faces and transitions
+    along it."""
     steps = resolve_loop(loop)
+    plan, _ = s._structure.plan(("loop", tuple(steps)), _plan_loop)
     table, degenerate = s._transition_table()
-    f0 = steps[0][0]
-    f = f0
-    _check_sound(degenerate, f)
-    for fi, si in steps:
-        if fi != f:
-            raise GeometryError("loop steps do not chain")
-        f, _ = s.neighbor_across(f, si)
-        _check_sound(degenerate, f)
-    if f != f0:
-        raise GeometryError("loop does not return to its base face")
-    faces, sides = zip(*steps)
-    factors = table[list(faces), list(sides)]
+    bad = degenerate[plan.walk]
+    if bad.any():
+        raise NotHyperbolicError(f"degenerate corner at face {plan.walk[np.argmax(bad)]}")
+    if plan.error is not None:
+        _raise_planned(plan.error)
+    factors = table[plan.faces, plan.sides]
     h = factors[0]
     for t in factors[1:]:
         h = h @ t
     return Proj2(h)
 
 
-def _check_sound(degenerate: np.ndarray, f: int):
-    if degenerate[f]:
-        raise NotHyperbolicError(f"degenerate corner at face {f}")
+class _Loop(NamedTuple):
+    """The plan of a face loop (holonomy_of_loop): its faces and exit sides,
+    the faces its walk reaches in order (the base face first) up to its
+    first structural error, and that error as (exception type, args), or
+    None for a closed loop."""
+
+    faces: np.ndarray
+    sides: np.ndarray
+    walk: np.ndarray
+    error: tuple | None
+    leads_to = None
+
+    @property
+    def size(self) -> int:
+        return _PLAN_OVERHEAD + 2 * len(self.faces) + len(self.walk)
+
+
+def _plan_loop(structure: _Structure, key: tuple) -> tuple[_Loop, None]:
+    """The _Loop of the steps in key ("loop", steps): the walk
+    ConeSurface.neighbor_across takes, face after face, with what it raises
+    (or what indexing the (F,) degenerate flags raises at an out-of-range
+    base face) as the error.  Only a closed loop keeps its steps."""
+    _, steps = key
+    walk = []
+    try:
+        f0 = f = steps[0][0]
+        structure.neighbors[f]  # an out-of-range base face raises here
+        walk.append(f)
+        for fi, si in steps:
+            if fi != f:
+                raise GeometryError("loop steps do not chain")
+            f, _ = _across(structure, f, si)
+            walk.append(f)
+        if f != f0:
+            raise GeometryError("loop does not return to its base face")
+    except (GeometryError, IndexError) as err:
+        none = np.empty(0, dtype=np.intp)
+        return _Loop(none, none, np.array(walk, dtype=np.intp), (type(err), err.args)), None
+    faces, sides = np.array(steps, dtype=np.intp).T
+    return _Loop(faces, sides, np.array(walk, dtype=np.intp), None), None
 
 
 def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> list:
@@ -768,29 +853,71 @@ def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> 
 
     It starts at the first corner at v (in face order, or in base_face) of
     the structure's corner -> vertex table and crosses, face after face,
-    the side arriving at v (neighbor_across, the glued-side table)."""
-    corner_vertices = s._tables.corner_vertices
+    the side arriving at v (neighbor_across, the glued-side table).  The
+    loop, or the error it meets, is the plan of (v, base_face) on the
+    structure (_Around), worked out once."""
+    plan, _ = s._structure.plan(("around", v, base_face), _plan_around)
+    if plan.error is not None:
+        _raise_planned(plan.error)
+    return list(plan.steps)
+
+
+class _Around(NamedTuple):
+    """The plan of a loop around a vertex (loop_around_vertex): its steps,
+    or the error it meets as (exception type, args)."""
+
+    steps: tuple
+    error: tuple | None
+    leads_to = None
+
+    @property
+    def size(self) -> int:
+        return _PLAN_OVERHEAD + len(self.steps)
+
+
+def _plan_around(structure: _Structure, key: tuple) -> tuple[_Around, None]:
+    """The _Around of key ("around", v, base_face)."""
+    _, v, base_face = key
+    corner_vertices = structure.tables.corner_vertices
     if base_face is None:
         at = np.flatnonzero(corner_vertices.ravel() == v)
     elif base_face in range(len(corner_vertices)):
         at = 3 * int(base_face) + np.flatnonzero(corner_vertices[int(base_face)] == v)
     else:
         at = ()
-    if not len(at):
-        raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
-    start = divmod(int(at[0]), 3)
     steps = []
-    f, i = start
-    while True:
-        # cross the side arriving at v (side i+2 ends at corner i)
-        exit_side = (i + 2) % 3
-        steps.append((f, exit_side))
-        f, i = s.neighbor_across(f, exit_side)
-        if (f, i) == start:
-            break
-        if len(steps) > 4 * len(s.faces):
-            raise GeometryError("vertex link does not close up")
-    return steps
+    try:
+        if not len(at):
+            raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
+        start = divmod(int(at[0]), 3)
+        f, i = start
+        while True:
+            # cross the side arriving at v (side i+2 ends at corner i)
+            exit_side = (i + 2) % 3
+            steps.append((f, exit_side))
+            f, i = _across(structure, f, exit_side)
+            if (f, i) == start:
+                break
+            if len(steps) > 4 * len(structure.faces):
+                raise GeometryError("vertex link does not close up")
+    except GeometryError as err:
+        return _Around((), (type(err), err.args)), None
+    return _Around(tuple(steps), None), None
+
+
+def _across(structure: _Structure, f: int, side_index: int) -> tuple[int, int]:
+    """(face, side index) glued to side side_index of face f
+    (ConeSurface.neighbor_across)."""
+    k = structure.neighbors[f, side_index]
+    if k < 0:
+        raise GeometryError(f"edge {structure.faces[f][side_index].edge} is a boundary edge")
+    return divmod(int(k), 3)
+
+
+def _raise_planned(error: tuple):
+    """Raise a planned error, (exception type, args), afresh."""
+    kind, args = error
+    raise kind(*args)
 
 
 def dual_cycles(s: ConeSurface, faces: frozenset[int] | None = None) -> list[list]:
@@ -933,32 +1060,66 @@ def splice_disk(
     the disk's interior ids in ascending order, then new ids past the
     host's last, so nothing off the disk is renumbered; a patch with fewer
     interior edges or faces than the disk is refused.  The angle check is
-    off: the maker switches it on once the metric is final."""
+    off: the maker switches it on once the metric is final.
+
+    The spliced structure and its id maps are the plan of (disk faces,
+    patch) on the host's structure (_Splice), worked out once; each call
+    places the patch lengths and maps the cone angles."""
     host = disk.surface
-    rim = [host.faces[f][i] for f, i in disk._disk.rim]
-    k = _patch_rim(patch._structure)
+    plan, spliced = host._structure.plan(("splice", disk.face_ids, patch._structure), _plan_splice)
+    if len(lengths) != len(plan.edge_ids):
+        raise GeometryError("need one length per interior edge of the patch")
+    all_lengths = np.concatenate((host.lengths, np.empty(len(spliced.edges) - len(host.lengths))))
+    all_lengths[plan.edge_ids] = np.asarray(lengths, dtype=float)
+    cones = {v: a for v, a in host.cone_angles.items() if v not in disk._disk.interior_vertices}
+    cones.update((plan.vertex[v], a) for v, a in cone_angles.items())
+    surface = _surface_on(spliced, all_lengths, cones)
+    return surface, DiskSpec(surface, plan.face_ids)
+
+
+class _Splice(NamedTuple):
+    """The plan of splicing a patch structure into a disk of a host
+    structure (splice_disk): the spliced structure (weakly), the spliced
+    ids of the patch's interior edges, whose lengths a call passes (every
+    other edge keeps the host's length), the patch vertex -> spliced vertex
+    map and the patch's faces in the spliced structure."""
+
+    leads_to: weakref.ref
+    edge_ids: np.ndarray
+    vertex: dict
+    face_ids: frozenset
+
+    @property
+    def size(self) -> int:
+        return _PLAN_OVERHEAD + len(self.edge_ids) + len(self.vertex) + len(self.face_ids)
+
+
+def _plan_splice(host: _Structure, key: tuple) -> tuple[_Splice, _Structure]:
+    """The _Splice of key ("splice", disk faces, patch structure), refusing
+    a patch whose rim does not fit the disk's or that has fewer interior
+    edges or faces than the disk."""
+    _, face_ids, patch = key
+    disk = host.disk(face_ids)
+    rim = [host.faces[f][i] for f, i in disk.rim]
+    k = _patch_rim(patch)
     if k != len(rim):
         raise GeometryError(f"a patch with a rim of {k} edges does not fit a rim of {len(rim)}")
-    faces_in = sorted(disk.face_ids)
-    rim_edges = set(disk._disk.boundary_edges)
-    edges_in = sorted({s.edge for f in faces_in for s in host.faces[f]} - rim_edges)
+    faces_in = sorted(face_ids)
+    edges_in = sorted({s.edge for f in faces_in for s in host.faces[f]} - set(disk.boundary_edges))
     new_edges = len(patch.edges) - k - len(edges_in)
     new_faces = len(patch.faces) - len(faces_in)
     if new_edges < 0 or new_faces < 0:
         raise GeometryError("the patch has fewer interior edges or faces than the disk")
-    if len(lengths) != len(patch.edges) - k:
-        raise GeometryError("need one length per interior edge of the patch")
     # patch id -> host id
-    tails = [host.side_endpoints(side)[0] for side in rim]
-    inside = sorted(disk._disk.interior_vertices)
-    vertex = dict(zip(patch._structure.vertices, chain(tails, inside, count(host.num_vertices))))
-    edge_ids = [*edges_in, *range(len(host.edges), len(host.edges) + new_edges)]
-    face_ids = [*faces_in, *range(len(host.faces), len(host.faces) + new_faces)]
+    n_vertices, n_edges, n_faces = host.tables.shape[0], len(host.edges), len(host.faces)
+    tails = [host.edges[side.edge][1 - side.forward] for side in rim]
+    inside = sorted(disk.interior_vertices)
+    vertex = dict(zip(patch.vertices, chain(tails, inside, count(n_vertices))))
+    edge_ids = [*edges_in, *range(n_edges, n_edges + new_edges)]
+    face_ids = [*faces_in, *range(n_faces, n_faces + new_faces)]
     edges = [*host.edges, *[None] * new_edges]
-    all_lengths = [*host.lengths.tolist(), *[None] * new_edges]
-    for e, (t, h), length in zip(edge_ids, patch.edges[k:], lengths):
+    for e, (t, h) in zip(edge_ids, patch.edges[k:]):
         edges[e] = (vertex[t], vertex[h])
-        all_lengths[e] = length
     sides = [
         rim[s.edge] if s.edge < k else Side(edge_ids[s.edge - k], s.forward)
         for s in chain(*patch.faces)
@@ -966,10 +1127,9 @@ def splice_disk(
     faces = [*host.faces, *[None] * new_faces]
     for n, f in enumerate(face_ids):
         faces[f] = (sides[3 * n], sides[3 * n + 1], sides[3 * n + 2])
-    cones = {v: a for v, a in host.cone_angles.items() if v not in disk._disk.interior_vertices}
-    cones.update((vertex[v], a) for v, a in cone_angles.items())
-    spliced = ConeSurface(tuple(edges), tuple(faces), all_lengths, cones, check_angles=False)
-    return spliced, DiskSpec(spliced, frozenset(face_ids))
+    spliced = _interned(tuple(edges), tuple(faces))
+    edge_ids = _read_only(np.array(edge_ids, dtype=np.intp))
+    return _Splice(weakref.ref(spliced), edge_ids, vertex, frozenset(face_ids)), spliced
 
 
 @functools.lru_cache(maxsize=8)
@@ -1030,49 +1190,83 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
     The quadrilateral they form must be convex: where the two corners at
     either end of e sum to pi or more, the other diagonal leaves it, and a
     flip would change the cone angles, so it raises GeometryError naming
-    that vertex and angle sum instead."""
-    uses = _uses_of(s, e)
+    that vertex and angle sum instead.
+
+    The flipped structure and the corners and sides read are the plan of
+    the edge on the structure (_Flip), worked out once; each call checks
+    convexity and takes the new diagonal's length."""
+    plan, flipped = s._structure.plan(("flip", e), _plan_flip)
+    angles, degenerate = s._corners()
+    for f, i in plan.corners:
+        if degenerate[f, i]:
+            raise NotHyperbolicError(f"degenerate corner at face {f}")
+    # the quadrilateral's angles at the tail of e in f1 and at its head
+    (t1, t2, h1, h2) = (float(angles[f, i]) for f, i in plan.corners)
+    tail, head = t1 + t2, h1 + h2
+    for vertex, angle in zip(plan.vertices, (tail, head)):
+        if angle >= PI:
+            raise GeometryError(
+                f"cannot flip edge {e}: the quadrilateral is not convex at vertex "
+                f"{vertex}, where its corners sum to {angle:.6g} >= pi"
+            )
+    # the new diagonal by the law of cosines at the tail, across both corner
+    # angles there
+    into, out_of = s.lengths[plan.sides[0]], s.lengths[plan.sides[1]]
+    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
+    if not cosh_new > 1.0:
+        raise NotHyperbolicError("flip would degenerate the quadrilateral")
+    if plan.error is not None:
+        _raise_planned(plan.error)
+    lengths = s.lengths.copy()
+    lengths[e] = float(np.arccosh(cosh_new))
+    return _surface_on(flipped, lengths, s.cone_angles, s.check_angles)
+
+
+class _Flip(NamedTuple):
+    """The plan of flipping an edge (flip_edge): the flipped structure
+    (weakly; None where building it raised, and error is what it raised, as
+    (exception type, args)), the corners (face, i) at the tail of the edge
+    in its lower face and in its higher one, then at its head, the vertices
+    at its tail and head, and the sides into the tail in the lower face and
+    out of it in the higher one."""
+
+    leads_to: weakref.ref | None
+    corners: tuple
+    vertices: tuple
+    sides: tuple
+    error: tuple | None
+    size = _PLAN_OVERHEAD
+
+
+def _plan_flip(structure: _Structure, key: tuple) -> tuple[_Flip, _Structure | None]:
+    """The _Flip of key ("flip", e), refusing a boundary or self-glued edge."""
+    _, e = key
+    uses = _uses_of(structure, e)
     if len(uses) != 2:
         raise GeometryError("cannot flip a boundary edge")
     (f1, i1), (f2, i2) = uses
     if f1 == f2:
         raise GeometryError("cannot flip a self-glued edge")
-    # the quadrilateral's angles at the tail of e in f1 (corner i1 of f1,
-    # corner i2 + 1 of f2) and at its head (corner i1 + 1 of f1, i2 of f2)
-    tail = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
-    head = s.corner_angle(f1, (i1 + 1) % 3) + s.corner_angle(f2, i2)
-    for corner, angle in ((i1, tail), ((i1 + 1) % 3, head)):
-        if angle >= PI:
-            raise GeometryError(
-                f"cannot flip edge {e}: the quadrilateral is not convex at vertex "
-                f"{s.face_corners(f1)[corner]}, where its corners sum to {angle:.6g} >= pi"
-            )
-    # the new diagonal by the law of cosines at the tail, across both corner
-    # angles there
-    into = s.lengths[s.faces[f1][(i1 + 2) % 3].edge]  # the side into the tail in f1
-    out_of = s.lengths[s.faces[f2][(i2 + 1) % 3].edge]  # the side out of the tail in f2
-    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
-    if not cosh_new > 1.0:
-        raise NotHyperbolicError("flip would degenerate the quadrilateral")
-    new_len = float(np.arccosh(cosh_new))
+    # the tail of e in f1 is corner i1 of f1 and corner i2 + 1 of f2, its
+    # head corner i1 + 1 of f1 and i2 of f2
+    corners = ((f1, i1), (f2, (i2 + 1) % 3), (f1, (i1 + 1) % 3), (f2, i2))
+    at = structure.tables.corner_vertices
+    vertices = (int(at[f1, i1]), int(at[f1, (i1 + 1) % 3]))
+    sides1, sides2 = structure.faces[f1], structure.faces[f2]
+    sides = (sides1[(i1 + 2) % 3].edge, sides2[(i2 + 1) % 3].edge)
     # rebuild the two faces: quadrilateral corners around e
-    sides1, sides2 = s.faces[f1], s.faces[f2]
-    a = sides1[(i1 + 1) % 3]
-    b = sides1[(i1 + 2) % 3]
-    c = sides2[(i2 + 1) % 3]
-    d = sides2[(i2 + 2) % 3]
-    far1 = s.face_corners(f1)[(i1 + 2) % 3]
-    far2 = s.face_corners(f2)[(i2 + 2) % 3]
-    edges = list(s.edges)
-    edges[e] = (far1, far2)
-    lengths = s.lengths.copy()
-    lengths[e] = new_len
-    new_f1 = (Side(e, True), d, a)
-    new_f2 = (Side(e, False), b, c)
-    faces = list(s.faces)
-    faces[f1] = new_f1
-    faces[f2] = new_f2
-    return ConeSurface(tuple(edges), tuple(faces), lengths, s.cone_angles, s.check_angles)
+    a, b = sides1[(i1 + 1) % 3], sides1[(i1 + 2) % 3]
+    c, d = sides2[(i2 + 1) % 3], sides2[(i2 + 2) % 3]
+    edges = list(structure.edges)
+    edges[e] = (int(at[f1, (i1 + 2) % 3]), int(at[f2, (i2 + 2) % 3]))
+    faces = list(structure.faces)
+    faces[f1] = (Side(e, True), d, a)
+    faces[f2] = (Side(e, False), b, c)
+    try:
+        flipped = _interned(tuple(edges), tuple(faces))
+    except (GeometryError, IndexError) as err:
+        return _Flip(None, corners, vertices, sides, (type(err), err.args)), None
+    return _Flip(weakref.ref(flipped), corners, vertices, sides, None), flipped
 
 
 def disks_isometric(s1: ConeSurface, d1: DiskSpec, s2: ConeSurface, d2: DiskSpec) -> bool:

@@ -38,7 +38,8 @@ class DocumentError(ValueError):
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits.
+    A float that is not finite has no JSON text: ValueError."""
 
     def render(x):
         if isinstance(x, dict):
@@ -51,6 +52,8 @@ def canonical_json(obj) -> str:
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         if isinstance(x, (float, np.floating)):
+            if not math.isfinite(x):
+                raise ValueError(f"out of range float value {float(x)!r} is not JSON compliant")
             return format(float(x), ".17g")
         if x is None:
             return "null"
@@ -68,8 +71,11 @@ def check_envelope(doc: dict, schema: str) -> dict:
         raise DocumentError("document is not a schema/version/payload envelope")
     if doc["schema"] != schema:
         raise DocumentError(f"expected schema {schema!r}, got {doc['schema']!r}")
-    if int(doc.get("version", 1)) != 1:
-        raise DocumentError(f"unsupported version {doc.get('version')}")
+    version = doc.get("version", 1)
+    if type(version) is not int:  # a JSON integer; a bool is none
+        raise DocumentError(f"version: expected integer, got {json.dumps(version)}")
+    if version != 1:
+        raise DocumentError(f"unsupported version {version}")
     return doc["payload"]
 
 

@@ -326,7 +326,8 @@ class VertexPosition(Enum):
 class FaceAngle:
     """An interior angle, real (Riemannian face) or k pi/2 + i r (Lorentzian).
 
-    lightlike marks faces whose sides at the vertex are lightlike."""
+    lightlike marks faces whose sides at the vertex are lightlike; a
+    Riemannian face has none, so a real angle is never lightlike."""
 
     real: float | None = None
     k: int | None = None
@@ -340,6 +341,8 @@ class FaceAngle:
     def __post_init__(self):
         if (self.real is None) == (self.k is None):
             raise GeometryError("angle is either real or of the form k pi/2 + i r")
+        if self.lightlike and self.real is not None:
+            raise GeometryError("a real angle has no lightlike sides")
 
 
 @dataclass(frozen=True)

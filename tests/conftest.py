@@ -1,5 +1,6 @@
 import math
 import os
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +9,16 @@ import pytest
 
 import adscone
 from adscone import catalog
-from adscone.conesurf import _uses_of, flip_edge, raise_degenerate, resolve_loop
+from adscone.conesurf import (
+    ConeSurface,
+    DiskSpec,
+    Side,
+    _patch_rim,
+    _uses_of,
+    flip_edge,
+    raise_degenerate,
+    resolve_loop,
+)
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
 from adscone.isom import IsomPair, Proj2
 from adscone.linalg import cross, dot12, dot22, normalize_point, orthonormal_tangent_frame
@@ -307,7 +317,7 @@ def _develop_across(s, f, placed, side_index):
 def _developed_flip_length(s, e):
     """The diagonal that would replace edge e, measured between the far
     corners of its two faces developed side by side in the hyperboloid."""
-    (f1, i1), (f2, i2) = _uses_of(s, e)
+    (f1, i1), (f2, i2) = _uses_of(s._structure, e)
     placed1 = _place_face(s, f1)
     g, placed2 = _develop_across(s, f1, placed1, i1)
     assert g == f2
@@ -321,7 +331,7 @@ def _needs_flip(s, e):
     """The per-edge Delaunay test: an edge glued to two different faces whose
     facing corners sum past pi + DELAUNAY_MARGIN (the lower face's corner
     read first, so a degenerate one there is the one reported)."""
-    uses = _uses_of(s, e)
+    uses = _uses_of(s._structure, e)
     if len(uses) != 2:
         return False
     (f1, s1), (f2, s2) = uses
@@ -908,6 +918,126 @@ def scanned_vertex_loop():
     """Reference for conesurf.loop_around_vertex: the start corner found by
     scanning every face's corners."""
     return _scanned_vertex_loop
+
+
+def _planless_splice_disk(disk, patch, lengths, cone_angles):
+    """conesurf.splice_disk as it rebuilt the spliced edges, faces and id
+    maps on every call, and interned them through the ConeSurface
+    constructor."""
+    host = disk.surface
+    rim = [host.faces[f][i] for f, i in disk._disk.rim]
+    k = _patch_rim(patch._structure)
+    if k != len(rim):
+        raise GeometryError(f"a patch with a rim of {k} edges does not fit a rim of {len(rim)}")
+    faces_in = sorted(disk.face_ids)
+    rim_edges = set(disk._disk.boundary_edges)
+    edges_in = sorted({s.edge for f in faces_in for s in host.faces[f]} - rim_edges)
+    new_edges = len(patch.edges) - k - len(edges_in)
+    new_faces = len(patch.faces) - len(faces_in)
+    if new_edges < 0 or new_faces < 0:
+        raise GeometryError("the patch has fewer interior edges or faces than the disk")
+    if len(lengths) != len(patch.edges) - k:
+        raise GeometryError("need one length per interior edge of the patch")
+    tails = [host.side_endpoints(side)[0] for side in rim]
+    inside = sorted(disk._disk.interior_vertices)
+    vertex = dict(zip(patch._structure.vertices, chain(tails, inside, count(host.num_vertices))))
+    edge_ids = [*edges_in, *range(len(host.edges), len(host.edges) + new_edges)]
+    face_ids = [*faces_in, *range(len(host.faces), len(host.faces) + new_faces)]
+    edges = [*host.edges, *[None] * new_edges]
+    all_lengths = [*host.lengths.tolist(), *[None] * new_edges]
+    for e, (t, h), length in zip(edge_ids, patch.edges[k:], lengths):
+        edges[e] = (vertex[t], vertex[h])
+        all_lengths[e] = length
+    sides = [
+        rim[s.edge] if s.edge < k else Side(edge_ids[s.edge - k], s.forward)
+        for s in chain(*patch.faces)
+    ]
+    faces = [*host.faces, *[None] * new_faces]
+    for n, f in enumerate(face_ids):
+        faces[f] = (sides[3 * n], sides[3 * n + 1], sides[3 * n + 2])
+    cones = {v: a for v, a in host.cone_angles.items() if v not in disk._disk.interior_vertices}
+    cones.update((vertex[v], a) for v, a in cone_angles.items())
+    spliced = ConeSurface(tuple(edges), tuple(faces), all_lengths, cones, check_angles=False)
+    return spliced, DiskSpec(spliced, frozenset(face_ids))
+
+
+def _planless_flip_edge(s, e):
+    """conesurf.flip_edge as it found the edge's faces, corners and sides,
+    and built the flipped faces, on every call."""
+    uses = _uses_of(s._structure, e)
+    if len(uses) != 2:
+        raise GeometryError("cannot flip a boundary edge")
+    (f1, i1), (f2, i2) = uses
+    if f1 == f2:
+        raise GeometryError("cannot flip a self-glued edge")
+    tail = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
+    head = s.corner_angle(f1, (i1 + 1) % 3) + s.corner_angle(f2, i2)
+    for corner, angle in ((i1, tail), ((i1 + 1) % 3, head)):
+        if angle >= np.pi:
+            raise GeometryError(
+                f"cannot flip edge {e}: the quadrilateral is not convex at vertex "
+                f"{s.face_corners(f1)[corner]}, where its corners sum to {angle:.6g} >= pi"
+            )
+    into = s.lengths[s.faces[f1][(i1 + 2) % 3].edge]
+    out_of = s.lengths[s.faces[f2][(i2 + 1) % 3].edge]
+    cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
+    if not cosh_new > 1.0:
+        raise NotHyperbolicError("flip would degenerate the quadrilateral")
+    new_len = float(np.arccosh(cosh_new))
+    sides1, sides2 = s.faces[f1], s.faces[f2]
+    a = sides1[(i1 + 1) % 3]
+    b = sides1[(i1 + 2) % 3]
+    c = sides2[(i2 + 1) % 3]
+    d = sides2[(i2 + 2) % 3]
+    far1 = s.face_corners(f1)[(i1 + 2) % 3]
+    far2 = s.face_corners(f2)[(i2 + 2) % 3]
+    edges = list(s.edges)
+    edges[e] = (far1, far2)
+    lengths = s.lengths.copy()
+    lengths[e] = new_len
+    faces = list(s.faces)
+    faces[f1] = (Side(e, True), d, a)
+    faces[f2] = (Side(e, False), b, c)
+    return ConeSurface(tuple(edges), tuple(faces), lengths, s.cone_angles, s.check_angles)
+
+
+def _planless_holonomy_of_loop(s, loop):
+    """conesurf.holonomy_of_loop as it walked the loop on every call,
+    checking each face it reaches for a degenerate corner."""
+    steps = resolve_loop(loop)
+    table, degenerate = s._transition_table()
+
+    def check_sound(f):
+        if degenerate[f]:
+            raise NotHyperbolicError(f"degenerate corner at face {f}")
+
+    f0 = f = steps[0][0]
+    check_sound(f)
+    for fi, si in steps:
+        if fi != f:
+            raise GeometryError("loop steps do not chain")
+        f, _ = s.neighbor_across(f, si)
+        check_sound(f)
+    if f != f0:
+        raise GeometryError("loop does not return to its base face")
+    faces, sides = zip(*steps)
+    factors = table[list(faces), list(sides)]
+    h = factors[0]
+    for t in factors[1:]:
+        h = h @ t
+    return Proj2(h)
+
+
+@pytest.fixture(scope="session")
+def planless():
+    """References for the operations that conesurf plans once per
+    structure: splice_disk, flip_edge and holonomy_of_loop as they were
+    before (SimpleNamespace of the three)."""
+    return SimpleNamespace(
+        splice_disk=_planless_splice_disk,
+        flip_edge=_planless_flip_edge,
+        holonomy_of_loop=_planless_holonomy_of_loop,
+    )
 
 
 @pytest.fixture(scope="session")

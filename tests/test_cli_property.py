@@ -231,6 +231,52 @@ def test_extreme_numbers_give_the_same_answer_twice(tmp_path, command):
             assert first[0] in (0, 1, 2) and "Traceback" not in first[1] + first[2], where
 
 
+def _scaled(node, factor):
+    """The document with every float of it multiplied by factor."""
+    if isinstance(node, dict):
+        return {k: _scaled(v, factor) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_scaled(v, factor) for v in node]
+    return node * factor if type(node) is float else node
+
+
+def _corpus_jet() -> dict:
+    """The first valid lr-metrics document of the seed-1 cli-corpus."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import corpus
+
+    return json.loads(next(d.text for d in corpus.cli_corpus(1) if d.cmd == "lr-metrics"))
+
+
+@pytest.mark.parametrize(
+    "jet,factor,refused",
+    [
+        ("base", 1e100, "sample 0: det_mu_l"),
+        ("base", 1e150, "sample 0: mu_l"),
+        ("base", 1e155, "sample 0: curvature"),
+        ("base", 1e300, "sample 0: curvature"),
+        ("corpus", 1e100, "sample 0: det_mu_l"),
+        ("corpus", 1e155, "sample 0: curvature"),
+    ],
+)
+def test_scaled_jets_are_refused_naming_sample_and_quantity(tmp_path, jet, factor, refused):
+    """A jet with every number scaled by a large factor stays self-adjoint,
+    which one large leaf (the mutation property) does not: its determinants,
+    then its metrics, then its curvatures overflow.  That is a domain
+    rejection naming the first sample and quantity that is not finite, one
+    stderr line and no report, where it printed Infinity or NaN as JSON and
+    let numpy warn."""
+    doc = json.loads(_base_text("lr-metrics")) if jet == "base" else _corpus_jet()
+    doc["payload"] = _scaled(doc["payload"], factor)
+    path = tmp_path / "doc.json"
+    path.write_text(docs.canonical_json(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        answer = run_cli(["lr-metrics", "--input", str(path)])
+    assert [str(w.message) for w in caught] == []
+    assert answer == (2, "", f"rejected: {refused} is not finite\n")
+
+
 @pytest.mark.parametrize(
     "path,value,error",
     [

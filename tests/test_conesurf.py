@@ -220,9 +220,9 @@ def test_disks_isometric_identical_and_flip():
     interior = [
         e
         for e in range(len(surf.edges))
-        if all(f in disk.face_ids for f, _ in _uses_of(surf, e))
-        and len(_uses_of(surf, e)) == 2
-        and _uses_of(surf, e)[0][0] != _uses_of(surf, e)[1][0]
+        if all(f in disk.face_ids for f, _ in _uses_of(surf._structure, e))
+        and len(_uses_of(surf._structure, e)) == 2
+        and _uses_of(surf._structure, e)[0][0] != _uses_of(surf._structure, e)[1][0]
     ]
     flipped = None
     for e in interior:
@@ -257,7 +257,7 @@ def test_flip_diagonal_matches_quadrilateral_oracle():
     old diagonal."""
     surf, disk = torus_with_cone_point(PI)
     for e in range(len(surf.edges)):
-        uses = _uses_of(surf, e)
+        uses = _uses_of(surf._structure, e)
         if len(uses) != 2 or uses[0][0] == uses[1][0]:
             continue
         if not all(f in disk.face_ids for f, _ in uses):
@@ -328,7 +328,7 @@ def test_vertex_loops_equal_the_face_scan(scanned_vertex_loop):
 def _quadrilateral_angles(surf, e):
     """The angles of the quadrilateral around e at the two ends of e, each
     the sum of the corners of its two faces there."""
-    (f1, i1), (f2, i2) = _uses_of(surf, e)
+    (f1, i1), (f2, i2) = _uses_of(surf._structure, e)
     angles = surf.corner_angles()
     ends1 = surf.face_corners(f1)[i1], surf.face_corners(f1)[(i1 + 1) % 3]
     at = {v: angles[f1, i] for v, i in zip(ends1, (i1, (i1 + 1) % 3))}
@@ -385,7 +385,7 @@ def test_flips_match_the_development(seed, developed_flip_length, monkeypatch):
         # every angle sum (the surfaces have their angle check on) and the
         # diagonal is compared
         for e in range(len(surf.edges)):
-            uses = _uses_of(surf, e)
+            uses = _uses_of(surf._structure, e)
             if len(uses) != 2 or uses[0][0] == uses[1][0]:
                 continue
             if max(_quadrilateral_angles(surf, e)) >= PI:

@@ -16,6 +16,7 @@ from adscone import lrmetrics
 from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
 from adscone.cli import main
 from adscone.conesurf import holonomy_of_loop
+from adscone.errors import GeometryError
 from adscone.hssurface import (
     CurveRecord,
     DeSitterRegion,
@@ -60,6 +61,53 @@ def test_canonical_json_deterministic():
     s2 = docs.canonical_json(json.loads(s1))
     assert s1 == s2
     assert format(1.0 / 3.0, ".17g") in s1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("inf")])
+def test_canonical_json_refuses_a_float_that_is_not_finite(value):
+    """Strict JSON has no NaN or Infinity, so no report can print one."""
+    with pytest.raises(ValueError, match="is not JSON compliant$"):
+        docs.canonical_json({"a": [1.0, value]})
+
+
+def _first_valid_documents():
+    """The first valid seed-1 cli-corpus document of each subcommand."""
+    firsts = {}
+    for d in corpus.cli_corpus(1):
+        if d.kind == "valid":
+            firsts.setdefault(d.cmd, d)
+    assert sorted(firsts) == sorted(corpus.SUBCOMMANDS)
+    return [firsts[cmd] for cmd in corpus.SUBCOMMANDS]
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("doc", _first_valid_documents(), ids=lambda d: d.cmd)
+def test_every_document_kind_accepts_only_an_integer_version(tmp_path, doc):
+    """A version that is not a JSON integer (a fraction, a bool, a string,
+    null, an array, an object, 1.0) is an input error naming the field; an
+    integer other than 1 is unsupported; 1, or no version, is read."""
+    path = tmp_path / "doc.json"
+    flags = list(corpus.FLAGS.get(doc.cmd, ()))
+
+    def run(version):
+        text = json.loads(doc.text)
+        if version is _MISSING:
+            del text["version"]
+        else:
+            text["version"] = version
+        path.write_text(json.dumps(text))
+        return run_cli([doc.cmd, "--input", str(path), *flags])
+
+    path.write_text(doc.text)
+    answer = run_cli([doc.cmd, "--input", str(path), *flags])
+    assert answer[0] == doc.exit
+    for version in (1.5, True, False, "x", "1", None, [1], {}, 1.0):
+        assert run(version) == (1, "", f"input error: version: expected integer, got {json.dumps(version)}\n")
+    assert run(2) == (1, "", "input error: unsupported version 2\n")
+    assert run(1) == answer
+    assert run(_MISSING) == answer
 
 
 def test_link_circle_roundtrip():
@@ -231,8 +279,17 @@ _hs_surfaces = st.builds(
         max_size=3,
     ).map(tuple),
 )
+def _real_angle(real: float, lightlike: bool) -> FaceAngle:
+    """A real angle; one drawn lightlike is refused (a Riemannian face has
+    no lightlike sides), and the angle without the flag comes back."""
+    if lightlike:
+        with pytest.raises(GeometryError, match="^a real angle has no lightlike sides$"):
+            FaceAngle(real=real, lightlike=True)
+    return FaceAngle(real=real)
+
+
 _angles = st.lists(
-    st.builds(FaceAngle, real=_finite)
+    st.builds(_real_angle, _finite, st.booleans())
     | st.builds(FaceAngle, k=st.integers(), r=_finite, lightlike=st.booleans()),
     max_size=3,
 ).map(tuple)

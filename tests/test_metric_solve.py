@@ -285,8 +285,7 @@ def test_disk_spec_reads_its_faces_once(monkeypatch):
     nothing, and a new face set is walked once more."""
     surf, _ = catalog.torus_with_cone_point(2.0)
     structure = surf._structure
-    monkeypatch.setattr(structure, "_disks", {})
-    monkeypatch.setattr(structure, "_disk_faces", 0)
+    monkeypatch.setattr(structure, "_disks", conesurf._Kept(len(structure.faces)))
     walks = []
     walk = conesurf._walk_disk
     monkeypatch.setattr(conesurf, "_walk_disk", lambda st, ids: walks.append(ids) or walk(st, ids))
@@ -363,7 +362,7 @@ def test_a_face_set_that_is_no_disk_raises_on_every_construction(monkeypatch):
         for _ in range(3):
             with pytest.raises(GeometryError, match=message):
                 DiskSpec(surf, faces)
-        assert faces not in surf._structure._disks
+        assert faces not in surf._structure._disks._entries
     assert len(walks) == 6
     with pytest.raises(GeometryError, match="empty disk"):
         DiskSpec(surf, frozenset())

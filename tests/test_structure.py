@@ -88,22 +88,22 @@ def _fan(n):
 
 
 def test_the_cache_holds_at_most_its_bound_of_faces(monkeypatch):
-    cache = conesurf._StructureCache(conesurf._STRUCTURE_FACES)
+    cache = conesurf._Kept(conesurf._STRUCTURE_FACES)
     monkeypatch.setattr(conesurf, "_STRUCTURES", cache)
     sizes = [1000 + k for k in range(12)]
     assert sum(sizes) > conesurf._STRUCTURE_FACES
     built = [_fan(n)._structure for n in sizes]
-    held = list(cache._entries.values())
-    assert cache.faces_held == sum(len(s.faces) for s in held) <= conesurf._STRUCTURE_FACES
+    held = [structure for structure, _ in cache._entries.values()]
+    assert cache.held == sum(len(s.faces) for s in held) <= conesurf._STRUCTURE_FACES
     # the oldest went first; the newest are still served from the cache
     assert held == built[-len(held):] and len(held) < len(built)
     assert _fan(sizes[-1])._structure is built[-1]
     assert _fan(sizes[0])._structure is not built[0]
-    assert cache.faces_held <= conesurf._STRUCTURE_FACES
+    assert cache.held <= conesurf._STRUCTURE_FACES
     # a triangulation larger than the whole bound is built but not kept
     big = _fan(conesurf._STRUCTURE_FACES + 1)
-    assert big._structure not in cache._entries.values()
-    assert cache.faces_held <= conesurf._STRUCTURE_FACES
+    assert big._structure not in [structure for structure, _ in cache._entries.values()]
+    assert cache.held <= conesurf._STRUCTURE_FACES
 
 
 def _assert_carries_its_corner_table(surface):
