@@ -118,18 +118,7 @@ def cmd_check_polyhedron(args) -> int:
 def cmd_speed_check(args) -> int:
     from .spacetimes import causal_speed_check
 
-    doc = _load(args.input)
-    payload = docs.check_envelope(doc, "causal-curve.json")
-    # a null reads as NaN, and 1e400 or "nan" as a float that is not finite
-    samples = np.asarray(payload["samples"], dtype=float)
-    if not np.isfinite(samples).all():
-        raise docs.DocumentError("causal-curve samples must be finite")
-    ts = samples[:, 0]
-    zs = samples[:, 1] + 1j * samples[:, 2]
-    mass = float(payload["mass"])
-    # the speed bound |z|^m / (1 - m) and the plot's envelope need 0 <= m < 1
-    if not 0.0 <= mass < 1.0:
-        raise docs.DocumentError(f"causal-curve mass must lie in [0, 1), got {mass}")
+    ts, zs, mass = docs.causal_curve_from_doc(_load(args.input))
     ok = causal_speed_check(ts, zs, mass, slack=CAUSAL_SPEED_SLACK * args.tolerance_scale)
     _emit({"causal": bool(ok), "mass": mass}, args.output)
     if args.plot:
@@ -202,18 +191,7 @@ def cmd_surgery(args) -> int:
     from .interactions import surgery_collision
     from .spacetimes import product_spacetime
 
-    doc = _load(args.input)
-    payload = docs.check_envelope(doc, "surgery-request.json")
-    base = docs.cone_surface_from_doc(payload["base"])
-    link = payload["link"]
-    # past its envelope, every error the link's reader raises names a leaf by
-    # its path in the link, which sits at payload.link of this request
-    docs.check_envelope(link, "hs-surface.json")
-    try:
-        link = docs.hs_surface_from_doc(link)
-    except docs.DocumentError as err:
-        raise docs.DocumentError(f"payload.link.{err}") from None
-    at = int(payload["at"])
+    base, link, at = docs.surgery_request_from_doc(_load(args.input))
     try:
         graph = surgery_collision(product_spacetime(base), link, at)
     except GeometryError as err:
@@ -356,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance-scale",
             type=_tolerance_scale,
             default=1.0,
-            dest="tolerance_scale",
             help="multiply the tolerances of speed-check, validate-graph and "
             "assemble-holonomy",
         )
@@ -381,9 +358,8 @@ def _run_single(fn, args) -> int:
         sys.stderr.write(f"rejected: {err}\n")
         return EXIT_REJECT
     except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError) as err:
-        # after GeometryError, which is a ValueError: a document missing an
-        # entry or holding a value of the wrong kind (a null where a mapping
-        # belongs, a vertex id too large for an index array)
+        # after GeometryError, a ValueError: values of the right kind that the
+        # library cannot hold (a vertex id too large for an index array)
         sys.stderr.write(f"input error: {type(err).__name__}: {err}\n")
         return EXIT_INPUT
 

@@ -5,6 +5,10 @@ Every document is an envelope {"schema": ..., "version": ..., "payload":
 with 17 significant digits, so identical inputs give byte-identical output.
 Matrices travel as length-4 arrays in row-major order.
 
+Every value a document holds is read by one rule, the codec below: it must
+be of the kind its place annotates, and a number must be finite.  Anything
+else raises DocumentError naming the value by its path in the document.
+
 Each *_from_doc function imports the layer whose types it builds when it is
 called, so that importing this module (as the command line does) loads none
 of conesurf, hssurface, lrmetrics, spacetimes or interactions.
@@ -14,27 +18,46 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import json
+import marshal
 import math
+import types
 import typing
 from enum import Enum
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .isom import LiftedProj2, Proj2
 from .linalg import HSPointClass
-from .rp1 import Arc, ArcTag, LinkCircle, RP1Circle
+from .rp1 import Arc, LinkCircle, RP1Circle
 
 if TYPE_CHECKING:
-    from .conesurf import ConeSurface
-    from .hssurface import MarkedHSMetric, SingularHSSurface
-    from .lrmetrics import SurfaceJet
     from .spacetimes import ModelSpacetime
 
 
 class DocumentError(ValueError):
     pass
+
+
+class _Wrong(DocumentError):
+    """A wrong kind, a missing entry or an unsupported envelope, by its path."""
+
+    path = ""
+
+    def __str__(self):
+        return f"{self.path[1:]}: {self.args[0]}" if self.path else self.args[0]
+
+    def at(self, key) -> _Wrong:
+        """This error, raised inside the entry key of an object or an array."""
+        self.path = (f"[{key}]" if type(key) is int else f".{key}") + self.path
+        return self
+
+
+def _expected(kind: str, value) -> _Wrong:
+    return _Wrong(f"expected {kind}, got {json.dumps(value)}")
 
 
 def canonical_json(obj) -> str:
@@ -67,172 +90,83 @@ def envelope(schema: str, payload: dict) -> dict:
 
 
 def check_envelope(doc: dict, schema: str) -> dict:
-    if not isinstance(doc, dict) or "schema" not in doc or "payload" not in doc:
-        raise DocumentError("document is not a schema/version/payload envelope")
-    if doc["schema"] != schema:
-        raise DocumentError(f"expected schema {schema!r}, got {doc['schema']!r}")
-    version = doc.get("version", 1)
-    if type(version) is not int:  # a JSON integer; a bool is none
-        raise DocumentError(f"version: expected integer, got {json.dumps(version)}")
+    """The payload, an object, of a document of the schema; a missing
+    version reads as 1."""
+    if not isinstance(doc, dict):
+        raise _expected("object", doc)
+    if _read(doc, "schema", str) != schema:
+        raise _expected(json.dumps(schema), doc["schema"]).at("schema")
+    version = _read(doc, "version", int, 1)
     if version != 1:
-        raise DocumentError(f"unsupported version {version}")
-    return doc["payload"]
+        raise _Wrong(f"unsupported version {version}")
+    return _read(doc, "payload", dict)
+
+
+def _from_doc(doc: dict, schema: str, read):
+    """read(payload) of a document of the schema."""
+    check_envelope(doc, schema)
+    return _read(doc, "payload", read)
 
 
 def matrix_to_list(m: np.ndarray) -> list:
     return [float(v) for v in np.asarray(m, dtype=float).ravel()]
 
 
-def matrix_from_list(vals) -> np.ndarray:
-    arr = np.asarray(vals, dtype=float)
-    if arr.size != 4:
-        raise DocumentError("matrices are length-4 row-major arrays")
-    entries = arr.ravel().tolist()
-    if not all(map(math.isfinite, entries)):
-        # a null entry reads as NaN
-        raise DocumentError(f"matrix entries must be finite, got {entries}")
-    return arr.reshape(2, 2)
-
-
-# -- link circles -------------------------------------------------------------
-
-
-def link_circle_to_doc(link: LinkCircle) -> dict:
-    c = link.circle
-    payload = {
-        "holonomy": matrix_to_list(c.holonomy.g.m),
-        "lift_offset": float(c.holonomy.s),
-        "basepoint_class": link.basepoint_class.value,
-        "arcs": [
-            {"start": float(a.start), "end": float(a.end), "tag": a.tag.value}
-            for a in link.arcs
-        ],
-    }
-    if c.interval is not None:
-        payload["interval"] = [float(c.interval[0]), float(c.interval[1])]
-    if c.future_anchor is not None:
-        payload["future_anchor"] = float(c.future_anchor)
-    return envelope("link-circle.json", payload)
-
-
-def _finite_number(value, field: str) -> float:
-    """A JSON number that is finite, as a float; anything else (a string,
-    null, NaN, an infinity, a boolean) is refused by the field's name."""
-    try:
-        x = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer beyond the float range
-        x = math.inf
-    if not math.isfinite(x):
-        raise DocumentError(f"{field} must be a finite number, got {value!r}")
-    return x
-
-
-def link_circle_from_doc(doc: dict) -> LinkCircle:
-    payload = check_envelope(doc, "link-circle.json")
-    lift = LiftedProj2(Proj2(matrix_from_list(payload["holonomy"])), float(payload["lift_offset"]))
-    interval, anchor = payload.get("interval"), payload.get("future_anchor")
-    if "interval" in payload:
-        if not (isinstance(interval, list) and len(interval) == 2):
-            raise DocumentError(f"interval must be two finite numbers, got {interval!r}")
-        interval = tuple(_finite_number(x, "interval end") for x in interval)
-    if "future_anchor" in payload:
-        anchor = _finite_number(anchor, "future_anchor")
-    circle = RP1Circle(lift, interval=interval, future_anchor=anchor)
-    arcs = tuple(
-        Arc(float(a["start"]), float(a["end"]), ArcTag(a["tag"])) for a in payload["arcs"]
-    )
-    return LinkCircle(circle, HSPointClass(payload["basepoint_class"]), arcs)
-
-
-# -- cone surfaces ------------------------------------------------------------
-
-
-def cone_surface_to_doc(s: ConeSurface) -> dict:
-    payload = {
-        "edges": [[int(t), int(h)] for t, h in s.edges],
-        "faces": [[[int(side.edge), bool(side.forward)] for side in f] for f in s.faces],
-        "lengths": [float(x) for x in s.lengths],
-        "cone_angles": {str(v): float(a) for v, a in s.cone_angles.items()},
-    }
-    return envelope("cone-surface.json", payload)
-
-
-def cone_surface_from_doc(doc: dict) -> ConeSurface:
-    from .conesurf import ConeSurface, Side
-
-    payload = check_envelope(doc, "cone-surface.json")
-    return ConeSurface(
-        tuple((int(t), int(h)) for t, h in payload["edges"]),
-        tuple(tuple(Side(int(e), bool(fwd)) for e, fwd in f) for f in payload["faces"]),
-        np.asarray(payload["lengths"], dtype=float),
-        {int(v): float(a) for v, a in payload.get("cone_angles", {}).items()},
-    )
-
-
-# -- models -------------------------------------------------------------------
-
-
-def model_to_doc(m: ModelSpacetime) -> dict:
-    payload = {"kind": m.kind.value}
-    if m.theta is not None:
-        payload["theta"] = float(m.theta)
-    if m.mass is not None:
-        payload["mass"] = float(m.mass)
-    if m.sign is not None:
-        payload["sign"] = int(m.sign)
-    if m.base is not None:
-        payload["base"] = cone_surface_to_doc(m.base)
-    if m.holonomies is not None:
-        payload["holonomies"] = [matrix_to_list(g.m) for g in m.holonomies]
-    return envelope("model.json", payload)
-
-
-def model_from_doc(doc: dict) -> ModelSpacetime:
-    from .spacetimes import ModelKind, black_hole_spacetime, btz_static, cone_spacetime
-    from .spacetimes import extreme_spacetime, graviton_spacetime, product_spacetime
-    from .spacetimes import tachyon_spacetime
-
-    payload = check_envelope(doc, "model.json")
-    kind = ModelKind(payload["kind"])
-    if kind is ModelKind.CONE:
-        return cone_spacetime(float(payload["theta"]))
-    if kind is ModelKind.TACHYON:
-        return tachyon_spacetime(float(payload["mass"]))
-    if kind is ModelKind.BLACK_HOLE:
-        return black_hole_spacetime(float(payload["mass"]))
-    if kind is ModelKind.GRAVITON:
-        return graviton_spacetime(int(payload["sign"]))
-    if kind is ModelKind.EXTREME:
-        return extreme_spacetime()
-    if kind is ModelKind.PRODUCT:
-        return product_spacetime(cone_surface_from_doc(payload["base"]))
-    if kind is ModelKind.BTZ_STATIC:
-        g1, g2 = (Proj2(matrix_from_list(v)) for v in payload["holonomies"])
-        return btz_static(g1, g2)
-    raise DocumentError(f"cannot rebuild model of kind {kind}")
-
-
-# -- HS-structures and surface jets: one codec --------------------------------
+# -- the codec ----------------------------------------------------------------
 #
-# These documents are their dataclasses, every field under its own name and
-# of its annotated kind, encoded and decoded by a plan built per class on
-# first use.  The departures: MarkedHSMetric.type_tag travels under "type"; a
-# FaceAngle, real or Lorentzian, writes and reads the first of its _LAYOUTS
-# whose first field it holds, and each field of that layout holds a value; a
-# missing field takes its default, or None where it is annotated X | None.
+# A value annotated X travels as _codec(X), a plan built on first use.  A
+# dataclass is an object of its fields, each under its name and of its
+# annotated kind, except: MarkedHSMetric.type_tag travels as "type" and
+# ConeSurface.check_angles not at all (_KEYS), a Side is [edge, forward]
+# (_ROWS), a cone surface has one number per edge for lengths (_HINTS,
+# _CHECKS), and a FaceAngle holds all fields of the first of its _LAYOUTS
+# whose first field it has.  A missing field takes its default, or None
+# for X | None.  tuple[X, ...], list[X] and frozenset[X] (sorted) are
+# arrays, tuple[X, Y] one of that many, dict[K, V] an object (an int key as
+# its decimal text), np.ndarray a matrix.  A float is a finite number (an
+# int counts), an int an integer (a bool is none), an Enum one of its values.
 
-_KEYS = {"type_tag": "type"}
+_KEYS = {"type_tag": "type", "check_angles": None}
 _LAYOUTS = {"FaceAngle": (("real",), ("k", "r", "lightlike"))}
-_LEAVES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_ROWS = {"Side"}
+_HINTS = {"ConeSurface": {"lengths": tuple[float, ...]}}
+_LEAVES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
+_OWN_DEFAULT = object()
+_FLOAT_MAX = int(np.finfo(float).max)
 
 
-class _Wrong(DocumentError):
-    """A value of the wrong kind, or a missing entry: its text starts ": "
-    until each container it leaves prepends its key."""
+def _read(obj: dict, key: str, tp, default=dataclasses.MISSING):
+    """obj[key] read as tp, an annotation or a function of the JSON value, or
+    default where obj has no key."""
+    try:
+        if key in obj:
+            return (tp if isinstance(tp, types.FunctionType) else _codec(tp)[1])(obj[key])
+        if default is dataclasses.MISSING:
+            raise _Wrong("missing")
+        return default
+    except _Wrong as err:
+        raise err.at(key)
 
 
-def _expected(kind: str, value) -> _Wrong:
-    return _Wrong(f": expected {kind}, got {json.dumps(value)}")
+def _array(v, decs, n=None) -> list:
+    """The items of the JSON array v read by decs in turn, n of them if given."""
+    if type(v) is not list or n is not None and len(v) != n:
+        raise _expected("array" if n is None else f"array of length {n}", v)
+    items = []
+    try:
+        for dec, x in zip(decs, v):
+            items.append(dec(x))
+    except _Wrong as err:
+        raise err.at(len(items))
+    return items
+
+
+def _int_key(k: str) -> int:
+    """An object key that is the text of a JSON integer."""
+    try:
+        return _codec(int)[1](json.loads(k))
+    except ValueError:  # no JSON text, or one of another kind
+        raise _expected("integer key", k) from None
 
 
 def _optional(tp):
@@ -247,55 +181,67 @@ def _codec(tp):
     another kind."""
     if dataclasses.is_dataclass(tp):
         return _dataclass_codec(tp)
-    if typing.get_origin(tp) is tuple:  # tuple[X, ...]
-        enc, dec = _codec(typing.get_args(tp)[0])
-
-        def decode_items(v):
-            if not isinstance(v, (list, tuple)):
-                raise _expected("array", v)
-            items = []
-            try:
-                for x in v:
-                    items.append(dec(x))
-            except _Wrong as err:
-                err.args = (f"[{len(items)}]{err}",)
-                raise
-            return tuple(items)
-
-        return (lambda v: [enc(x) for x in v]), decode_items
+    if isinstance(tp, str):  # "module.Class" of a layer, imported on first use
+        module, name = tp.split(".")
+        return _codec(getattr(importlib.import_module(f".{module}", __package__), name))
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (list, frozenset) or origin is tuple and args[-1] is ...:
+        enc, dec = _codec(args[0])
+        order = sorted if origin is frozenset else iter
+        return (lambda v: [enc(x) for x in order(v)]), lambda v: origin(_array(v, repeat(dec)))
+    if origin is tuple:
+        encs, decs = zip(*map(_codec, args))
+        return (lambda v: [e(x) for e, x in zip(encs, v)]), lambda v: tuple(_array(v, decs, len(decs)))
+    if origin is dict:  # each entry named by its key
+        key, (enc, dec) = _int_key if args[0] is int else str, _codec(args[1])
+        return (lambda v: {str(k): enc(x) for k, x in v.items()}), (
+            lambda v: dict(_read(v, k, lambda x: (key(k), dec(x))) for k in _codec(dict)[1](v))
+        )
     if _optional(tp) is not None:
         enc, dec = _codec(_optional(tp))
         return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
     if tp is np.ndarray:
-        return matrix_to_list, matrix_from_list
+        dec = _codec(tuple[float, float, float, float])[1]
+        return matrix_to_list, lambda v: np.array(dec(v)).reshape(2, 2)
     if issubclass(tp, Enum):
-        enc, kinds = (lambda m: m.value), (str,)
-        kind = "one of " + ", ".join(json.dumps(m.value) for m in tp)
-    else:  # an int is a number too, but a bool is no int
-        enc, kind, kinds = tp, _LEAVES[tp], (int, float) if tp is float else (tp,)
+        members, kind = {m.value: m for m in tp}, "one of " + ", ".join(json.dumps(m.value) for m in tp)
 
-    def decode_leaf(v):
-        if type(v) in kinds:
-            try:
-                return tp(v)
-            except ValueError:  # a string that names no member
-                pass
+        def decode_member(v):
+            if type(v) is str and v in members:
+                return members[v]
+            raise _expected(kind, v)
+
+        return (lambda m: m.value), decode_member
+    kind = _LEAVES[tp]
+
+    def decode_leaf(v):  # a bool is no int
+        if type(v) is tp and (tp is not float or v - v == 0):  # Python's json reads NaN, Infinity
+            return v
+        if tp is float and type(v) is int and abs(v) <= _FLOAT_MAX:  # an int is a number too
+            return tp(v)
         raise _expected(kind, v)
 
-    return enc, decode_leaf
+    return tp, decode_leaf
 
 
 def _dataclass_codec(cls):
     """(encode, decode) for a dataclass, from its fields and their annotations."""
-    hints = typing.get_type_hints(cls)
+    hints = {**typing.get_type_hints(cls), **_HINTS.get(cls.__name__, {})}
+    written = [f for f in dataclasses.fields(cls) if _KEYS.get(f.name, f.name)]
+    if cls.__name__ in _ROWS:
+        enc, dec = _codec(tuple[tuple(hints[f.name] for f in written)])
+        return (lambda x: enc([getattr(x, f.name) for f in written])), lambda v: cls(*dec(v))
     variants = _LAYOUTS.get(cls.__name__)
-    plan = {}  # field name -> (key, encode, decode, default or MISSING)
-    for f in dataclasses.fields(cls):
-        tp, default = hints[f.name], f.default
-        if variants and default is None:
+    check = _CHECKS.get(cls.__name__)
+    plan = {}  # field name -> (key, encode, decode, what a missing entry takes)
+    for f in written:
+        tp = hints[f.name]
+        if variants and f.default is None:
             tp, default = _optional(tp), dataclasses.MISSING
-        elif default is dataclasses.MISSING and _optional(tp) is not None:
-            default = None
+        elif f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING:
+            default = _OWN_DEFAULT
+        else:
+            default = dataclasses.MISSING if _optional(tp) is None else None
         plan[f.name] = (_KEYS.get(f.name, f.name), *_codec(tp), default)
     layouts = [[(name, *plan[name]) for name in names] for names in variants or (plan,)]
 
@@ -313,124 +259,202 @@ def _dataclass_codec(cls):
                 if key in v:
                     values[name] = dec(v[key])
                 elif default is dataclasses.MISSING:
-                    raise _Wrong(": missing")
-                else:
+                    raise _Wrong("missing")
+                elif default is not _OWN_DEFAULT:
                     values[name] = default
         except _Wrong as err:
-            err.args = (f".{key}{err}",)
-            raise
+            raise err.at(key)
+        if check:
+            check(values)
         return cls(**values)
 
     return encode, decode
 
 
-def _from_doc(doc: dict, schema: str, cls):
-    try:
-        return _codec(cls)[1](check_envelope(doc, schema))
-    except _Wrong as err:
-        err.args = (f"payload{err}",)
-        raise
+def _one_length_per_edge(values: dict):
+    """A cone-surface document with another number of lengths than of edges
+    contradicts itself."""
+    n = len(values["edges"])
+    if len(values["lengths"]) != n:
+        raise _expected(f"array of length {n}, one per edge", values["lengths"]).at("lengths")
 
 
-def hs_surface_to_doc(s: SingularHSSurface) -> dict:
-    return envelope("hs-surface.json", _codec(type(s))[0](s))
+_CHECKS = {"ConeSurface": _one_length_per_edge}
 
 
-def hs_surface_from_doc(doc: dict) -> SingularHSSurface:
-    from .hssurface import SingularHSSurface
-
-    return _from_doc(doc, "hs-surface.json", SingularHSSurface)
+# -- documents whose payload is a dataclass -----------------------------------
 
 
-def marked_metric_to_doc(m: MarkedHSMetric) -> dict:
-    return envelope("marked-hs-metric.json", _codec(type(m))[0](m))
+def _documents(schema: str, cls: str):
+    """The writer and the reader of the documents whose payload is the
+    dataclass cls, "module.Class" of a layer the reader imports on first use."""
+
+    def to_doc(x) -> dict:
+        return envelope(schema, _codec(type(x))[0](x))
+
+    def from_doc(doc: dict):
+        return _from_doc(doc, schema, _codec(cls)[1])
+
+    return to_doc, from_doc
 
 
-def marked_metric_from_doc(doc: dict) -> MarkedHSMetric:
-    from .hssurface import MarkedHSMetric
-
-    return _from_doc(doc, "marked-hs-metric.json", MarkedHSMetric)
-
-
-def surface_jet_to_doc(j: SurfaceJet) -> dict:
-    return envelope("surface-jet.json", _codec(type(j))[0](j))
+cone_surface_to_doc, cone_surface_from_doc = _documents("cone-surface.json", "conesurf.ConeSurface")
+hs_surface_to_doc, hs_surface_from_doc = _documents("hs-surface.json", "hssurface.SingularHSSurface")
+marked_metric_to_doc, marked_metric_from_doc = _documents(
+    "marked-hs-metric.json", "hssurface.MarkedHSMetric"
+)
+surface_jet_to_doc, surface_jet_from_doc = _documents("surface-jet.json", "lrmetrics.SurfaceJet")
 
 
-def surface_jet_from_doc(doc: dict) -> SurfaceJet:
-    from .lrmetrics import SurfaceJet
+# -- link circles and models --------------------------------------------------
 
-    return _from_doc(doc, "surface-jet.json", SurfaceJet)
+
+def link_circle_to_doc(link: LinkCircle) -> dict:
+    c = link.circle
+    payload = {
+        "holonomy": matrix_to_list(c.holonomy.g.m),
+        "lift_offset": c.holonomy.s,
+        "basepoint_class": link.basepoint_class.value,
+        "arcs": _codec(tuple[Arc, ...])[0](link.arcs),
+        "interval": c.interval and list(c.interval),
+        "future_anchor": c.future_anchor,
+    }
+    return envelope("link-circle.json", {k: v for k, v in payload.items() if v is not None})
+
+
+def link_circle_from_doc(doc: dict) -> LinkCircle:
+    def read(p):
+        lift = LiftedProj2(Proj2(_read(p, "holonomy", np.ndarray)), _read(p, "lift_offset", float))
+        interval = _read(p, "interval", tuple[float, float], None)
+        circle = RP1Circle(lift, interval, _read(p, "future_anchor", float, None))
+        arcs = _read(p, "arcs", tuple[Arc, ...])
+        return LinkCircle(circle, _read(p, "basepoint_class", HSPointClass), arcs)
+
+    return _from_doc(doc, "link-circle.json", read)
+
+
+def model_to_doc(m: ModelSpacetime) -> dict:
+    payload = {
+        "kind": m.kind.value,
+        "theta": m.theta,
+        "mass": m.mass,
+        "sign": m.sign,
+        "base": m.base and cone_surface_to_doc(m.base),
+        "holonomies": m.holonomies and [matrix_to_list(g.m) for g in m.holonomies],
+    }
+    return envelope("model.json", {k: v for k, v in payload.items() if v is not None})
+
+
+def model_from_doc(doc: dict) -> ModelSpacetime:
+    from . import spacetimes as st
+
+    def read(p):
+        kind = _read(p, "kind", st.ModelKind)
+        if kind is st.ModelKind.CONE:
+            return st.cone_spacetime(_read(p, "theta", float))
+        if kind is st.ModelKind.TACHYON:
+            return st.tachyon_spacetime(_read(p, "mass", float))
+        if kind is st.ModelKind.BLACK_HOLE:
+            return st.black_hole_spacetime(_read(p, "mass", float))
+        if kind is st.ModelKind.GRAVITON:
+            return st.graviton_spacetime(_read(p, "sign", int))
+        if kind is st.ModelKind.EXTREME:
+            return st.extreme_spacetime()
+        if kind is st.ModelKind.PRODUCT:
+            return st.product_spacetime(_read(p, "base", cone_surface_from_doc))
+        if kind is st.ModelKind.BTZ_STATIC:
+            return st.btz_static(*map(Proj2, _read(p, "holonomies", tuple[np.ndarray, np.ndarray])))
+        raise DocumentError(f"cannot rebuild model of kind {kind}")
+
+    return _from_doc(doc, "model.json", read)
 
 
 # -- interaction graphs -------------------------------------------------------
 
+_LOOPS = dict[str, list[tuple[int, int]]]  # generator name -> (face, side) steps
+
 
 def interaction_graph_to_doc(g) -> dict:
-    payload = {
-        "vertices": {
-            name: {
-                "mu_l": cone_surface_to_doc(v.mu_l),
-                "mu_r": cone_surface_to_doc(v.mu_r),
-                "marked": {str(k): float(a) for k, a in v.marked.items()},
-                "generator_loops": {
-                    k: [[int(f), int(si)] for f, si in lp]
-                    for k, lp in v.generator_loops.items()
-                },
-            }
-            for name, v in g.vertices.items()
-        },
-        "edges": [
-            {
-                "before": e.before,
-                "after": e.after,
-                "disk_before": sorted(int(f) for f in e.disk_before),
-                "disk_after": sorted(int(f) for f in e.disk_after),
-                "identification": dict(e.identification),
-                "vanished": [float(a) for a in e.vanished],
-                "created": [float(a) for a in e.created],
-            }
-            for e in g.edges
-        ],
-        "initial": g.initial,
-        "final": g.final,
+    from .interactions import CollisionEdge
+
+    vertices = {
+        name: {
+            "mu_l": cone_surface_to_doc(v.mu_l),
+            "mu_r": cone_surface_to_doc(v.mu_r),
+            "marked": _codec(dict[int, float])[0](v.marked),
+            "generator_loops": _codec(_LOOPS)[0](v.generator_loops),
+        }
+        for name, v in g.vertices.items()
     }
+    edges = _codec(tuple[CollisionEdge, ...])[0](g.edges)
+    payload = {"vertices": vertices, "edges": edges, "initial": g.initial, "final": g.final}
     return envelope("interaction-graph.json", payload)
 
 
 def interaction_graph_from_doc(doc: dict):
     from .interactions import CollisionEdge, InteractionGraph, SliceVertex
 
-    payload = check_envelope(doc, "interaction-graph.json")
     # equal surface documents parse to one ConeSurface, so a slice whose left
-    # and right metrics agree carries one object for both
-    parsed = []  # (surface document, surface)
+    # and right metrics agree carries one object for both; they are compared
+    # by their marshal bytes, which tell true from 1 where == does not
+    parsed = {}
 
-    def surface(sdoc):
-        for seen, surf in parsed:
-            if seen == sdoc:
-                return surf
-        parsed.append((sdoc, cone_surface_from_doc(sdoc)))
-        return parsed[-1][1]
+    def surface(v, key):
+        form = marshal.dumps(v.get(key))
+        if form not in parsed:
+            parsed[form] = _read(v, key, cone_surface_from_doc)
+        return parsed[form]
 
-    vertices = {}
-    for name, v in payload["vertices"].items():
-        vertices[name] = SliceVertex(
-            name,
-            surface(v["mu_l"]),
-            surface(v["mu_r"]),
-            {int(k): float(a) for k, a in v.get("marked", {}).items()},
-            {k: [(int(f), int(si)) for f, si in lp] for k, lp in v.get("generator_loops", {}).items()},
-        )
-    edges = tuple(
-        CollisionEdge(
-            e["before"],
-            e["after"],
-            frozenset(int(f) for f in e["disk_before"]),
-            frozenset(int(f) for f in e["disk_after"]),
-            dict(e.get("identification", {})),
-            tuple(e.get("vanished", [])),
-            tuple(e.get("created", [])),
-        )
-        for e in payload.get("edges", [])
-    )
-    return InteractionGraph(vertices, edges, payload.get("initial"), payload.get("final"))
+    def read(p):
+        vertices = {}
+        for name, v in _read(p, "vertices", dict[str, dict]).items():
+            try:
+                marked = _read(v, "marked", dict[int, float], {})
+                loops = _read(v, "generator_loops", _LOOPS, {})
+                vertices[name] = SliceVertex(name, surface(v, "mu_l"), surface(v, "mu_r"), marked, loops)
+            except _Wrong as err:
+                raise err.at(name).at("vertices")
+        edges = _read(p, "edges", tuple[CollisionEdge, ...], ())
+        ends = (_read(p, key, str | None, None) for key in ("initial", "final"))
+        return InteractionGraph(vertices, edges, *ends)
+
+    return _from_doc(doc, "interaction-graph.json", read)
+
+
+# -- request payloads ---------------------------------------------------------
+
+
+def causal_curve_from_doc(doc: dict):
+    """(ts, zs, mass) of a causal-curve document, zs = x + iy for its (t, x,
+    y) samples.  The samples, thousands of numbers, are typed and converted in
+    one pass; only a document that fails it is read leaf by leaf."""
+
+    def read(p):
+        samples = p.get("samples")
+        try:
+            typed = set(map(len, samples)) == {3} and set(map(type, chain(*samples))) <= {int, float}
+            flat = np.fromiter(chain(*samples), float, 3 * len(samples)) if typed else None
+        except (TypeError, OverflowError):
+            flat = None
+        if flat is None or not np.isfinite(flat).all():
+            _read(p, "samples", tuple[tuple[float, float, float], ...])  # names the wrong entry
+            raise _expected("non-empty array", []).at("samples")  # the only one left
+        mass = _read(p, "mass", float)
+        # the speed bound |z|^m / (1 - m) and the plot's envelope need 0 <= m < 1
+        if not 0.0 <= mass < 1.0:
+            raise DocumentError(f"causal-curve mass must lie in [0, 1), got {mass}")
+        ts, xs, ys = flat.reshape(-1, 3).T
+        return ts, xs + 1j * ys, mass
+
+    return _from_doc(doc, "causal-curve.json", read)
+
+
+def surgery_request_from_doc(doc: dict):
+    """(base, link, at) of a surgery request: the host surface, the HS-sphere
+    of the collision and the cone vertex it happens at."""
+
+    def read(p):
+        base, link = _read(p, "base", cone_surface_from_doc), _read(p, "link", hs_surface_from_doc)
+        return base, link, _read(p, "at", int)
+
+    return _from_doc(doc, "surgery-request.json", read)

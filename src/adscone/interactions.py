@@ -68,12 +68,12 @@ class CollisionEdge:
 
     before: str
     after: str
-    disk_before: frozenset
-    disk_after: frozenset
+    disk_before: frozenset[int]
+    disk_after: frozenset[int]
     # identification of complement generators: name in before -> name in after
-    identification: dict = field(default_factory=dict)
-    vanished: tuple = ()  # marked points of the before slice inside the disk
-    created: tuple = ()  # marked points of the after slice inside the disk
+    identification: dict[str, str] = field(default_factory=dict)
+    vanished: tuple[float, ...] = ()  # marked points of the before slice inside the disk
+    created: tuple[float, ...] = ()  # marked points of the after slice inside the disk
 
 
 @dataclass(frozen=True)

@@ -58,10 +58,11 @@ class JetSample:
         B = np.asarray(self.B, dtype=float)
         object.__setattr__(self, "I", I)
         object.__setattr__(self, "B", B)
-        if np.abs(I - I.T).max() > JET_SYMMETRIC:
+        # written so that a NaN (an I @ B that overflowed) fails them
+        if not np.abs(I - I.T).max() <= JET_SYMMETRIC:
             raise GeometryError("I must be symmetric")
         s = I @ B
-        if np.abs(s - s.T).max() > JET_SELF_ADJOINT * max(1.0, np.abs(s).max()):
+        if not np.abs(s - s.T).max() <= JET_SELF_ADJOINT * max(1.0, np.abs(s).max()):
             raise GeometryError("B must be self-adjoint for I")
 
     @property

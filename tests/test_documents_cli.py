@@ -40,7 +40,7 @@ from adscone.linalg import HSPointClass
 from adscone.links import SingKind, SingularityType
 from adscone.lrmetrics import JetSample, SurfaceJet
 from adscone.rp1 import elliptic_link_circle, mark_timelike_arcs
-from adscone.spacetimes import cone_spacetime, saturating_null_curve
+from adscone.spacetimes import cone_spacetime, product_spacetime, saturating_null_curve
 
 PI = np.pi
 
@@ -133,59 +133,59 @@ def _non_finite_doc(command):
             "classify-link",
             ("holonomy", 1),
             float("nan"),
-            "matrix entries must be finite, got [6.123233995736766e-17, nan, 1.0, 6.123233995736766e-17]",
+            "payload.holonomy[1]: expected number, got NaN",
             id="classify-link-holonomy",
         ),
         pytest.param(
             "classify-link",
             ("lift_offset",),
             float("nan"),
-            "ValueError: lift offset s must be finite",
+            "payload.lift_offset: expected number, got NaN",
             id="classify-link-lift-offset",
         ),
         pytest.param(
             "lr-metrics",
             ("samples", 0, "B", 3),
             None,
-            "matrix entries must be finite, got [0.5, 0.0, 0.0, nan]",
+            "payload.samples[0].B[3]: expected number, got null",
             id="lr-metrics-null-in-B",
         ),
         pytest.param(
             "lr-metrics",
             ("samples", 1, "I", 0),
             float("inf"),
-            "matrix entries must be finite, got [inf, 0.0, 0.0, 1.0]",
+            "payload.samples[1].I[0]: expected number, got Infinity",
             id="lr-metrics-infinite-I",
         ),
         pytest.param(
             "speed-check",
             ("samples", 1, 2),
             None,
-            "causal-curve samples must be finite",
+            "payload.samples[1][2]: expected number, got null",
             id="speed-check-null-sample",
         ),
         pytest.param(
             "speed-check",
             ("mass",),
             float("inf"),
-            "causal-curve mass must lie in [0, 1), got inf",
+            "payload.mass: expected number, got Infinity",
             id="speed-check-infinite-mass",
         ),
         pytest.param(
             "speed-check",
             ("mass",),
             "nan",
-            "causal-curve mass must lie in [0, 1), got nan",
+            'payload.mass: expected number, got "nan"',
             id="speed-check-nan-text-mass",
         ),
     ],
 )
 def test_a_non_finite_number_is_an_input_error(tmp_path, command, path, value, error):
     """A null, NaN or infinite number in a link circle, a matrix or a causal
-    curve is malformed input (exit 1), not a NaN in the report.  A null in a
-    surface jet used to reach the report as NaN, which is not JSON, with
-    exit 0 and numpy's "invalid value" warning on the first call in a
-    process only."""
+    curve is malformed input (exit 1), not a NaN in the report, and is named
+    by its path.  A null in a surface jet used to reach the report as NaN,
+    which is not JSON, with exit 0 and numpy's "invalid value" warning on
+    the first call in a process only."""
     doc = json.loads(docs.canonical_json(_non_finite_doc(command)))
     node = doc["payload"]
     for key in path[:-1]:
@@ -205,37 +205,65 @@ def test_cone_surface_roundtrip():
     assert back.faces == surf.faces
 
 
-# the reader and writer of each cli-corpus subcommand whose document the
-# dataclass codec reads
-CODEC_DOCS = {
+def _curve_to_doc(curve) -> dict:
+    """The causal-curve document of causal_curve_from_doc's (ts, zs, mass)."""
+    ts, zs, mass = curve
+    samples = [[t, z.real, z.imag] for t, z in zip(ts.tolist(), zs.tolist())]
+    return docs.envelope("causal-curve.json", {"mass": mass, "samples": samples})
+
+
+def _request_to_doc(request) -> dict:
+    """The surgery-request document of surgery_request_from_doc's (base, link, at)."""
+    base, link, at = request
+    payload = {"base": docs.cone_surface_to_doc(base), "link": docs.hs_surface_to_doc(link), "at": at}
+    return docs.envelope("surgery-request.json", payload)
+
+
+# the reader and writer of each cli-corpus subcommand's document; the payloads
+# of speed-check and surgery are written from their parts
+DOCUMENTS = {
+    "classify-link": (docs.link_circle_from_doc, docs.link_circle_to_doc),
     "classify-sphere": (docs.hs_surface_from_doc, docs.hs_surface_to_doc),
     "trace-causal": (docs.hs_surface_from_doc, docs.hs_surface_to_doc),
     "check-polyhedron": (docs.marked_metric_from_doc, docs.marked_metric_to_doc),
+    "speed-check": (docs.causal_curve_from_doc, _curve_to_doc),
     "lr-metrics": (docs.surface_jet_from_doc, docs.surface_jet_to_doc),
+    "classify-model-links": (docs.model_from_doc, docs.model_to_doc),
+    "surgery": (docs.surgery_request_from_doc, _request_to_doc),
+    "validate-graph": (docs.interaction_graph_from_doc, docs.interaction_graph_to_doc),
+    "assemble-holonomy": (docs.interaction_graph_from_doc, docs.interaction_graph_to_doc),
 }
 
 
-def _codec_documents():
-    """Every valid codec document of the cli-corpus seeds 1-3, and the link
-    of every surgery request, with the reader and writer of its kind."""
+def test_codec_documents_are_written_back_byte_for_byte():
+    """Reading a document and writing what was read gives its own canonical
+    bytes, on every valid document of the benchmark's seeds 1-3 (270 of
+    them): every kind, with the cone surfaces nested in surgery requests and
+    graphs and the HS-spheres nested in surgery requests."""
+    seen = set()
     for seed in (1, 2, 3):
         for d in corpus.cli_corpus(seed):
-            if d.kind != "valid":
-                continue
-            if d.cmd in CODEC_DOCS:
-                yield json.loads(d.text), *CODEC_DOCS[d.cmd]
-            elif d.cmd == "surgery":
-                yield json.loads(d.text)["payload"]["link"], *CODEC_DOCS["classify-sphere"]
+            if d.kind == "valid":
+                read, write = DOCUMENTS[d.cmd]
+                doc = json.loads(d.text)
+                assert docs.canonical_json(write(read(doc))) == docs.canonical_json(doc), (seed, d.cmd, d.name)
+                seen.add((seed, d.cmd, d.name))
+    assert len(seen) == 270 and {cmd for _, cmd, _ in seen} == set(DOCUMENTS)
 
 
-def test_codec_documents_are_written_back_byte_for_byte():
-    """Reading a document and writing what was read gives its own bytes, on
-    the benchmark's documents (108 of them, and 27 surgery links)."""
-    seen = 0
-    for doc, read, write in _codec_documents():
-        assert docs.canonical_json(write(read(doc))) == docs.canonical_json(doc)
-        seen += 1
-    assert seen == 135
+@pytest.mark.parametrize("lengths", [[1.0], []])
+def test_a_cone_surface_gives_one_length_per_edge(tmp_path, lengths):
+    """A cone-surface document with another number of lengths than of edges
+    contradicts itself: malformed input (exit 1) naming its lengths, where
+    it was the domain rejection "need one length per edge" (exit 2)."""
+    torus, _ = torus_with_cone_point(2.0)
+    doc = json.loads(docs.canonical_json(docs.model_to_doc(product_spacetime(torus))))
+    doc["payload"]["base"]["payload"]["lengths"] = lengths
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    n = len(torus.edges)
+    error = f"payload.base.payload.lengths: expected array of length {n}, one per edge, got {lengths}"
+    assert run_cli(["classify-model-links", "--input", str(path)]) == (1, "", f"input error: {error}\n")
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -808,7 +836,7 @@ def test_cli_speed_check_refuses_a_mass_outside_the_unit_interval(tmp_path, mass
 
 def _malformed_curves(tmp_path):
     """A valid causal-curve document and two malformed ones: a missing key
-    (KeyError) and a bad number (ValueError)."""
+    and a string where a number belongs."""
     valid = _curve_payload()
     missing = {k: v for k, v in valid.items() if k != "mass"}
     bad = {**valid, "mass": "1.5e"}
@@ -821,20 +849,16 @@ def _malformed_curves(tmp_path):
 
 def test_cli_malformed_payload_exits_1(tmp_path):
     paths = _malformed_curves(tmp_path)
-    for name, kind in (("b_missing", "KeyError"), ("c_bad", "ValueError")):
-        code, out, err = run_cli(["speed-check", "--input", str(paths[name])])
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"input error: {kind}")
-        assert "Traceback" not in err
+    errors = {"b_missing": "payload.mass: missing", "c_bad": 'payload.mass: expected number, got "1.5e"'}
+    for name, error in errors.items():
+        assert run_cli(["speed-check", "--input", str(paths[name])]) == (1, "", f"input error: {error}\n")
     # a missing entry of a nested document is an input error as well
     link = mark_timelike_arcs(elliptic_link_circle(PI / 2), HSPointClass.H2_PLUS)
     doc = docs.link_circle_to_doc(link)
     del doc["payload"]["holonomy"]
     path = tmp_path / "link.json"
     path.write_text(docs.canonical_json(doc))
-    code, _, err = run_cli(["classify-link", "--input", str(path)])
-    assert code == 1 and err.startswith("input error: KeyError")
+    assert run_cli(["classify-link", "--input", str(path)]) == (1, "", "input error: payload.holonomy: missing\n")
 
 
 def test_cli_batch_survives_malformed_files(tmp_path):
