@@ -334,6 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance-scale",
             type=_tolerance_scale,
             default=1.0,
+            dest="tolerance_scale",
             help="multiply the tolerances of speed-check, validate-graph and "
             "assemble-holonomy",
         )

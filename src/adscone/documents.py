@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import importlib
 import json
-import marshal
 import math
 import types
 import typing
@@ -116,20 +115,16 @@ def matrix_to_list(m: np.ndarray) -> list:
 #
 # A value annotated X travels as _codec(X), a plan built on first use.  A
 # dataclass is an object of its fields, each under its name and of its
-# annotated kind, except: MarkedHSMetric.type_tag travels as "type" and
-# ConeSurface.check_angles not at all (_KEYS), a Side is [edge, forward]
-# (_ROWS), a cone surface has one number per edge for lengths (_HINTS,
-# _CHECKS), and a FaceAngle holds all fields of the first of its _LAYOUTS
-# whose first field it has.  A missing field takes its default, or None
-# for X | None.  tuple[X, ...], list[X] and frozenset[X] (sorted) are
-# arrays, tuple[X, Y] one of that many, dict[K, V] an object (an int key as
-# its decimal text), np.ndarray a matrix.  A float is a finite number (an
-# int counts), an int an integer (a bool is none), an Enum one of its values.
+# annotated kind, except: MarkedHSMetric.type_tag travels as "type" (_KEYS),
+# and a FaceAngle holds all fields of the first of its _LAYOUTS whose first
+# field it has.  A missing field takes its default, or None for X | None.
+# tuple[X, ...], list[X] and frozenset[X] (sorted) are arrays, tuple[X, Y]
+# one of that many, dict[K, V] an object (an int key as its decimal text),
+# np.ndarray a matrix.  A float is a finite number (an int counts), an int
+# an integer (a bool is none), an Enum one of its values.
 
-_KEYS = {"type_tag": "type", "check_angles": None}
+_KEYS = {"type_tag": "type"}
 _LAYOUTS = {"FaceAngle": (("real",), ("k", "r", "lightlike"))}
-_ROWS = {"Side"}
-_HINTS = {"ConeSurface": {"lengths": tuple[float, ...]}}
 _LEAVES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
 _OWN_DEFAULT = object()
 _FLOAT_MAX = int(np.finfo(float).max)
@@ -226,15 +221,10 @@ def _codec(tp):
 
 def _dataclass_codec(cls):
     """(encode, decode) for a dataclass, from its fields and their annotations."""
-    hints = {**typing.get_type_hints(cls), **_HINTS.get(cls.__name__, {})}
-    written = [f for f in dataclasses.fields(cls) if _KEYS.get(f.name, f.name)]
-    if cls.__name__ in _ROWS:
-        enc, dec = _codec(tuple[tuple(hints[f.name] for f in written)])
-        return (lambda x: enc([getattr(x, f.name) for f in written])), lambda v: cls(*dec(v))
+    hints = typing.get_type_hints(cls)
     variants = _LAYOUTS.get(cls.__name__)
-    check = _CHECKS.get(cls.__name__)
     plan = {}  # field name -> (key, encode, decode, what a missing entry takes)
-    for f in written:
+    for f in dataclasses.fields(cls):
         tp = hints[f.name]
         if variants and f.default is None:
             tp, default = _optional(tp), dataclasses.MISSING
@@ -264,22 +254,9 @@ def _dataclass_codec(cls):
                     values[name] = default
         except _Wrong as err:
             raise err.at(key)
-        if check:
-            check(values)
         return cls(**values)
 
     return encode, decode
-
-
-def _one_length_per_edge(values: dict):
-    """A cone-surface document with another number of lengths than of edges
-    contradicts itself."""
-    n = len(values["edges"])
-    if len(values["lengths"]) != n:
-        raise _expected(f"array of length {n}, one per edge", values["lengths"]).at("lengths")
-
-
-_CHECKS = {"ConeSurface": _one_length_per_edge}
 
 
 # -- documents whose payload is a dataclass -----------------------------------
@@ -298,12 +275,41 @@ def _documents(schema: str, cls: str):
     return to_doc, from_doc
 
 
-cone_surface_to_doc, cone_surface_from_doc = _documents("cone-surface.json", "conesurf.ConeSurface")
 hs_surface_to_doc, hs_surface_from_doc = _documents("hs-surface.json", "hssurface.SingularHSSurface")
 marked_metric_to_doc, marked_metric_from_doc = _documents(
     "marked-hs-metric.json", "hssurface.MarkedHSMetric"
 )
 surface_jet_to_doc, surface_jet_from_doc = _documents("surface-jet.json", "lrmetrics.SurfaceJet")
+
+
+# -- cone surfaces ------------------------------------------------------------
+
+_EDGES = tuple[tuple[int, int], ...]  # (tail, head) vertex pairs
+_FACES = tuple[tuple[tuple[int, bool], tuple[int, bool], tuple[int, bool]], ...]  # [edge, forward] sides
+
+
+def cone_surface_to_doc(s) -> dict:
+    payload = {
+        "edges": _codec(_EDGES)[0](s.edges),
+        "faces": [[[side.edge, side.forward] for side in f] for f in s.faces],
+        "lengths": s.lengths.tolist(),
+        "cone_angles": _codec(dict[int, float])[0](s.cone_angles),
+    }
+    return envelope("cone-surface.json", payload)
+
+
+def cone_surface_from_doc(doc: dict):
+    from .conesurf import ConeSurface
+
+    def read(p):
+        edges, faces = _read(p, "edges", _EDGES), _read(p, "faces", _FACES)
+        lengths = _read(p, "lengths", tuple[float, ...])
+        cone_angles = _read(p, "cone_angles", dict[int, float], {})
+        if len(lengths) != len(edges):  # the document contradicts itself
+            raise _expected(f"array of length {len(edges)}, one per edge", p["lengths"]).at("lengths")
+        return ConeSurface(edges, faces, np.array(lengths), cone_angles)
+
+    return _from_doc(doc, "cone-surface.json", read)
 
 
 # -- link circles and models --------------------------------------------------
@@ -334,14 +340,9 @@ def link_circle_from_doc(doc: dict) -> LinkCircle:
 
 
 def model_to_doc(m: ModelSpacetime) -> dict:
-    payload = {
-        "kind": m.kind.value,
-        "theta": m.theta,
-        "mass": m.mass,
-        "sign": m.sign,
-        "base": m.base and cone_surface_to_doc(m.base),
-        "holonomies": m.holonomies and [matrix_to_list(g.m) for g in m.holonomies],
-    }
+    payload = {"kind": m.kind.value, "theta": m.theta, "mass": m.mass, "sign": m.sign}
+    payload["base"] = m.base and cone_surface_to_doc(m.base)
+    payload["holonomies"] = m.holonomies and [matrix_to_list(g.m) for g in m.holonomies]
     return envelope("model.json", {k: v for k, v in payload.items() if v is not None})
 
 
@@ -394,13 +395,12 @@ def interaction_graph_to_doc(g) -> dict:
 def interaction_graph_from_doc(doc: dict):
     from .interactions import CollisionEdge, InteractionGraph, SliceVertex
 
-    # equal surface documents parse to one ConeSurface, so a slice whose left
-    # and right metrics agree carries one object for both; they are compared
-    # by their marshal bytes, which tell true from 1 where == does not
+    # equal surface documents, by their sorted JSON text (which tells true from
+    # 1), parse to one ConeSurface: validation reuses work by object identity
     parsed = {}
 
     def surface(v, key):
-        form = marshal.dumps(v.get(key))
+        form = json.dumps(v.get(key), sort_keys=True)
         if form not in parsed:
             parsed[form] = _read(v, key, cone_surface_from_doc)
         return parsed[form]
@@ -425,9 +425,8 @@ def interaction_graph_from_doc(doc: dict):
 
 
 def causal_curve_from_doc(doc: dict):
-    """(ts, zs, mass) of a causal-curve document, zs = x + iy for its (t, x,
-    y) samples.  The samples, thousands of numbers, are typed and converted in
-    one pass; only a document that fails it is read leaf by leaf."""
+    """(ts, zs, mass) of a causal-curve document, zs = x + iy for its (t, x, y)
+    samples: thousands of numbers, typed and converted in one pass."""
 
     def read(p):
         samples = p.get("samples")

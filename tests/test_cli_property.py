@@ -420,6 +420,24 @@ NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
 EVERY_VALUE_UP_TO = 100
 GRAPH_COMMANDS = ("validate-graph", "assemble-holonomy")
 DELETE = object()
+# a number written as the int nearest it, which the reader takes, makes some
+# documents contradict themselves: the library's refusal, by the field that
+# holds the number (none of these texts can come from classify-sphere,
+# trace-causal or check-polyhedron, which give a report for every such int)
+ROUNDED_REFUSED = {
+    "lengths": (2, "rejected: vertex angle sums do not match targets"),
+    "cone_angles": (2, "rejected: vertex angle sums do not match targets"),
+    "marked": (2, "rejected: marked point "),
+    "I": (2, "rejected: I must be symmetric\n"),
+    "B": (2, "rejected: B must be self-adjoint for I\n"),
+    "samples": (2, "rejected: samples must advance in t by at most 1e-3\n"),
+    "interval": (2, "rejected: interval endpoints are not fixed by the holonomy\n"),
+    "start": (2, "rejected: arcs must be disjoint and ordered\n"),
+    "end": (2, "rejected: arcs must be disjoint and ordered\n"),
+    # LiftedProj2 refuses an offset that its holonomy does not give with a
+    # bare ValueError, which names no path (a FOUND in CHANGES.md)
+    "lift_offset": (1, "input error: ValueError: lift offset s is not congruent to the image of 0\n"),
+}
 
 
 def _path_text(path) -> str:
@@ -427,12 +445,27 @@ def _path_text(path) -> str:
     return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:]
 
 
+def _field_at(path) -> str:
+    """The field that holds the node at path, or the array or map it is in."""
+    return next(k for i, k in reversed(list(enumerate(path))) if type(k) is str and path[i - 1] not in MAPS)
+
+
 def _kind_at(doc, path) -> str:
     node = _parent(doc, path)[path[-1]]
     if isinstance(node, (dict, list)):
         return "object" if isinstance(node, dict) else "array"
-    field = next(k for i, k in reversed(list(enumerate(path))) if type(k) is str and path[i - 1] not in MAPS)
+    field = _field_at(path)
     return ("integer", "boolean")[path[-1]] if field == "faces" else LEAF_KINDS[field]
+
+
+def _accepted(answer, path) -> bool:
+    """A report (exit 0 or 2, no stderr), or the one-line refusal that
+    ROUNDED_REFUSED names for the field of the node."""
+    code, out, err = answer
+    if code in (0, 2) and out and not err:
+        return True
+    code_as, err_as = ROUNDED_REFUSED.get(_field_at(path), (None, None))
+    return (code, out) == (code_as, "") and err.startswith(err_as) and err.count("\n") == 1
 
 
 def _run_with(tmp_path, command, path, text):
@@ -459,7 +492,8 @@ def test_a_value_of_the_wrong_kind_is_refused_by_its_path(tmp_path, command):
     turn; validate-graph and assemble-holonomy, which read one base document
     with one reader, take every other node of it each.  An int where a
     number belongs (the number rounded) and a null where the annotation
-    admits one stay accepted: the reader names no node."""
+    admits one stay accepted: the command gives its report, or for a
+    rounded number of a field in ROUNDED_REFUSED the library's refusal."""
     base = json.loads(_base_text(command))
     nodes = [path for path in _paths(base) if path[0] == "payload" and len(path) > 1]
     if command in GRAPH_COMMANDS:
@@ -475,10 +509,10 @@ def test_a_value_of_the_wrong_kind_is_refused_by_its_path(tmp_path, command):
             refused += 1
         node = _parent(base, path)[path[-1]]
         for text in ((str(round(node)),) if kind == "number" else ()) + ("null",) * kind.endswith("?"):
-            code, out, err = _run_with(tmp_path, command, path, text)
-            assert f"{_path_text(path)}:" not in err and "Traceback" not in err, (path, text, err)
+            answer = _run_with(tmp_path, command, path, text)
+            assert _accepted(answer, path), (path, text, answer)
             accepted += 1
-    assert refused >= len(nodes) and accepted > 0
+    assert refused >= len(nodes) and accepted > 4
 
 
 @pytest.mark.parametrize(

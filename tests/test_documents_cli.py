@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -372,10 +373,36 @@ def test_interaction_graph_roundtrip():
     assert validate_geometric_data(back).passed
 
 
+def _keys_reversed(node):
+    """A JSON value whose objects list their keys in the reverse order."""
+    if isinstance(node, dict):
+        return {k: _keys_reversed(node[k]) for k in reversed(node)}
+    return [_keys_reversed(x) for x in node] if isinstance(node, list) else node
+
+
 def test_equal_surface_documents_parse_to_one_surface():
-    g = docs.interaction_graph_from_doc(_graph_doc())
+    """Equal surface documents parse to one ConeSurface, whatever the order
+    in which they list their keys."""
+    doc = _graph_doc()
+    after = doc["payload"]["vertices"]["after"]
+    after["mu_r"] = _keys_reversed(after["mu_r"])
+    assert json.dumps(after["mu_r"]) != json.dumps(after["mu_l"])
+    g = docs.interaction_graph_from_doc(doc)
     surfaces = {id(s) for v in g.vertices.values() for s in (v.mu_l, v.mu_r)}
     assert len(surfaces) == 1
+
+
+def test_a_surface_equal_to_another_but_for_a_kind_is_read_on_its_own():
+    """A false where the other surface document holds the vertex id 0 is
+    equal to it by ==, but is read, and refused, on its own."""
+    doc = _graph_doc()
+    edges = doc["payload"]["vertices"]["after"]["mu_r"]["payload"]["edges"]
+    k = next(i for i, edge in enumerate(edges) if edge[0] == 0)
+    edges[k][0] = False
+    assert doc["payload"]["vertices"]["after"]["mu_r"] == doc["payload"]["vertices"]["after"]["mu_l"]
+    where = f"payload.vertices.after.mu_r.payload.edges[{k}][0]"
+    with pytest.raises(docs.DocumentError, match=rf"^{re.escape(where)}: expected integer, got false$"):
+        docs.interaction_graph_from_doc(doc)
 
 
 def test_perturbed_right_metric_is_still_checked():
