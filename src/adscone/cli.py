@@ -189,11 +189,10 @@ def _refuse_non_finite(quantities: dict):
 
 def cmd_surgery(args) -> int:
     from .interactions import surgery_collision
-    from .spacetimes import product_spacetime
 
     base, link, at = docs.surgery_request_from_doc(_load(args.input))
     try:
-        graph = surgery_collision(product_spacetime(base), link, at)
+        graph = surgery_collision(base, link, at)
     except GeometryError as err:
         _emit({"graph": None, "error": str(err)}, args.output)
         return EXIT_REJECT

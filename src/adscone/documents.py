@@ -42,7 +42,8 @@ class DocumentError(ValueError):
 
 
 class _Wrong(DocumentError):
-    """A wrong kind, a missing entry or an unsupported envelope, by its path."""
+    """A wrong kind, a missing entry, an unsupported envelope or a value the
+    library refuses, by its path."""
 
     path = ""
 
@@ -259,6 +260,21 @@ def _dataclass_codec(cls):
     return encode, decode
 
 
+def _built(tp, make):
+    """A decoder of a value annotated tp that make turns into a library value;
+    a ValueError of make (isom refuses a matrix of determinant <= 0 and a lift
+    offset that its holonomy does not give) is the document's, by its path."""
+
+    def decode(v, dec=_codec(tp)[1]):
+        x = dec(v)
+        try:
+            return make(x)
+        except ValueError as err:
+            raise _Wrong(str(err)) from None
+
+    return decode
+
+
 # -- documents whose payload is a dataclass -----------------------------------
 
 
@@ -330,7 +346,8 @@ def link_circle_to_doc(link: LinkCircle) -> dict:
 
 def link_circle_from_doc(doc: dict) -> LinkCircle:
     def read(p):
-        lift = LiftedProj2(Proj2(_read(p, "holonomy", np.ndarray)), _read(p, "lift_offset", float))
+        g = _read(p, "holonomy", _built(np.ndarray, Proj2))
+        lift = _read(p, "lift_offset", _built(float, lambda s: LiftedProj2(g, s)))
         interval = _read(p, "interval", tuple[float, float], None)
         circle = RP1Circle(lift, interval, _read(p, "future_anchor", float, None))
         arcs = _read(p, "arcs", tuple[Arc, ...])
@@ -364,7 +381,8 @@ def model_from_doc(doc: dict) -> ModelSpacetime:
         if kind is st.ModelKind.PRODUCT:
             return st.product_spacetime(_read(p, "base", cone_surface_from_doc))
         if kind is st.ModelKind.BTZ_STATIC:
-            return st.btz_static(*map(Proj2, _read(p, "holonomies", tuple[np.ndarray, np.ndarray])))
+            holonomy = _built(np.ndarray, Proj2)
+            return st.btz_static(*_read(p, "holonomies", lambda v: _array(v, [holonomy] * 2, 2)))
         raise DocumentError(f"cannot rebuild model of kind {kind}")
 
     return _from_doc(doc, "model.json", read)

@@ -35,7 +35,6 @@ from .tolerances import CONJUGATOR_RESIDUAL
 
 if TYPE_CHECKING:
     from .hssurface import SingularHSSurface
-    from .spacetimes import ModelSpacetime
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,8 @@ def validate_geometric_data(
         metrics of its slice (SliceVertex refuses any other at construction);
     (2) across each edge, the left metrics of the two slices have isometric
         complements, certified by matching holonomies of the identified
-        complement generators (one conjugator per edge);
+        complement generators (one conjugator per edge; an edge that
+        identifies none certifies nothing and fails);
     (3) the same for the right metrics;
     additionally the exchanged disks carry the declared vanished/created cone
     points, and the before-disk is isometric between the left and right
@@ -201,8 +201,12 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> tuple[ValidationRepo
     conjugators = {}
     for ei, e in enumerate(g.edges):
         vb, va = g.vertex(e.before), g.vertex(e.after)
-        solved = {}  # (before surface, after surface) -> (C, residual), None or error
-        for side, sb, sa in (("l", vb.mu_l, va.mu_l), ("r", vb.mu_r, va.mu_r)):
+        edge = f"edge {e.before}->{e.after}"
+        if not e.identification:  # no generators certify no isometry
+            failures.append(f"(2/3) {edge}: identifies no complement generators")
+        sides = (("l", vb.mu_l, va.mu_l), ("r", vb.mu_r, va.mu_r)) if e.identification else ()
+        solved = {}  # (before surface, after surface) -> (C, residual) or error
+        for side, sb, sa in sides:
             key = (id(sb), id(sa))
             if key not in solved:
                 try:
@@ -210,45 +214,36 @@ def _validate(g: InteractionGraph, tol: float, holonomy) -> tuple[ValidationRepo
                     for name_b, name_a in e.identification.items():
                         hb = holonomy(sb, vb.generator_loops[name_b])
                         pairs.append((holonomy(sa, va.generator_loops[name_a]), hb))
-                    solved[key] = solve_conjugator(pairs) if pairs else None
+                    solved[key] = solve_conjugator(pairs)
                 except (GeometryError, KeyError) as err:
                     solved[key] = err
             outcome = solved[key]
             if isinstance(outcome, Exception):
-                failures.append(f"(2/3) edge {e.before}->{e.after}, mu_{side}: {outcome}")
-            elif outcome is not None:
-                C, resid = outcome
-                conjugators[(ei, side)] = C
-                if resid > tol:
-                    failures.append(
-                        f"(2/3) edge {e.before}->{e.after}: complement holonomies of "
-                        f"mu_{side} differ by {resid:.3e}"
-                    )
+                failures.append(f"(2/3) {edge}, mu_{side}: {outcome}")
+                continue
+            C, resid = outcome
+            conjugators[(ei, side)] = C
+            if resid > tol:
+                failures.append(
+                    f"(2/3) {edge}: complement holonomies of mu_{side} differ by {resid:.3e}"
+                )
         # disk contents
         try:
             db = DiskSpec(vb.mu_l, e.disk_before)
             da = DiskSpec(va.mu_l, e.disk_after)
-            marked_b = sorted(db.marked_angles().values())
-            marked_a = sorted(da.marked_angles().values())
-            if sorted(e.vanished) != marked_b:
-                failures.append(
-                    f"edge {e.before}->{e.after}: before-disk contains {marked_b}, "
-                    f"declared {sorted(e.vanished)}"
-                )
-            if sorted(e.created) != marked_a:
-                failures.append(
-                    f"edge {e.before}->{e.after}: after-disk contains {marked_a}, "
-                    f"declared {sorted(e.created)}"
-                )
         except GeometryError as err:
-            failures.append(f"edge {e.before}->{e.after}: bad disk: {err}")
+            failures.append(f"{edge}: bad disk: {err}")
             continue
+        for which, disk, declared in (("before", db, e.vanished), ("after", da, e.created)):
+            marked, declared = sorted(disk.marked_angles().values()), sorted(declared)
+            gaps = [abs(a - b) for a, b in zip(marked, declared)]
+            if len(marked) != len(declared) or max(gaps, default=0.0) > ANGLE_MATCH:
+                failures.append(f"{edge}: {which}-disk contains {marked}, declared {declared}")
         if vb.mu_l is not vb.mu_r:
             db_r = DiskSpec(vb.mu_r, e.disk_before)
             if not disks_isometric(vb.mu_l, db, vb.mu_r, db_r):
                 failures.append(
-                    f"edge {e.before}->{e.after}: before-disk not isometric between "
-                    "the left and right metrics"
+                    f"{edge}: before-disk not isometric between the left and right metrics"
                 )
     return ValidationReport(passed=not failures, failures=tuple(failures)), conjugators
 
@@ -326,8 +321,6 @@ def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> 
                 continue
             other = e.after if cur == e.before else e.before
             for side in ("l", "r"):
-                if (ei, side) not in solved:
-                    raise ValueError("no generator pairs to solve a conjugator from")
                 # C (other-gen) C^-1 = cur-gen aligns the new vertex
                 C = solved[(ei, side)] if cur == e.before else solved[(ei, side)].inverse()
                 alignment[other][side] = Proj2(alignment[cur][side].m @ C.m)
@@ -345,35 +338,28 @@ def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> 
 # ---------------------------------------------------------------------------
 
 
-def surgery_collision(base: ModelSpacetime, link: SingularHSSurface, at: int) -> InteractionGraph:
-    """Add a collision to a static product spacetime: the marked point `at`
-    of the base surface becomes the outcome of the collision of the link's
-    two past particles.
+def surgery_collision(surface: ConeSurface, link: SingularHSSurface, at: int) -> InteractionGraph:
+    """Add a collision below a static slice: the marked point `at` of the
+    slice surface becomes the outcome of the collision of the link's two
+    past particles.
 
     The link must be a causally regular HS-sphere whose future particle angle
-    equals the cone angle at `at`.  The after slice keeps the base surface's
-    metrics (the product's left and right metrics both equal its base); the
-    before slice carries a metric with the link's two past cone angles in the
-    exchanged disk and complement holonomies matching the after slice's, the
-    computable content of the cut-and-paste locality of the surgery.
+    equals the cone angle at `at`.  The after slice is the surface itself;
+    the before slice carries a metric with the link's two past cone angles in
+    the exchanged disk and complement holonomies matching the after slice's,
+    the computable content of the cut-and-paste locality of the surgery.
     """
     from .hssurface import SphereClass, classify_hs_sphere
-    from .spacetimes import ModelKind
 
-    if base.kind is not ModelKind.PRODUCT:
-        raise GeometryError("surgery operates on a static product spacetime")
-    surf = base.base
-    theta = surf.cone_angles.get(at)
+    theta = surface.cone_angles.get(at)
     if theta is None:
         raise GeometryError(f"vertex {at} is not a marked point of the base surface")
     if classify_hs_sphere(link) is not SphereClass.CAUSALLY_REGULAR:
         raise GeometryError("the link of a particle collision must be causally regular")
-    future_angles = [
-        a for h in link.hyperbolic_regions if h.orientation == "future" for a in h.cone_angles
-    ]
-    past_angles = [
-        a for h in link.hyperbolic_regions if h.orientation == "past" for a in h.cone_angles
-    ]
+    future_angles, past_angles = (
+        [a for h in link.hyperbolic_regions if h.orientation == side for a in h.cone_angles]
+        for side in ("future", "past")
+    )
     if len(future_angles) != 1 or len(past_angles) != 2:
         raise GeometryError("surgery expects a (theta; eta1, eta2) collision link")
     if abs(future_angles[0] - theta) > ANGLE_MATCH:
@@ -381,43 +367,12 @@ def surgery_collision(base: ModelSpacetime, link: SingularHSSurface, at: int) ->
             f"link future angle {future_angles[0]:.6g} does not match the cone angle "
             f"{theta:.6g} at the surgery point"
         )
-    eta1, eta2 = past_angles
-    fan = frozenset(f for f in range(len(surf.faces)) if at in surf.face_corners(f))
+    fan = frozenset(f for f in range(len(surface.faces)) if at in surface.face_corners(f))
     if len(fan) != 3:
         raise GeometryError("surgery expects the collision point inside a 3-face fan")
-    star = DiskSpec(surf, fan)
-    before_surface, disk_before, new_vertex = _before_surface(star, at, eta1, eta2)
-
-    # the complement faces keep their ids and sides in the before surface
-    gen_loops = _complement_generator_loops(surf, star)
-    after_loops = dict(gen_loops)
-    after_loops[f"m{at}"] = loop_around_vertex(surf, at)
-    before_loops = dict(gen_loops)
-    before_loops[f"m{at}"] = loop_around_vertex(before_surface, at)
-    before_loops[f"m{new_vertex}"] = loop_around_vertex(before_surface, new_vertex)
-    v_after = SliceVertex("after", surf, surf, surf.marked_vertices(), after_loops)
-    v_before = SliceVertex(
-        "before", before_surface, before_surface, before_surface.marked_vertices(), before_loops
-    )
-    edge = CollisionEdge(
-        before="before",
-        after="after",
-        disk_before=disk_before.face_ids,
-        disk_after=star.face_ids,
-        identification={k: k for k in gen_loops},
-        vanished=(eta1, eta2),
-        created=(theta,),
-    )
-    return InteractionGraph(
-        {"before": v_before, "after": v_after},
-        (edge,),
-        initial="before",
-        final="after",
-    )
-
-
-def _complement_generator_loops(s: ConeSurface, disk: DiskSpec) -> dict:
-    return {f"g{i}": lp for i, lp in enumerate(dual_cycles(s, disk.complement()))}
+    star = DiskSpec(surface, fan)
+    before, disk_before = _before_surface(star, at, *past_angles)
+    return _collision_graph(before, disk_before, surface, star, tuple(past_angles), (theta,))
 
 
 def _before_surface(star: DiskSpec, at: int, eta1: float, eta2: float):
@@ -425,7 +380,7 @@ def _before_surface(star: DiskSpec, at: int, eta1: float, eta2: float):
     out for the two-cone disk whose collar matches it (conesurf.splice_disk,
     with the disk's cone angles; the first cone point keeps the id at), so
     the complement keeps its faces, ids and metric and its holonomies match
-    exactly.  Returns (surface, the glued-in disk, the second cone point).
+    exactly.  Returns (surface, the glued-in disk).
     Raises LinkRealizationError both for unrealizable interaction angles
     (the trace window) and when the collar fit does not converge (deep,
     thin collars are outside the fitted family)."""
@@ -442,7 +397,7 @@ def _before_surface(star: DiskSpec, at: int, eta1: float, eta2: float):
     ]
     disk = fit_two_cone_disk(rim_lengths, rim_splits, eta1, eta2, surf.cone_angles[at])
     before, glued = splice_disk(star, disk, disk.lengths[3:], disk.cone_angles)
-    return before._switch_on_angle_check(), glued, surf.num_vertices
+    return before._switch_on_angle_check(), glued
 
 
 def elastic_collision_graph(surface: ConeSurface, disk_faces: frozenset) -> InteractionGraph:
@@ -458,26 +413,22 @@ def elastic_collision_graph(surface: ConeSurface, disk_faces: frozenset) -> Inte
     marked_in_disk = disk.marked_angles()
     if len(marked_in_disk) != 2:
         raise GeometryError("elastic collision needs a disk with two cone points")
-    loops = _complement_generator_loops(surface, disk)
-    gen_loops = dict(loops)
-    for v in surface.marked_vertices():
-        gen_loops[f"m{v}"] = loop_around_vertex(surface, v)
-    marked = dict(surface.marked_vertices())
-    v_before = SliceVertex("before", surface, surface, marked, gen_loops)
-    v_after = SliceVertex("after", surface, surface, marked, gen_loops)
     angles = tuple(sorted(marked_in_disk.values()))
-    edge = CollisionEdge(
-        before="before",
-        after="after",
-        disk_before=disk.face_ids,
-        disk_after=disk.face_ids,
-        identification={k: k for k in loops},
-        vanished=angles,
-        created=angles,
-    )
-    return InteractionGraph(
-        {"before": v_before, "after": v_after},
-        (edge,),
-        initial="before",
-        final="after",
-    )
+    return _collision_graph(surface, disk, surface, disk, angles, angles)
+
+
+def _collision_graph(before, disk_before, after, disk_after, vanished, created) -> InteractionGraph:
+    """The graph of one collision between two static slices (each surface is
+    both metrics of its slice), exchanging disk_before for disk_after.  Each
+    slice presents its group by the dual cycles of the disk's complement,
+    named g0, g1, ... and identified by name across the edge, and by a
+    meridian m<v> around every marked point v."""
+    slices = {}
+    for name, surf, disk in (("before", before, disk_before), ("after", after, disk_after)):
+        loops = {f"g{i}": lp for i, lp in enumerate(dual_cycles(surf, disk.complement()))}
+        identification = {k: k for k in loops}
+        loops.update((f"m{v}", loop_around_vertex(surf, v)) for v in surf.marked_vertices())
+        slices[name] = SliceVertex(name, surf, surf, surf.marked_vertices(), loops)
+    faces = (disk_before.face_ids, disk_after.face_ids)
+    edge = CollisionEdge("before", "after", *faces, identification, vanished, created)
+    return InteractionGraph(slices, (edge,), initial="before", final="after")

@@ -49,7 +49,6 @@ from adscone.spacetimes import (
     graviton_spacetime,
     link_of_line,
     meridian_loop,
-    product_spacetime,
     saturating_null_curve,
     tachyon_spacetime,
 )
@@ -347,9 +346,7 @@ def test_criterion_11_literal_fixture():
     import test_interactions as ti
 
     surf, _ = torus_with_cone_point(PI)
-    graph = surgery_collision(
-        product_spacetime(surf), ti.collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4
-    )
+    graph = surgery_collision(surf, ti.collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4)
     assert validate_geometric_data(graph).passed
 
 
@@ -358,9 +355,7 @@ def test_criterion_11_realizability_gate():
 
     surf, _ = torus_with_cone_point(PI)
     try:
-        surgery_collision(
-            product_spacetime(surf), ti.collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4
-        )
+        surgery_collision(surf, ti.collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4)
         diagnosed = False
         detail = "fixture unexpectedly accepted"
     except LinkRealizationError as err:

@@ -434,9 +434,8 @@ ROUNDED_REFUSED = {
     "interval": (2, "rejected: interval endpoints are not fixed by the holonomy\n"),
     "start": (2, "rejected: arcs must be disjoint and ordered\n"),
     "end": (2, "rejected: arcs must be disjoint and ordered\n"),
-    # LiftedProj2 refuses an offset that its holonomy does not give with a
-    # bare ValueError, which names no path (a FOUND in CHANGES.md)
-    "lift_offset": (1, "input error: ValueError: lift offset s is not congruent to the image of 0\n"),
+    # an offset that its holonomy does not give is malformed input, by its path
+    "lift_offset": (1, "input error: payload.lift_offset: lift offset s is not congruent to the image of 0\n"),
 }
 
 
@@ -589,6 +588,21 @@ def test_the_escapes_of_the_hand_written_readers_are_refused(tmp_path, command, 
     was a KeyError naming only its key, is named by its path."""
     text = value if value is DELETE else json.dumps(value)
     assert _run_with(tmp_path, command, path, text) == (1, "", f"input error: {error}\n")
+
+
+def test_surgery_does_not_load_the_spacetime_layer(tmp_path, child_env):
+    """Surgery cuts the request's slice surface itself: a fresh interpreter
+    that runs it has not imported adscone.spacetimes."""
+    path = tmp_path / "surgery.json"
+    path.write_text(_base_text("surgery"))
+    script = (
+        "import sys; from adscone.cli import main; "
+        "main(['surgery', '--input', sys.argv[1], '--output', sys.argv[2]]); "
+        "print('adscone.spacetimes' in sys.modules, 'adscone.interactions' in sys.modules)"
+    )
+    args = [sys.executable, "-c", script, str(path), str(tmp_path / "report.json")]
+    run = subprocess.run(args, capture_output=True, text=True, env=child_env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "False True\n", "")
 
 
 def test_fresh_interpreters_answer_as_the_running_process(tmp_path, child_env):

@@ -748,6 +748,50 @@ def test_every_model_kind_round_trips_through_its_document(tmp_path, name):
     assert [lines[line]["kind"] for line in model_lines(model)] == kinds
 
 
+@pytest.mark.parametrize(
+    "command,path,value,error",
+    [
+        pytest.param(
+            "classify-link",
+            ("holonomy",),
+            [1, 0, 0, -1],
+            "payload.holonomy: matrix must have positive determinant",
+            id="link-holonomy-det-negative",
+        ),
+        pytest.param(
+            "classify-link",
+            ("lift_offset",),
+            PI / 2 + 0.25,
+            "payload.lift_offset: lift offset s is not congruent to the image of 0",
+            id="link-lift-offset-not-given",
+        ),
+        pytest.param(
+            "classify-model-links",
+            ("holonomies", 1),
+            [1, 2, 2, 1],
+            "payload.holonomies[1]: matrix must have positive determinant",
+            id="btz-holonomy-det-negative",
+        ),
+    ],
+)
+def test_a_value_isom_refuses_is_an_input_error_by_its_path(tmp_path, command, path, value, error):
+    """Numbers of the right kind that isom cannot hold (a matrix of
+    determinant <= 0, a lift offset its holonomy does not give) are malformed
+    input named by their path, where they were a bare ValueError."""
+    if command == "classify-link":
+        doc = _non_finite_doc(command)
+    else:
+        doc = docs.model_to_doc(_models_with_documents()["static BTZ"][0])
+    doc = json.loads(docs.canonical_json(doc))
+    node = doc["payload"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(doc))
+    assert run_cli([command, "--input", str(doc_path)]) == (1, "", f"input error: {error}\n")
+
+
 @pytest.mark.parametrize("theta, code", [(1e8, 0), (1e10, 2), (1e16, 2), (3141592653.589793, 2)])
 def test_cli_huge_cone_angles_are_rejected_by_angle(tmp_path, theta, code):
     """A cone angle whose link's lift offset cannot be held (from 2^28 on) is

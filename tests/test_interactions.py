@@ -18,7 +18,7 @@ from adscone.catalog import (
     torus_with_cone_point,
     wedge_family_link,
 )
-from adscone.conesurf import gauss_bonnet_area, holonomy_of_loop
+from adscone.conesurf import DiskSpec, gauss_bonnet_area, holonomy_of_loop
 from adscone.errors import GeometryError, LinkRealizationError
 from adscone.hssurface import (
     DeSitterRegion,
@@ -37,7 +37,6 @@ from adscone.interactions import (
 )
 from adscone.isom import IsomKind, Proj2, classify
 from adscone.links import SingKind, classify_singularity
-from adscone.spacetimes import product_spacetime
 from adscone.tolerances import TRACE
 
 PI = np.pi
@@ -98,28 +97,25 @@ def test_collision_distance_refuses_a_distance_beyond_the_float_range(eta1, eta2
 
 def test_surgery_rejects_impossible_link():
     surf, _ = torus_with_cone_point(PI)
-    M = product_spacetime(surf)
     with pytest.raises(LinkRealizationError):
-        surgery_collision(M, collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4)
+        surgery_collision(surf, collision_link(PI, 2 * PI / 3, 2 * PI / 3), at=4)
 
 
 def test_surgery_rejects_angle_mismatch():
     surf, _ = torus_with_cone_point(PI)
-    M = product_spacetime(surf)
     with pytest.raises(GeometryError):
-        surgery_collision(M, collision_link(PI / 2, PI / 6, PI / 6), at=4)
+        surgery_collision(surf, collision_link(PI / 2, PI / 6, PI / 6), at=4)
 
 
 def test_surgery_rejects_non_regular_link():
     surf, _ = torus_with_cone_point(PI)
-    M = product_spacetime(surf)
     bad = SingularHSSurface(
         hyperbolic_regions=(
             HyperbolicRegion("past", RegionTopology.SPHERE, (PI / 2, PI / 2, PI / 2)),
         ),
     )
     with pytest.raises(GeometryError):
-        surgery_collision(M, bad, at=4)
+        surgery_collision(surf, bad, at=4)
 
 
 def test_elastic_graph_validates(elastic):
@@ -216,7 +212,8 @@ def test_single_vertex_graph_passes_vacuously():
 
 def _changed(g, change):
     """The graph with one change: a wrong vanished angle (a disk failure),
-    two identified generators swapped (a holonomy failure), a right metric
+    two identified generators swapped (a holonomy failure), no identified
+    generators (a failure: nothing certifies the isometry), a right metric
     on the after slice that is a copy of its left one (valid, with a second
     surface pair to solve), or the after slice's complement generators based
     at a neighbouring face, which conjugates them all by one transition
@@ -240,6 +237,8 @@ def _changed(g, change):
         names = list(e.identification)
         swapped = dict(zip(names, [e.identification[n] for n in names[1:] + names[:1]]))
         return dataclasses.replace(g, edges=(dataclasses.replace(e, identification=swapped),))
+    if change == "bare":
+        return dataclasses.replace(g, edges=(dataclasses.replace(e, identification={}),))
     if change == "copy":
         after = g.vertex(e.after)
         copy = dataclasses.replace(after, mu_r=after.mu_l.with_lengths(after.mu_l.lengths))
@@ -251,7 +250,7 @@ def _changed(g, change):
 @given(
     design=st.sampled_from(corpus.GRAPH_DESIGN),
     jitter=st.tuples(*[st.floats(-corpus.GRAPH_JITTER, corpus.GRAPH_JITTER)] * 2),
-    change=st.sampled_from((None, "mislabel", "swap", "copy", "rebase")),
+    change=st.sampled_from((None, "mislabel", "swap", "bare", "copy", "rebase")),
     reverse=st.booleans(),
     rooted=st.booleans(),
 )
@@ -261,7 +260,8 @@ def test_validated_graphs_assemble(design, jitter, change, reverse, rooted):
     at the alphabetically first: a graph that validates assembles with
     relations within 1e-8, one that does not is refused with validation's
     failures, and each edge's conjugator is solved once per distinct pair of
-    (before, after) surfaces."""
+    (before, after) surfaces (never for an edge that identifies no
+    generators)."""
     theta, face, eta = design
     g = _changed(corpus.elastic_graph(theta + jitter[0], face, eta + jitter[1])[0], change)
     if reverse:
@@ -271,7 +271,8 @@ def test_validated_graphs_assemble(design, jitter, change, reverse, rooted):
     pairs = 0
     for e in g.edges:
         vb, va = g.vertex(e.before), g.vertex(e.after)
-        pairs += len({(id(vb.mu_l), id(va.mu_l)), (id(vb.mu_r), id(va.mu_r))})
+        if e.identification:
+            pairs += len({(id(vb.mu_l), id(va.mu_l)), (id(vb.mu_r), id(va.mu_r))})
     calls = []
     solve = interactions.solve_conjugator
     with pytest.MonkeyPatch.context() as mp:
@@ -290,12 +291,39 @@ def test_validated_graphs_assemble(design, jitter, change, reverse, rooted):
     assert report.passed == (change in (None, "copy", "rebase"))
 
 
-def test_an_edge_identifying_no_generators_validates_but_does_not_assemble(elastic):
+def test_an_edge_identifying_no_generators_fails_validation(elastic):
+    """No generator pairs certify no isometry of the complements: validation
+    says so for the edge, and assembly refuses with validation's failure."""
     graph, _ = elastic
     bare = dataclasses.replace(graph, edges=(dataclasses.replace(graph.edges[0], identification={}),))
-    assert validate_geometric_data(bare).passed
-    with pytest.raises(ValueError, match="^no generator pairs to solve a conjugator from$"):
+    failure = "(2/3) edge before->after: identifies no complement generators"
+    assert validate_geometric_data(bare).failures == (failure,)
+    with pytest.raises(GeometryError) as err:
         assemble_holonomy(bare)
+    assert str(err.value) == "graph fails validation: " + failure
+
+
+@pytest.mark.parametrize("off, passed", [(1e-12, True), (1e-6, False)])
+def test_declared_disk_angles_match_to_angle_match(elastic, off, passed):
+    """A declared vanished or created angle is compared with the disk's cone
+    angle to ANGLE_MATCH (1e-9), as SliceVertex compares marked angles: off
+    by 1e-12 the graph validates and assembles, off by 1e-6 it fails with
+    the disk's and the declared angles."""
+    graph, _ = elastic
+    e = graph.edges[0]
+    for field in ("vanished", "created"):
+        declared = (getattr(e, field)[0] + off,) + getattr(e, field)[1:]
+        g = dataclasses.replace(graph, edges=(dataclasses.replace(e, **{field: declared}),))
+        report = validate_geometric_data(g)
+        assert report.passed == passed
+        if passed:
+            assert assemble_holonomy(g).relation_residual(g.edges[0]) <= 1e-8
+        else:
+            which = "before" if field == "vanished" else "after"
+            contains = sorted(getattr(e, field))
+            assert report.failures == (
+                f"edge before->after: {which}-disk contains {contains}, declared {sorted(declared)}",
+            )
 
 
 def test_solve_conjugator_roundtrip():
@@ -502,9 +530,8 @@ def test_surgery_realizable_fixture_fails_loudly_not_silently():
     surgery reports the non-convergence explicitly instead of returning an
     unsound graph."""
     surf, _ = torus_with_cone_point(PI)
-    M = product_spacetime(surf)
     with pytest.raises(LinkRealizationError) as err:
-        surgery_collision(M, collision_link(PI, PI / 3, PI / 3), at=4)
+        surgery_collision(surf, collision_link(PI, PI / 3, PI / 3), at=4)
     assert "did not converge" in str(err.value) or "no hyperbolic realization" in str(err.value)
 
 
@@ -517,7 +544,7 @@ def test_surgery_glues_the_fitted_disk_in_place_of_the_star(monkeypatch, star_sp
     after a round trip through its document."""
     host, star = torus_with_cone_point(theta)
     monkeypatch.setattr(catalog, "fit_two_cone_disk", lambda *args: star_split_at_a_point(star))
-    graph = surgery_collision(product_spacetime(host), collision_link(theta, 0.3, 0.4), at=4)
+    graph = surgery_collision(host, collision_link(theta, 0.3, 0.4), at=4)
     before, after = graph.vertex("before"), graph.vertex("after")
     surf = before.mu_l
     assert surf.check_angles and surf.cone_angles == {4: theta, 5: 2 * PI}
@@ -539,6 +566,33 @@ def test_surgery_glues_the_fitted_disk_in_place_of_the_star(monkeypatch, star_sp
     assert back.vertex("before").generator_loops == before.generator_loops
 
 
+def test_surgery_on_a_host_with_two_cone_points(monkeypatch, star_split_at_a_point):
+    """Surgery at one of two cone points, with the fit of the test above:
+    each slice carries a meridian m<v> for every marked point, the graph
+    (declared with the fitted disk's cone angles, the star's and 2 pi)
+    validates and assembles, and its document round-trips byte for byte."""
+    torus, _ = torus_with_cone_point(2.0)
+    host, _, v = subdivide_face_with_cone(torus, 1, 2.5)
+    star = DiskSpec(host, frozenset({7, 8, 9}))  # the fan of the cone point 4
+    monkeypatch.setattr(catalog, "fit_two_cone_disk", lambda *args: star_split_at_a_point(star))
+    graph = surgery_collision(host, collision_link(2.0, 0.3, 0.4), at=4)
+    for vertex in graph.vertices.values():
+        meridians = {k for k in vertex.generator_loops if k.startswith("m")}
+        assert meridians == {f"m{u}" for u in vertex.mu_l.cone_angles}
+    assert set(graph.vertex("after").marked) == {4, v}
+    assert set(graph.vertex("before").marked) == {4, v, host.num_vertices}
+    (edge,) = graph.edges
+    assert edge.disk_after == star.face_ids
+    graph = dataclasses.replace(graph, edges=(dataclasses.replace(edge, vanished=(2.0, 2 * PI)),))
+    report = validate_geometric_data(graph)
+    assert report.passed, report.failures
+    asm = assemble_holonomy(graph)
+    assert asm.relation_residual(graph.edges[0]) <= 1e-8
+    text = docs.canonical_json(docs.interaction_graph_to_doc(graph))
+    back = docs.interaction_graph_from_doc(json.loads(text))
+    assert docs.canonical_json(docs.interaction_graph_to_doc(back)) == text
+
+
 def test_failing_fit_reports_what_the_sequential_fit_reports(monkeypatch, sequential_disk_fit):
     """A request like the surgery benchmark's (host theta 4.0, eta1 + eta2 =
     0.85 theta): the lockstep disk fit fails with the seed-by-seed fit's
@@ -554,7 +608,7 @@ def test_failing_fit_reports_what_the_sequential_fit_reports(monkeypatch, sequen
     monkeypatch.setattr(catalog, "fit_two_cone_disk", record)
     host, _ = torus_with_cone_point(theta)
     with pytest.raises(LinkRealizationError) as err:
-        surgery_collision(product_spacetime(host), collision_link(theta, eta, eta), at=4)
+        surgery_collision(host, collision_link(theta, eta, eta), at=4)
     assert "did not converge" in str(err.value)
     with pytest.raises(LinkRealizationError) as reference:
         sequential_disk_fit(*calls[0])
@@ -579,5 +633,5 @@ def test_failing_fit_stops_its_stalled_seeds(monkeypatch):
     host, _ = torus_with_cone_point(theta)
     monkeypatch.setattr(catalog, "_disk_collar", counted)
     with pytest.raises(LinkRealizationError, match="did not converge"):
-        surgery_collision(product_spacetime(host), collision_link(theta, eta, eta), at=4)
+        surgery_collision(host, collision_link(theta, eta, eta), at=4)
     assert (len(disks), sum(disks)) == (75, 2484)
