@@ -324,24 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(COMMANDS):
+        # each subcommand takes only the options it reads
         p = sub.add_parser(name)
         p.add_argument("--input", required=False, help="input document path")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--plot", help="write a static SVG figure here")
+        if name in ("speed-check", "lr-metrics"):
+            p.add_argument("--plot", help="write a static SVG figure here")
         p.add_argument("--batch", help="process every .json file in this directory")
-        p.add_argument(
-            "--tolerance-scale",
-            type=_tolerance_scale,
-            default=1.0,
-            dest="tolerance_scale",
-            help="multiply the tolerances of speed-check, validate-graph and "
-            "assemble-holonomy",
-        )
-        p.add_argument(
-            "--positive",
-            action="store_true",
-            help="enable the positive-mass filter in classifiers",
-        )
+        if name in ("speed-check", "validate-graph", "assemble-holonomy"):
+            p.add_argument(
+                "--tolerance-scale",
+                type=_tolerance_scale,
+                default=1.0,
+                dest="tolerance_scale",
+                help="multiply the tolerance of the check",
+            )
+        if name in ("classify-link", "classify-sphere", "trace-causal"):
+            p.add_argument("--positive", action="store_true", help="enable the positive-mass filter")
     return parser
 
 

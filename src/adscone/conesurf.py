@@ -13,7 +13,6 @@ glued side, read off the edge lengths and corner angles.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -215,14 +214,6 @@ class ConeSurface:
         sums = vertex_angle_totals(angles, corner_vertices, self.num_vertices)
         return {v: float(sums[v]) for v in vertices}
 
-    def angle_sum_jacobian(self) -> np.ndarray:
-        """d(vertex angle sum) / d(log edge length), (num_vertices, E), in
-        closed form (the module-level angle_sum_jacobian) on a corner table
-        evaluated for it."""
-        corners = self._evaluate_corners()
-        raise_degenerate(corners.degenerate)
-        return angle_sum_jacobian(self.lengths[self._tables.sides], corners, self._tables)
-
     def target_angle(self, v: int) -> float:
         return self.cone_angles.get(v, TWO_PI)
 
@@ -418,8 +409,9 @@ class _Structure:
         sizes), the oldest going first.  A plan holds the structure it
         leads to only by weak reference (plan.leads_to), so that no chain
         of plans keeps alive what _STRUCTURES has let go; where that
-        structure has gone, the plan is built again.  A build that raises
-        keeps nothing, so it raises on every call."""
+        structure has gone, the plan is built again.  A build makes the
+        triangulation's checks and keeps nothing where they raise, so it
+        raises on every call; the metric's checks follow, on each call."""
         found = self._plans.get(key)
         if found is not None:
             if found.leads_to is None:
@@ -546,15 +538,16 @@ def _interned(edges: tuple, faces: tuple) -> _Structure:
 # included; that adds at most ~0.95 kB per face (one-face disks, the worst
 # case, measured the same way on fans of 12-2000 faces; 0.07-0.35 kB per face
 # for disks of 4-64 faces), so ~17 MB in all.  And each structure keeps the
-# plans of its splices, flips and loops (_Structure.plan), up to _PLAN_ENTRIES
-# per face of their sizes: index entries, and _PLAN_OVERHEAD more per plan,
-# enough for a flip plan on every edge.  Filled with plans of one kind, a
-# structure holds 42-91 bytes per unit, so at most ~2.2 kB per face (measured
-# the same way on fans of 12 and 200 faces and on closed surfaces of 16 and
-# 90 faces, the keys included), ~18 MB more in all.  The structures plans
-# lead to are held weakly, so they are the cache's and not counted again.
-# The cone-surfaces benchmark keeps at most 15.6 units per face (the torus
-# structure's six splice plans).
+# plans of its splices, flips and loops (_Structure.plan) that built, none
+# holding an error, up to _PLAN_ENTRIES per face of their sizes: index
+# entries, and _PLAN_OVERHEAD more per plan, enough for a flip plan on every
+# edge.  Filled with plans of one kind, a structure holds 42-91 bytes per unit
+# (closed loop plans 39-41), so at most ~2.2 kB per face (measured the same
+# way on fans of 12 and 200 faces and on closed surfaces of 16 and 90 faces,
+# the keys included), ~18 MB more in all.  The structures plans lead to are
+# held weakly, and no other cache holds one, so they are the cache's and not
+# counted again.  The cone-surfaces benchmark keeps at most 15.6 units per
+# face (the torus structure's six splice plans).
 _STRUCTURE_FACES = 8192
 _STRUCTURES = _Kept(_STRUCTURE_FACES)
 _PLAN_ENTRIES = 24
@@ -782,22 +775,20 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     path develops it back: the ordered product T[s_0] ... T[s_k] of the
     surface's closed-form transitions (ConeSurface._transition_table) over
     the steps s_0, ..., s_k.  Face paths never meet vertices, so cone points
-    are automatically avoided; a path through a face with a degenerate
-    corner raises NotHyperbolicError naming the first such face it reaches
-    before its first structural error (steps that do not chain, a boundary
-    side, a path that misses its base face), which comes next.
+    are automatically avoided.
 
     The walk is the loop's plan on the structure (_Loop), worked out once
-    per loop; each call reads the metric's degenerate faces and transitions
-    along it."""
+    per loop: it raises GeometryError at the first step whose face or side
+    is out of range, that does not chain or crosses a boundary side, or at a
+    path that misses its base face.  Each call then raises
+    NotHyperbolicError at the first face of the loop with a degenerate
+    corner."""
     steps = resolve_loop(loop)
     plan, _ = s._structure.plan(("loop", tuple(steps)), _plan_loop)
     table, degenerate = s._transition_table()
-    bad = degenerate[plan.walk]
+    bad = degenerate[plan.faces]
     if bad.any():
-        raise NotHyperbolicError(f"degenerate corner at face {plan.walk[np.argmax(bad)]}")
-    if plan.error is not None:
-        _raise_planned(plan.error)
+        raise NotHyperbolicError(f"degenerate corner at face {plan.faces[np.argmax(bad)]}")
     factors = table[plan.faces, plan.sides]
     h = factors[0]
     for t in factors[1:]:
@@ -806,45 +797,32 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
 
 
 class _Loop(NamedTuple):
-    """The plan of a face loop (holonomy_of_loop): its faces and exit sides,
-    the faces its walk reaches in order (the base face first) up to its
-    first structural error, and that error as (exception type, args), or
-    None for a closed loop."""
+    """The plan of a closed face loop (holonomy_of_loop): its faces, which
+    are the faces its walk reaches in order, and its exit sides."""
 
     faces: np.ndarray
     sides: np.ndarray
-    walk: np.ndarray
-    error: tuple | None
     leads_to = None
 
     @property
     def size(self) -> int:
-        return _PLAN_OVERHEAD + 2 * len(self.faces) + len(self.walk)
+        return _PLAN_OVERHEAD + 2 * len(self.faces)
 
 
 def _plan_loop(structure: _Structure, key: tuple) -> tuple[_Loop, None]:
     """The _Loop of the steps in key ("loop", steps): the walk
-    ConeSurface.neighbor_across takes, face after face, with what it raises
-    (or what indexing the (F,) degenerate flags raises at an out-of-range
-    base face) as the error.  Only a closed loop keeps its steps."""
+    ConeSurface.neighbor_across takes, face after face, raising what it
+    meets."""
     _, steps = key
-    walk = []
-    try:
-        f0 = f = steps[0][0]
-        structure.neighbors[f]  # an out-of-range base face raises here
-        walk.append(f)
-        for fi, si in steps:
-            if fi != f:
-                raise GeometryError("loop steps do not chain")
-            f, _ = _across(structure, f, si)
-            walk.append(f)
-        if f != f0:
-            raise GeometryError("loop does not return to its base face")
-    except (GeometryError, IndexError) as err:
-        none = np.empty(0, dtype=np.intp)
-        return _Loop(none, none, np.array(walk, dtype=np.intp), (type(err), err.args)), None
+    f0 = f = steps[0][0]
+    for fi, si in steps:
+        if fi != f:
+            raise GeometryError("loop steps do not chain")
+        f, _ = _across(structure, f, si)
+    if f != f0:
+        raise GeometryError("loop does not return to its base face")
     faces, sides = np.array(steps, dtype=np.intp).T
-    return _Loop(faces, sides, np.array(walk, dtype=np.intp), None), None
+    return _Loop(faces, sides), None
 
 
 def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> list:
@@ -854,20 +832,16 @@ def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> 
     It starts at the first corner at v (in face order, or in base_face) of
     the structure's corner -> vertex table and crosses, face after face,
     the side arriving at v (neighbor_across, the glued-side table).  The
-    loop, or the error it meets, is the plan of (v, base_face) on the
-    structure (_Around), worked out once."""
+    loop is the plan of (v, base_face) on the structure (_Around), worked
+    out once."""
     plan, _ = s._structure.plan(("around", v, base_face), _plan_around)
-    if plan.error is not None:
-        _raise_planned(plan.error)
     return list(plan.steps)
 
 
 class _Around(NamedTuple):
-    """The plan of a loop around a vertex (loop_around_vertex): its steps,
-    or the error it meets as (exception type, args)."""
+    """The plan of a loop around a vertex (loop_around_vertex): its steps."""
 
     steps: tuple
-    error: tuple | None
     leads_to = None
 
     @property
@@ -885,39 +859,34 @@ def _plan_around(structure: _Structure, key: tuple) -> tuple[_Around, None]:
         at = 3 * int(base_face) + np.flatnonzero(corner_vertices[int(base_face)] == v)
     else:
         at = ()
+    if not len(at):
+        raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
     steps = []
-    try:
-        if not len(at):
-            raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
-        start = divmod(int(at[0]), 3)
-        f, i = start
-        while True:
-            # cross the side arriving at v (side i+2 ends at corner i)
-            exit_side = (i + 2) % 3
-            steps.append((f, exit_side))
-            f, i = _across(structure, f, exit_side)
-            if (f, i) == start:
-                break
-            if len(steps) > 4 * len(structure.faces):
-                raise GeometryError("vertex link does not close up")
-    except GeometryError as err:
-        return _Around((), (type(err), err.args)), None
-    return _Around(tuple(steps), None), None
+    start = f, i = divmod(int(at[0]), 3)
+    # glued sides pair up, so the walk comes back to its start or meets the rim
+    while True:
+        # cross the side arriving at v (side i+2 ends at corner i)
+        exit_side = (i + 2) % 3
+        steps.append((f, exit_side))
+        f, i = _across(structure, f, exit_side)
+        if (f, i) == start:
+            break
+    return _Around(tuple(steps)), None
 
 
 def _across(structure: _Structure, f: int, side_index: int) -> tuple[int, int]:
     """(face, side index) glued to side side_index of face f
-    (ConeSurface.neighbor_across)."""
+    (ConeSurface.neighbor_across); a face or side out of range, or a
+    boundary side, raises GeometryError."""
+    n = len(structure.faces)
+    if not 0 <= f < n:
+        raise GeometryError(f"face id {f} is not a face of the surface (0..{n - 1})")
+    if not 0 <= side_index < 3:
+        raise GeometryError(f"side index {side_index} is not a side of a face (0..2)")
     k = structure.neighbors[f, side_index]
     if k < 0:
         raise GeometryError(f"edge {structure.faces[f][side_index].edge} is a boundary edge")
     return divmod(int(k), 3)
-
-
-def _raise_planned(error: tuple):
-    """Raise a planned error, (exception type, args), afresh."""
-    kind, args = error
-    raise kind(*args)
 
 
 def dual_cycles(s: ConeSurface, faces: frozenset[int] | None = None) -> list[list]:
@@ -1132,7 +1101,6 @@ def _plan_splice(host: _Structure, key: tuple) -> tuple[_Splice, _Structure]:
     return _Splice(weakref.ref(spliced), edge_ids, vertex, frozenset(face_ids)), spliced
 
 
-@functools.lru_cache(maxsize=8)
 def _patch_rim(structure: _Structure) -> int:
     """The rim length k of a splice patch, whose rim must be its edges
     0..k-1, edge i running from vertex i to vertex i+1 (mod k) as its faces
@@ -1193,8 +1161,10 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
     that vertex and angle sum instead.
 
     The flipped structure and the corners and sides read are the plan of
-    the edge on the structure (_Flip), worked out once; each call checks
-    convexity and takes the new diagonal's length."""
+    the edge on the structure (_Flip), worked out once; building it raises
+    GeometryError where e is out of range, a boundary or self-glued edge.
+    Each call then checks the metric: the four corners for degeneracy,
+    convexity and the new diagonal's length."""
     plan, flipped = s._structure.plan(("flip", e), _plan_flip)
     angles, degenerate = s._corners()
     for f, i in plan.corners:
@@ -1215,8 +1185,6 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
     cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
     if not cosh_new > 1.0:
         raise NotHyperbolicError("flip would degenerate the quadrilateral")
-    if plan.error is not None:
-        _raise_planned(plan.error)
     lengths = s.lengths.copy()
     lengths[e] = float(np.arccosh(cosh_new))
     return _surface_on(flipped, lengths, s.cone_angles, s.check_angles)
@@ -1224,23 +1192,25 @@ def flip_edge(s: ConeSurface, e: int) -> ConeSurface:
 
 class _Flip(NamedTuple):
     """The plan of flipping an edge (flip_edge): the flipped structure
-    (weakly; None where building it raised, and error is what it raised, as
-    (exception type, args)), the corners (face, i) at the tail of the edge
-    in its lower face and in its higher one, then at its head, the vertices
-    at its tail and head, and the sides into the tail in the lower face and
-    out of it in the higher one."""
+    (weakly), the corners (face, i) at the tail of the edge in its lower
+    face and in its higher one, then at its head, the vertices at its tail
+    and head, and the sides into the tail in the lower face and out of it in
+    the higher one."""
 
-    leads_to: weakref.ref | None
+    leads_to: weakref.ref
     corners: tuple
     vertices: tuple
     sides: tuple
-    error: tuple | None
     size = _PLAN_OVERHEAD
 
 
-def _plan_flip(structure: _Structure, key: tuple) -> tuple[_Flip, _Structure | None]:
-    """The _Flip of key ("flip", e), refusing a boundary or self-glued edge."""
+def _plan_flip(structure: _Structure, key: tuple) -> tuple[_Flip, _Structure]:
+    """The _Flip of key ("flip", e), refusing an edge out of range, a
+    boundary or a self-glued edge."""
     _, e = key
+    n = len(structure.edges)
+    if not 0 <= e < n:
+        raise GeometryError(f"edge id {e} is not an edge of the surface (0..{n - 1})")
     uses = _uses_of(structure, e)
     if len(uses) != 2:
         raise GeometryError("cannot flip a boundary edge")
@@ -1262,11 +1232,8 @@ def _plan_flip(structure: _Structure, key: tuple) -> tuple[_Flip, _Structure | N
     faces = list(structure.faces)
     faces[f1] = (Side(e, True), d, a)
     faces[f2] = (Side(e, False), b, c)
-    try:
-        flipped = _interned(tuple(edges), tuple(faces))
-    except (GeometryError, IndexError) as err:
-        return _Flip(None, corners, vertices, sides, (type(err), err.args)), None
-    return _Flip(weakref.ref(flipped), corners, vertices, sides, None), flipped
+    flipped = _interned(tuple(edges), tuple(faces))
+    return _Flip(weakref.ref(flipped), corners, vertices, sides), flipped
 
 
 def disks_isometric(s1: ConeSurface, d1: DiskSpec, s2: ConeSurface, d2: DiskSpec) -> bool:

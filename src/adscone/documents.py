@@ -61,8 +61,9 @@ def _expected(kind: str, value) -> _Wrong:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON text: sorted keys, floats at 17 significant digits.
-    A float that is not finite has no JSON text: ValueError."""
+    """Deterministic JSON text: sorted keys, floats at 17 significant digits
+    and -0.0 as 0, which json reads back as it reads -0 (the int 0).  A
+    float that is not finite has no JSON text: ValueError."""
 
     def render(x):
         if isinstance(x, dict):
@@ -77,7 +78,7 @@ def canonical_json(obj) -> str:
         if isinstance(x, (float, np.floating)):
             if not math.isfinite(x):
                 raise ValueError(f"out of range float value {float(x)!r} is not JSON compliant")
-            return format(float(x), ".17g")
+            return format(float(x) + 0.0, ".17g")  # -0.0 + 0.0 == +0.0
         if x is None:
             return "null"
         return json.dumps(x)
@@ -393,6 +394,18 @@ def model_from_doc(doc: dict) -> ModelSpacetime:
 _LOOPS = dict[str, list[tuple[int, int]]]  # generator name -> (face, side) steps
 
 
+def _check_steps(loops: dict, faces: int):
+    """Each (face, side) step of the loops names a face of both surfaces of
+    its slice, which have at least `faces` faces, and a side of a face."""
+    ranges = (("a face of mu_l and mu_r", faces), ("a side of a face", 3))
+    for name, loop in loops.items():
+        for k, step in enumerate(loop):
+            for i, (value, (what, n)) in enumerate(zip(step, ranges)):
+                if not 0 <= value < n:
+                    err = _Wrong(f"expected {what} (0..{n - 1}), got {value}")
+                    raise err.at(i).at(k).at(name).at("generator_loops")
+
+
 def interaction_graph_to_doc(g) -> dict:
     from .interactions import CollisionEdge
 
@@ -429,7 +442,9 @@ def interaction_graph_from_doc(doc: dict):
             try:
                 marked = _read(v, "marked", dict[int, float], {})
                 loops = _read(v, "generator_loops", _LOOPS, {})
-                vertices[name] = SliceVertex(name, surface(v, "mu_l"), surface(v, "mu_r"), marked, loops)
+                mu_l, mu_r = surface(v, "mu_l"), surface(v, "mu_r")
+                _check_steps(loops, min(len(mu_l.faces), len(mu_r.faces)))
+                vertices[name] = SliceVertex(name, mu_l, mu_r, marked, loops)
             except _Wrong as err:
                 raise err.at(name).at("vertices")
         edges = _read(p, "edges", tuple[CollisionEdge, ...], ())

@@ -14,7 +14,9 @@ from adscone.conesurf import (
     DiskSpec,
     Side,
     _patch_rim,
+    _Structure,
     _uses_of,
+    angle_sum_jacobian,
     flip_edge,
     raise_degenerate,
     resolve_loop,
@@ -481,6 +483,21 @@ def _per_side_angle_sum_jacobian(sides, angles, face_edges, corner_vertices, sha
     n, m = shape
     cells = corner_vertices[:, :, None] * m + face_edges[:, None, :]
     return np.bincount(cells.ravel(), weights=grad.ravel(), minlength=n * m).reshape(n, m)
+
+
+def _surface_jacobian(s):
+    """d(vertex angle sum) / d(log edge length) of a surface, (num_vertices,
+    E): conesurf.angle_sum_jacobian on a corner table evaluated for it, as
+    catalog.solve_metric takes it."""
+    corners = s._evaluate_corners()
+    raise_degenerate(corners.degenerate)
+    return angle_sum_jacobian(s.lengths[s._tables.sides], corners, s._tables)
+
+
+@pytest.fixture(scope="session")
+def surface_jacobian():
+    """The angle-sum Jacobian of a surface (_surface_jacobian)."""
+    return _surface_jacobian
 
 
 @pytest.fixture(scope="session")
@@ -963,13 +980,30 @@ def _planless_splice_disk(disk, patch, lengths, cone_angles):
 
 def _planless_flip_edge(s, e):
     """conesurf.flip_edge as it found the edge's faces, corners and sides,
-    and built the flipped faces, on every call."""
+    and built the flipped faces, on every call: the triangulation's checks
+    (the edge in range, two distinct faces, the flipped faces validate),
+    then the metric's."""
+    if not 0 <= e < len(s.edges):
+        raise GeometryError(f"edge id {e} is not an edge of the surface (0..{len(s.edges) - 1})")
     uses = _uses_of(s._structure, e)
     if len(uses) != 2:
         raise GeometryError("cannot flip a boundary edge")
     (f1, i1), (f2, i2) = uses
     if f1 == f2:
         raise GeometryError("cannot flip a self-glued edge")
+    sides1, sides2 = s.faces[f1], s.faces[f2]
+    a = sides1[(i1 + 1) % 3]
+    b = sides1[(i1 + 2) % 3]
+    c = sides2[(i2 + 1) % 3]
+    d = sides2[(i2 + 2) % 3]
+    far1 = s.face_corners(f1)[(i1 + 2) % 3]
+    far2 = s.face_corners(f2)[(i2 + 2) % 3]
+    edges = list(s.edges)
+    edges[e] = (far1, far2)
+    faces = list(s.faces)
+    faces[f1] = (Side(e, True), d, a)
+    faces[f2] = (Side(e, False), b, c)
+    _Structure(tuple(edges), tuple(faces))
     tail = s.corner_angle(f1, i1) + s.corner_angle(f2, (i2 + 1) % 3)
     head = s.corner_angle(f1, (i1 + 1) % 3) + s.corner_angle(f2, i2)
     for corner, angle in ((i1, tail), ((i1 + 1) % 3, head)):
@@ -983,44 +1017,27 @@ def _planless_flip_edge(s, e):
     cosh_new = np.cosh(into) * np.cosh(out_of) - np.sinh(into) * np.sinh(out_of) * np.cos(tail)
     if not cosh_new > 1.0:
         raise NotHyperbolicError("flip would degenerate the quadrilateral")
-    new_len = float(np.arccosh(cosh_new))
-    sides1, sides2 = s.faces[f1], s.faces[f2]
-    a = sides1[(i1 + 1) % 3]
-    b = sides1[(i1 + 2) % 3]
-    c = sides2[(i2 + 1) % 3]
-    d = sides2[(i2 + 2) % 3]
-    far1 = s.face_corners(f1)[(i1 + 2) % 3]
-    far2 = s.face_corners(f2)[(i2 + 2) % 3]
-    edges = list(s.edges)
-    edges[e] = (far1, far2)
     lengths = s.lengths.copy()
-    lengths[e] = new_len
-    faces = list(s.faces)
-    faces[f1] = (Side(e, True), d, a)
-    faces[f2] = (Side(e, False), b, c)
+    lengths[e] = float(np.arccosh(cosh_new))
     return ConeSurface(tuple(edges), tuple(faces), lengths, s.cone_angles, s.check_angles)
 
 
 def _planless_holonomy_of_loop(s, loop):
-    """conesurf.holonomy_of_loop as it walked the loop on every call,
-    checking each face it reaches for a degenerate corner."""
+    """conesurf.holonomy_of_loop as it walked the loop on every call, then
+    checked each face it reached, in order, for a degenerate corner."""
     steps = resolve_loop(loop)
-    table, degenerate = s._transition_table()
-
-    def check_sound(f):
-        if degenerate[f]:
-            raise NotHyperbolicError(f"degenerate corner at face {f}")
-
     f0 = f = steps[0][0]
-    check_sound(f)
     for fi, si in steps:
         if fi != f:
             raise GeometryError("loop steps do not chain")
         f, _ = s.neighbor_across(f, si)
-        check_sound(f)
     if f != f0:
         raise GeometryError("loop does not return to its base face")
+    table, degenerate = s._transition_table()
     faces, sides = zip(*steps)
+    for f in faces:
+        if degenerate[f]:
+            raise NotHyperbolicError(f"degenerate corner at face {f}")
     factors = table[list(faces), list(sides)]
     h = factors[0]
     for t in factors[1:]:

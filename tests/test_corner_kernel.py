@@ -68,21 +68,22 @@ def _outcome(build):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data(), name=st.sampled_from(sorted(SURFACES)))
-def test_table_kernel_matches_the_per_side_kernel(per_side_kernel, data, name):
+def test_table_kernel_matches_the_per_side_kernel(per_side_kernel, surface_jacobian, data, name):
     base = SURFACES[name]
-    _assert_kernels_agree(per_side_kernel, base, data.draw(length_vectors(base.lengths)))
+    lengths = data.draw(length_vectors(base.lengths))
+    _assert_kernels_agree(per_side_kernel, surface_jacobian, base, lengths)
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e-5, 1.0, 300.0, 400.0])
 @pytest.mark.parametrize("name", sorted(SURFACES))
-def test_scaled_metrics_match_the_per_side_kernel(per_side_kernel, name, scale):
+def test_scaled_metrics_match_the_per_side_kernel(per_side_kernel, surface_jacobian, name, scale):
     """Every corner of a tiny metric rounds away from its angle, and every
     corner of a huge one overflows: both are degenerate."""
     base = SURFACES[name]
-    _assert_kernels_agree(per_side_kernel, base, scale * base.lengths)
+    _assert_kernels_agree(per_side_kernel, surface_jacobian, base, scale * base.lengths)
 
 
-def _assert_kernels_agree(ref, base, lengths):
+def _assert_kernels_agree(ref, surface_jacobian, base, lengths):
     tables, face_edges = base._tables, ref.face_edges(base)
     # the length checks, on their own and as a surface raises them
     want = _outcome(lambda: ref.checked_sides(lengths, face_edges, len(base.edges)))
@@ -116,7 +117,7 @@ def _assert_kernels_agree(ref, base, lengths):
             lengths[face_edges], want_angles, face_edges, ref.corner_vertices(base), shape
         )
         got_jac = angle_sum_jacobian(lengths[tables.sides], corners, tables)
-        assert surface.angle_sum_jacobian().tobytes() == want_jac.tobytes()
+        assert surface_jacobian(surface).tobytes() == want_jac.tobytes()
     assert got_jac.tobytes() == want_jac.tobytes()
 
 

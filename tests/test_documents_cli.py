@@ -15,7 +15,7 @@ from adscone import documents as docs
 from adscone import interactions
 from adscone import lrmetrics
 from adscone.catalog import solve_metric, subdivide_face_with_cone, torus_with_cone_point
-from adscone.cli import main
+from adscone.cli import COMMANDS, build_parser, main
 from adscone.conesurf import holonomy_of_loop
 from adscone.errors import GeometryError
 from adscone.hssurface import (
@@ -57,11 +57,12 @@ def run_cli(args):
 
 
 def test_canonical_json_deterministic():
-    obj = {"b": 1.0 / 3.0, "a": [1, 2.5], "c": {"y": True, "x": None}}
+    obj = {"b": 1.0 / 3.0, "a": [1, 2.5, -0.0, np.float64(-0.0)], "c": {"y": True, "x": None}}
     s1 = docs.canonical_json(obj)
     s2 = docs.canonical_json(json.loads(s1))
     assert s1 == s2
     assert format(1.0 / 3.0, ".17g") in s1
+    assert '"a":[1,2.5,0,0]' in s1  # json reads -0 as the int 0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("inf")])
@@ -237,17 +238,17 @@ DOCUMENTS = {
 
 
 def test_codec_documents_are_written_back_byte_for_byte():
-    """Reading a document and writing what was read gives its own canonical
-    bytes, on every valid document of the benchmark's seeds 1-3 (270 of
+    """Reading a written document and writing what was read gives its bytes
+    again, on every valid document of the benchmark's seeds 1-3 (270 of
     them): every kind, with the cone surfaces nested in surgery requests and
-    graphs and the HS-spheres nested in surgery requests."""
+    graphs and the HS-spheres nested in surgery requests, negative zeros
+    among them."""
     seen = set()
     for seed in (1, 2, 3):
         for d in corpus.cli_corpus(seed):
             if d.kind == "valid":
                 read, write = DOCUMENTS[d.cmd]
-                doc = json.loads(d.text)
-                assert docs.canonical_json(write(read(doc))) == docs.canonical_json(doc), (seed, d.cmd, d.name)
+                assert docs.canonical_json(write(read(json.loads(d.text)))) == d.text, (seed, d.cmd, d.name)
                 seen.add((seed, d.cmd, d.name))
     assert len(seen) == 270 and {cmd for _, cmd, _ in seen} == set(DOCUMENTS)
 
@@ -772,16 +773,36 @@ def test_every_model_kind_round_trips_through_its_document(tmp_path, name):
             "payload.holonomies[1]: matrix must have positive determinant",
             id="btz-holonomy-det-negative",
         ),
+        *(
+            pytest.param(
+                command,
+                ("vertices", "before", "generator_loops", "g0", 0, i),
+                value,
+                f"payload.vertices.before.generator_loops.g0[0][{i}]: expected {what}, got {value}",
+                id=f"graph-loop-{('face', 'side')[i]}-{value}",
+            )
+            for command, i, value, what in [
+                ("validate-graph", 0, 12, "a face of mu_l and mu_r (0..11)"),
+                ("assemble-holonomy", 1, 3, "a side of a face (0..2)"),
+                ("validate-graph", 0, 10**20, "a face of mu_l and mu_r (0..11)"),
+                ("assemble-holonomy", 0, -1, "a face of mu_l and mu_r (0..11)"),
+                ("validate-graph", 1, -1, "a side of a face (0..2)"),
+            ]
+        ),
     ],
 )
-def test_a_value_isom_refuses_is_an_input_error_by_its_path(tmp_path, command, path, value, error):
-    """Numbers of the right kind that isom cannot hold (a matrix of
-    determinant <= 0, a lift offset its holonomy does not give) are malformed
-    input named by their path, where they were a bare ValueError."""
+def test_a_value_the_library_refuses_is_an_input_error_by_its_path(tmp_path, command, path, value, error):
+    """Numbers of the right kind that the library cannot hold (a matrix of
+    determinant <= 0, a lift offset its holonomy does not give, a loop step
+    naming a face or a side its surfaces lack) are malformed input named by
+    their path, where they were a bare ValueError or IndexError (or, for
+    face -1, read as the last face)."""
     if command == "classify-link":
         doc = _non_finite_doc(command)
-    else:
+    elif command == "classify-model-links":
         doc = docs.model_to_doc(_models_with_documents()["static BTZ"][0])
+    else:
+        doc = _graph_doc()
     doc = json.loads(docs.canonical_json(doc))
     node = doc["payload"]
     for key in path[:-1]:
@@ -883,6 +904,38 @@ def test_a_tolerance_scale_not_finite_and_positive_is_an_input_error(tmp_path, s
     assert out.getvalue() == ""
     assert f"input error: argument --tolerance-scale: must be a finite number > 0, got {scale!r}" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# the options each subcommand reads besides --input, --output and --batch
+READS = {
+    "--plot": {"speed-check", "lr-metrics"},
+    "--positive": {"classify-link", "classify-sphere", "trace-causal"},
+    "--tolerance-scale": {"speed-check", "validate-graph", "assemble-holonomy"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    """Of the 60 (subcommand, option) pairs, the 38 that a subcommand reads
+    parse; any other option is a usage error naming it (exit 1), where it
+    was accepted and ignored."""
+    values = {"--input": ["a.json"], "--output": ["r.json"], "--batch": ["d"], "--plot": ["p.svg"]}
+    values.update({"--tolerance-scale": ["2"], "--positive": []})
+    taken = set()
+    for command in COMMANDS:
+        for option, value in values.items():
+            argv = [command, option, *value]
+            err = io.StringIO()
+            with redirect_stderr(err):
+                try:
+                    build_parser().parse_args(argv)
+                    taken.add((command, option))
+                except SystemExit as stop:
+                    unrecognized = " ".join(argv[1:])
+                    assert stop.code == 1
+                    assert err.getvalue().endswith(f"input error: unrecognized arguments: {unrecognized}\n")
+    reads = {(c, o) for o, cs in READS.items() for c in cs}
+    assert taken == {(c, o) for c in COMMANDS for o in ("--input", "--output", "--batch")} | reads
+    assert len(taken) == 38
 
 
 def _curve_payload():

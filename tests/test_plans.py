@@ -1,7 +1,8 @@
 """The plans a triangulation structure keeps (conesurf._Structure.plan):
 splice_disk, flip_edge and holonomy_of_loop against their planless
-references (conftest.planless) byte for byte, errors included, and the
-bound on what one structure keeps."""
+references (conftest.planless) byte for byte, errors included, the order of
+their checks (the triangulation's before the metric's), and the bound on
+what one structure keeps."""
 
 import gc
 import sys
@@ -32,7 +33,7 @@ def _outcome(fn, *args):
     """What fn(*args) gives: ("ok", value) or (exception type, its text)."""
     try:
         return "ok", fn(*args)
-    except (GeometryError, IndexError) as err:
+    except GeometryError as err:
         return type(err), str(err)
 
 
@@ -181,38 +182,46 @@ def _three_face_strip():
 
 def test_loop_errors_match_and_come_in_walk_order(planless):
     """Loops that do not chain, hit a boundary edge, miss their base face or
-    leave the face range, on a torus and on a strip with a degenerate face:
-    a degenerate face the walk reaches before the structural error is
-    reported first, one it would reach after it is not."""
+    leave the face or side range, on a torus and on a strip with a
+    degenerate face: the first such error of the walk is reported, through
+    the degenerate face or not, and only a loop that closes reports the
+    first degenerate face it reaches."""
     torus, _ = catalog.torus_with_cone_point(2.0)
     around = loop_around_vertex(torus, 4)
     strip = _three_face_strip()
     cases = [
         (torus, [around[0], around[0]], "loop steps do not chain"),
         (torus, around[:-1], "loop does not return to its base face"),
-        (torus, [(12, 0)], "index 12 is out of bounds for axis 0 with size 10"),
-        (torus, [(-11, 0)], "index -11 is out of bounds for axis 0 with size 10"),
-        (torus, [(around[0][0], 3)], "index 3 is out of bounds for axis 1 with size 3"),
-        (torus, [(2**70, 0)], None),
+        (torus, [(10, 0)], "face id 10 is not a face of the surface (0..9)"),
+        (torus, [(12, 0)], "face id 12 is not a face of the surface (0..9)"),
+        (torus, [(-1, 0)], "face id -1 is not a face of the surface (0..9)"),
+        (torus, [(-11, 0)], "face id -11 is not a face of the surface (0..9)"),
+        (torus, [(2**70, 0)], f"face id {2**70} is not a face of the surface (0..9)"),
+        (torus, [(around[0][0], 3)], "side index 3 is not a side of a face (0..2)"),
+        (torus, [(around[0][0], -1)], "side index -1 is not a side of a face (0..2)"),
         (strip, [(0, 1), (0, 1)], "edge 1 is a boundary edge"),
         (strip, [(2, 0)], "loop does not return to its base face"),
-        # face 0 -> face 1 (degenerate), then a step that does not chain
-        (strip, [(0, 2), (0, 0)], "degenerate corner at face 1"),
-        (strip, [(0, 2), (1, 1)], "degenerate corner at face 1"),
-        # the chain breaks at the second step, before the walk reaches face 1
+        (strip, [(2, 0), (0, 0)], "ok"),
+        # face 0 -> face 1 (degenerate), then a step that does not chain or
+        # a boundary side
+        (strip, [(0, 2), (0, 0)], "loop steps do not chain"),
+        (strip, [(0, 2), (1, 1)], "edge 3 is a boundary edge"),
         (strip, [(2, 0), (2, 0), (0, 2)], "loop steps do not chain"),
+        # from the degenerate base face: out of range, open or broken
+        (strip, [(1, 3)], "side index 3 is not a side of a face (0..2)"),
+        (strip, [(1, 0)], "loop does not return to its base face"),
+        (strip, [(1, 0), (2, 0)], "loop steps do not chain"),
+        # closed loops through face 1
         (strip, [(1, 0), (0, 2)], "degenerate corner at face 1"),
-        # a degenerate base face comes first, also before a loop breaks
-        (strip, [(1, 0)], "degenerate corner at face 1"),
-        (strip, [(1, 0), (2, 0)], "degenerate corner at face 1"),
+        (strip, [(0, 2), (1, 0)], "degenerate corner at face 1"),
     ]
     for s, loop, text in cases:
         _assert_holonomy(s, loop, planless)
-        _, got = _outcome(holonomy_of_loop, s, loop)
-        if text is not None:
-            assert got == text
-    with pytest.raises(NotHyperbolicError, match="^degenerate corner at face 1$"):
-        holonomy_of_loop(strip, [(0, 2), (0, 0)])
+        kind, got = _outcome(holonomy_of_loop, s, loop)
+        if text == "ok":
+            assert kind == "ok"
+        else:
+            assert (kind, got) == (NotHyperbolicError if "degenerate" in text else GeometryError, text)
 
 
 def _flagged(s: ConeSurface, corner: int) -> ConeSurface:
@@ -229,25 +238,59 @@ def _flagged(s: ConeSurface, corner: int) -> ConeSurface:
 def test_degenerate_corners_are_reported_in_the_planless_order(planless):
     """One corner of the torus flagged degenerate at a time: every flip,
     and every vertex loop and dual cycle, closed, cut short or broken after
-    its first step, reports what the planless operation reports."""
+    its first step, reports what the planless operation reports; a loop cut
+    short or broken reports its own error, whichever face is flagged."""
     torus, _ = catalog.torus_with_cone_point(2.0)
     closed = [loop_around_vertex(torus, v) for v in torus.vertices] + dual_cycles(torus)
-    loops = closed + [lp[:-1] for lp in closed if len(lp) > 1] + [[lp[0], lp[0]] for lp in closed]
+    broken = [lp[:-1] for lp in closed if len(lp) > 1] + [[lp[0], lp[0]] for lp in closed]
     for corner in range(3 * len(torus.faces)):
         s = _flagged(torus, corner)
         for e in range(len(torus.edges)):
             _assert_flip(s, e, planless)
-        for loop in loops:
+        for loop in closed + broken:
             _assert_holonomy(s, loop, planless)
+        for loop in broken:
+            assert _outcome(holonomy_of_loop, s, loop) == _outcome(holonomy_of_loop, torus, loop)
+            assert _outcome(holonomy_of_loop, s, loop)[0] is GeometryError
 
 
-def test_a_flip_onto_a_malformed_structure_raises_after_the_metric_checks(planless):
-    """Edge -1 names the last edge to the uses lookup, and its flipped faces
-    name edge -1, which no structure takes: the same IndexError as the
-    planless flip, raised on each call."""
+def test_a_flip_of_an_edge_out_of_range_is_refused_before_the_metric_checks(planless):
+    """An edge id outside 0..E-1 is refused by id, as the planless flip
+    refuses it, on each call, also where every corner is degenerate (edge -1
+    no longer names the last edge)."""
     torus, _ = catalog.torus_with_cone_point(2.0)
+    degenerate = torus.with_lengths(torus.lengths)
+    angles, flags = torus._corners()
+    object.__setattr__(degenerate, "_corner_cache", (angles, np.ones_like(flags)))
     for e in (-1, -15, 15, 10**30):
-        _assert_flip(torus, e, planless)
+        text = f"edge id {e} is not an edge of the surface (0..14)"
+        for s in (torus, degenerate):
+            _assert_flip(s, e, planless)
+            assert _outcome(flip_edge, s, e) == (GeometryError, text)
+
+
+def test_a_build_that_raises_keeps_no_plan():
+    """A loop, vertex loop or flip whose plan build raises leaves the
+    structure's plans as they were, and raises the same text again."""
+    torus, _ = catalog.torus_with_cone_point(2.0)
+    strip = _three_face_strip()
+    plans = torus._structure._plans, strip._structure._plans
+    calls = [
+        (holonomy_of_loop, torus, [(0, 0)]),
+        (holonomy_of_loop, torus, [(10, 0)]),
+        (holonomy_of_loop, torus, [(0, 3)]),
+        (holonomy_of_loop, strip, [(1, 0), (2, 0)]),
+        (loop_around_vertex, torus, 99),
+        (loop_around_vertex, torus, 4, 10),
+        (flip_edge, torus, 15),
+        (flip_edge, strip, 1),
+    ]
+    for fn, s, *args in calls:
+        before = [(dict(p._entries), p.held) for p in plans]
+        first = _outcome(fn, s, *args)
+        assert first[0] is GeometryError
+        assert [(dict(p._entries), p.held) for p in plans] == before
+        assert _outcome(fn, s, *args) == first
 
 
 def _fan(n):
