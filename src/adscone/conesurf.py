@@ -40,8 +40,11 @@ _AROUND = np.array([[0, 1, 2], _NEXT, _PREV])
 _COSINE_AT = np.array([[1, -1, 2], [0, 2, -1], [-1, 1, 0]])
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
+    """One side of a face: an edge id and whether the face runs along the
+    edge from its tail.  A tuple, so that it hashes and compares in C, equal
+    to the (edge, forward) tuple of its values."""
+
     edge: int
     forward: bool = True
 
@@ -73,11 +76,9 @@ class ConeSurface:
     check_angles: bool = True
 
     def __post_init__(self):
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
-        faces = tuple(tuple(map(_as_side, f)) for f in self.faces)
         lengths = np.asarray(self.lengths, dtype=float)
         cones = dict(self.cone_angles)
-        self._on(_interned(edges, faces), lengths, cones, self.check_angles)
+        self._on(_interned(self.edges, self.faces), lengths, cones, self.check_angles)
 
     def _on(self, structure: _Structure, lengths, cone_angles, check_angles: bool) -> ConeSurface:
         """This surface on an interned structure, with the metric given: the
@@ -336,20 +337,21 @@ class _Structure:
     combinatorial operation on it (splice_disk, flip_edge,
     holonomy_of_loop), worked out once and kept likewise.
 
-    Raises, building nothing, where a side names a missing edge
-    (IndexError), an edge has more than two sides or two in one direction,
-    or a face's side chain does not close (GeometryError)."""
+    Raises GeometryError, building nothing, where a side names a missing
+    edge, an edge has more than two sides or two in one direction, or a
+    face's side chain does not close."""
 
     def __init__(self, edges: tuple, faces: tuple):
         n_edges = len(edges)
-        ids = np.array([s.edge for f in faces for s in f], dtype=np.intp)
-        fwd = np.array([s.forward for f in faces for s in f], dtype=bool)
-        if ids.size and not (0 <= ids.min() and ids.max() < n_edges):
-            side = int(np.argmax((ids < 0) | (ids >= n_edges)))
-            raise IndexError(
-                f"side {side % 3} of face {side // 3} names edge {ids[side]}, "
-                f"but there are {n_edges} edges"
+        edge_ids = [s.edge for f in faces for s in f]
+        if edge_ids and not (0 <= min(edge_ids) and max(edge_ids) < n_edges):
+            side, e = next((k, e) for k, e in enumerate(edge_ids) if not 0 <= e < n_edges)
+            raise GeometryError(
+                f"edge id {e} of side {side % 3} of face {side // 3} "
+                f"is not an edge of the surface (0..{n_edges - 1})"
             )
+        ids = np.array(edge_ids, dtype=np.intp)
+        fwd = np.array([s.forward for f in faces for s in f], dtype=bool)
         on = np.bincount(ids[fwd], minlength=n_edges)
         against = np.bincount(ids[~fwd], minlength=n_edges)
         crowded = on + against > 2
@@ -516,16 +518,28 @@ class _Kept:
             self.held -= dropped
 
 
-def _interned(edges: tuple, faces: tuple) -> _Structure:
-    """The _Structure of normalized edges and faces, from the process-wide
-    _STRUCTURES, keyed by (edges, faces), or built and kept there.  Only
-    structures that validate are kept, so a malformed one raises on every
-    construction."""
-    key = (edges, faces)
-    found = _STRUCTURES.get(key)
+def _interned(edges, faces) -> _Structure:
+    """The _Structure of edges and faces, from the process-wide _STRUCTURES,
+    keyed by their normalized form ((tail, head) int pairs and Sides), or
+    built and kept there.  Only structures that validate are kept, so a
+    malformed one raises on every construction.
+
+    Edges and faces equal to a kept key find its structure as they are: a
+    Side is equal to the (edge, forward) tuple of its values, and the ints
+    and bools normalizing gives are equal to what they are made of, so the
+    tuples a document reads need no normalizing."""
+    try:
+        found = _STRUCTURES.get((edges, faces))
+    except TypeError:  # lists, which do not hash
+        found = None
     if found is None:
-        found = _Structure(edges, faces)
-        _STRUCTURES.keep(key, found, len(faces))
+        edges = tuple((int(a), int(b)) for a, b in edges)
+        faces = tuple(tuple(map(_as_side, f)) for f in faces)
+        key = (edges, faces)
+        found = _STRUCTURES.get(key)
+        if found is None:
+            found = _Structure(edges, faces)
+            _STRUCTURES.keep(key, found, len(faces))
     return found
 
 
@@ -833,7 +847,8 @@ def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> 
     the structure's corner -> vertex table and crosses, face after face,
     the side arriving at v (neighbor_across, the glued-side table).  The
     loop is the plan of (v, base_face) on the structure (_Around), worked
-    out once."""
+    out once.  A base face that is not a face id raises GeometryError
+    naming it, as neighbor_across does."""
     plan, _ = s._structure.plan(("around", v, base_face), _plan_around)
     return list(plan.steps)
 
@@ -853,12 +868,13 @@ def _plan_around(structure: _Structure, key: tuple) -> tuple[_Around, None]:
     """The _Around of key ("around", v, base_face)."""
     _, v, base_face = key
     corner_vertices = structure.tables.corner_vertices
+    n = len(corner_vertices)
     if base_face is None:
         at = np.flatnonzero(corner_vertices.ravel() == v)
-    elif base_face in range(len(corner_vertices)):
+    elif base_face in range(n):
         at = 3 * int(base_face) + np.flatnonzero(corner_vertices[int(base_face)] == v)
     else:
-        at = ()
+        raise GeometryError(f"face id {base_face} is not a face of the surface (0..{n - 1})")
     if not len(at):
         raise GeometryError(f"vertex {v} not found" + ("" if base_face is None else " in base face"))
     steps = []

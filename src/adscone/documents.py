@@ -7,7 +7,11 @@ Matrices travel as length-4 arrays in row-major order.
 
 Every value a document holds is read by one rule, the codec below: it must
 be of the kind its place annotates, and a number must be finite.  Anything
-else raises DocumentError naming the value by its path in the document.
+else raises DocumentError naming the value by its path in the document.  An
+array of numbers, integers, booleans or strings, or of rows of them, is
+checked a whole array at a time, each check one C-level pass over all its
+entries (_one_pass); it is walked value by value only where that check
+fails, to name the value.
 
 Each *_from_doc function imports the layer whose types it builds when it is
 called, so that importing this module (as the command line does) loads none
@@ -21,6 +25,7 @@ import functools
 import importlib
 import json
 import math
+import re
 import types
 import typing
 from enum import Enum
@@ -123,24 +128,31 @@ def matrix_to_list(m: np.ndarray) -> list:
 # tuple[X, ...], list[X] and frozenset[X] (sorted) are arrays, tuple[X, Y]
 # one of that many, dict[K, V] an object (an int key as its decimal text),
 # np.ndarray a matrix.  A float is a finite number (an int counts), an int
-# an integer (a bool is none), an Enum one of its values.
+# an integer (a bool is none), an Enum one of its values.  An array of
+# leaves or of rows of them (edges, [edge, forward] sides, faces, loop
+# steps), and a fixed tuple of one leaf kind (a matrix), are read by
+# _one_pass: the kinds and lengths of all their entries in a few C-level
+# passes.  Where one is wrong, _array walks the array value by value to
+# name it.
 
 _KEYS = {"type_tag": "type"}
 _LAYOUTS = {"FaceAngle": (("real",), ("k", "r", "lightlike"))}
 _LEAVES = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
 _OWN_DEFAULT = object()
 _FLOAT_MAX = int(np.finfo(float).max)
+_FLOAT, _NUMBER, _LIST = {float}, {float, int}, {list}
+_INT_TEXT = re.compile(r"[ \t\n\r]*-?(?:0|[1-9][0-9]*)[ \t\n\r]*")  # what json.loads reads as an int
 
 
 def _read(obj: dict, key: str, tp, default=dataclasses.MISSING):
     """obj[key] read as tp, an annotation or a function of the JSON value, or
     default where obj has no key."""
-    try:
-        if key in obj:
-            return (tp if isinstance(tp, types.FunctionType) else _codec(tp)[1])(obj[key])
+    if key not in obj:
         if default is dataclasses.MISSING:
-            raise _Wrong("missing")
+            raise _Wrong("missing").at(key)
         return default
+    try:
+        return (tp if type(tp) is types.FunctionType else _codec(tp)[1])(obj[key])
     except _Wrong as err:
         raise err.at(key)
 
@@ -159,11 +171,69 @@ def _array(v, decs, n=None) -> list:
 
 
 def _int_key(k: str) -> int:
-    """An object key that is the text of a JSON integer."""
-    try:
-        return _codec(int)[1](json.loads(k))
-    except ValueError:  # no JSON text, or one of another kind
-        raise _expected("integer key", k) from None
+    """An object key that is the text of a JSON integer, JSON whitespace
+    around it allowed."""
+    if _INT_TEXT.fullmatch(k):
+        try:
+            return int(k)
+        except ValueError:  # more digits than int() converts, as in json.loads
+            pass
+    raise _expected("integer key", k)
+
+
+def _numbers(values: list) -> list | None:
+    """values as floats, where each is a finite number (an int within the
+    float range counts), else None: each check one C-level pass.  A sum of
+    floats is finite only if each is; where it overflows, None too.  With
+    ints, the range check leaves out the infinities, and a NaN makes the sum
+    NaN."""
+    kinds = set(map(type, values))
+    if kinds <= _FLOAT:
+        total = sum(values)
+        return values if total - total == 0 else None
+    if kinds <= _NUMBER and -_FLOAT_MAX <= min(values) and max(values) <= _FLOAT_MAX:
+        floats = list(map(float, values))
+        total = sum(floats)
+        return floats if total == total else None
+    return None
+
+
+def _one_pass(tp):
+    """check(values): the JSON values, annotated tp, typed (a row as a
+    tuple, an int read as a number as a float), or None where one is not of
+    its kind; each check is one C-level pass over all the values.  None for
+    an annotation other than a leaf (number, integer, boolean, string) or a
+    fixed tuple of such, all of one annotation or integers and booleans.
+    The entries of all the rows (JSON arrays of the tuple's length) are
+    checked as one list: as args[0], or by their types, args repeated."""
+    if tp is float:
+        return _numbers
+    if tp in (int, bool, str):
+        kinds = {tp}  # a bool is no int: the check is by type
+        return lambda values: values if set(map(type, values)) <= kinds else None
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is not tuple or args[-1] is ...:
+        return None
+    n = len(args)
+    if len(set(args)) == 1:
+        check = _one_pass(args[0])
+    elif set(args) <= {int, bool}:
+        pattern = list(args)
+        check = lambda values: values if list(map(type, values)) == pattern * (len(values) // n) else None
+    else:
+        check = None
+    if check is None:
+        return None
+    shape = {n}
+
+    def rows(values):
+        if set(map(type, values)) <= _LIST and set(map(len, values)) <= shape:
+            typed = check(list(chain.from_iterable(values)))
+            if typed is not None:
+                return list(zip(*[iter(typed)] * n))
+        return None
+
+    return rows
 
 
 def _optional(tp):
@@ -183,17 +253,37 @@ def _codec(tp):
         return _codec(getattr(importlib.import_module(f".{module}", __package__), name))
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (list, frozenset) or origin is tuple and args[-1] is ...:
-        enc, dec = _codec(args[0])
+        (enc, dec), typed = _codec(args[0]), _one_pass(args[0])
         order = sorted if origin is frozenset else iter
-        return (lambda v: [enc(x) for x in order(v)]), lambda v: origin(_array(v, repeat(dec)))
+
+        def decode_array(v):
+            items = typed(v) if typed is not None and type(v) is list else None
+            return origin(_array(v, repeat(dec)) if items is None else items)
+
+        return (lambda v: [enc(x) for x in order(v)]), decode_array
     if origin is tuple:
         encs, decs = zip(*map(_codec, args))
-        return (lambda v: [e(x) for e, x in zip(encs, v)]), lambda v: tuple(_array(v, decs, len(decs)))
-    if origin is dict:  # each entry named by its key
+        n, typed = len(args), _one_pass(args[0]) if len(set(args)) == 1 else None
+
+        def decode_fixed(v):
+            items = typed(v) if typed is not None and type(v) is list and len(v) == n else None
+            return tuple(_array(v, decs, n) if items is None else items)
+
+        return (lambda v: [e(x) for e, x in zip(encs, v)]), decode_fixed
+    if origin is dict:
         key, (enc, dec) = _int_key if args[0] is int else str, _codec(args[1])
-        return (lambda v: {str(k): enc(x) for k, x in v.items()}), (
-            lambda v: dict(_read(v, k, lambda x: (key(k), dec(x))) for k in _codec(dict)[1](v))
-        )
+
+        def decode_object(v):  # each entry named by its key
+            entries, read = _codec(dict)[1](v), {}
+            try:
+                for k, x in entries.items():
+                    typed_key = key(k)  # the key is checked first
+                    read[typed_key] = dec(x)
+            except _Wrong as err:
+                raise err.at(k)
+            return read
+
+        return (lambda v: {str(k): enc(x) for k, x in v.items()}), decode_object
     if _optional(tp) is not None:
         enc, dec = _codec(_optional(tp))
         return (lambda v: None if v is None else enc(v)), (lambda v: None if v is None else dec(v))
@@ -244,7 +334,7 @@ def _dataclass_codec(cls):
     def decode(v):
         if not isinstance(v, dict):
             raise _expected("object", v)
-        fields = next((l for l in layouts if l[0][1] in v), layouts[-1])
+        fields = layouts[0] if not variants else next((l for l in layouts if l[0][1] in v), layouts[-1])
         values = {}
         try:
             for name, key, _, dec, default in fields:
@@ -315,8 +405,10 @@ def cone_surface_to_doc(s) -> dict:
     return envelope("cone-surface.json", payload)
 
 
-def cone_surface_from_doc(doc: dict):
-    from .conesurf import ConeSurface
+def _surface_parts(doc: dict) -> tuple:
+    """(edges, faces, lengths, cone_angles) of a cone-surface document, typed
+    as tuples and a dict, and consistent: one length per edge, and every
+    side naming one of the edges."""
 
     def read(p):
         edges, faces = _read(p, "edges", _EDGES), _read(p, "faces", _FACES)
@@ -324,9 +416,25 @@ def cone_surface_from_doc(doc: dict):
         cone_angles = _read(p, "cone_angles", dict[int, float], {})
         if len(lengths) != len(edges):  # the document contradicts itself
             raise _expected(f"array of length {len(edges)}, one per edge", p["lengths"]).at("lengths")
-        return ConeSurface(edges, faces, np.array(lengths), cone_angles)
+        sides = list(chain.from_iterable(faces))  # (edge, forward) sort by edge id first
+        if sides and not (0 <= min(sides)[0] and max(sides)[0] < len(edges)):
+            k, e = next((k, e) for k, (e, _) in enumerate(sides) if not 0 <= e < len(edges))
+            err = _Wrong(f"expected an edge of the surface (0..{len(edges) - 1}), got {e}")
+            raise err.at(0).at(k % 3).at(k // 3).at("faces")
+        return edges, faces, lengths, cone_angles
 
     return _from_doc(doc, "cone-surface.json", read)
+
+
+def _cone_surface(parts: tuple):
+    from .conesurf import ConeSurface
+
+    edges, faces, lengths, cone_angles = parts
+    return ConeSurface(edges, faces, np.array(lengths), cone_angles)
+
+
+def cone_surface_from_doc(doc: dict):
+    return _cone_surface(_surface_parts(doc))
 
 
 # -- link circles and models --------------------------------------------------
@@ -396,7 +504,11 @@ _LOOPS = dict[str, list[tuple[int, int]]]  # generator name -> (face, side) step
 
 def _check_steps(loops: dict, faces: int):
     """Each (face, side) step of the loops names a face of both surfaces of
-    its slice, which have at least `faces` faces, and a side of a face."""
+    its slice, which have at least `faces` faces, and a side of a face:
+    checked in one pass, and walked only where it fails, to name the step."""
+    steps = list(chain.from_iterable(loops.values()))
+    if all(0 <= min(column) and max(column) < n for column, n in zip(zip(*steps), (faces, 3))):
+        return
     ranges = (("a face of mu_l and mu_r", faces), ("a side of a face", 3))
     for name, loop in loops.items():
         for k, step in enumerate(loop):
@@ -426,15 +538,19 @@ def interaction_graph_to_doc(g) -> dict:
 def interaction_graph_from_doc(doc: dict):
     from .interactions import CollisionEdge, InteractionGraph, SliceVertex
 
-    # equal surface documents, by their sorted JSON text (which tells true from
-    # 1), parse to one ConeSurface: validation reuses work by object identity
-    parsed = {}
+    # surface documents whose typed parts are equal (so key order, extra keys
+    # and 1 against 1.0 do not count, and a false where an id belongs is
+    # refused before) are one ConeSurface: validation reuses work by object
+    # identity
+    built = {}
 
     def surface(v, key):
-        form = json.dumps(v.get(key), sort_keys=True)
-        if form not in parsed:
-            parsed[form] = _read(v, key, cone_surface_from_doc)
-        return parsed[form]
+        edges, faces, lengths, cone_angles = parts = _read(v, key, _surface_parts)
+        form = (edges, faces, lengths, tuple(sorted(cone_angles.items())))
+        found = built.get(form)
+        if found is None:
+            found = built[form] = _cone_surface(parts)
+        return found
 
     def read(p):
         vertices = {}

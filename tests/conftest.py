@@ -908,7 +908,10 @@ def walked_disk():
 
 def _scanned_vertex_loop(s, v, base_face=None):
     """conesurf.loop_around_vertex as it scanned face_corners for its start
-    and stepped with neighbor_across."""
+    and stepped with neighbor_across; a base face that is no face id is
+    refused by id, in neighbor_across's words."""
+    if base_face is not None and base_face not in range(len(s.faces)):
+        raise GeometryError(f"face id {base_face} is not a face of the surface (0..{len(s.faces) - 1})")
     start = None
     for fi in range(len(s.faces)):
         corners = s.face_corners(fi)

@@ -305,7 +305,8 @@ def test_vertex_loops_equal_the_face_scan(scanned_vertex_loop):
     error text for every vertex, one past the last, and every base face (and
     none, -1, 0.5, one past the last and 2**70) of the subdivided tori of the
     cone-surfaces inputs of seeds 1-3 and of the torus's star disk taken out
-    as a surface with boundary; all three errors occur."""
+    as a surface with boundary; all four errors occur, and a base face out
+    of range is refused by its id whatever the vertex."""
     _, star = torus_with_cone_point(2.0)
     surfaces = [extract_disk_surface(star)[0]]
     for seed in (1, 2, 3):
@@ -318,10 +319,17 @@ def test_vertex_loops_equal_the_face_scan(scanned_vertex_loop):
                 got = _loop_outcome(loop_around_vertex, s, v, base_face)
                 assert got == _loop_outcome(scanned_vertex_loop, s, v, base_face)
                 if isinstance(got, str):
-                    errors.add(re.sub(r"\d+", "N", got))
+                    errors.add(re.sub(r"-?\d+(\.\d+)?", "N", got))
                 else:
                     assert all(type(f) is int and type(i) is int for f, i in got)
-    assert errors == {"vertex N not found", "vertex N not found in base face", "edge N is a boundary edge"}
+                if base_face in (-1, 0.5, faces, 2**70):
+                    assert got == f"face id {base_face} is not a face of the surface (0..{faces - 1})"
+    assert errors == {
+        "vertex N not found",
+        "vertex N not found in base face",
+        "edge N is a boundary edge",
+        "face id N is not a face of the surface (N..N)",
+    }
     assert len(surfaces) == 217
 
 
@@ -767,10 +775,12 @@ def test_structural_errors_name_the_first_edge_to_appear():
         ConeSurface(edges, faces, np.ones(4), check_angles=False)
     with pytest.raises(GeometryError, match="^edge 0 used by more than two face sides$"):
         ConeSurface(edges, (faces[2], faces[0], faces[1]), np.ones(4), check_angles=False)
-    # an edge id outside the edge list is an input error, negative ones too
-    for e in (4, -1):
-        with pytest.raises(IndexError, match=f"side 1 of face 0 names edge {e}"):
+    # an edge id outside the edge list is refused by id, negative ones too
+    for e in (4, -1, 2**70):
+        with pytest.raises(GeometryError) as raised:
             ConeSurface(edges, ((Side(3), Side(e), Side(2)),), np.ones(4), check_angles=False)
+        assert type(raised.value) is GeometryError
+        assert str(raised.value) == f"edge id {e} of side 1 of face 0 is not an edge of the surface (0..3)"
     # no edges, so no vertices: rejected, with or without the angle check
     for check in (True, False):
         with pytest.raises(GeometryError, match="^a surface needs at least one edge$"):

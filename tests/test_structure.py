@@ -59,7 +59,7 @@ def _open_chain(edges, faces):
 @pytest.mark.parametrize(
     "breaks,error,message",
     [
-        (_bad_edge_id, IndexError, "side 1 of face 0 names edge 15, but there are 15 edges"),
+        (_bad_edge_id, GeometryError, "edge id 15 of side 1 of face 0 is not an edge of the surface (0..14)"),
         (_third_use, GeometryError, "edge 4 used by more than two face sides"),
         (_open_chain, GeometryError, "face 7 side chain does not close"),
     ],
