@@ -11,6 +11,9 @@ Start-up is most of the wall time of one invocation, so each subcommand
 imports the library layer it runs only when it runs: `import adscone.cli`
 loads this front end, documents, errors, tolerances and the modules the
 package itself imports (isom, linalg, rp1, links), and no other layer.
+Likewise a call that names a subcommand is parsed by that subcommand's
+parser alone, and the parser of all ten is built only for a call that
+needs its usage line.
 """
 
 from __future__ import annotations
@@ -314,6 +317,27 @@ def _tolerance_scale(text: str) -> float:
     return scale
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """p with the options of the subcommand name: each subcommand takes only
+    the options it reads."""
+    p.add_argument("--input", required=False, help="input document path")
+    p.add_argument("--output", help="write the JSON report here instead of stdout")
+    if name in ("speed-check", "lr-metrics"):
+        p.add_argument("--plot", help="write a static SVG figure here")
+    p.add_argument("--batch", help="process every .json file in this directory")
+    if name in ("speed-check", "validate-graph", "assemble-holonomy"):
+        p.add_argument(
+            "--tolerance-scale",
+            type=_tolerance_scale,
+            default=1.0,
+            dest="tolerance_scale",
+            help="multiply the tolerance of the check",
+        )
+    if name in ("classify-link", "classify-sphere", "trace-causal"):
+        p.add_argument("--positive", action="store_true", help="enable the positive-mass filter")
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused for every
@@ -324,24 +348,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in sorted(COMMANDS):
-        # each subcommand takes only the options it reads
-        p = sub.add_parser(name)
-        p.add_argument("--input", required=False, help="input document path")
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
-        if name in ("speed-check", "lr-metrics"):
-            p.add_argument("--plot", help="write a static SVG figure here")
-        p.add_argument("--batch", help="process every .json file in this directory")
-        if name in ("speed-check", "validate-graph", "assemble-holonomy"):
-            p.add_argument(
-                "--tolerance-scale",
-                type=_tolerance_scale,
-                default=1.0,
-                dest="tolerance_scale",
-                help="multiply the tolerance of the check",
-            )
-        if name in ("classify-link", "classify-sphere", "trace-causal"):
-            p.add_argument("--positive", action="store_true", help="enable the positive-mass filter")
+        _add_options(sub.add_parser(name), name)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on first use: it parses, and
+    prints usage, as the one build_parser adds under that name."""
+    return _add_options(_Parser(prog=f"adscone {name}"), name)
+
+
+def _parse(argv) -> tuple[str, argparse.Namespace]:
+    """(subcommand name, its arguments) of argv.  A call that names a
+    subcommand first is parsed once, by that subcommand's parser alone;
+    anything else (no argument, help, an unknown command, a leading option)
+    and any argument the subcommand leaves over go to the full parser, so
+    every usage line, help text, error and exit code is the full parser's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def _run_single(fn, args) -> int:
@@ -364,8 +395,8 @@ def _run_single(fn, args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    fn = COMMANDS[args.command]
+    name, args = _parse(argv)
+    fn = COMMANDS[name]
     if args.batch:
         files = sorted(Path(args.batch).glob("*.json"))
         if not files:

@@ -70,7 +70,18 @@ def canonical_json(obj) -> str:
     and -0.0 as 0, which json reads back as it reads -0 (the int 0).  A
     float that is not finite has no JSON text: ValueError."""
 
+    def number(x: float) -> str:
+        if not math.isfinite(x):
+            raise ValueError(f"out of range float value {float(x)!r} is not JSON compliant")
+        return format(float(x) + 0.0, ".17g")  # -0.0 + 0.0 == +0.0
+
     def render(x):
+        # floats and arrays, most of a report, by exact type before the chain
+        kind = type(x)
+        if kind is float:
+            return number(x)
+        if kind is list or kind is tuple:
+            return "[" + ",".join(map(render, x)) + "]"
         if isinstance(x, dict):
             items = sorted(x.items(), key=lambda kv: kv[0])
             return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
@@ -81,9 +92,7 @@ def canonical_json(obj) -> str:
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         if isinstance(x, (float, np.floating)):
-            if not math.isfinite(x):
-                raise ValueError(f"out of range float value {float(x)!r} is not JSON compliant")
-            return format(float(x) + 0.0, ".17g")  # -0.0 + 0.0 == +0.0
+            return number(x)
         if x is None:
             return "null"
         return json.dumps(x)
@@ -590,7 +599,7 @@ def causal_curve_from_doc(doc: dict):
         mass = _read(p, "mass", float)
         # the speed bound |z|^m / (1 - m) and the plot's envelope need 0 <= m < 1
         if not 0.0 <= mass < 1.0:
-            raise DocumentError(f"causal-curve mass must lie in [0, 1), got {mass}")
+            raise _Wrong(f"causal-curve mass must lie in [0, 1), got {mass}").at("mass")
         ts, xs, ys = flat.reshape(-1, 3).T
         return ts, xs + 1j * ys, mass
 

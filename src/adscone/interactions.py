@@ -29,7 +29,7 @@ from .conesurf import (
     splice_disk,
 )
 from .errors import GeometryError
-from .isom import Proj2, sylvester_rows
+from .isom import Proj2, _canonical_stack, sylvester_rows
 from .tolerances import ANGLE_MATCH, CONJUGATOR_NULL_ABS, CONJUGATOR_NULL_REL
 from .tolerances import CONJUGATOR_RESIDUAL
 
@@ -270,22 +270,34 @@ class HolonomyAssembly:
         align = self.alignment[vertex][side]
         out = Proj2.identity()
         for token in word:
-            if token.endswith("^-1"):
-                m = table[token[:-3]].inverse()
-            else:
-                m = table[token]
-            out = out @ m
+            out = out @ _generator(table, token)
         return Proj2(align.m @ out.m @ np.linalg.inv(align.m))
 
     def relation_residual(self, edge: CollisionEdge) -> float:
-        """Max deviation of the glued relations alpha_e(gamma) gamma^{-1}."""
-        worst = 0.0
-        for side in ("l", "r"):
-            for nb, na in edge.identification.items():
-                hb = self.evaluate(edge.before, side, [nb])
-                ha = self.evaluate(edge.after, side, [na])
-                worst = max(worst, float(np.abs(hb.m - ha.m).max()))
-        return worst
+        """Max deviation of the glued relations alpha_e(gamma) gamma^{-1}: the
+        largest entry of |evaluate(before, side, [nb]) - evaluate(after, side,
+        [na])| over both sides and the identified pairs (nb, na), bit for
+        bit, with every pair of both slices and sides in one stack."""
+        if not edge.identification:
+            return 0.0
+        words = zip((edge.before, edge.after), zip(*edge.identification.items()))
+        stack, aligns = [], []
+        for vertex, names in words:
+            for side in ("l", "r"):
+                table = self.tables[vertex][side]
+                stack.append([_generator(table, name).m for name in names])
+                aligns.append(self.alignment[vertex][side].m)
+        out = _canonical_stack(stack)  # (4, k, 2, 2): before l, r; after l, r
+        align = np.array(aligns)[:, None]
+        glued = _canonical_stack(align @ out @ np.linalg.inv(align))
+        return float(np.abs(glued[:2] - glued[2:]).max())
+
+
+def _generator(table: dict, token: str) -> Proj2:
+    """The generator a word's token names: 'name' or 'name^-1'."""
+    if token.endswith("^-1"):
+        return table[token[:-3]].inverse()
+    return table[token]
 
 
 def assemble_holonomy(g: InteractionGraph, tol: float = CONJUGATOR_RESIDUAL) -> HolonomyAssembly:

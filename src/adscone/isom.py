@@ -49,6 +49,34 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _canonical_stack(ms) -> np.ndarray:
+    """_canonical of every 2x2 matrix of a (..., 2, 2) stack, bit for bit, in
+    one pass; the first matrix (in C order) that _canonical refuses is
+    refused with its message."""
+    ms = np.asarray(ms, dtype=float)
+    if ms.shape[-2:] != (2, 2):
+        raise ValueError("expected a stack of 2x2 matrices")
+    a, b, c, d = ms.reshape(-1, 4).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = a * d - b * c
+    if det.size and not 0 < det.min() <= det.max() < math.inf:  # a NaN fails both
+        first = det[np.flatnonzero(~(det > 0) | (det == math.inf))[0]]
+        if not math.isfinite(first):
+            raise ValueError("matrix entries and determinant must be finite")
+        raise ValueError("matrix must have positive determinant")
+    flat = ms.reshape(-1, 4) / np.sqrt(det)[:, None]
+    a, b, c, d = flat.T
+    tr = a + d
+    flip = tr < 0
+    zero = tr == 0
+    if zero.any():
+        # trace zero: the sign of the first nonzero of m00, m01, m10 decides
+        lead = np.where(a != 0, a, np.where(b != 0, b, c))
+        flip |= zero & (lead < 0)
+    np.negative(flat, out=flat, where=flip[:, None])
+    return flat.reshape(ms.shape)
+
+
 @dataclass(frozen=True)
 class Proj2:
     """A projective class of 2x2 real matrices, det = 1, trace >= 0."""

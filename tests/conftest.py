@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from itertools import chain, count
@@ -1058,6 +1059,37 @@ def planless():
         flip_edge=_planless_flip_edge,
         holonomy_of_loop=_planless_holonomy_of_loop,
     )
+
+
+def _recursive_canonical_json(obj) -> str:
+    """documents.canonical_json as it rendered every value through one
+    isinstance chain."""
+
+    def render(x):
+        if isinstance(x, dict):
+            items = sorted(x.items(), key=lambda kv: kv[0])
+            return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
+        if isinstance(x, (list, tuple)):
+            return "[" + ",".join(render(v) for v in x) + "]"
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, (float, np.floating)):
+            if not math.isfinite(x):
+                raise ValueError(f"out of range float value {float(x)!r} is not JSON compliant")
+            return format(float(x) + 0.0, ".17g")  # -0.0 + 0.0 == +0.0
+        if x is None:
+            return "null"
+        return json.dumps(x)
+
+    return render(obj)
+
+
+@pytest.fixture(scope="session")
+def recursive_canonical_json():
+    """The reference renderer for documents.canonical_json."""
+    return _recursive_canonical_json
 
 
 @pytest.fixture(scope="session")

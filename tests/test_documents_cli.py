@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adscone import cli
 from adscone import documents as docs
 from adscone import interactions
 from adscone import lrmetrics
@@ -70,6 +71,41 @@ def test_canonical_json_refuses_a_float_that_is_not_finite(value):
     """Strict JSON has no NaN or Infinity, so no report can print one."""
     with pytest.raises(ValueError, match="is not JSON compliant$"):
         docs.canonical_json({"a": [1.0, value]})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def test_canonical_json_renders_as_the_recursive_renderer(tmp_path, monkeypatch, recursive_canonical_json):
+    """The exact-type dispatch of canonical_json gives the text, or the
+    ValueError, of one isinstance chain per value: on numpy scalars, signed
+    zeros, booleans, nested tuples, and every report of the cli-corpus
+    documents of seeds 1-3."""
+    values = [
+        -0.0, np.float64(-0.0), np.float64(1 / 3), np.float32(0.1), np.int64(-7), 2 ** 70, True, False,
+        None, "\u00fc\"", 1e-320, (1, (2.5, (-0.0, [np.float64(2.0), ()]), "s")),
+        {"b": (False,), "a": [True, np.int64(3)], "c": {}},
+    ]
+    for value in values:
+        assert docs.canonical_json(value) == recursive_canonical_json(value), value
+    for bad in (NAN, INF, -INF, np.float64(NAN), np.float64(-INF), [1.0, (INF,)]):
+        texts = []
+        for render in (docs.canonical_json, recursive_canonical_json):
+            with pytest.raises(ValueError) as err:
+                render({"a": bad})
+            texts.append(str(err.value))
+        assert texts[0] == texts[1], bad
+    reports = []
+    canonical = docs.canonical_json
+    monkeypatch.setattr(docs, "canonical_json", lambda obj: reports.append(obj) or canonical(obj))
+    for seed in (1, 2, 3):
+        documents = corpus.cli_corpus(seed)
+        dirs = corpus.write_corpus(documents, tmp_path / str(seed))
+        for d in documents:
+            run_cli([d.cmd, "--input", str(dirs[d.cmd] / d.name), *corpus.FLAGS.get(d.cmd, ())])
+    assert len(reports) > 250
+    for report in reports:
+        assert canonical(report) == recursive_canonical_json(report)
 
 
 def _first_valid_documents():
@@ -914,28 +950,120 @@ READS = {
 }
 
 
-def test_each_subcommand_takes_only_the_options_it_reads():
+def _usage_exit(call):
+    """(exit code, stderr) of a call that exits through SystemExit, as a
+    usage error or a help text does; None for a call that returns."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            call()
+        except SystemExit as stop:
+            return stop.code, err.getvalue()
+    return None
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, monkeypatch):
     """Of the 60 (subcommand, option) pairs, the 38 that a subcommand reads
     parse; any other option is a usage error naming it (exit 1), where it
-    was accepted and ignored."""
+    was accepted and ignored.  main, which parses a call by the
+    subcommand's own parser, exits on the same 22 with the full parser's
+    usage and error line."""
+    monkeypatch.chdir(tmp_path)  # --input a.json and --batch d name nothing here
     values = {"--input": ["a.json"], "--output": ["r.json"], "--batch": ["d"], "--plot": ["p.svg"]}
     values.update({"--tolerance-scale": ["2"], "--positive": []})
     taken = set()
     for command in COMMANDS:
         for option, value in values.items():
             argv = [command, option, *value]
-            err = io.StringIO()
-            with redirect_stderr(err):
-                try:
-                    build_parser().parse_args(argv)
-                    taken.add((command, option))
-                except SystemExit as stop:
-                    unrecognized = " ".join(argv[1:])
-                    assert stop.code == 1
-                    assert err.getvalue().endswith(f"input error: unrecognized arguments: {unrecognized}\n")
+            parsed = _usage_exit(lambda: build_parser().parse_args(argv))
+            assert _usage_exit(lambda: main(argv)) == parsed, argv
+            if parsed is None:
+                taken.add((command, option))
+            else:
+                unrecognized = " ".join(argv[1:])
+                assert parsed[0] == 1
+                assert parsed[1].startswith("usage: adscone [-h]")
+                assert parsed[1].endswith(f"input error: unrecognized arguments: {unrecognized}\n")
     reads = {(c, o) for o, cs in READS.items() for c in cs}
     assert taken == {(c, o) for c in COMMANDS for o in ("--input", "--output", "--batch")} | reads
     assert len(taken) == 38
+
+
+def _link_path(tmp_path) -> str:
+    """The path of a massive particle's link document."""
+    link = mark_timelike_arcs(elliptic_link_circle(2.0), HSPointClass.H2_PLUS)
+    path = tmp_path / "link.json"
+    path.write_text(docs.canonical_json(docs.link_circle_to_doc(link)))
+    return str(path)
+
+
+def _full_parse(argv):
+    args = build_parser().parse_args(argv)
+    return args.command, args
+
+
+def _main_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = ("exit", stop.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_call_parses_as_the_full_parser_parses_it(tmp_path, monkeypatch):
+    """main parses a call that names a subcommand first by that
+    subcommand's parser alone; every call, that one or not, gives the exit
+    code, stdout and stderr of main parsing with the full parser, help
+    texts and usage errors included."""
+    doc = _link_path(tmp_path)
+    cases = [
+        [],
+        ["-h"],
+        ["--help"],
+        ["classify-link", "-h"],
+        ["speed-check", "--help"],
+        ["nonexistent-command"],
+        ["--input", "x", "classify-link"],
+        ["--input", "classify-link"],
+        ["--inp", doc],
+        ["classify-link", "--inp", doc],
+        ["classify-link", f"--input={doc}", "--pos"],
+        ["--"],
+        ["--", "classify-link", "--input", doc],
+        ["classify-link", "--", doc],
+        ["classify-link", "--input"],
+        ["speed-check", "--tolerance-scale"],
+        ["speed-check", "--tolerance-scale", "0", "--input", doc],
+        ["classify-link", "--input", doc, "extra"],
+        ["classify-link", "extra", "--input", doc, "-x"],
+        ["classify-link", "--input", doc, "--plot", "p.svg"],
+        ["classify-link", "--input", doc],
+    ]
+    once = [_main_outcome(argv) for argv in cases]
+    monkeypatch.setattr(cli, "_parse", _full_parse)
+    full = [_main_outcome(argv) for argv in cases]
+    for argv, got, want in zip(cases, once, full):
+        assert got == want, argv
+    codes = [code for code, _, _ in full]
+    assert ("exit", 0) in codes and ("exit", 1) in codes and 0 in codes
+
+
+def test_one_call_builds_only_its_subcommand_parser(tmp_path, child_env):
+    """A fresh interpreter that runs one subcommand builds that
+    subcommand's parser and not the full one."""
+    path = _link_path(tmp_path)
+    script = (
+        "import sys; from adscone import cli; "
+        "code = cli.main(['classify-link', '--input', sys.argv[1]]); "
+        "print(code, cli.build_parser.cache_info().currsize, cli._command_parser.cache_info().currsize)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script, path], capture_output=True, text=True, env=child_env, timeout=60
+    )
+    assert run.returncode == 0 and run.stderr == ""
+    assert run.stdout.splitlines()[-1] == "0 0 1"
 
 
 def _curve_payload():
@@ -950,12 +1078,14 @@ def _curve_payload():
 def test_cli_speed_check_refuses_a_mass_outside_the_unit_interval(tmp_path, mass):
     """The speed bound |z|^m / (1 - m) holds for 0 <= m < 1 only; a mass of
     1 used to pass as causal, with numpy's divide-by-zero warning on the
-    first call in a process only."""
+    first call in a process only.  The refusal names the mass by its path,
+    as every value the library cannot hold is named."""
     path = tmp_path / "curve.json"
     payload = dict(_curve_payload(), mass=mass)
     path.write_text(docs.canonical_json(docs.envelope("causal-curve.json", payload)))
     code, out, err = run_cli(["speed-check", "--input", str(path)])
-    assert (code, out, err) == (1, "", f"input error: causal-curve mass must lie in [0, 1), got {mass}\n")
+    refusal = f"payload.mass: causal-curve mass must lie in [0, 1), got {mass}"
+    assert (code, out, err) == (1, "", f"input error: {refusal}\n")
 
 
 def _malformed_curves(tmp_path):

@@ -291,6 +291,33 @@ def test_validated_graphs_assemble(design, jitter, change, reverse, rooted):
     assert report.passed == (change in (None, "copy", "rebase"))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    design=st.sampled_from(corpus.GRAPH_DESIGN),
+    jitter=st.tuples(*[st.floats(-corpus.GRAPH_JITTER, corpus.GRAPH_JITTER)] * 2),
+    change=st.sampled_from((None, "copy", "rebase")),
+    reverse=st.booleans(),
+)
+def test_the_relation_residual_is_the_evaluated_gap_bit_for_bit(design, jitter, change, reverse):
+    """relation_residual, one stacked pass, is the largest entry of
+    |evaluate(before, side, [nb]) - evaluate(after, side, [na])| over both
+    sides and every identified pair, to the last bit."""
+    theta, face, eta = design
+    g = _changed(corpus.elastic_graph(theta + jitter[0], face, eta + jitter[1])[0], change)
+    if reverse:
+        g = time_reverse(g)
+    asm = assemble_holonomy(g)
+    for e in g.edges:
+        gaps = [
+            np.abs(asm.evaluate(e.before, side, [nb]).m - asm.evaluate(e.after, side, [na]).m).max()
+            for side in ("l", "r")
+            for nb, na in e.identification.items()
+        ]
+        assert asm.relation_residual(e) == float(max(gaps))
+    bare = dataclasses.replace(g.edges[0], identification={})
+    assert asm.relation_residual(bare) == 0.0
+
+
 def test_an_edge_identifying_no_generators_fails_validation(elastic):
     """No generator pairs certify no isometry of the complements: validation
     says so for the edge, and assembly refuses with validation's failure."""

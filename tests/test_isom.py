@@ -8,6 +8,8 @@ from adscone.isom import (
     IsomPair,
     LiftedProj2,
     Proj2,
+    _canonical,
+    _canonical_stack,
     attracting_line_angle,
     classify,
     degree_decomposition,
@@ -72,6 +74,49 @@ def test_non_finite_matrices_and_offsets_are_rejected(value):
             Proj2(m.reshape(2, 2))
     with pytest.raises(ValueError, match="must be finite"):
         LiftedProj2(Proj2.identity(), value)
+
+
+def _canonical_or_refusal(m):
+    try:
+        return _canonical(m)
+    except ValueError as err:
+        return str(err)
+
+
+def test_the_stacked_canonicalization_is_canonical_matrix_by_matrix():
+    """_canonical_stack gives _canonical of every matrix of the stack bit
+    for bit (signed zeros included), the trace-zero sign rule too, and
+    refuses a stack with _canonical's message for its first refused
+    matrix."""
+    rng = np.random.RandomState(5)
+    drawn = rng.randn(400, 2, 2) * np.exp(rng.uniform(-30, 30, (400, 1, 1)))
+    drawn[::3] = np.round(drawn[::3])  # integer entries: some traces are exactly 0
+    special = [
+        [[-2.0, 0.0], [0.0, -0.5]],
+        [[0.0, 5.0], [-0.2, 0.0]],
+        [[0.0, -5.0], [0.2, 0.0]],
+        [[-0.0, -5.0], [0.2, 0.0]],
+        [[3.0, 1.0], [-1.0, -3.0 + 1e-16]],
+        [[1e-160, 0.0], [0.0, 1e160]],
+        [[-1.0, -0.0], [0.0, -1.0]],
+    ]
+    ms = np.concatenate([drawn, special])
+    kept = np.array([m for m in ms if not isinstance(_canonical_or_refusal(m), str)])
+    traceless = [m for m in kept if np.trace(m) == 0]
+    assert len(kept) > 150 and {np.sign(m[0, 1]) for m in traceless if m[0, 0] == 0} == {-1, 1}
+    got = _canonical_stack(kept.reshape(-1, 1, 2, 2))
+    assert got.shape == (len(kept), 1, 2, 2)
+    for m, g in zip(kept, got[:, 0]):
+        want = _canonical(m)
+        assert want.tobytes() == g.tobytes(), m
+    assert _canonical_stack(np.empty((0, 2, 2))).shape == (0, 2, 2)
+    nan, inf = float("nan"), float("inf")
+    for bad in ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]], [[nan, 0.0], [0.0, 1.0]],
+                [[inf, 0.0], [0.0, 1.0]], [[1e200, 0.0], [0.0, 1e200]]):
+        for pair in ([np.eye(2), bad], [bad, [[1.0, 0.0], [0.0, -1.0]]], [bad, [[nan, 0.0], [0.0, 1.0]]]):
+            with pytest.raises(ValueError) as err:
+                _canonical_stack(pair)
+            assert str(err.value) == _canonical_or_refusal(np.array(bad))
 
 
 def test_classify_quarter_turn():
