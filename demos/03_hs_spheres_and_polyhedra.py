@@ -2,12 +2,15 @@
 Causal HS-spheres and the polyhedral length conditions
 ======================================================
 
-The link of an interaction point is a causal HS-sphere.  The classifier
-sorts these spheres into the four mutually exclusive shapes (causally
-regular, black-hole or white-hole interaction, big bang/crunch, and the
-black-hole/white-hole interaction), and the marked-structure checker tests
-the convexity and length conditions that characterize metrics induced on
-convex polyhedra in the extended hyperbolic space.
+The link of an interaction point is a causal HS-sphere.  The AdS
+suspension of such a sphere has one singular line per singularity of the
+sphere, and its vertex is an interaction when there are at least three
+lines.  The classifier sorts these spheres into the four mutually
+exclusive shapes (causally regular, black-hole or white-hole interaction,
+big bang/crunch, and the black-hole/white-hole interaction), and the
+marked-structure checker tests the convexity and length conditions that
+characterize metrics induced on convex polyhedra in the extended
+hyperbolic space.
 """
 
 import numpy as np
@@ -30,7 +33,8 @@ from adscone.hssurface import (
     time_reverse_surface,
 )
 from adscone.isom import classify
-from adscone.links import SingKind, SingularityType
+from adscone.links import SingKind, SingularityType, classify_singularity
+from adscone.spacetimes import suspend
 
 PI = np.pi
 
@@ -43,6 +47,10 @@ collision = SingularHSSurface(
     photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
 )
 print("two particles -> one particle:", classify_hs_sphere(collision).value)
+lines = suspend(collision)
+for name, link in lines.items():
+    print(f"  suspension {name}: {classify_singularity(link).kind.value}")
+print("  an interaction (at least three lines):", len(lines) >= 3)
 
 bh = SingularHSSurface(
     hyperbolic_regions=(

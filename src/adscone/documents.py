@@ -87,7 +87,7 @@ def canonical_json(obj) -> str:
             return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
         if isinstance(x, (list, tuple)):
             return "[" + ",".join(render(v) for v in x) + "]"
-        if isinstance(x, bool):
+        if isinstance(x, (bool, np.bool_)):
             return "true" if x else "false"
         if isinstance(x, (int, np.integer)):
             return str(int(x))
@@ -498,10 +498,9 @@ def model_from_doc(doc: dict) -> ModelSpacetime:
             return st.extreme_spacetime()
         if kind is st.ModelKind.PRODUCT:
             return st.product_spacetime(_read(p, "base", cone_surface_from_doc))
-        if kind is st.ModelKind.BTZ_STATIC:
-            holonomy = _built(np.ndarray, Proj2)
-            return st.btz_static(*_read(p, "holonomies", lambda v: _array(v, [holonomy] * 2, 2)))
-        raise DocumentError(f"cannot rebuild model of kind {kind}")
+        # the one kind left, BTZ_STATIC
+        holonomy = _built(np.ndarray, Proj2)
+        return st.btz_static(*_read(p, "holonomies", lambda v: _array(v, [holonomy] * 2, 2)))
 
     return _from_doc(doc, "model.json", read)
 

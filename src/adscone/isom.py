@@ -372,15 +372,6 @@ _SL2_OF_POINT = np.column_stack([sl2_of_point(e).ravel() for e in np.eye(4)])
 _POINT_OF_SL2 = np.column_stack([point_of_sl2(E.reshape(2, 2)) for E in np.eye(4)])
 
 
-def matrix44_of_pair(pair: IsomPair) -> np.ndarray:
-    """The 4x4 ambient matrix of x -> g_l Z(x) g_r^{-1}."""
-    gl, gr = pair.left.m, pair.right.inverse().m
-    cols = []
-    for e in np.eye(4):
-        cols.append(point_of_sl2(gl @ sl2_of_point(e) @ gr))
-    return np.column_stack(cols)
-
-
 def factor_isometry(L: np.ndarray) -> IsomPair:
     """Factor a 4x4 isometry of the quadric into its left/right pair, which
     is also its pair of left/right meridian holonomies.

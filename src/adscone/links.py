@@ -27,7 +27,7 @@ from .linalg import HSPointClass, dot12
 from .rp1 import ArcTag, CircleKind, CircleTag, LinkCircle, RP1Circle
 from .rp1 import elliptic_link_circle, mark_timelike_arcs, refuse_unheld_lift
 from .tolerances import COPLANAR_REL, GLUE_AXIS, GLUE_IDENTITY, ISOTROPIC_REL
-from .tolerances import SLOPE_VERTICAL, TRACE
+from .tolerances import TRACE
 
 PI = np.pi
 TWO_PI = 2.0 * np.pi
@@ -199,6 +199,8 @@ def tachyon_mass_from_planes(l1, d1, d2, l2) -> float:
     d1, d2 the traces of the two timelike planes.  The cross-ratio
     convention is [a:b:c:d] = ((a-c)(b-d)) / ((a-b)(c-d)) on slopes in the
     null basis, with the indexing of (d1, d2) chosen so the value is >= 1.
+    A ray d = c1 l1 + c2 l2 of the plane has slope c2 / c1 = <d,l1> / <d,l2>,
+    as <l1,l1> = <l2,l2> = 0.
     """
     l1, d1, d2, l2 = (np.asarray(v, dtype=float) for v in (l1, d1, d2, l2))
     for iso in (l1, l2):
@@ -207,22 +209,17 @@ def tachyon_mass_from_planes(l1, d1, d2, l2) -> float:
     for d in (d1, d2):
         if dot12(d, d) >= 0:
             raise GeometryError("d1, d2 must be timelike")
-    # coordinates in the null basis (l1, l2) of the plane they span
-    basis = np.column_stack([l1, l2])
-
-    def slope(v):
-        coef, res, _, _ = np.linalg.lstsq(basis, v, rcond=None)
-        if res.size and res[0] > COPLANAR_REL * np.dot(v, v):
+    normal = np.cross(l1, l2)
+    for d in (d1, d2):
+        # |det[l1, l2, d]| / |l1 x l2| is the distance from d to the null plane
+        if abs(normal @ d) > COPLANAR_REL * np.linalg.norm(normal) * np.linalg.norm(d):
             raise GeometryError("rays are not coplanar")
-        if abs(coef[0]) < SLOPE_VERTICAL:
-            return np.inf
-        return coef[1] / coef[0]
-
-    s1, s2 = slope(d1), slope(d2)
-    if not (np.isfinite(s1) and np.isfinite(s2)) or s1 * s2 <= 0:
+    (a1, b1), (a2, b2) = ((dot12(d, l1), dot12(d, l2)) for d in (d1, d2))
+    # the slopes a1/b1 and a2/b2 are finite and of one sign
+    if not a1 * b1 * a2 * b2 > 0:
         raise GeometryError("timelike rays must be separated from the null rays")
-    # cross-ratio [l1 : d1 : d2 : l2] on parameters (0, s1, s2, inf)
-    cr = s2 / s1
+    # cross-ratio [l1 : d1 : d2 : l2] on parameters (0, a1/b1, a2/b2, inf)
+    cr = (a2 * b1) / (a1 * b2)
     if cr < 1.0:
         cr = 1.0 / cr
     return float(np.log(cr))

@@ -9,28 +9,20 @@ round-tripped against the classification of singular lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CausalityError, GeometryError
-from .isom import (
-    IsomKind,
-    IsomPair,
-    Proj2,
-    classify,
-    factor_isometry,
-    matrix44_of_pair,
-    point_of_sl2,
-    sylvester_rows,
-)
+from .isom import IsomKind, IsomPair, Proj2, attracting_line_angle, classify, factor_isometry
+from .isom import point_of_sl2
 from .linalg import HSPointClass, dot22, normalize_point
 from .links import SingKind, SingularityType, link_of_type, particle_mass
 from .rp1 import LinkCircle, mark_timelike_arcs
-from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK
-from .tolerances import INTERTWINER_RANK, POINT_MATCH, SAMPLE_STEP_SLACK
+from .tolerances import ACHRONAL_SLACK, BTZ_LENGTH_MATCH, CAUSAL_SPEED_SLACK, POINT_MATCH
+from .tolerances import SAMPLE_STEP_SLACK
 
 if TYPE_CHECKING:
     from .conesurf import ConeSurface
@@ -46,7 +38,6 @@ class ModelKind(Enum):
     GRAVITON = "GravitonG"
     EXTREME = "ExtremeE"
     PRODUCT = "ProductM"
-    SUSPENSION = "Suspension"
     BTZ_STATIC = "BTZStatic"
 
 
@@ -57,10 +48,7 @@ class ModelSpacetime:
     mass: float | None = None
     sign: int | None = None
     base: ConeSurface | None = None
-    link_surface: SingularHSSurface | None = None
     holonomies: tuple[Proj2, Proj2] | None = None
-    is_interaction: bool = False
-    line_links: dict = field(default_factory=dict)
 
 
 def cone_spacetime(theta: float) -> ModelSpacetime:
@@ -114,10 +102,6 @@ _MODEL_LINES = {
 
 def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
     """The marked link circle of a singular line of a model spacetime."""
-    if m.kind is ModelKind.SUSPENSION:
-        if line not in m.line_links:
-            raise GeometryError(f"unknown line {line!r} of a suspension")
-        return m.line_links[line]
     if m.kind is ModelKind.PRODUCT:
         marked = m.base.marked_vertices()
         try:
@@ -127,8 +111,6 @@ def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
         if v not in marked:
             raise GeometryError(f"vertex {v} is not a marked point of the base")
         return link_of_type(SingularityType(SingKind.MASSIVE_PARTICLE, angle=marked[v]))
-    if m.kind not in _MODEL_LINES:
-        raise GeometryError(f"no singular lines on {m.kind}")
     what, kinds = _MODEL_LINES[m.kind]
     if line not in kinds:
         raise GeometryError(f"unknown line {line!r} of {what} spacetime")
@@ -139,20 +121,16 @@ def link_of_line(m: ModelSpacetime, line: str = "c") -> LinkCircle:
 
 
 def model_lines(m: ModelSpacetime) -> list[str]:
-    if m.kind in _MODEL_LINES:
-        return list(_MODEL_LINES[m.kind][1])
     if m.kind is ModelKind.PRODUCT:
         return [str(v) for v in sorted(m.base.marked_vertices())]
-    if m.kind is ModelKind.SUSPENSION:
-        return sorted(m.line_links)
-    return []
+    return list(_MODEL_LINES[m.kind][1])
 
 
-def suspend(link: SingularHSSurface) -> ModelSpacetime:
-    """The AdS suspension of a causal singular HS-surface.
-
-    Its singular lines are the singularities of the surface; the vertex is an
-    interaction exactly when there are at least three of them."""
+def suspend(link: SingularHSSurface) -> dict[str, LinkCircle]:
+    """The links of the singular lines of the AdS suspension of a causal
+    singular HS-surface, by name "line<i>": one per singularity of the
+    surface, in the order all_singularities lists them.  The vertex is an
+    interaction exactly when there are at least three."""
     from .hssurface import check_causal
 
     report = check_causal(link)
@@ -166,12 +144,7 @@ def suspend(link: SingularHSSurface) -> ModelSpacetime:
             circles.append(mark_timelike_arcs(particle.circle, base))
     # all_singularities lists the particles of the hyperbolic regions first
     circles.extend(link_of_type(s) for s in link.all_singularities()[len(circles):])
-    return ModelSpacetime(
-        ModelKind.SUSPENSION,
-        link_surface=link,
-        is_interaction=len(circles) >= 3,
-        line_links={f"line{i}": c for i, c in enumerate(circles)},
-    )
+    return {f"line{i}": c for i, c in enumerate(circles)}
 
 
 # -- ambient gluing isometries and meridian paths ----------------------------
@@ -358,45 +331,44 @@ def btz_static(g1: Proj2, g2: Proj2) -> ModelSpacetime:
 
 def btz_invariant_lines(m: ModelSpacetime, samples: int = 24) -> BTZLines:
     """The two invariant spacelike geodesics of a static BTZ spacetime:
-    l1 pointwise fixed, l2 translated, dual at timelike distance pi/2."""
+    l1 pointwise fixed, l2 translated, dual at timelike distance pi/2.
+
+    They are read off the fixed lines of the holonomies.  In eigenframes
+    g_i = P_i D_i P_i^-1 (_eigenframe), D_i = diag(e^(l_i/2), e^(-l_i/2)),
+    the gluing Z -> g1 Z g2^-1 of the chart acts on M = P1^-1 Z P2 as
+    M -> D1 M D2^-1.  So the chart points P1 M P2^-1 with M = diag(e^s, e^-s)
+    are l1, slid by (l1 - l2)/2 (btz_static lets the lengths differ by up to
+    BTZ_LENGTH_MATCH, and the self-check allows that slide), and those with
+    M = [[0, e^s], [-e^-s, 0]], orthogonal to every diagonal M, are l2,
+    translated by (l1 + l2)/2."""
     if m.kind is not ModelKind.BTZ_STATIC:
         raise GeometryError("not a static BTZ descriptor")
     g1, g2 = m.holonomies
-    # pointwise-fixed points solve g1 X = X g2: the intertwiner pencil
-    A = -sylvester_rows(g2.m, g1.m)
-    _, sv, vt = np.linalg.svd(A)
-    if sv[-2] > INTERTWINER_RANK:
-        raise GeometryError("intertwiner space is not two-dimensional")
-    n1 = vt[-1].reshape(2, 2)
-    n2 = vt[-2].reshape(2, 2)
-
-    x1, x2 = point_of_sl2(n1), point_of_sl2(n2)
-    fixed = _geodesic_from_plane(x1, x2, samples)
-    # the dual line is the quadric section of the orthogonal 2-plane
-    eta = np.diag([-1.0, -1.0, 1.0, 1.0])
-    _, _, vt4 = np.linalg.svd(np.vstack([x1 @ eta, x2 @ eta]))
-    u1, u2 = vt4[2], vt4[3]
-    trans = _geodesic_from_plane(u1, u2, samples)
-
-    G = matrix44_of_pair(IsomPair(g1, g2))
-    err = max(np.abs(G @ x - x).max() for x in fixed)
-    if err > POINT_MATCH:
+    P1, Q2 = _eigenframe(g1), np.linalg.inv(_eigenframe(g2))
+    ts = np.linspace(-1.2, 1.2, samples)
+    fixed_ends = np.outer(P1[:, 0], Q2[0]), np.outer(P1[:, 1], Q2[1])
+    fixed = _chart_geodesic(*fixed_ends, ts)
+    slid = _chart_geodesic(*fixed_ends, ts + 0.5 * (m.mass - classify(g2).length))
+    if np.abs(g1.m @ fixed @ g2.inverse().m - slid).max() > POINT_MATCH:
         raise ArithmeticError("fixed line is not pointwise fixed within tolerance")
-    moved = max(np.abs(G @ q - q).max() for q in trans)
-    if moved < POINT_MATCH:
-        raise GeometryError("dual line should be translated, not fixed")
+    trans = _chart_geodesic(np.outer(P1[:, 0], Q2[1]), -np.outer(P1[:, 1], Q2[0]), ts)
+    fixed, trans = (np.array([point_of_sl2(z) for z in line]) for line in (fixed, trans))
     dual_err = max(abs(dot22(x, q)) for x in fixed[:8] for q in trans[:8])
     return BTZLines(fixed_line=fixed, translated_line=trans, duality_error=float(dual_err))
 
 
-def _geodesic_from_plane(v1: np.ndarray, v2: np.ndarray, samples: int) -> np.ndarray:
-    """Sample the quadric section of the 2-plane spanned by v1, v2; the plane
-    must have signature (-,+) so the section is a spacelike geodesic."""
-    gram = np.array([[dot22(v1, v1), dot22(v1, v2)], [dot22(v1, v2), dot22(v2, v2)]])
-    w, vecs = np.linalg.eigh(gram)
-    if not (w[0] < 0 < w[1]):
-        raise GeometryError("plane does not meet the quadric in a spacelike geodesic")
-    tau = (vecs[0, 0] * v1 + vecs[1, 0] * v2) / np.sqrt(-w[0])
-    sig = (vecs[0, 1] * v1 + vecs[1, 1] * v2) / np.sqrt(w[1])
-    ss = np.linspace(-1.2, 1.2, samples)
-    return np.array([np.cosh(s) * tau + np.sinh(s) * sig for s in ss])
+def _eigenframe(g: Proj2) -> np.ndarray:
+    """P of determinant 1 with g = P diag(e^(l/2), e^(-l/2)) P^-1, for g
+    hyperbolic of length l: its columns lie on the attracting fixed line of
+    g and on the repelling one, which attracts for g^-1."""
+    a, r = attracting_line_angle(g), attracting_line_angle(g.inverse())
+    det = np.sin(r - a)
+    frame = np.array([[np.cos(a), np.cos(r)], [np.sin(a), np.sin(r)]])
+    return frame * [1.0, np.sign(det)] / np.sqrt(abs(det))
+
+
+def _chart_geodesic(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The chart points e^t a + e^-t b, t counted from the point of least
+    norm, where the two terms have equal norms: shape (len(ts), 2, 2)."""
+    r = np.sqrt(np.linalg.norm(b) / np.linalg.norm(a))
+    return np.exp(ts)[:, None, None] * (r * a) + np.exp(-ts)[:, None, None] * (b / r)

@@ -9,7 +9,7 @@ arccosh floor, sampling grids, plot floors) stay at their one site.
 # the ambient spaces R^{2,2} and R^{1,2}
 NULL_REL = 1e-10  # a vector or ray is lightlike: |<y,y>| <= NULL_REL |y|^2
 FRAME_DEPENDENT = 1e-6  # a projected candidate with <v,v> below this adds nothing to a frame
-POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps, fixed and moved lines)
+POINT_MATCH = 1e-9  # two quadric points agree entrywise (closing maps; the BTZ fixed line, in the chart)
 # projective classes and their lifts
 TRACE = 1e-9  # identity within this entrywise, else elliptic/parabolic/hyperbolic: tr vs 2 +- this;
 # so links are refused at particle angles ~sqrt(TRACE) from k pi, masses to 2 arccosh(1 + TRACE/2)
@@ -22,8 +22,7 @@ DISTINCT_LINE = 1e-9  # two fixed lines differ: their line angles differ by more
 INTERVAL_SLACK = 1e-9  # a degree-0 interval spans at most pi + this
 ARC_OVERLAP = 1e-12  # consecutive arcs of a link may overlap by this much
 ISOTROPIC_REL = 1e-9  # the null rays of a tachyon plane: |<l,l>| <= ISOTROPIC_REL |l|^2
-COPLANAR_REL = 1e-18  # a ray lies in the null plane: least-squares residual <= this * |v|^2
-SLOPE_VERTICAL = 1e-14  # a null-basis slope is infinite: its first coefficient is below this
+COPLANAR_REL = 1e-9  # a ray lies in the null plane: its distance to the plane <= this * |v|
 GLUE_AXIS = 1e-9  # a ray gluing fixes the axis t = 0: |m01|
 GLUE_IDENTITY = 1e-12  # a ray gluing is the identity: max displacement <= this * (1 + max t)
 # cone surfaces
@@ -52,4 +51,3 @@ CAUSAL_SPEED_SLACK = 1e-6  # a sampled curve may exceed the causal speed bound (
 SAMPLE_STEP_SLACK = 1e-12  # a sample step may exceed the 1e-3 limit by this much
 ACHRONAL_SLACK = 1e-9  # a graph gradient may exceed the achronal bound by this much
 BTZ_LENGTH_MATCH = 1e-9  # two hyperbolic holonomies have the same translation length
-INTERTWINER_RANK = 1e-9  # the intertwiner pencil of a BTZ pair is two-dimensional

@@ -23,13 +23,14 @@ from adscone.conesurf import (
     resolve_loop,
 )
 from adscone.errors import GeometryError, LinkRealizationError, NotHyperbolicError
-from adscone.isom import IsomPair, Proj2
+from adscone.isom import IsomPair, Proj2, point_of_sl2, sl2_of_point, sylvester_rows
 from adscone.linalg import cross, dot12, dot22, normalize_point, orthonormal_tangent_frame
 from adscone.tolerances import (
     DEGENERATE_CORNER,
     DELAUNAY_MARGIN,
     DISK_FIT_STALL,
     DISK_FIT_STOP,
+    ISOTROPIC_REL,
     METRIC_SOLVE_STOP,
     TRANSPORT_TANGENT,
     TRIANGLE_MARGIN,
@@ -268,6 +269,77 @@ def _cross12(a, b):
 @pytest.fixture(scope="session")
 def cross12():
     return _cross12
+
+
+# ---------------------------------------------------------------------------
+# the link dictionary by numerical linear algebra: the ambient matrix of a
+# left/right pair, the static BTZ planes by SVD and tachyon slopes by least
+# squares
+# ---------------------------------------------------------------------------
+
+
+def _matrix44_of_pair(pair):
+    """The 4x4 ambient matrix of x -> g_l Z(x) g_r^{-1}."""
+    gl, gr = pair.left.m, pair.right.inverse().m
+    return np.column_stack([point_of_sl2(gl @ sl2_of_point(e) @ gr) for e in np.eye(4)])
+
+
+@pytest.fixture(scope="session")
+def matrix44_of_pair():
+    """The ambient matrix of a left/right pair, which isom.factor_isometry
+    factors back."""
+    return _matrix44_of_pair
+
+
+def _btz_planes_by_svd(g1, g2):
+    """(fixed, dual): orthonormal bases (rows) of the 2-plane of R^{2,2} that
+    a static BTZ pair (g1, g2) fixes, from the right singular vectors of the
+    two smallest singular values of the intertwiner system g1 X = X g2, and
+    of its orthogonal plane under <,>, from the null space of that plane's
+    rows times the form."""
+    _, _, vt = np.linalg.svd(sylvester_rows(g2.m, g1.m))
+    fixed = np.array([point_of_sl2(v.reshape(2, 2)) for v in vt[2:]])
+    _, _, vt4 = np.linalg.svd(fixed * [-1.0, -1.0, 1.0, 1.0])
+    return np.linalg.qr(fixed.T)[0].T, vt4[2:]
+
+
+@pytest.fixture(scope="session")
+def btz_planes_by_svd():
+    """Reference for spacetimes.btz_invariant_lines: the planes its two
+    lines span, by two SVDs."""
+    return _btz_planes_by_svd
+
+
+def _tachyon_mass_by_lstsq(l1, d1, d2, l2):
+    """links.tachyon_mass_from_planes as it read each slope off a
+    least-squares solve in the null basis (l1, l2), refusals included: a
+    squared residual above 1e-18 |d|^2 is off the plane, and a first
+    coefficient below 1e-14 an infinite slope."""
+    l1, d1, d2, l2 = (np.asarray(v, dtype=float) for v in (l1, d1, d2, l2))
+    for iso in (l1, l2):
+        if abs(dot12(iso, iso)) > ISOTROPIC_REL * np.dot(iso, iso):
+            raise GeometryError("l1, l2 must be isotropic")
+    for d in (d1, d2):
+        if dot12(d, d) >= 0:
+            raise GeometryError("d1, d2 must be timelike")
+    basis = np.column_stack([l1, l2])
+
+    def slope(v):
+        coef, res, _, _ = np.linalg.lstsq(basis, v, rcond=None)
+        if res.size and res[0] > 1e-18 * np.dot(v, v):
+            raise GeometryError("rays are not coplanar")
+        return np.inf if abs(coef[0]) < 1e-14 else coef[1] / coef[0]
+
+    s1, s2 = slope(d1), slope(d2)
+    if not (np.isfinite(s1) and np.isfinite(s2)) or s1 * s2 <= 0:
+        raise GeometryError("timelike rays must be separated from the null rays")
+    return float(np.log(max(s2 / s1, s1 / s2)))
+
+
+@pytest.fixture(scope="session")
+def tachyon_mass_by_lstsq():
+    """Reference for links.tachyon_mass_from_planes."""
+    return _tachyon_mass_by_lstsq
 
 
 def _third_vertex(p, q, d_from_p, d_to_q, orientation):
@@ -1071,7 +1143,7 @@ def _recursive_canonical_json(obj) -> str:
             return "{" + ",".join(f"{json.dumps(k)}:{render(v)}" for k, v in items) + "}"
         if isinstance(x, (list, tuple)):
             return "[" + ",".join(render(v) for v in x) + "]"
-        if isinstance(x, bool):
+        if isinstance(x, (bool, np.bool_)):
             return "true" if x else "false"
         if isinstance(x, (int, np.integer)):
             return str(int(x))

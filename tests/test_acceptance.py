@@ -335,11 +335,13 @@ def test_criterion_10_disk_isometry():
 
 @pytest.mark.xfail(
     strict=True,
+    raises=LinkRealizationError,
     reason=(
-        "spec defect: the literal link (pi; 2pi/3, 2pi/3) violates the "
-        "rotation-product trace identity (cosh d = 1/3 < 1), so no causally "
-        "regular HS-sphere with these angles exists; see the realizability "
-        "gate and the companion pipeline tests"
+        "spec defect: the literal link (pi; 2pi/3, 2pi/3) lies outside the "
+        "rotation-product trace window theta in (eta1 + eta2, 2 pi), with "
+        "eta1 + eta2 - theta = pi/3, so no causally regular HS-sphere with "
+        "these angles exists; collision_distance refuses it with a "
+        "LinkRealizationError; see the companion pipeline tests"
     ),
 )
 def test_criterion_11_literal_fixture():

@@ -78,16 +78,18 @@ NAN, INF = float("nan"), float("inf")
 
 def test_canonical_json_renders_as_the_recursive_renderer(tmp_path, monkeypatch, recursive_canonical_json):
     """The exact-type dispatch of canonical_json gives the text, or the
-    ValueError, of one isinstance chain per value: on numpy scalars, signed
-    zeros, booleans, nested tuples, and every report of the cli-corpus
-    documents of seeds 1-3."""
+    ValueError, of one isinstance chain per value: on numpy scalars
+    (booleans too, as true and false), signed zeros, booleans, nested
+    tuples, and every report of the cli-corpus documents of seeds 1-3."""
     values = [
         -0.0, np.float64(-0.0), np.float64(1 / 3), np.float32(0.1), np.int64(-7), 2 ** 70, True, False,
         None, "\u00fc\"", 1e-320, (1, (2.5, (-0.0, [np.float64(2.0), ()]), "s")),
         {"b": (False,), "a": [True, np.int64(3)], "c": {}},
+        {"b": np.bool_(True), "c": [np.bool_(False), np.True_]},
     ]
     for value in values:
         assert docs.canonical_json(value) == recursive_canonical_json(value), value
+    assert docs.canonical_json({"b": np.bool_(True), "c": [np.bool_(False)]}) == '{"b":true,"c":[false]}'
     for bad in (NAN, INF, -INF, np.float64(NAN), np.float64(-INF), [1.0, (INF,)]):
         texts = []
         for render in (docs.canonical_json, recursive_canonical_json):
@@ -757,6 +759,25 @@ def _models_with_documents():
         "black hole": (black_hole_spacetime(1.5), ["BTZFuture", "BTZPast"]),
         "product": (product_spacetime(two_cones), ["MassiveParticle", "MassiveParticle"]),
     }
+
+
+def test_every_model_kind_has_a_document():
+    from adscone.spacetimes import ModelKind
+
+    assert {model.kind for model, _ in _models_with_documents().values()} == set(ModelKind)
+
+
+def test_a_model_kind_without_a_model_is_an_input_error(tmp_path):
+    """The kind "Suspension" is no model kind: the suspension of an
+    HS-sphere is the dict of its line links, which no model document
+    carries."""
+    doc = json.loads(docs.canonical_json(docs.model_to_doc(cone_spacetime(2.0))))
+    doc["payload"]["kind"] = "Suspension"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    kinds = '"ConeP", "TachyonT", "BlackHoleB", "GravitonG", "ExtremeE", "ProductM", "BTZStatic"'
+    error = f'input error: payload.kind: expected one of {kinds}, got "Suspension"\n'
+    assert run_cli(["classify-model-links", "--input", str(path)]) == (1, "", error)
 
 
 @pytest.mark.parametrize("name", list(_models_with_documents()))

@@ -17,7 +17,6 @@ from adscone.isom import (
     fixed_line_angles,
     fixed_point_lift,
     lift_identity,
-    matrix44_of_pair,
     parabolic_sign,
     point_of_sl2,
     principal_lift,
@@ -296,7 +295,7 @@ def test_spin_isomorphism_roundtrip(spin):
         assert min(np.abs(h.m - g.m).max(), np.abs(h.m + g.m).max()) <= 1e-8
 
 
-def test_factor_isometry_roundtrip():
+def test_factor_isometry_roundtrip(matrix44_of_pair):
     for _ in range(100):
         pair = IsomPair(random_psl(), random_psl())
         L = matrix44_of_pair(pair)

@@ -23,7 +23,6 @@ DOCUMENTED_API = {
     ("links", "positivity_from_gluing"): "causal positivity of a gluing along the singular line",
     ("lrmetrics", "jacobi_form_value"): "acceptance criterion 05: the left/right metrics on Jacobi fields",
     ("lrmetrics", "disk_link_isometry_check"): "acceptance criterion 10: the cone-field identity",
-    ("spacetimes", "suspend"): "the AdS suspension of a causal singular HS-surface",
     ("isom", "Proj2.conjugate"): "holonomy classes are conjugation invariant: classify, "
     "factor_isometry and solve_conjugator are checked on conjugated holonomies",
     ("isom", "LiftedProj2.compose"): "lifts to the universal cover compose as a group, "

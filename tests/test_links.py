@@ -25,7 +25,7 @@ from adscone.links import (
     tachyon_mass_from_planes,
 )
 from adscone.rp1 import RP1Circle, mark_timelike_arcs
-from adscone.spacetimes import link_of_line, suspend
+from adscone.spacetimes import suspend
 from adscone.tolerances import ANGLE_MATCH, TRACE
 
 from test_rp1 import degree0_hyperbolic_circle, degree2_hyperbolic_circle, elliptic_lift
@@ -161,6 +161,48 @@ def test_tachyon_mass_rejects_bad_input():
     with pytest.raises(GeometryError):
         tachyon_mass_from_planes(hyperbola_direction(0.1), hyperbola_direction(0.2),
                                  hyperbola_direction(0.3), l2)
+
+
+def test_tachyon_mass_matches_the_lstsq_oracle(spin, tachyon_mass_by_lstsq):
+    """Slopes <d,l1>/<d,l2> against a least-squares solve in the null basis,
+    on 2,000 configurations of rays in the plane T, S of R^{1,2} rescaled
+    by random signs and sizes and moved by random Lorentz transformations
+    of rapidity below 3 (written turn, boost, turn): the same mass to
+    1e-12, or the same refusal.  Every fifth is a valid configuration; the
+    others are made to meet one refusal each: a null ray off the cone, a
+    spacelike trace, a trace off the plane by 1e-3 of its size, and a zero
+    null ray, which every slope meets at 0."""
+    refusals = {
+        1: "l1, l2 must be isotropic",
+        2: "d1, d2 must be timelike",
+        3: "rays are not coplanar",
+        4: "timelike rays must be separated from the null rays",
+    }
+    rng = np.random.default_rng(29)
+    for k in range(2000):
+        g = Proj2.elliptic(rng.uniform(0.0, 2 * PI)) @ Proj2.hyperbolic(rng.uniform(-3.0, 3.0))
+        move = spin.lorentz3_of_psl(g @ Proj2.elliptic(rng.uniform(0.0, 2 * PI)))
+        size = lambda: rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)
+        l1, l2 = np.array([1.0, -1.0, 0.0]) * size(), np.array([1.0, 1.0, 0.0]) * size()
+        d1, d2 = (hyperbola_direction(u) * size() for u in rng.uniform(-2.0, 2.0, 2))
+        case = k % 5
+        if case == 1:
+            l1 = l1 + [0.0, 0.0, 1e-2 * np.linalg.norm(l1)]
+        elif case == 2:
+            d2 = np.array([rng.uniform(-1.0, 1.0), 1.0, 0.0])
+        elif case == 3:
+            d1 = d1 + [0.0, 0.0, 1e-3 * np.linalg.norm(d1)]
+        elif case == 4:
+            l2 = 0.0 * l2
+        rays = [move @ v for v in (l1, d1, d2, l2)]
+        if case:
+            for mass in (tachyon_mass_by_lstsq, tachyon_mass_from_planes):
+                with pytest.raises(GeometryError) as err:
+                    mass(*rays)
+                assert str(err.value) == refusals[case]
+        else:
+            want = tachyon_mass_by_lstsq(*rays)
+            assert abs(tachyon_mass_from_planes(*rays) - want) <= 1e-12 * max(1.0, want)
 
 
 # --- causal positivity of gluings along lightlike rays ---
@@ -383,7 +425,7 @@ def test_particle_angles_of_every_size_round_trip_or_are_refused(log_theta, orie
     s = SingularityType(SingKind.MASSIVE_PARTICLE, angle=theta)
     done = _round_trips(s)
     try:
-        link = link_of_line(suspend(_regular_sphere_carrying(theta, orientation)), "line0")
+        link = suspend(_regular_sphere_carrying(theta, orientation))["line0"]
     except GeometryError as err:
         assert not done
         with pytest.raises(GeometryError) as direct:

@@ -10,7 +10,6 @@ from adscone.isom import (
     Proj2,
     classify,
     factor_isometry,
-    matrix44_of_pair,
     point_of_sl2,
 )
 from adscone.linalg import dot22, normalize_point, orthonormal_tangent_frame
@@ -391,17 +390,17 @@ def test_holonomy_pair_intertwines_model_factors():
         assert resid < 1e-6
 
 
-def _mixed_closing():
+def _mixed_closing(matrix44_of_pair):
     """A closing whose factors differ in kind: g_l elliptic, g_r hyperbolic."""
     gl = Proj2.elliptic(1.1).conjugate(Proj2(np.array([[1.2, 0.3], [-0.4, 0.9]])))
     gr = Proj2.hyperbolic(0.9).conjugate(Proj2(np.array([[0.8, -0.5], [0.2, 1.1]])))
     return IsomPair(gl, gr), matrix44_of_pair(IsomPair(gl, gr))
 
 
-def test_holonomy_pair_is_the_factors_at_the_identity(rk4_holonomy_pair):
+def test_holonomy_pair_is_the_factors_at_the_identity(rk4_holonomy_pair, matrix44_of_pair):
     """Left holonomy g_l, right holonomy g_r, as the RK4 oracle transports
     them: with factors of different kinds a swapped pair cannot pass."""
-    factors, G = _mixed_closing()
+    factors, G = _mixed_closing(matrix44_of_pair)
     path = _chord_path(E_BASE, np.linalg.solve(G, E_BASE))
     pair = holonomy_pair(path, G)
     assert_pairs_close(pair, factors, 1e-12)
@@ -410,8 +409,10 @@ def test_holonomy_pair_is_the_factors_at_the_identity(rk4_holonomy_pair):
     assert classify(pair.right).kind is IsomKind.HYPERBOLIC
 
 
-def test_holonomy_pair_matches_the_transported_frame_at_a_generic_point(rk4_holonomy_pair):
-    _, G = _mixed_closing()
+def test_holonomy_pair_matches_the_transported_frame_at_a_generic_point(
+    rk4_holonomy_pair, matrix44_of_pair
+):
+    _, G = _mixed_closing(matrix44_of_pair)
     y = normalize_point(np.array([1.3, 0.2, 0.5, -0.1]))
     path = _chord_path(y, np.linalg.solve(G, y))
     assert_pairs_close(holonomy_pair(path, G), rk4_holonomy_pair(path, G))
@@ -432,7 +433,7 @@ def test_holonomy_pair_of_a_graviton_gluing(base, rk4_holonomy_pair):
 
 
 @pytest.mark.parametrize("entry, tol", [(35.0, 1e-12), (100.0, 4e-12)])
-def test_holonomy_pair_is_exact_for_large_boosts(entry, tol):
+def test_holonomy_pair_is_exact_for_large_boosts(entry, tol, matrix44_of_pair):
     """Factors with entries ~35 and ~100, whose SO0(1,2) matrices have
     entries ~1.2e3 and ~1e4, where a frame round trip through the polar
     decomposition (the oracles' spin fixture) loses accuracy or raises: the

@@ -12,12 +12,11 @@ from adscone.hssurface import (
     RegionTopology,
     SingularHSSurface,
 )
-from adscone.isom import IsomKind, Proj2, classify, factor_isometry, parabolic_sign
+from adscone.isom import IsomKind, IsomPair, Proj2, classify, factor_isometry, parabolic_sign
 from adscone.linalg import dot22
 from adscone.links import SingKind, SingularityType, classify_singularity
 from adscone.rp1 import ArcTag
 from adscone.spacetimes import (
-    ModelKind,
     achronal_graph_check,
     black_hole_spacetime,
     btz_invariant_lines,
@@ -37,6 +36,7 @@ from adscone.spacetimes import (
     tachyon_gluing,
     tachyon_spacetime,
 )
+from adscone.tolerances import BTZ_LENGTH_MATCH
 
 PI = np.pi
 TWO_PI = 2 * np.pi
@@ -140,12 +140,9 @@ def test_suspend_requires_causal_and_counts_interaction():
         de_sitter_regions=(DeSitterRegion(RegionTopology.ANNULUS, (), (0, 1)),),
         photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
     )
-    m = suspend(link)
-    assert m.kind is ModelKind.SUSPENSION
-    assert m.is_interaction
-    kinds = sorted(
-        classify_singularity(link_of_line(m, line)).kind.value for line in model_lines(m)
-    )
+    lines = suspend(link)
+    assert len(lines) >= 3  # an interaction
+    kinds = sorted(classify_singularity(circle).kind.value for circle in lines.values())
     assert kinds == ["MassiveParticle"] * 3
     # a degree-4 singularity is rejected
     from adscone.links import SingularityType
@@ -176,9 +173,7 @@ def test_suspend_regular_sphere_has_no_lines():
         de_sitter_regions=(DeSitterRegion(RegionTopology.ANNULUS, (), (0, 1)),),
         photon_circles=(PhotonCircle(0, 0), PhotonCircle(1, 0)),
     )
-    m = suspend(regular)
-    assert model_lines(m) == []
-    assert not m.is_interaction
+    assert suspend(regular) == {}
 
 
 def _product():
@@ -220,7 +215,6 @@ MODELS = {
     "extreme": extreme_spacetime,
     "product": _product,
     "btz": _btz,
-    "suspension": _suspension,
 }
 
 
@@ -250,13 +244,23 @@ MODEL_LINES = {
     },
     "product": {"4": _particle(2.0), "5": _particle(2.5)},
     "btz": {"future": (SingKind.BTZ_FUTURE, None, 2.0), "past": (SingKind.BTZ_PAST, None, 2.0)},
-    "suspension": {
-        "line0": _particle(1.0),
-        "line1": (SingKind.BTZ_FUTURE, None, 1.3),
-        "line2": (SingKind.EXTREME_BTZ_PAST, None, None),
-        "line3": (SingKind.GRAVITON_POSITIVE, None, None),
-    },
 }
+
+# line of _suspension() -> (kind, angle, mass) of the classified link
+SUSPENSION_LINES = {
+    "line0": _particle(1.0),
+    "line1": (SingKind.BTZ_FUTURE, None, 1.3),
+    "line2": (SingKind.EXTREME_BTZ_PAST, None, None),
+    "line3": (SingKind.GRAVITON_POSITIVE, None, None),
+}
+
+
+def _assert_classifies_as(link, want):
+    kind, angle, mass = want
+    s = classify_singularity(link)
+    assert s.kind is kind
+    for got, value in ((s.angle, angle), (s.mass, mass)):
+        assert (got is None) if value is None else abs(got - value) < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -265,11 +269,16 @@ MODEL_LINES = {
 def test_every_model_line_classifies(name, line):
     m = _model(name)
     assert model_lines(m) == list(MODEL_LINES[name])
-    kind, angle, mass = MODEL_LINES[name][line]
-    s = classify_singularity(link_of_line(m, line))
-    assert s.kind is kind
-    for got, want in ((s.angle, angle), (s.mass, mass)):
-        assert (got is None) if want is None else abs(got - want) < 1e-9
+    _assert_classifies_as(link_of_line(m, line), MODEL_LINES[name][line])
+
+
+@pytest.mark.parametrize("line", list(SUSPENSION_LINES))
+def test_every_suspension_line_classifies(line):
+    """suspend names the lines of the singularities in the order
+    all_singularities lists them, and nothing else."""
+    lines = _suspension()
+    assert list(lines) == list(SUSPENSION_LINES)
+    _assert_classifies_as(lines[line], SUSPENSION_LINES[line])
 
 
 @pytest.mark.parametrize(
@@ -283,7 +292,6 @@ def test_every_model_line_classifies(name, line):
         ("product", "6", "vertex 6 is not a marked point of the base"),
         ("product", "c", "product spacetime lines are marked vertex ids"),
         ("btz", "c", "unknown line 'c' of a BTZ spacetime"),
-        ("suspension", "line4", "unknown line 'line4' of a suspension"),
     ],
 )
 def test_unknown_model_line_is_rejected(name, line, message):
@@ -374,6 +382,39 @@ def test_btz_conjugated_pair():
     m = btz_static(g1, g2)
     lines = btz_invariant_lines(m)
     assert lines.duality_error < 1e-9
+
+
+def _btz_pairs():
+    """Hyperbolic pairs (g1, g2) of one translation length, conjugated by
+    seeded random matrices, then two whose lengths differ by just under
+    BTZ_LENGTH_MATCH, one each way."""
+    rng = np.random.default_rng(17)
+    conjugators = [Proj2(a) for a in rng.normal(size=(40, 2, 2)) if np.linalg.det(a) > 0.05]
+    pairs = [
+        (Proj2.hyperbolic(length).conjugate(a), Proj2.hyperbolic(length).conjugate(b))
+        for length, a, b in zip(rng.uniform(0.05, 4.0, 10), conjugators[::2], conjugators[1::2])
+    ]
+    for gap in (0.99, -0.99):
+        g2 = Proj2.hyperbolic(1.3 + gap * BTZ_LENGTH_MATCH).conjugate(conjugators[-1])
+        pairs.append((Proj2.hyperbolic(1.3).conjugate(conjugators[-2]), g2))
+    return pairs
+
+
+@pytest.mark.parametrize("g1, g2", _btz_pairs())
+def test_btz_lines_span_the_planes_of_the_svd_oracle(g1, g2, btz_planes_by_svd, matrix44_of_pair):
+    """The closed-form lines lie on the quadric, in the oracle's 2-planes,
+    and the fixed one is pointwise fixed: to rounding when the lengths
+    agree, and up to the slide of half their difference when they do not."""
+    lines = btz_invariant_lines(btz_static(g1, g2))
+    gap = abs(classify(g1).length - classify(g2).length)
+    G = matrix44_of_pair(IsomPair(g1, g2))
+    for x in lines.fixed_line:
+        assert np.abs(G @ x - x).max() <= (1e-12 + gap) * np.abs(x).max() ** 2
+    for line, plane in zip((lines.fixed_line, lines.translated_line), btz_planes_by_svd(g1, g2)):
+        assert np.abs([dot22(x, x) + 1 for x in line]).max() < 1e-12 * np.abs(line).max() ** 2
+        off_plane = line - line @ plane.T @ plane
+        assert np.abs(off_plane).max() <= (1e-12 + gap) * np.abs(line).max()
+    assert lines.duality_error < 1e-12 * np.abs(lines.fixed_line).max() ** 2
 
 
 # -- ambient gluings -------------------------------------------------------------
