@@ -20,6 +20,7 @@ from .conesurf import (
     ConeSurface,
     DiskSpec,
     Side,
+    _surface_on,
     angle_sum_jacobian,
     checked_sides,
     corner_table,
@@ -75,9 +76,11 @@ def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface
     The result is always a new surface, never the one passed in, so
     subdivide_face_with_cone may switch its angle check on in place
     (ConeSurface._switch_on_angle_check).  It shares the structure of the
-    surface passed in and carries the corner table of its last accepted
-    trial, so its angle sums, angle check and loop holonomies do not
-    evaluate the law of cosines again.
+    surface passed in and is built on its last accepted trial: those
+    lengths have passed checked_sides on these tables, so they are not
+    checked again, and it carries their corner table, so its angle sums,
+    angle check and loop holonomies do not evaluate the law of cosines
+    again.
     """
     if not targets:
         return surface.with_lengths(surface.lengths)  # nothing to solve
@@ -134,7 +137,7 @@ def solve_metric(surface: ConeSurface, targets: dict[int, float]) -> ConeSurface
                 )
         else:
             raise LinkRealizationError("metric solve did not converge")
-    return surface.with_lengths(lengths)._keep_corners(corners)
+    return _surface_on(surface._structure, lengths, surface.cone_angles, corners=corners)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ cone points are vertices whose total angle is prescribed to something other
 than 2*pi.
 
 Loop holonomies are products of closed-form PSL(2,R) transitions, one per
-glued side, read off the edge lengths and corner angles.
+glued side, read off the edge lengths and corner angles; the loop once
+around a vertex is the rotation by its angle sum about that vertex.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -80,19 +82,29 @@ class ConeSurface:
         cones = dict(self.cone_angles)
         self._on(_interned(self.edges, self.faces), lengths, cones, self.check_angles)
 
-    def _on(self, structure: _Structure, lengths, cone_angles, check_angles: bool) -> ConeSurface:
+    def _on(
+        self, structure: _Structure, lengths, cone_angles, check_angles: bool, corners=None
+    ) -> ConeSurface:
         """This surface on an interned structure, with the metric given: the
         one place a surface takes its fields.  The structure's edges and
         faces have passed its checks, and are not normalized or hashed
-        again; every length check runs, and the angle check when
-        check_angles is set."""
+        again.  Every length check runs (checked_sides), unless corners is
+        given: the CornerTable of lengths that have passed them on this
+        structure's tables (catalog.solve_metric's accepted trial), cached
+        as _corners caches its own.  The angle check runs when check_angles
+        is set."""
         object.__setattr__(self, "edges", structure.edges)
         object.__setattr__(self, "faces", structure.faces)
         object.__setattr__(self, "_structure", structure)
         object.__setattr__(self, "lengths", np.asarray(lengths, dtype=float))
         object.__setattr__(self, "cone_angles", dict(cone_angles))
         object.__setattr__(self, "check_angles", check_angles)
-        self._check_metric()
+        if corners is None:
+            checked_sides(self.lengths, self._tables)
+        else:
+            object.__setattr__(self, "_corner_cache", (corners.angles, corners.degenerate))
+        if check_angles:
+            self._check_angle_sums()
         return self
 
     # -- structure ---------------------------------------------------------
@@ -132,12 +144,6 @@ class ConeSurface:
     def euler_characteristic(self) -> int:
         return len(self._structure.vertices) - len(self.edges) + len(self.faces)
 
-    def _check_metric(self):
-        """Length checks (and the angle check when check_angles is set)."""
-        checked_sides(self.lengths, self._tables)
-        if self.check_angles:
-            self._check_angle_sums()
-
     def _check_angle_sums(self):
         bad = self.angle_defect_report()
         if bad:
@@ -146,14 +152,6 @@ class ConeSurface:
                 "vertex angle sums do not match targets: worst vertex "
                 f"{worst[0]} deviates by {worst[1]:.3e}"
             )
-
-    def _keep_corners(self, corners: CornerTable) -> ConeSurface:
-        """This surface with the corner table of its own lengths, evaluated
-        by its maker (catalog.solve_metric, whose last trial it is), cached
-        as if _corners had evaluated it; only for a surface not handed out
-        yet."""
-        object.__setattr__(self, "_corner_cache", (corners.angles, corners.degenerate))
-        return self
 
     def _switch_on_angle_check(self) -> ConeSurface:
         """This surface with check_angles set, once the angle check passes
@@ -249,11 +247,10 @@ class ConeSurface:
     def neighbor_across(self, f: int, side_index: int) -> tuple[int, int]:
         return _across(self._structure, f, side_index)
 
-    def _transition_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, degenerate): T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face
-        glued across side i of f from its own frame into the frame of f, and
-        degenerate (F,) flags the faces with a degenerate corner.  One pass
-        over the corner angles, kept like them (the surface is frozen); a
+    def _transition_table(self) -> np.ndarray:
+        """T[f, i] in SL(2,R), (F, 3, 2, 2), carries the face glued across
+        side i of f from its own frame into the frame of f.  One pass over
+        the corner angles, kept like them (the surface is frozen); a
         degenerate face's entries may overflow, and numpy is not asked to
         warn about them, since no loop reads them.
 
@@ -267,15 +264,12 @@ class ConeSurface:
         and side j of the neighbour g runs the other way along the same edge:
             T[f, i] = E_{f,i} B(a_i) R(pi) E_{g,j}^{-1}.
         Boundary sides hold NaN."""
-        cached = getattr(self, "_transition_cache", None)
-        if cached is not None:
-            return cached
-        angles, degenerate = self._corners()
-        with np.errstate(all="ignore"):
-            table = self._transitions(angles, self.lengths[self._tables.face_edges])
-        cached = (table, degenerate.any(axis=1))
-        object.__setattr__(self, "_transition_cache", cached)
-        return cached
+        table = getattr(self, "_transition_cache", None)
+        if table is None:
+            with np.errstate(all="ignore"):
+                table = self._transitions(self._corners()[0], self.lengths[self._tables.face_edges])
+            object.__setattr__(self, "_transition_cache", table)
+        return table
 
     def _transitions(self, angles: np.ndarray, sides: np.ndarray) -> np.ndarray:
         """The table T of _transition_table from the (F, 3) corner angles and
@@ -310,9 +304,11 @@ class ConeSurface:
         return table
 
 
-def _surface_on(structure: _Structure, lengths, cone_angles, check_angles: bool = False) -> ConeSurface:
+def _surface_on(
+    structure: _Structure, lengths, cone_angles, check_angles: bool = False, corners=None
+) -> ConeSurface:
     """A new surface on an interned structure (ConeSurface._on)."""
-    return object.__new__(ConeSurface)._on(structure, lengths, cone_angles, check_angles)
+    return object.__new__(ConeSurface)._on(structure, lengths, cone_angles, check_angles, corners)
 
 
 class _Structure:
@@ -556,9 +552,10 @@ def _interned(edges, faces) -> _Structure:
 # holding an error, up to _PLAN_ENTRIES per face of their sizes: index
 # entries, and _PLAN_OVERHEAD more per plan, enough for a flip plan on every
 # edge.  Filled with plans of one kind, a structure holds 42-91 bytes per unit
-# (closed loop plans 39-41), so at most ~2.2 kB per face (measured the same
-# way on fans of 12 and 200 faces and on closed surfaces of 16 and 90 faces,
-# the keys included), ~18 MB more in all.  The structures plans lead to are
+# (closed loop plans 39-41, and 44-47 for loops once around a vertex, which
+# keep their corners too, on closed surfaces of 12 and 20 faces), so at most
+# ~2.2 kB per face (measured the same way on fans of 12 and 200 faces and on
+# closed surfaces of 16 and 90 faces, the keys included), ~18 MB more in all.  The structures plans lead to are
 # held weakly, and no other cache holds one, so they are the cache's and not
 # counted again.  The cone-surfaces benchmark keeps at most 15.6 units per
 # face (the torus structure's six splice plans).
@@ -791,6 +788,14 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     the steps s_0, ..., s_k.  Face paths never meet vertices, so cone points
     are automatically avoided.
 
+    A loop whose steps are the fan once around the vertex where its first
+    exit side ends (the loop loop_around_vertex gives from that corner) has
+    that product in closed form, E R(Theta) E^{-1}: the rotation by the sum
+    Theta of the corner angles it passes there, added in ascending corner
+    order as vertex_angle_sums adds them, about the vertex, with E the base
+    face's frame at that corner (_rotation_at).  Such a loop builds no
+    transition table.
+
     The walk is the loop's plan on the structure (_Loop), worked out once
     per loop: it raises GeometryError at the first step whose face or side
     is out of range, that does not chain or crosses a boundary side, or at a
@@ -799,28 +804,60 @@ def holonomy_of_loop(s: ConeSurface, loop) -> Proj2:
     corner."""
     steps = resolve_loop(loop)
     plan, _ = s._structure.plan(("loop", tuple(steps)), _plan_loop)
-    table, degenerate = s._transition_table()
-    bad = degenerate[plan.faces]
-    if bad.any():
-        raise NotHyperbolicError(f"degenerate corner at face {plan.faces[np.argmax(bad)]}")
-    factors = table[plan.faces, plan.sides]
+    angles, degenerate = s._corners()
+    if np.count_nonzero(degenerate):
+        bad = degenerate[plan.faces].any(axis=1)
+        if bad.any():
+            raise NotHyperbolicError(f"degenerate corner at face {plan.faces[np.argmax(bad)]}")
+    if plan.corners is not None:
+        f, side = steps[0]
+        return _rotation_at(s, 3 * f + (side + 1) % 3, sum(angles.ravel()[plan.corners].tolist()))
+    factors = s._transition_table()[plan.faces, plan.sides]
     h = factors[0]
     for t in factors[1:]:
         h = h @ t
     return Proj2(h)
 
 
+def _rotation_at(s: ConeSurface, corner: int, theta: float) -> Proj2:
+    """E R(theta) E^{-1}: the rotation by theta about the vertex at a flat
+    corner 3 f + i, in the frame of face f, where E = E_{f,i} is the frame
+    at corner i (ConeSurface._transition_table), built from the same
+    factors B(a_{k-1}) R(pi - alpha_k).  With E = [[p, q], [r, t]] of
+    determinant 1 and J = R(pi) = [[0, -1], [1, 0]],
+        E R(theta) E^{-1} = cos(theta/2) I + sin(theta/2) E J E^{-1},
+        E J E^{-1} = [[pr + qt, -(p^2 + q^2)], [r^2 + t^2, -(pr + qt)]]."""
+    f, i = divmod(corner, 3)
+    p, q, r, t = 1.0, 0.0, 0.0, 1.0
+    if i:
+        angles = s._corners()[0][f].tolist()
+        sides = s.lengths[s._tables.face_edges[f]].tolist()
+        for k in range(1, i + 1):
+            # E B(a) R(pi - alpha); the half angle of the rotation has cosine
+            # sin(alpha/2) and sine cos(alpha/2)
+            grow, shrink = math.exp(sides[k - 1] / 2.0), math.exp(-sides[k - 1] / 2.0)
+            cos_h, sin_h = math.sin(angles[k] / 2.0), math.cos(angles[k] / 2.0)
+            p, q = (p * grow * cos_h + q * shrink * sin_h, q * shrink * cos_h - p * grow * sin_h)
+            r, t = (r * grow * cos_h + t * shrink * sin_h, t * shrink * cos_h - r * grow * sin_h)
+    c, sn = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    m = p * r + q * t
+    return Proj2(np.array([[c + sn * m, -sn * (p * p + q * q)], [sn * (r * r + t * t), c - sn * m]]))
+
+
 class _Loop(NamedTuple):
     """The plan of a closed face loop (holonomy_of_loop): its faces, which
-    are the faces its walk reaches in order, and its exit sides."""
+    are the faces its walk reaches in order, and its exit sides; for a loop
+    once around a vertex (_fan_corners), the flat corners 3 f + i at that
+    vertex it passes, ascending, and None for every other loop."""
 
     faces: np.ndarray
     sides: np.ndarray
+    corners: np.ndarray | None
     leads_to = None
 
     @property
     def size(self) -> int:
-        return _PLAN_OVERHEAD + 2 * len(self.faces)
+        return _PLAN_OVERHEAD + (2 if self.corners is None else 3) * len(self.faces)
 
 
 def _plan_loop(structure: _Structure, key: tuple) -> tuple[_Loop, None]:
@@ -836,7 +873,31 @@ def _plan_loop(structure: _Structure, key: tuple) -> tuple[_Loop, None]:
     if f != f0:
         raise GeometryError("loop does not return to its base face")
     faces, sides = np.array(steps, dtype=np.intp).T
-    return _Loop(faces, sides), None
+    corners = _fan_corners(structure, steps)
+    if corners is not None:
+        corners = _read_only(np.array(sorted(corners), dtype=np.intp))
+    return _Loop(faces, sides, corners), None
+
+
+def _fan_corners(structure: _Structure, steps) -> list[int] | None:
+    """The flat corners 3 f + i a closed loop passes, in loop order, if its
+    steps are the fan around the vertex where its first exit side ends, the
+    walk _plan_around takes from that corner, once; else None (a double
+    turn, a fan walked backwards, any other loop).  The steps have passed
+    _plan_loop's walk, so each crosses a glued side."""
+    f, side = steps[0]
+    start = corner = 3 * f + (side + 1) % 3
+    corners = []
+    for f, side in steps:
+        # the fan leaves corner i of f across side i + 2, which ends there
+        if 3 * f + (side + 1) % 3 != corner:
+            return None
+        corners.append(corner)
+        # the glued side starts at the vertex: it is the next corner's
+        corner = int(structure.neighbors[f, side])
+        if corner == start:
+            break
+    return corners if corner == start and len(corners) == len(steps) else None
 
 
 def loop_around_vertex(s: ConeSurface, v: int, base_face: int | None = None) -> list:

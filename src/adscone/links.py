@@ -200,16 +200,22 @@ def tachyon_mass_from_planes(l1, d1, d2, l2) -> float:
     convention is [a:b:c:d] = ((a-c)(b-d)) / ((a-b)(c-d)) on slopes in the
     null basis, with the indexing of (d1, d2) chosen so the value is >= 1.
     A ray d = c1 l1 + c2 l2 of the plane has slope c2 / c1 = <d,l1> / <d,l2>,
-    as <l1,l1> = <l2,l2> = 0.
+    as <l1,l1> = <l2,l2> = 0.  Null rays on one line span no plane and are
+    refused (GeometryError), a zero ray among them.
     """
     l1, d1, d2, l2 = (np.asarray(v, dtype=float) for v in (l1, d1, d2, l2))
     for iso in (l1, l2):
         if abs(dot12(iso, iso)) > ISOTROPIC_REL * np.dot(iso, iso):
             raise GeometryError("l1, l2 must be isotropic")
+    normal = np.cross(l1, l2)
+    # |l1 x l2| / |l1| is the distance from l2 to the line of l1: parallel
+    # rays (or a zero one) leave every slope one constant and every ray
+    # "coplanar"
+    if np.linalg.norm(normal) <= COPLANAR_REL * np.linalg.norm(l1) * np.linalg.norm(l2):
+        raise GeometryError("l1, l2 span no plane")
     for d in (d1, d2):
         if dot12(d, d) >= 0:
             raise GeometryError("d1, d2 must be timelike")
-    normal = np.cross(l1, l2)
     for d in (d1, d2):
         # |det[l1, l2, d]| / |l1 x l2| is the distance from d to the null plane
         if abs(normal @ d) > COPLANAR_REL * np.linalg.norm(normal) * np.linalg.norm(d):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ from adscone.conesurf import (
     DiskSpec,
     Side,
     _patch_rim,
+    _rotation_at,
     _Structure,
     _uses_of,
     angle_sum_jacobian,
@@ -35,6 +37,21 @@ from adscone.tolerances import (
     TRANSPORT_TANGENT,
     TRIANGLE_MARGIN,
 )
+
+
+# A failing hypothesis test reports its falsifying example through
+# hypothesis.extra._patching, whose first import (libcst, then
+# mypy_extensions.TypedDict) warns with a DeprecationWarning.  Under the
+# project's error::DeprecationWarning filter that warning would end the
+# session with INTERNALERROR instead of the report, so the module is imported
+# here once, with that one import's deprecations silenced; where it or
+# libcst is missing, hypothesis reports without it.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +330,20 @@ def btz_planes_by_svd():
 def _tachyon_mass_by_lstsq(l1, d1, d2, l2):
     """links.tachyon_mass_from_planes as it read each slope off a
     least-squares solve in the null basis (l1, l2), refusals included: a
-    squared residual above 1e-18 |d|^2 is off the plane, and a first
-    coefficient below 1e-14 an infinite slope."""
+    basis whose smaller singular value is at most 1e-9 of its larger spans
+    no plane, a squared residual above 1e-18 |d|^2 is off the plane, and a
+    first coefficient below 1e-14 an infinite slope."""
     l1, d1, d2, l2 = (np.asarray(v, dtype=float) for v in (l1, d1, d2, l2))
     for iso in (l1, l2):
         if abs(dot12(iso, iso)) > ISOTROPIC_REL * np.dot(iso, iso):
             raise GeometryError("l1, l2 must be isotropic")
+    basis = np.column_stack([l1, l2])
+    singular = np.linalg.svd(basis, compute_uv=False)
+    if not singular[1] > 1e-9 * singular[0]:
+        raise GeometryError("l1, l2 span no plane")
     for d in (d1, d2):
         if dot12(d, d) >= 0:
             raise GeometryError("d1, d2 must be timelike")
-    basis = np.column_stack([l1, l2])
 
     def slope(v):
         coef, res, _, _ = np.linalg.lstsq(basis, v, rcond=None)
@@ -1100,7 +1121,11 @@ def _planless_flip_edge(s, e):
 
 def _planless_holonomy_of_loop(s, loop):
     """conesurf.holonomy_of_loop as it walked the loop on every call, then
-    checked each face it reached, in order, for a degenerate corner."""
+    checked each face it reached, in order, for a degenerate corner; a loop
+    that steps once around the vertex where its first exit side ends, as
+    neighbor_across steps round it, is the rotation by the angles it passes
+    there (conesurf._rotation_at), every other loop the product of its
+    transitions."""
     steps = resolve_loop(loop)
     f0 = f = steps[0][0]
     for fi, si in steps:
@@ -1109,16 +1134,52 @@ def _planless_holonomy_of_loop(s, loop):
         f, _ = s.neighbor_across(f, si)
     if f != f0:
         raise GeometryError("loop does not return to its base face")
-    table, degenerate = s._transition_table()
+    angles, degenerate = s._corners()
     faces, sides = zip(*steps)
     for f in faces:
-        if degenerate[f]:
+        if degenerate[f].any():
             raise NotHyperbolicError(f"degenerate corner at face {f}")
-    factors = table[list(faces), list(sides)]
+    corners = [3 * f + (si + 1) % 3 for f, si in steps]
+    if _stepped_round(s, *divmod(corners[0], 3), len(steps)) == steps:
+        theta = sum(angles[c // 3, c % 3] for c in sorted(corners))
+        return _rotation_at(s, corners[0], theta)
+    return _walked_holonomy(s, steps)
+
+
+def _stepped_round(s, f, i, most):
+    """The steps of at most `most` crossings of the side arriving at the
+    vertex at corner i of face f, as neighbor_across leads from face to face,
+    until they come back to that corner (None where they do not, or meet the
+    rim)."""
+    start, steps = (f, i), []
+    while len(steps) < most:
+        steps.append((f, (i + 2) % 3))
+        try:
+            f, i = s.neighbor_across(f, (i + 2) % 3)
+        except GeometryError:
+            return None
+        if (f, i) == start:
+            return steps
+    return None
+
+
+def _walked_holonomy(s, loop):
+    """The product of a closed loop's transitions (ConeSurface.
+    _transition_table) in step order, for any loop, the loops once around a
+    vertex included."""
+    faces, sides = zip(*resolve_loop(loop))
+    factors = s._transition_table()[list(faces), list(sides)]
     h = factors[0]
     for t in factors[1:]:
         h = h @ t
     return Proj2(h)
+
+
+@pytest.fixture(scope="session")
+def walked_holonomy():
+    """Reference for the closed form of conesurf.holonomy_of_loop on a loop
+    once around a vertex: the product of its transitions."""
+    return _walked_holonomy
 
 
 @pytest.fixture(scope="session")

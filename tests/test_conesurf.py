@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adscone import conesurf
 from adscone.catalog import double_triangle_sphere, subdivide_face_with_cone, torus_with_cone_point
 from adscone.conesurf import (
     ConeSurface,
@@ -860,6 +861,84 @@ def test_loop_holonomy_matches_the_development(developed_holonomy, theta, eta, f
         # the reference rounds like the size of the holonomy (up to 6e-10 at
         # entries of 110 in this box, against a 50-digit product)
         assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
+
+
+def _loop_plan(s, loop):
+    """The _Loop holonomy_of_loop has kept for a loop on s's structure."""
+    plan = s._structure.plan(("loop", tuple(loop)), None)[0]
+    assert isinstance(plan, conesurf._Loop)
+    return plan
+
+
+def _reversed(s, loop):
+    """The loop walked backwards from the same base face: each step crosses
+    back the side the forward walk crossed last."""
+    return [s.neighbor_across(f, si) for f, si in loop][::-1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    theta=st.floats(0.6, 5.0),
+    face=st.sampled_from((1, 3, 5, 7, 8, 9)),
+    eta=st.floats(0.3, 4.2),
+)
+@example(theta=4.371428571428571, face=5, eta=0.3)
+def test_vertex_loops_are_the_closed_form_of_their_walk(walked_holonomy, theta, face, eta):
+    """Every loop once around a vertex (loop_around_vertex, from every face
+    at it) of a subdivided torus is planned as one, and its holonomy, the
+    rotation by the vertex's angle sum, equals the product of its
+    transitions to 1e-12 of that product's rounding scale, the product of
+    its factors' norms (up to 3e5 in this box, where the largest gap seen
+    is 3.5e-14 of it; the example has entries of 1 that differ by 1.9e-12)."""
+    surf, _ = torus_with_cone_point(theta)
+    refined, _, _ = subdivide_face_with_cone(surf, face, eta)
+    sums = refined.vertex_angle_sums()
+    table = refined._transition_table()
+    for f in range(len(refined.faces)):
+        for v in set(refined.face_corners(f)):
+            loop = loop_around_vertex(refined, v, f)
+            got, want = holonomy_of_loop(refined, loop), walked_holonomy(refined, loop)
+            corners = _loop_plan(refined, loop).corners
+            assert sorted(refined._tables.corner_vertices.ravel()[corners]) == [v] * len(loop)
+            scale = math.prod(np.linalg.norm(table[g, i], 2) for g, i in loop)
+            assert np.abs(got.m - want.m).max() <= 1e-12 * scale
+            assert abs(got.trace - 2 * abs(math.cos(sums[v] / 2))) < 1e-12
+
+
+def test_loops_not_once_around_a_vertex_are_walked(walked_holonomy):
+    """Dual cycles, a loop twice around a vertex and a vertex loop walked
+    backwards are planned as walks, and their holonomy is the product of
+    their transitions, bit for bit; the loops once around are not."""
+    torus, _ = torus_with_cone_point(2.0)
+    refined, _, _ = subdivide_face_with_cone(torus, 7, 1.3)
+    around = [loop_around_vertex(refined, v) for v in refined.vertices]
+    walked = dual_cycles(refined) + [lp + lp for lp in around] + [_reversed(refined, lp) for lp in around]
+    for loop in walked:
+        got = holonomy_of_loop(refined, loop)
+        assert _loop_plan(refined, loop).corners is None
+        assert got.m.tobytes() == walked_holonomy(refined, loop).m.tobytes()
+    for loop in around:
+        holonomy_of_loop(refined, loop)
+        assert _loop_plan(refined, loop).corners is not None
+
+
+def test_a_surface_with_only_vertex_loops_builds_no_transition_table():
+    """The cone-surfaces benchmark's steps (loops around every cone point,
+    angle sums, Delaunay flips, area), and every vertex loop besides, leave
+    the surface without a transition table; the first dual cycle builds
+    it."""
+    torus, _ = torus_with_cone_point(2.0)
+    refined, _, _ = subdivide_face_with_cone(torus, 7, 1.3)
+    for v in sorted(refined.cone_angles):
+        holonomy_of_loop(refined, loop_around_vertex(refined, v))
+    refined.vertex_angle_sums()
+    gauss_bonnet_area(delaunay_normalize(refined))
+    for f in range(len(refined.faces)):
+        for v in set(refined.face_corners(f)):
+            holonomy_of_loop(refined, loop_around_vertex(refined, v, f))
+    assert not hasattr(refined, "_transition_cache")
+    holonomy_of_loop(refined, dual_cycles(refined)[0])
+    assert hasattr(refined, "_transition_cache")
 
 
 def _own_patch(disk: DiskSpec):

@@ -163,29 +163,44 @@ def test_tachyon_mass_rejects_bad_input():
                                  hyperbola_direction(0.3), l2)
 
 
+def test_tachyon_mass_refuses_null_rays_on_one_line(tachyon_mass_by_lstsq):
+    """l2 = 2 l1 spans no plane: each slope <d,l1>/<d,l2> is 1/2 for every
+    ray d, so the mass read 0.0, also for a trace off every plane; now both
+    it and the least-squares oracle refuse it by name, whichever traces."""
+    l1 = np.array([1.0, -1.0, 0.0])
+    off_plane = np.array([np.cosh(0.7), -np.sinh(0.7), 0.2])
+    for l2 in (2.0 * l1, -0.5 * l1, 0.0 * l1):
+        for d2 in (hyperbola_direction(0.4), off_plane):
+            for mass in (tachyon_mass_by_lstsq, tachyon_mass_from_planes):
+                with pytest.raises(GeometryError, match="^l1, l2 span no plane$"):
+                    mass(l1, hyperbola_direction(-0.3), d2, l2)
+
+
 def test_tachyon_mass_matches_the_lstsq_oracle(spin, tachyon_mass_by_lstsq):
     """Slopes <d,l1>/<d,l2> against a least-squares solve in the null basis,
     on 2,000 configurations of rays in the plane T, S of R^{1,2} rescaled
     by random signs and sizes and moved by random Lorentz transformations
     of rapidity below 3 (written turn, boost, turn): the same mass to
-    1e-12, or the same refusal.  Every fifth is a valid configuration; the
+    1e-12, or the same refusal.  Every sixth is a valid configuration; the
     others are made to meet one refusal each: a null ray off the cone, a
-    spacelike trace, a trace off the plane by 1e-3 of its size, and a zero
-    null ray, which every slope meets at 0."""
+    spacelike trace, a trace off the plane by 1e-3 of its size, and null
+    rays that span no plane: a zero one, and one on the line of the
+    other."""
     refusals = {
         1: "l1, l2 must be isotropic",
         2: "d1, d2 must be timelike",
         3: "rays are not coplanar",
-        4: "timelike rays must be separated from the null rays",
+        4: "l1, l2 span no plane",
+        5: "l1, l2 span no plane",
     }
     rng = np.random.default_rng(29)
-    for k in range(2000):
+    for k in range(2400):
         g = Proj2.elliptic(rng.uniform(0.0, 2 * PI)) @ Proj2.hyperbolic(rng.uniform(-3.0, 3.0))
         move = spin.lorentz3_of_psl(g @ Proj2.elliptic(rng.uniform(0.0, 2 * PI)))
         size = lambda: rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.0)
         l1, l2 = np.array([1.0, -1.0, 0.0]) * size(), np.array([1.0, 1.0, 0.0]) * size()
         d1, d2 = (hyperbola_direction(u) * size() for u in rng.uniform(-2.0, 2.0, 2))
-        case = k % 5
+        case = k % 6
         if case == 1:
             l1 = l1 + [0.0, 0.0, 1e-2 * np.linalg.norm(l1)]
         elif case == 2:
@@ -194,6 +209,8 @@ def test_tachyon_mass_matches_the_lstsq_oracle(spin, tachyon_mass_by_lstsq):
             d1 = d1 + [0.0, 0.0, 1e-3 * np.linalg.norm(d1)]
         elif case == 4:
             l2 = 0.0 * l2
+        elif case == 5:
+            l2 = l1 * size()
         rays = [move @ v for v in (l1, d1, d2, l2)]
         if case:
             for mass in (tachyon_mass_by_lstsq, tachyon_mass_from_planes):

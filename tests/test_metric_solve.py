@@ -198,28 +198,54 @@ def test_a_solve_builds_one_surface(monkeypatch, plane_torus_seed):
     """Trials are evaluated on the length vector; only the result is a
     ConeSurface."""
     seed, targets = plane_torus_seed(2.0)
-    built = []
-    check = ConeSurface._check_metric
-
-    def counted(surface):
-        built.append(id(surface))
-        check(surface)
-
-    monkeypatch.setattr(ConeSurface, "_check_metric", counted)
+    built = _count_checks(monkeypatch)
     catalog.solve_metric(seed, targets)
     assert len(built) == 1
 
 
+def test_a_solve_checks_each_trial_once_and_its_result_not_again(monkeypatch, plane_torus_seed):
+    """checked_sides runs once per trial the solve evaluates, each that
+    passes going on to its corner table, and not again on the result: the
+    surface is built on the accepted trial, whose angle sums are those of a
+    checked copy of its lengths, bit for bit."""
+    seed, targets = plane_torus_seed(2.0)
+    calls, passed, evaluated = [], [], []
+
+    def counting(module):
+        check = module.checked_sides
+
+        def counted(lengths, tables):
+            calls.append(module.__name__)
+            sides = check(lengths, tables)
+            passed.append(module.__name__)
+            return sides
+
+        monkeypatch.setattr(module, "checked_sides", counted)
+
+    counting(catalog)
+    counting(conesurf)
+    corners = catalog.corner_table
+    monkeypatch.setattr(catalog, "corner_table", lambda *args: evaluated.append(1) or corners(*args))
+    solved = catalog.solve_metric(seed, targets)
+    assert calls == ["adscone.catalog"] * len(calls)
+    assert passed == ["adscone.catalog"] * len(evaluated) and len(evaluated) > 1
+    monkeypatch.undo()
+    checked = seed.with_lengths(solved.lengths)
+    assert solved.lengths.tobytes() == checked.lengths.tobytes()
+    assert solved.vertex_angle_sums() == checked.vertex_angle_sums()
+
+
 def _count_checks(monkeypatch):
-    """The surfaces whose metric is checked, one entry per _check_metric."""
+    """The surfaces built, one entry per ConeSurface._on, where each takes
+    its fields and its metric is checked."""
     built = []
-    check = ConeSurface._check_metric
+    take = ConeSurface._on
 
-    def counted(surface):
+    def counted(surface, *args):
         built.append(id(surface))
-        check(surface)
+        return take(surface, *args)
 
-    monkeypatch.setattr(ConeSurface, "_check_metric", counted)
+    monkeypatch.setattr(ConeSurface, "_on", counted)
     return built
 
 
